@@ -4,7 +4,7 @@ PYTHON ?= python
 # worker pool width for campaign sweeps (make experiments JOBS=8)
 JOBS ?= $(shell $(PYTHON) -c "import os; print(os.cpu_count() or 1)")
 
-.PHONY: install test smoke-faults smoke-campaign smoke-load fuzz-smoke coverage bench profile examples experiments experiments-full load-full clean
+.PHONY: install test smoke-faults smoke-campaign smoke-load fuzz-smoke coverage bench bench-e2e bench-e2e-quick profile examples experiments experiments-full load-full clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -55,6 +55,18 @@ bench:
 	$(PYTHON) scripts/bench_trajectory.py record .benchmarks/latest.json \
 		--label "$(BENCH_LABEL)"
 	$(PYTHON) scripts/bench_trajectory.py show
+
+# The end-to-end benchmark BENCHMARK.json declares (bench/README.md):
+# five named workloads, host end-to-end metrics, per-layer metrics from
+# a traced run, and the correctness gate; writes
+# .benchmarks/bench/result.json for `python -m bench compare`.  The
+# quick form runs toy sizes in seconds: same plumbing and gate, numbers
+# that mean nothing.
+bench-e2e:
+	PYTHONPATH=src $(PYTHON) -m bench run
+
+bench-e2e-quick:
+	PYTHONPATH=src $(PYTHON) -m bench run --quick
 
 # Memory/allocation profile of the benchmark workloads: runs them once
 # under tracemalloc (several times slower than `make bench`, so the

@@ -61,12 +61,14 @@ def _stats_of(report: dict) -> dict:
 #: steady-state benchmarks themselves) copied into trajectory entries
 #: when present.  ``peak_rss_kb`` is always emitted; ``alloc_per_event``
 #: by the benchmarks that measure it; the tracemalloc pair only under
-#: ``REPRO_BENCH_TRACEMALLOC=1``.
-MEMORY_KEYS = (
+#: ``REPRO_BENCH_TRACEMALLOC=1``; ``us_per_walk_hop`` by
+#: ``benchmarks/test_bench_walk.py``.
+EXTRA_KEYS = (
     "peak_rss_kb",
     "alloc_per_event",
     "tracemalloc_peak_kb",
     "tracemalloc_alloc_blocks",
+    "us_per_walk_hop",
 )
 
 
@@ -99,7 +101,7 @@ def cmd_record(args: argparse.Namespace) -> int:
             "rounds": s["rounds"],
             "python": machine.get("python_version", ""),
         }
-        for key in MEMORY_KEYS:
+        for key in EXTRA_KEYS:
             if key in extra.get(name, {}):
                 entry[key] = extra[name][key]
         if args.commit:
@@ -154,10 +156,12 @@ def cmd_show(args: argparse.Namespace) -> int:
             alloc_txt = (
                 f"  alloc/ev {alloc:6.2f}" if alloc is not None else ""
             )
+            hop = e.get("us_per_walk_hop")
+            hop_txt = f"  us/hop {hop:6.2f}" if hop is not None else ""
             print(
                 f"  {e.get('label', '?'):<28} min {min_txt}"
                 f"  median {med_txt}"
-                f"  {speed_txt}{delta_txt}{rss_txt}{alloc_txt}  {commit}"
+                f"  {speed_txt}{delta_txt}{rss_txt}{alloc_txt}{hop_txt}  {commit}"
             )
             if min_s:
                 prev_min = min_s

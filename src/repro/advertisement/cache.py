@@ -39,7 +39,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from operator import attrgetter
+from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.advertisement.base import (
     Advertisement,
@@ -48,10 +49,14 @@ from repro.advertisement.base import (
 )
 
 
-def _has_glob(value: str) -> bool:
+_SEQ = attrgetter("seq")
+
+
+def has_glob(value: str) -> bool:
     """True if ``value`` uses fnmatch metacharacters (``*``, ``?``,
-    ``[``) and therefore cannot be answered from the exact index."""
-    return any(c in value for c in "*?[")
+    ``[``) and therefore cannot be answered from an exact index — this
+    cache's, or the LC-DHT's hash of the tuple."""
+    return "*" in value or "?" in value or "[" in value
 
 
 @dataclass(slots=True)
@@ -251,19 +256,26 @@ class AdvertisementCache:
 
     def _attr_keys(
         self, adv_type: Optional[str], attribute: str, value: Optional[str]
-    ) -> Set[str]:
+    ) -> Collection[str]:
         """Candidate keys for an indexed attribute query (exact value or
-        attribute-presence).  ``adv_type`` of None unions over all types."""
-        types = (adv_type,) if adv_type is not None else tuple(self._by_type)
-        out: Set[str] = set()
-        for t in types:
+        attribute-presence).  One type is one probe and hands out the
+        index bucket itself; ``adv_type`` of None unions over all types."""
+        if adv_type is not None:
             if value is None:
-                found = self._by_attr_any.get((t, attribute))
-            else:
-                found = self._by_attr.get((t, attribute, value))
-            if found:
-                out |= found
+                return self._by_attr_any.get((adv_type, attribute), ())
+            return self._by_attr.get((adv_type, attribute, value), ())
+        out: Set[str] = set()
+        for t in self._by_type:
+            out.update(self._attr_keys(t, attribute, value))
         return out
+
+    def _in_order(self, keys: Collection[str]) -> List[CacheEntry]:
+        """Entries of ``keys`` by insertion sequence (dict-scan order)."""
+        entries = self._entries
+        found = [entries[k] for k in keys]
+        if len(found) > 1:
+            found.sort(key=_SEQ)
+        return found
 
     def search(
         self,
@@ -283,23 +295,18 @@ class AdvertisementCache:
         Results come back in insertion order (oldest key first), exactly
         as the historical full-scan implementation returned them.
         """
-        entries = self._entries
-        if attribute is not None and value is not None and _has_glob(value):
-            return self._search_glob(adv_type, attribute, value, now, limit)
-
         if attribute is None:
             if adv_type is None:
-                candidates: Iterable[CacheEntry] = entries.values()
+                candidates: Iterable[CacheEntry] = self._entries.values()
             else:
-                keys = self._by_type.get(adv_type, ())
-                candidates = sorted(
-                    (entries[k] for k in keys), key=lambda e: e.seq
-                )
+                candidates = self._in_order(self._by_type.get(adv_type, ()))
+        elif value is not None and has_glob(value):
+            return self._search_glob(adv_type, attribute, value, now, limit)
         else:
             keys = self._attr_keys(adv_type, attribute, value)
-            candidates = sorted(
-                (entries[k] for k in keys), key=lambda e: e.seq
-            )
+            if not keys:
+                return []  # one probe: every hop of a walk but the last
+            candidates = self._in_order(keys)
 
         out: List[Advertisement] = []
         for entry in candidates:
@@ -319,14 +326,10 @@ class AdvertisementCache:
         limit: Optional[int],
     ) -> List[Advertisement]:
         """Wildcard fallback: fnmatch scan over the type-restricted set."""
-        entries = self._entries
         if adv_type is None:
-            candidates: Iterable[CacheEntry] = entries.values()
+            candidates: Iterable[CacheEntry] = self._entries.values()
         else:
-            keys = self._by_type.get(adv_type, ())
-            candidates = sorted(
-                (entries[k] for k in keys), key=lambda e: e.seq
-            )
+            candidates = self._in_order(self._by_type.get(adv_type, ()))
         out: List[Advertisement] = []
         for entry in candidates:
             if entry.expired(now):

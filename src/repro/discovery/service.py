@@ -24,8 +24,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.advertisement.base import Advertisement, DEFAULT_EXPIRATION, DEFAULT_LIFETIME, IndexTuple
-from repro.advertisement.cache import AdvertisementCache
+from repro.advertisement.cache import AdvertisementCache, has_glob
 from repro.config import PlatformConfig
+from repro.discovery.rangequery import (
+    is_range_query,
+    numeric_value,
+    parse_range_spec,
+    tuple_in_range,
+)
 from repro.discovery.replica import ReplicaFunction
 from repro.discovery.srdi import SrdiIndex, SrdiPayload, SrdiPusher
 from repro.discovery.walker import (
@@ -48,7 +54,10 @@ DISCOVERY_HANDLER_NAME = "jxta.service.discovery"
 
 @dataclass(slots=True)
 class DiscoveryQueryPayload:
-    """Body of a discovery resolver query."""
+    """Body of a discovery resolver query, compiled where it is
+    issued: what ``(adv_type, attribute, value)`` fix is derived once.
+    Never mutated afterwards — a hop changes the routing state by
+    building a :meth:`routed` copy that shares the derived fields."""
 
     adv_type: str
     attribute: str
@@ -57,28 +66,43 @@ class DiscoveryQueryPayload:
     #: LC-DHT routing state
     at_replica: bool = False
     walk_direction: int = WALK_NONE
+    is_wildcard: bool = field(init=False)
+    is_range: bool = field(init=False)
+    #: Wildcard and range queries cannot be replica-routed (the hash of
+    #: a pattern is meaningless); they walk the peerview.
+    is_complex: bool = field(init=False)
+    index_tuple: IndexTuple = field(init=False)
+    wire_size: int = field(init=False)
 
-    def index_tuple(self) -> IndexTuple:
-        return (self.adv_type, self.attribute, self.value)
+    def __post_init__(self) -> None:
+        value = self.value
+        self.is_wildcard = has_glob(value)
+        self.is_range = is_range_query(value)
+        self.is_complex = self.is_wildcard or self.is_range
+        self.index_tuple = (self.adv_type, self.attribute, value)
+        self.wire_size = 220 + len(self.adv_type) + len(self.attribute) + len(value)
 
-    @property
-    def is_wildcard(self) -> bool:
-        return "*" in self.value or "?" in self.value
-
-    @property
-    def is_range(self) -> bool:
-        from repro.discovery.rangequery import is_range_query
-
-        return is_range_query(self.value)
-
-    @property
-    def is_complex(self) -> bool:
-        """Wildcard and range queries cannot be replica-routed (the
-        hash of a pattern is meaningless); they walk the peerview."""
-        return self.is_wildcard or self.is_range
+    def routed(
+        self, at_replica: bool, walk_direction: int
+    ) -> "DiscoveryQueryPayload":
+        """The same query with new LC-DHT routing state: one per hop,
+        so filled slot by slot instead of re-deriving in ``__init__``."""
+        new = object.__new__(DiscoveryQueryPayload)
+        new.adv_type = self.adv_type
+        new.attribute = self.attribute
+        new.value = self.value
+        new.threshold = self.threshold
+        new.at_replica = at_replica
+        new.walk_direction = walk_direction
+        new.is_wildcard = self.is_wildcard
+        new.is_range = self.is_range
+        new.is_complex = self.is_complex
+        new.index_tuple = self.index_tuple
+        new.wire_size = self.wire_size
+        return new
 
     def size_bytes(self) -> int:
-        return 220 + len(self.adv_type) + len(self.attribute) + len(self.value)
+        return self.wire_size
 
 
 @dataclass(slots=True)
@@ -499,7 +523,7 @@ class DiscoveryService(QueryHandler):
         elif payload.is_wildcard:
             records = self._wildcard_srdi_lookup(payload, now)
         else:
-            records = self.srdi.lookup(payload.index_tuple(), now)
+            records = self.srdi.lookup(payload.index_tuple, now)
         if records:
             for record in records[: payload.threshold]:
                 if record.publisher == self.resolver.endpoint.peer_id:
@@ -536,7 +560,7 @@ class DiscoveryService(QueryHandler):
             # patterns and ranges hash to nothing useful: walk from here
             self._start_walk(query, payload)
         elif not payload.at_replica:
-            replica_key = self._replica_key(payload.index_tuple())
+            replica_key = self._replica_key(payload.index_tuple)
             if replica_key is None or replica_key == self.view.local_key:
                 self._start_walk(query, payload)
             else:
@@ -556,8 +580,9 @@ class DiscoveryService(QueryHandler):
 
                 self.resolver.forward_query(
                     replica,
-                    self._with_routing(query, payload, at_replica=True),
+                    query,
                     on_drop=replica_unreachable,
+                    payload=payload.routed(True, WALK_NONE),
                 )
         else:
             # we are the computed replica and we have nothing: fall
@@ -580,8 +605,6 @@ class DiscoveryService(QueryHandler):
 
     def _range_srdi_lookup(self, payload: DiscoveryQueryPayload, now: float):
         """Scan the SRDI store for numeric range matches."""
-        from repro.discovery.rangequery import parse_range_spec, tuple_in_range
-
         spec = parse_range_spec(payload.value)
         if spec is None:
             return []
@@ -602,8 +625,6 @@ class DiscoveryService(QueryHandler):
                 payload.adv_type, payload.attribute, payload.value, now,
                 limit=payload.threshold,
             )
-        from repro.discovery.rangequery import numeric_value, parse_range_spec
-
         lo, hi = parse_range_spec(payload.value)
         out = []
         for entry in self.cache.entries(now=now):
@@ -620,31 +641,6 @@ class DiscoveryService(QueryHandler):
             if len(out) >= payload.threshold:
                 break
         return out
-
-    def _with_routing(
-        self,
-        query: ResolverQuery,
-        payload: DiscoveryQueryPayload,
-        at_replica: bool = False,
-        walk_direction: int = WALK_NONE,
-    ) -> ResolverQuery:
-        """Copy of ``query`` with updated LC-DHT routing state."""
-        new_payload = DiscoveryQueryPayload(
-            adv_type=payload.adv_type,
-            attribute=payload.attribute,
-            value=payload.value,
-            threshold=payload.threshold,
-            at_replica=at_replica,
-            walk_direction=walk_direction,
-        )
-        return ResolverQuery(
-            handler_name=query.handler_name,
-            query_id=query.query_id,
-            src_peer=query.src_peer,
-            src_route=list(query.src_route),
-            payload=new_payload,
-            hop_count=query.hop_count,
-        )
 
     def _start_walk(self, query: ResolverQuery, payload: DiscoveryQueryPayload) -> None:
         for target, direction in walk_start_targets(self.view):
@@ -682,8 +678,7 @@ class DiscoveryService(QueryHandler):
 
         self.resolver.forward_query(
             target,
-            self._with_routing(
-                query, payload, at_replica=True, walk_direction=direction
-            ),
+            query,
             on_drop=target_unreachable,
+            payload=payload.routed(True, direction),
         )

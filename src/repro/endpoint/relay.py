@@ -119,6 +119,8 @@ class RelayServer:
     # ------------------------------------------------------------------
     def _intercept(self, message: EndpointMessage) -> bool:
         """Queue messages addressed to a registered client."""
+        if not self._clients:
+            return False  # every message this peer routes comes by here
         self._purge()
         record = self._clients.get(message.dst_peer)
         if record is None:

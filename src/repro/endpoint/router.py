@@ -134,46 +134,50 @@ class EndpointRouter:
         (with ``on_drop`` notification when provided), like JXTA's
         best-effort propagation.
         """
-        if (
-            message.dst_peer is not None
-            and self.interner.intern(message.dst_peer) == self.endpoint.peer_key
-        ):
-            # routing to self: deliver locally without a network hop
-            self.endpoint._on_envelope(
-                Envelope(
-                    src=self.endpoint.transport_address,
-                    dst=self.endpoint.transport_address,
-                    payload=message,
-                    size_bytes=message.size_bytes(),
-                    sent_at=self.endpoint.sim.now,
+        endpoint = self.endpoint
+        dst_peer = message.dst_peer
+        route = None
+        if dst_peer is not None:
+            key = self.interner.intern(dst_peer)
+            if key == endpoint.peer_key:
+                # routing to self: deliver locally without a network hop
+                endpoint._on_envelope(
+                    Envelope(
+                        src=endpoint.transport_address,
+                        dst=endpoint.transport_address,
+                        payload=message,
+                        size_bytes=message.size_bytes(),
+                        sent_at=endpoint.sim.now,
+                    )
                 )
-            )
-            return
-        # messages for an HTTP relay client wait in the relay queue
-        # instead of being pushed (the client cannot accept inbound
-        # connections; it will poll)
-        if (
-            self.endpoint.relay_interceptor is not None
-            and message.dst_peer is not None
-            and self.endpoint.relay_interceptor(message)
-        ):
-            return
+                return
+            # messages for an HTTP relay client wait in the relay queue
+            # instead of being pushed (the client cannot accept inbound
+            # connections; it will poll)
+            interceptor = endpoint.relay_interceptor
+            if interceptor is not None and interceptor(message):
+                return
+            route = self._routes.get(key)
         if message.ttl <= 0:
             self.no_route_drops += 1
             return
-        hops = self.resolve(message.dst_peer)
-        if hops is None:
+        # first hop of resolve(), without building its hop list
+        if route is None:
+            route = self._default_route
+        elif type(route) is not str:
+            route = route[0]
+        if route is None:
             self.no_route_drops += 1
             if on_drop is not None:
                 on_drop(
                     Envelope(
-                        src=self.endpoint.transport_address,
+                        src=endpoint.transport_address,
                         dst="<no-route>",
                         payload=message,
                         size_bytes=message.size_bytes(),
-                        sent_at=self.endpoint.sim.now,
+                        sent_at=endpoint.sim.now,
                     )
                 )
             return
         self.forwards += 1
-        self.endpoint.send_direct(hops[0], message, on_drop=on_drop)
+        endpoint.send_direct(route, message, on_drop=on_drop)

@@ -26,7 +26,7 @@ def _payload_size(payload: Any) -> int:
     return 128
 
 
-@dataclass
+@dataclass(slots=True)
 class ResolverQuery:
     """A query addressed to a named handler on some peer(s)."""
 
@@ -42,15 +42,16 @@ class ResolverQuery:
     def size_bytes(self) -> int:
         return RESOLVER_OVERHEAD_BYTES + _payload_size(self.payload)
 
-    def hopped(self) -> "ResolverQuery":
-        """Copy with the hop counter incremented (for re-propagation)."""
+    def hopped(self, payload: Any = None) -> "ResolverQuery":
+        """Copy with the hop counter incremented (for re-propagation
+        and forwarding), carrying ``payload`` instead when given."""
         return ResolverQuery(
-            handler_name=self.handler_name,
-            query_id=self.query_id,
-            src_peer=self.src_peer,
-            src_route=list(self.src_route),
-            payload=self.payload,
-            hop_count=self.hop_count + 1,
+            self.handler_name,
+            self.query_id,
+            self.src_peer,
+            list(self.src_route),
+            self.payload if payload is None else payload,
+            self.hop_count + 1,
         )
 
 

@@ -118,12 +118,13 @@ class ResolverService:
         dst_peer: PeerID,
         query: ResolverQuery,
         on_drop: Optional[Callable[..., None]] = None,
+        payload: Any = None,
     ) -> None:
         """Re-send someone else's query one step further (LC-DHT
         forwarding between rendezvous peers): hop count increments,
-        origin metadata is preserved.  ``on_drop`` fires if the
-        destination is unreachable (the sender sees the TCP connect
-        failure)."""
+        origin metadata is preserved, ``payload`` (the handler's body
+        for the next hop) replaces the query's.  ``on_drop`` fires if
+        the destination is unreachable (the TCP connect fails)."""
         obs = self._net.obs
         if obs is not None and obs.active:
             obs.event(
@@ -131,7 +132,7 @@ class ResolverService:
                 self._actor, handler=query.handler_name, qid=query.query_id,
                 hop=query.hop_count + 1,
             )
-        self._send_body(dst_peer, query.hopped(), on_drop=on_drop)
+        self._send_body(dst_peer, query.hopped(payload), on_drop=on_drop)
 
     def send_response(self, query: ResolverQuery, payload: Any) -> None:
         """Respond to ``query``; routed directly to the query source

@@ -77,10 +77,10 @@ operations = st.lists(
 adv_types = st.sampled_from([None, FAKE, RDV, "jxta:NoSuchType"])
 attributes = st.sampled_from([None, "Name", "RdvPeerID", "Payload", "Bogus"])
 values = st.sampled_from(
-    [None, "adv-1", "adv-5", "rdv-x", "adv-*", "*", "adv-?", "no-such",
-     "[a]dv-1", "a*1"]
+    [None, "adv-1", "adv-3", "adv-5", "rdv-x", "adv-*", "*", "adv-?",
+     "no-such", "[a]dv-1", "a*1"]
 )
-limits = st.sampled_from([None, 1, 2, 5])
+limits = st.sampled_from([None, 0, 1, 2, 3, 5])
 queries = st.lists(
     st.tuples(adv_types, attributes, values, limits), min_size=1, max_size=6
 )
@@ -126,6 +126,34 @@ def test_indexed_search_matches_linear_oracle(ops, query_specs):
                 f"query ({adv_type!r}, {attribute!r}, {value!r}, "
                 f"limit={limit}) at t={qnow}"
             )
+
+
+#: few names over few keys: an exact-value probe finds 0, 1 or several
+#: keys, and republishing key ``n`` under another name moves it between
+#: index buckets while it keeps its place in the result order
+shared_names = st.sampled_from(["a", "b", "c"])
+rdv_publishes = st.lists(
+    st.tuples(st.integers(0, 5), shared_names, durations),
+    min_size=0, max_size=14,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rdv_publishes, st.floats(0.0, 60.0))
+def test_exact_value_probe_matches_linear_oracle(publishes, now):
+    """The discovery query's own path — exact ``(type, attribute,
+    value)``, answered by one index probe — for every value and every
+    ``limit``, with overwritten keys and expired entries in the
+    buckets."""
+    cache = AdvertisementCache()
+    for n, name, lifetime in publishes:
+        cache.publish(_rdv(n, name), 0.0, lifetime=lifetime)
+    for value in ("a", "b", "c", "never-published"):
+        want_all = linear_scan_oracle(cache, RDV, "Name", value, now)
+        for limit in [None] + list(range(len(want_all) + 2)):
+            got = cache.search(RDV, "Name", value, now, limit=limit)
+            want = linear_scan_oracle(cache, RDV, "Name", value, now, limit)
+            assert got == want, f"value {value!r}, limit={limit}, t={now}"
 
 
 @settings(max_examples=60, deadline=None)

@@ -158,18 +158,26 @@ class TestDiscovery:
         assert results and results[0][0].peer_id == publisher.peer_id
 
     def test_wildcard_query(self):
-        sim, overlay = build(r=4, e=2, attachment=[0, 1])
-        converge(sim, overlay)
-        publisher, searcher = overlay.edges
-        publisher.discovery.publish(FakeAdvertisement("sensor-12"))
-        sim.run(until=sim.now + 2 * MINUTES)
-        results = []
-        searcher.discovery.get_remote_advertisements(
-            "repro:FakeAdvertisement", "Name", "sensor-*",
-            callback=lambda advs, lat: results.append(advs),
-        )
-        sim.run(until=sim.now + 1 * MINUTES)
-        assert results and results[0][0].name == "sensor-12"
+        """Every fnmatch metacharacter the cache globs on — ``[..]``
+        classes included — must also make the query walk: a pattern
+        hashed as a literal is replica-routed to a rendezvous that can
+        only look it up exactly, and finds nothing."""
+        for seed in (1, 2, 3):
+            sim, overlay = build(r=8, e=2, seed=seed, attachment=[0, 4])
+            converge(sim, overlay)
+            publisher, searcher = overlay.edges
+            publisher.discovery.publish(FakeAdvertisement("sensor-12"))
+            sim.run(until=sim.now + 2 * MINUTES)
+            for pattern in ("sensor-*", "sensor-1?", "sensor-[12]2", "sensor-1[!3]"):
+                results = []
+                searcher.discovery.get_remote_advertisements(
+                    "repro:FakeAdvertisement", "Name", pattern,
+                    callback=lambda advs, lat: results.append(advs),
+                )
+                sim.run(until=sim.now + 1 * MINUTES)
+                assert results and results[0][0].name == "sensor-12", (
+                    seed, pattern,
+                )
 
 
 class TestWalkFallback:

@@ -158,6 +158,23 @@ class TestRouter:
         assert got[0].hops_taken == 1
         assert c.messages_relayed == 1
 
+    def test_send_takes_the_first_hop_that_resolve_reports(self):
+        """route_and_send reads the route table without going through
+        resolve(); the two must agree for every kind of route."""
+        sim, _, (a, b, c) = build_peers()
+        sent_to = []
+        a.send_direct = lambda dst, message, on_drop=None: sent_to.append(dst)
+        for install in (
+            lambda: a.router.set_default_route(c.transport_address),
+            lambda: a.router.add_route(b.peer_id, [b.transport_address]),
+            lambda: a.router.add_route(
+                b.peer_id, [c.transport_address, b.transport_address]),
+        ):
+            install()
+            a.send_to_peer(msg(a, b))
+            assert sent_to.pop() == a.router.resolve(b.peer_id)[0]
+        assert a.router.forwards == 3
+
     def test_ttl_exhaustion_breaks_forwarding_loop(self):
         # a and b default-route to each other; an unroutable message
         # ping-pongs until TTL dies instead of looping forever

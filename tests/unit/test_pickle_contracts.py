@@ -17,11 +17,13 @@ import pickle
 import pytest
 
 from repro.advertisement.rdvadv import RdvAdvertisement
+from repro.discovery.service import DiscoveryQueryPayload
 from repro.ids import NET_PEER_GROUP_ID, PeerID
 from repro.ids.intern import IdInternTable
 from repro.network.latency import ConstantLatency
 from repro.network.transport import Network
 from repro.rendezvous.peerview import PeerView
+from repro.resolver.messages import ResolverQuery
 from repro.sim import Simulator
 from repro.sim.kernel import _DETACHED, EventHandle, SchedulingError
 from repro.sim.rng import RngRegistry
@@ -192,6 +194,48 @@ class TestAdvertisement:
         queried = rdv_adv(3)
         queried.size_bytes()
         assert pickle.dumps(fresh) == pickle.dumps(queried)
+
+
+class TestDiscoveryQuery:
+    """The compiled query and its per-hop copies ride in every snapshot
+    taken mid-walk: derived fields are slot fields, so they travel in
+    the pickle instead of being re-derived (or lost) on restore."""
+
+    def _query(self):
+        payload = DiscoveryQueryPayload(
+            "repro:FakeAdvertisement", "Name", "sensor-[12]*", threshold=2
+        )
+        return ResolverQuery(
+            handler_name="jxta.service.discovery", query_id=7,
+            src_peer=pid(3), src_route=["tcp://host-3:9701"], payload=payload,
+        )
+
+    def test_derived_fields_travel_with_a_routed_copy(self):
+        query = self._query()
+        sent = query.hopped(query.payload.routed(True, 1))
+        clone = pickle.loads(pickle.dumps(sent))
+        assert clone == sent and clone.hop_count == 1
+        body = clone.payload
+        assert (body.at_replica, body.walk_direction) == (True, 1)
+        assert body.is_wildcard and body.is_complex and not body.is_range
+        assert body.index_tuple == (
+            "repro:FakeAdvertisement", "Name", "sensor-[12]*"
+        )
+        assert clone.size_bytes() == query.size_bytes()
+
+    def test_neither_carries_a_dict(self):
+        query = self._query()
+        assert not hasattr(query, "__dict__")
+        assert not hasattr(query.payload, "__dict__")
+
+    def test_pickle_bytes_independent_of_how_the_copy_was_made(self):
+        query = self._query()
+        fresh = DiscoveryQueryPayload(
+            query.payload.adv_type, query.payload.attribute,
+            query.payload.value, threshold=2, at_replica=True,
+            walk_direction=-1,
+        )
+        assert pickle.dumps(query.payload.routed(True, -1)) == pickle.dumps(fresh)
 
 
 class TestPeerView:
