@@ -4,7 +4,7 @@ PYTHON ?= python
 # worker pool width for campaign sweeps (make experiments JOBS=8)
 JOBS ?= $(shell $(PYTHON) -c "import os; print(os.cpu_count() or 1)")
 
-.PHONY: install test smoke-faults smoke-campaign smoke-load fuzz-smoke coverage bench bench-e2e bench-e2e-quick profile examples experiments experiments-full load-full clean
+.PHONY: install test smoke-faults smoke-campaign smoke-load fuzz-smoke coverage bench bench-e2e bench-e2e-quick bench-e2e-pairs profile examples experiments experiments-full load-full clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -67,6 +67,19 @@ bench-e2e:
 
 bench-e2e-quick:
 	PYTHONPATH=src $(PYTHON) -m bench run --quick
+
+# The rule a performance claim follows, as one command: PAIRS
+# alternating runs of BASE (a git revision, checked out as a worktree
+# under .benchmarks/pairs/) and of the working tree, pooled by
+# `python -m bench compare`, every run listed.  Repeat with SEED=2.
+#   make bench-e2e-pairs BASE=HEAD~1 WORKLOADS=peerview-580
+BASE ?= HEAD
+WORKLOADS ?= peerview-580,discovery-flat,discovery-walk,publish-heavy,fuzz-batch
+PAIRS ?= 10
+SEED ?= 1
+bench-e2e-pairs:
+	$(PYTHON) scripts/bench_pairs.py --base $(BASE) --workloads $(WORKLOADS) \
+		--pairs $(PAIRS) --seed $(SEED)
 
 # Memory/allocation profile of the benchmark workloads: runs them once
 # under tracemalloc (several times slower than `make bench`, so the

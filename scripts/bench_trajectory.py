@@ -26,7 +26,7 @@ Three subcommands:
             --bench test_event_loop_throughput --max-seconds 0.8
         python scripts/bench_trajectory.py check .benchmarks/latest.json \\
             --bench test_fullscale_steady_state_throughput \\
-            --max-rss-kb 159356
+            --max-rss-kb 133690
 
 Only ``min`` is compared across entries: it is the statistic least
 polluted by scheduler noise (the median moves tens of percent between

@@ -95,10 +95,15 @@ class SrdiIndex:
         if expiration <= 0:
             raise ValueError(f"expiration must be > 0 (got {expiration})")
         key = self.interner.intern(publisher)
-        bucket = self._index.setdefault(index_tuple, {})
+        bucket = self._index.get(index_tuple)
+        if bucket is None:
+            bucket = self._index[index_tuple] = {}
         if key not in bucket:
             self._count += 1
-            self._by_publisher.setdefault(key, set()).add(index_tuple)
+            tuples = self._by_publisher.get(key)
+            if tuples is None:
+                tuples = self._by_publisher[key] = set()
+            tuples.add(index_tuple)
         bucket[key] = _SrdiRecord(
             publisher=publisher,
             publisher_address=publisher_address,

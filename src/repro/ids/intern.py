@@ -21,8 +21,8 @@ Rules (also in docs/PERFORMANCE.md)
   peer 5 is not "less than" peer 9 in ID space.  Anything
   order-sensitive (LC-DHT ranks, neighbour selection) must sort by ID
   *bytes*; :class:`~repro.rendezvous.peerview.PeerView` keeps a sorted
-  ``(bytes, key)`` list for exactly this, so ordering comparisons also
-  stay in C.
+  list of the table's ``(bytes, key)`` **ordering tokens** (one tuple
+  per ID, shared by every view) so ordering comparisons stay in C.
 * Keys are **table-scoped**.  Two simulations (two ``Network``
   instances) assign independent keys; the per-ID cache slot stores the
   ``(table, key)`` pair and is validated with an ``is`` check, so an ID
@@ -34,7 +34,7 @@ Rules (also in docs/PERFORMANCE.md)
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.ids.jxtaid import JxtaID
 
@@ -47,7 +47,7 @@ class IdInternTable:
     all: the key is cached on the ID object itself (``_intern`` slot)
     and revalidated with a single identity check."""
 
-    __slots__ = ("_by_value", "_ids")
+    __slots__ = ("_by_value", "_ids", "_tokens")
 
     def __init__(self) -> None:
         #: raw ID bytes -> key (bytes, not JxtaID, so a *distinct but
@@ -56,6 +56,8 @@ class IdInternTable:
         self._by_value: Dict[bytes, int] = {}
         #: key -> the first ID object seen for it (id_of's return)
         self._ids: List[JxtaID] = []
+        #: key -> ``(id bytes, key)``, the one ordering token per ID
+        self._tokens: List[Tuple[bytes, int]] = []
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -77,6 +79,7 @@ class IdInternTable:
             key = len(self._ids)
             by_value[value] = key
             self._ids.append(jid)
+            self._tokens.append((value, key))
         jid._intern = (self, key)
         return key
 
@@ -97,6 +100,10 @@ class IdInternTable:
     def id_of(self, key: int) -> JxtaID:
         """The ID registered under ``key`` (O(1) list index)."""
         return self._ids[key]
+
+    def order_token(self, key: int) -> Tuple[bytes, int]:
+        """The one ``(id bytes, key)`` tuple ordered lists hold for ``key``."""
+        return self._tokens[key]
 
     def ids_of(self, keys: Iterable[int]) -> List[JxtaID]:
         """Batch :meth:`id_of` (comprehension bound once)."""

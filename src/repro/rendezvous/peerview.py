@@ -22,15 +22,15 @@ The view keys its entry map on **interned integer ids** (see
 :mod:`repro.ids.intern`) rather than :class:`PeerID` objects: at
 r = 580 the per-probe hashing of 33-byte IDs through Python-level
 ``__hash__``/``__eq__`` dominated the protocol stack's profile.
-Interned keys carry no ordering meaning, so the sorted list is kept as
-``(id_bytes, key)`` tuples — tuple/bytes comparisons run in C and the
-bytes order *is* the PeerID order.  Public APIs still accept and
-return ``PeerID`` objects (mapped O(1) through the intern table);
-protocol hot paths use the ``*_key`` variants.  Expiry is a lazy
-min-heap of ``(last_refreshed_at_push, key)`` records instead of a
-full scan per sweep — the same fix the advertisement cache got for
-``purge_expired`` — with stale records (entry refreshed or removed
-since the push) dropped or re-pushed on pop.
+Interned keys carry no ordering meaning, so the sorted list holds the
+table's ``(id_bytes, key)`` ordering tokens, one shared tuple per peer —
+tuple/bytes comparisons run in C and the bytes order *is* the PeerID
+order.  Public APIs still accept and return ``PeerID`` objects (mapped
+O(1) through the intern table); protocol hot paths use the ``*_key``
+variants.  Expiry is a lazy min-heap of ``(last_refreshed_at_push,
+key)`` records instead of a full scan per sweep — the same fix the
+advertisement cache got for ``purge_expired`` — with stale records (entry
+refreshed or removed since the push) dropped or re-pushed on pop.
 """
 
 from __future__ import annotations
@@ -128,10 +128,10 @@ class PeerView:
         #: ``_entries`` directly must keep this in sync (same contract
         #: as ``invalidate_ordered_view``)
         self._key_seq: List[int] = []
-        #: members (self included) as (id_bytes, key), bytes-ascending —
-        #: the ordered list every rank/neighbour query bisects
+        #: members (self included) as the table's (id_bytes, key)
+        #: tokens, bytes-ascending — the list rank/neighbour queries bisect
         self._order: List[Tuple[bytes, int]] = [
-            (self.local_peer_id._value, self.local_key)
+            self.interner.order_token(self.local_key)
         ]
         #: memoised immutable snapshot of the ordered PeerIDs; rebuilt
         #: only after a membership change (see ``ordered_ids``)
@@ -268,7 +268,7 @@ class PeerView:
             entry = PeerViewEntry(adv=adv, first_seen=now, last_refreshed=now)
         self._entries[key] = entry
         self._key_seq.append(key)
-        bisect.insort(self._order, (peer_id._value, key))
+        bisect.insort(self._order, self.interner.order_token(key))
         _heappush(self._expiry_heap, (now, key))
         self._ordered_view = None
         self.adds += 1
@@ -291,9 +291,9 @@ class PeerView:
             # pooled envelope's payload
             pool.append(entry)
         self._key_seq.remove(key)
+        order = self._order
+        del order[bisect.bisect_left(order, self.interner.order_token(key))]
         peer_id = self.interner.id_of(key)
-        index = bisect.bisect_left(self._order, (peer_id._value,))
-        del self._order[index]
         # any expiry-heap record for ``key`` is now stale; it is
         # discarded when popped (no entry behind it)
         self._ordered_view = None
@@ -317,6 +317,7 @@ class PeerView:
         heap = self._expiry_heap
         entries = self._entries
         dead: List[PeerID] = []
+        canary = None  # environment read at most once per sweep
         while heap and now - heap[0][0] > pve_expiration:
             _, key = _heappop(heap)
             entry = entries.get(key)
@@ -324,7 +325,9 @@ class PeerView:
                 continue  # removed since the record was pushed
             if now - entry.last_refreshed > pve_expiration:
                 dead.append(self.interner.id_of(key))
-                if _canary_enabled() and key % 3 == 1:
+                if canary is None:
+                    canary = _canary_enabled()
+                if canary and key % 3 == 1:
                     # planted canary (see _canary_enabled): partial
                     # removal that leaks the _order slot, leaving the
                     # ordered list inconsistent with the entry map

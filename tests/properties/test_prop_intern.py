@@ -102,3 +102,40 @@ def test_ranks_independent_of_intern_order(values, rng):
     for n in values:
         pid = PeerID.from_int(NET_PEER_GROUP_ID, n)
         assert fresh.rank_of(pid) == preloaded.rank_of(pid)
+
+
+@given(id_values)
+def test_order_tokens_are_one_shared_tuple_per_id(values):
+    """``order_token(key)`` is ``(id bytes, key)``, the same object on
+    every call (also after the table has grown), and tokens sort as the
+    IDs do whatever order the keys were assigned in."""
+    table = IdInternTable()
+    ids = [PeerID.from_int(NET_PEER_GROUP_ID, n) for n in values]
+    tokens = []
+    for pid in ids:
+        key = table.intern(pid)
+        tokens.append(table.order_token(key))
+        assert tokens[-1] == (pid._value, key)
+    for key, token in enumerate(tokens):
+        assert table.order_token(key) is token
+        twin = PeerID.from_int(NET_PEER_GROUP_ID, values[key])
+        assert table.order_token(table.intern(twin)) is token
+    assert [table.id_of(key) for _, key in sorted(tokens)] == sorted(ids)
+
+
+@given(id_values, st.integers(1000, 1999))
+def test_membership_queries_never_intern(values, stranger):
+    """``rank_of`` and ``in`` are asked about IDs parsed off the wire;
+    a miss must not grow the table (keys, and so tokens, are only ever
+    assigned by something that stores the ID)."""
+    view = PeerView(adv(values[0]))
+    for n in values[1:]:
+        view.upsert(adv(n), 0.0)
+    size = len(view.interner)
+    foreign = PeerID.from_int(NET_PEER_GROUP_ID, stranger)
+    assert view.rank_of(foreign) is None
+    assert foreign not in view
+    assert view.get(foreign) is None
+    assert not view.remove(foreign, 1.0)
+    assert len(view.interner) == size
+    assert not hasattr(foreign, "_intern")

@@ -4,11 +4,15 @@ A model-based test drives a PeerView with random upsert/remove/expire
 operations and checks it against a plain-dict reference model.
 """
 
+import bisect
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.advertisement.rdvadv import RdvAdvertisement
 from repro.ids import NET_PEER_GROUP_ID, PeerID
+from repro.ids.intern import IdInternTable
 from repro.rendezvous.peerview import PeerView
 
 LOCAL = 500
@@ -68,6 +72,98 @@ def test_peerview_matches_reference_model(operations):
         assert actual_ids == expected_ids
         assert view.size == len(model)
         assert view.member_count() == len(model) + 1
+
+
+VIEWS = 3
+shared_ops = st.lists(
+    st.tuples(
+        st.integers(0, VIEWS - 1),
+        st.one_of(
+            st.tuples(st.just("upsert"), st.integers(0, 40)),
+            st.tuples(st.just("remove"), st.integers(0, 40)),
+            st.tuples(st.just("expire"), st.floats(1.0, 100.0)),
+        ),
+    ),
+    max_size=120,
+)
+
+
+@given(shared_ops)
+def test_views_on_one_table_hold_its_tokens(operations):
+    """Several views on one intern table (the r = 580 layout) against
+    the same views on private tables: every ordered-list slot is the
+    shared table's own token object, the list is what sorting fresh
+    ``(bytes, key)`` pairs gives, and every ordering query answers as
+    the private view does — keys differ between tables, IDs may not."""
+    table = IdInternTable()
+    shared = [PeerView(adv(n), interner=table) for n in range(VIEWS)]
+    private = [PeerView(adv(n)) for n in range(VIEWS)]
+    now = 0.0
+    for index, op in operations:
+        now += 1.0 if op[0] != "expire" else op[1]
+        for view in (shared[index], private[index]):
+            if op[0] == "upsert":
+                view.upsert(adv(op[1]), now)
+            elif op[0] == "remove":
+                view.remove(PeerID.from_int(NET_PEER_GROUP_ID, op[1]), now)
+            else:
+                view.expire(now, 50.0)
+
+    for view, alone in zip(shared, private):
+        members = [view.local_key, *view.known_keys()]
+        assert view._order == sorted(
+            (table.id_of(key)._value, key) for key in members
+        )
+        for token in view._order:
+            assert token is table.order_token(token[1])
+        assert view.ordered_ids() == alone.ordered_ids()
+        assert view.upper_neighbor() == alone.upper_neighbor()
+        assert view.lower_neighbor() == alone.lower_neighbor()
+        for rank, pid in enumerate(view.ordered_ids()):
+            assert view.rank_of(pid) == alone.rank_of(pid) == rank
+            assert view.rank_of_key(view.key_at(rank)) == rank
+            assert table.id_of(view.key_at(rank)) == alone.id_at(rank)
+            for direction in (1, -1):
+                assert view.neighbor_of(pid, direction) == alone.neighbor_of(
+                    pid, direction
+                )
+
+
+@given(
+    st.sets(
+        st.integers(0, 999).filter(lambda n: n != LOCAL),
+        min_size=2, max_size=40,
+    ),
+    st.booleans(), st.integers(0, 10_000), st.integers(0, 10_000),
+)
+def test_removal_slot_on_a_mutated_order_book(members, swap, where, which):
+    """White-box mutators (the fault engine) may swap or duplicate
+    ``_order`` slots.  Removal bisects with the member's token; on such
+    a list it must still pick the slot a bare ``(value,)`` probe picks —
+    or run off the end exactly when that probe does."""
+    view = PeerView(adv(LOCAL))
+    for n in sorted(members):
+        view.upsert(adv(n), 0.0)
+    order = view._order
+    i = where % (len(order) - 1)
+    if swap:
+        order[i], order[i + 1] = order[i + 1], order[i]
+    else:
+        order.insert(i, order[i])
+    view.invalidate_ordered_view()
+
+    victim = list(view.known_keys())[which % view.size]
+    expected = list(order)
+    slot = bisect.bisect_left(
+        expected, (view.interner.id_of(victim)._value,)
+    )
+    if slot == len(expected):
+        with pytest.raises(IndexError):
+            view.remove_by_key(victim, 1.0)
+    else:
+        del expected[slot]
+        assert view.remove_by_key(victim, 1.0)
+        assert view._order == expected
 
 
 @given(st.sets(st.integers(0, 999), min_size=0, max_size=60))

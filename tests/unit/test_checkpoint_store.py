@@ -5,7 +5,16 @@ import pickle
 import pytest
 
 import repro.snapshot.store as store_mod
-from repro.snapshot import CheckpointStore, checkpoint_key
+from repro.network import Network
+from repro.sim import Simulator
+from repro.snapshot import (
+    SNAPSHOT_VERSION,
+    CheckpointStore,
+    SnapshotError,
+    checkpoint_key,
+    restore_network,
+    snapshot_network,
+)
 
 
 SPEC = {"experiment": "unit", "r": 8, "seed": 1, "warmup": 120.0}
@@ -30,6 +39,32 @@ class TestKey:
         before = checkpoint_key(SPEC)
         monkeypatch.setattr(store_mod, "SNAPSHOT_VERSION", 999)
         assert checkpoint_key(SPEC) != before
+
+
+class TestSnapshotVersionBump:
+    """A blob written under the previous ``SNAPSHOT_VERSION`` (the
+    intern table had two slots then, three now) must be rebuilt, never
+    unpickled into the new class layout."""
+
+    def test_blob_stored_under_the_previous_version_is_rebuilt(
+        self, store, monkeypatch
+    ):
+        current = store_mod.SNAPSHOT_VERSION
+        assert current >= 2
+        monkeypatch.setattr(store_mod, "SNAPSHOT_VERSION", current - 1)
+        stale = store.put(SPEC, b"stale")
+        monkeypatch.setattr(store_mod, "SNAPSHOT_VERSION", current)
+        blob, hit = store.load_or_build(SPEC, lambda: b"rebuilt")
+        assert (blob, hit) == (b"rebuilt", False)
+        assert store.path_for(checkpoint_key(SPEC)) != stale
+
+    def test_previous_version_frame_is_refused_not_misread(self):
+        blob = bytearray(snapshot_network(Network(Simulator(seed=1))))
+        restore_network(bytes(blob))  # sanity: the current frame loads
+        at = blob.index(SNAPSHOT_VERSION.to_bytes(4, "big"))
+        blob[at: at + 4] = (SNAPSHOT_VERSION - 1).to_bytes(4, "big")
+        with pytest.raises(SnapshotError, match="version"):
+            restore_network(bytes(blob))
 
 
 class TestHitMiss:

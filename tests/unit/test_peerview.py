@@ -6,6 +6,7 @@ import pytest
 
 from repro.advertisement.rdvadv import RdvAdvertisement
 from repro.ids import NET_PEER_GROUP_ID, PeerID
+from repro.rendezvous import peerview as peerview_mod
 from repro.rendezvous.peerview import PeerView
 
 
@@ -86,6 +87,39 @@ class TestExpiry:
         # Algorithm 1 line 3 removes entries with age strictly greater
         view.upsert(adv(10), now=0.0)
         assert view.expire(now=1200.0, pve_expiration=1200.0) == []
+
+    def test_canary_flag_is_read_per_sweep_not_per_entry(
+        self, view, monkeypatch
+    ):
+        reads = []
+        real = peerview_mod._canary_enabled
+
+        def counting():
+            reads.append(1)
+            return real()
+
+        monkeypatch.setattr(peerview_mod, "_canary_enabled", counting)
+        monkeypatch.delenv("REPRO_CANARY", raising=False)
+        for n in range(1, 9):
+            view.upsert(adv(n), now=0.0)
+        # nothing dead: the environment is not consulted at all
+        assert view.expire(now=10.0, pve_expiration=100.0) == []
+        assert reads == []
+        # eight dead entries, one read; unarmed, so every slot goes
+        assert len(view.expire(now=101.0, pve_expiration=100.0)) == 8
+        assert reads == [1]
+        assert view.member_count() == 1
+        # armed between two sweeps of one view: the next sweep sees it
+        # and leaks the ordered-list slot of every key with key % 3 == 1
+        monkeypatch.setenv("REPRO_CANARY", "1")
+        for n in range(1, 9):
+            view.upsert(adv(n), now=200.0)
+        leaked = sum(1 for key in view.known_keys() if key % 3 == 1)
+        assert leaked
+        assert len(view.expire(now=301.0, pve_expiration=100.0)) == 8
+        assert reads == [1, 1]
+        assert view.size == 0
+        assert view.member_count() == 1 + leaked
 
 
 class TestRemove:

@@ -17,6 +17,8 @@ import pickle
 import pytest
 
 from repro.advertisement.rdvadv import RdvAdvertisement
+from repro.config import PlatformConfig
+from repro.deploy import OverlayDescription, build_overlay
 from repro.discovery.service import DiscoveryQueryPayload
 from repro.ids import NET_PEER_GROUP_ID, PeerID
 from repro.ids.intern import IdInternTable
@@ -27,6 +29,7 @@ from repro.resolver.messages import ResolverQuery
 from repro.sim import Simulator
 from repro.sim.kernel import _DETACHED, EventHandle, SchedulingError
 from repro.sim.rng import RngRegistry
+from repro.snapshot import restore_network, snapshot_network
 
 
 def pid(n):
@@ -178,6 +181,78 @@ class TestNetwork:
         # the restored network's cached bound methods point at the
         # restored simulator (memo sharing), not the original
         assert net2.sim is not sim
+
+
+class TestSharedOrderingTokens:
+    """``PeerView._order`` holds the intern table's ``(bytes, key)``
+    tokens, one tuple per peer shared by every view.  The pickle memo
+    must keep that sharing — a restored r = 580 overlay that held one
+    tuple per (view, entry) again would give the memory back."""
+
+    MEMBERS = (10, 30, 50, 70)
+
+    def _network_with_views(self):
+        net = Network(Simulator(seed=11), latency=ConstantLatency(0.001))
+        views = [
+            PeerView(rdv_adv(n), interner=net.interner) for n in self.MEMBERS
+        ]
+        for view in views:
+            for n in self.MEMBERS:
+                view.upsert(rdv_adv(n), now=0.0)
+        return net, views
+
+    @staticmethod
+    def _assert_shared(table, views):
+        slots = [token for view in views for token in view._order]
+        assert len(slots) > len(table)
+        for token in slots:
+            assert token is table.order_token(token[1])
+        assert len({id(token) for token in slots}) == len(table)
+
+    def test_round_trip_is_byte_stable_and_keeps_the_sharing(self):
+        net, views = self._network_with_views()
+        self._assert_shared(net.interner, views)
+        blob = pickle.dumps((net, views))
+        net2, views2 = pickle.loads(blob)
+        self._assert_shared(net2.interner, views2)
+        assert net2.interner is not net.interner
+        assert [v.ordered_ids() for v in views2] == [
+            v.ordered_ids() for v in views
+        ]
+        # the original re-pickles to the same bytes after those queries;
+        # the restored copy's blob is a fixpoint (it differs from the
+        # first only in how unpickled ``__dict__`` key strings are
+        # shared — see test_snapshot_restore)
+        assert pickle.dumps((net, views)) == blob
+        blob2 = pickle.dumps((net2, views2))
+        assert pickle.dumps(pickle.loads(blob2)) == blob2
+
+    def test_restored_views_keep_adding_table_tokens(self):
+        net, views = pickle.loads(pickle.dumps(self._network_with_views()))
+        views[0].upsert(rdv_adv(90), now=1.0)
+        views[1].upsert(rdv_adv(90), now=1.0)
+        views[0].remove(pid(30), now=2.0)
+        self._assert_shared(net.interner, views)
+        assert views[0].rank_of(pid(90)) == views[0].member_count() - 1
+
+    def test_snapshot_of_an_overlay_holds_one_token_per_peer(self):
+        sim = Simulator(seed=5)
+        network = Network(sim)
+        overlay = build_overlay(
+            sim, network, PlatformConfig(),
+            OverlayDescription(rendezvous_count=6, topology="chain"),
+        )
+        overlay.start()
+        sim.run(until=180.0)
+        assert sum(r.view.size for r in overlay.rendezvous) >= 12
+        # one pickled tuple comes back as one object, so distinct
+        # token objects in the restored graph count pickled tokens
+        network2, overlay2 = restore_network(
+            snapshot_network(network, extra=overlay)
+        )
+        self._assert_shared(
+            network2.interner, [r.view for r in overlay2.rendezvous]
+        )
 
 
 class TestAdvertisement:
