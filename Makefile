@@ -4,7 +4,7 @@ PYTHON ?= python
 # worker pool width for campaign sweeps (make experiments JOBS=8)
 JOBS ?= $(shell $(PYTHON) -c "import os; print(os.cpu_count() or 1)")
 
-.PHONY: install test smoke-faults smoke-campaign smoke-load fuzz-smoke coverage bench bench-e2e bench-e2e-quick bench-e2e-pairs profile examples experiments experiments-full load-full clean
+.PHONY: install test smoke-faults smoke-campaign smoke-load fuzz-smoke coverage bench bench-e2e bench-e2e-quick bench-e2e-pairs heap-census profile examples experiments experiments-full load-full clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -69,7 +69,7 @@ bench-e2e-quick:
 	PYTHONPATH=src $(PYTHON) -m bench run --quick
 
 # The rule a performance claim follows, as one command: PAIRS
-# alternating runs of BASE (a git revision, checked out as a worktree
+# alternating runs of BASE (a git revision, unpacked with `git archive`
 # under .benchmarks/pairs/) and of the working tree, pooled by
 # `python -m bench compare`, every run listed.  Repeat with SEED=2.
 #   make bench-e2e-pairs BASE=HEAD~1 WORKLOADS=peerview-580
@@ -80,6 +80,15 @@ SEED ?= 1
 bench-e2e-pairs:
 	$(PYTHON) scripts/bench_pairs.py --base $(BASE) --workloads $(WORKLOADS) \
 		--pairs $(PAIRS) --seed $(SEED)
+
+# Where one end-to-end workload's memory is at the end of its window
+# (tracemalloc top lines and window growth, GC-tracked objects by type)
+# and what the collector costs there (every pass: generation, ms, inside
+# or outside Simulator.run).  Sizes a memory claim before it is made.
+#   make heap-census WORKLOAD=publish-heavy [SEED=2]
+WORKLOAD ?= publish-heavy
+heap-census:
+	$(PYTHON) scripts/heap_census.py $(WORKLOAD) --seed $(SEED)
 
 # Memory/allocation profile of the benchmark workloads: runs them once
 # under tracemalloc (several times slower than `make bench`, so the

@@ -10,10 +10,10 @@ compare``, every run reported.  This is that rule as one command::
     python scripts/bench_pairs.py --base REV --workloads peerview-580 --pairs 10
     python scripts/bench_pairs.py --base REV --workloads peerview-580 --pairs 10 --seed 2
 
-The base is checked out with ``git worktree add`` under
-``.benchmarks/pairs/`` (removed again at the end) and runs its *own*
-copy of ``bench/``; the working tree — committed or not — is the other
-side.  Results land in ``.benchmarks/pairs/<base>-seed<S>-<workloads>/``;
+The base is unpacked with ``git archive`` under ``.benchmarks/pairs/``
+(removed again at the end; nothing is registered in ``.git``) and runs
+its *own* copy of ``bench/``; the working tree — committed or not — is
+the other side.  Results land in ``.benchmarks/pairs/<base>-seed<S>-<workloads>/``;
 the script prints the compare table and one line per run, and exits
 non-zero when any run failed the benchmark's correctness gate.
 """
@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -77,8 +78,7 @@ def main(argv=None) -> int:
     out = PAIRS_DIR / f"{sha}-seed{args.seed}-{names}"
     out.mkdir(parents=True, exist_ok=True)
     base_tree = PAIRS_DIR / f"tree-{sha}"
-    if base_tree.exists():  # left behind by a killed run
-        _git("worktree", "remove", "--force", str(base_tree))
+    shutil.rmtree(base_tree, ignore_errors=True)  # left by a killed run
     run_args = ["run", "--repeats", "1", "--seed", str(args.seed),
                 "--workloads", args.workloads]
     if args.quick:
@@ -87,7 +87,11 @@ def main(argv=None) -> int:
     sides = {"base": base_tree, "new": REPO}
     runs = []  # (side, result file), in the order made
     failed = 0
-    _git("worktree", "add", "--detach", str(base_tree), sha)
+    base_tree.mkdir(parents=True)
+    archive = subprocess.run(
+        ["git", "archive", sha], cwd=REPO, capture_output=True, check=True,
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", str(base_tree)], input=archive, check=True)
     try:
         for pair in range(1, args.pairs + 1):
             first = ("base", "new") if pair % 2 else ("new", "base")
@@ -97,7 +101,7 @@ def main(argv=None) -> int:
                 failed += _bench(sides[side], *run_args, "--out", str(path)) != 0
                 runs.append((side, path))
     finally:
-        _git("worktree", "remove", "--force", str(base_tree))
+        shutil.rmtree(base_tree)
 
     print(f"\n== python -m bench compare (base {sha} vs working tree, "
           f"seed {args.seed}, {args.pairs} pairs)", flush=True)

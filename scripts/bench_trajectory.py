@@ -19,14 +19,17 @@ Three subcommands:
 
 ``check``
     Assert a floor: fail (exit 1) if a benchmark's min time exceeds
-    ``--max-seconds`` or its peak RSS exceeds ``--max-rss-kb``.  Used
-    by the CI ``bench-smoke`` job::
+    ``--max-seconds``, its peak RSS exceeds ``--max-rss-kb`` or what it
+    retains per publish exceeds ``--max-bytes-per-publish``.  Used by
+    the CI ``bench-smoke`` job::
 
         python scripts/bench_trajectory.py check .benchmarks/latest.json \\
             --bench test_event_loop_throughput --max-seconds 0.8
         python scripts/bench_trajectory.py check .benchmarks/latest.json \\
             --bench test_fullscale_steady_state_throughput \\
             --max-rss-kb 133690
+        python scripts/bench_trajectory.py check .benchmarks/ci.json \\
+            --bench test_publish_retained_bytes --max-bytes-per-publish 900
 
 Only ``min`` is compared across entries: it is the statistic least
 polluted by scheduler noise (the median moves tens of percent between
@@ -62,13 +65,15 @@ def _stats_of(report: dict) -> dict:
 #: when present.  ``peak_rss_kb`` is always emitted; ``alloc_per_event``
 #: by the benchmarks that measure it; the tracemalloc pair only under
 #: ``REPRO_BENCH_TRACEMALLOC=1``; ``us_per_walk_hop`` by
-#: ``benchmarks/test_bench_walk.py``.
+#: ``benchmarks/test_bench_walk.py``; ``bytes_per_publish`` by
+#: ``benchmarks/test_bench_publish.py``.
 EXTRA_KEYS = (
     "peak_rss_kb",
     "alloc_per_event",
     "tracemalloc_peak_kb",
     "tracemalloc_alloc_blocks",
     "us_per_walk_hop",
+    "bytes_per_publish",
 )
 
 
@@ -158,10 +163,12 @@ def cmd_show(args: argparse.Namespace) -> int:
             )
             hop = e.get("us_per_walk_hop")
             hop_txt = f"  us/hop {hop:6.2f}" if hop is not None else ""
+            held = e.get("bytes_per_publish")
+            held_txt = f"  B/publish {held:7.1f}" if held is not None else ""
             print(
                 f"  {e.get('label', '?'):<28} min {min_txt}"
-                f"  median {med_txt}"
-                f"  {speed_txt}{delta_txt}{rss_txt}{alloc_txt}{hop_txt}  {commit}"
+                f"  median {med_txt}  {speed_txt}{delta_txt}"
+                f"{rss_txt}{alloc_txt}{hop_txt}{held_txt}  {commit}"
             )
             if min_s:
                 prev_min = min_s
@@ -210,27 +217,31 @@ def cmd_check(args: argparse.Namespace) -> int:
         if min_s > args.max_seconds:
             print("FAIL: benchmark slower than the floor", file=sys.stderr)
             failed = True
-    if args.max_rss_kb is not None:
-        rss = _extra_info_of(report).get(args.bench, {}).get("peak_rss_kb")
-        if rss is None:
+    extra = _extra_info_of(report).get(args.bench, {})
+    for key, limit, what, unit in (
+        ("peak_rss_kb", args.max_rss_kb, "peak RSS", "KB"),
+        ("bytes_per_publish", args.max_bytes_per_publish,
+         "retained per publish", "B"),
+    ):
+        if limit is None:
+            continue
+        value = extra.get(key)
+        if value is None:
+            print(f"FAIL: {args.bench} recorded no {key}", file=sys.stderr)
+            failed = True
+            continue
+        print(f"{args.bench}: {what} {value} {unit} (floor {limit:.0f} {unit})")
+        if value > limit:
             print(
-                f"FAIL: {args.bench} recorded no peak_rss_kb", file=sys.stderr
+                "FAIL: benchmark used more memory than the floor",
+                file=sys.stderr,
             )
             failed = True
-        else:
-            print(
-                f"{args.bench}: peak RSS {rss} KB"
-                f" (floor {args.max_rss_kb:.0f} KB)"
-            )
-            if rss > args.max_rss_kb:
-                print(
-                    "FAIL: benchmark used more memory than the floor",
-                    file=sys.stderr,
-                )
-                failed = True
-    if args.max_seconds is None and args.max_rss_kb is None:
-        print("check: nothing to check (pass --max-seconds and/or "
-              "--max-rss-kb)", file=sys.stderr)
+    if all(limit is None for limit in (
+        args.max_seconds, args.max_rss_kb, args.max_bytes_per_publish
+    )):
+        print("check: nothing to check (pass --max-seconds, --max-rss-kb "
+              "and/or --max-bytes-per-publish)", file=sys.stderr)
         return 1
     if failed:
         return 1
@@ -267,6 +278,12 @@ def main(argv=None) -> int:
         help="fail if the benchmark's peak RSS (ru_maxrss, KB) exceeds "
         "this value; ru_maxrss is process-cumulative, so run the "
         "benchmark this guards FIRST in its pytest invocation",
+    )
+    p.add_argument(
+        "--max-bytes-per-publish", type=float, default=None,
+        help="fail if the benchmark's bytes_per_publish (tracemalloc "
+        "growth / publishes, benchmarks/test_bench_publish.py) exceeds "
+        "this value",
     )
     p.set_defaults(fn=cmd_check)
 

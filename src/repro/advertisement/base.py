@@ -13,7 +13,7 @@ discovery API"):
 
 from __future__ import annotations
 
-from typing import ClassVar, List, Sequence, Tuple
+from typing import ClassVar, Sequence, Tuple
 import xml.etree.ElementTree as ET
 
 from repro.sim.clock import HOURS
@@ -62,17 +62,20 @@ class Advertisement:
             f"{t}={v}" for t, v in self._fields()
         )
 
-    def index_tuples(self) -> List[IndexTuple]:
+    def index_tuples(self) -> Tuple[IndexTuple, ...]:
         """The ``(type, attribute, value)`` tuples this advertisement
         is indexed by — the unit of SRDI publication (§3.3: "An
-        attribute table consists of tuples (index attribute, value)")."""
-        values = dict(self._fields())
-        out: List[IndexTuple] = []
-        for attr in self.INDEX_FIELDS:
-            value = values.get(attr)
-            if value:
-                out.append((self.ADV_TYPE, attr, value))
-        return out
+        attribute table consists of tuples (index attribute, value)").
+        Memoised like :meth:`size_bytes`: the cache index, the SRDI
+        pusher, payloads and stores all hold these same tuple objects."""
+        tuples = self.__dict__.get("_index_cache")
+        if tuples is None:
+            values = dict(self._fields())
+            tuples = self.__dict__["_index_cache"] = tuple(
+                (self.ADV_TYPE, attr, values[attr])
+                for attr in self.INDEX_FIELDS if values.get(attr)
+            )
+        return tuples
 
     # ------------------------------------------------------------------
     # XML codec
@@ -106,20 +109,21 @@ class Advertisement:
         return size
 
     def __setattr__(self, name: str, value: object) -> None:
-        # drop the cached wire size on any field mutation; writes are
-        # rare (construction, codec round-trips) while size_bytes runs
-        # once per message sent
+        # any field write drops both memos; writes are rare (construction,
+        # codec round-trips) while size_bytes runs once per message sent
         d = self.__dict__
         d[name] = value
-        if "_size_cache" in d:
-            del d["_size_cache"]
+        if "_size_cache" in d or "_index_cache" in d:
+            d.pop("_size_cache", None)
+            d.pop("_index_cache", None)
 
     def __getstate__(self) -> dict:
-        # the wire-size memo is derived state: carrying it would make
-        # pickle bytes depend on whether size_bytes() happened to run
-        # before the snapshot, breaking byte-stable checkpoints
+        # the memos are derived state: carrying them would make pickle
+        # bytes depend on whether size_bytes() / index_tuples() happened
+        # to run before the snapshot, breaking byte-stable checkpoints
         state = self.__dict__.copy()
         state.pop("_size_cache", None)
+        state.pop("_index_cache", None)
         return state
 
     # ------------------------------------------------------------------

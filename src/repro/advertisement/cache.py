@@ -15,10 +15,14 @@ the same object works in any simulation or in real time.
 Performance design
 ------------------
 Queries used to scan every entry with ``fnmatchcase``.  The cache now
-maintains three hash indexes over the entries:
+maintains three hash indexes over the entries (a bucket is deleted
+with its last key):
 
 * type → keys (``adv_type`` restriction);
-* (type, attribute, value) → keys (exact-value match);
+* (type, attribute, value) → keys (exact-value match), keyed by the
+  advertisement's own memoised index tuple; a single member is stored
+  inline (the key string itself until a second key arrives, then a
+  ``set``);
 * (type, attribute) → keys (attribute present with any value).
 
 Exact and attribute-presence queries resolve through the indexes and
@@ -28,24 +32,24 @@ way — as the historical linear scan.  Values containing glob
 metacharacters (``*``, ``?``, ``[``) fall back to a scan restricted by
 the type index.
 
-Expiry purging is incremental: entries sit in a min-heap keyed by
-``expires_at``, so :meth:`purge_expired` pops only the expired prefix
-instead of scanning the whole cache (stale heap records left behind by
-overwrites and removals are skipped by an identity check).
+Nothing but the entry itself records when it expires: queries skip
+expired entries as they meet them, and :meth:`purge_expired` — which no
+protocol path calls — is a plain scan.  An entry overwritten by
+:meth:`store_remote` / :meth:`publish` is therefore freed at once.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from operator import attrgetter
-from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.advertisement.base import (
     Advertisement,
     DEFAULT_EXPIRATION,
     DEFAULT_LIFETIME,
+    IndexTuple,
 )
 
 
@@ -86,15 +90,10 @@ class AdvertisementCache:
         self._seq = 0
         #: adv type -> keys of entries of that type.
         self._by_type: Dict[str, Set[str]] = {}
-        #: (type, attribute, value) -> keys whose index tuples match exactly.
-        self._by_attr: Dict[Tuple[str, str, str], Set[str]] = {}
+        #: index tuple -> the one key indexed by it, or a set of them.
+        self._by_attr: Dict[IndexTuple, Union[str, Set[str]]] = {}
         #: (type, attribute) -> keys carrying the attribute with any value.
         self._by_attr_any: Dict[Tuple[str, str], Set[str]] = {}
-        #: (expires_at, tiebreak, key, entry) records; stale ones are
-        #: skipped on pop.  The tiebreak keeps heap comparisons off the
-        #: (orderless) CacheEntry when times collide.
-        self._expiry_heap: List[Tuple[float, int, str, CacheEntry]] = []
-        self._heap_pushes = 0
         self.inserts = 0
         self.purged = 0
 
@@ -113,14 +112,18 @@ class AdvertisementCache:
         if bucket is None:
             bucket = self._by_type[adv_type] = set()
         bucket.add(key)
-        for _, attr, val in adv.index_tuples():
-            exact = self._by_attr.get((adv_type, attr, val))
+        for index_tuple in adv.index_tuples():
+            exact = self._by_attr.get(index_tuple)
             if exact is None:
-                exact = self._by_attr[(adv_type, attr, val)] = set()
-            exact.add(key)
-            any_ = self._by_attr_any.get((adv_type, attr))
+                self._by_attr[index_tuple] = key
+            elif type(exact) is set:
+                exact.add(key)
+            elif exact != key:
+                self._by_attr[index_tuple] = {exact, key}
+            type_attr = index_tuple[:2]
+            any_ = self._by_attr_any.get(type_attr)
             if any_ is None:
-                any_ = self._by_attr_any[(adv_type, attr)] = set()
+                any_ = self._by_attr_any[type_attr] = set()
             any_.add(key)
 
     def _index_discard(self, key: str, adv: Advertisement) -> None:
@@ -128,13 +131,22 @@ class AdvertisementCache:
         bucket = self._by_type.get(adv_type)
         if bucket is not None:
             bucket.discard(key)
-        for _, attr, val in adv.index_tuples():
-            exact = self._by_attr.get((adv_type, attr, val))
-            if exact is not None:
+            if not bucket:
+                del self._by_type[adv_type]
+        for index_tuple in adv.index_tuples():
+            exact = self._by_attr.get(index_tuple)
+            if type(exact) is set:
                 exact.discard(key)
-            any_ = self._by_attr_any.get((adv_type, attr))
+                if not exact:
+                    del self._by_attr[index_tuple]
+            elif exact == key:
+                del self._by_attr[index_tuple]
+            type_attr = index_tuple[:2]
+            any_ = self._by_attr_any.get(type_attr)
             if any_ is not None:
                 any_.discard(key)
+                if not any_:
+                    del self._by_attr_any[type_attr]
 
     def _store(self, key: str, entry: CacheEntry) -> None:
         old = self._entries.get(key)
@@ -150,16 +162,11 @@ class AdvertisementCache:
             self._seq += 1
             self._index_add(key, entry.adv)
         self._entries[key] = entry
-        self._heap_pushes += 1
-        heapq.heappush(
-            self._expiry_heap, (entry.expires_at, self._heap_pushes, key, entry)
-        )
         self.inserts += 1
 
     def _drop(self, key: str, entry: CacheEntry) -> None:
         del self._entries[key]
         self._index_discard(key, entry.adv)
-        # The expiry-heap record goes stale and is skipped on pop.
 
     # ------------------------------------------------------------------
     # mutation
@@ -217,16 +224,11 @@ class AdvertisementCache:
 
     def purge_expired(self, now: float) -> int:
         """Drop expired entries; returns how many were dropped."""
-        heap = self._expiry_heap
-        entries = self._entries
-        dropped = 0
-        while heap and heap[0][0] <= now:
-            _, _, key, entry = heapq.heappop(heap)
-            if entries.get(key) is entry and entry.expired(now):
-                self._drop(key, entry)
-                dropped += 1
-        self.purged += dropped
-        return dropped
+        dead = [(k, e) for k, e in self._entries.items() if e.expired(now)]
+        for key, entry in dead:
+            self._drop(key, entry)
+        self.purged += len(dead)
+        return len(dead)
 
     def flush(self) -> int:
         """Drop everything (the benchmark's anti-cache-speedup step)."""
@@ -235,7 +237,6 @@ class AdvertisementCache:
         self._by_type.clear()
         self._by_attr.clear()
         self._by_attr_any.clear()
-        self._expiry_heap.clear()
         return n
 
     # ------------------------------------------------------------------
@@ -263,7 +264,8 @@ class AdvertisementCache:
         if adv_type is not None:
             if value is None:
                 return self._by_attr_any.get((adv_type, attribute), ())
-            return self._by_attr.get((adv_type, attribute, value), ())
+            exact = self._by_attr.get((adv_type, attribute, value), ())
+            return (exact,) if type(exact) is str else exact
         out: Set[str] = set()
         for t in self._by_type:
             out.update(self._attr_keys(t, attribute, value))

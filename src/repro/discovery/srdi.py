@@ -19,7 +19,7 @@ Two halves:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.advertisement.base import IndexTuple
 from repro.advertisement.cache import AdvertisementCache
@@ -59,20 +59,24 @@ class _SrdiRecord:
     publisher: PeerID
     publisher_address: str
     expires_at: float
+    #: interned key of ``publisher``
+    key: int
 
 
 class SrdiIndex:
     """Rendezvous-side tuple store: index tuple -> publishers.
 
-    Publisher buckets key on interned peer keys (every SRDI push hits
-    them); records keep the publisher :class:`PeerID` for the query
-    forwarding path.  A reverse ``publisher key -> tuples`` index makes
-    :meth:`remove_publisher` (edge churn) proportional to the departed
-    publisher's tuples instead of the whole store."""
+    Almost every tuple has one publisher, so ``_index[tuple]`` is that
+    publisher's record itself until a second one arrives, from then on
+    ``{interned publisher key: record}`` in arrival order; it goes with
+    its last record.  Records keep the publisher :class:`PeerID` for
+    the query forwarding path.  A reverse ``publisher key -> tuples``
+    index makes :meth:`remove_publisher` (edge churn) proportional to
+    the departed publisher's tuples instead of the whole store."""
 
     def __init__(self, interner: Optional[IdInternTable] = None) -> None:
         self.interner = interner if interner is not None else IdInternTable()
-        self._index: Dict[IndexTuple, Dict[int, _SrdiRecord]] = {}
+        self._index: Dict[IndexTuple, Union[_SrdiRecord, Dict[int, _SrdiRecord]]] = {}
         self._by_publisher: Dict[int, Set[IndexTuple]] = {}
         self._count = 0
         self.inserts = 0
@@ -95,20 +99,23 @@ class SrdiIndex:
         if expiration <= 0:
             raise ValueError(f"expiration must be > 0 (got {expiration})")
         key = self.interner.intern(publisher)
+        record = _SrdiRecord(publisher, publisher_address, now + expiration, key)
         bucket = self._index.get(index_tuple)
-        if bucket is None:
-            bucket = self._index[index_tuple] = {}
-        if key not in bucket:
+        if type(bucket) is dict:
+            fresh = key not in bucket
+            bucket[key] = record
+        elif bucket is None or bucket.key == key:
+            fresh = bucket is None
+            self._index[index_tuple] = record
+        else:
+            fresh = True
+            self._index[index_tuple] = {bucket.key: bucket, key: record}
+        if fresh:
             self._count += 1
             tuples = self._by_publisher.get(key)
             if tuples is None:
                 tuples = self._by_publisher[key] = set()
             tuples.add(index_tuple)
-        bucket[key] = _SrdiRecord(
-            publisher=publisher,
-            publisher_address=publisher_address,
-            expires_at=now + expiration,
-        )
         self.inserts += 1
 
     def lookup(
@@ -116,9 +123,11 @@ class SrdiIndex:
     ) -> List[_SrdiRecord]:
         """Publishers of an exact index tuple (live records only)."""
         bucket = self._index.get(index_tuple)
-        if not bucket:
+        if type(bucket) is dict:
+            return [r for r in bucket.values() if r.expires_at > now]
+        if bucket is None or bucket.expires_at <= now:
             return []
-        return [r for r in bucket.values() if r.expires_at > now]
+        return [bucket]
 
     def remove_publisher(self, publisher: PeerID) -> int:
         """Drop every record from one publisher (edge departed)."""
@@ -128,31 +137,39 @@ class SrdiIndex:
         tuples = self._by_publisher.pop(key, None)
         if not tuples:
             return 0
-        dropped = 0
         for index_tuple in tuples:
-            bucket = self._index.get(index_tuple)
-            if bucket is not None and bucket.pop(key, None) is not None:
-                dropped += 1
-        self._count -= dropped
-        return dropped
+            self._discard(index_tuple, key)
+        self._count -= len(tuples)
+        return len(tuples)
+
+    def _discard(self, index_tuple: IndexTuple, key: int) -> None:
+        """Drop one publisher's record, and the bucket with its last."""
+        bucket = self._index[index_tuple]
+        if type(bucket) is dict:
+            del bucket[key]
+            if bucket:
+                return
+        del self._index[index_tuple]
 
     def purge_expired(self, now: float) -> int:
         """Drop expired records; returns the count dropped."""
-        dropped = 0
         by_publisher = self._by_publisher
-        for index_tuple in list(self._index):
-            bucket = self._index[index_tuple]
-            dead = [k for k, r in bucket.items() if r.expires_at <= now]
+        dropped = 0
+        for index_tuple, bucket in list(self._index.items()):
+            if type(bucket) is dict:
+                dead = [k for k, r in bucket.items() if r.expires_at <= now]
+            elif bucket.expires_at <= now:
+                dead = (bucket.key,)
+            else:
+                continue
             for k in dead:
-                del bucket[k]
+                self._discard(index_tuple, k)
                 tuples = by_publisher.get(k)
                 if tuples is not None:
                     tuples.discard(index_tuple)
                     if not tuples:
                         del by_publisher[k]
             dropped += len(dead)
-            if not bucket:
-                del self._index[index_tuple]
         self._count -= dropped
         return dropped
 

@@ -28,9 +28,9 @@ tuple/bytes comparisons run in C and the bytes order *is* the PeerID
 order.  Public APIs still accept and return ``PeerID`` objects (mapped
 O(1) through the intern table); protocol hot paths use the ``*_key``
 variants.  Expiry is a lazy min-heap of ``(last_refreshed_at_push,
-key)`` records instead of a full scan per sweep — the same fix the
-advertisement cache got for ``purge_expired`` — with stale records (entry
-refreshed or removed since the push) dropped or re-pushed on pop.
+key)`` records instead of a full scan per sweep (views are swept every
+``PEERVIEW_INTERVAL``, so it is popped as fast as it is pushed); stale
+records (entry refreshed or removed since) are dropped or re-pushed.
 """
 
 from __future__ import annotations

@@ -65,6 +65,8 @@ class Catalog:
             self._cdf.append(acc)
         self._cdf[-1] = 1.0  # guard against float shortfall
         self._index = {name: k for k, name in enumerate(self.names)}
+        #: each item's one document, built on first use
+        self._advs: List[Optional[FakeAdvertisement]] = [None] * len(self.names)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -147,8 +149,13 @@ class Catalog:
         return self.names[self.sample(rng)]
 
     def adv(self, index: int) -> FakeAdvertisement:
-        """The advertisement document for item ``index``."""
-        return FakeAdvertisement(self.names[index], payload=self.payload)
+        """The advertisement document for item ``index``: one shared
+        object however many clients publish it (documents travel by
+        reference and are never written to once published)."""
+        adv = self._advs[index]
+        if adv is None:
+            adv = self._advs[index] = FakeAdvertisement(self.names[index], self.payload)
+        return adv
 
     def index_of(self, name: str) -> int:
         return self._index[name]

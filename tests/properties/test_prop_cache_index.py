@@ -156,11 +156,66 @@ def test_exact_value_probe_matches_linear_oracle(publishes, now):
             assert got == want, f"value {value!r}, limit={limit}, t={now}"
 
 
+#: bucket life cycle: four keys over the same three names, so the
+#: bucket of one index tuple goes 0 -> 1 -> 2 -> 1 -> 0 keys (absent,
+#: inline member, set, ...) under every operation that touches it
+bucket_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("publish"), st.integers(0, 3), shared_names, durations),
+        st.tuples(st.just("remote"), st.integers(0, 3), shared_names, durations),
+        st.tuples(st.just("remove"), st.integers(0, 3)),
+        st.tuples(st.just("advance"), st.floats(0.0, 30.0)),
+        st.tuples(st.just("purge"),),
+    ),
+    min_size=0, max_size=30,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bucket_ops)
+def test_bucket_life_cycle_matches_linear_oracle(ops):
+    """Results, order and ``limit`` equal the linear scan after *every*
+    operation, and the exact-value index holds exactly one bucket per
+    value some stored advertisement carries — none for those gone."""
+    cache = AdvertisementCache()
+    now = 0.0
+    for op in ops:
+        kind = op[0]
+        if kind == "publish":
+            cache.publish(_rdv(op[1], op[2]), now, lifetime=op[3])
+        elif kind == "remote":
+            cache.store_remote(_rdv(op[1], op[2]), now, expiration=op[3])
+        elif kind == "remove":
+            cache.remove(_rdv(op[1], "a"))
+        elif kind == "advance":
+            now += op[1]
+        else:
+            cache.purge_expired(now)
+
+        for value in ("a", "b", "c"):
+            want_all = linear_scan_oracle(cache, RDV, "Name", value, now)
+            for limit in [None] + list(range(len(want_all) + 2)):
+                got = cache.search(RDV, "Name", value, now, limit=limit)
+                want = linear_scan_oracle(cache, RDV, "Name", value, now, limit)
+                assert got == want, (op, value, limit)
+            assert cache.search(None, "Name", value, now) == want_all
+        stored = {}
+        for key, entry in cache._entries.items():
+            for index_tuple in entry.adv.index_tuples():
+                stored.setdefault(index_tuple, set()).add(key)
+        held = {
+            index_tuple: {keys} if isinstance(keys, str) else keys
+            for index_tuple, keys in cache._by_attr.items()
+        }
+        assert held == stored
+
+
 @settings(max_examples=60, deadline=None)
 @given(operations)
-def test_incremental_purge_matches_full_scan(ops):
-    """Heap-based ``purge_expired`` drops exactly the entries the old
-    full scan dropped, and the ``purged`` counter agrees."""
+def test_purge_scan_matches_model(ops):
+    """``purge_expired`` drops exactly the expired entries — whatever
+    was overwritten, removed or purged before — and the ``purged``
+    counter agrees."""
     cache = AdvertisementCache()
     now = 0.0
     for op in ops:

@@ -68,3 +68,82 @@ def test_srdi_index_matches_reference_model(operations):
             assert live == expected_pubs, (t, now)
         # the stored count never under-counts the live records
         assert len(index) >= sum(1 for v in model.values() if v > now)
+
+
+bucket_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("add"),
+            st.integers(0, 3),  # tuple index
+            st.integers(0, 2),  # publisher index
+            st.floats(1.0, 50.0),  # expiration
+        ),
+        st.tuples(st.just("advance"), st.floats(0.0, 30.0)),
+        st.tuples(st.just("remove_pub"), st.integers(0, 2)),
+        st.tuples(st.just("purge"),),
+    ),
+    min_size=0,
+    max_size=60,
+)
+
+
+@given(bucket_ops)
+def test_srdi_buckets_match_dict_of_dicts(operations):
+    """The store against the plainest thing that could work — ``{tuple:
+    {publisher: (address, expires_at)}}``, an emptied bucket deleted —
+    after every add / refresh / ``remove_publisher`` / ``purge_expired``:
+    the ``lookup`` list *and its order*, ``tuples()`` order, ``len`` and
+    ``inserts``.  Three publishers over four tuples take every bucket
+    through absent -> one record -> several -> one -> absent."""
+    index = SrdiIndex()
+    model = {}
+    inserts = 0
+    now = 0.0
+    for step, op in enumerate(operations):
+        kind = op[0]
+        if kind == "add":
+            _, t, p, expiration = op
+            # a refresh may change the address; it must not move the record
+            address = f"tcp://e{p}:{step}"
+            index.add(TUPLES[t], PUBLISHERS[p], address, now, expiration)
+            model.setdefault(t, {})[p] = (address, now + expiration)
+            inserts += 1
+        elif kind == "advance":
+            now += op[1]
+        elif kind == "remove_pub":
+            p = op[1]
+            expected = sum(1 for bucket in model.values() if p in bucket)
+            assert index.remove_publisher(PUBLISHERS[p]) == expected
+            for bucket in model.values():
+                bucket.pop(p, None)
+        else:
+            expected = sum(
+                1 for bucket in model.values()
+                for _, expires_at in bucket.values() if expires_at <= now
+            )
+            assert index.purge_expired(now) == expected
+            for bucket in model.values():
+                for p in [p for p, (_, exp) in bucket.items() if exp <= now]:
+                    del bucket[p]
+        model = {t: bucket for t, bucket in model.items() if bucket}
+
+        assert index.tuples() == [TUPLES[t] for t in model]
+        assert len(index) == sum(len(bucket) for bucket in model.values())
+        assert index.inserts == inserts
+        for t in range(4):
+            got = [
+                (r.publisher, r.publisher_address, r.expires_at)
+                for r in index.lookup(TUPLES[t], now)
+            ]
+            assert got == [
+                (PUBLISHERS[p], address, expires_at)
+                for p, (address, expires_at) in model.get(t, {}).items()
+                if expires_at > now
+            ], (step, op, t)
+        # white box: the reverse index remove_publisher relies on
+        reverse = {}
+        for t, bucket in model.items():
+            for p in bucket:
+                key = index.interner.lookup(PUBLISHERS[p])
+                reverse.setdefault(key, set()).add(TUPLES[t])
+        assert index._by_publisher == reverse

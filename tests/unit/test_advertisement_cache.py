@@ -186,12 +186,70 @@ class TestIndexMaintenance:
         cache = AdvertisementCache()
         cache.publish(adv("x"), now=0.0, lifetime=10.0)
         cache.publish(adv("x"), now=0.0, lifetime=1000.0)  # refresh
-        # the first record expires at t=10 but the entry was replaced;
-        # the stale record must not purge (or double-count) the live one
+        # the first copy would have expired at t=10 but was replaced:
+        # nothing of it may purge (or double-count) the live one
         assert cache.purge_expired(now=20.0) == 0
         assert cache.get(adv("x"), now=20.0) is not None
         assert cache.purge_expired(now=2000.0) == 1
         assert len(cache) == 0
+
+    def test_removed_advertisements_leave_no_bucket_behind(self):
+        cache = AdvertisementCache()
+        advs = [adv("a"), adv("b"), self._rdv(1, "a"), self._rdv(2, "a")]
+        for a in advs:
+            cache.publish(a, now=0.0, lifetime=10.0)
+        assert cache._by_type and cache._by_attr and cache._by_attr_any
+        assert cache.remove(advs[0]) and cache.remove(advs[2])
+        assert cache.purge_expired(now=10.0) == 2
+        assert len(cache) == 0
+        assert cache._by_type == {}
+        assert cache._by_attr == {}
+        assert cache._by_attr_any == {}
+
+    def test_single_member_bucket_is_stored_inline(self):
+        # 0 -> 1 -> 2 -> 1 -> 0 keys under one index tuple
+        cache = AdvertisementCache()
+        first, second = self._rdv(1, "shared"), self._rdv(2, "shared")
+        (index_tuple,) = [t for t in first.index_tuples() if t[1] == "Name"]
+        search = lambda: cache.search(  # noqa: E731
+            first.ADV_TYPE, "Name", "shared", now=1.0)
+        assert search() == []
+        cache.publish(first, now=0.0)
+        assert cache._by_attr[index_tuple] == first.unique_key()
+        assert search() == [first]
+        cache.publish(second, now=0.0)
+        assert cache._by_attr[index_tuple] == {
+            first.unique_key(), second.unique_key()}
+        assert search() == [first, second]
+        assert search() == cache.search(None, "Name", "shared", now=1.0)
+        cache.remove(first)
+        assert search() == [second]
+        cache.remove(second)
+        assert search() == []
+        assert index_tuple not in cache._by_attr
+
+    def test_index_is_keyed_by_the_advertisements_own_tuples(self):
+        cache = AdvertisementCache()
+        doc = adv("a")
+        cache.publish(doc, now=0.0)
+        (held,) = cache._by_attr
+        assert held is doc.index_tuples()[0]
+
+    def test_overwriting_one_key_retains_nothing_per_store(self):
+        # a searcher that keeps asking for the same item stores a fresh
+        # copy per answer; the superseded copies must all be freed
+        import gc
+        import sys
+
+        cache = AdvertisementCache()
+        cache.store_remote(adv("hot"), now=0.0)
+        gc.collect()
+        before = sys.getallocatedblocks()
+        for i in range(5000):
+            cache.store_remote(adv("hot"), now=float(i))
+        gc.collect()
+        assert sys.getallocatedblocks() - before < 100
+        assert len(cache) == 1 and cache.inserts == 5001
 
     def test_flush_clears_indexes(self):
         cache = AdvertisementCache()

@@ -146,6 +146,26 @@ def test_check_enforces_rss_floor(bench_trajectory, tmp_path, capsys):
     assert "more memory than the floor" in capsys.readouterr().err
 
 
+def test_check_enforces_bytes_per_publish_floor(
+    bench_trajectory, tmp_path, capsys
+):
+    report = _fake_report(
+        tmp_path,
+        [
+            {
+                "name": "b",
+                "stats": {"min": 0.5},
+                "extra_info": {"peak_rss_kb": 2000, "bytes_per_publish": 818.2},
+            }
+        ],
+    )
+    check = ["check", report, "--bench", "b", "--max-bytes-per-publish"]
+    assert bench_trajectory.main(check + ["900"]) == 0
+    assert "retained per publish 818.2 B" in capsys.readouterr().out
+    assert bench_trajectory.main(check + ["800"]) == 1
+    assert "more memory than the floor" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # --warm-start / --checkpoint-dir
 # ---------------------------------------------------------------------------

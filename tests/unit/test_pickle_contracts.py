@@ -271,6 +271,109 @@ class TestAdvertisement:
         assert pickle.dumps(fresh) == pickle.dumps(queried)
 
 
+    def test_index_memo_dropped_and_recomputed(self):
+        adv = rdv_adv(3)
+        tuples = adv.index_tuples()  # populates _index_cache
+        assert adv.index_tuples() is tuples
+        clone = pickle.loads(pickle.dumps(adv))
+        assert "_index_cache" not in clone.__dict__
+        assert clone.index_tuples() == tuples
+
+    def test_pickle_bytes_independent_of_either_memo(self):
+        fresh = rdv_adv(3)
+        queried = rdv_adv(3)
+        queried.index_tuples()
+        queried.size_bytes()
+        assert pickle.dumps(fresh) == pickle.dumps(queried)
+
+    def test_field_write_drops_both_memos(self):
+        adv = rdv_adv(3)
+        size, tuples = adv.size_bytes(), adv.index_tuples()
+        adv.name = "renamed-and-longer"
+        assert "_size_cache" not in adv.__dict__
+        assert "_index_cache" not in adv.__dict__
+        assert adv.size_bytes() > size
+        assert (adv.ADV_TYPE, "Name", "renamed-and-longer") in adv.index_tuples()
+        assert (adv.ADV_TYPE, "Name", "rdv-3") in tuples  # the old one is immutable
+
+
+class TestIndexBuckets:
+    """``AdvertisementCache._by_attr`` and ``SrdiIndex._index`` store a
+    single member inline and several in a container, keyed by the
+    advertisements' own (shared) index tuples.  Both forms, and the
+    sharing, must survive a snapshot."""
+
+    def _cache_and_index(self):
+        from repro.advertisement import AdvertisementCache, FakeAdvertisement
+        from repro.discovery.srdi import SrdiIndex
+
+        cache = AdvertisementCache()
+        index = SrdiIndex()
+        docs = [FakeAdvertisement("solo"), rdv_adv(1), rdv_adv(2)]
+        docs[2].name = docs[1].name  # two keys under one Name tuple
+        for doc in docs:
+            cache.publish(doc, now=0.0)
+            for index_tuple in doc.index_tuples():
+                index.add(index_tuple, pid(1), "tcp://p1:1", 0.0, 100.0)
+        for index_tuple in docs[1].index_tuples():
+            index.add(index_tuple, pid(2), "tcp://p2:1", 1.0, 100.0)
+        return cache, index, docs
+
+    @staticmethod
+    def _answers(cache, index, docs):
+        return [
+            [
+                [a.unique_key() for a in cache.search(*t, now=5.0)],
+                [
+                    (r.publisher, r.publisher_address, r.expires_at)
+                    for r in index.lookup(t, now=5.0)
+                ],
+            ]
+            for doc in docs for t in doc.index_tuples()
+        ] + [index.tuples(), len(index), index.inserts, len(cache)]
+
+    def test_mixed_buckets_round_trip_byte_stably(self):
+        cache, index, docs = self._cache_and_index()
+        forms = lambda d: {type(v) for v in d.values()}  # noqa: E731
+        assert forms(cache._by_attr) == {str, set}
+        assert len(forms(index._index)) == 2  # record and dict
+        blob = pickle.dumps((cache, index))
+        cache2, index2 = pickle.loads(blob)
+        blob2 = pickle.dumps((cache2, index2))
+        assert forms(cache2._by_attr) == {str, set}
+        assert len(forms(index2._index)) == 2
+        assert self._answers(cache2, index2, docs) == self._answers(
+            cache, index, docs
+        )
+        # on either side the queries (and the memos they fill in the
+        # documents) leave nothing that reaches the pickle
+        assert pickle.dumps((cache, index)) == blob
+        assert pickle.dumps((cache2, index2)) == blob2
+
+    def test_one_tuple_per_fact_survives_the_round_trip(self):
+        cache, index, _ = pickle.loads(pickle.dumps(self._cache_and_index()))
+        by_value = {t: t for t in cache._by_attr}
+        assert len(index._index) == len(by_value)
+        for index_tuple in index._index:
+            assert index_tuple is by_value[index_tuple]
+        for tuples in index._by_publisher.values():
+            for index_tuple in tuples:
+                assert index_tuple is by_value[index_tuple]
+
+    def test_restored_buckets_keep_working(self):
+        cache, index, docs = pickle.loads(
+            pickle.dumps(self._cache_and_index())
+        )
+        # the restored documents rebuild their memo: equal tuples, other
+        # objects — every bucket must still be found by value
+        assert index.remove_publisher(pid(1)) == 5
+        assert index.remove_publisher(pid(2)) == 3
+        assert index.tuples() == [] and len(index) == 0
+        for doc in docs:
+            assert cache.remove(doc)
+        assert cache._by_attr == {} and cache._by_attr_any == {}
+
+
 class TestDiscoveryQuery:
     """The compiled query and its per-hop copies ride in every snapshot
     taken mid-walk: derived fields are slot fields, so they travel in

@@ -53,6 +53,35 @@ class TestSrdiIndex:
         assert idx.remove_publisher(pid(1)) == 2
         assert len(idx) == 1
 
+    def test_removed_publisher_takes_its_emptied_buckets_along(self):
+        # wildcard and range queries walk tuples(): a tuple nobody
+        # publishes any more must not stay listed until the next purge
+        idx = SrdiIndex()
+        idx.add(T1, pid(1), "tcp://a:1", now=0.0, expiration=100.0)
+        idx.add(T2, pid(1), "tcp://a:1", now=0.0, expiration=100.0)
+        idx.add(T1, pid(2), "tcp://b:1", now=0.0, expiration=100.0)
+        assert idx.remove_publisher(pid(1)) == 2
+        assert idx.tuples() == [T1]
+        assert len(idx) == 1
+        assert [r.publisher for r in idx.lookup(T1, now=1.0)] == [pid(2)]
+        assert idx.lookup(T2, now=1.0) == []
+        assert idx.remove_publisher(pid(2)) == 1
+        assert idx.tuples() == [] and len(idx) == 0
+        assert idx._index == {} and idx._by_publisher == {}
+
+    def test_lookup_keeps_first_insertion_order_across_refreshes(self):
+        # one publisher is stored inline, the second makes the bucket a
+        # dict; a refresh of either must not move it
+        idx = SrdiIndex()
+        for n in (3, 1, 2):
+            idx.add(T1, pid(n), f"tcp://p{n}:1", now=0.0, expiration=100.0)
+        idx.add(T1, pid(3), "tcp://p3:2", now=5.0, expiration=100.0)
+        records = idx.lookup(T1, now=10.0)
+        assert [r.publisher for r in records] == [pid(3), pid(1), pid(2)]
+        assert records[0].publisher_address == "tcp://p3:2"
+        assert records[0].expires_at == 105.0
+        assert len(idx) == 3 and idx.inserts == 4
+
     def test_purge_expired(self):
         idx = SrdiIndex()
         idx.add(T1, pid(1), "tcp://a:1", now=0.0, expiration=10.0)

@@ -137,6 +137,18 @@ class TestCatalog:
         assert cat.index_of("svc-2") == 2
         assert cat.index_tuple(2)[2] == "svc-2"
 
+    def test_one_shared_document_per_item(self):
+        from repro.advertisement import FakeAdvertisement
+
+        cat = Catalog.uniform(4, prefix="svc", payload_bytes=8)
+        assert cat.adv(2) is cat.adv(2)
+        assert cat.adv_named("svc-2") is cat.adv(2)
+        assert cat.adv(2) is not cat.adv(3)
+        assert cat.adv(2) == FakeAdvertisement("svc-2", "x" * 8)
+        # and with the document, its index tuple and wire-size memo
+        assert cat.adv(2).index_tuples() is cat.adv(2).index_tuples()
+        assert cat.adv(2).index_tuples() == (cat.index_tuple(2),)
+
     def test_noiser_catalog_matches_legacy_naming(self):
         cat = noiser_catalog(3, 2)
         assert cat.names == [
