@@ -19,9 +19,11 @@ Three subcommands:
 
 ``check``
     Assert a floor: fail (exit 1) if a benchmark's min time exceeds
-    ``--max-seconds``, its peak RSS exceeds ``--max-rss-kb`` or what it
-    retains per publish exceeds ``--max-bytes-per-publish``.  Used by
-    the CI ``bench-smoke`` job::
+    ``--max-seconds``, its peak RSS exceeds ``--max-rss-kb``, what it
+    retains per publish exceeds ``--max-bytes-per-publish``, or a fuzz
+    slice exceeds ``--max-us-per-fuzz-event`` /
+    ``--max-executions-per-genome``.  Used by the CI ``bench-smoke``
+    job::
 
         python scripts/bench_trajectory.py check .benchmarks/latest.json \\
             --bench test_event_loop_throughput --max-seconds 0.8
@@ -30,6 +32,8 @@ Three subcommands:
             --max-rss-kb 133690
         python scripts/bench_trajectory.py check .benchmarks/ci.json \\
             --bench test_publish_retained_bytes --max-bytes-per-publish 900
+        python scripts/bench_trajectory.py check .benchmarks/ci.json \\
+            --bench test_fuzz_slice_cost --max-executions-per-genome 4.9
 
 Only ``min`` is compared across entries: it is the statistic least
 polluted by scheduler noise (the median moves tens of percent between
@@ -66,7 +70,8 @@ def _stats_of(report: dict) -> dict:
 #: by the benchmarks that measure it; the tracemalloc pair only under
 #: ``REPRO_BENCH_TRACEMALLOC=1``; ``us_per_walk_hop`` by
 #: ``benchmarks/test_bench_walk.py``; ``bytes_per_publish`` by
-#: ``benchmarks/test_bench_publish.py``.
+#: ``benchmarks/test_bench_publish.py``; ``us_per_fuzz_event`` and
+#: ``executions_per_genome`` by ``benchmarks/test_bench_fuzz.py``.
 EXTRA_KEYS = (
     "peak_rss_kb",
     "alloc_per_event",
@@ -74,6 +79,8 @@ EXTRA_KEYS = (
     "tracemalloc_alloc_blocks",
     "us_per_walk_hop",
     "bytes_per_publish",
+    "us_per_fuzz_event",
+    "executions_per_genome",
 )
 
 
@@ -165,10 +172,16 @@ def cmd_show(args: argparse.Namespace) -> int:
             hop_txt = f"  us/hop {hop:6.2f}" if hop is not None else ""
             held = e.get("bytes_per_publish")
             held_txt = f"  B/publish {held:7.1f}" if held is not None else ""
+            fuzz = e.get("us_per_fuzz_event")
+            fuzz_txt = (
+                f"  us/fuzz-ev {fuzz:6.2f}"
+                f"  exec/genome {e.get('executions_per_genome', 0):4.2f}"
+                if fuzz is not None else ""
+            )
             print(
                 f"  {e.get('label', '?'):<28} min {min_txt}"
                 f"  median {med_txt}  {speed_txt}{delta_txt}"
-                f"{rss_txt}{alloc_txt}{hop_txt}{held_txt}  {commit}"
+                f"{rss_txt}{alloc_txt}{hop_txt}{held_txt}{fuzz_txt}  {commit}"
             )
             if min_s:
                 prev_min = min_s
@@ -218,11 +231,18 @@ def cmd_check(args: argparse.Namespace) -> int:
             print("FAIL: benchmark slower than the floor", file=sys.stderr)
             failed = True
     extra = _extra_info_of(report).get(args.bench, {})
-    for key, limit, what, unit in (
-        ("peak_rss_kb", args.max_rss_kb, "peak RSS", "KB"),
+    more_memory = "benchmark used more memory than the floor"
+    extra_floors = (
+        ("peak_rss_kb", args.max_rss_kb, "peak RSS", "KB", more_memory),
         ("bytes_per_publish", args.max_bytes_per_publish,
-         "retained per publish", "B"),
-    ):
+         "retained per publish", "B", more_memory),
+        ("us_per_fuzz_event", args.max_us_per_fuzz_event,
+         "per fuzzed event", "us", "fuzzed event slower than the floor"),
+        ("executions_per_genome", args.max_executions_per_genome,
+         "executions per genome", "x",
+         "more executions per genome than the floor"),
+    )
+    for key, limit, what, unit, complaint in extra_floors:
         if limit is None:
             continue
         value = extra.get(key)
@@ -230,18 +250,15 @@ def cmd_check(args: argparse.Namespace) -> int:
             print(f"FAIL: {args.bench} recorded no {key}", file=sys.stderr)
             failed = True
             continue
-        print(f"{args.bench}: {what} {value} {unit} (floor {limit:.0f} {unit})")
+        print(f"{args.bench}: {what} {value} {unit} (floor {limit:g} {unit})")
         if value > limit:
-            print(
-                "FAIL: benchmark used more memory than the floor",
-                file=sys.stderr,
-            )
+            print(f"FAIL: {complaint}", file=sys.stderr)
             failed = True
-    if all(limit is None for limit in (
-        args.max_seconds, args.max_rss_kb, args.max_bytes_per_publish
-    )):
-        print("check: nothing to check (pass --max-seconds, --max-rss-kb "
-              "and/or --max-bytes-per-publish)", file=sys.stderr)
+    if args.max_seconds is None and all(
+        floor[1] is None for floor in extra_floors
+    ):
+        print("check: nothing to check (pass --max-seconds or another "
+              "--max-* floor)", file=sys.stderr)
         return 1
     if failed:
         return 1
@@ -284,6 +301,17 @@ def main(argv=None) -> int:
         help="fail if the benchmark's bytes_per_publish (tracemalloc "
         "growth / publishes, benchmarks/test_bench_publish.py) exceeds "
         "this value",
+    )
+    p.add_argument(
+        "--max-us-per-fuzz-event", type=float, default=None,
+        help="fail if the benchmark's us_per_fuzz_event (wall clock / "
+        "events fired under the oracle battery, "
+        "benchmarks/test_bench_fuzz.py) exceeds this value",
+    )
+    p.add_argument(
+        "--max-executions-per-genome", type=float, default=None,
+        help="fail if the fuzz slice ran more executions per genome "
+        "than this (a count: it repeats exactly)",
     )
     p.set_defaults(fn=cmd_check)
 

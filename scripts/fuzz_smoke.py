@@ -13,6 +13,11 @@ Asserts the headline guarantees end to end:
    digest across ``--jobs 1`` vs ``--jobs 2`` and across both kernel
    schedulers.
 
+Next to what it asserts it prints what the budget cost — genomes per
+second of every run, and the executions the canary loop took — so a
+change in executions per genome shows in the CI log (nothing is
+asserted on either: ``benchmarks/test_bench_fuzz.py`` has the floor).
+
 Exit code 0 on success; any violated guarantee raises.
 """
 
@@ -22,6 +27,8 @@ import os
 import re
 import subprocess
 import sys
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -43,14 +50,46 @@ def _env(**extra: str) -> dict:
     return env
 
 
+@contextmanager
+def counted_executions():
+    """Count the simulations the oracle battery starts: one per
+    ``run_case``, two per snapshot probe that was not skipped."""
+    from repro.fuzz import runner
+
+    counted = {"executions": 0}
+    run_case = runner.run_case
+    midpoint = runner.run_case_with_midpoint_snapshot
+
+    def counting_run_case(*args, **kwargs):
+        counted["executions"] += 1
+        return run_case(*args, **kwargs)
+
+    def counting_midpoint(*args, **kwargs):
+        continued, restored, skip = midpoint(*args, **kwargs)
+        if skip is None:
+            counted["executions"] += 2
+        return continued, restored, skip
+
+    runner.run_case = counting_run_case
+    runner.run_case_with_midpoint_snapshot = counting_midpoint
+    try:
+        yield counted
+    finally:
+        runner.run_case = run_case
+        runner.run_case_with_midpoint_snapshot = midpoint
+
+
 def check_canary_loop() -> None:
     from repro.fuzz.engine import FuzzEngine
 
     os.environ["REPRO_CANARY"] = "1"
+    t0 = time.perf_counter()
     try:
-        report = FuzzEngine(seed=SEED).run(8)
+        with counted_executions() as counted:
+            report = FuzzEngine(seed=SEED).run(8)
     finally:
         os.environ.pop("REPRO_CANARY", None)
+    wall = time.perf_counter() - t0
     failures = report.failures
     assert failures, "canary bug not found within the smoke budget"
     for entry in failures:
@@ -65,7 +104,9 @@ def check_canary_loop() -> None:
         f"fuzz-smoke: canary found and shrunk "
         f"({len(failures)} signature(s), "
         f"max {max(len(e.case.actions) for e in failures)} action(s), "
-        f"{report.shrink_probes} shrink probe(s))"
+        f"{report.shrink_probes} shrink probe(s)); "
+        f"{report.executed} genomes, {counted['executions']} executions, "
+        f"{report.executed / wall:.1f} genomes/s"
     )
 
 
@@ -79,7 +120,9 @@ def check_corpus_replay_matrix() -> None:
         print(f"fuzz-smoke: corpus replays green under {scheduler}")
 
 
-def _fuzz_digest(jobs: int, scheduler: str) -> str:
+def _fuzz_digest(jobs: int, scheduler: str) -> tuple:
+    """``(digest, wall seconds)`` of one ``jxta-repro fuzz`` process."""
+    t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "repro.fuzz.cli",
          "--seed", str(SEED), "--budget", str(BUDGET),
@@ -90,18 +133,18 @@ def _fuzz_digest(jobs: int, scheduler: str) -> str:
     )
     match = re.search(r"# digest: ([0-9a-f]{64})", proc.stdout)
     assert match, f"no digest in output:\n{proc.stdout}"
-    return match.group(1)
+    return match.group(1), time.perf_counter() - t0
 
 
 def check_determinism() -> None:
-    digests = {
-        (jobs, scheduler): _fuzz_digest(jobs, scheduler)
-        for jobs in (1, 2)
-        for scheduler in SCHEDULERS
-    }
-    for key, digest in sorted(digests.items()):
-        print(f"fuzz-smoke: jobs={key[0]} scheduler={key[1]} "
-              f"digest {digest[:16]}…")
+    digests = {}
+    for jobs in (1, 2):
+        for scheduler in SCHEDULERS:
+            digest, wall = _fuzz_digest(jobs, scheduler)
+            digests[jobs, scheduler] = digest
+            print(f"fuzz-smoke: jobs={jobs} scheduler={scheduler} "
+                  f"digest {digest[:16]}…  {BUDGET} genomes in "
+                  f"{wall:.1f} s ({BUDGET / wall:.1f} genomes/s)")
     assert len(set(digests.values())) == 1, (
         f"fuzz digests diverge across jobs/schedulers: {digests}"
     )

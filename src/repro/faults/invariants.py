@@ -117,10 +117,11 @@ class InvariantChecker:
     def _on_event(self, now: float, phase: str, handle: EventHandle) -> None:
         # a fault action just mutated the system: sweep everything, so
         # an injected corruption is flagged at the instant it appears
-        if handle.label.startswith("fault."):
+        label = handle.label
+        if label.startswith("fault."):
             self.check_all()
             return
-        peer = self._by_label.get(handle.label)
+        peer = self._by_label.get(label)
         if peer is None or not peer.running:
             return
         self.rounds_checked += 1

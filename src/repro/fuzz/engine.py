@@ -163,7 +163,8 @@ class FuzzEngine:
     def _still_fails(self, failure: Failure) -> Callable[[FuzzCase], bool]:
         def predicate(candidate: FuzzCase) -> bool:
             probe = check_case(
-                candidate, oracles=(failure.oracle,), store=self.store
+                candidate, oracles=(failure.oracle,), store=self.store,
+                coverage=False,
             )
             return any(
                 f.signature == failure.signature for f in probe.failures

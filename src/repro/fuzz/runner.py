@@ -10,9 +10,12 @@ checker, run — with two additions:
   from the content-addressed cache instead of rebuilt; restored runs
   are byte-identical to cold runs (the checkpointing PR's contract),
   which is what lets the shrinker re-run only the tail per probe.
-* a per-run :class:`~repro.obs.runtime.ObsSession` whose merged
-  metrics snapshot provides the coverage signal: the sorted
-  ``(protocol, event)`` key set, plus any invariant-violation kinds.
+* instruments where their output is read (``run_case``'s ``reads``;
+  docs/FUZZING.md has the table): in the base execution an
+  :class:`~repro.obs.runtime.ObsSession` whose merged metrics snapshot
+  provides the coverage signal — the sorted ``(protocol, event)`` key
+  set, plus any invariant-violation kinds; a workload trace and SLO
+  snapshot in the two executions the replay oracle compares.
 
 Oracles (:func:`check_case`):
 
@@ -71,6 +74,12 @@ from repro.workload import WorkloadEngine, WorkloadSpec, WorkloadTraceRecorder
 ORACLES: Tuple[str, ...] = (
     "invariants", "scheduler", "pooling", "snapshot", "replay",
 )
+
+#: what ``run_case(reads=...)`` collects beyond the invariant verdict:
+#: the kernel trace digest; the coverage key set (a metrics hub rides
+#: the run); the workload trace, its digest and the SLO snapshot
+DIGEST, COVERAGE, WORKLOAD = "digest", "coverage", "workload"
+EVERYTHING: Tuple[str, ...] = (DIGEST, COVERAGE, WORKLOAD)
 
 #: per-request timeout of fuzz workloads (short: cases are small)
 WORKLOAD_TIMEOUT = 5.0
@@ -133,12 +142,14 @@ def _pooling(override: Optional[bool]) -> bool:
 
 def bootstrap_spec(
     case: FuzzCase, scheduler: Optional[str] = None,
-    pooling: Optional[bool] = None,
+    pooling: Optional[bool] = None, metrics: bool = True,
 ) -> Dict[str, Any]:
     """Checkpoint key of a case's fault-free bootstrap prefix.  Keyed
     on everything the prefix depends on — actions and workload traffic
     only start after ``BOOTSTRAP_TIME``, so shrink probes that differ
-    only in those share one cached prefix."""
+    only in those share one cached prefix — and on ``metrics``: the
+    network pickles its obs hub, so a prefix built without one would
+    restore into a coverage-reading run with its counters missing."""
     edge_count = (
         workload_spec_of(case).client_count if case.workload else 0
     )
@@ -152,6 +163,7 @@ def bootstrap_spec(
         "config": asdict(platform_config_of(case)),
         "scheduler": _scheduler(scheduler),
         "pooling": _pooling(pooling),
+        "metrics": metrics,
     }
 
 
@@ -196,11 +208,12 @@ def _bootstrap(
     scheduler: Optional[str],
     pooling: Optional[bool],
     store,
+    metrics: bool,
 ):
     if store is None:
         return _deploy(case, scheduler, pooling)
     blob, _hit = store.load_or_build(
-        bootstrap_spec(case, scheduler, pooling),
+        bootstrap_spec(case, scheduler, pooling, metrics),
         lambda: _build_checkpoint(case, scheduler, pooling),
     )
     network, extra = restore_network(blob)
@@ -213,12 +226,13 @@ def _bootstrap(
 
 @dataclass
 class RunResult:
-    """Everything the oracles compare about one execution."""
+    """Everything the oracles compare about one execution; the fields
+    its ``reads`` did not name stay at their defaults."""
 
-    digest: str
-    coverage: Tuple[str, ...]
     invariant_summary: Dict[str, int]
     violations: Tuple[str, ...]
+    digest: Optional[str] = None
+    coverage: Tuple[str, ...] = ()
     slo_json: Optional[str] = None
     workload_digest: Optional[str] = None
     trace_ops: Optional[List[Any]] = None
@@ -236,32 +250,42 @@ def _coverage_keys(
     return tuple(sorted(keys))
 
 
+class _NoHubSession(ObsSession):
+    """For an execution whose coverage nobody reads: no hub, and none
+    for an ambient session (the campaign runner wraps tasks in one)
+    to pay for and keep the overlay alive through."""
+
+    def adopt(self, network) -> None:
+        pass
+
+
 def run_case(
     case: FuzzCase,
     scheduler: Optional[str] = None,
     pooling: Optional[bool] = None,
     store=None,
-    record: bool = False,
+    reads: Sequence[str] = EVERYTHING,
     replay_ops: Optional[Sequence[Any]] = None,
 ) -> RunResult:
-    """One seeded execution of ``case`` under the invariant checker,
-    inside a private metrics session."""
-    session = activate(ObsSession(metrics=True))
+    """One seeded execution of ``case`` under the invariant checker and
+    the kernel trace recorder, collecting what ``reads`` names of
+    :data:`EVERYTHING` for the caller."""
+    metrics = COVERAGE in reads
+    session = activate(ObsSession() if metrics else _NoHubSession())
     try:
         network, overlay, recorder = _bootstrap(
-            case, scheduler, pooling, store
+            case, scheduler, pooling, store, metrics
         )
         sim = network.sim
-        log = EventLog()
         engine = ScenarioEngine(
-            sim, network, peers_of(overlay), decode_scenario(case), log=log
+            sim, network, peers_of(overlay), decode_scenario(case)
         )
-        checker = InvariantChecker(sim, overlay.rendezvous, log=log)
+        checker = InvariantChecker(sim, overlay.rendezvous)
         spec = workload_spec_of(case)
-        wrecorder = None
-        wengine = None
+        wrecorder = wengine = None
         if spec is not None:
-            wrecorder = WorkloadTraceRecorder()
+            if WORKLOAD in reads:
+                wrecorder = WorkloadTraceRecorder()
             wengine = WorkloadEngine(
                 spec, sim, overlay.edges, recorder=wrecorder
             )
@@ -277,23 +301,21 @@ def run_case(
             wengine.stop()
         checker.detach()
         summary = checker.summary()
-        return RunResult(
-            digest=recorder.digest(),
-            coverage=_coverage_keys(session.merged_snapshot(), summary),
+        result = RunResult(
             invariant_summary=summary,
             violations=tuple(v.format() for v in checker.violations[:8]),
-            slo_json=(
-                canonical_json(wengine.slo.snapshot())
-                if wengine is not None else None
-            ),
-            workload_digest=(
-                wrecorder.digest() if wrecorder is not None else None
-            ),
-            trace_ops=(
-                list(wrecorder.ops)
-                if (record and wrecorder is not None) else None
-            ),
         )
+        if DIGEST in reads:
+            result.digest = recorder.digest()
+        if metrics:
+            result.coverage = _coverage_keys(
+                session.merged_snapshot(), summary
+            )
+        if wrecorder is not None:
+            result.slo_json = canonical_json(wengine.slo.snapshot())
+            result.workload_digest = wrecorder.digest()
+            result.trace_ops = wrecorder.ops
+        return result
     finally:
         deactivate(session)
 
@@ -311,7 +333,7 @@ def run_case_with_midpoint_snapshot(
     t_mid = round((BOOTSTRAP_TIME + case.duration) / 2.0, 1)
     session = activate(ObsSession(metrics=True))
     try:
-        network, overlay, recorder = _bootstrap(case, None, None, store)
+        network, overlay, recorder = _bootstrap(case, None, None, store, True)
         sim = network.sim
         log = EventLog()
         engine = ScenarioEngine(
@@ -385,13 +407,24 @@ def check_case(
     case: FuzzCase,
     oracles: Sequence[str] = ORACLES,
     store=None,
+    coverage: bool = True,
 ) -> CaseReport:
-    """Run ``case`` under the requested oracle subset."""
+    """Run ``case`` under the requested oracle subset.  Re-executions
+    collect what their oracle compares, and so does the base for a
+    caller that reads ``failures`` only (``coverage=False``: shrink
+    probes); otherwise it adds the digest and the coverage keys."""
     unknown = set(oracles) - set(ORACLES)
     if unknown:
         raise ValueError(f"unknown oracle(s): {sorted(unknown)}")
     need_replay = "replay" in oracles and case.workload is not None
-    base = run_case(case, store=store, record=need_replay)
+    reads = []
+    if coverage or {"scheduler", "pooling", "snapshot"} & set(oracles):
+        reads.append(DIGEST)
+    if coverage:
+        reads.append(COVERAGE)
+    if need_replay:
+        reads.append(WORKLOAD)
+    base = run_case(case, store=store, reads=reads)
     failures: List[Failure] = []
     skipped: List[str] = []
 
@@ -413,7 +446,7 @@ def check_case(
     if "scheduler" in oracles:
         primary = _scheduler(None)
         other = "heap" if primary == "wheel" else "wheel"
-        alt = run_case(case, scheduler=other, store=store)
+        alt = run_case(case, scheduler=other, store=store, reads=(DIGEST,))
         if alt.digest != base.digest:
             failures.append(
                 Failure(
@@ -427,7 +460,9 @@ def check_case(
             )
 
     if "pooling" in oracles:
-        alt = run_case(case, pooling=not _pooling(None), store=store)
+        alt = run_case(
+            case, pooling=not _pooling(None), store=store, reads=(DIGEST,)
+        )
         if alt.digest != base.digest:
             failures.append(
                 Failure(
@@ -475,7 +510,8 @@ def check_case(
             skipped.append("replay: case has no workload")
         else:
             replayed = run_case(
-                case, store=store, record=True, replay_ops=base.trace_ops
+                case, store=store, reads=(WORKLOAD,),
+                replay_ops=base.trace_ops,
             )
             if (
                 replayed.workload_digest != base.workload_digest

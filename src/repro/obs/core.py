@@ -35,7 +35,8 @@ def _payload_type_name(payload: Any) -> str:
 class Observability:
     """Metrics + tracer attached to one :class:`repro.network.Network`."""
 
-    __slots__ = ("metrics", "tracer", "active", "network", "_trace_kernel")
+    __slots__ = ("metrics", "tracer", "active", "network", "_trace_kernel",
+                 "_send_keys")
 
     def __init__(
         self,
@@ -48,6 +49,8 @@ class Observability:
         self.active = enabled and (metrics is not None or tracer is not None)
         self.network = None
         self._trace_kernel = False
+        #: site pair -> its ``("endpoint", "send.A->B")`` counter key
+        self._send_keys: Dict[Any, Any] = {}
 
     # ------------------------------------------------------------------
     def attach(self, network, trace_kernel: bool = False) -> "Observability":
@@ -116,7 +119,11 @@ class Observability:
             counters = metrics.counters
             key = ("endpoint", "send")
             counters[key] = counters.get(key, 0) + 1
-            key = ("endpoint", f"send.{site_pair[0]}->{site_pair[1]}")
+            key = self._send_keys.get(site_pair)
+            if key is None:
+                key = self._send_keys[site_pair] = (
+                    "endpoint", f"send.{site_pair[0]}->{site_pair[1]}"
+                )
             counters[key] = counters.get(key, 0) + 1
             if lost:
                 key = ("endpoint", "drop")

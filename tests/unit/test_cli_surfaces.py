@@ -166,6 +166,39 @@ def test_check_enforces_bytes_per_publish_floor(
     assert "more memory than the floor" in capsys.readouterr().err
 
 
+def test_check_enforces_fuzz_floors(bench_trajectory, tmp_path, capsys):
+    report = _fake_report(
+        tmp_path,
+        [
+            {
+                "name": "b",
+                "stats": {"min": 0.9},
+                "extra_info": {
+                    "us_per_fuzz_event": 14.9,
+                    "executions_per_genome": 4.25,
+                },
+            }
+        ],
+    )
+    check = ["check", report, "--bench", "b"]
+    ok = ["--max-us-per-fuzz-event", "17.1",
+          "--max-executions-per-genome", "4.9"]
+    assert bench_trajectory.main(check + ok) == 0
+    out = capsys.readouterr().out
+    assert "per fuzzed event 14.9 us (floor 17.1 us)" in out
+    assert "executions per genome 4.25 x (floor 4.9 x)" in out
+    assert bench_trajectory.main(
+        check + ["--max-us-per-fuzz-event", "14"]
+    ) == 1
+    assert "slower than the floor" in capsys.readouterr().err
+    assert bench_trajectory.main(
+        check + ["--max-executions-per-genome", "4"]
+    ) == 1
+    assert "more executions per genome" in capsys.readouterr().err
+    assert bench_trajectory.main(check) == 1
+    assert "nothing to check" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # --warm-start / --checkpoint-dir
 # ---------------------------------------------------------------------------
