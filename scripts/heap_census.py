@@ -2,6 +2,7 @@
 """Where a benchmark workload's memory is, and what the collector costs.
 
     python scripts/heap_census.py WORKLOAD [--seed N] [--quick] [--top K]
+                                  [--json OUT] [--against BASE.json]
 
 Builds one of the end-to-end benchmark's overlay scenarios exactly as
 ``bench/workloads.py`` does (imported, not copied; nothing under
@@ -19,17 +20,23 @@ tracemalloc, and prints
   *after* ``run()`` (docs/PERFORMANCE.md, "Where the collector's pause
   lands") — and one explicit full collection at the end.
 
+``--json OUT`` writes the by-line and by-type tables (whole, not the
+top K) as data; ``--against BASE.json`` reads such a file — written by
+the same command in a checkout of the parent commit — and prints what
+each line and each type gained or lost against it.
+
 This is how the per-fact tables in docs/PERFORMANCE.md ("What a
 resident view entry costs", "What a published advertisement costs")
-are sized.  tracemalloc makes the run several times slower and a few
-times larger; byte counts are exact, wall times are not the
-benchmark's.
+are sized: one command on each side.  tracemalloc makes the run
+several times slower and a few times larger; byte counts are exact,
+wall times are not the benchmark's.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import json
 import sys
 import tracemalloc
 from collections import Counter
@@ -67,6 +74,10 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="the benchmark's toy sizes")
     parser.add_argument("--top", type=int, default=15, metavar="K")
+    parser.add_argument("--json", type=Path, metavar="OUT",
+                        help="write the by-line and by-type tables here")
+    parser.add_argument("--against", type=Path, metavar="BASE.json",
+                        help="print the deltas against an earlier --json file")
     args = parser.parse_args(argv)
     sizes = (QUICK_SIZES if args.quick else OVERLAY_SIZES)[args.workload]
 
@@ -143,7 +154,50 @@ def main(argv=None) -> int:
               f"Simulator.run  collected {collected}")
     print(f"full collection at window end: {full_s * 1e3:.1f} ms "
           f"over {total} objects")
+
+    if args.json is not None:
+        args.json.write_text(json.dumps({
+            "workload": args.workload, "seed": args.seed, "quick": args.quick,
+            "traced_start": held, "traced_end": now,
+            "by_line": after, "by_type": census,
+        }, indent=1, sort_keys=True) + "\n")
+    if args.against is not None:
+        _print_deltas(json.loads(args.against.read_text()), args, now, after,
+                      census)
     return 0
+
+
+def _print_deltas(base: dict, args, now: int, after: dict, census: dict) -> None:
+    """What each source line, each file and each type gained or lost
+    against the ``--json`` file of another checkout.  Lines are matched
+    by ``file:line``, so an edited file shows as lines gone and lines
+    new; the per-file sums say what the edit did."""
+    mb = 1 / (1024 * 1024)
+    ran = (args.workload, args.seed, args.quick)
+    if (base["workload"], base["seed"], base["quick"]) != ran:
+        print(f"\n!! {args.against} is {base['workload']} seed="
+              f"{base['seed']} quick={base['quick']}, not this run")
+    print(f"\n== against {args.against}: traced at window end "
+          f"{base['traced_end'] * mb:.1f} -> {now * mb:.1f} MB "
+          f"({(now - base['traced_end']) * mb:+.1f} MB)")
+    for title, fold in (
+        ("lines", str), ("files", lambda site: site.rsplit(":", 1)[0]),
+    ):
+        size, blocks = Counter(), Counter()
+        for table, sign in ((after, 1), (base["by_line"], -1)):
+            for site, (nbytes, count) in table.items():
+                size[fold(site)] += sign * nbytes
+                blocks[fold(site)] += sign * count
+        print(f"== top {args.top} {title} by |delta|")
+        moved = sorted(filter(size.get, size), key=lambda k: -abs(size[k]))
+        for key in moved[:args.top]:
+            print(f"{size[key] * mb:+8.2f} MB {blocks[key]:+9d} blocks  {key}")
+    types = Counter(census)
+    types.subtract(base["by_type"])
+    print(f"== top {args.top} GC-tracked types by |delta|")
+    moved = sorted(filter(types.get, types), key=lambda n: -abs(types[n]))
+    for name in moved[:args.top]:
+        print(f"{types[name]:+9d}  {name}")
 
 
 if __name__ == "__main__":

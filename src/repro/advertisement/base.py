@@ -35,7 +35,9 @@ class Advertisement:
     * ``INDEX_FIELDS`` — attribute names by which instances are
       indexed for discovery;
     * ``_fields()`` — ordered ``(tag, text)`` pairs for serialization;
-    * ``_from_fields(cls, fields)`` — inverse constructor.
+    * ``_from_fields(cls, fields)`` — inverse constructor;
+    * ``_unique_key()`` — optionally, a narrower cache identity than
+      "type plus every field" (:meth:`unique_key` memoises it).
     """
 
     ADV_TYPE: ClassVar[str] = "jxta:Adv"
@@ -54,13 +56,23 @@ class Advertisement:
     # ------------------------------------------------------------------
     # identity & indexing
     # ------------------------------------------------------------------
-    def unique_key(self) -> str:
-        """Cache identity.  Two advertisements with the same key are
-        versions of the same resource description; publishing again
-        replaces the old copy.  Default: type plus all field values."""
+    def _unique_key(self) -> str:
+        """Subclass hook behind :meth:`unique_key`.  Default: type plus
+        all field values."""
         return self.ADV_TYPE + "|" + "|".join(
             f"{t}={v}" for t, v in self._fields()
         )
+
+    def unique_key(self) -> str:
+        """Cache identity.  Two advertisements with the same key are
+        versions of the same resource description; publishing again
+        replaces the old copy.  Memoised like :meth:`size_bytes`: every
+        cache that stores this document keys its entry by this one
+        string."""
+        key = self.__dict__.get("_key_cache")
+        if key is None:
+            key = self.__dict__["_key_cache"] = self._unique_key()
+        return key
 
     def index_tuples(self) -> Tuple[IndexTuple, ...]:
         """The ``(type, attribute, value)`` tuples this advertisement
@@ -109,21 +121,24 @@ class Advertisement:
         return size
 
     def __setattr__(self, name: str, value: object) -> None:
-        # any field write drops both memos; writes are rare (construction,
+        # any field write drops the memos; writes are rare (construction,
         # codec round-trips) while size_bytes runs once per message sent
         d = self.__dict__
         d[name] = value
-        if "_size_cache" in d or "_index_cache" in d:
+        if "_size_cache" in d or "_index_cache" in d or "_key_cache" in d:
             d.pop("_size_cache", None)
             d.pop("_index_cache", None)
+            d.pop("_key_cache", None)
 
     def __getstate__(self) -> dict:
         # the memos are derived state: carrying them would make pickle
-        # bytes depend on whether size_bytes() / index_tuples() happened
-        # to run before the snapshot, breaking byte-stable checkpoints
+        # bytes depend on whether size_bytes() / index_tuples() /
+        # unique_key() happened to run before the snapshot, breaking
+        # byte-stable checkpoints
         state = self.__dict__.copy()
         state.pop("_size_cache", None)
         state.pop("_index_cache", None)
+        state.pop("_key_cache", None)
         return state
 
     # ------------------------------------------------------------------

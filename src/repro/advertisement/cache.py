@@ -14,23 +14,25 @@ the same object works in any simulation or in real time.
 
 Performance design
 ------------------
-Queries used to scan every entry with ``fnmatchcase``.  The cache now
-maintains three hash indexes over the entries (a bucket is deleted
-with its last key):
+Queries used to scan every entry with ``fnmatchcase``.  The one query
+the protocol issues — ``DiscoveryService._local_matches``: a type, an
+attribute and a glob-free value — is now one probe of a hash index,
+(type, attribute, value) → keys, keyed by the advertisement's own
+memoised index tuple; a single member is stored inline (the key string
+itself until a second key arrives, then a ``set``) and a bucket is
+deleted with its last key.  A multi-member bucket is sorted by
+insertion sequence so results come back in the same order — and honour
+``limit`` the same way — as the historical linear scan.
 
-* type → keys (``adv_type`` restriction);
-* (type, attribute, value) → keys (exact-value match), keyed by the
-  advertisement's own memoised index tuple; a single member is stored
-  inline (the key string itself until a second key arrives, then a
-  ``set``);
-* (type, attribute) → keys (attribute present with any value).
-
-Exact and attribute-presence queries resolve through the indexes and
-then sort the (usually tiny) candidate set by insertion sequence so
-results come back in the same order — and honour ``limit`` the same
-way — as the historical linear scan.  Values containing glob
-metacharacters (``*``, ``?``, ``[``) fall back to a scan restricted by
-the type index.
+Every other shape (no type, no attribute, ``value=None``, or a value
+with the glob metacharacters ``*``, ``?``, ``[``) *is* that linear
+scan: one filtered pass over ``_entries``, whose dict order is insertion
+order (an overwrite keeps its key's place, a dropped key re-enters at
+the end).  A value with metacharacters matches by ``fnmatchcase`` only
+(the literal ``a[b]`` does not match the pattern ``a[b]``), a glob-free
+one by ``==`` only.  No protocol path asks those shapes, so nothing is
+maintained per publish to answer them: they cost O(cache), also for a
+type that holds few of the entries.
 
 Nothing but the entry itself records when it expires: queries skip
 expired entries as they meet them, and :meth:`purge_expired` — which no
@@ -43,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from operator import attrgetter
-from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Union
 
 from repro.advertisement.base import (
     Advertisement,
@@ -88,12 +90,8 @@ class AdvertisementCache:
     def __init__(self) -> None:
         self._entries: Dict[str, CacheEntry] = {}
         self._seq = 0
-        #: adv type -> keys of entries of that type.
-        self._by_type: Dict[str, Set[str]] = {}
         #: index tuple -> the one key indexed by it, or a set of them.
         self._by_attr: Dict[IndexTuple, Union[str, Set[str]]] = {}
-        #: (type, attribute) -> keys carrying the attribute with any value.
-        self._by_attr_any: Dict[Tuple[str, str], Set[str]] = {}
         self.inserts = 0
         self.purged = 0
 
@@ -107,11 +105,6 @@ class AdvertisementCache:
     # index maintenance
     # ------------------------------------------------------------------
     def _index_add(self, key: str, adv: Advertisement) -> None:
-        adv_type = adv.ADV_TYPE
-        bucket = self._by_type.get(adv_type)
-        if bucket is None:
-            bucket = self._by_type[adv_type] = set()
-        bucket.add(key)
         for index_tuple in adv.index_tuples():
             exact = self._by_attr.get(index_tuple)
             if exact is None:
@@ -120,19 +113,8 @@ class AdvertisementCache:
                 exact.add(key)
             elif exact != key:
                 self._by_attr[index_tuple] = {exact, key}
-            type_attr = index_tuple[:2]
-            any_ = self._by_attr_any.get(type_attr)
-            if any_ is None:
-                any_ = self._by_attr_any[type_attr] = set()
-            any_.add(key)
 
     def _index_discard(self, key: str, adv: Advertisement) -> None:
-        adv_type = adv.ADV_TYPE
-        bucket = self._by_type.get(adv_type)
-        if bucket is not None:
-            bucket.discard(key)
-            if not bucket:
-                del self._by_type[adv_type]
         for index_tuple in adv.index_tuples():
             exact = self._by_attr.get(index_tuple)
             if type(exact) is set:
@@ -141,12 +123,6 @@ class AdvertisementCache:
                     del self._by_attr[index_tuple]
             elif exact == key:
                 del self._by_attr[index_tuple]
-            type_attr = index_tuple[:2]
-            any_ = self._by_attr_any.get(type_attr)
-            if any_ is not None:
-                any_.discard(key)
-                if not any_:
-                    del self._by_attr_any[type_attr]
 
     def _store(self, key: str, entry: CacheEntry) -> None:
         old = self._entries.get(key)
@@ -234,9 +210,7 @@ class AdvertisementCache:
         """Drop everything (the benchmark's anti-cache-speedup step)."""
         n = len(self._entries)
         self._entries.clear()
-        self._by_type.clear()
         self._by_attr.clear()
-        self._by_attr_any.clear()
         return n
 
     # ------------------------------------------------------------------
@@ -255,29 +229,38 @@ class AdvertisementCache:
             return None
         return entry
 
-    def _attr_keys(
-        self, adv_type: Optional[str], attribute: str, value: Optional[str]
-    ) -> Collection[str]:
-        """Candidate keys for an indexed attribute query (exact value or
-        attribute-presence).  One type is one probe and hands out the
-        index bucket itself; ``adv_type`` of None unions over all types."""
-        if adv_type is not None:
-            if value is None:
-                return self._by_attr_any.get((adv_type, attribute), ())
-            exact = self._by_attr.get((adv_type, attribute, value), ())
-            return (exact,) if type(exact) is str else exact
-        out: Set[str] = set()
-        for t in self._by_type:
-            out.update(self._attr_keys(t, attribute, value))
-        return out
-
-    def _in_order(self, keys: Collection[str]) -> List[CacheEntry]:
+    def _in_order(self, keys: Set[str]) -> List[CacheEntry]:
         """Entries of ``keys`` by insertion sequence (dict-scan order)."""
         entries = self._entries
         found = [entries[k] for k in keys]
         if len(found) > 1:
             found.sort(key=_SEQ)
         return found
+
+    def _scan(
+        self,
+        adv_type: Optional[str],
+        attribute: Optional[str],
+        value: Optional[str],
+    ) -> Iterator[CacheEntry]:
+        """The linear scan, lazily: entries of ``adv_type`` (None: any)
+        whose ``attribute`` (None: nothing asked) matches ``value`` (None:
+        present with any value), in insertion order."""
+        glob = value is not None and has_glob(value)
+        for entry in self._entries.values():
+            adv = entry.adv
+            if adv_type is not None and adv.ADV_TYPE != adv_type:
+                continue
+            if attribute is not None:
+                for _, attr, val in adv.index_tuples():
+                    if attr == attribute and (
+                        value is None
+                        or (fnmatchcase(val, value) if glob else val == value)
+                    ):
+                        break
+                else:
+                    continue
+            yield entry
 
     def search(
         self,
@@ -292,59 +275,36 @@ class AdvertisementCache:
         ``adv_type`` of None matches all types.  ``attribute``/``value``
         of None match everything of the type; otherwise the named index
         attribute must glob-match ``value`` (``*``/``?`` wildcards, as
-        in the JXTA discovery API).
+        in the JXTA discovery API).  A type, an attribute and a
+        glob-free value are one index probe; any other shape scans the
+        cache.  At most ``limit`` results (none for ``limit <= 0``).
 
         Results come back in insertion order (oldest key first), exactly
         as the historical full-scan implementation returned them.
         """
-        if attribute is None:
-            if adv_type is None:
-                candidates: Iterable[CacheEntry] = self._entries.values()
-            else:
-                candidates = self._in_order(self._by_type.get(adv_type, ()))
-        elif value is not None and has_glob(value):
-            return self._search_glob(adv_type, attribute, value, now, limit)
+        if limit is not None and limit <= 0:
+            return []
+        if (
+            adv_type is None or attribute is None or value is None
+            or has_glob(value)
+        ):
+            candidates: Iterable[CacheEntry] = self._scan(
+                adv_type, attribute, value
+            )
         else:
-            keys = self._attr_keys(adv_type, attribute, value)
-            if not keys:
+            exact = self._by_attr.get((adv_type, attribute, value))
+            if exact is None:
                 return []  # one probe: every hop of a walk but the last
-            candidates = self._in_order(keys)
+            if type(exact) is str:
+                candidates = (self._entries[exact],)
+            else:
+                candidates = self._in_order(exact)
 
         out: List[Advertisement] = []
         for entry in candidates:
             if entry.expired(now):
                 continue
             out.append(entry.adv)
-            if limit is not None and len(out) >= limit:
-                break
-        return out
-
-    def _search_glob(
-        self,
-        adv_type: Optional[str],
-        attribute: str,
-        value: str,
-        now: float,
-        limit: Optional[int],
-    ) -> List[Advertisement]:
-        """Wildcard fallback: fnmatch scan over the type-restricted set."""
-        if adv_type is None:
-            candidates: Iterable[CacheEntry] = self._entries.values()
-        else:
-            candidates = self._in_order(self._by_type.get(adv_type, ()))
-        out: List[Advertisement] = []
-        for entry in candidates:
-            if entry.expired(now):
-                continue
-            adv = entry.adv
-            matched = False
-            for _, attr, val in adv.index_tuples():
-                if attr == attribute and fnmatchcase(val, value):
-                    matched = True
-                    break
-            if not matched:
-                continue
-            out.append(adv)
             if limit is not None and len(out) >= limit:
                 break
         return out

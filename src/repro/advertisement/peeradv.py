@@ -52,7 +52,7 @@ class PeerAdvertisement(Advertisement):
             desc=fields.get("Desc", ""),
         )
 
-    def unique_key(self) -> str:
+    def _unique_key(self) -> str:
         # a peer has exactly one peer advertisement; newer versions
         # (e.g. a renamed peer) replace older ones
         return f"{self.ADV_TYPE}|{self.peer_id.urn()}"

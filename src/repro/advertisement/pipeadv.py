@@ -52,5 +52,5 @@ class PipeAdvertisement(Advertisement):
             pipe_type=fields.get("Type", PIPE_TYPE_UNICAST),
         )
 
-    def unique_key(self) -> str:
+    def _unique_key(self) -> str:
         return f"{self.ADV_TYPE}|{self.pipe_id.urn()}"

@@ -56,7 +56,7 @@ class RdvAdvertisement(Advertisement):
             route_hint=fields.get("RouteHint", ""),
         )
 
-    def unique_key(self) -> str:
+    def _unique_key(self) -> str:
         # one rendezvous advertisement per (peer, group)
         return (
             f"{self.ADV_TYPE}|{self.rdv_peer_id.urn()}|{self.group_id.urn()}"

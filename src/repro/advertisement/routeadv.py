@@ -53,5 +53,5 @@ class RouteAdvertisement(Advertisement):
             hops=fields["Hops"].split(_HOP_SEPARATOR),
         )
 
-    def unique_key(self) -> str:
+    def _unique_key(self) -> str:
         return f"{self.ADV_TYPE}|{self.dst_peer_id.urn()}"

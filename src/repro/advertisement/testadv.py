@@ -35,5 +35,5 @@ class FakeAdvertisement(Advertisement):
     def _from_fields(cls, fields: dict) -> "FakeAdvertisement":
         return cls(name=fields["Name"], payload=fields.get("Payload", ""))
 
-    def unique_key(self) -> str:
+    def _unique_key(self) -> str:
         return f"{self.ADV_TYPE}|{self.name}"

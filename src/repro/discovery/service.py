@@ -625,6 +625,8 @@ class DiscoveryService(QueryHandler):
                 payload.adv_type, payload.attribute, payload.value, now,
                 limit=payload.threshold,
             )
+        if payload.threshold <= 0:
+            return []
         lo, hi = parse_range_spec(payload.value)
         out = []
         for entry in self.cache.entries(now=now):

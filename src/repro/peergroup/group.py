@@ -37,7 +37,9 @@ class PeerGroup:
         self.network = network
         self.config = config
         self.group_id = group_id
-        self.replica_fn = replica_fn
+        # ReplicaPeer(tuple) is the group's function: one object, and one
+        # tuple -> hash memo, shared by every peer this group creates
+        self.replica_fn = replica_fn if replica_fn is not None else ReplicaFunction()
         self.discovery_mode = discovery_mode
         self.id_factory = IDFactory(sim.rng.stream("peergroup.ids"))
         self.rendezvous: List[RendezvousPeer] = []

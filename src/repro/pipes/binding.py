@@ -44,7 +44,7 @@ class PipeBindingAdvertisement(Advertisement):
             address=fields["Address"],
         )
 
-    def unique_key(self) -> str:
+    def _unique_key(self) -> str:
         # several peers may bind the same propagate pipe: identity is
         # the (pipe, binder) pair
         return f"{self.ADV_TYPE}|{self.pipe_id.urn()}|{self.peer_id.urn()}"

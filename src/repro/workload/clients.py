@@ -76,9 +76,12 @@ class _ClientBase:
 class OpenLoopPublisher(_ClientBase):
     """Publishes catalog items on an arrival schedule.
 
-    ``mode="cycle"`` walks the catalog round-robin (every item gets
-    refreshed); ``mode="sample"`` draws items by popularity (hot items
-    are re-published more often, as real services re-announce).
+    ``mode="cycle"`` walks the catalog round-robin; ``mode="sample"``
+    draws items by popularity (hot items are re-published more often,
+    as real services re-announce).  Re-publishing refreshes the edge's
+    *cache entry* only: the item's SRDI tuple is pushed once per
+    rendezvous (``SrdiPusher._pushed``), so its index record is never
+    renewed before its expiration (ROADMAP item 5's recorded regime).
     """
 
     def __init__(

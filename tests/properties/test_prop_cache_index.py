@@ -1,12 +1,15 @@
-"""Property: indexed cache queries match the historical linear scan.
+"""Property: cache queries match the historical linear scan.
 
 ``AdvertisementCache.search`` used to scan every entry with
-``fnmatchcase``.  It now resolves through type/attribute/value hash
-indexes (with a glob fallback).  The oracle below is the pre-index
-implementation, verbatim, run against the same entry dict — every
-query the discovery API can express must return the *identical* list
-(same advertisements, same order, same ``limit`` truncation),
-including ``*``/``?`` wildcards and queries at exact expiry instants.
+``fnmatchcase``.  The discovery query's own shape — a type, an
+attribute and a glob-free value — now resolves through one hash index;
+every other shape is a filtered scan of the entry dict.  The oracle
+below is the pre-index implementation, verbatim but for the
+``limit <= 0`` guard (it appended before it tested the limit), run
+against the same entry dict — every query the discovery API can
+express must return the *identical* list (same advertisements, same
+order, same ``limit`` truncation), including ``*``/``?``/``[..]``
+patterns and queries at exact expiry instants.
 """
 
 from fnmatch import fnmatchcase
@@ -23,7 +26,10 @@ RDV = RdvAdvertisement.ADV_TYPE
 
 
 def linear_scan_oracle(cache, adv_type, attribute, value, now, limit=None):
-    """The pre-index ``search`` implementation, character for character."""
+    """The pre-index ``search`` implementation, character for character
+    (plus: no result for a non-positive ``limit``)."""
+    if limit is not None and limit <= 0:
+        return []
     out = []
     for entry in cache._entries.values():
         if entry.expired(now):
@@ -208,6 +214,73 @@ def test_bucket_life_cycle_matches_linear_oracle(ops):
             for index_tuple, keys in cache._by_attr.items()
         }
         assert held == stored
+
+
+#: three names, one of them a literal with a metacharacter, over two
+#: types: a fake advertisement's key *is* its name (an overwrite stays
+#: in its bucket), a rendezvous advertisement's key is its peer (an
+#: overwrite under another name moves between buckets)
+glob_names = st.sampled_from(["a", "ab", "a[b]"])
+scan_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("pub_fake"), glob_names, durations),
+        st.tuples(st.just("remote_fake"), glob_names, durations),
+        st.tuples(st.just("pub_rdv"), st.integers(0, 2), glob_names, durations),
+        st.tuples(st.just("remote_rdv"), st.integers(0, 2), glob_names, durations),
+        st.tuples(st.just("remove_fake"), glob_names),
+        st.tuples(st.just("remove_rdv"), st.integers(0, 2)),
+        st.tuples(st.just("advance"), st.floats(0.0, 20.0)),
+        st.tuples(st.just("purge"),),
+    ),
+    min_size=0, max_size=40,
+)
+#: exact, absent, presence, ``*``, ``?``, ``[..]``, and the stored
+#: literal ``a[b]`` — which, asked for, is a pattern that matches ``ab``
+SCAN_VALUES = ("a", "ab", "zz", None, "*", "a?", "[a]*", "a[b]", "a[[]b]")
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_ops)
+def test_every_query_shape_matches_linear_oracle_in_order(ops):
+    """What the scan shapes rest on: the entry dict iterates in ``seq``
+    order after *every* operation (an overwrite keeps its key's place
+    and sequence, a removed key re-enters at the end with a fresh one),
+    so a filtered pass over it and a ``seq``-sorted index bucket agree
+    with the oracle in content and order, for every query shape."""
+    cache = AdvertisementCache()
+    now = 0.0
+    for op in ops:
+        kind = op[0]
+        if kind == "pub_fake":
+            cache.publish(FakeAdvertisement(op[1]), now, lifetime=op[2])
+        elif kind == "remote_fake":
+            cache.store_remote(FakeAdvertisement(op[1]), now, expiration=op[2])
+        elif kind == "pub_rdv":
+            cache.publish(_rdv(op[1], op[2]), now, lifetime=op[3])
+        elif kind == "remote_rdv":
+            cache.store_remote(_rdv(op[1], op[2]), now, expiration=op[3])
+        elif kind == "remove_fake":
+            cache.remove(FakeAdvertisement(op[1]))
+        elif kind == "remove_rdv":
+            cache.remove(_rdv(op[1], "a"))
+        elif kind == "advance":
+            now += op[1]
+        else:
+            cache.purge_expired(now)
+        seqs = [entry.seq for entry in cache._entries.values()]
+        assert all(a < b for a, b in zip(seqs, seqs[1:])), (op, seqs)
+
+    for adv_type in (FAKE, RDV, None):
+        for attribute in ("Name", None):
+            for value in SCAN_VALUES:
+                for limit in (None, 0, 1, 2):
+                    got = cache.search(adv_type, attribute, value, now, limit)
+                    want = linear_scan_oracle(
+                        cache, adv_type, attribute, value, now, limit
+                    )
+                    assert [id(a) for a in got] == [id(a) for a in want], (
+                        adv_type, attribute, value, limit
+                    )
 
 
 @settings(max_examples=60, deadline=None)

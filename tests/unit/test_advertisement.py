@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.advertisement import (
+    Advertisement,
     FakeAdvertisement,
     PeerAdvertisement,
     PipeAdvertisement,
@@ -14,7 +15,10 @@ from repro.advertisement import (
     parse_advertisement,
 )
 from repro.advertisement.pipeadv import PIPE_TYPE_PROPAGATE
+from repro.advertisement.xmlcodec import registered_types
 from repro.ids import IDFactory, NET_PEER_GROUP_ID
+from repro.ids.jxtaid import PeerID, PipeID
+from repro.pipes.binding import PipeBindingAdvertisement
 
 
 @pytest.fixture
@@ -137,3 +141,81 @@ class TestCodec:
         a = PeerAdvertisement(pid, NET_PEER_GROUP_ID, "T")
         b = PeerAdvertisement(pid, NET_PEER_GROUP_ID, "T")
         assert a == b and hash(a) == hash(b)
+
+
+_PID = PeerID.from_int(NET_PEER_GROUP_ID, 6)
+_PIPE = PipeID.from_int(NET_PEER_GROUP_ID, 20)
+_PID_URN = (
+    "urn:jxta:uuid-6A7874612D4E657447726F75702D3031"
+    "0000000000000000000000000000000603"
+)
+_PIPE_URN = (
+    "urn:jxta:uuid-6A7874612D4E657447726F75702D3031"
+    "0000000000000000000000000000001405"
+)
+_GROUP_URN = "urn:jxta:uuid-6A7874612D4E657447726F75702D303102"
+
+#: every registered advertisement class, with the string its own
+#: ``unique_key()`` override returned before the key became a memo
+#: behind the ``_unique_key()`` hook (generated at the parent commit)
+PINNED_KEYS = [
+    (FakeAdvertisement("adv-1", payload="xx"),
+     "repro:FakeAdvertisement|adv-1"),
+    (PeerAdvertisement(_PID, NET_PEER_GROUP_ID, "Test", desc="d"),
+     f"jxta:PA|{_PID_URN}"),
+    (RdvAdvertisement(_PID, NET_PEER_GROUP_ID, name="rdv-0", route_hint="tcp://a:1"),
+     f"jxta:RdvAdvertisement|{_PID_URN}|{_GROUP_URN}"),
+    (RouteAdvertisement(_PID, ["tcp://a:1", "tcp://b:2"]),
+     f"jxta:RA|{_PID_URN}"),
+    (PipeAdvertisement(_PIPE, "chat"),
+     f"jxta:PipeAdvertisement|{_PIPE_URN}"),
+    (PipeBindingAdvertisement(_PIPE, _PID, "tcp://a:1"),
+     f"repro:PipeBinding|{_PIPE_URN}|{_PID_URN}"),
+]
+
+
+class TestUniqueKeyMemo:
+    def test_every_registered_type_is_pinned(self):
+        assert {type(adv) for adv, _ in PINNED_KEYS} == set(
+            registered_types().values()
+        )
+
+    @pytest.mark.parametrize(
+        "adv, key", PINNED_KEYS, ids=[type(a).__name__ for a, _ in PINNED_KEYS]
+    )
+    def test_key_is_the_parent_commits_string_and_one_object(self, adv, key):
+        assert adv.unique_key() == key
+        assert adv.unique_key() is adv.unique_key()
+
+    def test_field_write_drops_the_key(self, factory):
+        adv = PeerAdvertisement(factory.new_peer_id(), NET_PEER_GROUP_ID, "T")
+        old = adv.unique_key()
+        adv.name = "renamed"  # not part of the key: dropped all the same
+        assert adv.unique_key() == old and adv.unique_key() is not old
+        adv.peer_id = factory.new_peer_id()
+        assert adv.unique_key() == f"jxta:PA|{adv.peer_id.urn()}" != old
+
+    def test_default_hook_is_type_plus_every_field(self):
+        class Plain(Advertisement):
+            ADV_TYPE = "test:Plain"
+
+            def _fields(self):
+                return (("A", "1"), ("B", "2"))
+
+        adv = Plain()
+        assert adv.unique_key() == "test:Plain|A=1|B=2"
+        assert adv.unique_key() is adv.unique_key()
+
+    def test_subclass_overriding_unique_key_itself_still_works(self):
+        class Legacy(Advertisement):
+            ADV_TYPE = "test:Legacy"
+            serial = 0
+
+            def unique_key(self):
+                return f"{self.ADV_TYPE}|{self.serial}"
+
+        adv = Legacy()
+        assert adv.unique_key() == "test:Legacy|0"
+        adv.serial = 1
+        assert adv.unique_key() == "test:Legacy|1"
+        assert "_key_cache" not in adv.__dict__

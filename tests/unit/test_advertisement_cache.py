@@ -133,6 +133,33 @@ class TestSearch:
         )
         assert len(found) == 2
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    @pytest.mark.parametrize("query", [
+        ("repro:FakeAdvertisement", "Name", "alpha"),  # index probe, a hit
+        ("repro:FakeAdvertisement", "Name", "alpha*"),  # glob scan
+        ("repro:FakeAdvertisement", "Name", None),  # presence scan
+        ("repro:FakeAdvertisement", None, None),  # type-only scan
+        (None, "Name", "alpha"),  # any-type scan
+        (None, None, None),
+    ])
+    def test_nonpositive_limit_returns_nothing(self, query, limit):
+        # the result loop used to append before it tested the limit
+        cache = self._loaded()
+        assert cache.search(*query, now=1.0) != []
+        assert cache.search(*query, now=1.0, limit=limit) == []
+
+    def test_glob_value_matches_by_fnmatch_only(self):
+        # a value with metacharacters is a pattern, never a literal: the
+        # stored literal "a[b]" is not what the pattern "a[b]" matches
+        cache = AdvertisementCache()
+        for name in ("a[b]", "ab"):
+            cache.publish(adv(name), now=0.0)
+        for adv_type in ("repro:FakeAdvertisement", None):
+            found = cache.search(adv_type, "Name", "a[b]", now=1.0)
+            assert [a.name for a in found] == ["ab"]
+            found = cache.search(adv_type, "Name", "a[[]b]", now=1.0)
+            assert [a.name for a in found] == ["a[b]"]
+
     def test_entries_iterator_filters_by_now(self):
         cache = AdvertisementCache()
         cache.publish(adv("a"), now=0.0, lifetime=10.0)
@@ -198,13 +225,11 @@ class TestIndexMaintenance:
         advs = [adv("a"), adv("b"), self._rdv(1, "a"), self._rdv(2, "a")]
         for a in advs:
             cache.publish(a, now=0.0, lifetime=10.0)
-        assert cache._by_type and cache._by_attr and cache._by_attr_any
+        assert cache._by_attr
         assert cache.remove(advs[0]) and cache.remove(advs[2])
         assert cache.purge_expired(now=10.0) == 2
         assert len(cache) == 0
-        assert cache._by_type == {}
         assert cache._by_attr == {}
-        assert cache._by_attr_any == {}
 
     def test_single_member_bucket_is_stored_inline(self):
         # 0 -> 1 -> 2 -> 1 -> 0 keys under one index tuple
@@ -250,6 +275,28 @@ class TestIndexMaintenance:
         gc.collect()
         assert sys.getallocatedblocks() - before < 100
         assert len(cache) == 1 and cache.inserts == 5001
+
+    def test_publishing_a_shared_document_allocates_three_blocks(self):
+        # the workload's catalog documents are shared by every cache
+        # that stores them: a further publish may allocate its entry and
+        # the entry's `expires_at` and `seq`, but no key string (memoised
+        # on the document) and no index tuple or bucket of its own
+        import gc
+        import sys
+
+        n = 5000
+        docs = [adv(f"item-{i:05d}") for i in range(n)]
+        first, second = AdvertisementCache(), AdvertisementCache()
+        for doc in docs:
+            first.publish(doc, now=0.0)
+        gc.collect()
+        before = sys.getallocatedblocks()
+        for doc in docs:
+            second.publish(doc, now=1.0)
+        gc.collect()
+        assert sys.getallocatedblocks() - before <= 3 * n + 50
+        assert len(second) == n
+        assert all(k1 is k2 for k1, k2 in zip(first._entries, second._entries))
 
     def test_flush_clears_indexes(self):
         cache = AdvertisementCache()

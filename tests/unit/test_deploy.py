@@ -162,6 +162,24 @@ class TestBuilder:
                 rendezvous_count=1, edge_count=1, edge_transports=["smtp"]
             )
 
+    def test_one_replica_function_per_overlay(self):
+        from repro.discovery.replica import ReplicaFunction
+
+        description = OverlayDescription(rendezvous_count=3, edge_count=2)
+        overlay, other = self._build(description), self._build(description)
+        (shared,) = {id(p.discovery.replica_fn) for p in overlay.group.all_peers}
+        assert shared == id(overlay.group.replica_fn)
+        assert overlay.group.replica_fn is not other.group.replica_fn
+
+        sim = Simulator(seed=1)
+        injected = ReplicaFunction(max_hash=200, hash_fn=lambda key: 116)
+        overlay = build_overlay(
+            sim, Network(sim), PlatformConfig(), description, replica_fn=injected
+        )
+        assert all(
+            p.discovery.replica_fn is injected for p in overlay.group.all_peers
+        )
+
     def test_summary(self):
         overlay = self._build(OverlayDescription(rendezvous_count=3, edge_count=1))
         overlay.start()

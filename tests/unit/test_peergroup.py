@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import PlatformConfig
+from repro.discovery.replica import ReplicaFunction
 from repro.ids.jxtaid import NET_PEER_GROUP_ID
 from repro.network import Network
 from repro.network.site import place_nodes
@@ -60,6 +61,62 @@ class TestConstruction:
         pid = PeerID.from_int(NET_PEER_GROUP_ID, 77)
         rdv = group.create_rendezvous(node, peer_id=pid)
         assert rdv.peer_id == pid
+
+
+class TestGroupReplicaFunction:
+    """``ReplicaPeer(tuple)`` is the group's function: every peer a
+    group creates ranks with the group's one object (and its one
+    tuple -> hash memo)."""
+
+    def test_peers_of_one_group_share_it(self, group):
+        nodes = place_nodes(3)
+        rdvs = [group.create_rendezvous(n) for n in nodes[:2]]
+        edge = group.create_edge(nodes[2], seeds=[rdvs[0].address])
+        assert isinstance(group.replica_fn, ReplicaFunction)
+        for peer in (*rdvs, edge):
+            assert peer.discovery.replica_fn is group.replica_fn
+
+    def test_two_groups_on_one_network_do_not_share(self, group):
+        other = PeerGroup(group.sim, group.network, PlatformConfig())
+        node = place_nodes(1)[0]
+        a, b = group.create_rendezvous(node), other.create_rendezvous(node)
+        assert a.discovery.replica_fn is not b.discovery.replica_fn
+
+    def test_a_secondary_group_context_does_not_share(self, group):
+        from repro.ids import IDFactory
+
+        rdv = group.create_rendezvous(place_nodes(1)[0])
+        gid = IDFactory(group.sim.rng.stream("test.groups")).new_peer_group_id()
+        context = rdv.join_group(gid, role="rendezvous")
+        assert context.discovery.replica_fn is not group.replica_fn
+
+    def test_explicit_replica_fn_reaches_every_peer(self):
+        sim = Simulator(seed=4)
+        injected = ReplicaFunction(max_hash=200, hash_fn=lambda key: 116)
+        group = PeerGroup(sim, Network(sim), PlatformConfig(), replica_fn=injected)
+        nodes = place_nodes(2)
+        rdv = group.create_rendezvous(nodes[0])
+        edge = group.create_edge(nodes[1], seeds=[rdv.address])
+        assert group.replica_fn is injected
+        assert rdv.discovery.replica_fn is injected
+        assert edge.discovery.replica_fn is injected
+
+    def test_standalone_discovery_service_still_ranks(self, group):
+        from repro.advertisement import AdvertisementCache
+        from repro.discovery.service import DiscoveryService
+        from repro.resolver.service import ResolverService
+
+        rdv = group.create_rendezvous(place_nodes(1)[0])
+        service = DiscoveryService(
+            group.sim, group.config,
+            ResolverService(rdv.endpoint, group_param="standalone"),
+            AdvertisementCache(), is_rendezvous=True, view=rdv.view,
+        )
+        assert service.replica_fn is not group.replica_fn
+        index_tuple = ("jxta:PA", "Name", "Test")
+        assert service.replica_fn.rank(index_tuple, 6) == (
+            group.replica_fn.rank(index_tuple, 6)
+        )
 
 
 class TestLifecycle:

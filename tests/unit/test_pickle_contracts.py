@@ -279,19 +279,31 @@ class TestAdvertisement:
         assert "_index_cache" not in clone.__dict__
         assert clone.index_tuples() == tuples
 
+    def test_key_memo_dropped_and_recomputed(self):
+        adv = rdv_adv(3)
+        key = adv.unique_key()  # populates _key_cache
+        assert adv.unique_key() is key
+        assert "_key_cache" not in adv.__getstate__()
+        clone = pickle.loads(pickle.dumps(adv))
+        assert "_key_cache" not in clone.__dict__
+        assert clone.unique_key() == key
+
     def test_pickle_bytes_independent_of_either_memo(self):
         fresh = rdv_adv(3)
         queried = rdv_adv(3)
         queried.index_tuples()
         queried.size_bytes()
+        queried.unique_key()
         assert pickle.dumps(fresh) == pickle.dumps(queried)
 
     def test_field_write_drops_both_memos(self):
         adv = rdv_adv(3)
         size, tuples = adv.size_bytes(), adv.index_tuples()
+        adv.unique_key()
         adv.name = "renamed-and-longer"
         assert "_size_cache" not in adv.__dict__
         assert "_index_cache" not in adv.__dict__
+        assert "_key_cache" not in adv.__dict__
         assert adv.size_bytes() > size
         assert (adv.ADV_TYPE, "Name", "renamed-and-longer") in adv.index_tuples()
         assert (adv.ADV_TYPE, "Name", "rdv-3") in tuples  # the old one is immutable
@@ -371,7 +383,7 @@ class TestIndexBuckets:
         assert index.tuples() == [] and len(index) == 0
         for doc in docs:
             assert cache.remove(doc)
-        assert cache._by_attr == {} and cache._by_attr_any == {}
+        assert cache._by_attr == {}
 
 
 class TestDiscoveryQuery:

@@ -68,6 +68,33 @@ class TestTupleInRange:
         assert not tuple_in_range(t, "repro:FakeAdvertisement", "Name", 0, 1e9)
 
 
+class TestLocalRangeMatches:
+    def test_threshold_bounds_the_local_answer(self):
+        # the range scan used to append before it tested the threshold,
+        # so threshold=0 (reachable from get_remote_advertisements) got
+        # one advertisement back
+        from repro.discovery.service import DiscoveryQueryPayload
+        from repro.network.site import place_nodes
+        from repro.peergroup import PeerGroup
+
+        sim = Simulator(seed=12)
+        group = PeerGroup(sim, Network(sim), PlatformConfig())
+        discovery = group.create_rendezvous(place_nodes(1)[0]).discovery
+        for capacity in (100, 150, 900):
+            discovery.cache.publish(FakeAdvertisement(str(capacity)), now=0.0)
+
+        def names(threshold):
+            payload = DiscoveryQueryPayload(
+                "repro:FakeAdvertisement", "Name", range_spec(50, 200),
+                threshold=threshold,
+            )
+            return [a.name for a in discovery._local_matches(payload, 1.0)]
+
+        assert names(0) == []
+        assert names(1) == ["100"]
+        assert names(5) == ["100", "150"]
+
+
 class TestEndToEndRangeDiscovery:
     def _overlay(self, seed=12):
         sim = Simulator(seed=seed)
