@@ -19,10 +19,10 @@ the protocol issues — ``DiscoveryService._local_matches``: a type, an
 attribute and a glob-free value — is now one probe of a hash index,
 (type, attribute, value) → keys, keyed by the advertisement's own
 memoised index tuple; a single member is stored inline (the key string
-itself until a second key arrives, then a ``set``) and a bucket is
-deleted with its last key.  A multi-member bucket is sorted by
-insertion sequence so results come back in the same order — and honour
-``limit`` the same way — as the historical linear scan.
+itself until a second key arrives, then a ``{key: None}`` dict) and a
+bucket is deleted with its last key.  A multi-member bucket lists its
+keys in ``_entries`` order, so results come back in the same order —
+and honour ``limit`` the same way — as the historical linear scan.
 
 Every other shape (no type, no attribute, ``value=None``, or a value
 with the glob metacharacters ``*``, ``?``, ``[``) *is* that linear
@@ -44,8 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
-from operator import attrgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.advertisement.base import (
     Advertisement,
@@ -53,9 +52,6 @@ from repro.advertisement.base import (
     DEFAULT_LIFETIME,
     IndexTuple,
 )
-
-
-_SEQ = attrgetter("seq")
 
 
 def has_glob(value: str) -> bool:
@@ -76,9 +72,6 @@ class CacheEntry:
     local: bool
     #: Residual expiration to hand to peers we forward the adv to.
     expiration: float
-    #: Insertion sequence of the *key* (stable across overwrites), used
-    #: to report query results in insertion order like a plain dict scan.
-    seq: int = -1
 
     def expired(self, now: float) -> bool:
         return now >= self.expires_at
@@ -89,9 +82,9 @@ class AdvertisementCache:
 
     def __init__(self) -> None:
         self._entries: Dict[str, CacheEntry] = {}
-        self._seq = 0
-        #: index tuple -> the one key indexed by it, or a set of them.
-        self._by_attr: Dict[IndexTuple, Union[str, Set[str]]] = {}
+        #: index tuple -> the one key indexed by it, or several of them
+        #: in ``_entries`` order.
+        self._by_attr: Dict[IndexTuple, Union[str, Dict[str, None]]] = {}
         self.inserts = 0
         self.purged = 0
 
@@ -109,16 +102,16 @@ class AdvertisementCache:
             exact = self._by_attr.get(index_tuple)
             if exact is None:
                 self._by_attr[index_tuple] = key
-            elif type(exact) is set:
-                exact.add(key)
+            elif type(exact) is dict:
+                exact[key] = None
             elif exact != key:
-                self._by_attr[index_tuple] = {exact, key}
+                self._by_attr[index_tuple] = {exact: None, key: None}
 
     def _index_discard(self, key: str, adv: Advertisement) -> None:
         for index_tuple in adv.index_tuples():
             exact = self._by_attr.get(index_tuple)
-            if type(exact) is set:
-                exact.discard(key)
+            if type(exact) is dict:
+                exact.pop(key, None)
                 if not exact:
                     del self._by_attr[index_tuple]
             elif exact == key:
@@ -126,17 +119,22 @@ class AdvertisementCache:
 
     def _store(self, key: str, entry: CacheEntry) -> None:
         old = self._entries.get(key)
-        if old is not None:
-            # Overwrite: same key keeps its position in iteration order
-            # (dict semantics), so the new entry inherits the sequence.
-            entry.seq = old.seq
-            if old.adv is not entry.adv:
-                self._index_discard(key, old.adv)
-                self._index_add(key, entry.adv)
-        else:
-            entry.seq = self._seq
-            self._seq += 1
+        if old is None:
+            # a key new to ``_entries`` is last there, and in its buckets
             self._index_add(key, entry.adv)
+        elif old.adv is not entry.adv:
+            # Another document under a key that keeps its place in
+            # ``_entries``: the multi-member buckets it joined are
+            # re-read in that order, O(cache) each (rare: published
+            # documents are shared objects, and most buckets inline).
+            self._index_discard(key, old.adv)
+            self._index_add(key, entry.adv)
+            for index_tuple in entry.adv.index_tuples():
+                members = self._by_attr[index_tuple]
+                if type(members) is dict:
+                    self._by_attr[index_tuple] = {
+                        k: None for k in self._entries if k in members
+                    }
         self._entries[key] = entry
         self.inserts += 1
 
@@ -229,14 +227,6 @@ class AdvertisementCache:
             return None
         return entry
 
-    def _in_order(self, keys: Set[str]) -> List[CacheEntry]:
-        """Entries of ``keys`` by insertion sequence (dict-scan order)."""
-        entries = self._entries
-        found = [entries[k] for k in keys]
-        if len(found) > 1:
-            found.sort(key=_SEQ)
-        return found
-
     def _scan(
         self,
         adv_type: Optional[str],
@@ -298,7 +288,7 @@ class AdvertisementCache:
             if type(exact) is str:
                 candidates = (self._entries[exact],)
             else:
-                candidates = self._in_order(exact)
+                candidates = map(self._entries.__getitem__, exact)
 
         out: List[Advertisement] = []
         for entry in candidates:

@@ -19,7 +19,7 @@ Two halves:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.advertisement.base import IndexTuple
 from repro.advertisement.cache import AdvertisementCache
@@ -71,13 +71,15 @@ class SrdiIndex:
     ``{interned publisher key: record}`` in arrival order; it goes with
     its last record.  Records keep the publisher :class:`PeerID` for
     the query forwarding path.  A reverse ``publisher key -> tuples``
-    index makes :meth:`remove_publisher` (edge churn) proportional to
-    the departed publisher's tuples instead of the whole store."""
+    index (lists in arrival order; only a new record appends, so none
+    holds a duplicate) makes :meth:`remove_publisher` (edge churn)
+    proportional to the departed publisher's tuples instead of the
+    whole store."""
 
     def __init__(self, interner: Optional[IdInternTable] = None) -> None:
         self.interner = interner if interner is not None else IdInternTable()
         self._index: Dict[IndexTuple, Union[_SrdiRecord, Dict[int, _SrdiRecord]]] = {}
-        self._by_publisher: Dict[int, Set[IndexTuple]] = {}
+        self._by_publisher: Dict[int, List[IndexTuple]] = {}
         self._count = 0
         self.inserts = 0
 
@@ -114,8 +116,8 @@ class SrdiIndex:
             self._count += 1
             tuples = self._by_publisher.get(key)
             if tuples is None:
-                tuples = self._by_publisher[key] = set()
-            tuples.add(index_tuple)
+                tuples = self._by_publisher[key] = []
+            tuples.append(index_tuple)
         self.inserts += 1
 
     def lookup(
@@ -153,23 +155,27 @@ class SrdiIndex:
 
     def purge_expired(self, now: float) -> int:
         """Drop expired records; returns the count dropped."""
+        #: publisher key -> its expired tuples, in index order
+        dead: Dict[int, Dict[IndexTuple, None]] = {}
+        for index_tuple, bucket in self._index.items():
+            if type(bucket) is dict:
+                for k, r in bucket.items():
+                    if r.expires_at <= now:
+                        dead.setdefault(k, {})[index_tuple] = None
+            elif bucket.expires_at <= now:
+                dead.setdefault(bucket.key, {})[index_tuple] = None
         by_publisher = self._by_publisher
         dropped = 0
-        for index_tuple, bucket in list(self._index.items()):
-            if type(bucket) is dict:
-                dead = [k for k, r in bucket.items() if r.expires_at <= now]
-            elif bucket.expires_at <= now:
-                dead = (bucket.key,)
+        for key, gone in dead.items():
+            for index_tuple in gone:
+                self._discard(index_tuple, key)
+            # one rebuild per touched publisher, no list.remove per record
+            kept = [t for t in by_publisher[key] if t not in gone]
+            if kept:
+                by_publisher[key] = kept
             else:
-                continue
-            for k in dead:
-                self._discard(index_tuple, k)
-                tuples = by_publisher.get(k)
-                if tuples is not None:
-                    tuples.discard(index_tuple)
-                    if not tuples:
-                        del by_publisher[k]
-            dropped += len(dead)
+                del by_publisher[key]
+            dropped += len(gone)
         self._count -= dropped
         return dropped
 
@@ -207,7 +213,7 @@ class SrdiPusher(Process):
         self.config = config
         self._send = send
         #: tuples already pushed to the *current* rendezvous
-        self._pushed: Set[IndexTuple] = set()
+        self._pushed: Dict[IndexTuple, None] = {}
         self.pushes = 0
         self._task = PeriodicTask(
             sim,
@@ -242,7 +248,7 @@ class SrdiPusher(Process):
                 continue
             for index_tuple in entry.adv.index_tuples():
                 if index_tuple not in self._pushed:
-                    self._pushed.add(index_tuple)
+                    self._pushed[index_tuple] = None
                     delta.append((index_tuple, entry.expiration))
         if delta:
             self.pushes += 1

@@ -25,7 +25,7 @@ class IDFactory:
 
     def __init__(self, rng: random.Random) -> None:
         self._rng = rng
-        self._minted: set[bytes] = set()
+        self._minted: dict[bytes, None] = {}
 
     def _unique16(self) -> bytes:
         # Collisions are astronomically unlikely, but the retry loop
@@ -33,7 +33,7 @@ class IDFactory:
         while True:
             value = self._rng.getrandbits(128).to_bytes(16, "big")
             if value not in self._minted:
-                self._minted.add(value)
+                self._minted[value] = None
                 return value
 
     def new_peer_group_id(self) -> PeerGroupID:

@@ -2,9 +2,8 @@
 
 The paper's §4.1 discussion weighs peerview *freshness* against
 *bandwidth consumption*; the ablation experiments need the latter
-measured.  :class:`TrafficStats` counts messages and bytes globally,
-per site pair, and per destination address, cheaply enough to stay on
-for every run.
+measured.  :class:`TrafficStats` counts messages and bytes globally
+and per site pair, cheaply enough to stay on for every run.
 """
 
 from __future__ import annotations
@@ -24,16 +23,6 @@ class TrafficStats:
     bytes_sent: int = 0
     #: (src site, dst site) -> message count
     site_pair_messages: Counter = field(default_factory=Counter)
-    #: destination transport address -> message count
-    per_destination: Counter = field(default_factory=Counter)
-
-    def record_send(
-        self, src_site: str, dst_site: str, dst_addr: str, size_bytes: int
-    ) -> None:
-        self.messages_sent += 1
-        self.bytes_sent += size_bytes
-        self.site_pair_messages[(src_site, dst_site)] += 1
-        self.per_destination[dst_addr] += 1
 
     def record_delivery(self) -> None:
         self.messages_delivered += 1

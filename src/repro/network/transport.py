@@ -152,8 +152,8 @@ class Network:
         self._egress_busy_until: Dict[int, float] = {}
         #: worst egress queueing delay observed (diagnostics)
         self.peak_queue_delay = 0.0
-        #: blocked unordered site pairs (WAN partitions)
-        self._partitions: set[frozenset] = set()
+        #: blocked site pairs (WAN partitions), each as its sorted tuple
+        self._partitions: Dict[tuple, None] = {}
         #: optional per-message fault controller (repro.faults)
         self.fault_controller: Optional[FaultController] = None
         #: messages dropped / duplicated by the fault controller
@@ -278,17 +278,17 @@ class Network:
         outage; intra-site traffic is unaffected)."""
         if site_a == site_b:
             raise ValueError("cannot partition a site from itself")
-        self._partitions.add(frozenset((site_a, site_b)))
+        self._partitions[tuple(sorted((site_a, site_b)))] = None
 
     def heal(self, site_a: str, site_b: str) -> None:
         """Restore the WAN path between two sites.  Idempotent."""
-        self._partitions.discard(frozenset((site_a, site_b)))
+        self._partitions.pop(tuple(sorted((site_a, site_b))), None)
 
     def heal_all(self) -> None:
         self._partitions.clear()
 
     def is_partitioned(self, site_a: str, site_b: str) -> bool:
-        return frozenset((site_a, site_b)) in self._partitions
+        return tuple(sorted((site_a, site_b))) in self._partitions
 
     def isolate_site(self, site: str, all_sites) -> None:
         """Partition ``site`` from every other site in ``all_sites``."""
@@ -379,14 +379,12 @@ class Network:
             dst_site = src_site
             dst_dead = True
 
-        # inlined stats.record_send (kept as a method for other callers):
-        # four counter updates per message add up at full scale
+        # the send counters, inline: per-message calls add up at full scale
         site_pair = (src_site.name, dst_site.name)
         stats = self.stats
         stats.messages_sent += 1
         stats.bytes_sent += size_bytes
         stats.site_pair_messages[site_pair] += 1
-        stats.per_destination[dst] += 1
 
         # inlined _egress_delay (kept as a method for tests/diagnostics):
         # NIC serialization plus queueing behind this node's in-flight
@@ -435,7 +433,7 @@ class Network:
                 dst_dead
                 or (
                     self._partitions
-                    and frozenset(site_pair) in self._partitions
+                    and tuple(sorted(site_pair)) in self._partitions
                 )
                 or (
                     self.loss_rate > 0.0
@@ -476,7 +474,7 @@ class Network:
             or faulted_drop
             or (
                 self._partitions
-                and frozenset(site_pair) in self._partitions
+                and tuple(sorted(site_pair)) in self._partitions
             )
             or (
                 self.loss_rate > 0.0

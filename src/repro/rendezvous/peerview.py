@@ -77,7 +77,6 @@ class PeerViewEntry:
     state heap."""
 
     adv: RdvAdvertisement
-    first_seen: float
     last_refreshed: float
 
     @property
@@ -262,10 +261,9 @@ class PeerView:
         if pool:
             entry = pool.pop()
             entry.adv = adv
-            entry.first_seen = now
             entry.last_refreshed = now
         else:
-            entry = PeerViewEntry(adv=adv, first_seen=now, last_refreshed=now)
+            entry = PeerViewEntry(adv=adv, last_refreshed=now)
         self._entries[key] = entry
         self._key_seq.append(key)
         bisect.insort(self._order, self.interner.order_token(key))

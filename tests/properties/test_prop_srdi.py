@@ -94,9 +94,13 @@ def test_srdi_buckets_match_dict_of_dicts(operations):
     after every add / refresh / ``remove_publisher`` / ``purge_expired``:
     the ``lookup`` list *and its order*, ``tuples()`` order, ``len`` and
     ``inserts``.  Three publishers over four tuples take every bucket
-    through absent -> one record -> several -> one -> absent."""
+    through absent -> one record -> several -> one -> absent.  The
+    reverse index is held to ``{publisher: [tuples in arrival order]}``:
+    a refresh neither moves nor repeats a tuple, a tuple that left and
+    came back is last, and an emptied list is deleted."""
     index = SrdiIndex()
     model = {}
+    arrival = {}  # publisher idx -> tuple idxs, oldest record first
     inserts = 0
     now = 0.0
     for step, op in enumerate(operations):
@@ -106,6 +110,8 @@ def test_srdi_buckets_match_dict_of_dicts(operations):
             # a refresh may change the address; it must not move the record
             address = f"tcp://e{p}:{step}"
             index.add(TUPLES[t], PUBLISHERS[p], address, now, expiration)
+            if p not in model.get(t, {}):
+                arrival.setdefault(p, []).append(t)
             model.setdefault(t, {})[p] = (address, now + expiration)
             inserts += 1
         elif kind == "advance":
@@ -116,6 +122,7 @@ def test_srdi_buckets_match_dict_of_dicts(operations):
             assert index.remove_publisher(PUBLISHERS[p]) == expected
             for bucket in model.values():
                 bucket.pop(p, None)
+            arrival.pop(p, None)
         else:
             expected = sum(
                 1 for bucket in model.values()
@@ -125,6 +132,9 @@ def test_srdi_buckets_match_dict_of_dicts(operations):
             for bucket in model.values():
                 for p in [p for p, (_, exp) in bucket.items() if exp <= now]:
                     del bucket[p]
+            arrival = {
+                p: [t for t in ts if p in model[t]] for p, ts in arrival.items()
+            }
         model = {t: bucket for t, bucket in model.items() if bucket}
 
         assert index.tuples() == [TUPLES[t] for t in model]
@@ -141,9 +151,11 @@ def test_srdi_buckets_match_dict_of_dicts(operations):
                 if expires_at > now
             ], (step, op, t)
         # white box: the reverse index remove_publisher relies on
-        reverse = {}
-        for t, bucket in model.items():
-            for p in bucket:
-                key = index.interner.lookup(PUBLISHERS[p])
-                reverse.setdefault(key, set()).add(TUPLES[t])
-        assert index._by_publisher == reverse
+        reverse = {
+            index.interner.lookup(PUBLISHERS[p]): [TUPLES[t] for t in ts]
+            for p, ts in arrival.items() if ts
+        }
+        assert index._by_publisher == reverse, (step, op)
+        # ... and the arrival model itself lists each record once
+        for p, ts in arrival.items():
+            assert sorted(ts) == sorted(t for t in model if p in model[t])

@@ -347,13 +347,19 @@ class TestIndexBuckets:
     def test_mixed_buckets_round_trip_byte_stably(self):
         cache, index, docs = self._cache_and_index()
         forms = lambda d: {type(v) for v in d.values()}  # noqa: E731
-        assert forms(cache._by_attr) == {str, set}
+        assert forms(cache._by_attr) == {str, dict}
         assert len(forms(index._index)) == 2  # record and dict
+        assert forms(index._by_publisher) == {list}
         blob = pickle.dumps((cache, index))
         cache2, index2 = pickle.loads(blob)
         blob2 = pickle.dumps((cache2, index2))
-        assert forms(cache2._by_attr) == {str, set}
+        assert blob2 == blob  # every container pickles in its own order
+        assert forms(cache2._by_attr) == {str, dict}
         assert len(forms(index2._index)) == 2
+        assert [list(b) for b in cache2._by_attr.values()] == [
+            list(b) for b in cache._by_attr.values()
+        ]
+        assert index2._by_publisher == index._by_publisher
         assert self._answers(cache2, index2, docs) == self._answers(
             cache, index, docs
         )
@@ -378,12 +384,62 @@ class TestIndexBuckets:
         )
         # the restored documents rebuild their memo: equal tuples, other
         # objects — every bucket must still be found by value
-        assert index.remove_publisher(pid(1)) == 5
+        key1, key2 = index.interner.lookup(pid(1)), index.interner.lookup(pid(2))
+        assert index.purge_expired(100.5) == 5  # pid(1)'s, added at t = 0
+        assert list(index._by_publisher) == [key2]
+        index.add(docs[0].index_tuples()[0], pid(1), "tcp://p1:1", 101.0, 9.0)
+        assert index._by_publisher[key1] == [docs[0].index_tuples()[0]]
+        assert index.remove_publisher(pid(1)) == 1
         assert index.remove_publisher(pid(2)) == 3
         assert index.tuples() == [] and len(index) == 0
+        assert index._by_publisher == {}
         for doc in docs:
             assert cache.remove(doc)
         assert cache._by_attr == {}
+
+
+class TestOrderedMembership:
+    """``SrdiPusher._pushed`` and ``IDFactory._minted`` are membership
+    tests kept in insertion-ordered dicts: the pickle lists them in the
+    order they were filled, and the restored object goes on refusing
+    what the original had seen."""
+
+    def test_pusher_history_round_trips_in_push_order(self):
+        from repro.advertisement import AdvertisementCache, FakeAdvertisement
+        from repro.discovery.srdi import SrdiPusher
+
+        sent = []
+        cache = AdvertisementCache()
+        pusher = SrdiPusher(Simulator(seed=1), cache, PlatformConfig(), sent.append)
+        docs = [FakeAdvertisement(f"doc-{i}") for i in range(50)]
+        for doc in docs:
+            cache.publish(doc, now=0.0)
+        pusher.push_now()
+        pushed = [t for doc in docs for t in doc.index_tuples()]
+        assert list(pusher._pushed) == pushed
+        blob = pickle.dumps(pusher)
+        clone = pickle.loads(blob)
+        assert pickle.dumps(clone) == blob
+        assert list(clone._pushed) == pushed
+        clone.push_now()  # nothing new: the restored history still holds
+        assert clone.pushes == 1
+        clone.cache.publish(FakeAdvertisement("late"), now=1.0)
+        clone.push_now()
+        assert clone.pushes == 2 and len(clone._pushed) == len(pushed) + 1
+
+    def test_id_factory_round_trips_and_mints_the_same_ids(self):
+        import random
+
+        from repro.ids.idfactory import IDFactory
+
+        factory = IDFactory(random.Random(7))
+        minted = [factory.new_peer_id() for _ in range(50)]
+        assert list(factory._minted) == [p.unique_value for p in minted]
+        blob = pickle.dumps(factory)
+        clone = pickle.loads(blob)
+        assert pickle.dumps(clone) == blob
+        assert clone.new_peer_id() == factory.new_peer_id()
+        assert len(clone._minted) == 51
 
 
 class TestDiscoveryQuery:

@@ -1,0 +1,71 @@
+"""No resident field without a reader.
+
+Four classes exist once per fact — a view entry per known rendezvous, a
+cache entry per stored advertisement, an SRDI record per (tuple,
+publisher), the network's traffic counters bumped per message — so a
+slot that is written and never read costs its 8 bytes (plus whatever it
+pins) a few hundred thousand times, or a dict update per message, for
+nothing.  ``PeerViewEntry.first_seen`` and
+``TrafficStats.per_destination`` were such fields.
+
+The check is by name over ``src/repro``: every slot of those classes
+must be *read* somewhere — an attribute in load context that is not
+merely the container of a subscript store (``stats.n[dst] += 1`` loads
+``stats.n`` only to write into it).
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from repro.advertisement.cache import CacheEntry
+from repro.discovery.srdi import _SrdiRecord
+from repro.network.stats import TrafficStats
+from repro.rendezvous.peerview import PeerViewEntry
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+
+def attributes_read(tree):
+    """Names of the attributes ``tree`` loads for their value."""
+    written_into = {
+        id(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.ctx, (ast.Store, ast.Del))
+    }
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and id(node) not in written_into
+    }
+
+
+@pytest.fixture(scope="module")
+def read_under_src():
+    names = set()
+    for path in sorted(SRC.rglob("*.py")):
+        names |= attributes_read(ast.parse(path.read_text(), str(path)))
+    return names
+
+
+def test_the_pass_tells_a_read_from_a_write():
+    written = ast.parse(
+        "e.a = 1\ne.b += 1\ne.c[k] += 1\ne.d[k] = v\ndel e.f[k]\nE(g=1)\n"
+    )
+    assert attributes_read(written) == set()
+    read = ast.parse("x = e.a\ny = e.c[k]\ne.d.update(z)\nf(e.g)\ne.h.i = 1\n")
+    assert attributes_read(read) == {"a", "c", "d", "update", "g", "h"}
+
+
+@pytest.mark.parametrize(
+    "cls", [PeerViewEntry, CacheEntry, _SrdiRecord, TrafficStats],
+    ids=lambda cls: cls.__name__,
+)
+def test_every_slot_of_a_per_fact_class_is_read(cls, read_under_src):
+    assert cls.__slots__, f"{cls.__name__} is expected to be slotted"
+    unread = [slot for slot in cls.__slots__ if slot not in read_under_src]
+    assert unread == [], f"{cls.__name__}: written but never read: {unread}"

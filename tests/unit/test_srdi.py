@@ -17,6 +17,10 @@ T1 = ("repro:FakeAdvertisement", "Name", "alpha")
 T2 = ("repro:FakeAdvertisement", "Name", "beta")
 
 
+def _tuple(i):
+    return ("repro:FakeAdvertisement", "Name", f"item-{i:05d}")
+
+
 class TestSrdiIndex:
     def test_add_and_lookup(self):
         idx = SrdiIndex()
@@ -89,6 +93,59 @@ class TestSrdiIndex:
         assert idx.purge_expired(now=50.0) == 1
         assert len(idx) == 1
         assert idx.tuples() == [T2]
+
+    def test_purge_that_drops_nothing_allocates_nothing(self):
+        # the 5-minute GC tick of every rendezvous: it must not copy the
+        # index to find out that nothing is dead
+        import gc
+        import sys
+
+        idx = SrdiIndex()
+        for i in range(5000):
+            idx.add(_tuple(i), pid(i % 3), "tcp://a:1", now=0.0, expiration=100.0)
+        idx.add(_tuple(0), pid(1), "tcp://a:1", now=0.0, expiration=100.0)
+        gc.collect()
+        before = sys.getallocatedblocks()
+        assert idx.purge_expired(now=50.0) == 0
+        assert abs(sys.getallocatedblocks() - before) <= 8
+        assert len(idx) == 5001
+
+    def test_purge_rebuilds_only_the_lists_it_touched(self):
+        import time
+
+        idx = SrdiIndex()
+        n = 10_000
+        for i in range(3 * n):
+            # one publisher per tuple, all three for every tenth (the
+            # multi-publisher bucket form); publisher 2's are short-lived
+            for p in (0, 1, 2) if i % 10 == 0 else (i % 3,):
+                idx.add(_tuple(i), pid(p), "tcp://a:1", 0.0,
+                        10.0 if p == 2 else 100.0)
+        keys = [idx.interner.lookup(pid(p)) for p in range(3)]
+        kept = [idx._by_publisher[k] for k in keys[:2]]
+        doomed = len(idx._by_publisher[keys[2]])
+        assert doomed >= n
+        started = time.perf_counter()
+        assert idx.purge_expired(now=50.0) == doomed
+        elapsed = time.perf_counter() - started
+        assert elapsed < 0.05, f"{elapsed * 1e3:.1f} ms for {doomed} records"
+        assert list(idx._by_publisher) == keys[:2]
+        assert all(idx._by_publisher[k] is l for k, l in zip(keys, kept))
+        assert len(idx) == sum(map(len, kept))
+        assert idx.remove_publisher(pid(0)) == len(kept[0])
+        assert idx.remove_publisher(pid(1)) == len(kept[1])
+        assert idx._index == {} and idx._by_publisher == {}
+
+    def test_partial_purge_keeps_arrival_order_of_the_survivors(self):
+        idx = SrdiIndex()
+        for i in range(6):
+            idx.add(_tuple(i), pid(1), "tcp://a:1", 0.0, 10.0 if i % 2 else 100.0)
+        assert idx.purge_expired(now=50.0) == 3
+        (tuples,) = idx._by_publisher.values()
+        assert tuples == [_tuple(0), _tuple(2), _tuple(4)]
+        idx.add(_tuple(1), pid(1), "tcp://a:1", 60.0, 100.0)  # back: last
+        (tuples,) = idx._by_publisher.values()
+        assert tuples == [_tuple(0), _tuple(2), _tuple(4), _tuple(1)]
 
     def test_bad_expiration_rejected(self):
         with pytest.raises(ValueError):
@@ -180,6 +237,53 @@ class TestSrdiPusher:
         pusher.rendezvous_changed()
         assert len(sent) == 2
         assert [t for t, _ in sent[1].entries] == [T1]
+
+    def test_rendezvous_changed_republishes_in_cache_order(self):
+        sim, cache, pusher, sent = self._setup()
+        names = ["delta", "alpha", "charlie", "beta"]
+        for name in names:
+            cache.publish(FakeAdvertisement(name), now=0.0)
+        pusher.push_now()
+        cache.remove(FakeAdvertisement("alpha"))
+        cache.publish(FakeAdvertisement("alpha"), now=1.0)  # re-enters last
+        pusher.rendezvous_changed()
+        assert [t[2] for t, _ in sent[0].entries] == names
+        assert [t[2] for t, _ in sent[1].entries] == [
+            "delta", "charlie", "beta", "alpha"]
+        assert list(pusher._pushed) == [t for t, _ in sent[1].entries]
+
+    def test_tuple_shared_by_two_local_entries_is_pushed_once(self):
+        from repro.advertisement.rdvadv import RdvAdvertisement
+
+        sim, cache, pusher, sent = self._setup()
+        docs = [
+            RdvAdvertisement(rdv_peer_id=pid(n), group_id=NET_PEER_GROUP_ID,
+                             name="shared")
+            for n in (1, 2)
+        ]
+        for doc in docs:
+            cache.publish(doc, now=0.0)
+        pusher.push_now()
+        (payload,) = sent
+        pushed = [t for t, _ in payload.entries]
+        assert len(pushed) == len(set(pushed))
+        assert pushed.count((docs[0].ADV_TYPE, "Name", "shared")) == 1
+        # in cache order: the first document's tuples, then what the
+        # second one adds to them
+        assert pushed == list(docs[0].index_tuples()) + [
+            t for t in docs[1].index_tuples()
+            if t not in docs[0].index_tuples()
+        ]
+
+    def test_removed_then_republished_document_is_not_pushed_again(self):
+        sim, cache, pusher, sent = self._setup()
+        cache.publish(FakeAdvertisement("alpha"), now=0.0)
+        pusher.push_now()
+        cache.remove(FakeAdvertisement("alpha"))
+        pusher.push_now()
+        cache.publish(FakeAdvertisement("alpha"), now=5.0)  # a fresh document
+        pusher.push_now()
+        assert len(sent) == 1 and pusher.pushes == 1
 
     def test_remote_advertisements_not_pushed(self):
         sim, cache, pusher, sent = self._setup()
