@@ -28,7 +28,7 @@ Oracles (:func:`check_case`):
     The same case re-run under the *other* kernel scheduler
     (wheel vs heap) must produce a byte-identical kernel trace digest.
 ``pooling``
-    The same case with object pooling flipped must be trace-invisible.
+    The same case without object pooling must be trace-invisible.
 ``snapshot``
     Pausing at mid-run, snapshotting, continuing — and separately
     restoring the snapshot and continuing — must both reproduce the
@@ -133,11 +133,7 @@ def _scheduler(override: Optional[str]) -> str:
 
 
 def _pooling(override: Optional[bool]) -> bool:
-    return (
-        override
-        if override is not None
-        else os.environ.get("REPRO_POOLING", "1") != "0"
-    )
+    return True if override is None else override
 
 
 def bootstrap_spec(
@@ -461,7 +457,7 @@ def check_case(
 
     if "pooling" in oracles:
         alt = run_case(
-            case, pooling=not _pooling(None), store=store, reads=(DIGEST,)
+            case, pooling=False, store=store, reads=(DIGEST,)
         )
         if alt.digest != base.digest:
             failures.append(
@@ -469,7 +465,7 @@ def check_case(
                     oracle="pooling",
                     signature="pooling-equivalence",
                     detail=(
-                        f"kernel digests diverge with pooling flipped: "
+                        f"kernel digests diverge with pooling off: "
                         f"{base.digest[:12]} vs {alt.digest[:12]}"
                     ),
                 )

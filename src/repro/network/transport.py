@@ -108,8 +108,8 @@ class Network:
     pooling:
         Recycle delivered envelopes and fired deliver-timer handles
         through per-network/per-simulator free lists, making the
-        steady-state send path allocation-free.  Defaults to the
-        ``REPRO_POOLING`` environment variable (on unless ``0``).
+        steady-state send path allocation-free (on by default; the
+        pooling-equivalence oracle and property tests pass ``False``).
         Delivery handlers (and observability recorders) must not
         retain an envelope past the delivery callback — it is re-armed
         in place by a later send.  ``REPRO_POOL_DEBUG=1`` adds
@@ -124,7 +124,7 @@ class Network:
         sw_overhead: float = DEFAULT_SW_OVERHEAD,
         loss_rate: float = 0.0,
         egress_queueing: bool = True,
-        pooling: Optional[bool] = None,
+        pooling: bool = True,
     ) -> None:
         if bandwidth_bps <= 0:
             raise ValueError(f"bandwidth must be > 0 (got {bandwidth_bps})")
@@ -172,8 +172,6 @@ class Network:
         # fixed for the network's lifetime)
         self._latency_delay = self.latency.delay
         self._schedule = sim.schedule
-        if pooling is None:
-            pooling = os.environ.get("REPRO_POOLING", "1") != "0"
         #: steady-state recycling of envelopes + deliver handles
         self.pooling = pooling
         self._envelope_pool: list[Envelope] = []
@@ -187,7 +185,6 @@ class Network:
         self.message_pool: list = []
         self._pool_debug = os.environ.get("REPRO_POOL_DEBUG", "") == "1"
         self._env_pool_ids: set[int] = set()
-        self._acquire_handle = sim.acquire_handle
         self._release_handle = sim.release_handle
         self._reschedule = sim.reschedule
         self._schedule_recycled = sim.schedule_recycled

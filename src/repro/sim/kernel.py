@@ -4,8 +4,8 @@ Design notes
 ------------
 * The scheduler is **two-tier**.  The *active window* is a binary heap
   of ``(time, seq, handle, fn, args)`` tuples (``_queue``) covering the
-  next ``_WHEEL_WIDTH`` seconds of simulated time; the run loops pop
-  straight off it, so their hot paths are identical to a plain-heap
+  next ``_WHEEL_WIDTH`` seconds of simulated time; the run loop pops
+  straight off it, so its hot path is identical to a plain-heap
   kernel.  Everything further out lives in a **timer wheel**: 128
   slots of 0.5 s (64 s span) whose buckets are *unsorted* lists —
   scheduling a protocol timer is a C-speed ``list.append`` instead of
@@ -37,22 +37,31 @@ Design notes
   :meth:`Simulator.reschedule` instead of allocating a fresh one per
   tick — at r = 580 the peerview/SRDI/lease tick storm is millions of
   avoided allocations over a paper-scale run.
-* One-shot event plumbing is pooled: :meth:`Simulator.acquire_handle`
-  hands out a *fired* handle from a per-simulator free list and
-  :meth:`Simulator.release_handle` returns it after the firing, so a
-  steady-state message send (the transport's deliver timer) re-arms a
-  recycled handle via ``reschedule`` instead of allocating.  Pool
-  integrity checks (double release, re-arm of a pool-resident handle)
-  are compiled in behind ``REPRO_POOL_DEBUG=1``.
+* One-shot event plumbing is pooled:
+  :meth:`Simulator.schedule_recycled` arms a *fired* handle taken from
+  a per-simulator free list and :meth:`Simulator.release_handle`
+  returns it after the firing, so a steady-state message send (the
+  transport's deliver timer) allocates no handle.  Pool integrity
+  checks (double release, re-arm of a pool-resident handle) are
+  compiled in behind ``REPRO_POOL_DEBUG=1``.
 * When a wheel slot migrates inward, its survivors are *sorted once*
   into a batch list (``_batch``) instead of heapified into the active
-  queue: the run loops then merge the batch cursor against the heap
+  queue: the run loop then merges the batch cursor against the heap
   head with a single C tuple compare per event, so the heap only ever
   holds events scheduled *into* the current window and the common
   case — a cohort of protocol timers sharing a slot — dispatches with
   no per-event sift at all.  ``(time, seq)`` keys are unique, so the
   merge reproduces the exact global fire order of the pure-heap
   scheduler, bit for bit.
+* :meth:`Simulator.run` is **one loop**, for ``run()`` and
+  ``run(until=…)`` alike (no deadline is a deadline of infinity).  It
+  *peeks* at the next entry — batch cursor against heap head — before
+  taking it, because an event beyond the deadline has to stay where it
+  is for the next slice; every experiment drives the kernel as a
+  sliced timeline, so that is the path worth having.  Per event the
+  loop re-reads the stop flag, the batch cursor, the handle's state
+  and the hook flag, which is all that a mid-run ``stop``, ``cancel``,
+  compaction or hook (un)registration needs.
 * Live-event accounting is O(1): ``pending_events`` is derived from
   the scheduled/fired/cancelled counters instead of scanning tiers.
 * ``schedule`` and the ``run`` loop are deliberately inlined (no
@@ -106,10 +115,6 @@ SCHEDULERS = ("wheel", "heap")
 #: message counts sit far below this even at r = 1160.
 _HANDLE_POOL_MAX = 8192
 
-#: Pending handles with no owning simulator (direct construction)
-#: carry this sentinel in ``_state`` instead of a Simulator.
-_DETACHED = object()
-
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 _heapify = heapq.heapify
@@ -121,27 +126,12 @@ class EventHandle:
 
     The lifecycle state and the owning-simulator backref share one
     slot (``_state``) so the scheduling fast path writes a single
-    field: *pending* handles hold their :class:`Simulator` (or the
-    ``_DETACHED`` sentinel when built standalone), *cancelled* ones
-    hold ``None`` and *fired* ones hold ``False``."""
+    field: *pending* handles hold their :class:`Simulator`,
+    *cancelled* ones hold ``None`` and *fired* ones hold ``False``.
+    Fire time, sequence number and callback arguments live in the
+    scheduler entry, not here."""
 
-    __slots__ = ("time", "seq", "fn", "args", "_label", "_state")
-
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        fn: Callable[..., Any],
-        args: tuple,
-        label: str = "",
-        sim: Optional["Simulator"] = None,
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self._label = label
-        self._state = _DETACHED if sim is None else sim
+    __slots__ = ("fn", "_label", "_state")
 
     @property
     def label(self) -> str:
@@ -174,37 +164,27 @@ class EventHandle:
         if state is None or state is False:
             return False
         self._state = None
-        if state is not _DETACHED:
-            state._note_cancel()
+        state._note_cancel()
         return True
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     # ------------------------------------------------------------------
     # pickling (repro.snapshot)
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         """Slots may be legitimately unset (the ``schedule`` fast path
-        writes only ``_state`` plus one of ``_label``/``fn``), and
-        ``_DETACHED`` is a module-level sentinel whose identity a pickle
-        round-trip would lose — map it to a marker string.  ``_state``
-        holding the owning :class:`Simulator` pickles through the memo,
-        so handles restored as part of a full simulator graph keep
-        their backref."""
+        writes only ``_state`` plus one of ``_label``/``fn``).
+        ``_state`` holding the owning :class:`Simulator` pickles
+        through the memo, so handles restored as part of a full
+        simulator graph keep their backref."""
         state = {}
         for slot in self.__slots__:
             try:
                 state[slot] = getattr(self, slot)
             except AttributeError:
                 pass
-        if state.get("_state") is _DETACHED:
-            state["_state"] = "__detached__"
         return state
 
     def __setstate__(self, state: dict) -> None:
-        if state.get("_state") == "__detached__":
-            state["_state"] = _DETACHED
         for slot, value in state.items():
             setattr(self, slot, value)
 
@@ -213,9 +193,7 @@ class EventHandle:
             "cancelled" if self._state is None
             else "fired" if self._state is False else "pending"
         )
-        t = getattr(self, "time", None)
-        at = format_time(t) if t is not None else "?"
-        return f"EventHandle({self.label!r} @ {at}, {state})"
+        return f"EventHandle({self.label!r}, {state})"
 
 
 _new_handle = EventHandle.__new__
@@ -247,8 +225,7 @@ class Simulator:
         "_use_wheel", "_wheel", "_wheel_count", "_overflow",
         "_next_slot", "_win_end", "_wheel_limit",
         "_batch", "_batch_pos",
-        "_max_events", "_running", "_stop_requested", "_stash",
-        "_in_fast_loop",
+        "_max_events", "_running", "_stop_requested",
         "_trace_hooks", "_fire_hooks", "_done_hooks", "_hooks_active",
         "_handle_pool", "_pool_debug", "_pool_ids",
     )
@@ -277,7 +254,7 @@ class Simulator:
         #: total events ever cancelled (pending_events derives from it)
         self._cancelled = 0
         #: cancelled handles still resident in any tier (active queue,
-        #: wheel bucket, overflow heap, or parked stash)
+        #: batch remnant, wheel bucket or overflow heap)
         self._dead = 0
         if self._use_wheel:
             #: far-tier slots; each bucket is an *unsorted* entry list
@@ -300,12 +277,12 @@ class Simulator:
             self._next_slot = 0
             self._win_end = float("inf")
             self._wheel_limit = float("inf")
-        #: migrated wheel slot, sorted ascending; the run loops merge
+        #: migrated wheel slot, sorted ascending; the run loop merges
         #: ``_batch[_batch_pos:]`` against the active heap by a single
         #: tuple compare per event (empty under the heap scheduler)
         self._batch: list = []
         self._batch_pos = 0
-        #: free list of *fired* handles for acquire/release recycling
+        #: free list of *fired* handles (schedule_recycled / release_handle)
         self._handle_pool: list[EventHandle] = []
         self._pool_debug = os.environ.get("REPRO_POOL_DEBUG", "") == "1"
         #: ids of pool-resident handles (REPRO_POOL_DEBUG=1 only)
@@ -313,11 +290,6 @@ class Simulator:
         self._max_events = max_events
         self._running = False
         self._stop_requested = False
-        #: queue contents parked by :meth:`stop` / mid-run control
-        #: changes until the run loop re-dispatches or returns
-        self._stash: Optional[list] = None
-        #: True only while ``run`` executes its check-free fast loop
-        self._in_fast_loop = False
         #: registered hooks as (hook, phases); one entry per callable
         self._trace_hooks: list[tuple[TraceHook, frozenset[str]]] = []
         #: phase-split views of ``_trace_hooks`` so the fire loop does a
@@ -351,12 +323,10 @@ class Simulator:
 
     def _resident_entries(self):
         """Every entry currently held by the scheduler, across all
-        tiers (active queue, parked stash, wheel buckets, overflow).
+        tiers (active queue, batch remnant, wheel buckets, overflow).
         Diagnostics/test helper — never on a hot path."""
         yield from self._queue
         yield from self._batch[self._batch_pos:]
-        if self._stash is not None:
-            yield from self._stash
         for bucket in self._wheel:
             yield from bucket
         yield from self._overflow
@@ -427,10 +397,6 @@ class Simulator:
         self._fire_hooks = [h for h, p in self._trace_hooks if "fire" in p]
         self._done_hooks = [h for h, p in self._trace_hooks if "done" in p]
         self._hooks_active = bool(self._fire_hooks or self._done_hooks)
-        # a hook (un)registered from inside the check-free fast loop:
-        # park the queue so ``run`` re-dispatches to the hooked loop
-        if self._in_fast_loop:
-            self._park()
 
     # ------------------------------------------------------------------
     # scheduling
@@ -469,25 +435,6 @@ class Simulator:
             self._wheel_count += 1
         else:
             _heappush(self._overflow, (time, seq, handle, fn, args))
-        return handle
-
-    def schedule_at(
-        self,
-        time: float,
-        fn: Callable[..., Any],
-        *args: Any,
-        label: str = "",
-    ) -> EventHandle:
-        """Schedule ``fn(*args)`` at absolute simulated time ``time``."""
-        if time < self.clock._now:
-            raise SchedulingError(
-                f"cannot schedule at {format_time(time)}; "
-                f"now is {format_time(self.clock._now)}"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        handle = EventHandle(time, seq, fn, args, label, self)
-        self._push_entry((time, seq, handle, fn, args))
         return handle
 
     def reschedule(
@@ -544,14 +491,17 @@ class Simulator:
         b: Any,
         label: str = "",
     ) -> EventHandle:
-        """Fused :meth:`acquire_handle` + :meth:`reschedule` for the
-        per-message delivery timer: schedule ``fn(a, b, handle)``
-        ``delay`` seconds from now on a recycled fired handle.
+        """The per-message delivery timer: schedule ``fn(a, b, handle)``
+        ``delay`` seconds from now on a handle taken off the free list
+        (a fresh one when the list is empty).
 
         The handle rides along as the trailing callback argument so
-        the callee can release it; collapsing the acquire/re-arm pair
-        into one call removes a Python frame from every pooled
-        transport send."""
+        the callee can hand it back with :meth:`release_handle`; a hot
+        caller — the network transport scheduling one delivery per
+        message — then runs allocation-free in steady state, the same
+        handle objects circulating between the pool and the scheduler.
+        The trace label is (re)set here, so recycled handles are
+        indistinguishable from fresh ones in kernel traces."""
         if delay < 0:
             raise SchedulingError(f"cannot schedule in the past (delay={delay})")
         pool = self._handle_pool
@@ -581,28 +531,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # handle free list
     # ------------------------------------------------------------------
-    def acquire_handle(self, label: str = "") -> EventHandle:
-        """Take a *fired* handle off the free list (or build a fresh
-        one) for use with :meth:`reschedule`.
-
-        The acquire/reschedule/:meth:`release_handle` cycle lets a hot
-        caller — the network transport scheduling one delivery per
-        message — run allocation-free in steady state: the same handle
-        objects circulate between the pool and the scheduler.  The
-        handle's trace label is (re)set here, so recycled handles are
-        indistinguishable from fresh ones in kernel traces."""
-        pool = self._handle_pool
-        if pool:
-            handle = pool.pop()
-            if self._pool_debug:
-                self._pool_ids.discard(id(handle))
-            handle._label = label
-            return handle
-        handle = _new_handle(EventHandle)
-        handle._label = label
-        handle._state = False
-        return handle
-
     def release_handle(self, handle: EventHandle) -> None:
         """Return a *fired* handle to the free list.
 
@@ -628,17 +556,6 @@ class Simulator:
                 self._pool_ids.add(hid)
         if len(pool) < _HANDLE_POOL_MAX:
             pool.append(handle)
-
-    def _push_entry(self, entry: tuple) -> None:
-        """Route one entry to the tier covering its fire time."""
-        time = entry[0]
-        if time < self._win_end:
-            _heappush(self._queue, entry)
-        elif time < self._wheel_limit:
-            self._wheel[int(time * _INV_WIDTH) & _WHEEL_MASK].append(entry)
-            self._wheel_count += 1
-        else:
-            _heappush(self._overflow, entry)
 
     # ------------------------------------------------------------------
     # window migration (wheel -> active queue)
@@ -666,7 +583,7 @@ class Simulator:
             return True
         if batch:
             # previous batch fully consumed: recycle the list in place
-            # (the run loops hold a reference to it)
+            # (the run loop holds a reference to it)
             del batch[:]
             self._batch_pos = 0
         if not self._use_wheel:
@@ -719,52 +636,8 @@ class Simulator:
         self._cancelled += 1
         dead = self._dead + 1
         self._dead = dead
-        if (
-            dead >= _COMPACT_MIN_DEAD
-            and dead > self.pending_events
-            # never compact while entries are parked in the stash: the
-            # rebuild would miss them and desync the dead counter
-            and self._stash is None
-        ):
+        if dead >= _COMPACT_MIN_DEAD and dead > self.pending_events:
             self._compact()
-        elif self._in_fast_loop:
-            # a queued entry just went dead under the check-free fast
-            # loop: park so ``run`` re-dispatches to the careful loop
-            self._park()
-
-    def _park(self) -> None:
-        """Move the active window (queue + batch remnant) aside so the
-        hot loops' exhaustion tests fail after the current event.  The
-        batch list is cleared *in place* — the loops hold a reference
-        to it and re-read its length per event.  The wheel tiers are
-        untouched: the loops never consume them directly, so parking
-        the window alone stops the run."""
-        if self._stash is not None:
-            return
-        batch = self._batch
-        remnant = batch[self._batch_pos:]
-        if self._queue or remnant:
-            self._stash = self._queue + remnant
-            self._queue.clear()
-            if batch:
-                del batch[:]
-                self._batch_pos = 0
-
-    def _unpark(self) -> None:
-        """Restore parked entries (merging any scheduled since — the
-        total (time, seq) order makes the fire order identical).  The
-        stash is a heap snapshot plus a sorted batch remnant, so it is
-        re-heapified unconditionally; batch entries re-enter the heap
-        legally because their times precede ``_win_end``."""
-        stash = self._stash
-        if stash is not None:
-            queue = self._queue
-            if queue:
-                queue.extend(stash)
-            else:
-                queue[:] = stash
-            _heapify(queue)
-            self._stash = None
 
     def _compact(self) -> None:
         """Drop cancelled entries from every tier and re-heapify *in
@@ -805,201 +678,44 @@ class Simulator:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _fire(
-        self, t: float, handle: EventHandle, fn: Callable[..., Any], args: tuple
-    ) -> None:
-        """Advance the clock to ``t`` and run ``handle``, delivering
-        trace phases.  ``run`` inlines a copy of this body; keep them
-        in sync (the determinism tests compare both paths)."""
-        clock = self.clock
-        if t > clock._now:
-            clock._now = t
-        handle._state = False
-        fired = self._events_fired + 1
-        self._events_fired = fired
-        if self._max_events is not None and fired > self._max_events:
-            raise SimulationLimitExceeded(
-                f"exceeded max_events={self._max_events}"
-            )
-        if self._fire_hooks:
-            for hook in self._fire_hooks:
-                hook(t, "fire", handle)
-        fn(*args)
-        if self._done_hooks:
-            now = clock._now
-            for hook in self._done_hooks:
-                hook(now, "done", handle)
-
-    def step(self) -> bool:
-        """Execute the next pending event.  Returns False if no events
-        remain in any tier."""
-        queue = self._queue
-        batch = self._batch
-        while True:
-            bpos = self._batch_pos
-            if bpos < len(batch):
-                entry = batch[bpos]
-                if queue and queue[0] < entry:
-                    entry = _heappop(queue)
-                else:
-                    self._batch_pos = bpos + 1
-            elif queue:
-                entry = _heappop(queue)
-            else:
-                if not self._refill():
-                    return False
-                continue
-            t, _, handle, fn, args = entry
-            if handle._state is None:
-                self._dead -= 1
-                continue
-            self._fire(t, handle, fn, args)
-            return True
-
     def run(self, until: Optional[float] = None) -> None:
-        """Run events until the queue drains or simulated ``until`` is
-        reached.  When ``until`` is given the clock is advanced to exactly
-        ``until`` even if the queue drains earlier, so back-to-back
-        ``run(until=...)`` calls behave like a sliced timeline."""
+        """Run events until the queue drains, :meth:`stop` is called, or
+        simulated ``until`` is reached.  When ``until`` is given the
+        clock is advanced to exactly ``until`` even if the queue drains
+        earlier, so back-to-back ``run(until=...)`` calls behave like a
+        sliced timeline.  A stopped run leaves the clock at the event
+        that called ``stop`` and every later event pending."""
         if self._running:
             raise SchedulingError("simulator is not reentrant")
         self._running = True
         self._stop_requested = False
-        # Hot loop: an inlined copy of :meth:`_fire` with the queue,
-        # clock and heappop bound to locals.  The queue list is only
-        # ever mutated in place (push/pop/refill/compact), so the
-        # bindings stay valid across event callbacks.  ``_stop_requested``
-        # and the hook lists are re-read every iteration because callbacks
-        # may call ``stop`` or add/remove hooks mid-run.
+        # Hot loop, with the queue, batch, clock and heappop bound to
+        # locals.  Both lists are only ever mutated in place
+        # (push/pop/refill/compact), so the bindings stay valid across
+        # event callbacks.  The batch cursor, ``_stop_requested`` and
+        # ``_hooks_active`` are re-read every iteration because a
+        # callback may compact, call ``stop`` or add/remove hooks.
         queue = self._queue
         batch = self._batch
         clock = self.clock
         pop = _heappop
         max_events = self._max_events
         limit = float("inf") if max_events is None else max_events
+        deadline = float("inf") if until is None else until
         # ``fired`` is batched in a local and flushed in ``finally`` (and
-        # before any hook runs): nothing inside the loop reads the
-        # attribute, and the flush keeps post-run readers exact even on
-        # stop()/exception exits.
+        # before any hook runs), which keeps post-run readers exact even
+        # on stop()/exception exits.
         fired = self._events_fired
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:
-            if until is None:
-                # Drain variants: no deadline check, no head peek —
-                # pop straight off the heap.  Mid-run control changes
-                # (``stop``, ``cancel``, hook registration) *park* the
-                # queue in ``_stash``, so the loop conditions stay bare
-                # truthiness tests with no per-event flag reads; the
-                # dispatcher below then re-selects the right loop (and
-                # refills the window from the wheel when it drains).
-                while True:
-                    if max_events is None and not (
-                        self._hooks_active or self._dead
-                    ):
-                        # fast loop: nothing queued is cancelled, no
-                        # hooks, no event limit — merge the sorted
-                        # batch cursor against the heap head and call.
-                        # Any of those appearing mid-run parks the
-                        # window (clearing the batch list in place, so
-                        # the re-read length below goes to zero) and
-                        # bounces us back to the dispatcher.
-                        self._in_fast_loop = True
-                        try:
-                            pos = self._batch_pos
-                            nbatch = len(batch)
-                            while True:
-                                if pos < nbatch:
-                                    entry = batch[pos]
-                                    if queue and queue[0] < entry:
-                                        entry = pop(queue)
-                                    else:
-                                        pos += 1
-                                        self._batch_pos = pos
-                                elif queue:
-                                    entry = pop(queue)
-                                else:
-                                    break
-                                t, _, handle, fn, args = entry
-                                # takes are nondecreasing in time, so
-                                # this never moves the clock backwards
-                                clock._now = t
-                                handle._state = False
-                                fn(*args)
-                                nbatch = len(batch)
-                        finally:
-                            self._in_fast_loop = False
-                            # fired count reconstructed from the O(1)
-                            # accounting identity instead of a per-event
-                            # increment: every event ever scheduled was
-                            # fired unless cancelled or still resident
-                            # in a tier (active queue, batch remnant,
-                            # parked stash, wheel bucket or overflow
-                            # heap — where ``_dead`` entries don't
-                            # count as live).  Exact at any instant,
-                            # including mid-loop exceptions.
-                            stash = self._stash
-                            fired = (
-                                self._seq - self._cancelled - len(queue)
-                                - (len(batch) - self._batch_pos)
-                                - (len(stash) if stash is not None else 0)
-                                - self._wheel_count - len(self._overflow)
-                                + self._dead
-                            )
-                    else:
-                        # careful loop: same batch/heap merge, with
-                        # tombstone skips, the event limit and hook
-                        # delivery.  The batch cursor is re-read every
-                        # iteration because a callback may park (stop,
-                        # hook changes) or compact mid-batch.
-                        while True:
-                            bpos = self._batch_pos
-                            if bpos < len(batch):
-                                entry = batch[bpos]
-                                if queue and queue[0] < entry:
-                                    entry = pop(queue)
-                                else:
-                                    self._batch_pos = bpos + 1
-                            elif queue:
-                                entry = pop(queue)
-                            else:
-                                break
-                            t, _, handle, fn, args = entry
-                            if handle._state is None:
-                                self._dead -= 1
-                                continue
-                            clock._now = t
-                            handle._state = False
-                            fired += 1
-                            if fired > limit:
-                                raise SimulationLimitExceeded(
-                                    f"exceeded max_events={max_events}"
-                                )
-                            if self._hooks_active:
-                                self._events_fired = fired
-                                for hook in self._fire_hooks:
-                                    hook(t, "fire", handle)
-                                fn(*args)
-                                now = clock._now
-                                for hook in self._done_hooks:
-                                    hook(now, "done", handle)
-                            else:
-                                fn(*args)
-                    if self._stop_requested:
-                        return
-                    if self._stash is not None:
-                        # parked for re-dispatch, not for stop: restore
-                        # the entries and go around (the dispatcher
-                        # will now pick the careful loop)
-                        self._unpark()
-                        continue
-                    if not self._refill():
-                        return
-            # deadline variant: peek (batch cursor vs heap head) before
-            # taking, so an event beyond ``until`` stays queued — or
-            # parked at the batch cursor — for the next slice
+            # peek (batch cursor vs heap head) before taking, so an
+            # event beyond the deadline stays queued — or waiting at
+            # the batch cursor — for the next slice
             while True:
+                if self._stop_requested:
+                    return
                 bpos = self._batch_pos
                 if bpos < len(batch):
                     entry = batch[bpos]
@@ -1014,8 +730,8 @@ class Simulator:
                     from_batch = False
                 else:
                     # window drained inside the deadline: pull the next
-                    # one in (it may hold events at or before
-                    # ``until``) and go around
+                    # one in (it may hold events at or before the
+                    # deadline) and go around
                     if self._refill():
                         continue
                     break
@@ -1028,8 +744,8 @@ class Simulator:
                     self._dead -= 1
                     continue
                 t = entry[0]
-                if t > until:
-                    break  # next event is beyond ``until``
+                if t > deadline:
+                    break
                 if from_batch:
                     self._batch_pos = bpos + 1
                 else:
@@ -1053,11 +769,10 @@ class Simulator:
                         hook(now, "done", handle)
                 else:
                     fn(*args)
-            if clock._now < until:
+            if until is not None and clock._now < until:
                 clock._advance_to(until)
         finally:
             self._events_fired = fired
-            self._unpark()
             if gc_was_enabled:
                 gc.enable()
             self._running = False
@@ -1088,7 +803,6 @@ class Simulator:
         for slot, value in state.items():
             setattr(self, slot, value)
         self._running = False
-        self._in_fast_loop = False
         self._stop_requested = False
         # integrity checking follows the *restoring* process's
         # environment; the id() sets from the snapshotting process are
@@ -1116,17 +830,10 @@ class Simulator:
 
     def stop(self) -> None:
         """Request the current ``run`` call to return after the executing
-        event completes.
-
-        Implementation note: instead of a flag the hot loops would have
-        to re-read on every event, ``stop`` *parks* the pending entries
-        in ``_stash`` — the loop's ``while queue`` test then fails
-        naturally and ``run`` restores the queue before returning, so
-        no event is lost and ``pending_events`` (counter-derived) is
-        unaffected."""
+        event completes.  The run loop reads the flag before it looks at
+        the next event, so nothing is taken off a tier: every later
+        event stays pending for the next ``run`` call."""
         self._stop_requested = True
-        if self._running:
-            self._park()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -42,7 +42,7 @@ from typing import Any, Optional, Tuple
 #: Bump whenever the pickled state contract changes incompatibly
 #: (slot layouts, scheduler tier layout, RNG stream naming).  Stored
 #: checkpoints with another version are invalidated, not misread.
-SNAPSHOT_VERSION = 5
+SNAPSHOT_VERSION = 6
 
 _MAGIC = b"repro-snap"
 

@@ -4,9 +4,11 @@ The timer-wheel scheduler must be *observationally identical* to the
 plain binary heap: same (time, seq) fire order, same clock trajectory,
 same counters — byte for byte, for any interleaving of scheduling,
 cancellation, handle reuse (``reschedule``) and mid-run control
-changes (trace hooks and ``stop`` park the fast loop).  A generated
-program of timer operations is interpreted on one simulator of each
-flavour and the full observable logs are compared exactly.
+changes (trace hooks and ``stop``).  A generated program of timer
+operations is interpreted on one simulator of each flavour and the
+full observable logs are compared exactly — drained with ``run()`` and
+driven the way every experiment drives the kernel, as ``run(until=…)``
+slices, which must also fire what the drain fires.
 """
 
 from hypothesis import given, settings
@@ -39,16 +41,19 @@ event_specs = st.tuples(
 programs = st.lists(event_specs, min_size=1, max_size=25)
 
 
-def _interpret(events, scheduler):
-    """Run ``events`` on a fresh simulator; return the observable log."""
+def _interpret(events, scheduler, cuts=None, cancel_at_cuts=False):
+    """Run ``events`` on a fresh simulator; return the observable log.
+    With ``cuts`` the program is driven by ``run(until=…)`` slices, one
+    per cut, before it is drained; ``cancel_at_cuts`` also cancels a
+    timer between slices, leaving its tombstone resident in whichever
+    tier currently holds the entry."""
     sim = Simulator(seed=3, scheduler=scheduler)
     log = []
     handles = []
     hook_on = [False]
 
     def hook(now, phase, handle):
-        # registration alone re-routes ``run`` off the check-free fast
-        # loop; logging the phase also checks hook delivery parity
+        # logging the phase checks hook delivery parity
         log.append(("hook", now, phase, handle.label))
 
     def fire(tag, kind, aux_delay, aux_int):
@@ -84,7 +89,13 @@ def _interpret(events, scheduler):
             sim.schedule(delay, fire, str(i), kind, aux_delay, aux_int,
                          label=str(i))
         )
-    # ``stop`` events park the queue mid-run; keep draining until the
+    at = 0.0
+    for i, cut in enumerate(cuts or ()):
+        at += cut
+        sim.run(until=at)
+        if cancel_at_cuts:
+            log.append(("cut-cancel", i, handles[i % len(handles)].cancel()))
+    # a ``stop`` event ends the run it fires in; keep draining until the
     # simulation is genuinely empty so post-stop behaviour is compared
     for _ in range(len(events) * 2 + 2):
         sim.run()
@@ -100,35 +111,28 @@ def test_wheel_and_heap_fire_identically(events):
     assert _interpret(events, "wheel") == _interpret(events, "heap")
 
 
+slice_cuts = st.lists(delay_values, min_size=1, max_size=6)
+
+
 @settings(max_examples=40, deadline=None)
-@given(
-    programs,
-    st.lists(delay_values, min_size=1, max_size=6),
-)
+@given(programs, slice_cuts)
 def test_sliced_runs_match_across_schedulers(events, cuts):
     """Deadline-sliced runs (the experiment-campaign pattern) must also
     agree: window refills happen at different moments under slicing."""
+    assert _interpret(events, "wheel", cuts, cancel_at_cuts=True) == (
+        _interpret(events, "heap", cuts, cancel_at_cuts=True)
+    )
 
-    def sliced(scheduler):
-        sim = Simulator(seed=5, scheduler=scheduler)
-        log = []
 
-        def fire(tag):
-            log.append((tag, sim.now))
-
-        handles = [
-            sim.schedule(delay, fire, i, label=str(i))
-            for i, (delay, kind, aux_delay, aux_int) in enumerate(events)
-        ]
-        at = 0.0
-        for i, cut in enumerate(cuts):
-            at += cut
-            sim.run(until=at)
-            # cancel between slices: tombstones left resident in
-            # whichever tier currently holds the entry
-            handles[i % len(handles)].cancel()
-        sim.run()
-        log.append(("end", sim.now, sim.events_fired))
-        return log
-
-    assert sliced("wheel") == sliced("heap")
+@settings(max_examples=60, deadline=None)
+@given(programs, slice_cuts)
+def test_sliced_program_fires_what_the_drain_fires(events, cuts):
+    """Where the slices fall changes nothing that fires — not even
+    around a ``stop``, which ends one slice and leaves the rest of the
+    timeline to the next.  Only the final clock may differ: a slice
+    advances it to ``until``."""
+    sliced = _interpret(events, "wheel", cuts)
+    assert sliced == _interpret(events, "heap", cuts)
+    drained = _interpret(events, "wheel")
+    assert sliced[:-1] == drained[:-1]
+    assert sliced[-1][2:] == drained[-1][2:]

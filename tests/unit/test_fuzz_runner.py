@@ -30,7 +30,6 @@ PLAIN, CRASH, CHURN, LOADED = SEED_CASES
 def default_kernel(monkeypatch):
     """Primary execution = wheel + pooled, whatever the CI leg sets."""
     monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
-    monkeypatch.delenv("REPRO_POOLING", raising=False)
     monkeypatch.delenv("REPRO_CANARY", raising=False)
 
 
@@ -140,7 +139,7 @@ def test_each_execution_is_asked_only_for_what_is_compared(monkeypatch):
     assert [c["reads"] for c in calls] == [
         (DIGEST, COVERAGE, WORKLOAD),  # base
         (DIGEST,),                     # other scheduler
-        (DIGEST,),                     # pooling flipped
+        (DIGEST,),                     # pooling off
         (WORKLOAD,),                   # replay
     ]
     del calls[:]

@@ -43,11 +43,13 @@ class TestHandlePool:
     def test_fired_handle_cycles_through_pool(self):
         sim = Simulator(seed=1)
         fired = []
-        sim.schedule(0.1, fired.append, 1, label="x")
+        handle = sim.schedule(0.1, fired.append, 1, label="x")
         sim.run()
-        handle = sim.acquire_handle("y")
         sim.release_handle(handle)
-        assert sim.acquire_handle("z") is handle
+        recycled = sim.schedule_recycled(0.1, lambda a, b, h: None, 1, 2, "y")
+        assert recycled is handle
+        assert recycled.pending and recycled.label == "y"
+        assert sim._handle_pool == []
 
     def test_release_of_pending_handle_rejected(self):
         sim = Simulator(seed=1)

@@ -1,7 +1,7 @@
 """Pickle contracts of the snapshot-critical classes.
 
 Every class that carries derived or process-local state (memo caches,
-id()-based integrity sets, free lists, the ``_DETACHED`` sentinel)
+id()-based integrity sets, free lists, legitimately unset slots)
 defines an explicit ``__getstate__``/``__setstate__`` pair so a
 :mod:`repro.snapshot` blob round-trips exactly.  One test class per
 audited type; each asserts both directions of the contract:
@@ -27,7 +27,7 @@ from repro.network.transport import Network
 from repro.rendezvous.peerview import PeerView
 from repro.resolver.messages import ResolverQuery
 from repro.sim import Simulator
-from repro.sim.kernel import _DETACHED, EventHandle, SchedulingError
+from repro.sim.kernel import EventHandle, SchedulingError
 from repro.sim.rng import RngRegistry
 from repro.snapshot import restore_network, snapshot_network
 
@@ -38,6 +38,10 @@ def pid(n):
 
 def _noop(*args):
     """Module-level so scheduled events pickle by reference."""
+
+
+def _release(sim, _unused, handle):
+    sim.release_handle(handle)
 
 
 def rdv_adv(n):
@@ -71,16 +75,25 @@ class TestEventHandle:
         clone = pickle.loads(pickle.dumps(handle))
         assert clone.label == handle.label
 
-    def test_detached_sentinel_survives_round_trip(self):
+    def test_state_holds_only_what_schedule_writes(self):
+        # fire time, seq and args live in the scheduler entry; the
+        # handle pickles its lifecycle state plus one of fn / _label
+        assert EventHandle.__slots__ == ("fn", "_label", "_state")
+        sim = Simulator(seed=7)
+        plain = sim.schedule(1.0, _noop, "x")
+        labelled = sim.schedule(1.0, _noop, "x", label="ev")
+        assert set(plain.__getstate__()) == {"fn", "_state"}
+        assert set(labelled.__getstate__()) == {"_label", "_state"}
+
+    @pytest.mark.parametrize("state", [None, False], ids=["cancelled", "fired"])
+    def test_settled_handle_round_trip_is_byte_stable(self, state):
         handle = EventHandle.__new__(EventHandle)
-        handle._label = "detached"
-        handle._state = _DETACHED
-        clone = pickle.loads(pickle.dumps(handle))
-        # identity, not equality: cancel() branches on `is _DETACHED`
-        assert clone._state is _DETACHED
-        assert clone.pending
-        assert clone.cancel()
-        assert clone.cancelled
+        handle._label = "settled"
+        handle._state = state
+        blob = pickle.dumps(handle)
+        clone = pickle.loads(blob)
+        assert clone._state is state
+        assert pickle.dumps(clone) == blob
 
 
 class TestSimulator:
@@ -94,6 +107,22 @@ class TestSimulator:
         assert sim_a.now == sim_b.now
         assert sim_a._seq == sim_b._seq
         assert sim_a._events_fired == sim_b._events_fired
+
+    @pytest.mark.parametrize("scheduler", ["wheel", "heap"])
+    def test_round_trip_is_byte_stable(self, scheduler):
+        # every tier populated (active window, batch remnant, wheel,
+        # overflow), a tombstone resident and a handle in the free list
+        sim = Simulator(seed=3, scheduler=scheduler)
+        for i, delay in enumerate([0.1, 0.2, 0.3, 0.3, 7.0, 500.0]):
+            sim.schedule(delay, _noop, i, label=f"ev-{i}")
+        sim.schedule(30.0, _noop).cancel()
+        sim.schedule_recycled(0.05, _release, sim, None)
+        sim.run(until=0.25)
+        sim.schedule(0.01, _noop, "into-window")
+        assert len(sim._handle_pool) == 1
+        blob = pickle.dumps(sim)
+        clone = pickle.loads(blob)
+        assert pickle.dumps(clone) == blob
 
     def test_refuses_to_pickle_mid_run(self):
         sim = Simulator(seed=3)
@@ -181,6 +210,15 @@ class TestNetwork:
         # the restored network's cached bound methods point at the
         # restored simulator (memo sharing), not the original
         assert net2.sim is not sim
+
+    def test_round_trip_is_byte_stable(self):
+        net = Network(Simulator(seed=11), latency=ConstantLatency(0.001))
+        blob = pickle.dumps(net)
+        assert pickle.dumps(net) == blob
+        # the restored copy's blob is a fixpoint (it differs from the
+        # first only in how unpickled ``__dict__`` key strings are shared)
+        blob2 = pickle.dumps(pickle.loads(blob))
+        assert pickle.dumps(pickle.loads(blob2)) == blob2
 
 
 class TestSharedOrderingTokens:

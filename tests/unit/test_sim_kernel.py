@@ -84,12 +84,13 @@ class TestScheduling:
         with pytest.raises(SchedulingError):
             sim.schedule(-0.1, lambda: None)
 
-    def test_schedule_at_in_past_rejected(self):
+    def test_past_rejected_once_clock_has_advanced(self):
         sim = Simulator()
         sim.schedule(5.0, lambda: None)
         sim.run()
         with pytest.raises(SchedulingError):
-            sim.schedule_at(1.0, lambda: None)
+            sim.schedule(1.0 - sim.now, lambda: None)
+        assert sim.pending_events == 0
 
     def test_nested_scheduling_from_event(self):
         sim = Simulator()
@@ -191,6 +192,31 @@ class TestRunUntil:
         assert fired == ["a"]
         sim.run()
         assert fired == ["a", "b"]
+
+    @pytest.mark.parametrize("scheduler", ["wheel", "heap"])
+    def test_stop_inside_run_until_leaves_later_events_pending(
+        self, scheduler
+    ):
+        # 0.2 shares the stopper's window, 5.0 sits in a later wheel
+        # slot, 100.0 beyond the wheel horizon and beyond until=50
+        sim = Simulator(scheduler=scheduler)
+        fired = []
+
+        def fire(tag):
+            fired.append((tag, sim.now))
+            if tag == "a":
+                sim.stop()
+
+        for tag, at in (("a", 0.1), ("b", 0.2), ("c", 5.0), ("d", 100.0)):
+            sim.schedule(at, fire, tag)
+        sim.run(until=50.0)
+        assert fired == [("a", 0.1)]
+        assert sim.now == 0.1  # a stopped run does not advance to until
+        assert sim.pending_events == 3
+        sim.run(until=200.0)
+        assert fired == [("a", 0.1), ("b", 0.2), ("c", 5.0), ("d", 100.0)]
+        assert sim.now == 200.0
+        assert sim.pending_events == 0
 
 
 class TestLimits:

@@ -1,9 +1,10 @@
 """Tests for the kernel's optimised hot paths.
 
-The run loop has three regimes (check-free fast loop, careful loop,
-deadline loop) plus heap compaction and O(1) accounting; these tests
-pin the contract that all of them are *behaviour-preserving*: same
-fire order, same clock, same counters as the straightforward kernel.
+One run loop serves ``run()`` and ``run(until=…)``; around it sit heap
+compaction, O(1) accounting, the hook registry and mid-run control
+(``stop``, ``cancel``, hook changes from inside a callback).  These
+tests pin the contract that none of them changes what fires: same fire
+order, same clock, same counters as a kernel that does none of it.
 """
 
 import pytest
@@ -42,7 +43,7 @@ def _cancelled_heavy_drain(sim, generations=8, fanout=10, chains=20):
 
 
 def _cancelled_heavy_sliced(sim):
-    """Same flavour of workload through the deadline loop, in slices."""
+    """Same flavour of workload driven as ``run(until=…)`` slices."""
     fired = []
 
     def work(chain):
@@ -117,7 +118,8 @@ class TestPendingEventsCounter:
         assert sim.pending_events == 8
         assert not handles[0].cancel()  # idempotent, no double count
         assert sim.pending_events == 8
-        sim.step()
+        sim.run(until=3.0)  # the first two are tombstones: one event fires
+        assert sim.events_fired == 1
         assert sim.pending_events == 7
         sim.run()
         assert sim.pending_events == 0
@@ -182,10 +184,14 @@ class TestHookDedup:
 
 
 # ----------------------------------------------------------------------
-# mid-run control changes (park/unpark re-dispatch)
+# mid-run control changes (the loop re-reads its flags per event)
 # ----------------------------------------------------------------------
 class TestMidRunControl:
-    def test_stop_mid_run_keeps_remaining_events(self):
+    """Each case runs as a drain and, in its ``_until`` twin, against a
+    deadline beyond the last event."""
+
+    @staticmethod
+    def _stop_keeps_remaining_events(until):
         sim = Simulator()
         fired = []
 
@@ -196,15 +202,17 @@ class TestMidRunControl:
 
         for i in range(5):
             sim.schedule(float(i), ev, i)
-        sim.run()
+        sim.run(until)
         assert fired == [0, 1, 2]
+        assert sim.now == 2.0
         assert sim.pending_events == 2
         assert sim.events_fired == 3
-        sim.run()
+        sim.run(until)
         assert fired == [0, 1, 2, 3, 4]
         assert sim.events_fired == 5
 
-    def test_cancel_future_event_during_drain(self):
+    @staticmethod
+    def _cancel_future_event(until):
         sim = Simulator()
         fired = []
         victim = []
@@ -216,13 +224,14 @@ class TestMidRunControl:
         victim.append(sim.schedule(2.0, lambda: fired.append("victim")))
         sim.schedule(1.0, killer)
         sim.schedule(3.0, lambda: fired.append("tail"))
-        sim.run()
+        sim.run(until)
         assert fired == ["killer", "tail"]
         assert sim.events_fired == 2
-        assert sim.now == 3.0
+        assert sim.now == (3.0 if until is None else until)
         assert sim.pending_events == 0
 
-    def test_hook_added_mid_run_sees_subsequent_events(self):
+    @staticmethod
+    def _hook_added_sees_subsequent_events(until):
         sim = Simulator()
         seen = []
 
@@ -232,10 +241,11 @@ class TestMidRunControl:
         sim.schedule(1.0, lambda: sim.add_trace_hook(hook), label="a")
         sim.schedule(2.0, noop, label="b")
         sim.schedule(3.0, noop, label="c")
-        sim.run()
+        sim.run(until)
         assert seen == [(2.0, "b"), (3.0, "c")]
 
-    def test_hook_removed_mid_run_stops_seeing_events(self):
+    @staticmethod
+    def _hook_removed_stops_seeing_events(until):
         sim = Simulator()
         seen = []
 
@@ -245,14 +255,71 @@ class TestMidRunControl:
         sim.add_trace_hook(hook)
         sim.schedule(1.0, lambda: sim.remove_trace_hook(hook), label="rm")
         sim.schedule(2.0, noop, label="late")
-        sim.run()
+        sim.run(until)
         assert seen == ["rm"]
 
+    def test_stop_mid_run_keeps_remaining_events(self):
+        self._stop_keeps_remaining_events(None)
+
+    def test_stop_mid_run_keeps_remaining_events_until(self):
+        self._stop_keeps_remaining_events(10.0)
+
+    def test_cancel_future_event_during_drain(self):
+        self._cancel_future_event(None)
+
+    def test_cancel_future_event_during_run_until(self):
+        self._cancel_future_event(10.0)
+
+    def test_hook_added_mid_run_sees_subsequent_events(self):
+        self._hook_added_sees_subsequent_events(None)
+
+    def test_hook_added_mid_run_sees_subsequent_events_until(self):
+        self._hook_added_sees_subsequent_events(10.0)
+
+    def test_hook_removed_mid_run_stops_seeing_events(self):
+        self._hook_removed_stops_seeing_events(None)
+
+    def test_hook_removed_mid_run_stops_seeing_events_until(self):
+        self._hook_removed_stops_seeing_events(10.0)
+
 
 # ----------------------------------------------------------------------
-# fast loop vs careful loop equivalence
+# counters after a callback raises
+# ----------------------------------------------------------------------
+class TestCountersAfterException:
+    @pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hooked"])
+    def test_counters_exact_after_callback_raises_in_run_until(self, hooked):
+        sim = Simulator()
+        if hooked:
+            sim.add_trace_hook(lambda t, p, h: None)
+
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.schedule(1.0, noop)
+        sim.schedule(2.0, boom)
+        sim.schedule(3.0, noop)
+        sim.schedule(70.0, noop)
+        with pytest.raises(RuntimeError):
+            sim.run(until=100.0)
+        # the raising event counts as fired; nothing after it was taken
+        assert sim.events_fired == 2
+        assert sim.pending_events == 2
+        assert sim.now == 2.0
+        sim.run(until=100.0)  # and the kernel is reusable
+        assert sim.events_fired == 4
+        assert sim.pending_events == 0
+        assert sim.now == 100.0
+
+
+# ----------------------------------------------------------------------
+# hooks and the event limit change nothing that fires
 # ----------------------------------------------------------------------
 class TestLoopEquivalence:
+    """A kernel with a trace hook or a ``max_events`` limit takes extra
+    branches inside the one run loop; fire order, clock and counters
+    must equal the plain kernel's."""
+
     @staticmethod
     def _chain(sim):
         fired = []
@@ -267,13 +334,12 @@ class TestLoopEquivalence:
         return fired, sim.now, sim.events_fired
 
     def test_max_events_kernel_matches_fast_kernel(self):
-        # max_events forces the careful loop; default takes the fast one
         assert self._chain(Simulator(seed=1)) == self._chain(
             Simulator(seed=1, max_events=10_000)
         )
 
     def test_hooked_kernel_matches_fast_kernel(self):
-        fast = self._chain(Simulator(seed=1))
+        plain = self._chain(Simulator(seed=1))
         hooked_sim = Simulator(seed=1)
         hooked_sim.add_trace_hook(lambda t, p, h: None)
-        assert self._chain(hooked_sim) == fast
+        assert self._chain(hooked_sim) == plain
