@@ -31,7 +31,7 @@ Three subcommands:
             --bench test_fullscale_steady_state_throughput \\
             --max-rss-kb 127060
         python scripts/bench_trajectory.py check .benchmarks/ci.json \\
-            --bench test_publish_retained_bytes --max-bytes-per-publish 605
+            --bench test_publish_retained_bytes --max-bytes-per-publish 515
         python scripts/bench_trajectory.py check .benchmarks/ci.json \\
             --bench test_fuzz_slice_cost --max-executions-per-genome 4.9
 

@@ -449,17 +449,19 @@ class DiscoveryService(QueryHandler):
         if not replicate or self.mode == "flood":
             # JXTA 1.0: the edge's own rendezvous is the only index holder
             return
-        for index_tuple, expiration in payload.entries:
+        local_key = self.view.local_key
+        id_of = self.view.interner.id_of
+        for entry in payload.entries:
             # key-level compare: "is the replica me?" runs once per
             # tuple per push, so it must not hash/compare PeerIDs
-            replica_key = self._replica_key(index_tuple)
-            if replica_key is None or replica_key == self.view.local_key:
+            replica_key = self._replica_key(entry[0])
+            if replica_key is None or replica_key == local_key:
                 continue
             self.resolver.send_srdi(
-                self.view.interner.id_of(replica_key),
+                id_of(replica_key),
                 DISCOVERY_HANDLER_NAME,
                 SrdiPayload(
-                    entries=[(index_tuple, expiration)],
+                    entries=[entry],
                     publisher_address=payload.publisher_address,
                     publisher_peer=publisher,
                     replicated=True,

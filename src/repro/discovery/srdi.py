@@ -56,6 +56,10 @@ class SrdiPayload:
 
 @dataclass(slots=True)
 class _SrdiRecord:
+    """Lifetime and publisher of the tuples one push carried: built by
+    :meth:`SrdiIndex.add` only, never mutated, shared by every index
+    slot whose four fields are equal."""
+
     publisher: PeerID
     publisher_address: str
     expires_at: float
@@ -74,7 +78,12 @@ class SrdiIndex:
     index (lists in arrival order; only a new record appends, so none
     holds a duplicate) makes :meth:`remove_publisher` (edge churn)
     proportional to the departed publisher's tuples instead of the
-    whole store."""
+    whole store.
+
+    Lifetime, publisher and publisher address are facts about a push,
+    not about a tuple (§3.3), so consecutive :meth:`add` calls that
+    agree on all three store the *same* record object — one record per
+    push, however many tuples it carried."""
 
     def __init__(self, interner: Optional[IdInternTable] = None) -> None:
         self.interner = interner if interner is not None else IdInternTable()
@@ -82,6 +91,9 @@ class SrdiIndex:
         self._by_publisher: Dict[int, List[IndexTuple]] = {}
         self._count = 0
         self.inserts = 0
+        #: the record :meth:`add` made last, handed to the next tuple
+        #: of the same push
+        self._last: Optional[_SrdiRecord] = None
 
     def __len__(self) -> int:
         """Total number of (tuple, publisher) records currently stored
@@ -101,7 +113,17 @@ class SrdiIndex:
         if expiration <= 0:
             raise ValueError(f"expiration must be > 0 (got {expiration})")
         key = self.interner.intern(publisher)
-        record = _SrdiRecord(publisher, publisher_address, now + expiration, key)
+        expires_at = now + expiration
+        record = self._last
+        if (
+            record is None
+            or record.key != key
+            or record.expires_at != expires_at
+            or record.publisher_address != publisher_address
+        ):
+            record = self._last = _SrdiRecord(
+                publisher, publisher_address, expires_at, key
+            )
         bucket = self._index.get(index_tuple)
         if type(bucket) is dict:
             fresh = key not in bucket
@@ -188,6 +210,7 @@ class SrdiIndex:
         self._index.clear()
         self._by_publisher.clear()
         self._count = 0
+        self._last = None
 
 
 class SrdiPusher(Process):

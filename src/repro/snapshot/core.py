@@ -42,7 +42,16 @@ from typing import Any, Optional, Tuple
 #: Bump whenever the pickled state contract changes incompatibly
 #: (slot layouts, scheduler tier layout, RNG stream naming).  Stored
 #: checkpoints with another version are invalidated, not misread.
-SNAPSHOT_VERSION = 6
+SNAPSHOT_VERSION = 7
+
+#: sha256 of the pickled layout (classes, their fields, container
+#: types) reachable from a reference snapshot, as
+#: ``tests/integration/test_snapshot_layout.py`` computes it.  When
+#: that test fails the layout moved: bump the version above, then
+#: regenerate this value with the command the failure prints.
+SNAPSHOT_LAYOUT_FINGERPRINT = (
+    "7a3c51fe2e620ab779d4ae3d5e0c9dc715d5c0d996bce0db35c55704a937e4c5"
+)
 
 _MAGIC = b"repro-snap"
 

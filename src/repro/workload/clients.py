@@ -81,7 +81,10 @@ class OpenLoopPublisher(_ClientBase):
     as real services re-announce).  Re-publishing refreshes the edge's
     *cache entry* only: the item's SRDI tuple is pushed once per
     rendezvous (``SrdiPusher._pushed``), so its index record is never
-    renewed before its expiration (ROADMAP item 5's recorded regime).
+    renewed before its expiration (ROADMAP item 3 (SRDI refresh)).  The
+    tuples one push carries — first publications today, re-published
+    ones once item 3 lands — share that push's index record
+    (``SrdiIndex.add``).
     """
 
     def __init__(

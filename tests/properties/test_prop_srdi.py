@@ -78,6 +78,12 @@ bucket_ops = st.lists(
             st.integers(0, 2),  # publisher index
             st.floats(1.0, 50.0),  # expiration
         ),
+        st.tuples(
+            st.just("push"),  # one push: several tuples, one set of facts
+            st.lists(st.integers(0, 3), min_size=1, max_size=6),
+            st.integers(0, 2),
+            st.sampled_from([5.0, 20.0]),
+        ),
         st.tuples(st.just("advance"), st.floats(0.0, 30.0)),
         st.tuples(st.just("remove_pub"), st.integers(0, 2)),
         st.tuples(st.just("purge"),),
@@ -97,7 +103,14 @@ def test_srdi_buckets_match_dict_of_dicts(operations):
     through absent -> one record -> several -> one -> absent.  The
     reverse index is held to ``{publisher: [tuples in arrival order]}``:
     a refresh neither moves nor repeats a tuple, a tuple that left and
-    came back is last, and an emptied list is deleted."""
+    came back is last, and an emptied list is deleted.
+
+    The model keeps one value per (tuple, publisher) and shares nothing;
+    the index shares a record among the tuples of one push (``push``
+    ops, and ``add`` ops that happen to repeat the last facts).  Every
+    slot — expired ones too, which ``lookup`` hides — must hold the
+    model's ``(publisher, address, expires_at, key)``, so two slots may
+    be one object only where the model's four values are equal."""
     index = SrdiIndex()
     model = {}
     arrival = {}  # publisher idx -> tuple idxs, oldest record first
@@ -105,15 +118,20 @@ def test_srdi_buckets_match_dict_of_dicts(operations):
     now = 0.0
     for step, op in enumerate(operations):
         kind = op[0]
-        if kind == "add":
-            _, t, p, expiration = op
-            # a refresh may change the address; it must not move the record
-            address = f"tcp://e{p}:{step}"
-            index.add(TUPLES[t], PUBLISHERS[p], address, now, expiration)
-            if p not in model.get(t, {}):
-                arrival.setdefault(p, []).append(t)
-            model.setdefault(t, {})[p] = (address, now + expiration)
-            inserts += 1
+        if kind in ("add", "push"):
+            _, ts, p, expiration = op
+            if kind == "add":
+                # a refresh may change the address; it must not move the record
+                ts, address = [ts], f"tcp://e{p}:{step}"
+            else:
+                # one address whoever pushes: the publisher key must tell
+                address = "tcp://nat:1"
+            for t in ts:
+                index.add(TUPLES[t], PUBLISHERS[p], address, now, expiration)
+                if p not in model.get(t, {}):
+                    arrival.setdefault(p, []).append(t)
+                model.setdefault(t, {})[p] = (address, now + expiration)
+                inserts += 1
         elif kind == "advance":
             now += op[1]
         elif kind == "remove_pub":
@@ -142,14 +160,24 @@ def test_srdi_buckets_match_dict_of_dicts(operations):
         assert index.inserts == inserts
         for t in range(4):
             got = [
-                (r.publisher, r.publisher_address, r.expires_at)
+                (r.publisher, r.publisher_address, r.expires_at, r.key)
                 for r in index.lookup(TUPLES[t], now)
             ]
             assert got == [
-                (PUBLISHERS[p], address, expires_at)
+                (PUBLISHERS[p], address, expires_at,
+                 index.interner.lookup(PUBLISHERS[p]))
                 for p, (address, expires_at) in model.get(t, {}).items()
                 if expires_at > now
             ], (step, op, t)
+        # white box: every slot against the unshared model, by value
+        for t, bucket in model.items():
+            slot = index._index[TUPLES[t]]
+            assert len(bucket) == 1 or type(slot) is dict
+            for p, (address, expires_at) in bucket.items():
+                key = index.interner.lookup(PUBLISHERS[p])
+                r = slot[key] if type(slot) is dict else slot
+                assert (r.publisher, r.publisher_address, r.expires_at, r.key) \
+                    == (PUBLISHERS[p], address, expires_at, key), (step, op, t, p)
         # white box: the reverse index remove_publisher relies on
         reverse = {
             index.interner.lookup(PUBLISHERS[p]): [TUPLES[t] for t in ts]

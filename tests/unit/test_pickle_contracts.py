@@ -416,6 +416,41 @@ class TestIndexBuckets:
             for index_tuple in tuples:
                 assert index_tuple is by_value[index_tuple]
 
+    def test_one_record_per_push_survives_the_round_trip(self):
+        _, index, docs = self._cache_and_index()
+
+        def sharing(idx):
+            """Slots grouped by record object, and where ``_last`` is."""
+            slots = [
+                r for b in idx._index.values()
+                for r in (b.values() if type(b) is dict else (b,))
+            ]
+            first = {}
+            for at, r in enumerate(slots):
+                first.setdefault(id(r), at)
+            return [first[id(r)] for r in slots], first.get(id(idx._last))
+
+        groups, last_at = sharing(index)
+        # the two pushes of _cache_and_index: one record each
+        assert len(set(groups)) == 2 and len(groups) == len(index) == 8
+        assert last_at is not None
+        blob = pickle.dumps(index)
+        index2 = pickle.loads(blob)
+        assert sharing(index2) == (groups, last_at)
+        assert pickle.dumps(index2) == blob
+        # the memo wrote each record once: an unshared copy is larger
+        unshared = pickle.loads(blob)
+        unshared._index = {  # every bucket a private copy of its records
+            t: pickle.loads(pickle.dumps(b)) for t, b in unshared._index.items()
+        }
+        assert len(pickle.dumps(unshared)) > len(blob)
+        # a restored index goes on sharing with the record it remembers
+        extra = docs[0].ADV_TYPE, "Name", "late"
+        for idx in (index, index2):
+            idx.add(extra, pid(2), "tcp://p2:1", 1.0, 100.0)
+            assert idx._index[extra] is idx._last
+            assert sharing(idx)[0][-1] == last_at
+
     def test_restored_buckets_keep_working(self):
         cache, index, docs = pickle.loads(
             pickle.dumps(self._cache_and_index())

@@ -152,6 +152,114 @@ class TestSrdiIndex:
             SrdiIndex().add(T1, pid(1), "a", now=0.0, expiration=0.0)
 
 
+def _records(idx):
+    """Every (tuple, publisher key) slot's record, in index order."""
+    return [
+        r
+        for bucket in idx._index.values()
+        for r in (bucket.values() if type(bucket) is dict else (bucket,))
+    ]
+
+
+def _push(idx, n, tuples, now=0.0, expiration=100.0, address=None):
+    # one address whoever publishes: the publisher must tell records apart
+    for i in tuples:
+        idx.add(_tuple(i), pid(n), address or "tcp://nat:1", now, expiration)
+
+
+class TestSharedRecords:
+    """Lifetime, publisher and address belong to a push (§3.3): the
+    tuples one push carries share one record object."""
+
+    def test_one_push_leaves_one_record_object(self):
+        idx = SrdiIndex()
+        _push(idx, 1, range(50))
+        assert len(idx) == 50 and idx.inserts == 50
+        assert len({id(r) for r in _records(idx)}) == 1
+        assert all(idx.lookup(_tuple(i), 1.0) == [idx._last] for i in range(50))
+
+    @pytest.mark.parametrize("change", [
+        dict(now=1.0), dict(expiration=101.0), dict(address="tcp://nat:2"),
+        dict(n=2),
+    ])
+    def test_any_differing_fact_starts_a_new_record(self, change):
+        idx = SrdiIndex()
+        _push(idx, 1, range(3))
+        first = idx._last
+        _push(idx, change.pop("n", 1), range(3, 6), **change)
+        assert idx._last is not first
+        assert [id(r) for r in _records(idx)] == [id(first)] * 3 + [id(idx._last)] * 3
+        # ... and going back to the first push's facts is a third
+        # record, equal to the first: only the last one is remembered
+        _push(idx, 1, [6])
+        assert idx._last is not first
+        assert idx._last == first
+
+    def test_equal_expiry_from_another_now_is_shared(self):
+        # the record holds now + expiration, not the two terms
+        idx = SrdiIndex()
+        _push(idx, 1, [0], now=0.0, expiration=100.0)
+        _push(idx, 1, [1], now=40.0, expiration=60.0)
+        assert len({id(r) for r in _records(idx)}) == 1
+
+    def test_same_push_refresh_changes_neither_count_nor_reverse_index(self):
+        idx = SrdiIndex()
+        _push(idx, 2, [0])  # makes tuple 0's bucket a dict below
+        _push(idx, 1, range(4))
+        before = {k: list(v) for k, v in idx._by_publisher.items()}
+        _push(idx, 1, [2, 0, 2])
+        assert len(idx) == 5 and idx.inserts == 8
+        assert idx._by_publisher == before
+        assert len({id(r) for r in _records(idx)}) == 2
+
+    def test_purge_and_remove_on_shared_records_match_one_record_each(self):
+        # the oracle: {(tuple, publisher): expires_at}, nothing shared
+        idx = SrdiIndex()
+        oracle = {}
+        pushes = [(1, range(0, 6), 0.0, 10.0), (2, range(3, 9), 0.0, 100.0),
+                  (1, range(6, 12), 5.0, 100.0), (3, range(0, 12, 2), 5.0, 5.0)]
+        for n, tuples, now, expiration in pushes:
+            _push(idx, n, tuples, now, expiration)
+            oracle.update({(i, n): now + expiration for i in tuples})
+        assert len({id(r) for r in _records(idx)}) == len(pushes)
+
+        def check(now):
+            assert len(idx) == len(oracle)
+            for i in range(12):
+                assert sorted(
+                    (r.publisher, r.expires_at)
+                    for r in idx.lookup(_tuple(i), now)
+                ) == sorted(
+                    (pid(n), exp) for (t, n), exp in oracle.items()
+                    if t == i and exp > now
+                )
+
+        check(1.0)
+        dead = [k for k, exp in oracle.items() if exp <= 10.0]
+        assert idx.purge_expired(10.0) == len(dead) == 12
+        for k in dead:
+            del oracle[k]
+        check(10.0)
+        gone = [k for k in oracle if k[1] == 1]
+        assert idx.remove_publisher(pid(1)) == len(gone) == 6
+        for k in gone:
+            del oracle[k]
+        check(11.0)
+        # the remembered record outlives its slots; what it is handed
+        # to next is a fresh slot like any other
+        assert idx._last not in _records(idx)
+        _push(idx, 3, [1], now=5.0, expiration=5.0)
+        assert idx.lookup(_tuple(1), 9.0) == [idx._last]
+        assert idx.purge_expired(10.0) == 1
+        check(11.0)
+
+    def test_clear_forgets_the_last_record(self):
+        idx = SrdiIndex()
+        _push(idx, 1, range(3))
+        idx.clear()
+        assert idx._last is None and len(idx) == 0
+
+
 class TestSrdiPayload:
     def test_size_scales_with_entries(self):
         small = SrdiPayload(entries=[(T1, 100.0)], publisher_address="a")
