@@ -17,16 +17,22 @@ stay outside the timer; the timed rounds advance the first 40 simulated
 seconds of client traffic, the last 20 (plus one SRDI push interval, so
 every publication reaches its index holders) run untimed under
 tracemalloc.
+
+``test_srdi_idle_push_tick`` times what the publish path costs an edge
+when nothing is published: its SRDI pusher's tick.
 """
 
 import gc
 import tracemalloc
 
+from repro.advertisement import AdvertisementCache
 from repro.config import PlatformConfig
 from repro.deploy import OverlayDescription, build_overlay
+from repro.discovery.srdi import SrdiPusher
 from repro.network import Network
 from repro.sim import MINUTES, Simulator
 from repro.workload import WorkloadEngine, WorkloadSpec
+from repro.workload.catalog import Catalog
 
 PUBLISH_RDV_COUNT = 12
 ROUNDS = 4
@@ -93,3 +99,31 @@ def test_publish_retained_bytes(benchmark):
     assert query["requests"] > 800
     assert query["timeout"] == 0 and query["failure"] == 0
     assert sum(r.discovery.srdi.inserts for r in overlay.rendezvous) > 5000
+
+
+IDLE_CATALOG = 20_000
+IDLE_TICKS = 100
+IDLE_ROUNDS = 20
+
+
+def test_srdi_idle_push_tick(benchmark):
+    """An edge whose cache holds 20 000 local advertisements (the size of
+    ``publish-heavy``'s catalog), pushed once, then ticking with nothing
+    published: §3.3 pushes "only [...] if advertisements have changed",
+    so an idle tick is the cost of finding out that nothing did, once
+    per edge every 30 simulated seconds.  Timed: 100 idle ticks."""
+    catalog = Catalog.uniform(IDLE_CATALOG)
+    cache = AdvertisementCache()
+    for k in range(IDLE_CATALOG):
+        cache.publish(catalog.adv(k), now=0.0, lifetime=3600.0)
+    sent = []
+    pusher = SrdiPusher(Simulator(seed=1), cache, PlatformConfig(), sent.append)
+    pusher.push_now()  # the one push that carries the catalog
+    assert len(sent[0].entries) == IDLE_CATALOG
+
+    def idle_ticks():
+        for _ in range(IDLE_TICKS):
+            pusher.push_now()
+
+    benchmark.pedantic(idle_ticks, rounds=IDLE_ROUNDS, iterations=1)
+    assert len(sent) == 1

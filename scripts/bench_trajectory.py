@@ -224,8 +224,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.max_seconds is not None:
         min_s = s["min"]
         print(
-            f"{args.bench}: min {min_s * 1e3:.1f} ms"
-            f" (floor {args.max_seconds * 1e3:.0f} ms)"
+            f"{args.bench}: min {min_s * 1e3:.4g} ms"
+            f" (floor {args.max_seconds * 1e3:.4g} ms)"
         )
         if min_s > args.max_seconds:
             print("FAIL: benchmark slower than the floor", file=sys.stderr)

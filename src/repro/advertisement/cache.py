@@ -38,6 +38,11 @@ Nothing but the entry itself records when it expires: queries skip
 expired entries as they meet them, and :meth:`purge_expired` — which no
 protocol path calls — is a plain scan.  An entry overwritten by
 :meth:`store_remote` / :meth:`publish` is therefore freed at once.
+
+An edge's SRDI pusher needs the local publications since its last tick,
+not the whole cache: with a pusher attached, :attr:`journal` lists the
+key of every :meth:`publish` that may carry a tuple not pushed yet, and
+:meth:`drain_journal` hands their entries back in ``_entries`` order.
 """
 
 from __future__ import annotations
@@ -85,6 +90,10 @@ class AdvertisementCache:
         #: index tuple -> the one key indexed by it, or several of them
         #: in ``_entries`` order.
         self._by_attr: Dict[IndexTuple, Union[str, Dict[str, None]]] = {}
+        #: keys :meth:`publish` stored since :meth:`drain_journal` last
+        #: ran (a key may repeat); None — record nothing — until an
+        #: :class:`~repro.discovery.srdi.SrdiPusher` attaches
+        self.journal: Optional[List[str]] = None
         self.inserts = 0
         self.purged = 0
 
@@ -117,7 +126,8 @@ class AdvertisementCache:
             elif exact == key:
                 del self._by_attr[index_tuple]
 
-    def _store(self, key: str, entry: CacheEntry) -> None:
+    def _store(self, key: str, entry: CacheEntry) -> Optional[CacheEntry]:
+        """Put ``entry`` under ``key``; returns the entry it replaced."""
         old = self._entries.get(key)
         if old is None:
             # a key new to ``_entries`` is last there, and in its buckets
@@ -137,6 +147,7 @@ class AdvertisementCache:
                     }
         self._entries[key] = entry
         self.inserts += 1
+        return old
 
     def _drop(self, key: str, entry: CacheEntry) -> None:
         del self._entries[key]
@@ -152,7 +163,12 @@ class AdvertisementCache:
         lifetime: float = DEFAULT_LIFETIME,
         expiration: float = DEFAULT_EXPIRATION,
     ) -> CacheEntry:
-        """Store a *locally published* advertisement."""
+        """Store a *locally published* advertisement.
+
+        The key goes to :attr:`journal` unless this re-stores the same
+        document over a live local copy: that copy was live and local
+        when the journal was last drained too (or is journaled since),
+        so the pusher has every tuple of it already."""
         if lifetime <= 0:
             raise ValueError(f"lifetime must be > 0 (got {lifetime})")
         entry = CacheEntry(
@@ -161,7 +177,14 @@ class AdvertisementCache:
             local=True,
             expiration=expiration,
         )
-        self._store(adv.unique_key(), entry)
+        key = adv.unique_key()
+        old = self._store(key, entry)
+        journal = self.journal
+        if journal is not None and (
+            old is None or old.adv is not adv or not old.local
+            or old.expired(now)
+        ):
+            journal.append(key)
         return entry
 
     def store_remote(
@@ -210,6 +233,31 @@ class AdvertisementCache:
         self._entries.clear()
         self._by_attr.clear()
         return n
+
+    def open_journal(self) -> None:
+        """Start :attr:`journal` with every key cached now: all of it is
+        new to the pusher that attaches."""
+        self.journal = list(self._entries)
+
+    def drain_journal(self) -> List[CacheEntry]:
+        """Empty :attr:`journal` and return the entries of its distinct
+        keys that are still cached, in ``_entries`` order — the order the
+        whole-cache walk met them in.  A key published since the last
+        drain is at the tail of ``_entries`` unless it overwrote a copy
+        already there, so the reverse walk usually stops after about as
+        many entries as were journaled."""
+        entries = self._entries
+        pending = {key: None for key in self.journal if key in entries}
+        self.journal.clear()
+        found: List[CacheEntry] = []
+        if pending:
+            for key in reversed(entries):
+                if key in pending:
+                    found.append(entries[key])
+                    if len(found) == len(pending):
+                        break
+            found.reverse()
+        return found
 
     # ------------------------------------------------------------------
     # queries

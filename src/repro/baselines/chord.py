@@ -18,7 +18,6 @@ comparison follows Théodoloz's DHT-based JXTA routing study [24].
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -31,8 +30,6 @@ from repro.sim.process import PeriodicTask
 #: Identifier-space bits (2**M positions on the ring).
 M = 32
 RING = 2**M
-
-_request_ids = itertools.count(1)
 
 
 def chord_key(name: str) -> int:
@@ -169,7 +166,10 @@ class ChordNode:
         self.successor_list: List[tuple] = []
         self.storage: Dict[int, Any] = {}
 
+        #: request id -> callback; ids are this node's own, since every
+        #: reply comes back to the node that asked
         self._pending: Dict[int, Callable] = {}
+        self._last_request_id = 0
         self._next_finger = 0
         self.lookups_routed = 0
 
@@ -213,8 +213,7 @@ class ChordNode:
         def on_found(address: str, node_key: int, hops: int) -> None:
             self.successor = (address, node_key)
 
-        request_id = next(_request_ids)
-        self._pending[request_id] = on_found
+        request_id = self._register(on_found)
         self._send(
             bootstrap_address,
             FindSuccessor(
@@ -230,8 +229,7 @@ class ChordNode:
     ) -> None:
         """Resolve the node responsible for ``key``;
         ``callback(address, node_key, hops)``."""
-        request_id = next(_request_ids)
-        self._pending[request_id] = callback
+        request_id = self._register(callback)
         self._route_find_successor(
             FindSuccessor(key=key, reply_to=self.address, request_id=request_id)
         )
@@ -257,12 +255,10 @@ class ChordNode:
         key = chord_key(name)
 
         def on_found(address: str, node_key: int, hops: int) -> None:
-            request_id = next(_request_ids)
-
             def on_fetched(found: bool, value: Any) -> None:
                 callback(found, value, hops + 1)
 
-            self._pending[request_id] = on_fetched
+            request_id = self._register(on_fetched)
             self._send(
                 address,
                 Fetch(key=key, reply_to=self.address, request_id=request_id),
@@ -338,8 +334,7 @@ class ChordNode:
         def on_found(address: str, node_key: int, hops: int) -> None:
             self.fingers[i] = (address, node_key)
 
-        request_id = next(_request_ids)
-        self._pending[request_id] = on_found
+        request_id = self._register(on_found)
         self._route_find_successor(
             FindSuccessor(key=start, reply_to=self.address, request_id=request_id)
         )
@@ -347,6 +342,12 @@ class ChordNode:
     # ------------------------------------------------------------------
     # message handling
     # ------------------------------------------------------------------
+    def _register(self, callback: Callable) -> int:
+        """A fresh request id whose reply ``callback`` will handle."""
+        self._last_request_id += 1
+        self._pending[self._last_request_id] = callback
+        return self._last_request_id
+
     def _send(self, dst: str, body) -> None:
         self.network.send(self.address, dst, body, size_bytes=body.size_bytes())
 

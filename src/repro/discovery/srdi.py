@@ -19,10 +19,10 @@ Two halves:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.advertisement.base import IndexTuple
-from repro.advertisement.cache import AdvertisementCache
+from repro.advertisement.cache import AdvertisementCache, CacheEntry
 from repro.config import PlatformConfig
 from repro.ids.intern import IdInternTable
 from repro.ids.jxtaid import PeerID
@@ -221,6 +221,13 @@ class SrdiPusher(Process):
     However, this is only done if advertisements have changed or have
     been explicitly republished [...]  edge peers also publish their
     tuples whenever they connect to a new rendezvous peer" (§3.3).
+
+    A tick reads only what the cache's :attr:`~AdvertisementCache.journal`
+    lists — the local publications since the last tick — and returns at
+    once when nothing was published; a new rendezvous walks the whole
+    cache.  Either way a tuple goes out once per rendezvous
+    (``_pushed``), with the expiration of the first live local entry
+    that carries it in cache order.
     """
 
     def __init__(
@@ -233,6 +240,7 @@ class SrdiPusher(Process):
     ) -> None:
         super().__init__(sim, name)
         self.cache = cache
+        cache.open_journal()
         self.config = config
         self._send = send
         #: tuples already pushed to the *current* rendezvous
@@ -256,7 +264,8 @@ class SrdiPusher(Process):
     def rendezvous_changed(self) -> None:
         """New rendezvous: forget push history and re-publish at once."""
         self._pushed.clear()
-        self.push_now()
+        self.cache.journal.clear()
+        self._push(self.cache.entries())
 
     def push_now(self) -> None:
         """Push all not-yet-pushed tuples of locally published
@@ -264,10 +273,16 @@ class SrdiPusher(Process):
         self._tick()
 
     def _tick(self) -> None:
+        if self.cache.journal:
+            self._push(self.cache.drain_journal())
+
+    def _push(self, entries: Iterable[CacheEntry]) -> None:
+        """Send the tuples of the live local ones among ``entries`` not
+        pushed to this rendezvous yet, as one payload."""
         now = self.sim.now
         delta: List[Tuple[IndexTuple, float]] = []
-        for entry in self.cache.entries(now=now):
-            if not entry.local:
+        for entry in entries:
+            if not entry.local or entry.expired(now):
                 continue
             for index_tuple in entry.adv.index_tuples():
                 if index_tuple not in self._pushed:

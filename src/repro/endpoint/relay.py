@@ -269,6 +269,5 @@ class RelayClient:
                         dst=self.endpoint.transport_address,
                         payload=inner,
                         size_bytes=inner.size_bytes(),
-                        sent_at=self.endpoint.sim.now,
                     )
                 )

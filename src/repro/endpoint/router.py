@@ -147,7 +147,6 @@ class EndpointRouter:
                         dst=endpoint.transport_address,
                         payload=message,
                         size_bytes=message.size_bytes(),
-                        sent_at=endpoint.sim.now,
                     )
                 )
                 return
@@ -175,7 +174,6 @@ class EndpointRouter:
                         dst="<no-route>",
                         payload=message,
                         size_bytes=message.size_bytes(),
-                        sent_at=endpoint.sim.now,
                     )
                 )
             return

@@ -8,11 +8,7 @@ messages inside.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any
-
-_envelope_ids = itertools.count(1)
-_next_envelope_id = _envelope_ids.__next__
 
 
 class Envelope:
@@ -24,8 +20,7 @@ class Envelope:
     up in the protocol-stack profile.
     """
 
-    __slots__ = ("src", "dst", "payload", "size_bytes", "envelope_id",
-                 "sent_at")
+    __slots__ = ("src", "dst", "payload", "size_bytes")
 
     def __init__(
         self,
@@ -33,8 +28,6 @@ class Envelope:
         dst: str,
         payload: Any,
         size_bytes: int = 512,
-        envelope_id: int = 0,
-        sent_at: float = 0.0,
     ) -> None:
         if size_bytes <= 0:
             raise ValueError(f"size_bytes must be > 0 (got {size_bytes})")
@@ -46,13 +39,6 @@ class Envelope:
         #: delivery delay.  Payloads that know their size (JXTA
         #: messages) report it; otherwise callers pass an estimate.
         self.size_bytes = size_bytes
-        #: Unique id for tracing / stats.
-        self.envelope_id = envelope_id if envelope_id else _next_envelope_id()
-        #: Simulated time the envelope was handed to the network.
-        self.sent_at = sent_at
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Envelope(#{self.envelope_id} {self.src} -> {self.dst}, "
-            f"{self.size_bytes}B)"
-        )
+        return f"Envelope({self.src} -> {self.dst}, {self.size_bytes}B)"

@@ -26,7 +26,7 @@ from typing import Any, Callable, Dict, Optional
 from repro.ids.intern import IdInternTable
 from repro.network.latency import Grid5000Latency, LatencyModel
 from repro.obs import runtime as _obs_runtime
-from repro.network.message import Envelope, _next_envelope_id
+from repro.network.message import Envelope
 from repro.network.site import Node
 from repro.network.stats import TrafficStats
 from repro.sim.kernel import _HANDLE_POOL_MAX, Simulator
@@ -352,8 +352,8 @@ class Network:
         pool = self._envelope_pool
         if pool and self.pooling:
             # recycle a delivered envelope: direct field writes keep
-            # the construction semantics (size validation, fresh
-            # envelope_id) without the allocation or the __init__ call
+            # the construction semantics (size validation) without the
+            # allocation or the __init__ call
             if size_bytes <= 0:
                 raise ValueError(
                     f"size_bytes must be > 0 (got {size_bytes})"
@@ -365,10 +365,8 @@ class Network:
             envelope.dst = dst
             envelope.payload = payload
             envelope.size_bytes = size_bytes
-            envelope.envelope_id = _next_envelope_id()
-            envelope.sent_at = now
         else:
-            envelope = Envelope(src, dst, payload, size_bytes, 0, now)
+            envelope = Envelope(src, dst, payload, size_bytes)
         try:
             dst_site = endpoints[dst][0].site
             dst_dead = False

@@ -42,7 +42,7 @@ from typing import Any, Optional, Tuple
 #: Bump whenever the pickled state contract changes incompatibly
 #: (slot layouts, scheduler tier layout, RNG stream naming).  Stored
 #: checkpoints with another version are invalidated, not misread.
-SNAPSHOT_VERSION = 7
+SNAPSHOT_VERSION = 8
 
 #: sha256 of the pickled layout (classes, their fields, container
 #: types) reachable from a reference snapshot, as
@@ -50,7 +50,7 @@ SNAPSHOT_VERSION = 7
 #: that test fails the layout moved: bump the version above, then
 #: regenerate this value with the command the failure prints.
 SNAPSHOT_LAYOUT_FINGERPRINT = (
-    "7a3c51fe2e620ab779d4ae3d5e0c9dc715d5c0d996bce0db35c55704a937e4c5"
+    "67b21ce546af1262dfe12ba00100b5196cc054092ccdcbea78923854124b65f4"
 )
 
 _MAGIC = b"repro-snap"

@@ -81,7 +81,11 @@ class OpenLoopPublisher(_ClientBase):
     as real services re-announce).  Re-publishing refreshes the edge's
     *cache entry* only: the item's SRDI tuple is pushed once per
     rendezvous (``SrdiPusher._pushed``), so its index record is never
-    renewed before its expiration (ROADMAP item 3 (SRDI refresh)).  The
+    renewed before its expiration (ROADMAP item 3 (SRDI refresh)).  A
+    re-publish of the catalog's shared document over a live copy does
+    not even enter the cache's journal, so the pusher's next tick costs
+    nothing for it; a first publication is journaled and read by that
+    tick alone, whatever the size of the catalog the edge holds.  The
     tuples one push carries — first publications today, re-published
     ones once item 3 lands — share that push's index record
     (``SrdiIndex.add``).

@@ -1,4 +1,5 @@
-"""Integration: a snapshot's bytes do not depend on ``PYTHONHASHSEED``.
+"""Integration: a snapshot's bytes do not depend on ``PYTHONHASHSEED``,
+nor on what the process ran before.
 
 A ``set`` pickles in hash order, and the hash of a ``str``, ``bytes`` or
 tuple of them changes with the interpreter's hash seed — so while the
@@ -14,6 +15,12 @@ of two interpreters started under different hash seeds.  The second
 walks the same graph in-process with the pure-Python pickler and finds
 no hash-ordered container with more than one element — the property the
 first one measures, with a name attached when it breaks.
+
+Inside one process the blob held a third dependency: every in-flight
+``Envelope`` carried an id drawn from a module-level counter, so the
+same simulation snapshotted twice pickled other numbers the second
+time.  No state is module-level any more; the last test builds the run
+twice and compares.
 """
 
 import hashlib
@@ -117,6 +124,23 @@ def test_no_multi_element_hash_set_is_reachable_from_a_snapshot():
     finder = _HashOrderFinder()
     finder.dump((network, overlay))
     assert finder.found == []
+
+
+def test_the_same_run_snapshots_to_the_same_bytes_twice_in_one_process():
+    def blob():
+        sim = Simulator(seed=1)
+        network = Network(sim)
+        overlay = build_overlay(
+            sim, network, PlatformConfig(),
+            OverlayDescription(rendezvous_count=8, topology="chain", edge_count=4),
+        )
+        overlay.start()
+        sim.run(until=95.0)  # messages in flight: envelopes in the blob
+        return snapshot_network(network, extra={"overlay": overlay})
+
+    first, second = blob(), blob()
+    assert len(first) == len(second)
+    assert hashlib.sha256(first).digest() == hashlib.sha256(second).digest()
 
 
 if __name__ == "__main__":

@@ -89,7 +89,6 @@ def test_peerview_protocol_survives_arbitrary_traffic(sequence):
                 dst=endpoint.transport_address,
                 payload=message,
                 size_bytes=message.size_bytes(),
-                sent_at=sim.now,
             )
         )
 

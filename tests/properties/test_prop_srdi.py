@@ -1,10 +1,14 @@
-"""Property-based tests: the SRDI index vs a reference model."""
+"""Property-based tests: the SRDI index and pusher vs reference models."""
 
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.discovery.srdi import SrdiIndex
+from repro.advertisement import AdvertisementCache
+from repro.advertisement.rdvadv import RdvAdvertisement
+from repro.config import PlatformConfig
+from repro.discovery.srdi import SrdiIndex, SrdiPusher
 from repro.ids import NET_PEER_GROUP_ID, PeerID
+from repro.sim import Simulator
 
 TUPLES = [("T", "Name", f"v{i}") for i in range(4)]
 PUBLISHERS = [PeerID.from_int(NET_PEER_GROUP_ID, n) for n in range(4)]
@@ -187,3 +191,139 @@ def test_srdi_buckets_match_dict_of_dicts(operations):
         # ... and the arrival model itself lists each record once
         for p, ts in arrival.items():
             assert sorted(ts) == sorted(t for t in model if p in model[t])
+
+
+# ----------------------------------------------------------------------
+# the pusher: a journal of publications against the whole-cache walk
+# ----------------------------------------------------------------------
+class ScanPusher:
+    """``SrdiPusher._tick`` as it was before the journal: every tick walks
+    the whole cache and pushes, in cache order, each tuple of a live local
+    entry that this rendezvous has not been sent yet."""
+
+    def __init__(self, sim, cache):
+        self.sim = sim
+        self.cache = cache
+        self._pushed = {}
+        self.sent = []
+
+    def rendezvous_changed(self):
+        self._pushed.clear()
+        self._tick()
+
+    def push_now(self):
+        self._tick()
+
+    def _tick(self):
+        now = self.sim.now
+        delta = []
+        for entry in self.cache.entries(now=now):
+            if not entry.local:
+                continue
+            for index_tuple in entry.adv.index_tuples():
+                if index_tuple not in self._pushed:
+                    self._pushed[index_tuple] = None
+                    delta.append((index_tuple, entry.expiration))
+        if delta:
+            self.sent.append(delta)
+
+
+def _rdv_doc(n, variant):
+    # three tuples: the group's (every document's), the peer's (both
+    # variants of key n) and a Name only this document carries
+    return RdvAdvertisement(
+        rdv_peer_id=PUBLISHERS[n], group_id=NET_PEER_GROUP_ID,
+        name=f"doc-{n}{variant}",
+    )
+
+
+#: the shared documents: "same document" is the same object
+DOCS = {(n, variant): _rdv_doc(n, variant) for n in range(3) for variant in "ab"}
+
+#: (key, variant, an equal but distinct copy?)
+doc = st.tuples(
+    st.integers(0, 2), st.sampled_from("ab"), st.sampled_from([False] * 3 + [True])
+)
+publish = st.tuples(
+    st.just("publish"), doc,
+    st.sampled_from([5.0, 500.0]),  # lifetime: 5 s dies at the next advance
+    st.sampled_from([10.0, 20.0]),  # expiration pushed
+)
+pusher_ops = st.lists(
+    st.one_of(
+        publish, publish, publish,
+        st.tuples(st.just("store_remote"), doc, st.sampled_from([5.0, 500.0])),
+        st.tuples(st.just("remove"), doc),
+        st.tuples(st.just("flush"),),
+        st.tuples(st.just("advance"), st.sampled_from([1.0, 10.0])),
+        st.tuples(st.just("_tick"),),
+        st.tuples(st.just("_tick"),),
+        st.tuples(st.just("push_now"),),
+        st.tuples(st.just("rendezvous_changed"),),
+        st.tuples(st.just("new_pusher"),),
+    ),
+    min_size=4,
+    max_size=50,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(doc, max_size=4), pusher_ops)
+# the same document over a copy that expired before any tick saw it
+@example([], [("publish", (0, "a", False), 5.0, 10.0), ("advance", 10.0),
+              ("_tick",), ("publish", (0, "a", False), 500.0, 10.0), ("_tick",)])
+# another document under a key whose copy is live and pushed
+@example([], [("publish", (0, "a", False), 500.0, 10.0), ("_tick",),
+              ("publish", (0, "b", False), 500.0, 10.0), ("_tick",)])
+# journaled 1 then 0, cached 0 then 1: the shared group tuple goes out
+# with key 0's expiration
+@example([], [("store_remote", (0, "a", False), 500.0),
+              ("publish", (1, "a", False), 500.0, 10.0),
+              ("publish", (0, "a", False), 500.0, 20.0), ("_tick",)])
+def test_journal_pusher_sends_what_the_whole_cache_walk_sent(seeded, operations):
+    """After every tick — periodic, ``push_now``, ``rendezvous_changed``,
+    and that of a pusher created over a non-empty cache — the pusher
+    sends exactly the payload the old walk sent (tuples, their order and
+    their expirations) and holds the same ``_pushed``, in order.
+    Publications cover a new key, the same document again (live, expired,
+    over a remote copy), another document under a key, and an equal but
+    distinct copy (the third ``doc`` field)."""
+    sim = Simulator(seed=1)
+    cache = AdvertisementCache()
+
+    def document(spec):
+        n, variant, fresh = spec
+        return _rdv_doc(n, variant) if fresh else DOCS[(n, variant)]
+
+    def pair():
+        sent = []
+        pusher = SrdiPusher(sim, cache, PlatformConfig(), sent.append)
+        return pusher, sent, ScanPusher(sim, cache)
+
+    for spec in seeded:
+        cache.publish(document(spec), sim.now)
+    pusher, sent, oracle = pair()
+    for step, op in enumerate(operations):
+        kind = op[0]
+        if kind == "publish":
+            cache.publish(document(op[1]), sim.now, op[2], op[3])
+        elif kind == "store_remote":
+            cache.store_remote(document(op[1]), sim.now, op[2])
+        elif kind == "remove":
+            cache.remove(document(op[1]))
+        elif kind == "flush":
+            cache.flush()
+        elif kind == "advance":
+            sim.run(until=sim.now + op[1])
+        elif kind == "new_pusher":
+            pusher, sent, oracle = pair()
+        else:
+            getattr(pusher, kind)()
+            getattr(oracle, kind)()
+            assert [p.entries for p in sent] == oracle.sent, (step, op)
+            assert list(pusher._pushed) == list(oracle._pushed), (step, op)
+            assert cache.journal == []
+    pusher._tick()
+    oracle._tick()
+    assert [p.entries for p in sent] == oracle.sent
+    assert list(pusher._pushed) == list(oracle._pushed)

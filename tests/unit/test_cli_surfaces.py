@@ -166,6 +166,16 @@ def test_check_enforces_bytes_per_publish_floor(
     assert "more memory than the floor" in capsys.readouterr().err
 
 
+def test_check_prints_a_microsecond_time_floor(bench_trajectory, tmp_path, capsys):
+    # test_srdi_idle_push_tick: 100 idle ticks take microseconds
+    report = _fake_report(tmp_path, [{"name": "b", "stats": {"min": 6.9e-6}}])
+    check = ["check", report, "--bench", "b", "--max-seconds"]
+    assert bench_trajectory.main(check + ["7.9e-6"]) == 0
+    assert "min 0.0069 ms (floor 0.0079 ms)" in capsys.readouterr().out
+    assert bench_trajectory.main(check + ["5e-6"]) == 1
+    assert "slower than the floor" in capsys.readouterr().err
+
+
 def test_check_enforces_fuzz_floors(bench_trajectory, tmp_path, capsys):
     report = _fake_report(
         tmp_path,

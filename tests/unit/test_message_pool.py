@@ -102,12 +102,11 @@ class TestEnvelopePool:
         net.send("a", "b", "one")
         sim.run()
         first = received[0]
-        first_id = first.envelope_id
-        net.send("a", "b", "two")
+        net.send("a", "b", "two", size_bytes=100)
         sim.run()
         assert received[1] is first  # same shell, rewritten in place
-        assert received[1].envelope_id != first_id
         assert received[1].payload == "two"
+        assert received[1].size_bytes == 100
 
     def test_pooling_off_allocates_fresh_envelopes(self):
         sim, net, nodes = make_net(pooling=False)

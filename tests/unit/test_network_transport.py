@@ -215,8 +215,3 @@ class TestEnvelope:
     def test_bad_size_rejected(self):
         with pytest.raises(ValueError):
             Envelope(src="a", dst="b", payload=None, size_bytes=0)
-
-    def test_ids_unique(self):
-        a = Envelope(src="a", dst="b", payload=None)
-        b = Envelope(src="a", dst="b", payload=None)
-        assert a.envelope_id != b.envelope_id

@@ -515,6 +515,43 @@ class TestOrderedMembership:
         assert len(clone._minted) == 51
 
 
+class TestPusherJournal:
+    """Mid-interval the cache's journal holds what the pusher's next tick
+    will read: it travels with the cache, and the restored pusher's tick
+    sends the payload the original's does, to the byte."""
+
+    def test_pusher_pickled_with_a_pending_journal_sends_the_same_payload(self):
+        from repro.advertisement import AdvertisementCache, FakeAdvertisement
+        from repro.discovery.srdi import SrdiPusher
+
+        sim = Simulator(seed=1)
+        cache = AdvertisementCache()
+        sent = []
+        config = PlatformConfig().with_overrides(
+            srdi_push_interval=30.0, startup_jitter=0.0
+        )
+        pusher = SrdiPusher(sim, cache, config, sent.append)
+        pusher.start()
+        for i in range(20):
+            cache.publish(FakeAdvertisement(f"early-{i}"), now=0.0)
+        sim.run(until=31.0)
+        assert len(sent) == 1 and cache.journal == []
+        for i in range(5):
+            cache.publish(FakeAdvertisement(f"late-{i}"), now=sim.now)
+        cache.publish(FakeAdvertisement("early-3"), now=sim.now)  # pushed already
+        assert len(cache.journal) == 6
+        blob = pickle.dumps((sim, pusher, sent))
+        clone_sim, clone, clone_sent = pickle.loads(blob)
+        assert pickle.dumps((clone_sim, clone, clone_sent)) == blob
+        assert clone.cache.journal == cache.journal
+        for s in (sim, clone_sim):
+            s.run(until=61.0)
+        assert len(sent) == len(clone_sent) == 2
+        assert [t[2] for t, _ in sent[1].entries] == [f"late-{i}" for i in range(5)]
+        assert pickle.dumps(clone_sent[1]) == pickle.dumps(sent[1])
+        assert clone.cache.journal == cache.journal == []
+
+
 class TestDiscoveryQuery:
     """The compiled query and its per-hop copies ride in every snapshot
     taken mid-walk: derived fields are slot fields, so they travel in

@@ -1,12 +1,13 @@
 """No resident field without a reader.
 
-Four classes exist once per fact — a view entry per known rendezvous, a
+Five classes exist once per fact — a view entry per known rendezvous, a
 cache entry per stored advertisement, an SRDI record per (tuple,
-publisher), the network's traffic counters bumped per message — so a
-slot that is written and never read costs its 8 bytes (plus whatever it
-pins) a few hundred thousand times, or a dict update per message, for
-nothing.  ``PeerViewEntry.first_seen`` and
-``TrafficStats.per_destination`` were such fields.
+publisher), an envelope per message in flight, the network's traffic
+counters bumped per message — so a slot that is written and never read
+costs its 8 bytes (plus whatever it pins) a few hundred thousand times,
+or a store per message, for nothing.  ``PeerViewEntry.first_seen``,
+``TrafficStats.per_destination`` and ``Envelope.envelope_id`` /
+``sent_at`` were such fields.
 
 The check is by name over ``src/repro``: every slot of those classes
 must be *read* somewhere — an attribute in load context that is not
@@ -21,6 +22,7 @@ import pytest
 
 from repro.advertisement.cache import CacheEntry
 from repro.discovery.srdi import _SrdiRecord
+from repro.network.message import Envelope
 from repro.network.stats import TrafficStats
 from repro.rendezvous.peerview import PeerViewEntry
 
@@ -62,7 +64,7 @@ def test_the_pass_tells_a_read_from_a_write():
 
 
 @pytest.mark.parametrize(
-    "cls", [PeerViewEntry, CacheEntry, _SrdiRecord, TrafficStats],
+    "cls", [PeerViewEntry, CacheEntry, _SrdiRecord, Envelope, TrafficStats],
     ids=lambda cls: cls.__name__,
 )
 def test_every_slot_of_a_per_fact_class_is_read(cls, read_under_src):

@@ -300,16 +300,21 @@ class TestSrdiGarbageCollection:
         assert len(rdv.discovery.srdi) < before
 
 
+def _pusher(interval=30.0):
+    """A pusher over an empty cache, ticking at 0, ``interval``, ..."""
+    sim = Simulator(seed=1)
+    cache = AdvertisementCache()
+    config = PlatformConfig().with_overrides(
+        srdi_push_interval=interval, startup_jitter=0.0
+    )
+    sent = []
+    pusher = SrdiPusher(sim, cache, config, sent.append)
+    return sim, cache, pusher, sent
+
+
 class TestSrdiPusher:
     def _setup(self, interval=30.0):
-        sim = Simulator(seed=1)
-        cache = AdvertisementCache()
-        config = PlatformConfig().with_overrides(
-            srdi_push_interval=interval, startup_jitter=0.0
-        )
-        sent = []
-        pusher = SrdiPusher(sim, cache, config, sent.append)
-        return sim, cache, pusher, sent
+        return _pusher(interval)
 
     def test_pushes_new_tuples_at_interval(self):
         sim, cache, pusher, sent = self._setup()
@@ -399,3 +404,80 @@ class TestSrdiPusher:
         cache.store_remote(FakeAdvertisement("alpha"), now=0.0, expiration=3600.0)
         sim.run(until=100.0)
         assert sent == []
+
+
+class _Untouchable(dict):
+    """An ``_entries`` table that fails the test when anything walks it."""
+
+    def _walked(self, *args):
+        raise AssertionError("an idle tick walked the cache")
+
+    __iter__ = __reversed__ = keys = values = items = _walked
+
+
+class TestPusherJournal:
+    """The pusher reads what was published since its last tick, not the
+    cache: :attr:`AdvertisementCache.journal`."""
+
+    def _setup(self):
+        return _pusher()
+
+    def test_an_idle_tick_touches_no_cache_entry(self):
+        sim, cache, pusher, sent = self._setup()
+        pusher.start()
+        for i in range(50):
+            cache.publish(FakeAdvertisement(f"doc-{i}"), now=0.0)
+        sim.run(until=31.0)
+        assert len(sent) == 1
+        cache._entries = _Untouchable(cache._entries)
+        sim.run(until=31.0 + 10 * 30.0)  # ten idle ticks
+        assert len(sent) == 1
+
+    def test_the_journal_is_empty_after_each_tick(self):
+        sim, cache, pusher, sent = self._setup()
+        pusher.start()
+        alpha = FakeAdvertisement("alpha")
+        cache.publish(alpha, now=0.0)
+        cache.publish(FakeAdvertisement("beta"), now=0.0)
+        assert cache.journal == [alpha.unique_key(), "repro:FakeAdvertisement|beta"]
+        sim.run(until=31.0)
+        assert cache.journal == []
+        cache.publish(alpha, now=sim.now)  # the same live document: nothing new
+        assert cache.journal == []
+        cache.publish(FakeAdvertisement("alpha"), now=sim.now)  # another one
+        cache.publish(FakeAdvertisement("gamma"), now=sim.now)
+        assert len(cache.journal) == 2
+        pusher.push_now()
+        assert cache.journal == []
+        cache.publish(FakeAdvertisement("delta"), now=sim.now)
+        pusher.rendezvous_changed()
+        assert cache.journal == []
+        assert [t[2] for t, _ in sent[-1].entries] == [
+            "alpha", "beta", "gamma", "delta"]
+
+    def test_a_pusher_over_a_filled_cache_pushes_what_it_holds(self):
+        sim = Simulator(seed=1)
+        cache = AdvertisementCache()
+        for name in ("delta", "alpha"):
+            cache.publish(FakeAdvertisement(name), now=0.0)
+        cache.store_remote(FakeAdvertisement("remote"), now=0.0)
+        sent = []
+        pusher = SrdiPusher(sim, cache, PlatformConfig(), sent.append)
+        assert len(cache.journal) == 3
+        pusher.push_now()
+        assert [t[2] for t, _ in sent[0].entries] == ["delta", "alpha"]
+
+    def test_only_an_edge_cache_keeps_a_journal(self):
+        from repro.deploy import OverlayDescription, build_overlay
+        from repro.network import Network
+        from repro.sim import MINUTES
+
+        sim = Simulator(seed=1)
+        overlay = build_overlay(
+            sim, Network(sim), PlatformConfig(),
+            OverlayDescription(rendezvous_count=4, edge_count=3),
+        )
+        overlay.start()
+        sim.run(until=2 * MINUTES)
+        assert all(rdv.cache.journal is None for rdv in overlay.rendezvous)
+        assert all(edge.cache.journal == [] for edge in overlay.edges)
