@@ -6,6 +6,9 @@ states but never mechanically checks:
 * **peerview order** (§3.2): every local peerview is an ordered list
   by peer ID — totally ordered, duplicate-free, containing the local
   peer, and consistent with its entry table;
+* **peerview refresh order**: the entry table iterates in
+  non-decreasing ``last_refreshed`` — what lets an expiry sweep stop at
+  the first live entry;
 * **replica ranks** (§3.3): ``ReplicaPeer`` must land in ``[0, l)``
   for every index tuple, whatever the current view size;
 * **lease lifetime**: no edge lease on a rendezvous outlives its
@@ -152,14 +155,30 @@ class InvariantChecker:
                 )
                 break
 
-        # (2) order book consistent with the entry table + self
-        expected = set(view.known_ids()) | {view.local_peer_id}
-        if set(ids) != expected or len(ids) != len(expected):
+        # (2) order book (+ self) and insertion-order key list consistent
+        # with the entry table
+        entries = view._entries
+        order, key_seq = view._order, view._key_seq
+        if (
+            {key for _, key in order} != entries.keys() | {view.local_key}
+            or len(order) != len(entries) + 1
+            or set(key_seq) != entries.keys() or len(key_seq) != len(entries)
+        ):
             found.append(
                 self._violate(
                     now, peer.name, "peerview.consistency",
-                    f"ordered list has {len(ids)} ids for "
-                    f"{len(expected)} members",
+                    f"ordered list has {len(order)} ids and insertion list "
+                    f"{len(key_seq)} keys for {len(entries) + 1} members",
+                )
+            )
+
+        # (2b) entry table in refresh order, which expiry relies on
+        stamps = [entry.last_refreshed for entry in entries.values()]
+        if stamps != sorted(stamps):
+            found.append(
+                self._violate(
+                    now, peer.name, "peerview.refresh-order",
+                    "entry table not in non-decreasing last_refreshed",
                 )
             )
 

@@ -27,16 +27,14 @@ table's ``(id_bytes, key)`` ordering tokens, one shared tuple per peer —
 tuple/bytes comparisons run in C and the bytes order *is* the PeerID
 order.  Public APIs still accept and return ``PeerID`` objects (mapped
 O(1) through the intern table); protocol hot paths use the ``*_key``
-variants.  Expiry is a lazy min-heap of ``(last_refreshed_at_push,
-key)`` records instead of a full scan per sweep (views are swept every
-``PEERVIEW_INTERVAL``, so it is popped as fast as it is pushed); stale
-records (entry refreshed or removed since) are dropped or re-pushed.
+variants.  The entry map is in **refresh order** — whoever writes
+``last_refreshed`` moves the entry to the end — so, the clock never
+running backwards, an expiry sweep's dead entries are its prefix.
 """
 
 from __future__ import annotations
 
 import bisect
-import heapq
 import math
 import random
 from dataclasses import dataclass
@@ -45,9 +43,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from repro.advertisement.rdvadv import RdvAdvertisement
 from repro.ids.intern import IdInternTable
 from repro.ids.jxtaid import PeerID
-
-_heappush = heapq.heappush
-_heappop = heapq.heappop
 
 #: Entry free-list cap per view (see ``PeerView._entry_pool``).
 _ENTRY_POOL_MAX = 1024
@@ -119,9 +114,10 @@ class PeerView:
         #: standalone views (unit tests, worked examples) working
         self.interner = interner if interner is not None else IdInternTable()
         self.local_key = self.interner.intern(self.local_peer_id)
+        #: in refresh order (see the module notes)
         self._entries: Dict[int, PeerViewEntry] = {}
-        #: mirror of ``_entries``'s iteration (= insertion) order; lets
-        #: the referral/random-probe samplers pick indices instead of
+        #: ``_entries``'s keys in first-insertion order; lets the
+        #: referral/random-probe samplers pick indices instead of
         #: materialising an O(n) candidate list per draw.  Maintained by
         #: ``upsert``/``remove_by_key``; white-box code that mutates
         #: ``_entries`` directly must keep this in sync (same contract
@@ -135,8 +131,6 @@ class PeerView:
         #: memoised immutable snapshot of the ordered PeerIDs; rebuilt
         #: only after a membership change (see ``ordered_ids``)
         self._ordered_view: Optional[Tuple[PeerID, ...]] = None
-        #: lazy expiry records, (last_refreshed when pushed, key)
-        self._expiry_heap: List[Tuple[float, int]] = []
         self._listeners: List[PeerViewListener] = []
         #: free list of removed entries: the expire/re-add churn of
         #: phase 2/3 recycles entry objects instead of allocating.
@@ -169,14 +163,14 @@ class PeerView:
         return self._entries.get(key)
 
     def known_ids(self) -> Iterable[PeerID]:
-        """IDs of remote entries (excludes self)."""
+        """IDs of remote entries (excludes self), first-insertion order."""
         id_of = self.interner.id_of
-        return [id_of(key) for key in self._entries]
+        return [id_of(key) for key in self._key_seq]
 
     def known_keys(self) -> Iterable[int]:
-        """Interned keys of remote entries (excludes self) — the hot
-        iteration: no ID objects materialised."""
-        return self._entries.keys()
+        """Interned keys of remote entries (excludes self),
+        first-insertion order: no ID objects materialised."""
+        return tuple(self._key_seq)
 
     def ordered_ids(self) -> Tuple[PeerID, ...]:
         """All member IDs (self included), ascending — the routing list
@@ -240,12 +234,14 @@ class PeerView:
         key = self.interner.intern(peer_id)
         if key == self.local_key:
             return "self"
-        entry = self._entries.get(key)
+        entries = self._entries
+        entry = entries.pop(key, None)
         if entry is not None:
+            # a refresh moves the entry to the end: ``_entries`` stays
+            # in refresh order, which ``expire`` relies on
+            entries[key] = entry
             entry.adv = adv  # newer advertisement (route may change)
             entry.last_refreshed = now
-            # the stale expiry record re-validates against
-            # ``last_refreshed`` when popped; no heap touch here
             return "refreshed"
         self.add_keyed(key, adv, now)
         return "added"
@@ -267,7 +263,6 @@ class PeerView:
         self._entries[key] = entry
         self._key_seq.append(key)
         bisect.insort(self._order, self.interner.order_token(key))
-        _heappush(self._expiry_heap, (now, key))
         self._ordered_view = None
         self.adds += 1
         self._emit(PeerViewEvent(time=now, kind="add", subject=peer_id))
@@ -292,8 +287,6 @@ class PeerView:
         order = self._order
         del order[bisect.bisect_left(order, self.interner.order_token(key))]
         peer_id = self.interner.id_of(key)
-        # any expiry-heap record for ``key`` is now stale; it is
-        # discarded when popped (no entry behind it)
         self._ordered_view = None
         self.removes += 1
         self._emit(
@@ -303,49 +296,29 @@ class PeerView:
 
     def expire(self, now: float, pve_expiration: float) -> List[PeerID]:
         """Algorithm 1 line 3: drop entries whose age since the last
-        refresh exceeds ``pve_expiration``.  Returns the dropped IDs.
+        refresh exceeds ``pve_expiration``, oldest refresh first.
+        Returns the dropped IDs.
 
-        O(expired · log n) per sweep via the lazy min-heap instead of
-        the old scan of every entry: the heap key is the entry's
-        ``last_refreshed`` *at push time*, which only ever understates
-        the true freshness, so nothing can expire before its record
-        reaches the heap top.  A popped record is re-validated against
-        the entry's current ``last_refreshed`` and re-pushed if a
-        refresh has kept the entry alive."""
-        heap = self._expiry_heap
-        entries = self._entries
-        dead: List[PeerID] = []
-        canary = None  # environment read at most once per sweep
-        while heap and now - heap[0][0] > pve_expiration:
-            _, key = _heappop(heap)
-            entry = entries.get(key)
-            if entry is None:
-                continue  # removed since the record was pushed
-            if now - entry.last_refreshed > pve_expiration:
-                dead.append(self.interner.id_of(key))
-                if canary is None:
-                    canary = _canary_enabled()
-                if canary and key % 3 == 1:
-                    # planted canary (see _canary_enabled): partial
-                    # removal that leaks the _order slot, leaving the
-                    # ordered list inconsistent with the entry map
-                    entries.pop(key, None)
-                    self._key_seq.remove(key)
-                    self._ordered_view = None
-                    self.removes += 1
-                    self._emit(
-                        PeerViewEvent(
-                            time=now,
-                            kind="remove",
-                            subject=self.interner.id_of(key),
-                            reason="expired",
-                        )
-                    )
-                    continue
-                self.remove_by_key(key, now, reason="expired")
-            else:
-                _heappush(heap, (entry.last_refreshed, key))
-        return dead
+        ``_entries`` is in refresh order, so the dead entries are its
+        prefix: the sweep reads from the front and stops at the first
+        live entry, O(expired) instead of a scan of every entry."""
+        dead_keys: List[int] = []
+        for key, entry in self._entries.items():
+            if now - entry.last_refreshed <= pve_expiration:
+                break
+            dead_keys.append(key)
+        if not dead_keys:
+            return []
+        canary = _canary_enabled()  # environment read once per sweep
+        for key in dead_keys:
+            self.remove_by_key(key, now, reason="expired")
+            if canary and key % 3 == 1:
+                # planted canary (see _canary_enabled): the _order slot
+                # goes back, leaving the ordered list inconsistent with
+                # the entry map
+                bisect.insort(self._order, self.interner.order_token(key))
+        id_of = self.interner.id_of
+        return [id_of(key) for key in dead_keys]
 
     # ------------------------------------------------------------------
     # ordering queries

@@ -465,8 +465,11 @@ class PeerViewProtocol(Process):
             key = interner.intern(peer_id)
         if key == view.local_key:
             return
-        entry = view._entries.get(key)
+        entries = view._entries
+        entry = entries.pop(key, None)
         if entry is not None:
+            # a refresh moves the entry to the end (refresh order, as upsert)
+            entries[key] = entry
             entry.adv = adv  # newer advertisement (route may change)
             entry.last_refreshed = now
         else:

@@ -42,7 +42,7 @@ from typing import Any, Optional, Tuple
 #: Bump whenever the pickled state contract changes incompatibly
 #: (slot layouts, scheduler tier layout, RNG stream naming).  Stored
 #: checkpoints with another version are invalidated, not misread.
-SNAPSHOT_VERSION = 8
+SNAPSHOT_VERSION = 9
 
 #: sha256 of the pickled layout (classes, their fields, container
 #: types) reachable from a reference snapshot, as
@@ -50,7 +50,7 @@ SNAPSHOT_VERSION = 8
 #: that test fails the layout moved: bump the version above, then
 #: regenerate this value with the command the failure prints.
 SNAPSHOT_LAYOUT_FINGERPRINT = (
-    "67b21ce546af1262dfe12ba00100b5196cc054092ccdcbea78923854124b65f4"
+    "a0c1974c14d3855d45de620ada5df6a1426c0d34982ebac3e2f08eb2aaf1e9ae"
 )
 
 _MAGIC = b"repro-snap"

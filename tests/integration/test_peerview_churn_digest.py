@@ -1,25 +1,31 @@
-"""Integration: the peerview churn regime is pinned by a digest.
+"""Integration: the peerview churn regime is pinned by two digests.
 
 The benchmark's ``peerview-580`` workload (``bench/README.md``) is
 where a host-only change to what a view entry or an add/remove costs is
-measured, under the rule that no simulated event, message, RNG draw,
-listener call or *removal order* moves.  This is that regime at tier-1
-size: 40 rendezvous on a chain with ``pve_expiration = 90 s``, so
-entries expire faster than Algorithm 1 re-probes them and every view
-plateaus below r − 1 (mean l ≈ 26 of 39) while adding and removing
-constantly.
+measured, under the rule that no simulated event, message, RNG draw or
+listener call moves.  This is that regime at tier-1 size: 40
+rendezvous on a chain with ``pve_expiration = 90 s``, so entries expire
+faster than Algorithm 1 re-probes them and every view plateaus below
+r − 1 (mean l ≈ 26 of 39) while adding and removing constantly.
 
-Beyond the kernel/network counters the digest covers the full ordered
-per-view listener log — ``(view, time, kind, subject, reason)`` — so the
-order of removals *inside* one expiry sweep is pinned too (fig3-right's
-event log and the obs timeline observe it).
+Beyond the kernel/network counters both digests cover the per-view
+listener log — ``(view, time, kind, subject, reason)``:
 
-The digest below was generated at the commit *before* the shared
-ordering tokens (PR 16) and must be reproduced by both schedulers with
-and without object pooling.
+* ``CHURN_DIGEST_BY_SUBJECT`` sorts each ``(view, time)`` run of the
+  log by subject, so it pins *what* every sweep removes and when, but
+  not the order inside one sweep.  It was generated before view entries
+  were kept in refresh order and has held across that change;
+* ``CHURN_DIGEST`` pins the log as emitted, so the order of removals
+  *inside* one expiry sweep is pinned too (fig3-right's event log and
+  the obs timeline observe it).  Within one sweep, removal order is
+  oldest refresh first, ties in the order the refreshes happened.
+
+Both must be reproduced by both schedulers with and without object
+pooling.
 """
 
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -31,10 +37,19 @@ from repro.sim import MINUTES, Simulator
 
 R = 40
 CHURN_DIGEST = (
-    "a8bd0235b1cc27541408f3d596bab9e3213c0437ecca3f2d5c88d0422e00aeea"
+    "72c310d8e77a2f1b9c96a8ce5dfa824d6344cdd9905da00505d2f9602d47038c"
+)
+CHURN_DIGEST_BY_SUBJECT = (
+    "29f2e7023f3dbed86823adbab210dfe74463510eadba080c3ba34c3553a3e2fc"
 )
 #: a run that stopped expiring entries would pin nothing
 MIN_REMOVES = 1000
+
+
+def _digest(state, log):
+    return hashlib.sha256(json.dumps(
+        dict(state, log=log), sort_keys=True, default=str
+    ).encode()).hexdigest()
 
 
 def _run_churn(scheduler: str, pooling: bool):
@@ -54,20 +69,25 @@ def _run_churn(scheduler: str, pooling: bool):
     sim.run(until=8 * MINUTES)
 
     views = [r.view for r in overlay.rendezvous]
-    digest = hashlib.sha256(json.dumps({
+    state = {
         "events_fired": sim.events_fired,
         "stats": network.stats.snapshot(),
         "views": [(v.size, v.adds, v.removes) for v in views],
-        "log": log,
-    }, sort_keys=True, default=str).encode()).hexdigest()
-    return digest, views
+    }
+    by_subject = [
+        record
+        for _, run in itertools.groupby(log, key=lambda record: record[:2])
+        for record in sorted(run, key=lambda record: record[3])
+    ]
+    return _digest(state, log), _digest(state, by_subject), views
 
 
 @pytest.mark.parametrize("pooling", [True, False], ids=["pooled", "unpooled"])
 @pytest.mark.parametrize("scheduler", ["wheel", "heap"])
 def test_churn_digest_is_pinned(scheduler, pooling):
-    digest, views = _run_churn(scheduler, pooling)
+    digest, by_subject, views = _run_churn(scheduler, pooling)
     # the regime first: a digest of a run without churn would pin nothing
     assert sum(v.removes for v in views) > MIN_REMOVES
     assert sum(v.size for v in views) / R < R - 1
+    assert by_subject == CHURN_DIGEST_BY_SUBJECT
     assert digest == CHURN_DIGEST

@@ -26,10 +26,17 @@ def adv(n):
     )
 
 
+def as_int(peer_id):
+    return int.from_bytes(peer_id.unique_value, "big")
+
+
+# a small id space, so upserts refresh live entries as often as they add
+member = st.one_of(st.integers(0, 40), st.just(LOCAL))
 ops = st.lists(
     st.one_of(
-        st.tuples(st.just("upsert"), st.integers(0, 999)),
-        st.tuples(st.just("remove"), st.integers(0, 999)),
+        # several upserts at one ``now``: same-timestamp refreshes
+        st.tuples(st.just("upsert"), st.lists(member, min_size=1, max_size=4)),
+        st.tuples(st.just("remove"), member),
         st.tuples(st.just("expire"), st.floats(1.0, 100.0)),
     ),
     min_size=0,
@@ -40,38 +47,49 @@ ops = st.lists(
 @given(ops)
 def test_peerview_matches_reference_model(operations):
     view = PeerView(adv(LOCAL))
-    model = {}  # int id -> last_refreshed
+    model = {}  # int id -> last_refreshed, in refresh order
+    inserted = []  # int ids of the members, in first-insertion order
     now = 0.0
     pve = 50.0
     for op in operations:
         now += 1.0
         if op[0] == "upsert":
-            n = op[1]
-            view.upsert(adv(n), now)
-            if n != LOCAL:
-                model[n] = now
+            for n in op[1]:
+                view.upsert(adv(n), now)
+                if n != LOCAL:
+                    if model.pop(n, None) is None:
+                        inserted.append(n)
+                    model[n] = now
         elif op[0] == "remove":
             n = op[1]
             removed = view.remove(
                 PeerID.from_int(NET_PEER_GROUP_ID, n), now
             )
             assert removed == (n in model)
-            model.pop(n, None)
+            if model.pop(n, None) is not None:
+                inserted.remove(n)
         else:
             now += op[1]
-            view.expire(now, pve)
-            model = {
-                n: t for n, t in model.items() if now - t <= pve
-            }
+            # exactly the model's dead set, oldest refresh first
+            dead = [n for n, t in model.items() if now - t > pve]
+            assert [as_int(p) for p in view.expire(now, pve)] == dead
+            for n in dead:
+                del model[n]
+                inserted.remove(n)
 
         # invariants after every operation
         expected_ids = sorted(model.keys() | {LOCAL})
-        actual_ids = [
-            int.from_bytes(p.unique_value, "big") for p in view.ordered_ids()
-        ]
+        actual_ids = [as_int(p) for p in view.ordered_ids()]
         assert actual_ids == expected_ids
         assert view.size == len(model)
         assert view.member_count() == len(model) + 1
+        # the entry table is in refresh order; known_ids keeps
+        # first-insertion order
+        id_of = view.interner.id_of
+        assert [as_int(id_of(key)) for key in view._entries] == list(model)
+        stamps = [e.last_refreshed for e in view._entries.values()]
+        assert stamps == sorted(stamps) == list(model.values())
+        assert [as_int(p) for p in view.known_ids()] == inserted
 
 
 VIEWS = 3

@@ -88,6 +88,14 @@ class TestExpiry:
         view.upsert(adv(10), now=0.0)
         assert view.expire(now=1200.0, pve_expiration=1200.0) == []
 
+    def test_age_is_compared_not_a_cutoff(self, view):
+        # the age 50.1 - 0.1 rounds to exactly 50.0 (alive) while the
+        # cutoff 50.1 - 50.0 lies above 0.1 (dead): the two forms part
+        # on float boundaries, and the age form is the pinned one
+        view.upsert(adv(10), now=0.1)
+        assert view.expire(now=50.1, pve_expiration=50.0) == []
+        assert view.expire(now=50.2, pve_expiration=50.0) == [pid(10)]
+
     def test_canary_flag_is_read_per_sweep_not_per_entry(
         self, view, monkeypatch
     ):

@@ -624,3 +624,15 @@ class TestPeerView:
         queried = self._view()
         queried.ordered_ids()
         assert pickle.dumps(quiet) == pickle.dumps(queried)
+
+    def test_restored_view_expires_like_the_original(self):
+        # the entry map pickles in refresh order, the order expire reads
+        view = self._view()
+        view.upsert(rdv_adv(10), now=5.0)
+        view.upsert(rdv_adv(90), now=6.0)
+        view.upsert(rdv_adv(30), now=7.0)
+        clone = pickle.loads(pickle.dumps(view))
+        assert clone.known_ids() == view.known_ids()
+        dropped = [pid(70), pid(10), pid(90)]
+        assert clone.expire(56.5, 50.0) == view.expire(56.5, 50.0) == dropped
+        assert clone.ordered_ids() == view.ordered_ids()
