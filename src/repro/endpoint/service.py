@@ -233,13 +233,15 @@ class EndpointService:
                 routes = router._routes
                 try:
                     existing = routes[key]
-                    if (
+                    if existing is None or (
                         type(existing) is str
                         and existing != message.origin_address
                     ):
                         routes[key] = message.origin_address
-                except KeyError:
-                    routes[key] = message.origin_address
+                except IndexError:
+                    # past the end: extend the slot list to key + 1
+                    routes.extend([None] * (key - len(routes)))
+                    routes.append(message.origin_address)
         dst_peer = message.dst_peer
         if dst_peer is not None:
             try:

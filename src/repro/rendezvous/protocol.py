@@ -478,10 +478,12 @@ class PeerViewProtocol(Process):
         if hint:
             routes = self.endpoint.router._routes
             try:
-                if routes[key] != hint:
+                if routes[key] != hint:  # None (no route) differs too
                     routes[key] = hint
-            except KeyError:
-                routes[key] = hint
+            except IndexError:
+                # past the end of the slot list: extend it to key + 1
+                routes.extend([None] * (key - len(routes)))
+                routes.append(hint)
 
     def _on_referral(self, adv: RdvAdvertisement, now: float) -> None:
         # interner fast path unrolled as in _learn: referral bodies

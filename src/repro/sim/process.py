@@ -90,8 +90,9 @@ class PeriodicTask(Process):
     def on_start(self) -> None:
         jitter = 0.0
         if self.start_jitter > 0:
-            jitter = self.sim.rng.stream(f"jitter:{self.name}").uniform(
-                0.0, self.start_jitter
+            # one draw per start: the registry keeps a count, not a stream
+            jitter = self.sim.rng.next_uniform(
+                f"jitter:{self.name}", 0.0, self.start_jitter
             )
         first = jitter if self.immediate else jitter + self.interval
         self._handle = self.sim.schedule(first, self._tick, label=f"{self.name}.tick")

@@ -142,6 +142,14 @@ class TestFork:
             assert clone.sim.rng.stream(name) is not network.sim.rng.stream(
                 name
             )
+        # start jitter is a draw count per task name, not a stream: the
+        # clone carries every count (one per started task) in its own map
+        draws = network.sim.rng._draws
+        assert draws and set(draws.values()) == {1}
+        assert all(name.startswith("jitter:") for name in draws)
+        assert clone.sim.rng._draws == draws
+        assert clone.sim.rng._draws is not draws
+        assert not set(draws) & set(network.sim.rng._streams)
 
 
 class TestWorkloadSLO:

@@ -170,6 +170,57 @@ class TestRngRegistry:
         reg2 = pickle.loads(pickle.dumps(reg))
         assert reg2.stream("fresh").random() == reg.stream("fresh").random()
 
+    def test_draw_counts_round_trip_byte_stably(self):
+        reg = RngRegistry(99)
+        reg.stream("transport.latency").random()
+        for name in ("jitter:a", "jitter:b", "jitter:a"):
+            reg.next_uniform(name, 0.0, 10.0)
+        blob = pickle.dumps(reg)
+        reg2 = pickle.loads(blob)
+        assert pickle.dumps(reg2) == blob
+        assert reg2._draws == {"jitter:a": 2, "jitter:b": 1}
+        # the restored counts continue the same sequences
+        assert reg2.next_uniform("jitter:a", 0.0, 10.0) == reg.next_uniform(
+            "jitter:a", 0.0, 10.0
+        )
+        with pytest.raises(ValueError):
+            reg2.stream("jitter:b")
+
+
+class TestEndpointRouter:
+    """``_routes`` is a list indexed by interned peer key with ``None``
+    slots for peers without a route: both, and the address strings the
+    slots share with the rest of the graph, survive a snapshot."""
+
+    def test_route_table_round_trips_byte_stably(self):
+        from repro.endpoint import EndpointRouter, EndpointService
+        from repro.network.site import place_nodes
+
+        sim = Simulator(seed=11)
+        net = Network(sim, latency=ConstantLatency(0.001))
+        for n in range(1, 6):
+            net.interner.intern(pid(n))
+        svc = EndpointService(sim, net, pid(0), place_nodes(1)[0], "tcp://h0:1")
+        router = EndpointRouter(svc)
+        router.add_route(pid(2), ["tcp://h2:1"])
+        router.add_route(pid(4), ["tcp://h1:1", "tcp://h4:1"])
+        router.learn_reverse_route(pid(7), "tcp://h7:1")  # past the end
+        router.remove_route(pid(2))
+        routes = router._routes
+        assert len(routes) == net.interner.lookup(pid(7)) + 1
+        assert {type(r) for r in routes} == {type(None), str, list}
+        blob = pickle.dumps(router)
+        assert pickle.dumps(router) == blob
+        clone = pickle.loads(blob)
+        # the restored copy's blob is a fixpoint (it differs from the
+        # first only in how unpickled ``__dict__`` key strings are shared)
+        blob2 = pickle.dumps(clone)
+        assert pickle.dumps(pickle.loads(blob2)) == blob2
+        assert clone._routes == routes
+        for n in range(8):
+            assert clone.resolve(pid(n)) == router.resolve(pid(n))
+        assert clone.route_table_size() == router.route_table_size() == 2
+
 
 class TestJxtaID:
     def test_urn_cache_and_intern_key_are_dropped(self):

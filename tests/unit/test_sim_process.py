@@ -1,8 +1,23 @@
 """Unit tests for Process and PeriodicTask."""
 
+import random
+
 import pytest
 
-from repro.sim import PeriodicTask, Process, SchedulingError, Simulator
+from repro.network import Network
+from repro.sim import PeriodicTask, Process, SchedulingError, Simulator, derive_seed
+from repro.snapshot import restore_network, snapshot_network
+
+
+class TickTimes:
+    """A picklable tick callback that records the clock."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.times = []
+
+    def __call__(self):
+        self.times.append(self.sim.now)
 
 
 class TestProcess:
@@ -125,3 +140,57 @@ class TestPeriodicTask:
         task.start()
         with pytest.raises(RuntimeError):
             sim.run(until=2.0)
+
+
+class TestStartJitter:
+    """Each start of a task draws the next value of one named sequence,
+    ``Random(derive_seed(seed, "jitter:<name>"))``, though the registry
+    keeps only how many values were drawn, not the stream."""
+
+    SEED = 11
+    JITTER = 5.0
+
+    def _jitters(self, count):
+        rng = random.Random(derive_seed(self.SEED, "jitter:pv"))
+        return [rng.uniform(0.0, self.JITTER) for _ in range(count)]
+
+    def _task(self, sim):
+        # immediate: the first tick fires at start + jitter
+        return PeriodicTask(
+            sim, 30.0, TickTimes(sim), name="pv",
+            start_jitter=self.JITTER, immediate=True,
+        )
+
+    @staticmethod
+    def _start_once(task):
+        """Start, run to the first tick, stop; the start instant."""
+        started = task.sim.now
+        task.start()
+        task.sim.run(until=started + 10.0)
+        task.stop()
+        return started
+
+    def test_three_starts_draw_the_first_three_values(self):
+        sim = Simulator(seed=self.SEED)
+        task = self._task(sim)
+        starts = [self._start_once(task) for _ in range(3)]
+        assert task.callback.times == [
+            start + jitter for start, jitter in zip(starts, self._jitters(3))
+        ]
+        assert sim.rng._draws == {"jitter:pv": 3}
+        assert "jitter:pv" not in sim.rng._streams
+
+    def test_a_restored_task_draws_the_next_value(self):
+        sim = Simulator(seed=self.SEED)
+        network = Network(sim)
+        task = self._task(sim)
+        first = self._start_once(task)
+        network2, task2 = restore_network(snapshot_network(network, extra=task))
+        assert task2.sim is network2.sim
+        expected = self._jitters(3)
+        for t in (task, task2):
+            starts = [first] + [self._start_once(t) for _ in range(2)]
+            assert t.callback.times == [
+                start + jitter for start, jitter in zip(starts, expected)
+            ]
+            assert t.sim.rng._draws == {"jitter:pv": 3}

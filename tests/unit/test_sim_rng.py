@@ -1,5 +1,7 @@
 """Unit tests for the named RNG registry."""
 
+import pytest
+
 from repro.sim import RngRegistry, derive_seed
 
 
@@ -48,3 +50,24 @@ class TestRngRegistry:
         assert "x" not in reg
         reg.stream("x")
         assert "x" in reg
+        reg.next_uniform("y", 0.0, 1.0)
+        assert "y" in reg
+
+
+class TestNextUniform:
+    def test_values_are_the_streams_uniform_draws(self):
+        reg, twin = RngRegistry(7), RngRegistry(7).stream("j")
+        for a, b in [(0.0, 1.0), (0.0, 10.0), (-3.0, 3.0), (5.0, 6.0)]:
+            assert reg.next_uniform("j", a, b) == twin.uniform(a, b)
+        assert reg._draws == {"j": 4}
+        assert reg._streams == {}
+
+    def test_a_name_is_either_a_stream_or_a_draw_count(self):
+        reg = RngRegistry(7)
+        reg.stream("s")
+        with pytest.raises(ValueError):
+            reg.next_uniform("s", 0.0, 1.0)
+        reg.next_uniform("j", 0.0, 1.0)
+        with pytest.raises(ValueError):
+            reg.stream("j")
+        assert reg._draws == {"j": 1} and list(reg._streams) == ["s"]
