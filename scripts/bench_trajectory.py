@@ -29,7 +29,7 @@ Three subcommands:
             --bench test_event_loop_throughput --max-seconds 0.8
         python scripts/bench_trajectory.py check .benchmarks/latest.json \\
             --bench test_fullscale_steady_state_throughput \\
-            --max-rss-kb 101128
+            --max-rss-kb 92866
         python scripts/bench_trajectory.py check .benchmarks/ci.json \\
             --bench test_publish_retained_bytes --max-bytes-per-publish 515
         python scripts/bench_trajectory.py check .benchmarks/ci.json \\

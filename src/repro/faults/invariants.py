@@ -7,8 +7,8 @@ states but never mechanically checks:
   by peer ID — totally ordered, duplicate-free, containing the local
   peer, and consistent with its entry table;
 * **peerview refresh order**: the entry table iterates in
-  non-decreasing ``last_refreshed`` — what lets an expiry sweep stop at
-  the first live entry;
+  non-decreasing refresh stamps (``_stamps``) — what lets an expiry
+  sweep stop at the first live entry;
 * **replica ranks** (§3.3): ``ReplicaPeer`` must land in ``[0, l)``
   for every index tuple, whatever the current view size;
 * **lease lifetime**: no edge lease on a rendezvous outlives its
@@ -173,12 +173,12 @@ class InvariantChecker:
             )
 
         # (2b) entry table in refresh order, which expiry relies on
-        stamps = [entry.last_refreshed for entry in entries.values()]
+        stamps = [view._stamps[k] for k in entries]
         if stamps != sorted(stamps):
             found.append(
                 self._violate(
                     now, peer.name, "peerview.refresh-order",
-                    "entry table not in non-decreasing last_refreshed",
+                    "entry table not in non-decreasing refresh stamps",
                 )
             )
 

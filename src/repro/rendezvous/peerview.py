@@ -27,9 +27,12 @@ table's ``(id_bytes, key)`` ordering tokens, one shared tuple per peer —
 tuple/bytes comparisons run in C and the bytes order *is* the PeerID
 order.  Public APIs still accept and return ``PeerID`` objects (mapped
 O(1) through the intern table); protocol hot paths use the ``*_key``
-variants.  The entry map is in **refresh order** — whoever writes
-``last_refreshed`` moves the entry to the end — so, the clock never
-running backwards, an expiry sweep's dead entries are its prefix.
+variants.  A member is its advertisement in ``_entries`` and its last
+refresh time in ``_stamps``, a C-double array indexed by the same key:
+no per-member object, no per-member float.  The entry map is in
+**refresh order** — whoever writes ``_stamps[key]`` moves the key to
+the end — so, the clock never running backwards, an expiry sweep's dead
+entries are its prefix.
 """
 
 from __future__ import annotations
@@ -37,15 +40,13 @@ from __future__ import annotations
 import bisect
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.advertisement.rdvadv import RdvAdvertisement
 from repro.ids.intern import IdInternTable
 from repro.ids.jxtaid import PeerID
-
-#: Entry free-list cap per view (see ``PeerView._entry_pool``).
-_ENTRY_POOL_MAX = 1024
 
 
 def _canary_enabled() -> bool:
@@ -62,14 +63,13 @@ def _canary_enabled() -> bool:
     return os.environ.get("REPRO_CANARY") == "1"
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class PeerViewEntry:
-    """One rendezvous advertisement held in a local peerview.
+    """One member of a local peerview, as :meth:`PeerView.get` reads it.
 
-    ``slots=True`` matters at paper scale: a converged r = 580 overlay
-    holds ~580 of these per peer — ~336 k resident entries — and the
-    per-instance ``__dict__`` was the single largest block of steady
-    state heap."""
+    Built on read, never stored: the view keeps the advertisement and
+    the stamp apart (see the module notes), so writing a field of this
+    copy could not refresh anything — it is frozen to fail loudly."""
 
     adv: RdvAdvertisement
     last_refreshed: float
@@ -114,8 +114,11 @@ class PeerView:
         #: standalone views (unit tests, worked examples) working
         self.interner = interner if interner is not None else IdInternTable()
         self.local_key = self.interner.intern(self.local_peer_id)
-        #: in refresh order (see the module notes)
-        self._entries: Dict[int, PeerViewEntry] = {}
+        #: key -> advertisement, in refresh order (see the module notes)
+        self._entries: Dict[int, RdvAdvertisement] = {}
+        #: last refresh time by key; a write past the end extends it to
+        #: ``key + 1``, and a removed member's slot reads 0.0
+        self._stamps = array("d")
         #: ``_entries``'s keys in first-insertion order; lets the
         #: referral/random-probe samplers pick indices instead of
         #: materialising an O(n) candidate list per draw.  Maintained by
@@ -132,11 +135,6 @@ class PeerView:
         #: only after a membership change (see ``ordered_ids``)
         self._ordered_view: Optional[Tuple[PeerID, ...]] = None
         self._listeners: List[PeerViewListener] = []
-        #: free list of removed entries: the expire/re-add churn of
-        #: phase 2/3 recycles entry objects instead of allocating.
-        #: Callers must not retain an entry past its removal — a later
-        #: add re-arms it in place (same contract as pooled envelopes).
-        self._entry_pool: List[PeerViewEntry] = []
         self.adds = 0
         self.removes = 0
 
@@ -157,10 +155,11 @@ class PeerView:
 
     def get(self, peer_id: PeerID) -> Optional[PeerViewEntry]:
         key = self.interner.lookup(peer_id)
-        return None if key is None else self._entries.get(key)
+        return None if key is None else self.get_by_key(key)
 
     def get_by_key(self, key: int) -> Optional[PeerViewEntry]:
-        return self._entries.get(key)
+        adv = self._entries.get(key)
+        return None if adv is None else PeerViewEntry(adv, self._stamps[key])
 
     def known_ids(self) -> Iterable[PeerID]:
         """IDs of remote entries (excludes self), first-insertion order."""
@@ -192,16 +191,14 @@ class PeerView:
     # pickling
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        """Snapshot state without derived/recyclable fields.
+        """Snapshot state without the derived ``_ordered_view``.
 
-        ``_ordered_view`` is a pure memo over ``_order`` (rebuilt on
-        the next ``ordered_ids`` call) and ``_entry_pool`` is a free
-        list of dead entries; both depend on *when* the view was last
-        queried or churned, not on membership, so keeping them would
-        make pickle bytes vary between otherwise-identical views."""
+        It is a pure memo over ``_order`` (rebuilt on the next
+        ``ordered_ids`` call) and depends on *when* the view was last
+        queried, not on membership, so keeping it would make pickle
+        bytes vary between otherwise-identical views."""
         state = self.__dict__.copy()
         state["_ordered_view"] = None
-        state["_entry_pool"] = []
         return state
 
     # ------------------------------------------------------------------
@@ -235,13 +232,12 @@ class PeerView:
         if key == self.local_key:
             return "self"
         entries = self._entries
-        entry = entries.pop(key, None)
-        if entry is not None:
-            # a refresh moves the entry to the end: ``_entries`` stays
-            # in refresh order, which ``expire`` relies on
-            entries[key] = entry
-            entry.adv = adv  # newer advertisement (route may change)
-            entry.last_refreshed = now
+        if entries.pop(key, None) is not None:
+            # a refresh moves the key to the end: ``_entries`` stays in
+            # refresh order, which ``expire`` relies on; the newer
+            # advertisement replaces the old (the route may change)
+            entries[key] = adv
+            self._stamps[key] = now
             return "refreshed"
         self.add_keyed(key, adv, now)
         return "added"
@@ -253,14 +249,14 @@ class PeerView:
         membership before it gets here; re-deriving all three facts in
         :meth:`upsert` was measurable at full scale."""
         peer_id = adv.rdv_peer_id
-        pool = self._entry_pool
-        if pool:
-            entry = pool.pop()
-            entry.adv = adv
-            entry.last_refreshed = now
-        else:
-            entry = PeerViewEntry(adv=adv, last_refreshed=now)
-        self._entries[key] = entry
+        self._entries[key] = adv
+        stamps = self._stamps
+        try:
+            stamps[key] = now
+        except IndexError:
+            # past the end of the stamp array: extend it to key + 1
+            stamps.extend([0.0] * (key - len(stamps)))
+            stamps.append(now)
         self._key_seq.append(key)
         bisect.insort(self._order, self.interner.order_token(key))
         self._ordered_view = None
@@ -275,14 +271,10 @@ class PeerView:
         return self.remove_by_key(key, now, reason)
 
     def remove_by_key(self, key: int, now: float, reason: str = "") -> bool:
-        entry = self._entries.pop(key, None)
-        if entry is None:
+        if self._entries.pop(key, None) is None:
             return False
-        pool = self._entry_pool
-        if len(pool) < _ENTRY_POOL_MAX:
-            # the adv reference is kept (overwritten on reuse), like a
-            # pooled envelope's payload
-            pool.append(entry)
+        # a snapshot holds no stamp of a non-member
+        self._stamps[key] = 0.0
         self._key_seq.remove(key)
         order = self._order
         del order[bisect.bisect_left(order, self.interner.order_token(key))]
@@ -302,9 +294,10 @@ class PeerView:
         ``_entries`` is in refresh order, so the dead entries are its
         prefix: the sweep reads from the front and stops at the first
         live entry, O(expired) instead of a scan of every entry."""
+        stamps = self._stamps
         dead_keys: List[int] = []
-        for key, entry in self._entries.items():
-            if now - entry.last_refreshed <= pve_expiration:
+        for key in self._entries:
+            if now - stamps[key] <= pve_expiration:
                 break
             dead_keys.append(key)
         if not dead_keys:
@@ -398,18 +391,19 @@ class PeerView:
     # ------------------------------------------------------------------
     def random_referral(
         self, rng: random.Random, exclude: Iterable[PeerID] = ()
-    ) -> Optional[PeerViewEntry]:
-        """A uniformly random entry for a referral response, excluding
-        the probing peer (no point referring someone to themselves) and
-        self (the response already carries our advertisement)."""
+    ) -> Optional[RdvAdvertisement]:
+        """A uniformly random member's advertisement for a referral
+        response, excluding the probing peer (no point referring someone
+        to themselves) and self (the response already carries our
+        advertisement)."""
         picks = self.random_referrals(rng, 1, exclude)
         return picks[0] if picks else None
 
     def random_referrals(
         self, rng: random.Random, count: int, exclude: Iterable[PeerID] = ()
-    ) -> List[PeerViewEntry]:
-        """Up to ``count`` distinct random entries for a referral
-        response, excluding the probing peer and self."""
+    ) -> List[RdvAdvertisement]:
+        """The advertisements of up to ``count`` distinct random members
+        for a referral response, excluding the probing peer and self."""
         if count <= 0:
             return []
         intern = self.interner.intern

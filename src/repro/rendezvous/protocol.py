@@ -227,10 +227,9 @@ class PeerViewProtocol(Process):
     # sending
     # ------------------------------------------------------------------
     def _probe_peer(self, key: int) -> None:
-        entry = self._entries_get(key)
-        if entry is None:
+        adv = self._entries_get(key)
+        if adv is None:
             return
-        adv = entry.adv
         hint = adv.route_hint
         if hint:
             self._probe_address(hint, adv.rdv_peer_id)
@@ -275,10 +274,9 @@ class PeerViewProtocol(Process):
         self._pending_probes.pop(address, None)
 
     def _update_peer(self, key: int) -> None:
-        entry = self._entries_get(key)
-        if entry is None:
+        adv = self._entries_get(key)
+        if adv is None:
             return
-        adv = entry.adv
         hint = adv.route_hint
         if not hint:
             return
@@ -376,21 +374,18 @@ class PeerViewProtocol(Process):
                         now, "peerview", "referral.sent", self._actor,
                         dst=reply_to, count=len(referrals),
                     )
-                # build the adv list and the wire size in one pass,
-                # reading each advertisement's size cache directly
+                # the picks are the advertisements to send; their wire
+                # size reads each one's size cache directly
                 # (size_bytes() recomputes and refills it when a field
                 # mutation invalidated the cache)
-                advs = []
                 rsize = MESSAGE_HEADER_BYTES + _PV_OVERHEAD
-                for entry in referrals:
-                    adv_r = entry.adv
-                    advs.append(adv_r)
+                for adv_r in referrals:
                     s = adv_r.__dict__.get("_size_cache")
                     if s is None:
                         s = adv_r.size_bytes()
                     rsize += s
                 self._send(
-                    reply_to, prober_id, PeerViewReferral(advs), rsize
+                    reply_to, prober_id, PeerViewReferral(referrals), rsize
                 )
 
     def _on_response(
@@ -466,12 +461,11 @@ class PeerViewProtocol(Process):
         if key == view.local_key:
             return
         entries = view._entries
-        entry = entries.pop(key, None)
-        if entry is not None:
-            # a refresh moves the entry to the end (refresh order, as upsert)
-            entries[key] = entry
-            entry.adv = adv  # newer advertisement (route may change)
-            entry.last_refreshed = now
+        if entries.pop(key, None) is not None:
+            # a refresh moves the key to the end (refresh order, as
+            # upsert), with the newer advertisement (route may change)
+            entries[key] = adv
+            view._stamps[key] = now
         else:
             view.add_keyed(key, adv, now)
         hint = adv.route_hint

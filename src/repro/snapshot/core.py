@@ -42,7 +42,7 @@ from typing import Any, Optional, Tuple
 #: Bump whenever the pickled state contract changes incompatibly
 #: (slot layouts, scheduler tier layout, RNG stream naming).  Stored
 #: checkpoints with another version are invalidated, not misread.
-SNAPSHOT_VERSION = 10
+SNAPSHOT_VERSION = 11
 
 #: sha256 of the pickled layout (classes, their fields, container
 #: types) reachable from a reference snapshot, as
@@ -50,7 +50,7 @@ SNAPSHOT_VERSION = 10
 #: that test fails the layout moved: bump the version above, then
 #: regenerate this value with the command the failure prints.
 SNAPSHOT_LAYOUT_FINGERPRINT = (
-    "b8baf7279d94110b552cb52a07014a4865f5629dc8f17a26895a99bc16df431a"
+    "f42175df5db2e233d6cd6ca3d2bb49381d1ae5a5c0571668de48c89e1c5a7240"
 )
 
 _MAGIC = b"repro-snap"

@@ -187,7 +187,7 @@ def test_the_walk_sees_the_layouts_past_bumps_were_about():
         "repro.obs.core.Observability": ["_send_keys"],
         "repro.advertisement.cache.AdvertisementCache": ["_by_attr=dict", "journal=list"],
         "repro.network.message.Envelope": ["dst payload size_bytes src"],
-        "repro.rendezvous.peerview.PeerViewEntry": ["last_refreshed"],
+        "repro.rendezvous.peerview.PeerView": ["_stamps"],
         "repro.discovery.srdi.SrdiIndex": ["_by_publisher=dict[list", "_last"],
         "repro.discovery.srdi.SrdiPusher": ["_pushed=dict"],
         "repro.discovery.srdi._SrdiRecord": ["expires_at key publisher"],

@@ -47,7 +47,7 @@ ops = st.lists(
 @given(ops)
 def test_peerview_matches_reference_model(operations):
     view = PeerView(adv(LOCAL))
-    model = {}  # int id -> last_refreshed, in refresh order
+    model = {}  # int id -> (advertisement, stamp), in refresh order
     inserted = []  # int ids of the members, in first-insertion order
     now = 0.0
     pve = 50.0
@@ -55,11 +55,12 @@ def test_peerview_matches_reference_model(operations):
         now += 1.0
         if op[0] == "upsert":
             for n in op[1]:
-                view.upsert(adv(n), now)
+                sent = adv(n)
+                view.upsert(sent, now)
                 if n != LOCAL:
                     if model.pop(n, None) is None:
                         inserted.append(n)
-                    model[n] = now
+                    model[n] = (sent, now)
         elif op[0] == "remove":
             n = op[1]
             removed = view.remove(
@@ -71,7 +72,7 @@ def test_peerview_matches_reference_model(operations):
         else:
             now += op[1]
             # exactly the model's dead set, oldest refresh first
-            dead = [n for n, t in model.items() if now - t > pve]
+            dead = [n for n, (_, t) in model.items() if now - t > pve]
             assert [as_int(p) for p in view.expire(now, pve)] == dead
             for n in dead:
                 del model[n]
@@ -83,12 +84,17 @@ def test_peerview_matches_reference_model(operations):
         assert actual_ids == expected_ids
         assert view.size == len(model)
         assert view.member_count() == len(model) + 1
-        # the entry table is in refresh order; known_ids keeps
+        # the entry table is in refresh order, each member read back as
+        # the latest advertisement and its stamp; known_ids keeps
         # first-insertion order
         id_of = view.interner.id_of
         assert [as_int(id_of(key)) for key in view._entries] == list(model)
-        stamps = [e.last_refreshed for e in view._entries.values()]
-        assert stamps == sorted(stamps) == list(model.values())
+        stamps = [view._stamps[key] for key in view._entries]
+        assert stamps == sorted(stamps)
+        for key in view._entries:
+            entry = view.get_by_key(key)
+            sent, stamp = model[as_int(id_of(key))]
+            assert entry.adv is sent and entry.last_refreshed == stamp
         assert [as_int(p) for p in view.known_ids()] == inserted
 
 
@@ -253,7 +259,8 @@ def test_referrals_never_include_self_or_prober(members, seed):
         NET_PEER_GROUP_ID, members_list[0] if members_list else 7
     )
     picks = view.random_referrals(random.Random(seed), 3, exclude=(prober,))
-    for entry in picks:
-        assert entry.peer_id != view.local_peer_id
-        assert entry.peer_id != prober
-    assert len({e.peer_id for e in picks}) == len(picks)
+    for referral in picks:
+        assert isinstance(referral, RdvAdvertisement)
+        assert referral.rdv_peer_id != view.local_peer_id
+        assert referral.rdv_peer_id != prober
+    assert len({a.rdv_peer_id for a in picks}) == len(picks)

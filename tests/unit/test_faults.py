@@ -315,16 +315,17 @@ class TestInvariantChecker:
         assert any(v.invariant == "peerview.total-order" for v in found)
 
     def test_refresh_without_the_move_flagged(self):
-        # whoever writes last_refreshed moves the entry to the end of
-        # the entry table; a stamp left in place breaks what expire reads
+        # whoever writes _stamps[key] moves the key to the end of the
+        # entry table; a stamp left in place breaks what expire reads
         sim, network, overlay = deploy()
         checker = InvariantChecker(sim, overlay.rendezvous)
         overlay.start()
         sim.run(until=5 * MINUTES + 1.0)
         assert checker.check_all() == []
-        entries = overlay.rendezvous[0].view._entries
+        view = overlay.rendezvous[0].view
+        entries = view._entries
         first = next(iter(entries))
-        entries[first].last_refreshed = sim.now
+        view._stamps[first] = sim.now
         found = checker.check_all()
         assert [v.invariant for v in found] == ["peerview.refresh-order"]
         entries[first] = entries.pop(first)  # the move

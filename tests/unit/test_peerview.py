@@ -1,5 +1,6 @@
 """Unit tests for the PeerView data structure."""
 
+import dataclasses
 import random
 
 import pytest
@@ -49,6 +50,15 @@ class TestUpsert:
         newer = adv(10, name="renamed")
         view.upsert(newer, now=1.0)
         assert view.get(pid(10)).adv.name == "renamed"
+
+    def test_a_read_copy_cannot_be_written(self, view):
+        # the stamp lives in the view's array; writing the copy would
+        # refresh nothing, so it fails instead
+        view.upsert(adv(10), now=0.0)
+        entry = view.get(pid(10))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            entry.last_refreshed = 9.0
+        assert view.get(pid(10)).last_refreshed == 0.0
 
 
 class TestSizeSemantics:
@@ -201,8 +211,8 @@ class TestReferral:
         view.upsert(adv(20), now=0.0)
         rng = random.Random(0)
         for _ in range(50):
-            entry = view.random_referral(rng, exclude=(pid(10),))
-            assert entry.peer_id == pid(20)
+            referral = view.random_referral(rng, exclude=(pid(10),))
+            assert referral.rdv_peer_id == pid(20)
 
     def test_no_candidates_returns_none(self, view):
         view.upsert(adv(10), now=0.0)
@@ -214,8 +224,8 @@ class TestReferral:
         rng = random.Random(0)
         counts = {}
         for _ in range(3000):
-            entry = view.random_referral(rng)
-            counts[entry.peer_id] = counts.get(entry.peer_id, 0) + 1
+            referral = view.random_referral(rng).rdv_peer_id
+            counts[referral] = counts.get(referral, 0) + 1
         assert all(800 < c < 1200 for c in counts.values())
 
 

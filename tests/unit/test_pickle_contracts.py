@@ -660,15 +660,26 @@ class TestPeerView:
         assert clone._ordered_view is None
         assert clone.ordered_ids() == ordered
 
-    def test_entry_pool_not_carried(self):
-        view = self._view()
-        view.remove(pid(30), now=1.0)  # recycles the entry into the pool
-        assert view._entry_pool
-        clone = pickle.loads(pickle.dumps(view))
-        assert clone._entry_pool == []
-        # membership and counters round-trip exactly
-        assert clone.ordered_ids() == view.ordered_ids()
-        assert (clone.adds, clone.removes) == (view.adds, view.removes)
+    def test_removed_member_leaves_no_stamp(self):
+        # two views on one table and one set of advertisements (as on a
+        # network): one saw peers 30 and 70 come and go, the other never
+        # did
+        table = IdInternTable()
+        advs = {n: rdv_adv(n) for n in (10, 30, 50, 70)}
+        churned = PeerView(advs[50], interner=table)
+        for n in (10, 30, 70):
+            churned.upsert(advs[n], now=2.0)
+        churned.remove(pid(30), now=3.0)
+        churned.remove(pid(70), now=3.0)
+        never = PeerView(advs[50], interner=table)
+        never.upsert(advs[10], now=2.0)
+        # apart from the counters and the array length, the same bytes
+        assert (churned.adds, churned.removes) == (3, 2)
+        churned.adds, churned.removes = never.adds, never.removes
+        tail = churned._stamps[len(never._stamps):]
+        assert list(tail) == [0.0, 0.0]
+        del churned._stamps[len(never._stamps):]
+        assert pickle.dumps(churned) == pickle.dumps(never)
 
     def test_pickle_bytes_independent_of_query_history(self):
         quiet = self._view()
