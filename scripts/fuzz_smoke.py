@@ -3,9 +3,10 @@
 
 Asserts the headline guarantees end to end:
 
-1. **Canary loop** — with the planted bug armed (``REPRO_CANARY=1``)
-   a fixed-budget fuzz run finds it, classifies it as canary-dependent
-   and shrinks the reproducer to ≤ 8 actions.
+1. **Canary loop** — with the planted bug armed
+   (``SimOptions(canaries=CANARIES)``) a fixed-budget fuzz run finds
+   it, classifies it as canary-dependent and shrinks the reproducer to
+   ≤ 8 actions.
 2. **Corpus replay matrix** — the committed ``tests/fuzz_corpus/``
    entries replay green under both ``REPRO_SCHEDULER=wheel`` and
    ``heap`` (via the tier-1 replayer suite).
@@ -81,14 +82,12 @@ def counted_executions():
 
 def check_canary_loop() -> None:
     from repro.fuzz.engine import FuzzEngine
+    from repro.sim.options import CANARIES, SimOptions
 
-    os.environ["REPRO_CANARY"] = "1"
+    armed = SimOptions(canaries=CANARIES)
     t0 = time.perf_counter()
-    try:
-        with counted_executions() as counted:
-            report = FuzzEngine(seed=SEED).run(8)
-    finally:
-        os.environ.pop("REPRO_CANARY", None)
+    with counted_executions() as counted:
+        report = FuzzEngine(seed=SEED, options=armed).run(8)
     wall = time.perf_counter() - t0
     failures = report.failures
     assert failures, "canary bug not found within the smoke budget"

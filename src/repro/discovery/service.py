@@ -475,11 +475,6 @@ class DiscoveryService(QueryHandler):
             return None
         return self.view.key_at(self.replica_fn.rank(index_tuple, count))
 
-    def _replica_peer(self, index_tuple: IndexTuple) -> Optional[PeerID]:
-        """ReplicaPeer(tuple) on the local peerview."""
-        key = self._replica_key(index_tuple)
-        return None if key is None else self.view.interner.id_of(key)
-
     # ------------------------------------------------------------------
     def _handle_query(self, query: ResolverQuery) -> None:
         payload: DiscoveryQueryPayload = query.payload

@@ -17,7 +17,6 @@ the walk fall-back compensates for stale replica placements.
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -33,7 +32,7 @@ from repro.experiments.common import (
 from repro.metrics import render_table
 from repro.network.churn import ChurnProcess, ExponentialChurn
 from repro.network import Network
-from repro.sim import HOURS, MINUTES, Simulator
+from repro.sim import HOURS, MINUTES, SimOptions, Simulator
 from repro.snapshot import (
     CheckpointStore,
     disown_network,
@@ -64,6 +63,7 @@ def bootstrap_spec(
     seed: int = 1,
     warmup: float = 15 * MINUTES,
     config: Optional[PlatformConfig] = None,
+    options: Optional[SimOptions] = None,
 ) -> Dict[str, Any]:
     """Checkpoint key for the churn bootstrap.  The churn laws
     (``mean_session``/``mean_downtime``) and ``queries`` are
@@ -76,7 +76,7 @@ def bootstrap_spec(
         "seed": seed,
         "warmup": warmup,
         "targets": TARGET_COUNT,
-        "scheduler": os.environ.get("REPRO_SCHEDULER", "wheel"),
+        "options": asdict(options or SimOptions.from_env()),
         "config": asdict(cfg),
     }
 
@@ -86,10 +86,11 @@ def _bootstrap(
     seed: int,
     warmup: float,
     config: Optional[PlatformConfig],
+    options: Optional[SimOptions] = None,
 ) -> Tuple[Network, Any]:
     """Deploy, publish the churn targets and warm up (the churn-law-
     independent prefix of :func:`run_point`)."""
-    sim = Simulator(seed=seed)
+    sim = Simulator(seed=seed, options=options)
     network = Network(sim)
     cfg = config if config is not None else PlatformConfig()
     overlay = build_overlay(
@@ -115,10 +116,11 @@ def build_checkpoint(
     seed: int = 1,
     warmup: float = 15 * MINUTES,
     config: Optional[PlatformConfig] = None,
+    options: Optional[SimOptions] = None,
 ) -> bytes:
     """Bootstrap once and capture the blob (``build`` callable of
     :meth:`CheckpointStore.load_or_build`)."""
-    network, overlay = _bootstrap(r, seed, warmup, config)
+    network, overlay = _bootstrap(r, seed, warmup, config, options)
     blob = snapshot_network(network, extra={"overlay": overlay})
     disown_network(network)
     return blob
@@ -134,14 +136,13 @@ def run_point(
     config: Optional[PlatformConfig] = None,
     checkpoint_store: Optional[CheckpointStore] = None,
 ) -> ChurnPoint:
+    options = SimOptions.from_env()
     if checkpoint_store is None:
-        network, overlay = _bootstrap(r, seed, warmup, config)
+        network, overlay = _bootstrap(r, seed, warmup, config, options)
     else:
         blob, _hit = checkpoint_store.load_or_build(
-            bootstrap_spec(r, seed=seed, warmup=warmup, config=config),
-            lambda: build_checkpoint(
-                r, seed=seed, warmup=warmup, config=config
-            ),
+            bootstrap_spec(r, seed, warmup, config, options),
+            lambda: build_checkpoint(r, seed, warmup, config, options),
         )
         network, extra = restore_network(blob)
         overlay = extra["overlay"]

@@ -19,7 +19,6 @@ Expected shapes (paper): configuration A stays ≈12 ms up to r = 50
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -34,7 +33,7 @@ from repro.experiments.common import (
 )
 from repro.metrics import render_table
 from repro.network import Network
-from repro.sim import HOURS, MINUTES, Simulator
+from repro.sim import HOURS, MINUTES, SimOptions, Simulator
 from repro.snapshot import (
     CheckpointStore,
     disown_network,
@@ -83,6 +82,7 @@ def bootstrap_spec(
     noisers: int = NOISER_COUNT,
     fakes_per_noiser: int = FAKES_PER_NOISER,
     config: Optional[PlatformConfig] = None,
+    options: Optional[SimOptions] = None,
 ) -> Dict[str, Any]:
     """Canonical description of everything the warm-started state
     depends on: the :class:`~repro.snapshot.CheckpointStore` key.
@@ -98,7 +98,7 @@ def bootstrap_spec(
         "warmup": max(warmup, 4 * MINUTES),
         "noisers": noiser_count,
         "fakes_per_noiser": fakes_per_noiser if noiser_count else 0,
-        "scheduler": os.environ.get("REPRO_SCHEDULER", "wheel"),
+        "options": asdict(options or SimOptions.from_env()),
         "config": asdict(cfg),
     }
 
@@ -111,10 +111,11 @@ def _bootstrap(
     noisers: int,
     fakes_per_noiser: int,
     config: Optional[PlatformConfig],
+    options: Optional[SimOptions] = None,
 ) -> Tuple[Network, Any]:
     """Deploy and warm up one fig4-right overlay (the expensive,
     measurement-independent prefix of :func:`run_point`)."""
-    sim = Simulator(seed=seed)
+    sim = Simulator(seed=seed, options=options)
     network = Network(sim)
     cfg = config if config is not None else PlatformConfig()
 
@@ -165,11 +166,13 @@ def build_checkpoint(
     noisers: int = NOISER_COUNT,
     fakes_per_noiser: int = FAKES_PER_NOISER,
     config: Optional[PlatformConfig] = None,
+    options: Optional[SimOptions] = None,
 ) -> bytes:
     """Run the bootstrap and capture it as a checkpoint blob (the
     ``build`` callable of :meth:`CheckpointStore.load_or_build`)."""
     network, overlay = _bootstrap(
-        r, with_noise, seed, warmup, noisers, fakes_per_noiser, config
+        r, with_noise, seed, warmup, noisers, fakes_per_noiser, config,
+        options,
     )
     blob = snapshot_network(network, extra={"overlay": overlay})
     disown_network(network)
@@ -202,19 +205,23 @@ def run_point(
     measurement phase runs on state byte-identical to a cold run
     (docs/CHECKPOINTS.md pins that contract).
     """
+    options = SimOptions.from_env()
     if checkpoint_store is None:
         network, overlay = _bootstrap(
-            r, with_noise, seed, warmup, noisers, fakes_per_noiser, config
+            r, with_noise, seed, warmup, noisers, fakes_per_noiser, config,
+            options,
         )
     else:
         blob, _hit = checkpoint_store.load_or_build(
             bootstrap_spec(
                 r, with_noise, seed=seed, warmup=warmup, noisers=noisers,
                 fakes_per_noiser=fakes_per_noiser, config=config,
+                options=options,
             ),
             lambda: build_checkpoint(
                 r, with_noise, seed=seed, warmup=warmup, noisers=noisers,
                 fakes_per_noiser=fakes_per_noiser, config=config,
+                options=options,
             ),
         )
         network, extra = restore_network(blob)

@@ -14,13 +14,12 @@ it.  ``--full`` sizes the run to the acceptance floor: ≥100k open-loop
 requests at r = 150.
 
 Runs are deterministic per seed (byte-identical trace and SLO snapshot
-on both ``REPRO_SCHEDULER=wheel|heap``); :func:`replay_load` re-drives
+under both schedulers); :func:`replay_load` re-drives
 a recorded trace as the regression oracle (docs/WORKLOADS.md).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -28,7 +27,7 @@ from repro.config import PlatformConfig
 from repro.deploy import OverlayDescription, build_overlay
 from repro.metrics import render_table
 from repro.network import Network
-from repro.sim import MINUTES, Simulator
+from repro.sim import MINUTES, SimOptions, Simulator
 from repro.snapshot import (
     CheckpointStore,
     disown_network,
@@ -105,8 +104,9 @@ class LoadRun:
 
 
 def _deploy(spec: WorkloadSpec, r: int, seed: int,
-            config: Optional[PlatformConfig] = None):
-    sim = Simulator(seed=seed)
+            config: Optional[PlatformConfig] = None,
+            options: Optional[SimOptions] = None):
+    sim = Simulator(seed=seed, options=options)
     network = Network(sim)
     cfg = config if config is not None else PlatformConfig()
     count = spec.client_count
@@ -127,6 +127,7 @@ def bootstrap_spec(
     r: int,
     seed: int = 1,
     config: Optional[PlatformConfig] = None,
+    options: Optional[SimOptions] = None,
 ) -> Dict[str, Any]:
     """Checkpoint key for a load-run bootstrap: overlay shape, seed,
     warm-up timeline and the *published* face of the catalog (names +
@@ -151,7 +152,7 @@ def bootstrap_spec(
             "prefix": spec.catalog.get("prefix", "item"),
             "payload_bytes": catalog.payload_bytes,
         },
-        "scheduler": os.environ.get("REPRO_SCHEDULER", "wheel"),
+        "options": asdict(options or SimOptions.from_env()),
         "config": asdict(cfg),
     }
 
@@ -161,6 +162,7 @@ def _bootstrap(
     r: int,
     seed: int,
     config: Optional[PlatformConfig],
+    options: Optional[SimOptions] = None,
 ) -> Tuple[Any, Any]:
     """Deploy the overlay, publish the catalog at ``seed_time`` and
     warm up to ``spec.warmup`` — the traffic-independent prefix of a
@@ -169,7 +171,7 @@ def _bootstrap(
     ``workload.seed`` event, and every draw it triggers comes from
     named per-link/per-purpose RNG streams, so downstream state is
     byte-equivalent (docs/CHECKPOINTS.md)."""
-    sim, overlay = _deploy(spec, r, seed, config)
+    sim, overlay = _deploy(spec, r, seed, config, options)
     network = overlay.group.network
     catalog = Catalog.from_spec(spec.catalog)
     # publish_catalog's partition: publisher edges, or every client
@@ -191,10 +193,11 @@ def build_checkpoint(
     r: int,
     seed: int = 1,
     config: Optional[PlatformConfig] = None,
+    options: Optional[SimOptions] = None,
 ) -> bytes:
     """Bootstrap once and capture the blob (``build`` callable of
     :meth:`CheckpointStore.load_or_build`)."""
-    network, overlay = _bootstrap(spec, r, seed, config)
+    network, overlay = _bootstrap(spec, r, seed, config, options)
     blob = snapshot_network(network, extra={"overlay": overlay})
     disown_network(network)
     return blob
@@ -214,13 +217,14 @@ def run_load(
     restored from the content-addressed cache (built on first use) and
     the engine warm-starts on top — trace bytes and SLO snapshot stay
     byte-identical to the cold run."""
+    options = SimOptions.from_env()
     if checkpoint_store is None:
-        sim, overlay = _deploy(spec, r, seed, config)
+        sim, overlay = _deploy(spec, r, seed, config, options)
         warm = False
     else:
         blob, _hit = checkpoint_store.load_or_build(
-            bootstrap_spec(spec, r, seed=seed, config=config),
-            lambda: build_checkpoint(spec, r, seed=seed, config=config),
+            bootstrap_spec(spec, r, seed, config, options),
+            lambda: build_checkpoint(spec, r, seed, config, options),
         )
         network, extra = restore_network(blob)
         sim, overlay = network.sim, extra["overlay"]

@@ -2,8 +2,8 @@
 
 Budget mode (the default) is fully deterministic: the budget is split
 into fixed-size batches seeded from ``--seed`` and the batch index,
-so ``--jobs 1`` and ``--jobs 2`` (and reruns, and either value of
-``REPRO_SCHEDULER``) print the same corpus, coverage map, failure set
+so ``--jobs 1`` and ``--jobs 2`` (and reruns, and either scheduler of
+:meth:`SimOptions.from_env`) print the same corpus, coverage map, failure set
 and digest.  ``--time`` instead keeps launching batches until the
 wall-clock budget is spent — useful for soak runs, at the cost of a
 run-dependent batch count.

@@ -7,8 +7,8 @@ reason it is kept:
   case in its batch had reached (``new_keys`` records which);
 * ``kind="failure"`` — the (shrunk) case fails an oracle, identified
   by ``signature``;
-* ``kind="canary"`` — a failure that only reproduces with the planted
-  ``REPRO_CANARY=1`` bug enabled (``requires_canary`` is set); these
+* ``kind="canary"`` — a failure that only reproduces with a planted
+  bug armed in ``SimOptions.canaries`` (``requires_canary`` is set); these
   live in a separate file so the tier-1 replayer can assert them
   *red* under the canary and keep everything else green.
 

@@ -25,9 +25,8 @@ schedulers.
 from __future__ import annotations
 
 import hashlib
-import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.spec import canonical_json, derive_seed
@@ -48,6 +47,7 @@ from repro.fuzz.genome import (
 )
 from repro.fuzz.runner import ORACLES, Failure, check_case
 from repro.fuzz.shrink import shrink_case
+from repro.sim import SimOptions
 
 #: per-failure shrink probe budget
 SHRINK_PROBES = 120
@@ -114,12 +114,8 @@ def merge_reports(
     )
 
 
-def _canary_active() -> bool:
-    return os.environ.get("REPRO_CANARY") == "1"
-
-
 class FuzzEngine:
-    """One deterministic fuzzing batch."""
+    """One deterministic fuzzing batch, run under ``options``."""
 
     def __init__(
         self,
@@ -128,8 +124,10 @@ class FuzzEngine:
         oracles: Sequence[str] = ORACLES,
         store=None,
         log: Optional[Callable[[str], None]] = None,
+        options: Optional[SimOptions] = None,
     ) -> None:
         self.seed = seed
+        self.options = options or SimOptions.from_env()
         self.bounds = bounds
         self.oracles = tuple(oracles)
         self.store = store
@@ -160,11 +158,15 @@ class FuzzEngine:
 
     # -- failure handling -------------------------------------------------
 
-    def _still_fails(self, failure: Failure) -> Callable[[FuzzCase], bool]:
+    def _still_fails(
+        self, failure: Failure, options: Optional[SimOptions] = None
+    ) -> Callable[[FuzzCase], bool]:
+        options = options or self.options
+
         def predicate(candidate: FuzzCase) -> bool:
             probe = check_case(
                 candidate, oracles=(failure.oracle,), store=self.store,
-                coverage=False,
+                coverage=False, options=options,
             )
             return any(
                 f.signature == failure.signature for f in probe.failures
@@ -175,14 +177,11 @@ class FuzzEngine:
     def _requires_canary(
         self, failure: Failure, case: FuzzCase
     ) -> bool:
-        """Does this reproducer depend on the planted canary bug?"""
-        if not _canary_active():
+        """Does this reproducer pass with every canary disarmed?"""
+        if not self.options.canaries:
             return False
-        os.environ["REPRO_CANARY"] = "0"
-        try:
-            return not self._still_fails(failure)(case)
-        finally:
-            os.environ["REPRO_CANARY"] = "1"
+        disarmed = replace(self.options, canaries=())
+        return not self._still_fails(failure, disarmed)(case)
 
     def _record_failure(self, failure: Failure, case: FuzzCase) -> None:
         self._failed_signatures.add(failure.signature)
@@ -222,7 +221,9 @@ class FuzzEngine:
         if key in self._seen:
             return
         self._seen.add(key)
-        result = check_case(case, oracles=self.oracles, store=self.store)
+        result = check_case(
+            case, self.oracles, self.store, options=self.options
+        )
         self.report.skipped += len(result.skipped)
         new_keys = set(result.base.coverage) - self._coverage
         self._coverage.update(result.base.coverage)

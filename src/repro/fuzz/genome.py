@@ -667,7 +667,7 @@ SEED_CASES: Tuple[FuzzCase, ...] = (
         pve_expiration=300.0, peerview_interval=30.0,
     ),
     # 2 — crash + expiry: crashed peers' entries age out of every other
-    # view (the path the REPRO_CANARY bug corrupts)
+    # view (the path the peerview.expire-leak canary corrupts)
     FuzzCase(
         seed=2, r=6, topology="chain", duration=300.0,
         pve_expiration=60.0, peerview_interval=15.0,

@@ -22,8 +22,8 @@ Oracles (:func:`check_case`):
 ``invariants``
     Any :class:`~repro.faults.InvariantChecker` violation.  The fault
     matrix pins that the standard fault classes produce *zero*
-    violations, so a violation here is a real bug (or the planted
-    ``REPRO_CANARY``).
+    violations, so a violation here is a real bug (or a planted canary
+    armed in ``SimOptions.canaries``).
 ``scheduler``
     The same case re-run under the *other* kernel scheduler
     (wheel vs heap) must produce a byte-identical kernel trace digest.
@@ -43,8 +43,7 @@ Oracles (:func:`check_case`):
 
 from __future__ import annotations
 
-import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.spec import canonical_json
@@ -60,7 +59,7 @@ from repro.fuzz.genome import (
 from repro.metrics import EventLog
 from repro.network import Network
 from repro.obs.runtime import ObsSession, activate, deactivate
-from repro.sim import Simulator
+from repro.sim import SimOptions, Simulator
 from repro.sim.tracing import KernelTraceRecorder
 from repro.snapshot import (
     SnapshotError,
@@ -124,28 +123,17 @@ def end_time(case: FuzzCase) -> float:
     return case.duration + WORKLOAD_TIMEOUT + DRAIN_SLACK
 
 
-def _scheduler(override: Optional[str]) -> str:
-    return (
-        override
-        if override is not None
-        else os.environ.get("REPRO_SCHEDULER", "wheel")
-    )
-
-
-def _pooling(override: Optional[bool]) -> bool:
-    return True if override is None else override
-
-
 def bootstrap_spec(
-    case: FuzzCase, scheduler: Optional[str] = None,
-    pooling: Optional[bool] = None, metrics: bool = True,
+    case: FuzzCase, options: Optional[SimOptions] = None, metrics: bool = True,
 ) -> Dict[str, Any]:
     """Checkpoint key of a case's fault-free bootstrap prefix.  Keyed
     on everything the prefix depends on — actions and workload traffic
     only start after ``BOOTSTRAP_TIME``, so shrink probes that differ
-    only in those share one cached prefix — and on ``metrics``: the
-    network pickles its obs hub, so a prefix built without one would
-    restore into a coverage-reading run with its counters missing."""
+    only in those share one cached prefix — the options the blob
+    carries, and ``metrics``: the network pickles its obs hub, so a
+    prefix built without one would restore into a coverage-reading run
+    with its counters missing."""
+    options = options or SimOptions.from_env()
     edge_count = (
         workload_spec_of(case).client_count if case.workload else 0
     )
@@ -157,19 +145,16 @@ def bootstrap_spec(
         "edge_count": edge_count,
         "bootstrap_time": BOOTSTRAP_TIME,
         "config": asdict(platform_config_of(case)),
-        "scheduler": _scheduler(scheduler),
-        "pooling": _pooling(pooling),
+        "options": asdict(options),
         "metrics": metrics,
     }
 
 
-def _deploy(
-    case: FuzzCase, scheduler: Optional[str], pooling: Optional[bool]
-):
+def _deploy(case: FuzzCase, options: SimOptions):
     """Cold bootstrap: deploy, start, run fault-free to BOOTSTRAP_TIME."""
-    sim = Simulator(seed=case.seed, scheduler=_scheduler(scheduler))
+    sim = Simulator(seed=case.seed, options=options)
     recorder = KernelTraceRecorder(sim)
-    network = Network(sim, pooling=_pooling(pooling))
+    network = Network(sim)
     spec = workload_spec_of(case)
     overlay = build_overlay(
         sim, network, platform_config_of(case),
@@ -188,29 +173,20 @@ def _deploy(
     return network, overlay, recorder
 
 
-def _build_checkpoint(
-    case: FuzzCase, scheduler: Optional[str], pooling: Optional[bool]
-) -> bytes:
-    network, overlay, recorder = _deploy(case, scheduler, pooling)
-    blob = snapshot_network(
-        network, extra={"overlay": overlay, "recorder": recorder}
-    )
-    disown_network(network)
-    return blob
-
-
-def _bootstrap(
-    case: FuzzCase,
-    scheduler: Optional[str],
-    pooling: Optional[bool],
-    store,
-    metrics: bool,
-):
+def _bootstrap(case: FuzzCase, options: SimOptions, store, metrics: bool):
     if store is None:
-        return _deploy(case, scheduler, pooling)
+        return _deploy(case, options)
+
+    def build() -> bytes:
+        network, overlay, recorder = _deploy(case, options)
+        blob = snapshot_network(
+            network, extra={"overlay": overlay, "recorder": recorder}
+        )
+        disown_network(network)
+        return blob
+
     blob, _hit = store.load_or_build(
-        bootstrap_spec(case, scheduler, pooling, metrics),
-        lambda: _build_checkpoint(case, scheduler, pooling),
+        bootstrap_spec(case, options, metrics), build
     )
     network, extra = restore_network(blob)
     return network, extra["overlay"], extra["recorder"]
@@ -257,8 +233,7 @@ class _NoHubSession(ObsSession):
 
 def run_case(
     case: FuzzCase,
-    scheduler: Optional[str] = None,
-    pooling: Optional[bool] = None,
+    options: Optional[SimOptions] = None,
     store=None,
     reads: Sequence[str] = EVERYTHING,
     replay_ops: Optional[Sequence[Any]] = None,
@@ -266,11 +241,12 @@ def run_case(
     """One seeded execution of ``case`` under the invariant checker and
     the kernel trace recorder, collecting what ``reads`` names of
     :data:`EVERYTHING` for the caller."""
+    options = options or SimOptions.from_env()
     metrics = COVERAGE in reads
     session = activate(ObsSession() if metrics else _NoHubSession())
     try:
         network, overlay, recorder = _bootstrap(
-            case, scheduler, pooling, store, metrics
+            case, options, store, metrics
         )
         sim = network.sim
         engine = ScenarioEngine(
@@ -317,7 +293,7 @@ def run_case(
 
 
 def run_case_with_midpoint_snapshot(
-    case: FuzzCase, store=None
+    case: FuzzCase, options: SimOptions, store=None
 ) -> Tuple[Optional[str], Optional[str], Optional[str]]:
     """The snapshot-invisibility probe: pause at mid-run, snapshot,
     continue; separately restore the blob and continue that copy.
@@ -329,7 +305,7 @@ def run_case_with_midpoint_snapshot(
     t_mid = round((BOOTSTRAP_TIME + case.duration) / 2.0, 1)
     session = activate(ObsSession(metrics=True))
     try:
-        network, overlay, recorder = _bootstrap(case, None, None, store, True)
+        network, overlay, recorder = _bootstrap(case, options, store, True)
         sim = network.sim
         log = EventLog()
         engine = ScenarioEngine(
@@ -404,14 +380,17 @@ def check_case(
     oracles: Sequence[str] = ORACLES,
     store=None,
     coverage: bool = True,
+    options: Optional[SimOptions] = None,
 ) -> CaseReport:
-    """Run ``case`` under the requested oracle subset.  Re-executions
-    collect what their oracle compares, and so does the base for a
-    caller that reads ``failures`` only (``coverage=False``: shrink
-    probes); otherwise it adds the digest and the coverage keys."""
+    """Run ``case`` under the requested oracle subset and ``options``
+    (default :meth:`SimOptions.from_env`).  Re-executions collect what
+    their oracle compares, and so does the base for a caller that reads
+    ``failures`` only (``coverage=False``: shrink probes); otherwise it
+    adds the digest and the coverage keys."""
     unknown = set(oracles) - set(ORACLES)
     if unknown:
         raise ValueError(f"unknown oracle(s): {sorted(unknown)}")
+    options = options or SimOptions.from_env()
     need_replay = "replay" in oracles and case.workload is not None
     reads = []
     if coverage or {"scheduler", "pooling", "snapshot"} & set(oracles):
@@ -420,7 +399,7 @@ def check_case(
         reads.append(COVERAGE)
     if need_replay:
         reads.append(WORKLOAD)
-    base = run_case(case, store=store, reads=reads)
+    base = run_case(case, options=options, store=store, reads=reads)
     failures: List[Failure] = []
     skipped: List[str] = []
 
@@ -440,9 +419,12 @@ def check_case(
             )
 
     if "scheduler" in oracles:
-        primary = _scheduler(None)
+        primary = options.scheduler
         other = "heap" if primary == "wheel" else "wheel"
-        alt = run_case(case, scheduler=other, store=store, reads=(DIGEST,))
+        alt = run_case(
+            case, options=replace(options, scheduler=other), store=store,
+            reads=(DIGEST,),
+        )
         if alt.digest != base.digest:
             failures.append(
                 Failure(
@@ -457,7 +439,8 @@ def check_case(
 
     if "pooling" in oracles:
         alt = run_case(
-            case, pooling=False, store=store, reads=(DIGEST,)
+            case, options=replace(options, pooling=False), store=store,
+            reads=(DIGEST,),
         )
         if alt.digest != base.digest:
             failures.append(
@@ -473,7 +456,7 @@ def check_case(
 
     if "snapshot" in oracles:
         continued, restored, skip = run_case_with_midpoint_snapshot(
-            case, store=store
+            case, options, store=store
         )
         if skip is not None:
             skipped.append(f"snapshot: {skip}")
@@ -506,7 +489,7 @@ def check_case(
             skipped.append("replay: case has no workload")
         else:
             replayed = run_case(
-                case, store=store, reads=(WORKLOAD,),
+                case, options=options, store=store, reads=(WORKLOAD,),
                 replay_ops=base.trace_ops,
             )
             if (

@@ -19,7 +19,6 @@ are dropped, exactly like TCP connect failures to a dead host.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
@@ -105,15 +104,11 @@ class Network:
     loss_rate:
         Probability a message silently disappears (default 0, like the
         paper's controlled testbed).
-    pooling:
-        Recycle delivered envelopes and fired deliver-timer handles
-        through per-network/per-simulator free lists, making the
-        steady-state send path allocation-free (on by default; the
-        pooling-equivalence oracle and property tests pass ``False``).
-        Delivery handlers (and observability recorders) must not
-        retain an envelope past the delivery callback — it is re-armed
-        in place by a later send.  ``REPRO_POOL_DEBUG=1`` adds
-        double-release integrity checks.
+
+    ``sim.options.pooling`` recycles delivered envelopes and fired
+    deliver-timer handles, so the steady-state send path allocates
+    nothing: a delivery handler must not retain an envelope past its
+    callback.  ``sim.options.pool_debug`` checks the free lists.
     """
 
     def __init__(
@@ -124,7 +119,6 @@ class Network:
         sw_overhead: float = DEFAULT_SW_OVERHEAD,
         loss_rate: float = 0.0,
         egress_queueing: bool = True,
-        pooling: bool = True,
     ) -> None:
         if bandwidth_bps <= 0:
             raise ValueError(f"bandwidth must be > 0 (got {bandwidth_bps})")
@@ -173,7 +167,7 @@ class Network:
         self._latency_delay = self.latency.delay
         self._schedule = sim.schedule
         #: steady-state recycling of envelopes + deliver handles
-        self.pooling = pooling
+        self.pooling = sim.options.pooling
         self._envelope_pool: list[Envelope] = []
         #: Free list of endpoint message *shells* (the payload layer's
         #: counterpart to the envelope pool).  Protocols that know
@@ -183,7 +177,7 @@ class Network:
         #: them after the delivery callback.  The transport stays
         #: payload-agnostic: it only honours the ``recyclable`` flag.
         self.message_pool: list = []
-        self._pool_debug = os.environ.get("REPRO_POOL_DEBUG", "") == "1"
+        self._pool_debug = sim.options.pool_debug
         self._env_pool_ids: set[int] = set()
         self._release_handle = sim.release_handle
         self._reschedule = sim.reschedule
@@ -222,10 +216,11 @@ class Network:
     # pickling (repro.snapshot)
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        """Everything round-trips except the id()-based pool-integrity
-        set, which is meaningless in another process and is rebuilt
-        from the envelope pool's contents on restore.  The cached bound
-        methods (``_schedule``, ``_latency_delay``, ...) pickle as
+        """Everything round-trips — the pooling switches too: a
+        restored network runs as it was built — except the id()-based
+        pool-integrity set, which is meaningless in another process and
+        is rebuilt from the envelope pool's contents on restore.  The
+        cached bound methods (``_schedule``, ``_latency_delay``, ...) pickle as
         ordinary bound methods of the memo-shared simulator/latency
         objects, so the restored network keeps pointing at the restored
         simulator."""
@@ -235,8 +230,6 @@ class Network:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        # integrity checking follows the restoring process's environment
-        self._pool_debug = os.environ.get("REPRO_POOL_DEBUG", "") == "1"
         self._env_pool_ids = (
             {id(e) for e in self._envelope_pool}
             if self._pool_debug
@@ -297,30 +290,6 @@ class Network:
     # ------------------------------------------------------------------
     # sending
     # ------------------------------------------------------------------
-    def transit_delay(self, src: Node, dst: Node, size_bytes: int) -> float:
-        """Deterministic part of the delivery delay (no jitter draw,
-        no queueing)."""
-        serialization = size_bytes * 8.0 / self.bandwidth_bps
-        return serialization + self.sw_overhead
-
-    def _egress_delay(
-        self, src_node: Node, size_bytes: int, now: Optional[float] = None
-    ) -> float:
-        """Time from now until the message has left ``src_node``'s NIC,
-        accounting for earlier in-flight sends from the same machine."""
-        if now is None:
-            now = self._clock._now
-        serialization = size_bytes * 8.0 / self.bandwidth_bps
-        if not self.egress_queueing:
-            return serialization
-        start = max(now, self._egress_busy_until.get(src_node.node_id, 0.0))
-        departure = start + serialization
-        self._egress_busy_until[src_node.node_id] = departure
-        queue_delay = start - now
-        if queue_delay > self.peak_queue_delay:
-            self.peak_queue_delay = queue_delay
-        return departure - now
-
     def send(
         self,
         src: str,
@@ -381,9 +350,8 @@ class Network:
         stats.bytes_sent += size_bytes
         stats.site_pair_messages[site_pair] += 1
 
-        # inlined _egress_delay (kept as a method for tests/diagnostics):
         # NIC serialization plus queueing behind this node's in-flight
-        # sends — send() is the hottest function in a full-scale run
+        # sends, inline — send() is the hottest function in a full-scale run
         serialization = size_bytes * 8.0 / self.bandwidth_bps
         if self.egress_queueing:
             busy = self._egress_busy_until

@@ -49,20 +49,6 @@ from repro.ids.intern import IdInternTable
 from repro.ids.jxtaid import PeerID
 
 
-def _canary_enabled() -> bool:
-    """True when the *planted* fuzzing canary bug is armed.
-
-    ``REPRO_CANARY=1`` makes :meth:`PeerView.expire` leak the ordered-
-    list slot of every third interned key — a deliberate, rare-branch
-    consistency bug used to pin that the fuzzer's find→shrink→corpus
-    loop works end to end (docs/FUZZING.md).  Read dynamically (not at
-    import) so tests can flip it per-case via ``monkeypatch.setenv``.
-    Never set this outside the fuzz/canary test harness."""
-    import os
-
-    return os.environ.get("REPRO_CANARY") == "1"
-
-
 @dataclass(frozen=True, slots=True)
 class PeerViewEntry:
     """One member of a local peerview, as :meth:`PeerView.get` reads it.
@@ -101,14 +87,19 @@ PeerViewListener = Callable[[PeerViewEvent], None]
 
 
 class PeerView:
-    """Sorted, expiring set of rendezvous advertisements."""
+    """Sorted, expiring set of rendezvous advertisements.
+
+    ``expire_leak`` arms the ``"peerview.expire-leak"`` canary
+    (docs/FUZZING.md)."""
 
     def __init__(
         self,
         local_adv: RdvAdvertisement,
         interner: Optional[IdInternTable] = None,
+        expire_leak: bool = False,
     ) -> None:
         self.local_adv = local_adv
+        self.expire_leak = expire_leak
         self.local_peer_id = local_adv.rdv_peer_id
         #: shared per-network table normally; a private one keeps
         #: standalone views (unit tests, worked examples) working
@@ -149,9 +140,6 @@ class PeerView:
     def __contains__(self, peer_id: PeerID) -> bool:
         key = self.interner.lookup(peer_id)
         return key is not None and (key in self._entries or key == self.local_key)
-
-    def contains_key(self, key: int) -> bool:
-        return key in self._entries or key == self.local_key
 
     def get(self, peer_id: PeerID) -> Optional[PeerViewEntry]:
         key = self.interner.lookup(peer_id)
@@ -302,13 +290,11 @@ class PeerView:
             dead_keys.append(key)
         if not dead_keys:
             return []
-        canary = _canary_enabled()  # environment read once per sweep
         for key in dead_keys:
             self.remove_by_key(key, now, reason="expired")
-            if canary and key % 3 == 1:
-                # planted canary (see _canary_enabled): the _order slot
-                # goes back, leaving the ordered list inconsistent with
-                # the entry map
+            if self.expire_leak and key % 3 == 1:
+                # the planted canary: the _order slot goes back, leaving
+                # the ordered list inconsistent with the entry map
                 bisect.insort(self._order, self.interner.order_token(key))
         id_of = self.interner.id_of
         return [id_of(key) for key in dead_keys]

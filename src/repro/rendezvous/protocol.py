@@ -48,6 +48,7 @@ from repro.rendezvous.messages import (
     PeerViewUpdate,
 )
 from repro.rendezvous.peerview import PeerView
+from repro.sim.options import EXPIRE_LEAK
 from repro.sim.process import PeriodicTask, Process
 
 #: Endpoint service name for peerview traffic (as in JXTA-C).
@@ -69,7 +70,8 @@ class PeerViewProtocol(Process):
         self.config = config
         self.local_adv = local_adv
         self.group_param = group_param
-        self.view = PeerView(local_adv, interner=endpoint.interner)
+        leak = EXPIRE_LEAK in self.sim.options.canaries
+        self.view = PeerView(local_adv, endpoint.interner, leak)
         #: outstanding probes keyed by target transport address
         self._pending_probes: Dict[str, object] = {}
         self._seeds_contacted = False

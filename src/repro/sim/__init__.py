@@ -27,6 +27,7 @@ from repro.sim.errors import (
     SimulationLimitExceeded,
 )
 from repro.sim.kernel import EventHandle, Simulator
+from repro.sim.options import SimOptions
 from repro.sim.process import PeriodicTask, Process
 from repro.sim.rng import RngRegistry, derive_seed
 
@@ -43,6 +44,7 @@ __all__ = [
     "SECONDS",
     "SchedulingError",
     "SimulationError",
+    "SimOptions",
     "SimulationLimitExceeded",
     "Simulator",
     "derive_seed",

@@ -17,8 +17,8 @@ Design notes
   survivors, go.  The slot width is a power of two, so slot arithmetic
   (``int(time * 2.0)``) is float-exact and the fire order is the exact
   global ``(time, seq)`` order — bit-for-bit the same as the pure-heap
-  scheduler (``REPRO_SCHEDULER=heap`` forces that fallback, and the
-  determinism tests compare the two byte-for-byte).
+  scheduler (``SimOptions(scheduler="heap")`` selects that fallback,
+  and the determinism tests compare the two byte-for-byte).
 * ``seq`` is a monotonically increasing tie-breaker so that events
   scheduled for the same instant fire in FIFO order — this makes every
   run fully deterministic for a given seed.  Tuples (rather than bare
@@ -32,7 +32,7 @@ Design notes
   slot migration, so the cancel/reschedule churn of periodic timers
   never accumulates; the compaction pass (:meth:`Simulator._compact`)
   remains as the backstop for heap-resident dead (and is the primary
-  mechanism under ``REPRO_SCHEDULER=heap``).
+  mechanism under the heap scheduler).
 * Periodic timers can *re-arm* their existing handle through
   :meth:`Simulator.reschedule` instead of allocating a fresh one per
   tick — at r = 580 the peerview/SRDI/lease tick storm is millions of
@@ -43,7 +43,7 @@ Design notes
   returns it after the firing, so a steady-state message send (the
   transport's deliver timer) allocates no handle.  Pool integrity
   checks (double release, re-arm of a pool-resident handle) are
-  compiled in behind ``REPRO_POOL_DEBUG=1``.
+  compiled in behind ``SimOptions(pool_debug=True)``.
 * When a wheel slot migrates inward, its survivors are *sorted once*
   into a batch list (``_batch``) instead of heapified into the active
   queue: the run loop then merges the batch cursor against the heap
@@ -84,11 +84,11 @@ from __future__ import annotations
 
 import gc
 import heapq
-import os
 from typing import Any, Callable, Optional
 
 from repro.sim.clock import Clock, format_time
 from repro.sim.errors import SchedulingError, SimulationLimitExceeded
+from repro.sim.options import SimOptions
 from repro.sim.rng import RngRegistry
 
 TraceHook = Callable[[float, str, "EventHandle"], None]
@@ -106,9 +106,6 @@ _WHEEL_MASK = _WHEEL_SLOTS - 1
 _WHEEL_WIDTH = 0.5
 _INV_WIDTH = 2.0  # 1 / _WHEEL_WIDTH
 _WHEEL_SPAN = _WHEEL_SLOTS * _WHEEL_WIDTH  # 64 s horizon
-
-#: Recognised scheduler implementations (``REPRO_SCHEDULER``).
-SCHEDULERS = ("wheel", "heap")
 
 #: Handle free-list cap: beyond this the pool stops growing and extra
 #: releases fall to the garbage collector.  Steady-state in-flight
@@ -212,15 +209,14 @@ class Simulator:
     max_events:
         Safety valve: abort if more than this many events fire in one
         ``run`` call (guards against runaway protocol loops).
-    scheduler:
-        ``"wheel"`` (timer wheel + overflow heap, the default) or
-        ``"heap"`` (single binary heap).  Defaults to the
-        ``REPRO_SCHEDULER`` environment variable when unset — the CI
-        determinism matrix runs both and asserts identical traces.
+    options:
+        :class:`~repro.sim.options.SimOptions`, read by the network and
+        the protocols as ``sim.options``; ``None`` means
+        :meth:`SimOptions.from_env`.
     """
 
     __slots__ = (
-        "clock", "rng", "seed", "compactions", "scheduler",
+        "clock", "rng", "seed", "compactions", "options",
         "_queue", "_seq", "_events_fired", "_cancelled", "_dead",
         "_use_wheel", "_wheel", "_wheel_count", "_overflow",
         "_next_slot", "_win_end", "_wheel_limit",
@@ -234,19 +230,13 @@ class Simulator:
         self,
         seed: int = 0,
         max_events: Optional[int] = None,
-        scheduler: Optional[str] = None,
+        options: Optional[SimOptions] = None,
     ) -> None:
         self.clock = Clock()
         self.rng = RngRegistry(seed)
         self.seed = seed
-        if scheduler is None:
-            scheduler = os.environ.get("REPRO_SCHEDULER", "wheel")
-        if scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; known: {SCHEDULERS}"
-            )
-        self.scheduler = scheduler
-        self._use_wheel = scheduler == "wheel"
+        self.options = options = options or SimOptions.from_env()
+        self._use_wheel = options.scheduler == "wheel"
         self._queue: list[tuple[float, int, EventHandle]] = []
         #: scheduled-event count; doubles as the FIFO tie-breaker
         self._seq = 0
@@ -284,8 +274,9 @@ class Simulator:
         self._batch_pos = 0
         #: free list of *fired* handles (schedule_recycled / release_handle)
         self._handle_pool: list[EventHandle] = []
-        self._pool_debug = os.environ.get("REPRO_POOL_DEBUG", "") == "1"
-        #: ids of pool-resident handles (REPRO_POOL_DEBUG=1 only)
+        #: ``options.pool_debug``, bound where the hot paths read it
+        self._pool_debug = options.pool_debug
+        #: ids of pool-resident handles (``pool_debug`` only)
         self._pool_ids: set[int] = set()
         self._max_events = max_events
         self._running = False
@@ -538,7 +529,7 @@ class Simulator:
         live scheduler entry and a cancelled one may have a tombstone
         resident in a tier — recycling either would let one handle
         stand behind two entries.  The caller must not touch the
-        handle after releasing it; ``REPRO_POOL_DEBUG=1`` turns a
+        handle after releasing it; ``SimOptions.pool_debug`` turns a
         double release (and a ``reschedule`` of a pool-resident
         handle) into an immediate :class:`SchedulingError`."""
         if handle._state is not False:
@@ -783,9 +774,11 @@ class Simulator:
     def __getstate__(self) -> dict:
         """State contract (see docs/CHECKPOINTS.md): every scheduler
         tier, the clock, the seq counter and the RNG registry pickle
-        verbatim; the run-control flags reset (a snapshot is only legal
-        between ``run`` calls); the id-based pool-integrity set is
-        dropped and rebuilt from the pool contents on restore.  The
+        verbatim, and so do the options (a restored run runs as it was
+        built, whatever the restoring process's environment); the
+        run-control flags reset (a snapshot is only legal between
+        ``run`` calls); the id-based pool-integrity set is dropped and
+        rebuilt from the pool contents on restore.  The
         derived ``_fire_hooks``/``_done_hooks`` views are rebuilt from
         ``_trace_hooks``."""
         if self._running:
@@ -804,10 +797,8 @@ class Simulator:
             setattr(self, slot, value)
         self._running = False
         self._stop_requested = False
-        # integrity checking follows the *restoring* process's
-        # environment; the id() sets from the snapshotting process are
-        # meaningless here and are rebuilt from the pool contents
-        self._pool_debug = os.environ.get("REPRO_POOL_DEBUG", "") == "1"
+        # the id() set from the snapshotting process is meaningless
+        # here: rebuild it from the pool contents
         self._pool_ids = (
             {id(h) for h in self._handle_pool} if self._pool_debug else set()
         )

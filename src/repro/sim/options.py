@@ -1,0 +1,53 @@
+"""How a simulation runs, as opposed to what it simulates: one value.
+
+A :class:`~repro.sim.Simulator` keeps its :class:`SimOptions`; the
+network and the protocols read them as ``sim.options``, and a snapshot
+carries them.  :meth:`SimOptions.from_env` is the package's only reader
+of the process environment.
+"""
+
+from __future__ import annotations
+
+import os
+from dataclasses import dataclass
+from typing import Tuple
+
+SCHEDULERS = ("wheel", "heap")
+#: makes :meth:`PeerView.expire` leak the ordered-list slot of every
+#: third key
+EXPIRE_LEAK = "peerview.expire-leak"
+#: planted bugs the fuzzer must find
+CANARIES = (EXPIRE_LEAK,)
+
+
+@dataclass(frozen=True)
+class SimOptions:
+    """``scheduler``: ``"wheel"`` or ``"heap"``, one fire order;
+    ``pooling``: recycle envelopes and deliver handles; ``pool_debug``:
+    check those free lists; ``canaries``: the armed :data:`CANARIES`, a
+    sorted tuple (a set's order would tie blob bytes to
+    ``PYTHONHASHSEED``)."""
+
+    scheduler: str = "wheel"
+    pooling: bool = True
+    pool_debug: bool = False
+    canaries: Tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.scheduler not in SCHEDULERS:
+            raise ValueError(f"unknown scheduler {self.scheduler!r}")
+        canaries = tuple(sorted(set(self.canaries)))
+        if not set(canaries) <= set(CANARIES):
+            raise ValueError(f"unknown canaries {canaries}; known: {CANARIES}")
+        object.__setattr__(self, "canaries", canaries)
+
+    @classmethod
+    def from_env(cls) -> "SimOptions":
+        """``REPRO_SCHEDULER``, ``REPRO_POOL_DEBUG=1`` and
+        ``REPRO_CANARY=1`` (every canary); pooling has no variable."""
+        env = os.environ
+        return cls(
+            scheduler=env.get("REPRO_SCHEDULER", "wheel"),
+            pool_debug=env.get("REPRO_POOL_DEBUG") == "1",
+            canaries=CANARIES if env.get("REPRO_CANARY") == "1" else (),
+        )

@@ -15,7 +15,9 @@ The determinism contract (pinned by the snapshot test suites and a CI
 step): a restored run fires the exact same ``(time, seq)`` event
 sequence as the never-checkpointed run and reproduces golden traces,
 obs digests and workload SLO snapshots byte for byte, under both
-``REPRO_SCHEDULER=wheel|heap``.
+schedulers.  The blob carries the simulator's
+:class:`~repro.sim.options.SimOptions`: a restored run runs as it was
+built, whatever the restoring process's environment.
 
 What does NOT snapshot — by design (see docs/CHECKPOINTS.md):
 
@@ -42,7 +44,7 @@ from typing import Any, Optional, Tuple
 #: Bump whenever the pickled state contract changes incompatibly
 #: (slot layouts, scheduler tier layout, RNG stream naming).  Stored
 #: checkpoints with another version are invalidated, not misread.
-SNAPSHOT_VERSION = 11
+SNAPSHOT_VERSION = 12
 
 #: sha256 of the pickled layout (classes, their fields, container
 #: types) reachable from a reference snapshot, as
@@ -50,7 +52,7 @@ SNAPSHOT_VERSION = 11
 #: that test fails the layout moved: bump the version above, then
 #: regenerate this value with the command the failure prints.
 SNAPSHOT_LAYOUT_FINGERPRINT = (
-    "f42175df5db2e233d6cd6ca3d2bb49381d1ae5a5c0571668de48c89e1c5a7240"
+    "9ed66349b2cf769f9f6becea93b19ae9f8da978921fbb462247c2ab9bdedc4df"
 )
 
 _MAGIC = b"repro-snap"

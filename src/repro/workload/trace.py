@@ -13,7 +13,7 @@ come from the trace), and workload streams are independent of the
 network/protocol streams by the named-stream discipline — so a replay
 on the same overlay seed reproduces the original completions, SLO
 snapshot and trace bytes exactly.  The scheduler-matrix CI job pins
-this on both ``REPRO_SCHEDULER=wheel|heap``.
+this under both schedulers.
 """
 
 from __future__ import annotations

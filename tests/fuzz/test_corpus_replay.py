@@ -2,14 +2,16 @@
 
 ``coverage.jsonl`` entries must pass the full oracle battery;
 ``canary.jsonl`` entries must fire their recorded signature with the
-planted canary armed (``REPRO_CANARY=1``), stay green with it off,
-and carry at most 8 actions (the ISSUE's shrink-quality bar)."""
+planted canary armed (``SimOptions(canaries=CANARIES)``), stay green
+with it off, and carry at most 8 actions (the shrink-quality bar)."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.fuzz import check_case, load_corpus
+from repro.sim.options import CANARIES, SimOptions
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "fuzz_corpus"
 
@@ -31,9 +33,9 @@ def test_corpus_files_exist():
 @pytest.mark.parametrize(
     "entry", COVERAGE_ENTRIES, ids=_ids(COVERAGE_ENTRIES)
 )
-def test_coverage_entry_replays_green(entry, monkeypatch):
-    monkeypatch.delenv("REPRO_CANARY", raising=False)
-    report = check_case(entry.case)
+def test_coverage_entry_replays_green(entry):
+    disarmed = replace(SimOptions.from_env(), canaries=())
+    report = check_case(entry.case, options=disarmed)
     assert report.failures == [], [
         f.signature for f in report.failures
     ]
@@ -52,14 +54,17 @@ def test_canary_entry_is_shrunk_and_flagged(entry):
 @pytest.mark.parametrize(
     "entry", CANARY_ENTRIES, ids=_ids(CANARY_ENTRIES)
 )
-def test_canary_entry_red_with_canary_green_without(entry, monkeypatch):
+def test_canary_entry_red_with_canary_green_without(entry):
     oracle = entry.signature.split(":", 1)[0]
-    monkeypatch.setenv("REPRO_CANARY", "1")
-    armed = check_case(entry.case, oracles=(oracle,))
+    disarmed = replace(SimOptions.from_env(), canaries=())
+    armed = check_case(
+        entry.case,
+        oracles=(oracle,),
+        options=replace(disarmed, canaries=CANARIES),
+    )
     assert entry.signature in [f.signature for f in armed.failures]
 
-    monkeypatch.delenv("REPRO_CANARY")
-    clean = check_case(entry.case, oracles=(oracle,))
+    clean = check_case(entry.case, oracles=(oracle,), options=disarmed)
     assert clean.failures == [], [
         f.signature for f in clean.failures
     ]

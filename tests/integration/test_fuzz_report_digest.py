@@ -15,6 +15,7 @@ import pytest
 from repro.fuzz import SEED_CASES, FuzzEngine, case_key, run_case
 from repro.fuzz import engine as engine_mod
 from repro.fuzz.runner import COVERAGE, DIGEST, Failure, bootstrap_spec
+from repro.sim.options import CANARIES, SimOptions
 from repro.snapshot import CheckpointStore
 
 SEED = 7
@@ -47,9 +48,7 @@ CANARY_SHRINK_PROBES = 13
 
 
 @pytest.fixture(params=("wheel", "heap"))
-def scheduler(request, monkeypatch):
-    monkeypatch.setenv("REPRO_SCHEDULER", request.param)
-    monkeypatch.delenv("REPRO_CANARY", raising=False)
+def scheduler(request):
     return request.param
 
 
@@ -68,7 +67,8 @@ def test_report_and_per_genome_verdicts_are_pinned(scheduler, monkeypatch):
         return result
 
     monkeypatch.setattr(engine_mod, "check_case", recording)
-    report = FuzzEngine(seed=SEED).run(BUDGET)
+    options = SimOptions(scheduler=scheduler)
+    report = FuzzEngine(seed=SEED, options=options).run(BUDGET)
     assert report.digest() == REPORT_DIGEST
     assert report.executed == BUDGET
     assert report.skipped == SKIPPED
@@ -77,9 +77,9 @@ def test_report_and_per_genome_verdicts_are_pinned(scheduler, monkeypatch):
     assert tuple(executed) == EXECUTED
 
 
-def test_canary_find_and_shrink_is_pinned(scheduler, monkeypatch):
-    monkeypatch.setenv("REPRO_CANARY", "1")
-    report = FuzzEngine(seed=0).run(8)
+def test_canary_find_and_shrink_is_pinned(scheduler):
+    armed = SimOptions(scheduler=scheduler, canaries=CANARIES)
+    report = FuzzEngine(seed=0, options=armed).run(8)
     assert report.digest() == CANARY_DIGEST
     assert report.shrink_probes == CANARY_SHRINK_PROBES
     assert [(e.signature, len(e.case.actions)) for e in report.failures] == [

@@ -8,6 +8,7 @@ draws, same ``(time, seq)`` fire order, same results — to the same
 run with observability off, on both scheduler implementations.
 """
 
+from dataclasses import replace
 from typing import List
 
 import pytest
@@ -17,7 +18,7 @@ from repro.config import PlatformConfig
 from repro.deploy import OverlayDescription, build_overlay
 from repro.network import Network
 from repro.obs import ObsSession, enable_observability, session
-from repro.sim import MINUTES, Simulator
+from repro.sim import MINUTES, SimOptions, Simulator
 from repro.sim.tracing import KernelTraceRecorder
 
 SCHEDULERS = ("wheel", "heap")
@@ -27,7 +28,9 @@ def _run(seed: int, scheduler: str, obs: str):
     """One publish/lookup scenario; ``obs`` picks the instrumentation
     flavour: ``"off"``, ``"metrics"``, or ``"full"`` (metrics + trace,
     including the kernel fire hook)."""
-    sim = Simulator(seed=seed, scheduler=scheduler)
+    sim = Simulator(
+        seed=seed, options=replace(SimOptions.from_env(), scheduler=scheduler)
+    )
     network = Network(sim)
     recorder = KernelTraceRecorder(sim)
     if obs == "metrics":

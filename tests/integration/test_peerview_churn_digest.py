@@ -24,6 +24,7 @@ Both must be reproduced by both schedulers with and without object
 pooling.
 """
 
+from dataclasses import replace
 import hashlib
 import itertools
 import json
@@ -33,7 +34,7 @@ import pytest
 from repro.config import PlatformConfig
 from repro.deploy import OverlayDescription, build_overlay
 from repro.network import Network
-from repro.sim import MINUTES, Simulator
+from repro.sim import MINUTES, SimOptions, Simulator
 
 R = 40
 CHURN_DIGEST = (
@@ -53,8 +54,13 @@ def _digest(state, log):
 
 
 def _run_churn(scheduler: str, pooling: bool):
-    sim = Simulator(seed=1, scheduler=scheduler)
-    network = Network(sim, pooling=pooling)
+    sim = Simulator(
+        seed=1,
+        options=replace(
+            SimOptions.from_env(), scheduler=scheduler, pooling=pooling
+        ),
+    )
+    network = Network(sim)
     overlay = build_overlay(
         sim, network,
         PlatformConfig().with_overrides(pve_expiration=90.0),

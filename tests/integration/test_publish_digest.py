@@ -23,6 +23,7 @@ publish path (PR 17) and must be reproduced by both schedulers with and
 without object pooling.
 """
 
+from dataclasses import replace
 import hashlib
 import json
 
@@ -32,7 +33,7 @@ from repro.advertisement.testadv import FakeAdvertisement
 from repro.config import PlatformConfig
 from repro.deploy import OverlayDescription, build_overlay
 from repro.network import Network
-from repro.sim import MINUTES, Simulator
+from repro.sim import MINUTES, SimOptions, Simulator
 from repro.workload import WorkloadEngine, WorkloadSpec
 
 R = 12
@@ -53,8 +54,13 @@ def _run_publish(scheduler: str, pooling: bool):
         queriers=2,
         publishers=6,
     )
-    sim = Simulator(seed=1, scheduler=scheduler)
-    network = Network(sim, pooling=pooling)
+    sim = Simulator(
+        seed=1,
+        options=replace(
+            SimOptions.from_env(), scheduler=scheduler, pooling=pooling
+        ),
+    )
+    network = Network(sim)
     overlay = build_overlay(
         sim, network, PlatformConfig(),
         OverlayDescription(

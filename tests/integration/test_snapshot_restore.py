@@ -8,13 +8,15 @@ message counts, same peerview contents, same workload SLO — under both
 scheduler implementations.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.advertisement import FakeAdvertisement
 from repro.config import PlatformConfig
 from repro.deploy import OverlayDescription, build_overlay
 from repro.network import Network
-from repro.sim import MINUTES, Simulator
+from repro.sim import MINUTES, SimOptions, Simulator
 from repro.sim.tracing import KernelTraceRecorder
 from repro.snapshot import (
     SnapshotError,
@@ -31,7 +33,9 @@ END = 14 * MINUTES
 
 def _deploy(seed: int, scheduler: str):
     """A publish/lookup scenario paused at its bootstrap boundary."""
-    sim = Simulator(seed=seed, scheduler=scheduler)
+    sim = Simulator(
+        seed=seed, options=replace(SimOptions.from_env(), scheduler=scheduler)
+    )
     network = Network(sim)
     recorder = KernelTraceRecorder(sim)
     overlay = build_overlay(

@@ -14,6 +14,7 @@ without object pooling.  A hop edit that moves the simulation fails
 here in seconds, not in the benchmark.
 """
 
+from dataclasses import replace
 import hashlib
 import json
 
@@ -22,7 +23,7 @@ import pytest
 from repro.config import PlatformConfig
 from repro.deploy import OverlayDescription, build_overlay
 from repro.network import Network
-from repro.sim import HOURS, MINUTES, Simulator
+from repro.sim import HOURS, MINUTES, SimOptions, Simulator
 from repro.workload import WorkloadEngine, WorkloadSpec
 
 R = 30
@@ -45,8 +46,13 @@ def _run_walk(scheduler: str, pooling: bool):
         publishers=1,
         seed_time=2 * MINUTES,
     )
-    sim = Simulator(seed=1, scheduler=scheduler)
-    network = Network(sim, pooling=pooling)
+    sim = Simulator(
+        seed=1,
+        options=replace(
+            SimOptions.from_env(), scheduler=scheduler, pooling=pooling
+        ),
+    )
+    network = Network(sim)
     overlay = build_overlay(
         sim, network,
         PlatformConfig().with_overrides(pve_expiration=6 * HOURS),

@@ -19,13 +19,15 @@ pool-resident handle) is covered in
 ``tests/unit/test_message_pool.py``.
 """
 
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network.latency import ConstantLatency
 from repro.network.site import place_nodes
 from repro.network.transport import Network
-from repro.sim import Simulator
+from repro.sim import SimOptions, Simulator
 
 _ADDRS = ("p0", "p1", "p2", "p3")
 
@@ -44,10 +46,10 @@ net_programs = st.lists(net_steps, min_size=1, max_size=30)
 def _run_network_program(steps, pooling):
     """Interpret ``steps`` on a fresh simulator/network; return the
     full observable log (deliveries, drops, kernel trace)."""
-    sim = Simulator(seed=7)
-    net = Network(
-        sim, latency=ConstantLatency(0.01), sw_overhead=0.0, pooling=pooling
+    sim = Simulator(
+        seed=7, options=replace(SimOptions.from_env(), pooling=pooling)
     )
+    net = Network(sim, latency=ConstantLatency(0.01), sw_overhead=0.0)
     nodes = place_nodes(4)
     log = []
 

@@ -11,10 +11,12 @@ driven the way every experiment drives the kernel, as ``run(until=…)``
 slices, which must also fire what the drain fires.
 """
 
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Simulator
+from repro.sim import SimOptions, Simulator
 
 # Delays straddling every tier boundary: inside the active window,
 # across wheel slots (0.5 s wide, 128 slots = 64 s span) and beyond
@@ -47,7 +49,9 @@ def _interpret(events, scheduler, cuts=None, cancel_at_cuts=False):
     per cut, before it is drained; ``cancel_at_cuts`` also cancels a
     timer between slices, leaving its tombstone resident in whichever
     tier currently holds the entry."""
-    sim = Simulator(seed=3, scheduler=scheduler)
+    sim = Simulator(
+        seed=3, options=replace(SimOptions.from_env(), scheduler=scheduler)
+    )
     log = []
     handles = []
     hook_on = [False]

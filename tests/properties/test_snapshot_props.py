@@ -9,6 +9,8 @@ clone never perturbs the original, identical continuations stay
 identical, divergent ones diverge.
 """
 
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +18,7 @@ from repro.advertisement import FakeAdvertisement
 from repro.config import PlatformConfig
 from repro.deploy import OverlayDescription, build_overlay
 from repro.network import Network
-from repro.sim import MINUTES, Simulator
+from repro.sim import MINUTES, SimOptions, Simulator
 from repro.sim.tracing import KernelTraceRecorder
 from repro.snapshot import fork_network, restore_network, snapshot_network
 
@@ -24,8 +26,13 @@ END = 10 * MINUTES
 
 
 def _deploy(r, seed, scheduler, pooling):
-    sim = Simulator(seed=seed, scheduler=scheduler)
-    network = Network(sim, pooling=pooling)
+    sim = Simulator(
+        seed=seed,
+        options=replace(
+            SimOptions.from_env(), scheduler=scheduler, pooling=pooling
+        ),
+    )
+    network = Network(sim)
     recorder = KernelTraceRecorder(sim)
     overlay = build_overlay(
         sim, network, PlatformConfig(),

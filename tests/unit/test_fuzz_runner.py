@@ -43,9 +43,9 @@ def _plant(monkeypatch, diverges=lambda **call: False, midpoint=("k", "k")):
     whose results come back perturbed."""
     calls = []
 
-    def fake_run_case(case, scheduler=None, pooling=None, store=None,
+    def fake_run_case(case, options=None, store=None,
                       reads=EVERYTHING, replay_ops=None):
-        call = dict(scheduler=scheduler, pooling=pooling,
+        call = dict(scheduler=options.scheduler, pooling=options.pooling,
                     reads=tuple(reads), replay=replay_ops is not None)
         calls.append(call)
         mark = "!" if diverges(**call) else ""
@@ -58,7 +58,7 @@ def _plant(monkeypatch, diverges=lambda **call: False, midpoint=("k", "k")):
             trace_ops=[] if WORKLOAD in reads else None,
         )
 
-    def fake_midpoint(case, store=None):
+    def fake_midpoint(case, options, store=None):
         if case.workload is not None or runner.has_churn(case):
             return None, None, "not snapshottable"
         return (*midpoint, None)

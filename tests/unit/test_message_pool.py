@@ -1,11 +1,13 @@
 """Unit tests for the steady-state free lists.
 
 Covers the kernel handle pool (acquire/release/``schedule_recycled``
-and the ``REPRO_POOL_DEBUG=1`` integrity checks), the network envelope
+and the ``SimOptions(pool_debug=True)`` integrity checks), the network envelope
 pool, and the message-shell pool contract (only ``recyclable`` shells
 are pooled, only on the pooled — never-duplicated — delivery path, and
 ``forwarded()`` copies are never recyclable).
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -14,15 +16,13 @@ from repro.ids.jxtaid import NET_PEER_GROUP_ID, PeerID
 from repro.network.latency import ConstantLatency
 from repro.network.site import place_nodes
 from repro.network.transport import Network
-from repro.sim import Simulator
+from repro.sim import SimOptions, Simulator
 from repro.sim.kernel import SchedulingError
 
 
-def make_net(**kwargs):
-    sim = Simulator(seed=5)
-    net = Network(
-        sim, latency=ConstantLatency(0.01), sw_overhead=0.0, **kwargs
-    )
+def make_net(**options):
+    sim = Simulator(seed=5, options=replace(SimOptions.from_env(), **options))
+    net = Network(sim, latency=ConstantLatency(0.01), sw_overhead=0.0)
     nodes = place_nodes(2)
     return sim, net, nodes
 
@@ -74,18 +74,20 @@ class TestHandlePool:
 
 
 class TestPoolDebug:
-    def test_double_release_detected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_DEBUG", "1")
-        sim = Simulator(seed=1)
+    def test_double_release_detected(self):
+        sim = Simulator(
+            seed=1, options=replace(SimOptions.from_env(), pool_debug=True)
+        )
         handle = sim.schedule(0.1, lambda: None, label="x")
         sim.run()
         sim.release_handle(handle)
         with pytest.raises(SchedulingError, match="double release"):
             sim.release_handle(handle)
 
-    def test_rearm_of_pool_resident_handle_detected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_DEBUG", "1")
-        sim = Simulator(seed=1)
+    def test_rearm_of_pool_resident_handle_detected(self):
+        sim = Simulator(
+            seed=1, options=replace(SimOptions.from_env(), pool_debug=True)
+        )
         handle = sim.schedule(0.1, lambda: None, label="x")
         sim.run()
         sim.release_handle(handle)

@@ -7,7 +7,6 @@ import pytest
 
 from repro.advertisement.rdvadv import RdvAdvertisement
 from repro.ids import NET_PEER_GROUP_ID, PeerID
-from repro.rendezvous import peerview as peerview_mod
 from repro.rendezvous.peerview import PeerView
 
 
@@ -106,38 +105,18 @@ class TestExpiry:
         assert view.expire(now=50.1, pve_expiration=50.0) == []
         assert view.expire(now=50.2, pve_expiration=50.0) == [pid(10)]
 
-    def test_canary_flag_is_read_per_sweep_not_per_entry(
-        self, view, monkeypatch
-    ):
-        reads = []
-        real = peerview_mod._canary_enabled
-
-        def counting():
-            reads.append(1)
-            return real()
-
-        monkeypatch.setattr(peerview_mod, "_canary_enabled", counting)
-        monkeypatch.delenv("REPRO_CANARY", raising=False)
-        for n in range(1, 9):
-            view.upsert(adv(n), now=0.0)
-        # nothing dead: the environment is not consulted at all
-        assert view.expire(now=10.0, pve_expiration=100.0) == []
-        assert reads == []
-        # eight dead entries, one read; unarmed, so every slot goes
-        assert len(view.expire(now=101.0, pve_expiration=100.0)) == 8
-        assert reads == [1]
-        assert view.member_count() == 1
-        # armed between two sweeps of one view: the next sweep sees it
-        # and leaks the ordered-list slot of every key with key % 3 == 1
-        monkeypatch.setenv("REPRO_CANARY", "1")
-        for n in range(1, 9):
-            view.upsert(adv(n), now=200.0)
-        leaked = sum(1 for key in view.known_keys() if key % 3 == 1)
-        assert leaked
-        assert len(view.expire(now=301.0, pve_expiration=100.0)) == 8
-        assert reads == [1, 1]
-        assert view.size == 0
-        assert view.member_count() == 1 + leaked
+    def test_expire_leak_canary_leaks_every_third_key(self):
+        for armed in (False, True):
+            view = PeerView(adv(50), expire_leak=armed)
+            for n in range(1, 9):
+                view.upsert(adv(n), now=0.0)
+            leaked = sum(1 for key in view.known_keys() if key % 3 == 1)
+            assert leaked
+            assert len(view.expire(now=101.0, pve_expiration=100.0)) == 8
+            assert view.size == 0
+            # armed, the ordered-list slot of every key with key % 3 == 1
+            # goes back; unarmed, every slot goes
+            assert view.member_count() == 1 + (leaked if armed else 0)
 
 
 class TestRemove:

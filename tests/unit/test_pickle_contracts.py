@@ -11,7 +11,7 @@ audited type; each asserts both directions of the contract:
 * the restored object *recomputes* it correctly on demand.
 """
 
-import os
+from dataclasses import replace
 import pickle
 
 import pytest
@@ -26,7 +26,7 @@ from repro.network.latency import ConstantLatency
 from repro.network.transport import Network
 from repro.rendezvous.peerview import PeerView
 from repro.resolver.messages import ResolverQuery
-from repro.sim import Simulator
+from repro.sim import SimOptions, Simulator
 from repro.sim.kernel import EventHandle, SchedulingError
 from repro.sim.rng import RngRegistry
 from repro.snapshot import restore_network, snapshot_network
@@ -112,7 +112,10 @@ class TestSimulator:
     def test_round_trip_is_byte_stable(self, scheduler):
         # every tier populated (active window, batch remnant, wheel,
         # overflow), a tombstone resident and a handle in the free list
-        sim = Simulator(seed=3, scheduler=scheduler)
+        sim = Simulator(
+            seed=3,
+            options=replace(SimOptions.from_env(), scheduler=scheduler),
+        )
         for i, delay in enumerate([0.1, 0.2, 0.3, 0.3, 7.0, 500.0]):
             sim.schedule(delay, _noop, i, label=f"ev-{i}")
         sim.schedule(30.0, _noop).cancel()
@@ -135,23 +138,23 @@ class TestSimulator:
             sim._running = False
 
     def test_pool_ids_rebuilt_for_restoring_process(self):
-        sim = Simulator(seed=3)
-        sim.schedule(0.5, lambda: None)
+        options = SimOptions(pool_debug=True)
+        sim = Simulator(seed=3, options=options)
+        handle = sim.schedule(0.5, _noop)
         sim.run(until=1.0)
-        blob = pickle.dumps(sim)
-        old = os.environ.get("REPRO_POOL_DEBUG")
-        os.environ["REPRO_POOL_DEBUG"] = "1"
-        try:
-            sim2 = pickle.loads(blob)
-        finally:
-            if old is None:
-                del os.environ["REPRO_POOL_DEBUG"]
-            else:
-                os.environ["REPRO_POOL_DEBUG"] = old
-        assert sim2._pool_debug
-        # rebuilt from *this* process's object identities, never the
-        # snapshotting process's meaningless id() values
+        sim.release_handle(handle)
+        sim2 = pickle.loads(pickle.dumps(sim))
+        # the options travel with the blob ...
+        assert sim2.options == options and sim2._pool_debug
+        # ... and the id() set is rebuilt from *this* process's object
+        # identities, never the snapshotting process's meaningless ones
+        assert len(sim2._handle_pool) == 1
         assert sim2._pool_ids == {id(h) for h in sim2._handle_pool}
+        with pytest.raises(SchedulingError, match="double release"):
+            sim2.release_handle(sim2._handle_pool[0])
+        # a blob built without the checks restores without them
+        plain = pickle.loads(pickle.dumps(Simulator(seed=3, options=SimOptions())))
+        assert not plain._pool_debug and plain._pool_ids == set()
 
 
 class TestRngRegistry:
@@ -244,20 +247,21 @@ class TestJxtaID:
 
 class TestNetwork:
     def test_env_pool_ids_rebuilt_on_restore(self):
-        sim = Simulator(seed=11)
+        from repro.network.site import place_nodes
+
+        sim = Simulator(seed=11, options=SimOptions(pool_debug=True))
         net = Network(sim, latency=ConstantLatency(0.001))
-        blob = pickle.dumps(net)
-        old = os.environ.get("REPRO_POOL_DEBUG")
-        os.environ["REPRO_POOL_DEBUG"] = "1"
-        try:
-            net2 = pickle.loads(blob)
-        finally:
-            if old is None:
-                del os.environ["REPRO_POOL_DEBUG"]
-            else:
-                os.environ["REPRO_POOL_DEBUG"] = old
-        assert net2._pool_debug
+        nodes = place_nodes(2)
+        net.attach("a", nodes[0], _noop)
+        net.attach("b", nodes[1], _noop)
+        net.send("a", "b", "x")
+        sim.run()
+        assert len(net._envelope_pool) == 1
+        net2 = pickle.loads(pickle.dumps(net))
+        # the switches travel with the blob; only the id() set is rebuilt
+        assert net2.sim.options.pool_debug and net2._pool_debug
         assert net2._env_pool_ids == {id(e) for e in net2._envelope_pool}
+        assert len(net2._env_pool_ids) == 1
         # the restored network's cached bound methods point at the
         # restored simulator (memo sharing), not the original
         assert net2.sim is not sim

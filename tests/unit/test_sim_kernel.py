@@ -1,11 +1,14 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.sim import (
     MINUTES,
     SECONDS,
     SchedulingError,
+    SimOptions,
     SimulationLimitExceeded,
     Simulator,
     format_time,
@@ -199,7 +202,9 @@ class TestRunUntil:
     ):
         # 0.2 shares the stopper's window, 5.0 sits in a later wheel
         # slot, 100.0 beyond the wheel horizon and beyond until=50
-        sim = Simulator(scheduler=scheduler)
+        sim = Simulator(
+            options=replace(SimOptions.from_env(), scheduler=scheduler)
+        )
         fired = []
 
         def fire(tag):
