@@ -14,7 +14,7 @@ delegate to the primary group's context.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.advertisement.peeradv import PeerAdvertisement
 from repro.config import PlatformConfig
@@ -31,8 +31,6 @@ from repro.peergroup.context import (
     GroupContext,
     RendezvousGroupContext,
 )
-from repro.peerinfo.service import PeerInfoService
-from repro.pipes.service import PipeService
 from repro.sim.kernel import Simulator
 
 #: Default JXTA TCP port.
@@ -66,8 +64,6 @@ class Peer:
         #: group id -> membership context; populated by subclasses
         #: (primary) and :meth:`join_group` (secondary)
         self.contexts: Dict[PeerGroupID, GroupContext] = {}
-        self.pipes: Optional[PipeService] = None  # set by _finish_assembly
-        self.peerinfo: Optional[PeerInfoService] = None
         self._running = False
 
     # ------------------------------------------------------------------
@@ -96,9 +92,6 @@ class Peer:
         "rendezvous").  Edge membership needs at least one seed
         rendezvous *of that group*.  The context starts immediately if
         the peer is running.
-
-        Note: the pipe and peer-information services remain bound to
-        the primary group.
         """
         if group_id in self.contexts:
             raise ValueError(f"already a member of {group_id.short()}")
@@ -129,16 +122,6 @@ class Peer:
         context = self.contexts.pop(group_id, None)
         if context is not None:
             context.stop()
-
-    def _finish_assembly(self) -> None:
-        """Attach the per-peer services bound to the primary group."""
-        self.pipes = PipeService(
-            self.sim, self.endpoint, self.primary.discovery, self.config
-        )
-        self.peerinfo = PeerInfoService(
-            self.sim, self.endpoint, self.primary.resolver, self.name,
-            self.is_rendezvous,
-        )
 
     # ------------------------------------------------------------------
     # primary-group shorthands (the classic single-group API)
@@ -235,7 +218,6 @@ class RendezvousPeer(Peer):
         )
         # every rendezvous can relay for HTTP (NAT'd) edges
         self.relay_server = RelayServer(self.endpoint, group_id.urn())
-        self._finish_assembly()
 
     # primary-group shorthands specific to the rendezvous role --------
     @property
@@ -302,7 +284,6 @@ class EdgePeer(Peer):
             # time; wrap again so the relay attaches first and the SRDI
             # re-publication advertises the relay address
             context.lease_client.on_connected = _attach_relay
-        self._finish_assembly()
 
     # primary-group shorthands specific to the edge role ---------------
     @property

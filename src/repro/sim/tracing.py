@@ -1,50 +1,18 @@
-"""Message tracing: capture and pretty-print protocol traffic.
+"""Kernel event tracing: the run's event-trace fingerprint.
 
-Debugging a distributed protocol needs the wire view.  A
-:class:`MessageTracer` hooks a :class:`repro.network.Network` and
-records every send as a :class:`TraceEntry` (time, endpoints, payload
-type, size), with optional filters.  Use it in tests to assert message
-sequences, or dump it to text to eyeball a run::
-
-    tracer = MessageTracer(network, payload_types=("PeerViewProbe",))
-    ...
-    print(tracer.format())
+A :class:`KernelTraceRecorder` hooks a :class:`Simulator` and records
+every fired event as ``(time, label)``; its :meth:`digest` is what the
+determinism, snapshot and fuzz suites compare.  The wire view (every
+``Network.send`` with endpoints, payload type and size) is the
+``endpoint`` category of the :mod:`repro.obs` timeline tracer.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
-from repro.network.transport import Network
-from repro.sim.clock import format_time
 from repro.sim.kernel import EventHandle, Simulator
-
-
-@dataclass(frozen=True)
-class TraceEntry:
-    """One captured send."""
-
-    time: float
-    src: str
-    dst: str
-    payload_type: str
-    size_bytes: int
-
-    def format(self) -> str:
-        return (
-            f"{format_time(self.time):>12}  {self.src} -> {self.dst}  "
-            f"{self.payload_type} ({self.size_bytes}B)"
-        )
-
-
-def _payload_type_name(payload) -> str:
-    # endpoint messages wrap the interesting protocol body
-    body = getattr(payload, "body", None)
-    if body is not None:
-        return type(body).__name__
-    return type(payload).__name__
 
 
 class KernelTraceRecorder:
@@ -84,77 +52,3 @@ class KernelTraceRecorder:
         for time, label in self.entries:
             h.update(f"{time!r}:{label}\n".encode("utf-8"))
         return h.hexdigest()
-
-
-class MessageTracer:
-    """Record (a filtered subset of) all network sends."""
-
-    def __init__(
-        self,
-        network: Network,
-        payload_types: Optional[Sequence[str]] = None,
-        addresses: Optional[Sequence[str]] = None,
-        limit: int = 100_000,
-    ) -> None:
-        if limit < 1:
-            raise ValueError(f"limit must be >= 1 (got {limit})")
-        self.network = network
-        self.payload_types = set(payload_types) if payload_types else None
-        self.addresses = set(addresses) if addresses else None
-        self.limit = limit
-        self.entries: List[TraceEntry] = []
-        self.truncated = False
-        self._original_send = network.send
-        network.send = self._traced_send  # type: ignore[method-assign]
-        self._detached = False
-
-    # ------------------------------------------------------------------
-    def detach(self) -> None:
-        """Stop tracing (restores the network's send)."""
-        if not self._detached:
-            self.network.send = self._original_send  # type: ignore[method-assign]
-            self._detached = True
-
-    def _traced_send(self, src, dst, payload, size_bytes=512, on_drop=None):
-        type_name = _payload_type_name(payload)
-        wanted = (
-            (self.payload_types is None or type_name in self.payload_types)
-            and (
-                self.addresses is None
-                or src in self.addresses
-                or dst in self.addresses
-            )
-        )
-        if wanted:
-            if len(self.entries) < self.limit:
-                self.entries.append(
-                    TraceEntry(
-                        time=self.network.sim.now,
-                        src=src,
-                        dst=dst,
-                        payload_type=type_name,
-                        size_bytes=size_bytes,
-                    )
-                )
-            else:
-                self.truncated = True
-        return self._original_send(
-            src, dst, payload, size_bytes=size_bytes, on_drop=on_drop
-        )
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def count(self, payload_type: str) -> int:
-        return sum(1 for e in self.entries if e.payload_type == payload_type)
-
-    def between(self, start: float, stop: float) -> List[TraceEntry]:
-        return [e for e in self.entries if start <= e.time <= stop]
-
-    def format(self, last: Optional[int] = None) -> str:
-        entries = self.entries if last is None else self.entries[-last:]
-        lines = [e.format() for e in entries]
-        if self.truncated:
-            lines.append(f"... truncated at {self.limit} entries")
-        return "\n".join(lines)

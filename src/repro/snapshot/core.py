@@ -28,8 +28,8 @@ What does NOT snapshot — by design (see docs/CHECKPOINTS.md):
   measurement-phase objects (in-flight query callbacks, live workload
   engines with generator-driven arrival processes) are constructed
   *after* restore instead.
-* ``MessageTracer`` (monkey-patches ``network.send``) — recorders that
-  must survive a restore hang off the graph itself, like
+* a recorder that patches ``network.send`` with a closure — recorders
+  that must survive a restore hang off the graph itself, like
   :class:`~repro.sim.tracing.KernelTraceRecorder` or the
   ``network.obs`` hub (see docs/OBSERVABILITY.md).
 """
@@ -44,7 +44,7 @@ from typing import Any, Optional, Tuple
 #: Bump whenever the pickled state contract changes incompatibly
 #: (slot layouts, scheduler tier layout, RNG stream naming).  Stored
 #: checkpoints with another version are invalidated, not misread.
-SNAPSHOT_VERSION = 12
+SNAPSHOT_VERSION = 13
 
 #: sha256 of the pickled layout (classes, their fields, container
 #: types) reachable from a reference snapshot, as
@@ -52,7 +52,7 @@ SNAPSHOT_VERSION = 12
 #: that test fails the layout moved: bump the version above, then
 #: regenerate this value with the command the failure prints.
 SNAPSHOT_LAYOUT_FINGERPRINT = (
-    "9ed66349b2cf769f9f6becea93b19ae9f8da978921fbb462247c2ab9bdedc4df"
+    "923523e9032f2a98e858df7f51a9e09eb595e0eed609e144202287f6a490de88"
 )
 
 _MAGIC = b"repro-snap"

@@ -1,8 +1,8 @@
 """Integration: Figure 2's message walkthrough, at the wire level.
 
 The paper's Figure 2 enumerates the exact messages of a publish and a
-lookup on consistent peerviews.  This test pins them with the message
-tracer:
+lookup on consistent peerviews.  This test pins them on the obs
+tracer's wire view (``tests.wire``):
 
 * publish — (1) E1's SRDI push to R1, (2) R1's replica copy to R4;
 * lookup — (1) E2's query to R2, (2) R2's forward to the replica,
@@ -18,7 +18,7 @@ from repro.network import Network
 from repro.network.site import place_nodes
 from repro.peergroup.group import PeerGroup
 from repro.sim import HOURS, MINUTES, Simulator
-from repro.sim.tracing import MessageTracer
+from tests.wire import hops, trace_wire
 
 
 def build_paper_overlay():
@@ -49,22 +49,19 @@ def build_paper_overlay():
 class TestFigure2Walkthrough:
     def test_publish_is_two_srdi_messages_to_r1_and_r4(self):
         sim, network, group, rdvs, e1, e2 = build_paper_overlay()
-        tracer = MessageTracer(network, payload_types=("ResolverSrdiMessage",))
+        obs = trace_wire(network)
         e1.discovery.publish(
             PeerAdvertisement(e1.peer_id, e1.group_id, "Test"),
             expiration=2 * HOURS,
         )
         e1.discovery.pusher.push_now()
         sim.run(until=sim.now + 30.0)
-        srdi = tracer.entries
+        srdi = hops(obs, ("ResolverSrdiMessage",))
         assert len(srdi) == 2
         # step 1: E1 -> R1 (its rendezvous)
-        assert srdi[0].src == e1.address
-        assert srdi[0].dst == rdvs[0].address
+        assert srdi[0][:2] == (e1.address, rdvs[0].address)
         # step 2: R1 -> R4 (the replica for hash 116 is rank 3 = R4)
-        assert srdi[1].src == rdvs[0].address
-        assert srdi[1].dst == rdvs[3].address
-        tracer.detach()
+        assert srdi[1][:2] == (rdvs[0].address, rdvs[3].address)
 
     def test_lookup_is_four_resolver_messages(self):
         sim, network, group, rdvs, e1, e2 = build_paper_overlay()
@@ -75,9 +72,7 @@ class TestFigure2Walkthrough:
         e1.discovery.pusher.push_now()
         sim.run(until=sim.now + 1 * MINUTES)
 
-        tracer = MessageTracer(
-            network, payload_types=("ResolverQuery", "ResolverResponse")
-        )
+        obs = trace_wire(network)
         results = []
         e2.discovery.get_remote_advertisements(
             "jxta:PA", "Name", "Test",
@@ -86,8 +81,7 @@ class TestFigure2Walkthrough:
         sim.run(until=sim.now + 30.0)
         assert results
 
-        hops = [(e.src, e.dst, e.payload_type) for e in tracer.entries]
-        assert hops == [
+        assert hops(obs, ("ResolverQuery", "ResolverResponse")) == [
             # 1. E2 -> R2 (its rendezvous)
             (e2.address, rdvs[1].address, "ResolverQuery"),
             # 2. R2 -> R4 (the computed replica peer)
@@ -97,4 +91,3 @@ class TestFigure2Walkthrough:
             # 4. E1 -> E2 (the advertisement, straight back)
             (e1.address, e2.address, "ResolverResponse"),
         ]
-        tracer.detach()

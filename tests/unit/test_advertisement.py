@@ -18,7 +18,6 @@ from repro.advertisement.pipeadv import PIPE_TYPE_PROPAGATE
 from repro.advertisement.xmlcodec import registered_types
 from repro.ids import IDFactory, NET_PEER_GROUP_ID
 from repro.ids.jxtaid import PeerID, PipeID
-from repro.pipes.binding import PipeBindingAdvertisement
 
 
 @pytest.fixture
@@ -169,8 +168,6 @@ PINNED_KEYS = [
      f"jxta:RA|{_PID_URN}"),
     (PipeAdvertisement(_PIPE, "chat"),
      f"jxta:PipeAdvertisement|{_PIPE_URN}"),
-    (PipeBindingAdvertisement(_PIPE, _PID, "tcp://a:1"),
-     f"repro:PipeBinding|{_PIPE_URN}|{_PID_URN}"),
 ]
 
 

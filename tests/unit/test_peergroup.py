@@ -18,6 +18,11 @@ def group():
     return PeerGroup(sim, network, PlatformConfig())
 
 
+def _services(peer):
+    """The service names a peer's endpoint has listeners for."""
+    return {name for name, _param in peer.endpoint._listeners}
+
+
 class TestConstruction:
     def test_rendezvous_assembly(self, group):
         node = place_nodes(1)[0]
@@ -27,6 +32,15 @@ class TestConstruction:
         assert rdv.view.local_peer_id == rdv.peer_id
         assert rdv.discovery.is_rendezvous
         assert group.r == 1
+        # the Figure 1 stack and nothing else: no pipe or peer-info service
+        assert _services(rdv) == {
+            "jxta.service.peerview",
+            "jxta.service.rdv.lease",
+            "jxta.service.rdv.propagate",
+            "jxta.service.relay",
+            "jxta.service.resolver",
+        }
+        assert set(rdv.resolver._handlers) == {"jxta.service.discovery"}
 
     def test_edge_assembly(self, group):
         nodes = place_nodes(2)
@@ -36,6 +50,10 @@ class TestConstruction:
         assert edge.config.seeds == [rdv.address]
         assert not edge.discovery.is_rendezvous
         assert group.e == 1
+        assert _services(edge) == {
+            "jxta.service.rdv.lease", "jxta.service.resolver",
+        }
+        assert set(edge.resolver._handlers) == {"jxta.service.discovery"}
 
     def test_port_allocation_per_node(self, group):
         node = place_nodes(1)[0]

@@ -18,8 +18,6 @@ PACKAGES = [
     "repro.metrics",
     "repro.network",
     "repro.peergroup",
-    "repro.peerinfo",
-    "repro.pipes",
     "repro.rendezvous",
     "repro.resolver",
     "repro.sim",
