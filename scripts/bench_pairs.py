@@ -20,8 +20,11 @@ then one line per (run, workload) with the side, the pair and the run's
 place in the alternation, the four gated end-to-end metrics,
 ``sim_digest``, ``workload.failed_share``, a hash of every other
 simulated value (``sim_sha``) and the per-layer metrics named by
-``--layers`` — an array under the column names the first line lists.  That file is what a claim commits, beside its
-``SUMMARY.md``, as ``results/perf/PR-<n>/seed<S>-<workloads>.jsonl``
+``--layers`` — an array under the column names the first line lists —,
+gzipped as ``pairs.jsonl.gz`` (no timestamp in the gzip header, so the
+same runs give the same bytes).  That file is what a claim commits,
+beside its ``SUMMARY.md``, as
+``results/perf/PR-<n>/seed<S>-<workloads>.jsonl.gz``
 (``tests/unit/test_perf_evidence.py`` re-derives the summary's table
 from it).  The full JSONs are deleted once it is written unless
 ``--keep-full`` is given, and even then stay under ``.benchmarks/``.
@@ -32,12 +35,14 @@ non-zero when any run failed the benchmark's correctness gate.
 from __future__ import annotations
 
 import argparse
+import gzip
 import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -113,7 +118,7 @@ def compact_row(side: str, pair: int, order: int, workload: str,
 
 
 def write_pairs(path: Path, runs, layers) -> None:
-    """``pairs.jsonl`` from ``runs`` = [(side, pair, order, full JSON
+    """``pairs.jsonl.gz`` from ``runs`` = [(side, pair, order, full JSON
     path)]: ``env`` (the commit per side) and the column names once,
     then one array per (run, workload)."""
     env, rows = None, []
@@ -129,14 +134,28 @@ def write_pairs(path: Path, runs, layers) -> None:
             raise ValueError(f"{full}: a second {side} commit")
         for workload, entry in result["workloads"].items():
             rows.append(compact_row(side, pair, order, workload, entry, layers))
-    with path.open("w") as out:
-        for record in [{"env": env, "columns": [*COLUMNS, *layers]}, *rows]:
-            out.write(json.dumps(record, separators=(",", ":")) + "\n")
+    text = "".join(
+        json.dumps(record, separators=(",", ":")) + "\n"
+        for record in [{"env": env, "columns": [*COLUMNS, *layers]}, *rows]
+    )
+    path.write_bytes(gzip_bytes(text.encode()))
+
+
+def gzip_bytes(data: bytes) -> bytes:
+    """``data`` as a gzip member with no timestamp (the same rows give
+    the same bytes): the smaller of zlib's default and filtered deflate
+    at level 9, which read back alike."""
+    members = []
+    for strategy in (zlib.Z_DEFAULT_STRATEGY, zlib.Z_FILTERED):
+        deflate = zlib.compressobj(9, zlib.DEFLATED, 31, 9, strategy)
+        members.append(deflate.compress(data) + deflate.flush())
+    return min(members, key=len)
 
 
 def read_pairs(path: Path):
-    """``(env, [one dict per (run, workload)])`` of a ``pairs.jsonl``."""
-    header, *rows = map(json.loads, path.read_text().splitlines())
+    """``(env, [one dict per (run, workload)])`` of a ``pairs.jsonl.gz``."""
+    text = gzip.decompress(path.read_bytes()).decode()
+    header, *rows = map(json.loads, text.splitlines())
     return header["env"], [dict(zip(header["columns"], row)) for row in rows]
 
 
@@ -160,7 +179,7 @@ def main(argv=None) -> int:
     parser.add_argument("--layers", default=",".join(DEFAULT_LAYERS),
                         help="comma-separated per-layer metrics to keep per run")
     parser.add_argument("--keep-full", action="store_true",
-                        help="keep each run's full JSON beside pairs.jsonl")
+                        help="keep each run's full JSON beside pairs.jsonl.gz")
     args = parser.parse_args(argv)
 
     sha = _git("rev-parse", "--short", f"{args.base}^{{commit}}")
@@ -199,7 +218,7 @@ def main(argv=None) -> int:
         ",".join(str(path) for side, _, _, path in runs if side == which)
         for which in ("base", "new")
     ))
-    compact = out / "pairs.jsonl"
+    compact = out / "pairs.jsonl.gz"
     write_pairs(compact, runs, [n for n in args.layers.split(",") if n])
     if not args.keep_full:
         for *_, path in runs:

@@ -15,7 +15,7 @@ the same object works in any simulation or in real time.
 Performance design
 ------------------
 Queries used to scan every entry with ``fnmatchcase``.  The one query
-the protocol issues — ``DiscoveryService._local_matches``: a type, an
+the protocol issues — ``DiscoveryService._handle_query``: a type, an
 attribute and a glob-free value — is now one probe of a hash index,
 (type, attribute, value) → keys, keyed by the advertisement's own
 memoised index tuple; a single member is stored inline (the key string

@@ -34,13 +34,7 @@ from repro.discovery.rangequery import (
 )
 from repro.discovery.replica import ReplicaFunction
 from repro.discovery.srdi import SrdiIndex, SrdiPayload, SrdiPusher
-from repro.discovery.walker import (
-    WALK_DOWN,
-    WALK_NONE,
-    WALK_UP,
-    walk_next_target,
-    walk_start_targets,
-)
+from repro.discovery.walker import WALK_NONE, walk_start_targets
 from repro.ids.jxtaid import PeerID
 from repro.rendezvous.lease import EdgeLeaseClient
 from repro.rendezvous.peerview import PeerView
@@ -407,7 +401,8 @@ class DiscoveryService(QueryHandler):
             return None
         delay = self.config.discovery_proc_cost
         if self.srdi is not None:
-            delay += self.config.srdi_match_cost * len(self.srdi)
+            # the record count read off the index (no __len__ frame)
+            delay += self.config.srdi_match_cost * self.srdi._count
         else:
             delay += self.config.srdi_match_cost * len(self.cache)
         self.sim.schedule(delay, self._handle_query, query, label="discovery.handle")
@@ -478,13 +473,13 @@ class DiscoveryService(QueryHandler):
     # ------------------------------------------------------------------
     def _handle_query(self, query: ResolverQuery) -> None:
         payload: DiscoveryQueryPayload = query.payload
-        if self.is_rendezvous and query.hop_count > 2 * self.view.member_count() + 8:
+        if self.is_rendezvous and query.hop_count > 2 * len(self.view._order) + 8:
             # a complete bidirectional walk never exceeds ~2·l hops;
             # anything beyond indicates a routing anomaly — drop rather
             # than circulate forever (queries are best-effort)
             return
         self.queries_handled += 1
-        now = self.sim.now
+        now = self.sim.clock._now  # the clock read without two property frames
         obs = self._net.obs
         if obs is not None and obs.active:
             obs.event(
@@ -493,8 +488,16 @@ class DiscoveryService(QueryHandler):
             )
 
         # 1. local advertisement cache (every peer; this is how the
-        #    publishing edge answers at the end of Figure 2's chain)
-        matches = self._local_matches(payload, now)
+        #    publishing edge answers at the end of Figure 2's chain):
+        #    exact and glob queries are one cache search, and a miss on
+        #    a walk hop is one index probe
+        if payload.is_range:
+            matches = self._local_range_matches(payload, now)
+        else:
+            matches = self.cache.search(
+                payload.adv_type, payload.attribute, payload.value, now,
+                limit=payload.threshold,
+            )
         if matches:
             entries = [self.cache.get(a, now) for a in matches]
             self.resolver.send_response(
@@ -552,7 +555,7 @@ class DiscoveryService(QueryHandler):
                 self.resolver.propagator(query.hopped())
             return
         if payload.walk_direction != WALK_NONE:
-            self._continue_walk(query, payload)
+            self._continue_walk(query, payload, payload.walk_direction)
         elif payload.is_complex:
             # patterns and ranges hash to nothing useful: walk from here
             self._start_walk(query, payload)
@@ -614,14 +617,9 @@ class DiscoveryService(QueryHandler):
                 out.extend(self.srdi.lookup(index_tuple, now))
         return out
 
-    def _local_matches(self, payload: DiscoveryQueryPayload, now: float):
-        """Matching advertisements in the local cache (exact, glob, or
-        numeric range)."""
-        if not payload.is_range:
-            return self.cache.search(
-                payload.adv_type, payload.attribute, payload.value, now,
-                limit=payload.threshold,
-            )
+    def _local_range_matches(self, payload: DiscoveryQueryPayload, now: float):
+        """Advertisements in the local cache whose indexed attribute
+        falls in a range query's numeric range."""
         if payload.threshold <= 0:
             return []
         lo, hi = parse_range_spec(payload.value)
@@ -645,11 +643,17 @@ class DiscoveryService(QueryHandler):
         for target, direction in walk_start_targets(self.view):
             self._send_walk_leg(query, payload, target, direction)
 
-    def _continue_walk(self, query: ResolverQuery, payload: DiscoveryQueryPayload) -> None:
-        target = walk_next_target(self.view, payload.walk_direction)
-        if target is None:
+    def _continue_walk(
+        self, query: ResolverQuery, payload: DiscoveryQueryPayload,
+        direction: int,
+    ) -> None:
+        """Pass a walk leg on to our neighbour in ``direction``."""
+        key = self.view.neighbor_key(direction)
+        if key is None:
             return  # end of the peerview in this direction
-        self._send_walk_leg(query, payload, target, payload.walk_direction)
+        self._send_walk_leg(
+            query, payload, self.view.interner.id_of(key), direction
+        )
 
     def _send_walk_leg(
         self,
@@ -671,13 +675,14 @@ class DiscoveryService(QueryHandler):
 
         def target_unreachable(*_args, _t=target):
             self.view.remove(_t, self.sim.now, reason="unreachable")
-            next_target = walk_next_target(self.view, direction)
-            if next_target is not None:
-                self._send_walk_leg(query, payload, next_target, direction)
+            self._continue_walk(query, payload, direction)
 
+        if payload.at_replica and payload.walk_direction == direction:
+            # every hop after a leg's first passes the payload on as it
+            # came (payloads are never mutated)
+            routed = payload
+        else:
+            routed = payload.routed(True, direction)
         self.resolver.forward_query(
-            target,
-            query,
-            on_drop=target_unreachable,
-            payload=payload.routed(True, direction),
+            target, query, on_drop=target_unreachable, payload=routed,
         )

@@ -23,22 +23,22 @@ WALK_DOWN = -1
 
 def walk_start_targets(view: PeerView) -> List[tuple]:
     """Initial walk legs from a failed replica peer: ``(peer, direction)``
-    for the upper and lower rendezvous, when present."""
+    for the upper and lower rendezvous, when present.  Both targets are
+    read before either leg is sent."""
     out = []
-    upper = view.upper_neighbor()
-    if upper is not None:
-        out.append((upper, WALK_UP))
-    lower = view.lower_neighbor()
-    if lower is not None:
-        out.append((lower, WALK_DOWN))
+    for direction in (WALK_UP, WALK_DOWN):
+        target = walk_next_target(view, direction)
+        if target is not None:
+            out.append((target, direction))
     return out
 
 
 def walk_next_target(view: PeerView, direction: int) -> Optional[PeerID]:
     """Next rendezvous for a walk leg passing through this peer, or
-    None when this peer is the end of its local sorted list."""
-    if direction == WALK_UP:
-        return view.upper_neighbor()
-    if direction == WALK_DOWN:
-        return view.lower_neighbor()
-    raise ValueError(f"not a walk direction: {direction}")
+    None when this peer is the end of its local sorted list: the
+    view's :meth:`~PeerView.neighbor_key` as an ID.  (A hop in
+    ``DiscoveryService._continue_walk`` reads the key itself.)"""
+    if direction != WALK_UP and direction != WALK_DOWN:
+        raise ValueError(f"not a walk direction: {direction}")
+    key = view.neighbor_key(direction)
+    return None if key is None else view.interner.id_of(key)

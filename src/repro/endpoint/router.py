@@ -154,7 +154,15 @@ class EndpointRouter:
         dst_peer = message.dst_peer
         route = None
         if dst_peer is not None:
-            key = self.interner.intern(dst_peer)
+            # the interner's cached-key fast path unrolled, as in
+            # EndpointService._on_envelope: one per message sent
+            interner = self.interner
+            try:
+                table, key = dst_peer._intern
+                if table is not interner:
+                    key = interner.intern(dst_peer)
+            except AttributeError:
+                key = interner.intern(dst_peer)
             if key == endpoint.peer_key:
                 # routing to self: deliver locally without a network hop
                 endpoint._on_envelope(

@@ -161,7 +161,6 @@ class Peer:
         self._running = True
         for context in self.contexts.values():
             context.start()
-        self._start_peer_services()
 
     def stop(self) -> None:
         """Graceful shutdown: stop protocols, unbind the address."""
@@ -183,9 +182,6 @@ class Peer:
             context.halt()
         self.endpoint.detach()
         self._running = False
-
-    def _start_peer_services(self) -> None:
-        """Per-peer (non-group) services; subclasses extend."""
 
     def _stop_peer_services(self) -> None:
         """Per-peer (non-group) services; subclasses extend."""

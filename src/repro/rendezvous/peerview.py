@@ -117,11 +117,11 @@ class PeerView:
         #: ``_entries`` directly must keep this in sync (same contract
         #: as ``invalidate_ordered_view``)
         self._key_seq: List[int] = []
+        #: our own ordering token, the probe ``neighbor_key`` bisects for
+        self._local_token = self.interner.order_token(self.local_key)
         #: members (self included) as the table's (id_bytes, key)
         #: tokens, bytes-ascending — the list rank/neighbour queries bisect
-        self._order: List[Tuple[bytes, int]] = [
-            self.interner.order_token(self.local_key)
-        ]
+        self._order: List[Tuple[bytes, int]] = [self._local_token]
         #: memoised immutable snapshot of the ordered PeerIDs; rebuilt
         #: only after a membership change (see ``ordered_ids``)
         self._ordered_view: Optional[Tuple[PeerID, ...]] = None
@@ -328,34 +328,19 @@ class PeerView:
         ReplicaPeer function."""
         return len(self._order)
 
-    def local_rank(self) -> int:
-        """Our own position in the ordered list."""
-        rank = self.rank_of(self.local_peer_id)
-        assert rank is not None
-        return rank
+    def neighbor_key(self, direction: int) -> Optional[int]:
+        """Interned key of the member next to us in ``direction``
+        (+1 = the ID that follows ours, -1 = the one that precedes it),
+        or None at that end of the ordered list.
 
-    def upper_neighbor(self) -> Optional[PeerID]:
-        """The rendezvous whose ID immediately follows ours, or None if
-        we are the top of the sorted list."""
-        key = self.upper_neighbor_key()
-        return None if key is None else self.interner.id_of(key)
-
-    def upper_neighbor_key(self) -> Optional[int]:
-        rank = self.local_rank()
-        if rank + 1 < len(self._order):
-            return self._order[rank + 1][1]
-        return None
-
-    def lower_neighbor(self) -> Optional[PeerID]:
-        """The rendezvous whose ID immediately precedes ours, or None if
-        we are the bottom of the sorted list."""
-        key = self.lower_neighbor_key()
-        return None if key is None else self.interner.id_of(key)
-
-    def lower_neighbor_key(self) -> Optional[int]:
-        rank = self.local_rank()
-        if rank > 0:
-            return self._order[rank - 1][1]
+        The one neighbour lookup: the probe round asks for both
+        neighbours every tick, and every LC-DHT walk hop asks for one,
+        so it is a single bisect for our own ordering token (always a
+        member) — no rank helper, no ``(value,)`` probe tuple."""
+        order = self._order
+        rank = bisect.bisect_left(order, self._local_token) + direction
+        if 0 <= rank < len(order):
+            return order[rank][1]
         return None
 
     def neighbor_of(self, peer_id: PeerID, direction: int) -> Optional[PeerID]:

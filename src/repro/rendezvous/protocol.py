@@ -217,10 +217,10 @@ class PeerViewProtocol(Process):
         """Interned keys of the upper and lower rendezvous, when present
         (ends of the sorted list have only one peer to probe)."""
         out = []
-        upper = self.view.upper_neighbor_key()
+        upper = self.view.neighbor_key(1)
         if upper is not None:
             out.append(upper)
-        lower = self.view.lower_neighbor_key()
+        lower = self.view.neighbor_key(-1)
         if lower is not None:
             out.append(lower)
         return out

@@ -35,16 +35,24 @@ class ResolverQuery:
     src_peer: PeerID
     #: Route back to the query source (JXTA's ``SrcPeerRoute`` field) —
     #: responders install it so the response can be sent directly.
+    #: A forwarded copy (``ResolverService.forward_query``, every hop
+    #: of a walk) shares the origin's list: nothing mutates it, and
+    #: ``EndpointRouter.add_route`` copies a multi-hop list it keeps.
     src_route: List[str]
     payload: Any
     hop_count: int = 0
 
     def size_bytes(self) -> int:
+        # the payload's own size read here: once per hop of every query
+        size = getattr(self.payload, "size_bytes", None)
+        if callable(size):
+            return RESOLVER_OVERHEAD_BYTES + int(size())
         return RESOLVER_OVERHEAD_BYTES + _payload_size(self.payload)
 
     def hopped(self, payload: Any = None) -> "ResolverQuery":
-        """Copy with the hop counter incremented (for re-propagation
-        and forwarding), carrying ``payload`` instead when given."""
+        """Copy with the hop counter incremented (for re-propagation;
+        ``ResolverService.forward_query`` builds the forwarded copy in
+        place), carrying ``payload`` instead when given."""
         return ResolverQuery(
             self.handler_name,
             self.query_id,

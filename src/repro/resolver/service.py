@@ -124,15 +124,36 @@ class ResolverService:
         forwarding between rendezvous peers): hop count increments,
         origin metadata is preserved, ``payload`` (the handler's body
         for the next hop) replaces the query's.  ``on_drop`` fires if
-        the destination is unreachable (the TCP connect fails)."""
+        the destination is unreachable (the TCP connect fails).
+
+        Every hop of a walk comes through here, so the hopped query
+        (:meth:`ResolverQuery.hopped`) and its endpoint message are
+        built in place rather than through two more frames."""
+        endpoint = self.endpoint
         obs = self._net.obs
         if obs is not None and obs.active:
             obs.event(
-                self.endpoint.sim.now, "resolver", "query.forwarded",
+                endpoint.sim.now, "resolver", "query.forwarded",
                 self._actor, handler=query.handler_name, qid=query.query_id,
                 hop=query.hop_count + 1,
             )
-        self._send_body(dst_peer, query.hopped(payload), on_drop=on_drop)
+        endpoint.send_to_peer(
+            EndpointMessage(
+                endpoint.peer_id,
+                dst_peer,
+                RESOLVER_SERVICE_NAME,
+                self.group_param,
+                ResolverQuery(
+                    query.handler_name,
+                    query.query_id,
+                    query.src_peer,
+                    query.src_route,
+                    query.payload if payload is None else payload,
+                    query.hop_count + 1,
+                ),
+            ),
+            on_drop=on_drop,
+        )
 
     def send_response(self, query: ResolverQuery, payload: Any) -> None:
         """Respond to ``query``; routed directly to the query source
@@ -205,7 +226,14 @@ class ResolverService:
     def _on_message(self, message: EndpointMessage) -> None:
         body = message.body
         if isinstance(body, ResolverQuery):
-            self.inject_query(body)
+            # inject_query inlined: a walk runs this once per hop.  The
+            # handler is whatever was registered (possibly a wrapper),
+            # so it is still looked up by name
+            handler = self._handlers.get(body.handler_name)
+            if handler is not None:
+                response_payload = handler.process_query(body)
+                if response_payload is not None:
+                    self.send_response(body, response_payload)
         elif isinstance(body, ResolverResponse):
             handler = self._handlers.get(body.handler_name)
             if handler is not None:

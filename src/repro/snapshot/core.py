@@ -44,7 +44,7 @@ from typing import Any, Optional, Tuple
 #: Bump whenever the pickled state contract changes incompatibly
 #: (slot layouts, scheduler tier layout, RNG stream naming).  Stored
 #: checkpoints with another version are invalidated, not misread.
-SNAPSHOT_VERSION = 13
+SNAPSHOT_VERSION = 14
 
 #: sha256 of the pickled layout (classes, their fields, container
 #: types) reachable from a reference snapshot, as
@@ -52,7 +52,7 @@ SNAPSHOT_VERSION = 13
 #: that test fails the layout moved: bump the version above, then
 #: regenerate this value with the command the failure prints.
 SNAPSHOT_LAYOUT_FINGERPRINT = (
-    "923523e9032f2a98e858df7f51a9e09eb595e0eed609e144202287f6a490de88"
+    "bb57f57334d6c3057241ec894733c69ca26c34920727f8ee5f3e681f25df0d7c"
 )
 
 _MAGIC = b"repro-snap"

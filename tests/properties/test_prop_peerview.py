@@ -141,8 +141,10 @@ def test_views_on_one_table_hold_its_tokens(operations):
         for token in view._order:
             assert token is table.order_token(token[1])
         assert view.ordered_ids() == alone.ordered_ids()
-        assert view.upper_neighbor() == alone.upper_neighbor()
-        assert view.lower_neighbor() == alone.lower_neighbor()
+        for direction in (1, -1):
+            assert view.neighbor_of(
+                view.local_peer_id, direction
+            ) == alone.neighbor_of(alone.local_peer_id, direction)
         for rank, pid in enumerate(view.ordered_ids()):
             assert view.rank_of(pid) == alone.rank_of(pid) == rank
             assert view.rank_of_key(view.key_at(rank)) == rank
@@ -198,8 +200,8 @@ def test_neighbors_match_sorted_order(members):
     all_ids = sorted(set(members) | {LOCAL})
     index = all_ids.index(LOCAL)
 
-    upper = view.upper_neighbor()
-    lower = view.lower_neighbor()
+    upper = view.neighbor_of(view.local_peer_id, +1)
+    lower = view.neighbor_of(view.local_peer_id, -1)
     if index + 1 < len(all_ids):
         assert int.from_bytes(upper.unique_value, "big") == all_ids[index + 1]
     else:

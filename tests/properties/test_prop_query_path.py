@@ -7,20 +7,31 @@ routing state, ``ResolverQuery.hopped(payload)`` for the hop counter).
 Both copies bypass the constructors' derivations, so they are checked
 here against the constructors themselves — and against the two-copy
 ``_with_routing`` + ``hopped()`` pair they replaced.
+
+A walk hop also reads its next target with one bisect
+(``PeerView.neighbor_key``) and forwards through
+``ResolverService.forward_query``, which builds the hopped query in
+place and shares the origin's ``src_route``; both are held here to the
+code they replaced.
 """
 
+import bisect
 import pickle
 from dataclasses import fields
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.advertisement.cache import has_glob
+from repro.advertisement.rdvadv import RdvAdvertisement
 from repro.discovery.rangequery import is_range_query, range_spec
 from repro.discovery.service import DiscoveryQueryPayload
 from repro.discovery.walker import WALK_DOWN, WALK_NONE, WALK_UP
 from repro.ids import NET_PEER_GROUP_ID, PeerID
+from repro.rendezvous.peerview import PeerView
+from repro.resolver import QueryHandler, ResolverService
 from repro.resolver.messages import ResolverQuery
+from tests.unit.test_endpoint import build_peers
 
 bounds = st.floats(-1e6, 1e6, allow_nan=False)
 values = st.one_of(
@@ -153,3 +164,93 @@ def test_pickles_are_byte_stable_across_a_round_trip(query, routing):
         assert clone == obj
         assert _field_values(clone) == _field_values(obj)
         assert pickle.dumps(clone) == blob
+
+
+def _rdv(n):
+    return RdvAdvertisement(
+        rdv_peer_id=PeerID.from_int(NET_PEER_GROUP_ID, n),
+        group_id=NET_PEER_GROUP_ID,
+        route_hint=f"tcp://host-{n}:9701",
+    )
+
+
+def old_neighbor_key(view, direction):
+    """The deleted rank path, verbatim in effect: ``local_rank()`` via
+    ``rank_of``'s ``(value,)`` probe, then the entry beside it."""
+    order = view._order
+    rank = bisect.bisect_left(order, (view.local_peer_id._value,))
+    assert order[rank][0] == view.local_peer_id._value
+    target = rank + direction
+    if 0 <= target < len(order):
+        return order[target][1]
+    return None
+
+
+#: where the local peer's ID falls among the members: below all, above
+#: all, or anywhere (the set may also be empty: a self-only view)
+LOCALS = {"bottom": 0, "top": 1000, "inside": 500}
+
+
+@given(
+    st.sampled_from(sorted(LOCALS)),
+    st.sets(st.integers(1, 999).filter(lambda n: n != 500), max_size=40),
+    st.sets(st.integers(1, 999), max_size=10),
+)
+@example("inside", set(), set())  # self-only view
+@example("bottom", {7}, set())
+@example("top", {7}, set())
+def test_neighbor_key_is_the_rank_based_answer(where, members, removed):
+    view = PeerView(_rdv(LOCALS[where]))
+    for n in sorted(members):
+        view.upsert(_rdv(n), 0.0)
+    for n in sorted(removed):
+        view.remove(PeerID.from_int(NET_PEER_GROUP_ID, n), 1.0)
+    for direction in (WALK_UP, WALK_DOWN):
+        assert view.neighbor_key(direction) == old_neighbor_key(view, direction)
+    left = sorted(members - removed)
+    if where == "bottom" or not left:
+        assert view.neighbor_key(WALK_DOWN) is None
+    if where == "top" or not left:
+        assert view.neighbor_key(WALK_UP) is None
+
+
+class _Collector(QueryHandler):
+    def __init__(self):
+        self.queries = []
+
+    def process_query(self, query):
+        self.queries.append(query)
+        return None
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    queries,
+    routings,
+    st.lists(st.sampled_from(["tcp://a:1", "tcp://b:2"]), min_size=2, max_size=4),
+)
+def test_forwarded_query_is_the_hopped_copy(query, routing, route):
+    """What ``forward_query`` delivers is ``hopped(payload)`` in every
+    field; its ``src_route`` is the origin's list, and installing it as
+    a multi-hop route leaves both its contents and the origin's as
+    they were (the router keeps its own copy)."""
+    query.src_route = route
+    sent_route = list(route)
+    sim, _, (a, b) = build_peers(2)
+    a.router.add_route(b.peer_id, [b.transport_address])
+    sender = ResolverService(a, group_param="g")
+    ResolverService(b, group_param="g").register_handler(
+        query.handler_name, collector := _Collector()
+    )
+    payload = query.payload.routed(*routing)
+    sender.forward_query(b.peer_id, query, payload=payload)
+    sim.run()
+    (got,) = collector.queries
+    assert _field_values(got) == _field_values(query.hopped(payload))
+    assert got.hop_count == query.hop_count + 1
+    assert got.payload is payload
+    assert got.src_route is query.src_route
+    b.router.add_route(got.src_peer, got.src_route)
+    assert got.src_route == query.src_route == sent_route
+    assert b.router.resolve(got.src_peer) == sent_route
+    assert b.router._routes[b.interner.intern(got.src_peer)] is not route

@@ -84,8 +84,8 @@ class TestLines5to12_NeighborBranch:
         sim.run(until=10 * MINUTES)
         # the middle peer (by ID) has both neighbours; trace one interval
         middle = sorted(overlay.rendezvous, key=lambda p: p.peer_id)[2]
-        upper = middle.view.upper_neighbor()
-        lower = middle.view.lower_neighbor()
+        upper = middle.view.neighbor_of(middle.view.local_peer_id, +1)
+        lower = middle.view.neighbor_of(middle.view.local_peer_id, -1)
         assert upper is not None and lower is not None
         obs = trace_wire(network)
         sim.run(until=sim.now + 10 * MINUTES)

@@ -23,6 +23,12 @@ def adv(n, name=""):
     )
 
 
+def neighbor(view, direction):
+    """``view.neighbor_key(direction)`` as a PeerID (None at an end)."""
+    key = view.neighbor_key(direction)
+    return None if key is None else view.interner.id_of(key)
+
+
 @pytest.fixture
 def view():
     # local peer has ID 50, so upper/lower neighbors exist around it
@@ -134,24 +140,24 @@ class TestNeighbors:
     def test_upper_and_lower(self, view):
         for n in (10, 40, 60, 90):
             view.upsert(adv(n), now=0.0)
-        assert view.lower_neighbor() == pid(40)
-        assert view.upper_neighbor() == pid(60)
+        assert neighbor(view, -1) == pid(40)
+        assert neighbor(view, +1) == pid(60)
 
     def test_at_bottom_of_list(self):
         v = PeerView(adv(1))
         v.upsert(adv(10), now=0.0)
-        assert v.lower_neighbor() is None
-        assert v.upper_neighbor() == pid(10)
+        assert neighbor(v, -1) is None
+        assert neighbor(v, +1) == pid(10)
 
     def test_at_top_of_list(self):
         v = PeerView(adv(100))
         v.upsert(adv(10), now=0.0)
-        assert v.upper_neighbor() is None
-        assert v.lower_neighbor() == pid(10)
+        assert neighbor(v, +1) is None
+        assert neighbor(v, -1) == pid(10)
 
     def test_alone(self, view):
-        assert view.upper_neighbor() is None
-        assert view.lower_neighbor() is None
+        assert neighbor(view, +1) is None
+        assert neighbor(view, -1) is None
 
     def test_neighbor_of_directional(self, view):
         for n in (10, 40, 60):

@@ -2,17 +2,19 @@
 
 A performance claim commits, under ``results/perf/PR-<n>/``, a
 ``SUMMARY.md`` whose table quotes medians, ranges and pair wins, and one
-compact ``seed<S>-<workloads>.jsonl`` per (workloads, seed) group — the
-``pairs.jsonl`` ``scripts/bench_pairs.py`` wrote: ``env`` and the column
-names on the first line, then one array per (run, workload).  This test re-derives every gated-metric cell
-and every ``sim_digest`` of each table from those files, so a summary
-cannot drift from its runs, and the runs stay small enough to commit.
+compact ``seed<S>-<workloads>.jsonl.gz`` per (workloads, seed) group —
+the ``pairs.jsonl.gz`` ``scripts/bench_pairs.py`` wrote: ``env`` and the
+column names on the first line, then one array per (run, workload),
+gzipped.  This test re-derives every gated-metric cell and every
+``sim_digest`` of each table from those files, so a summary cannot
+drift from its runs, and the runs stay small enough to commit.
 
 A row names its group by seed and workload.  Where two groups at one
 seed ran a workload, the row whose seed reads ``1 (+5)`` — more pairs,
 run on their own — is the group of that workload alone.
 """
 
+import gzip
 import json
 import re
 import statistics
@@ -23,7 +25,7 @@ import pytest
 PERF = Path(__file__).resolve().parents[2] / "results" / "perf"
 GATED = ("setup_s", "wall_s", "ops_per_s", "peak_rss_mb")
 #: every committed group of runs
-GROUPS = sorted(PERF.glob("PR-*/seed*.jsonl"))
+GROUPS = sorted(PERF.glob("PR-*/seed*.jsonl.gz"))
 #: the PR directories whose runs were committed
 SUMMARIES = sorted(
     {path.parent for path in GROUPS}, key=lambda p: int(p.name.split("-")[1])
@@ -38,17 +40,23 @@ _CELL = re.compile(
 )
 
 
+def group_name(path):
+    """``seed<S>-<workloads>`` of a group file."""
+    return path.name.removesuffix(".jsonl.gz")
+
+
 def load_group(path):
-    header, *rows = map(json.loads, path.read_text().splitlines())
+    text = gzip.decompress(path.read_bytes()).decode()
+    header, *rows = map(json.loads, text.splitlines())
     return header["env"], [dict(zip(header["columns"], row)) for row in rows]
 
 
 def groups_of(pr_dir):
     """{(seed, (workload, ...)): runs} for every group of one PR."""
     out = {}
-    for path in sorted(pr_dir.glob("seed*.jsonl")):
+    for path in sorted(pr_dir.glob("seed*.jsonl.gz")):
         env, runs = load_group(path)
-        seed, workloads = re.fullmatch(r"seed(\d+)-(.+)", path.stem).groups()
+        seed, workloads = re.fullmatch(r"seed(\d+)-(.+)", group_name(path)).groups()
         assert env["seed"] == int(seed), path
         out[(int(seed), tuple(workloads.split("+")))] = runs
     return out
@@ -144,7 +152,7 @@ def test_claimed_rows_are_marked_and_claimed_cells_carry_their_wins(pr_dir):
 
 
 @pytest.mark.parametrize(
-    "path", GROUPS, ids=lambda p: f"{p.parent.name}/{p.stem}",
+    "path", GROUPS, ids=lambda p: f"{p.parent.name}/{group_name(p)}",
 )
 def test_compact_runs_are_complete_and_alternate(path):
     env, runs = load_group(path)
@@ -163,5 +171,11 @@ def test_compact_runs_are_complete_and_alternate(path):
 def test_results_stay_small():
     size = sum(p.stat().st_size for p in PERF.rglob("*") if p.is_file())
     assert size <= 400_000, f"results/perf/ holds {size} bytes"
-    full = [p for p in PERF.rglob("*.json") if "workloads" in json.loads(p.read_text())]
+    full = [
+        p for p in PERF.rglob("*.json*")
+        if p.name.endswith((".json", ".json.gz"))
+        and "workloads" in json.loads(
+            gzip.decompress(p.read_bytes()) if p.suffix == ".gz" else p.read_bytes()
+        )
+    ]
     assert not full, "full run JSONs belong in .benchmarks/"

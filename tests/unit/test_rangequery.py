@@ -88,7 +88,7 @@ class TestLocalRangeMatches:
                 "repro:FakeAdvertisement", "Name", range_spec(50, 200),
                 threshold=threshold,
             )
-            return [a.name for a in discovery._local_matches(payload, 1.0)]
+            return [a.name for a in discovery._local_range_matches(payload, 1.0)]
 
         assert names(0) == []
         assert names(1) == ["100"]
