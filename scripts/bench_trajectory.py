@@ -78,6 +78,7 @@ EXTRA_KEYS = (
     "tracemalloc_peak_kb",
     "tracemalloc_alloc_blocks",
     "us_per_walk_hop",
+    "us_per_flat_lookup",
     "bytes_per_publish",
     "us_per_fuzz_event",
     "executions_per_genome",

@@ -84,4 +84,9 @@ class ReplicaFunction:
             raise ValueError(
                 f"member_count must be > 0 (got {member_count})"
             )
-        return self.hash_value(index_tuple) * member_count // self.max_hash
+        # the memo read in place: every replica-routed query and every
+        # replicated tuple ranks a tuple hashed before
+        value = self._memo.get(index_tuple)
+        if value is None:
+            value = self.hash_value(index_tuple)
+        return value * member_count // self.max_hash

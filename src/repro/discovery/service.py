@@ -70,8 +70,9 @@ class DiscoveryQueryPayload:
 
     def __post_init__(self) -> None:
         value = self.value
-        self.is_wildcard = has_glob(value)
-        self.is_range = is_range_query(value)
+        self.is_wildcard = bool(has_glob(value))
+        # a value without ".." is never a range: no parse for it
+        self.is_range = ".." in value and is_range_query(value)
         self.is_complex = self.is_wildcard or self.is_range
         self.index_tuple = (self.adv_type, self.attribute, value)
         self.wire_size = 220 + len(self.adv_type) + len(self.attribute) + len(value)
@@ -108,7 +109,10 @@ class DiscoveryResponsePayload:
     answered_after_hops: int = 0
 
     def size_bytes(self) -> int:
-        return 160 + sum(a.size_bytes() for a in self.advertisements)
+        size = 160  # a loop, not sum() over a generator frame
+        for adv in self.advertisements:
+            size += adv.size_bytes()
+        return size
 
 
 @dataclass(slots=True)
@@ -303,46 +307,38 @@ class DiscoveryService(QueryHandler):
         threshold is reached (or at the first response for
         threshold=1).  Returns the query id.
         """
-        payload = DiscoveryQueryPayload(
-            adv_type=adv_type,
-            attribute=attribute,
-            value=value,
-            threshold=threshold,
-        )
+        now = self.sim.clock._now  # the clock read without two property frames
+        payload = DiscoveryQueryPayload(adv_type, attribute, value, threshold)
         query = self.resolver.new_query(DISCOVERY_HANDLER_NAME, payload)
-        record = _Outstanding(
-            query_id=query.query_id,
-            sent_at=self.sim.now,
-            threshold=threshold,
-            callback=callback,
-            on_timeout=on_timeout,
-        )
+        query_id = query.query_id
+        record = _Outstanding(query_id, now, threshold, callback, on_timeout)
         record.timeout_handle = self.sim.schedule(
             timeout if timeout is not None else self.config.discovery_query_timeout,
             self._query_timed_out,
-            query.query_id,
+            query_id,
             label="discovery.timeout",
         )
-        self._outstanding[query.query_id] = record
+        self._outstanding[query_id] = record
         obs = self._net.obs
         if obs is not None and obs.active:
             obs.event(
-                self.sim.now, "discovery", "query.issued", self._actor,
-                qid=query.query_id, attr=attribute, value=value,
+                now, "discovery", "query.issued", self._actor,
+                qid=query_id, attr=attribute, value=value,
             )
 
         if self.is_rendezvous:
             # a rendezvous acts as its own rendezvous (Figure 2 note)
             self.resolver.inject_query(query)
         else:
-            rdv = self.lease_client.rdv_peer_id
-            if rdv is None:
+            # EdgeLeaseClient.rdv_peer_id without its property frame
+            rdv_adv = self.lease_client.rdv_adv
+            if rdv_adv is None:
                 raise RuntimeError(
                     "edge peer is not connected to a rendezvous; "
                     "call connect() and let the lease complete first"
                 )
-            self.resolver.send_query(rdv, query)
-        return query.query_id
+            self.resolver.send_query(rdv_adv.rdv_peer_id, query)
+        return query_id
 
     def _query_timed_out(self, query_id: int) -> None:
         record = self._outstanding.pop(query_id, None)
@@ -369,11 +365,16 @@ class DiscoveryService(QueryHandler):
         if not isinstance(payload, DiscoveryResponsePayload):
             return
         self.responses_received += 1
-        now = self.sim.now
+        now = self.sim.clock._now
+        received = record.received
         for adv, expiration in zip(payload.advertisements, payload.expirations):
             self.cache.store_remote(adv, now, max(expiration, 1.0))
-            if all(a.unique_key() != adv.unique_key() for a in record.received):
-                record.received.append(adv)
+            # deduplicate by key: a loop, not all() over a generator
+            for seen in received:
+                if seen.unique_key() == adv.unique_key():
+                    break
+            else:
+                received.append(adv)
         if len(record.received) >= record.threshold:
             record.done = True
             if record.timeout_handle is not None:
@@ -404,7 +405,7 @@ class DiscoveryService(QueryHandler):
             # the record count read off the index (no __len__ frame)
             delay += self.config.srdi_match_cost * self.srdi._count
         else:
-            delay += self.config.srdi_match_cost * len(self.cache)
+            delay += self.config.srdi_match_cost * len(self.cache._entries)
         self.sim.schedule(delay, self._handle_query, query, label="discovery.handle")
         return None
 
@@ -464,11 +465,14 @@ class DiscoveryService(QueryHandler):
             )
 
     def _replica_key(self, index_tuple: IndexTuple) -> Optional[int]:
-        """Interned key of ReplicaPeer(tuple) on the local peerview."""
-        count = self.view.member_count()
+        """Interned key of ReplicaPeer(tuple) on the local peerview:
+        ``PeerView.member_count`` and ``key_at`` read in place, since
+        every miss at a rendezvous and every replicated tuple asks."""
+        order = self.view._order
+        count = len(order)
         if count == 0:
             return None
-        return self.view.key_at(self.replica_fn.rank(index_tuple, count))
+        return order[self.replica_fn.rank(index_tuple, count)][1]
 
     # ------------------------------------------------------------------
     def _handle_query(self, query: ResolverQuery) -> None:
@@ -499,17 +503,20 @@ class DiscoveryService(QueryHandler):
                 limit=payload.threshold,
             )
         if matches:
-            entries = [self.cache.get(a, now) for a in matches]
+            # AdvertisementCache.get per match, read in place: a copy
+            # that expires at ``now`` (or is gone) hands on the default
+            entries = self.cache._entries
+            expirations = []
+            for adv in matches:
+                entry = entries.get(adv.unique_key())
+                expirations.append(
+                    DEFAULT_EXPIRATION
+                    if entry is None or now >= entry.expires_at
+                    else entry.expiration
+                )
             self.resolver.send_response(
                 query,
-                DiscoveryResponsePayload(
-                    advertisements=matches,
-                    expirations=[
-                        e.expiration if e is not None else DEFAULT_EXPIRATION
-                        for e in entries
-                    ],
-                    answered_after_hops=query.hop_count,
-                ),
+                DiscoveryResponsePayload(matches, expirations, query.hop_count),
             )
             return
 
@@ -525,12 +532,15 @@ class DiscoveryService(QueryHandler):
         else:
             records = self.srdi.lookup(payload.index_tuple, now)
         if records:
+            endpoint = self.resolver.endpoint
             for record in records[: payload.threshold]:
-                if record.publisher == self.resolver.endpoint.peer_id:
+                # the SRDI index interns into the network's table, as
+                # the endpoint does: an int compare, no PeerID.__eq__
+                if record.key == endpoint.peer_key:
                     continue
                 if record.publisher_address:
-                    self.resolver.endpoint.router.add_route(
-                        record.publisher, [record.publisher_address]
+                    endpoint.router.add_direct_route(
+                        record.publisher, record.publisher_address
                     )
                 self.queries_forwarded_to_publisher += 1
                 if obs is not None and obs.active:

@@ -13,7 +13,9 @@ The model here reproduces exactly that asymmetry:
   route to it (lease records, resolver source routes, reverse-route
   learning) points at the relay;
 * the relay **intercepts** messages addressed to registered clients
-  and queues them instead of ERP-forwarding;
+  and queues them instead of ERP-forwarding (its interceptor is
+  installed on the endpoint while it has a client, so a rendezvous
+  without relay clients routes without it);
 * the client **polls** every ``poll_interval`` (default 2 s, JXTA-C's
   HTTP poll default); queued messages ride back on the poll response,
   so inbound delivery pays an average extra ``poll_interval / 2`` —
@@ -99,7 +101,6 @@ class RelayServer:
         self.dropped_overflow = 0
         self.polls_served = 0
         endpoint.add_listener(RELAY_SERVICE_NAME, group_param, self._on_message)
-        endpoint.relay_interceptor = self._intercept
 
     # ------------------------------------------------------------------
     def client_count(self) -> int:
@@ -111,16 +112,20 @@ class RelayServer:
         return len(record.queue) if record is not None else 0
 
     def _purge(self) -> None:
+        """Drop expired clients; the last one takes the interceptor."""
         now = self.endpoint.sim.now
         dead = [p for p, r in self._clients.items() if r.expires_at <= now]
         for p in dead:
             del self._clients[p]
+        if dead and not self._clients:
+            self.endpoint.relay_interceptor = None
 
     # ------------------------------------------------------------------
     def _intercept(self, message: EndpointMessage) -> bool:
-        """Queue messages addressed to a registered client."""
-        if not self._clients:
-            return False  # every message this peer routes comes by here
+        """Queue messages addressed to a registered client.  Installed
+        as ``endpoint.relay_interceptor`` from the first registration
+        until :meth:`_purge` drops the last client: every message the
+        peer routes comes by here meanwhile."""
         self._purge()
         record = self._clients.get(message.dst_peer)
         if record is None:
@@ -136,6 +141,8 @@ class RelayServer:
         body = message.body
         now = self.endpoint.sim.now
         if isinstance(body, RelayRegister):
+            if not self._clients:
+                self.endpoint.relay_interceptor = self._intercept
             self._clients[body.client_peer] = _ClientRecord(
                 client_address=body.client_address,
                 expires_at=now + body.lease,

@@ -71,25 +71,39 @@ class EndpointRouter:
             routes.append(route)
 
     def add_route(self, peer_id: PeerID, hops: List[str]) -> None:
-        """Install/replace the route to ``peer_id``."""
+        """Install/replace the route to ``peer_id``; a single hop is
+        :meth:`add_direct_route`."""
         if not hops:
             raise ValueError("route needs at least one hop")
-        key = self.interner.intern(peer_id)
         if len(hops) == 1:
-            # skip the write when the route is unchanged — protocols
-            # re-install the same single-hop route on every message
-            if self._get(key) != hops[0]:
-                self._set(key, hops[0])
-        elif self._get(key) != hops:
+            self.add_direct_route(peer_id, hops[0])
+            return
+        key = self.interner.intern(peer_id)
+        if self._get(key) != hops:
             self._set(key, list(hops))
 
     def add_direct_route(self, peer_id: PeerID, address: str) -> None:
         """Install/refresh a single-hop route without any hop-list
-        allocation — the peerview learn path runs this once per
-        probe/response/update received."""
-        key = self.interner.intern(peer_id)
-        if self._get(key) != address:
-            self._set(key, address)
+        allocation.  A flat lookup installs two (the replica's route to
+        the publisher, the publisher's to the searcher), so the
+        interner's cached-key fast path and the slot write are inline,
+        as in :meth:`route_and_send`.  The write is skipped when the
+        route is unchanged — protocols re-install the same single-hop
+        route on every message."""
+        interner = self.interner
+        try:
+            table, key = peer_id._intern
+            if table is not interner:
+                key = interner.intern(peer_id)
+        except AttributeError:
+            key = interner.intern(peer_id)
+        routes = self._routes
+        if key < len(routes):
+            if routes[key] != address:
+                routes[key] = address
+        else:
+            routes.extend([None] * (key - len(routes)))
+            routes.append(address)
 
     def add_route_advertisement(self, adv: RouteAdvertisement) -> None:
         self.add_route(adv.dst_peer_id, adv.hops)

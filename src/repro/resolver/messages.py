@@ -72,6 +72,11 @@ class ResolverResponse:
     payload: Any
 
     def size_bytes(self) -> int:
+        # the payload's own size read here, as ResolverQuery.size_bytes
+        # does: once per response of every query
+        size = getattr(self.payload, "size_bytes", None)
+        if callable(size):
+            return RESOLVER_OVERHEAD_BYTES + int(size())
         return RESOLVER_OVERHEAD_BYTES + _payload_size(self.payload)
 
 

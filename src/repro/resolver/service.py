@@ -81,11 +81,11 @@ class ResolverService:
     def new_query(self, handler_name: str, payload: Any) -> ResolverQuery:
         """Build a query originating at this peer."""
         query = ResolverQuery(
-            handler_name=handler_name,
-            query_id=self._next_query_id,
-            src_peer=self.endpoint.peer_id,
-            src_route=[self.endpoint.advertised_address],
-            payload=payload,
+            handler_name,
+            self._next_query_id,
+            self.endpoint.peer_id,
+            [self.endpoint.advertised_address],
+            payload,
         )
         self._next_query_id += 1
         return query
@@ -94,12 +94,16 @@ class ResolverService:
         self, dst_peer: Optional[PeerID], query: ResolverQuery
     ) -> None:
         """Send ``query`` to ``dst_peer``, or propagate through the
-        group when ``dst_peer`` is None (JXTA's null-destination mode)."""
+        group when ``dst_peer`` is None (JXTA's null-destination mode).
+
+        This and the other three senders build their endpoint message
+        in place: every message of Figure 2's four passes one of them."""
         self.queries_sent += 1
+        endpoint = self.endpoint
         obs = self._net.obs
         if obs is not None and obs.active:
             obs.event(
-                self.endpoint.sim.now, "resolver", "query.sent", self._actor,
+                endpoint.sim.now, "resolver", "query.sent", self._actor,
                 handler=query.handler_name, qid=query.query_id,
                 propagate=dst_peer is None,
             )
@@ -111,7 +115,12 @@ class ResolverService:
                 )
             self.propagator(query)
             return
-        self._send_body(dst_peer, query)
+        endpoint.send_to_peer(
+            EndpointMessage(
+                endpoint.peer_id, dst_peer, RESOLVER_SERVICE_NAME,
+                self.group_param, query,
+            )
+        )
 
     def forward_query(
         self,
@@ -127,8 +136,7 @@ class ResolverService:
         the destination is unreachable (the TCP connect fails).
 
         Every hop of a walk comes through here, so the hopped query
-        (:meth:`ResolverQuery.hopped`) and its endpoint message are
-        built in place rather than through two more frames."""
+        (:meth:`ResolverQuery.hopped`) is built in place too."""
         endpoint = self.endpoint
         obs = self._net.obs
         if obs is not None and obs.active:
@@ -159,54 +167,45 @@ class ResolverService:
         """Respond to ``query``; routed directly to the query source
         using its embedded source route."""
         self.responses_sent += 1
+        endpoint = self.endpoint
         obs = self._net.obs
         if obs is not None and obs.active:
             obs.event(
-                self.endpoint.sim.now, "resolver", "response.sent",
+                endpoint.sim.now, "resolver", "response.sent",
                 self._actor, handler=query.handler_name, qid=query.query_id,
             )
-        response = ResolverResponse(
-            handler_name=query.handler_name,
-            query_id=query.query_id,
-            payload=payload,
+        src_peer = query.src_peer
+        src_route = query.src_route
+        if src_route:
+            if len(src_route) == 1:
+                # the searcher's own address (every query new_query builds)
+                endpoint.router.add_direct_route(src_peer, src_route[0])
+            else:
+                endpoint.router.add_route(src_peer, src_route)
+        endpoint.send_to_peer(
+            EndpointMessage(
+                endpoint.peer_id, src_peer, RESOLVER_SERVICE_NAME,
+                self.group_param,
+                ResolverResponse(query.handler_name, query.query_id, payload),
+            )
         )
-        if query.src_route:
-            self.endpoint.router.add_route(query.src_peer, query.src_route)
-        self._send_body(query.src_peer, response)
 
     def send_srdi(self, dst_peer: PeerID, handler_name: str, payload: Any) -> None:
         """Push an SRDI message to a specific peer."""
         self.srdi_sent += 1
+        endpoint = self.endpoint
         obs = self._net.obs
         if obs is not None and obs.active:
             obs.event(
-                self.endpoint.sim.now, "resolver", "srdi.sent", self._actor,
+                endpoint.sim.now, "resolver", "srdi.sent", self._actor,
                 handler=handler_name,
             )
-        self._send_body(
-            dst_peer,
-            ResolverSrdiMessage(
-                handler_name=handler_name,
-                src_peer=self.endpoint.peer_id,
-                payload=payload,
-            ),
-        )
-
-    def _send_body(
-        self,
-        dst_peer: PeerID,
-        body: Any,
-        on_drop: Optional[Callable[..., None]] = None,
-    ) -> None:
-        self.endpoint.send_to_peer(
+        endpoint.send_to_peer(
             EndpointMessage(
-                src_peer=self.endpoint.peer_id,
-                dst_peer=dst_peer,
-                service_name=RESOLVER_SERVICE_NAME,
-                service_param=self.group_param,
-                body=body,
-            ),
-            on_drop=on_drop,
+                endpoint.peer_id, dst_peer, RESOLVER_SERVICE_NAME,
+                self.group_param,
+                ResolverSrdiMessage(handler_name, endpoint.peer_id, payload),
+            )
         )
 
     # ------------------------------------------------------------------

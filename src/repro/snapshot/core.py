@@ -44,7 +44,7 @@ from typing import Any, Optional, Tuple
 #: Bump whenever the pickled state contract changes incompatibly
 #: (slot layouts, scheduler tier layout, RNG stream naming).  Stored
 #: checkpoints with another version are invalidated, not misread.
-SNAPSHOT_VERSION = 14
+SNAPSHOT_VERSION = 15
 
 #: sha256 of the pickled layout (classes, their fields, container
 #: types) reachable from a reference snapshot, as

@@ -50,6 +50,10 @@ class _ClientBase:
     ) -> None:
         self.sim = sim
         self.edge = edge
+        #: the edge's primary-group discovery service, read once: a
+        #: peer's primary context never changes, and ``edge.discovery``
+        #: is two property frames and a group-ID hash per operation
+        self.discovery = edge.discovery
         self.workload = workload
         self.name = name
         self.catalog = catalog
@@ -135,7 +139,7 @@ class OpenLoopPublisher(_ClientBase):
             index = self.catalog.sample(self.rng)
         item = self.catalog.names[index]
         self._trace("publish", item)
-        self.edge.discovery.publish(
+        self.discovery.publish(
             self.catalog.adv(index), expiration=self.expiration
         )
         self.slo.record_success(self.workload, "publish")
@@ -172,8 +176,9 @@ class OpenLoopQuerier(_ClientBase):
         t = next(self._times, None)
         if t is None or self._stopped:
             return
+        # the clock read without two property frames: once per query
         self.sim.schedule(
-            t - self.sim.now, self._fire, label="workload.query"
+            t - self.sim.clock._now, self._fire, label="workload.query"
         )
 
     def _fire(self) -> None:
@@ -186,19 +191,27 @@ class OpenLoopQuerier(_ClientBase):
 
 def issue_query(client: _ClientBase, item: str, timeout: float) -> None:
     """Issue one open-loop query and route its outcome into the SLO
-    tracker and the trace (shared by live clients and trace replay)."""
-    client._trace("query", item)
+    tracker and the trace (shared by live clients and trace replay).
+    Every flat lookup runs this and ``on_result``, so ``_trace`` is
+    called only when there is a recorder, and the latency observation
+    is inline."""
+    if client.recorder is not None:
+        client._trace("query", item)
 
     def on_result(_advs, latency, _c=client, _item=item):
         _c.slo.record_success(_c.workload, "query", latency)
-        _c._observe_latency("query", latency)
-        _c._trace("query.ok", _item, latency)
+        obs = _c.edge.network.obs
+        if obs is not None and obs.active:
+            obs.observe("workload", f"{_c.workload}.query.latency", latency)
+        if _c.recorder is not None:
+            _c._trace("query.ok", _item, latency)
 
     def on_timeout(_c=client, _item=item):
         _c.slo.record_timeout(_c.workload, "query")
-        _c._trace("query.timeout", _item)
+        if _c.recorder is not None:
+            _c._trace("query.timeout", _item)
 
-    client.edge.discovery.get_remote_advertisements(
+    client.discovery.get_remote_advertisements(
         FakeAdvertisement.ADV_TYPE, "Name", item,
         callback=on_result,
         on_timeout=on_timeout,
@@ -289,7 +302,7 @@ class ClosedLoopClient(_ClientBase):
                 self._trace("query.failure", _item)
                 self._think_again()
 
-        self.edge.discovery.get_remote_advertisements(
+        self.discovery.get_remote_advertisements(
             FakeAdvertisement.ADV_TYPE, "Name", item,
             callback=on_result,
             on_timeout=on_timeout,

@@ -13,6 +13,12 @@ A walk hop also reads its next target with one bisect
 ``ResolverService.forward_query``, which builds the hopped query in
 place and shares the origin's ``src_route``; both are held here to the
 code they replaced.
+
+A flat lookup's hit reads each match's expiration off the cache's
+entries in place (no ``AdvertisementCache.get``), and its two
+single-hop route installs go through ``EndpointRouter.add_direct_route``
+(no ``add_route`` → ``intern`` → ``_get`` → ``_set``); both are held
+here to the calls they replaced.
 """
 
 import bisect
@@ -22,10 +28,17 @@ from dataclasses import fields
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.advertisement.cache import has_glob
+from repro.advertisement.base import DEFAULT_EXPIRATION
+from repro.advertisement.cache import AdvertisementCache, has_glob
 from repro.advertisement.rdvadv import RdvAdvertisement
+from repro.advertisement.testadv import FakeAdvertisement
+from repro.config import PlatformConfig
 from repro.discovery.rangequery import is_range_query, range_spec
-from repro.discovery.service import DiscoveryQueryPayload
+from repro.discovery.service import (
+    DISCOVERY_HANDLER_NAME,
+    DiscoveryQueryPayload,
+    DiscoveryService,
+)
 from repro.discovery.walker import WALK_DOWN, WALK_NONE, WALK_UP
 from repro.ids import NET_PEER_GROUP_ID, PeerID
 from repro.rendezvous.peerview import PeerView
@@ -102,9 +115,13 @@ def old_with_routing_then_hopped(query, payload, at_replica, walk_direction):
 @given(payloads)
 def test_derived_fields_are_the_per_call_derivations(payload):
     value = payload.value
-    assert payload.is_wildcard == has_glob(value)
-    assert payload.is_range == is_range_query(value)
-    assert payload.is_complex == (has_glob(value) or is_range_query(value))
+    # has_glob is a pattern's search (a match or None); the flags are
+    # stored as bools, so payloads pickle the same bytes as before
+    assert payload.is_wildcard is bool(has_glob(value))
+    assert payload.is_range is is_range_query(value)
+    assert payload.is_complex is (
+        bool(has_glob(value)) or is_range_query(value)
+    )
     assert payload.index_tuple == (payload.adv_type, payload.attribute, value)
     assert payload.size_bytes() == payload.wire_size == (
         220 + len(payload.adv_type) + len(payload.attribute) + len(value)
@@ -254,3 +271,124 @@ def test_forwarded_query_is_the_hopped_copy(query, routing, route):
     assert got.src_route == query.src_route == sent_route
     assert b.router.resolve(got.src_peer) == sent_route
     assert b.router._routes[b.interner.intern(got.src_peer)] is not route
+
+
+#: (local?, lifetime or expiration, residual expiration) per cached
+#: document; ``now`` and the clocks are multiples of 10 s, so entries
+#: expiring exactly at ``now`` are common
+cached = st.lists(
+    st.tuples(st.booleans(), st.integers(1, 6), st.integers(1, 6)),
+    min_size=1, max_size=8,
+)
+
+
+def _hit_path_service():
+    """A rendezvous discovery service whose resolver records the
+    payload ``send_response`` is handed instead of sending it."""
+    sim, _, (endpoint,) = build_peers(1)
+    resolver = ResolverService(endpoint, group_param="g")
+    view = PeerView(
+        RdvAdvertisement(
+            rdv_peer_id=endpoint.peer_id, group_id=NET_PEER_GROUP_ID,
+            route_hint=endpoint.transport_address,
+        ),
+        interner=endpoint.interner,
+    )
+    service = DiscoveryService(
+        sim, PlatformConfig(), resolver, AdvertisementCache(),
+        is_rendezvous=True, view=view,
+    )
+    sent = []
+    resolver.send_response = lambda query, payload: sent.append(payload)
+    return sim, service, sent
+
+
+@settings(max_examples=80, deadline=None)
+@given(cached, st.integers(0, 7), st.data())
+@example([(False, 3, 3)], 3, None)  # a remote copy expiring at now
+@example([(True, 2, 5)], 2, None)  # a local copy expiring at now
+def test_hit_path_expirations_are_cache_get(entries, tick, data):
+    """The response's expirations are what ``cache.get`` reads for each
+    match: the entry's residual expiration while it is live, the
+    default once ``now`` reaches ``expires_at`` or when the key is gone.
+    The matches are handed to the hit path directly (``search`` never
+    returns an expired entry), so the boundary itself is exercised."""
+    sim, service, sent = _hit_path_service()
+    cache = service.cache
+    advs = []
+    for i, (local, life, residual) in enumerate(entries):
+        adv = FakeAdvertisement(f"doc-{i}")
+        if local:
+            cache.publish(adv, 0.0, lifetime=10.0 * life,
+                          expiration=10.0 * residual + 1.0)
+        else:
+            cache.store_remote(adv, 0.0, expiration=10.0 * life)
+        advs.append(adv)
+    advs.append(FakeAdvertisement("never-cached"))
+    matches = (
+        advs if data is None
+        else data.draw(st.lists(st.sampled_from(advs), min_size=1))
+    )
+    now = 10.0 * tick
+    sim.run(until=now)
+    assert sim.clock._now == now
+    cache.search = lambda *args, **kwargs: list(matches)
+    query = service.resolver.new_query(
+        DISCOVERY_HANDLER_NAME,
+        DiscoveryQueryPayload(FakeAdvertisement.ADV_TYPE, "Name", "doc-0"),
+    )
+    service._handle_query(query)
+    (payload,) = sent
+    assert payload.advertisements == matches
+    want = []
+    for adv in matches:
+        entry = cache.get(adv, now)
+        want.append(DEFAULT_EXPIRATION if entry is None else entry.expiration)
+    assert payload.expirations == want
+
+
+addresses = st.sampled_from(["tcp://a:1", "tcp://b:2", "tcp://c:3"])
+slots = st.lists(
+    st.one_of(
+        st.none(), addresses, st.lists(addresses, min_size=2, max_size=3),
+    ),
+    max_size=12,
+)
+
+
+def old_single_hop_add_route(router, peer_id, address):
+    """``add_route(peer_id, [address])`` before it became
+    ``add_direct_route``: intern, then ``_get`` / ``_set``."""
+    key = router.interner.intern(peer_id)
+    if router._get(key) != address:
+        router._set(key, address)
+
+
+@settings(max_examples=150, deadline=None)
+@given(slots, st.integers(0, 20), addresses)
+@example([["tcp://a:1", "tcp://b:2"]], 0, "tcp://a:1")  # multi-hop slot
+@example([], 15, "tcp://c:3")  # far past the end of the table
+def test_add_direct_route_is_add_route_of_one_hop(table, n, address):
+    """On any route table — ``None`` slots, single-hop strings,
+    multi-hop lists, and a destination whose key is past the end of
+    ``_routes`` — the single-hop install leaves the table exactly as
+    ``add_route(p, [a])`` and the code it replaced do."""
+    _, _, (endpoint,) = build_peers(1)
+    router = endpoint.router
+    peers = [PeerID.from_int(NET_PEER_GROUP_ID, k) for k in range(1, 22)]
+    for peer in peers:
+        router.interner.intern(peer)
+    peer = peers[n]
+    results = []
+    for install in (
+        lambda: router.add_direct_route(peer, address),
+        lambda: router.add_route(peer, [address]),
+        lambda: old_single_hop_add_route(router, peer, address),
+    ):
+        router._routes = [
+            list(slot) if type(slot) is list else slot for slot in table
+        ]
+        install()
+        results.append(router._routes)
+    assert results[0] == results[1] == results[2]
+    assert router.resolve(peer) == [address]

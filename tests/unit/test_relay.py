@@ -178,3 +178,100 @@ class TestRelayServer:
             RelayServer(rdv.endpoint, "g", queue_limit=0)
         with pytest.raises(ValueError):
             RelayClient(rdv.endpoint, "g", poll_interval=0.0)
+
+
+class TestRelayInterceptor:
+    """The relay server's interceptor sits on the endpoint only while
+    the server has a client, so a rendezvous without HTTP edges routes
+    every message without a call into it."""
+
+    def test_rendezvous_without_clients_has_no_interceptor(self):
+        sim, overlay, http_edge = build_with_http_edge()
+        relay_rdv = overlay.rendezvous[1]
+        for rdv in overlay.rendezvous:
+            if rdv is relay_rdv:
+                continue
+            assert rdv.relay_server.client_count() == 0
+            assert rdv.endpoint.relay_interceptor is None
+        assert relay_rdv.endpoint.relay_interceptor == (
+            relay_rdv.relay_server._intercept
+        )
+
+    def test_first_registration_installs_it(self):
+        sim = Simulator(seed=3)
+        network = Network(sim)
+        overlay = build_overlay(
+            sim, network, PlatformConfig(),
+            OverlayDescription(rendezvous_count=2),
+        )
+        relay_rdv = overlay.rendezvous[0]
+        assert relay_rdv.endpoint.relay_interceptor is None
+        overlay.group.create_edge(
+            relay_rdv.node, seeds=[relay_rdv.address], transport="http",
+        )
+        overlay.start()
+        sim.run(until=5 * MINUTES)
+        assert relay_rdv.relay_server.client_count() == 1
+        assert relay_rdv.endpoint.relay_interceptor == (
+            relay_rdv.relay_server._intercept
+        )
+
+    def test_purging_the_last_client_clears_it(self):
+        sim, overlay, http_edge = build_with_http_edge()
+        relay_rdv = overlay.rendezvous[1]
+        client = http_edge.relay_client
+        lease = client.lease
+        client.detach()  # stops re-registering; the record expires
+        sim.run(until=sim.now + lease + 1.0)
+        assert relay_rdv.endpoint.relay_interceptor is not None
+        assert relay_rdv.relay_server.client_count() == 0  # purges
+        assert relay_rdv.endpoint.relay_interceptor is None
+        # a new registration installs it again
+        client.attach(relay_rdv.address)
+        sim.run(until=sim.now + 1.0)
+        assert relay_rdv.endpoint.relay_interceptor == (
+            relay_rdv.relay_server._intercept
+        )
+
+    def test_snapshot_round_trip_keeps_it(self):
+        """An HTTP edge's peer holds a closure (not snapshottable), so a
+        TCP edge registers with the relay by hand, as
+        ``RelayClient._register`` would."""
+        from repro.endpoint.relay import RELAY_SERVICE_NAME, RelayRegister
+        from repro.endpoint.service import EndpointMessage
+        from repro.snapshot import restore_network, snapshot_network
+
+        sim = Simulator(seed=3)
+        network = Network(sim)
+        overlay = build_overlay(
+            sim, network, PlatformConfig(),
+            OverlayDescription(rendezvous_count=3, edge_count=1,
+                               edge_attachment=[0]),
+        )
+        overlay.start()
+        sim.run(until=5 * MINUTES)
+        relay_rdv, edge = overlay.rendezvous[1], overlay.edges[0]
+        edge.endpoint.send_direct(
+            relay_rdv.address,
+            EndpointMessage(
+                src_peer=edge.peer_id, dst_peer=None,
+                service_name=RELAY_SERVICE_NAME,
+                service_param=relay_rdv.relay_server.group_param,
+                body=RelayRegister(
+                    edge.peer_id, edge.endpoint.transport_address, 300.0
+                ),
+            ),
+        )
+        sim.run(until=sim.now + 1.0)
+        assert relay_rdv.relay_server.client_count() == 1
+        _, restored = restore_network(
+            snapshot_network(network, extra=overlay)
+        )
+        for before, after in zip(overlay.rendezvous, restored.rendezvous):
+            if before is relay_rdv:
+                assert after.endpoint.relay_interceptor == (
+                    after.relay_server._intercept
+                )
+            else:
+                assert before.endpoint.relay_interceptor is None
+                assert after.endpoint.relay_interceptor is None
