@@ -10,60 +10,30 @@ lever an optimisation of this path has; this puts it on the recorded
 trajectory as ``us_per_flat_lookup``, beside ``test_bench_walk.py``'s
 ``us_per_walk_hop``.
 
-The regime is ``discovery-flat``'s: tuned expiry, so every view holds
-all 49 other rendezvous from minute ~7; the catalog is indexed at
-minute 20 on those complete views, so every replica sits where a query
-computes it.  Build and warm-up stay outside the timer; each round
+The regime is ``discovery-flat``'s (``repro.workload.regimes.FLAT``,
+which ``scripts/frames_per_op.py`` counts too): tuned expiry, so every
+view holds all 49 other rendezvous from minute ~7; the catalog is
+indexed at minute 20 on those complete views, so every replica sits
+where a query computes it.  Build and warm-up stay outside the timer; each round
 advances the same timeline by a further 5 simulated seconds of client
 traffic (40 queriers at 5 queries/s).
 """
 
 from time import perf_counter
 
-from repro.config import PlatformConfig
-from repro.deploy import OverlayDescription, build_overlay
-from repro.network import Network
-from repro.sim import HOURS, MINUTES, Simulator
-from repro.workload import WorkloadEngine, WorkloadSpec
+from repro.workload.regimes import FLAT, walk_steps
 
-FLAT_RDV_COUNT = 50
 ROUNDS = 4
 ROUND_SIM_SECONDS = 5.0
 
 
 def test_flat_lookup_cost(benchmark):
-    spec = WorkloadSpec(
-        name="flat",
-        warmup=25 * MINUTES,
-        duration=ROUNDS * ROUND_SIM_SECONDS,
-        catalog={"popularity": "zipf", "size": 1000, "skew": 1.0},
-        arrivals={"kind": "poisson", "rate": 5.0},
-        queriers=40,
-        publishers=2,
-        seed_time=20 * MINUTES,
-    )
-    sim = Simulator(seed=1)
-    network = Network(sim)
-    overlay = build_overlay(
-        sim, network,
-        PlatformConfig().with_overrides(pve_expiration=6 * HOURS),
-        OverlayDescription(
-            rendezvous_count=FLAT_RDV_COUNT, topology="chain",
-            edge_count=spec.client_count,
-        ),
-    )
-    overlay.start()
-    engine = WorkloadEngine(spec, sim, overlay.edges)
-    engine.start()
-    sim.run(until=spec.warmup)
-    assert all(r.view.size == FLAT_RDV_COUNT - 1 for r in overlay.rendezvous)
+    sim, overlay, engine = FLAT.build(ROUNDS * ROUND_SIM_SECONDS)
+    spec = engine.spec
 
     def lookups():
         stats = engine.slo._stats.get(("flat", "query"))
         return stats.ok if stats is not None else 0
-
-    def walk_steps():
-        return sum(r.discovery.walk_steps for r in overlay.rendezvous)
 
     deadline = [spec.warmup]
     per_lookup = []
@@ -84,4 +54,4 @@ def test_flat_lookup_cost(benchmark):
     assert query["requests"] > 3000  # ~40 queriers x 5/s x 20 s
     assert query["timeout"] == 0 and query["failure"] == 0
     # the four-message path: no query walked
-    assert walk_steps() == 0
+    assert walk_steps(overlay) == 0

@@ -11,16 +11,18 @@ which is one per Python function entry and one per generator resumption
 each to the ``repro`` package that defines the code (``repro.discovery
 .service`` → ``discovery``; anything outside ``repro`` is ``other``).
 
-Regimes (build and warm-up run unprofiled; only the window is counted):
+Regimes (build and warm-up run unprofiled; only the window is counted;
+every simulator runs the default kernel, ``SimOptions()``, whatever the
+environment says):
 
-* ``flat`` — one completed LC-DHT lookup on ``discovery-flat``'s shape:
-  r = 50 with tuned expiry, the catalog indexed at minute 20 on
-  complete views, so every query is Figure 2's four messages; counted
-  over 25 simulated seconds (the benchmark's five units) of 40 queriers
-  at 5 queries/s each;
-* ``walk`` — one walk hop on ``benchmarks/test_bench_walk.py``'s
-  regime: r = 60, the catalog indexed at minute 2 on immature views and
-  queried at minute 20 on complete ones, so every query walks;
+* ``flat`` — one completed LC-DHT lookup on
+  ``repro.workload.regimes.FLAT`` (``discovery-flat``'s shape, the
+  regime ``benchmarks/test_bench_flat.py`` times), where every query is
+  Figure 2's four messages; counted over 25 simulated seconds (the
+  end-to-end benchmark's five units) of 40 queriers at 5 queries/s each;
+* ``walk`` — one walk hop on ``repro.workload.regimes.WALK``
+  (``benchmarks/test_bench_walk.py``'s regime), where every query walks;
+  counted over 5 simulated seconds;
 * ``peerview`` — one network message on ``peerview-580``'s shape at
   r = 40: default config, chain bootstrap, no edges, one simulated
   minute from minute 4.
@@ -42,15 +44,13 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.config import PlatformConfig
 from repro.deploy import OverlayDescription, build_overlay
 from repro.network import Network
-from repro.sim import HOURS, MINUTES, Simulator
-from repro.workload import WorkloadEngine, WorkloadSpec
-
-TUNED = PlatformConfig().with_overrides(pve_expiration=6 * HOURS)
+from repro.sim import MINUTES, SimOptions, Simulator
+from repro.workload.regimes import FLAT, WALK, walk_steps
 
 
 @dataclass
@@ -99,66 +99,30 @@ def count_frames(run: Callable[[], None]) -> Dict[str, int]:
     return frames
 
 
-def _client_overlay(
-    r: int, spec: WorkloadSpec
-) -> Tuple[Simulator, object, WorkloadEngine]:
-    sim = Simulator(seed=1)
-    network = Network(sim)
-    overlay = build_overlay(
-        sim, network, TUNED,
-        OverlayDescription(
-            rendezvous_count=r, topology="chain",
-            edge_count=spec.client_count,
-        ),
-    )
-    overlay.start()
-    engine = WorkloadEngine(spec, sim, overlay.edges)
-    engine.start()
-    sim.run(until=spec.warmup)
-    assert all(v.view.size == r - 1 for v in overlay.rendezvous)
-    return sim, overlay, engine
-
-
-def _walk_steps(overlay) -> int:
-    return sum(r.discovery.walk_steps for r in overlay.rendezvous)
-
-
 def flat() -> Count:
     """Frames per completed lookup on the four-message path."""
     window = 25.0
-    spec = WorkloadSpec(
-        name="flat", warmup=25 * MINUTES, duration=window,
-        catalog={"popularity": "zipf", "size": 1000, "skew": 1.0},
-        arrivals={"kind": "poisson", "rate": 5.0},
-        queriers=40, publishers=2, seed_time=20 * MINUTES,
-    )
-    sim, overlay, engine = _client_overlay(50, spec)
-    steps = _walk_steps(overlay)
-    frames = count_frames(lambda: sim.run(until=spec.warmup + window))
-    assert _walk_steps(overlay) == steps, "the flat regime walked"
+    sim, overlay, engine = FLAT.build(window, options=SimOptions())
+    steps = walk_steps(overlay)
+    frames = count_frames(lambda: sim.run(until=FLAT.warmup + window))
+    assert walk_steps(overlay) == steps, "the flat regime walked"
     # clients start at the end of the warm-up: every completion counts
     done = engine.slo._stats[("flat", "query")].ok
     return Count("flat", "completed lookup", done, frames)
 
 
 def walk() -> Count:
-    """Frames per walk hop (``benchmarks/test_bench_walk.py``'s regime)."""
+    """Frames per walk hop."""
     window = 5.0
-    spec = WorkloadSpec(
-        name="walk", warmup=20 * MINUTES, duration=window,
-        catalog={"popularity": "zipf", "size": 300, "skew": 1.0},
-        arrivals={"kind": "poisson", "rate": 5.0},
-        queriers=10, publishers=1, seed_time=2 * MINUTES,
-    )
-    sim, overlay, _ = _client_overlay(60, spec)
-    steps = _walk_steps(overlay)
-    frames = count_frames(lambda: sim.run(until=spec.warmup + window))
-    return Count("walk", "walk hop", _walk_steps(overlay) - steps, frames)
+    sim, overlay, _ = WALK.build(window, options=SimOptions())
+    steps = walk_steps(overlay)
+    frames = count_frames(lambda: sim.run(until=WALK.warmup + window))
+    return Count("walk", "walk hop", walk_steps(overlay) - steps, frames)
 
 
 def peerview() -> Count:
     """Frames per network message of the peerview protocol."""
-    sim = Simulator(seed=1)
+    sim = Simulator(seed=1, options=SimOptions())
     network = Network(sim)
     overlay = build_overlay(
         sim, network, PlatformConfig(),

@@ -86,10 +86,10 @@ class EndpointRouter:
         """Install/refresh a single-hop route without any hop-list
         allocation.  A flat lookup installs two (the replica's route to
         the publisher, the publisher's to the searcher), so the
-        interner's cached-key fast path and the slot write are inline,
-        as in :meth:`route_and_send`.  The write is skipped when the
-        route is unchanged — protocols re-install the same single-hop
-        route on every message."""
+        interner's cached-key fast path and the slot read are inline,
+        as in :meth:`route_and_send`.  :meth:`_set` runs only when the
+        route changes — protocols re-install the same single-hop route
+        on every message."""
         interner = self.interner
         try:
             table, key = peer_id._intern
@@ -98,12 +98,8 @@ class EndpointRouter:
         except AttributeError:
             key = interner.intern(peer_id)
         routes = self._routes
-        if key < len(routes):
-            if routes[key] != address:
-                routes[key] = address
-        else:
-            routes.extend([None] * (key - len(routes)))
-            routes.append(address)
+        if key >= len(routes) or routes[key] != address:
+            self._set(key, address)
 
     def add_route_advertisement(self, adv: RouteAdvertisement) -> None:
         self.add_route(adv.dst_peer_id, adv.hops)

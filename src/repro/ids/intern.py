@@ -45,7 +45,15 @@ class IdInternTable:
     ``intern`` is the hot entry point and is structured so the common
     case — an ID object that was interned before — touches no dict at
     all: the key is cached on the ID object itself (``_intern`` slot)
-    and revalidated with a single identity check."""
+    and revalidated with a single identity check.
+
+    That fast path (``table, key = jid._intern``; fall back to
+    ``intern`` on ``AttributeError`` or a foreign table) is unrolled at
+    the per-message call sites: ``EndpointService._on_envelope`` (source
+    and destination), ``EndpointRouter.route_and_send`` and
+    ``add_direct_route``, ``PeerViewProtocol._learn`` and
+    ``_on_referral``.  A change to the cache's format updates every one
+    of them."""
 
     __slots__ = ("_by_value", "_ids", "_tokens")
 

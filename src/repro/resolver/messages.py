@@ -18,9 +18,8 @@ RESOLVER_OVERHEAD_BYTES = 180
 
 
 def _payload_size(payload: Any) -> int:
-    size = getattr(payload, "size_bytes", None)
-    if callable(size):
-        return int(size())
+    """Wire size of a payload without a ``size_bytes()`` of its own
+    (each message's ``size_bytes`` asks the payload first)."""
     if isinstance(payload, (bytes, str)):
         return len(payload)
     return 128
@@ -89,4 +88,7 @@ class ResolverSrdiMessage:
     payload: Any
 
     def size_bytes(self) -> int:
+        size = getattr(self.payload, "size_bytes", None)
+        if callable(size):
+            return RESOLVER_OVERHEAD_BYTES + int(size())
         return RESOLVER_OVERHEAD_BYTES + _payload_size(self.payload)

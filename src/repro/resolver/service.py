@@ -175,13 +175,8 @@ class ResolverService:
                 self._actor, handler=query.handler_name, qid=query.query_id,
             )
         src_peer = query.src_peer
-        src_route = query.src_route
-        if src_route:
-            if len(src_route) == 1:
-                # the searcher's own address (every query new_query builds)
-                endpoint.router.add_direct_route(src_peer, src_route[0])
-            else:
-                endpoint.router.add_route(src_peer, src_route)
+        if query.src_route:
+            endpoint.router.add_route(src_peer, query.src_route)
         endpoint.send_to_peer(
             EndpointMessage(
                 endpoint.peer_id, src_peer, RESOLVER_SERVICE_NAME,

@@ -67,11 +67,6 @@ class _ClientBase:
         self._stopped = True
 
     # ------------------------------------------------------------------
-    def _observe_latency(self, operation: str, latency: float) -> None:
-        obs = self.edge.network.obs
-        if obs is not None and obs.active:
-            obs.observe("workload", f"{self.workload}.{operation}.latency", latency)
-
     def _trace(self, op: str, item: str, latency: Optional[float] = None) -> None:
         if self.recorder is not None:
             self.recorder.record(self.sim.now, self.name, op, item, latency)
@@ -282,7 +277,9 @@ class ClosedLoopClient(_ClientBase):
             latency = self.sim.now - _t0
             self.completed += 1
             self.slo.record_success(self.workload, "query", latency)
-            self._observe_latency("query", latency)
+            obs = self.edge.network.obs
+            if obs is not None and obs.active:
+                obs.observe("workload", f"{self.workload}.query.latency", latency)
             self._trace("query.ok", _item, self.sim.now - _t0)
             self._think_again()
 

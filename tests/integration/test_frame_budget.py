@@ -25,14 +25,14 @@ SCRIPT = Path(__file__).resolve().parents[2] / "scripts" / "frames_per_op.py"
 #: frames per operation: total and by layer, one decimal
 BUDGET = {
     "flat": {
-        "total": 107.7,
-        "advertisement": 10.9, "discovery": 21.4, "endpoint": 22.0,
+        "total": 108.7,
+        "advertisement": 10.9, "discovery": 21.4, "endpoint": 23.0,
         "ids": 1.0, "network": 8.1, "obs": 1.0, "other": 3.9,
         "rendezvous": 0.6, "resolver": 16.9, "sim": 12.5, "workload": 9.4,
     },
     "walk": {
-        "total": 31.5,
-        "advertisement": 1.9, "discovery": 7.8, "endpoint": 7.0,
+        "total": 31.6,
+        "advertisement": 1.9, "discovery": 7.8, "endpoint": 7.1,
         "ids": 1.1, "network": 2.8, "obs": 0.1, "other": 0.5,
         "rendezvous": 1.3, "resolver": 5.4, "sim": 3.0, "workload": 0.6,
     },
@@ -42,6 +42,13 @@ BUDGET = {
         "rendezvous": 7.9, "sim": 2.7,
     },
 }
+
+
+pytestmark = pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="the budget is exact frame counts, measured on CPython 3.11; "
+    "another interpreter version climbs a different number of frames",
+)
 
 
 @pytest.fixture(scope="module")
