@@ -44,10 +44,10 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config import PlatformConfig
-from repro.deploy import OverlayDescription, build_overlay
+from repro.deploy import DeployedOverlay, OverlayDescription, build_overlay
 from repro.network import Network
 from repro.sim import MINUTES, SimOptions, Simulator
 from repro.workload.regimes import FLAT, WALK, walk_steps
@@ -120,8 +120,14 @@ def walk() -> Count:
     return Count("walk", "walk hop", walk_steps(overlay) - steps, frames)
 
 
-def peerview() -> Count:
-    """Frames per network message of the peerview protocol."""
+#: the peerview regime's window: one simulated minute from minute 4
+PEERVIEW_WINDOW = (4 * MINUTES, 5 * MINUTES)
+
+
+def peerview_regime() -> Tuple[Simulator, Network, DeployedOverlay]:
+    """The peerview regime, built and run to the start of its window
+    (``tests/unit/test_peerview_probe_deadline.py`` counts the kernel
+    work of the same window)."""
     sim = Simulator(seed=1, options=SimOptions())
     network = Network(sim)
     overlay = build_overlay(
@@ -129,9 +135,15 @@ def peerview() -> Count:
         OverlayDescription(rendezvous_count=40, topology="chain"),
     )
     overlay.start()
-    sim.run(until=4 * MINUTES)
+    sim.run(until=PEERVIEW_WINDOW[0])
+    return sim, network, overlay
+
+
+def peerview() -> Count:
+    """Frames per network message of the peerview protocol."""
+    sim, network, _ = peerview_regime()
     sent = network.stats.messages_sent
-    frames = count_frames(lambda: sim.run(until=5 * MINUTES))
+    frames = count_frames(lambda: sim.run(until=PEERVIEW_WINDOW[1]))
     return Count("peerview", "message", network.stats.messages_sent - sent,
                  frames)
 

@@ -72,8 +72,9 @@ class PeerViewProtocol(Process):
         self.group_param = group_param
         leak = EXPIRE_LEAK in self.sim.options.canaries
         self.view = PeerView(local_adv, endpoint.interner, leak)
-        #: outstanding probes keyed by target transport address
-        self._pending_probes: Dict[str, object] = {}
+        #: outstanding probes: target transport address -> deadline
+        #: (sent_at + probe_timeout); see _probe_address
+        self._pending_probes: Dict[str, float] = {}
         self._seeds_contacted = False
         self.probes_sent = 0
         self.updates_sent = 0
@@ -94,7 +95,6 @@ class PeerViewProtocol(Process):
         self._coin = self.sim.rng.stream(f"{self.name}.coin")
         self._referral_rng = self.sim.rng.stream(f"{self.name}.referral")
         self._randomprobe_rng = self.sim.rng.stream(f"{self.name}.randomprobe")
-        self._probe_timeout_label = f"{self.name}.probe_timeout"
         # wire bodies wrapping local_adv are immutable once built, so
         # one instance of each kind is shared across every send instead
         # of allocating ~10 wrappers per peer per iteration (receivers
@@ -134,7 +134,6 @@ class PeerViewProtocol(Process):
         self._peer_id = endpoint.peer_id
         self._addr = endpoint.transport_address
         self._entries_get = self.view._entries.get
-        self._schedule = self.sim.schedule
         self._probe_timeout = config.probe_timeout
         self.view.add_listener(self._on_view_change)
         endpoint.add_listener(PEERVIEW_SERVICE_NAME, group_param, self._on_message)
@@ -147,8 +146,6 @@ class PeerViewProtocol(Process):
 
     def on_stop(self) -> None:
         self._task.stop()
-        for handle in self._pending_probes.values():
-            handle.cancel()
         self._pending_probes.clear()
 
     # ------------------------------------------------------------------
@@ -244,23 +241,26 @@ class PeerViewProtocol(Process):
     ) -> None:
         """Send a probe unless one is already outstanding for this
         address.  Verification probes (of referred peers) do not
-        solicit further referrals, bounding the referral cascade."""
-        if address in self._pending_probes:
+        solicit further referrals, bounding the referral cascade.
+
+        A probe is outstanding until its response arrives or until its
+        deadline, ``probe_timeout`` after it was sent, inclusive: when
+        ``peerview_interval == probe_timeout`` the next tick lands on
+        the deadline and still finds the probe pending.  An address
+        that never answers keeps its expired deadline until its next
+        probe overwrites it or a late response pops it."""
+        now = self._clock._now
+        deadline = self._pending_probes.get(address)
+        if deadline is not None and now <= deadline:
             return
         self.probes_sent += 1
         obs = self._net.obs
         if obs is not None and obs.active:
             obs.event(
-                self._clock._now, "peerview", "probe.sent", self._actor,
+                now, "peerview", "probe.sent", self._actor,
                 dst=address, verify=verification,
             )
-        handle = self._schedule(
-            self._probe_timeout,
-            self._probe_timed_out,
-            address,
-            label=self._probe_timeout_label,
-        )
-        self._pending_probes[address] = handle
+        self._pending_probes[address] = now + self._probe_timeout
         if verification:
             self._send(
                 address, dst_peer, self._verify_probe_body,
@@ -268,12 +268,6 @@ class PeerViewProtocol(Process):
             )
         else:
             self._send(address, dst_peer, self._probe_body, self._probe_size)
-
-    def _probe_timed_out(self, address: str) -> None:
-        # The probed peer never answered (dead seed, crashed referral
-        # target).  Forget the probe; entry expiry handles stale view
-        # members.
-        self._pending_probes.pop(address, None)
 
     def _update_peer(self, key: int) -> None:
         adv = self._entries_get(key)
@@ -394,11 +388,7 @@ class PeerViewProtocol(Process):
         self, body: PeerViewResponse, message: EndpointMessage
     ) -> None:
         adv = body.rdv_adv
-        # _clear_pending inlined (kept as a method for on_stop):
-        # responses are the single most common receive at full scale
-        handle = self._pending_probes.pop(adv.route_hint, None)
-        if handle is not None:
-            handle.cancel()
+        self._pending_probes.pop(adv.route_hint, None)
         now = self._clock._now
         obs = self._net.obs
         if obs is not None and obs.active:
@@ -434,11 +424,6 @@ class PeerViewProtocol(Process):
             obs.event(
                 event.time, "peerview", f"view.{event.kind}", self._actor, **args
             )
-
-    def _clear_pending(self, adv: RdvAdvertisement) -> None:
-        handle = self._pending_probes.pop(adv.route_hint, None)
-        if handle is not None:
-            handle.cancel()
 
     def _learn(self, adv: RdvAdvertisement, now: float) -> None:
         """Insert/refresh an advertisement received *from the peer it

@@ -44,7 +44,7 @@ from typing import Any, Optional, Tuple
 #: Bump whenever the pickled state contract changes incompatibly
 #: (slot layouts, scheduler tier layout, RNG stream naming).  Stored
 #: checkpoints with another version are invalidated, not misread.
-SNAPSHOT_VERSION = 15
+SNAPSHOT_VERSION = 16
 
 #: sha256 of the pickled layout (classes, their fields, container
 #: types) reachable from a reference snapshot, as
@@ -52,7 +52,7 @@ SNAPSHOT_VERSION = 15
 #: that test fails the layout moved: bump the version above, then
 #: regenerate this value with the command the failure prints.
 SNAPSHOT_LAYOUT_FINGERPRINT = (
-    "bb57f57334d6c3057241ec894733c69ca26c34920727f8ee5f3e681f25df0d7c"
+    "0e83f9cdc1721876bce66002ecf2092e6061643a1bfa85debe78d9d577f7ebdc"
 )
 
 _MAGIC = b"repro-snap"

@@ -14,9 +14,10 @@ def build_rdv_overlay(
     topology="chain",
     seed=1,
     latency=0.002,
+    options=None,
     **config_overrides,
 ):
-    sim = Simulator(seed=seed)
+    sim = Simulator(seed=seed, options=options)
     net = Network(sim, latency=ConstantLatency(latency))
     config = PlatformConfig().with_overrides(**config_overrides)
     overlay = build_overlay(
