@@ -78,8 +78,7 @@ def _run_campaign(root, warm_dir=None):
     return CampaignRunner(
         spec, RunStore(root),
         RunnerOptions(
-            jobs=1, warm_start=warm_dir is not None,
-            checkpoint_dir=str(warm_dir) if warm_dir else None,
+            jobs=1, checkpoint_dir=str(warm_dir) if warm_dir else None,
         ),
         progress=ProgressReporter(total=0, jobs=1, enabled=False),
     ).run(resume=False)

@@ -125,7 +125,9 @@ def main(argv=None) -> int:
         f"campaign {spec.name}: {len(tasks)} task(s), jobs={args.jobs}, "
         f"store={store.root}"
     )
-    warm = args.warm_start or args.checkpoint_dir is not None
+    checkpoint_dir = args.checkpoint_dir
+    if checkpoint_dir is None and args.warm_start:
+        checkpoint_dir = str(out_dir / "checkpoints")
     runner = CampaignRunner(
         spec,
         store,
@@ -133,12 +135,7 @@ def main(argv=None) -> int:
             jobs=args.jobs,
             task_timeout=args.timeout,
             max_retries=args.retries,
-            warm_start=warm,
-            checkpoint_dir=(
-                args.checkpoint_dir
-                if args.checkpoint_dir is not None
-                else (str(out_dir / "checkpoints") if warm else None)
-            ),
+            checkpoint_dir=checkpoint_dir,
         ),
         progress=progress,
     )

@@ -59,11 +59,8 @@ class RunnerOptions:
     mp_context: str = field(default_factory=_default_context)
     poll_interval: float = 0.05
     #: restore task bootstraps from the content-addressed checkpoint
-    #: cache (built on first use); results stay byte-identical to cold
-    #: runs — see docs/CHECKPOINTS.md
-    warm_start: bool = False
-    #: cache directory (default: ``<store>/checkpoints``); setting it
-    #: implies ``warm_start``
+    #: cache in this directory (built on first use; None = cold);
+    #: results stay byte-identical to cold runs — see docs/CHECKPOINTS.md
     checkpoint_dir: Optional[str] = None
 
 
@@ -207,7 +204,7 @@ class CampaignRunner:
         self._failed: List[str] = []
         #: warm-start state: cache dir (None = cold), task key ->
         #: bootstrap-prefix group, gating bookkeeping (see _run_pool)
-        self._warm_dir: Optional[str] = None
+        self._warm_dir = self.options.checkpoint_dir
         self._group_of: Dict[str, str] = {}
         self._group_open: set = set()
         self._group_leader: Dict[str, str] = {}
@@ -241,10 +238,7 @@ class CampaignRunner:
             self.progress.done = len(done_before)
             self.progress.skipped(len(done_before))
 
-        if self.options.warm_start or self.options.checkpoint_dir is not None:
-            self._warm_dir = self.options.checkpoint_dir or str(
-                self.store.root / "checkpoints"
-            )
+        if self._warm_dir is not None:
             self._index_bootstrap_groups(pending)
 
         started = time.monotonic()

@@ -57,8 +57,8 @@ _WARM_STORE: Optional[Any] = None
 #: ``task_type -> (params -> bootstrap spec dict)`` for task types whose
 #: experiment has a warm-startable bootstrap.  The runner uses it to
 #: group tasks sharing a bootstrap prefix (one build, many restores);
-#: the spec function must mirror exactly what the task passes to its
-#: experiment's ``bootstrap_spec``.
+#: the spec function reads the params through the same helper as the
+#: task body, so the two cannot disagree on a default.
 _BOOTSTRAP_SPECS: Dict[str, Callable[[Dict[str, Any]], Dict[str, Any]]] = {}
 
 
@@ -197,6 +197,12 @@ def peerview_point(params: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
+def _churn_overlay(params: Dict[str, Any]):
+    """The (r, seed) a ``churn`` task's params describe (shared by the
+    task body and its bootstrap-spec function)."""
+    return int(params.get("r", 16)), int(params.get("seed", 1))
+
+
 @register_task("churn")
 def churn_point(params: Dict[str, Any]) -> Dict[str, Any]:
     """One discovery-under-churn measurement (§5 volatility study)."""
@@ -204,24 +210,23 @@ def churn_point(params: Dict[str, Any]) -> Dict[str, Any]:
 
     from repro.experiments.churn_exp import run_point
 
+    r, seed = _churn_overlay(params)
     point = run_point(
-        r=int(params.get("r", 16)),
+        r=r,
         mean_session=float(params["mean_session"]),
         mean_downtime=float(params.get("mean_downtime", 5 * MINUTES)),
         queries=int(params.get("queries", 60)),
-        seed=int(params.get("seed", 1)),
+        seed=seed,
         checkpoint_store=warm_store(),
     )
     return dataclasses.asdict(point)
 
 
 def _churn_bootstrap_spec(params: Dict[str, Any]) -> Dict[str, Any]:
-    # mirrors churn_point's run_point call: default warmup, no config
     from repro.experiments.churn_exp import bootstrap_spec
 
-    return bootstrap_spec(
-        r=int(params.get("r", 16)), seed=int(params.get("seed", 1))
-    )
+    r, seed = _churn_overlay(params)
+    return bootstrap_spec(r=r, seed=seed)
 
 
 register_bootstrap_spec("churn", _churn_bootstrap_spec)
@@ -266,8 +271,6 @@ def load_point(params: Dict[str, Any]) -> Dict[str, Any]:
     from repro.experiments.load_exp import run_load
 
     spec, r, seed = _load_workload_spec(params)
-    rate = float(params.get("rate", 2.0))
-    skew = float(params.get("skew", 1.0))
     run = run_load(
         spec, r=r, seed=seed, record=True, checkpoint_store=warm_store()
     )
@@ -275,8 +278,8 @@ def load_point(params: Dict[str, Any]) -> Dict[str, Any]:
     query = snapshot.get("load.query", {})
     return {
         "r": r,
-        "rate": rate,
-        "skew": skew,
+        "rate": spec.arrivals["rate"],
+        "skew": spec.catalog["skew"],
         "requests": run.slo.total_requests(),
         "query_requests": query.get("requests", 0),
         "qps": query.get("requests", 0) / spec.duration,
@@ -305,7 +308,7 @@ register_bootstrap_spec("load", _load_bootstrap_spec)
 def experiment_task(params: Dict[str, Any]) -> Dict[str, Any]:
     """Run one whole experiment module; capture its rendered output and
     route its structured results through the existing exporter."""
-    from repro.experiments.cli import EXPERIMENTS, WARMSTART_EXPERIMENTS
+    from repro.experiments.cli import _invoke
     from repro.experiments.export import save_results
 
     name = params["name"]
@@ -313,12 +316,9 @@ def experiment_task(params: Dict[str, Any]) -> Dict[str, Any]:
     seed = int(params.get("seed", 1))
     out = params.get("out")
 
-    kwargs: Dict[str, Any] = {"full": full, "seed": seed}
-    if warm_store() is not None and name in WARMSTART_EXPERIMENTS:
-        kwargs["checkpoint_store"] = warm_store()
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        results = EXPERIMENTS[name](**kwargs)
+        results = _invoke(name, full, seed, warm_store())
 
     written = []
     if out is not None:

@@ -26,19 +26,13 @@ from repro.deploy import OverlayDescription, build_overlay
 from repro.experiments.common import (
     DiscoverySample,
     mean_latency_ms,
-    run_query_sequence,
     success_rate,
 )
 from repro.metrics import render_table
 from repro.network.churn import ChurnProcess, ExponentialChurn
 from repro.network import Network
 from repro.sim import HOURS, MINUTES, SimOptions, Simulator
-from repro.snapshot import (
-    CheckpointStore,
-    disown_network,
-    restore_network,
-    snapshot_network,
-)
+from repro.snapshot import CheckpointStore, warm_start
 
 
 @dataclass
@@ -69,7 +63,6 @@ def bootstrap_spec(
     (``mean_session``/``mean_downtime``) and ``queries`` are
     measurement-phase knobs — the whole session matrix at one (r, seed)
     shares a single warmed overlay."""
-    cfg = config if config is not None else PlatformConfig()
     return {
         "experiment": "churn",
         "r": r,
@@ -77,24 +70,18 @@ def bootstrap_spec(
         "warmup": warmup,
         "targets": TARGET_COUNT,
         "options": asdict(options or SimOptions.from_env()),
-        "config": asdict(cfg),
+        "config": asdict(config or PlatformConfig()),
     }
 
 
-def _bootstrap(
-    r: int,
-    seed: int,
-    warmup: float,
-    config: Optional[PlatformConfig],
-    options: Optional[SimOptions] = None,
-) -> Tuple[Network, Any]:
-    """Deploy, publish the churn targets and warm up (the churn-law-
-    independent prefix of :func:`run_point`)."""
-    sim = Simulator(seed=seed, options=options)
+def _bootstrap(key: Dict[str, Any]) -> Tuple[Network, Dict[str, Any]]:
+    """Deploy, publish the churn targets and warm up: the churn-law-
+    independent prefix of :func:`run_point`, built from its key."""
+    r = key["r"]
+    sim = Simulator(seed=key["seed"], options=SimOptions(**key["options"]))
     network = Network(sim)
-    cfg = config if config is not None else PlatformConfig()
     overlay = build_overlay(
-        sim, network, cfg,
+        sim, network, PlatformConfig(**key["config"]),
         OverlayDescription(
             rendezvous_count=r, edge_count=2,
             edge_attachment=[0, (r // 2) % r],
@@ -103,27 +90,12 @@ def _bootstrap(
     overlay.start()
     publisher = overlay.edges[0]
     sim.run(until=2 * MINUTES)
-    for i in range(TARGET_COUNT):
+    for i in range(key["targets"]):
         publisher.discovery.publish(
             FakeAdvertisement(f"ChurnTarget-{i}"), expiration=12 * HOURS
         )
-    sim.run(until=warmup)
-    return network, overlay
-
-
-def build_checkpoint(
-    r: int = 24,
-    seed: int = 1,
-    warmup: float = 15 * MINUTES,
-    config: Optional[PlatformConfig] = None,
-    options: Optional[SimOptions] = None,
-) -> bytes:
-    """Bootstrap once and capture the blob (``build`` callable of
-    :meth:`CheckpointStore.load_or_build`)."""
-    network, overlay = _bootstrap(r, seed, warmup, config, options)
-    blob = snapshot_network(network, extra={"overlay": overlay})
-    disown_network(network)
-    return blob
+    sim.run(until=key["warmup"])
+    return network, {"overlay": overlay}
 
 
 def run_point(
@@ -136,16 +108,10 @@ def run_point(
     config: Optional[PlatformConfig] = None,
     checkpoint_store: Optional[CheckpointStore] = None,
 ) -> ChurnPoint:
-    options = SimOptions.from_env()
-    if checkpoint_store is None:
-        network, overlay = _bootstrap(r, seed, warmup, config, options)
-    else:
-        blob, _hit = checkpoint_store.load_or_build(
-            bootstrap_spec(r, seed, warmup, config, options),
-            lambda: build_checkpoint(r, seed, warmup, config, options),
-        )
-        network, extra = restore_network(blob)
-        overlay = extra["overlay"]
+    network, extra = warm_start(
+        checkpoint_store, bootstrap_spec(r, seed, warmup, config), _bootstrap
+    )
+    overlay = extra["overlay"]
     sim = network.sim
     searcher = overlay.edges[1]
     target_count = TARGET_COUNT

@@ -65,10 +65,10 @@ WARMSTART_EXPERIMENTS = frozenset({"fig4-right", "churn", "load"})
 DEFAULT_CHECKPOINT_DIR = ".repro-checkpoints"
 
 
-def _invoke(name: str, args, checkpoint_store, seed: int):
+def _invoke(name: str, full: bool, seed: int, checkpoint_store):
     """Run one experiment main, threading the checkpoint store into
     the ones that support warm-starting."""
-    kwargs = {"full": args.full, "seed": seed}
+    kwargs = {"full": full, "seed": seed}
     if checkpoint_store is not None and name in WARMSTART_EXPERIMENTS:
         kwargs["checkpoint_store"] = checkpoint_store
     return EXPERIMENTS[name](**kwargs)
@@ -214,7 +214,7 @@ def main(argv=None) -> int:
             if args.profile:
                 results = _run_profiled(name, args, checkpoint_store)
             else:
-                results = _invoke(name, args, checkpoint_store, args.seed)
+                results = _invoke(name, args.full, args.seed, checkpoint_store)
         finally:
             if obs_session is not None:
                 from repro.obs.runtime import deactivate
@@ -271,7 +271,7 @@ def _run_seed_spread(name: str, first_results, args, checkpoint_store=None) -> N
     per_seed = {args.seed: first_results}
     for seed in range(args.seed + 1, args.seed + args.seeds):
         print(f"# seed {seed} ...", flush=True)
-        per_seed[seed] = _invoke(name, args, checkpoint_store, seed)
+        per_seed[seed] = _invoke(name, args.full, seed, checkpoint_store)
     records = experiment_seed_records(name, per_seed)
     rows, _ = aggregate_records(records, campaign=name)
     if not rows:
@@ -299,7 +299,7 @@ def _run_profiled(name: str, args, checkpoint_store=None):
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        results = _invoke(name, args, checkpoint_store, args.seed)
+        results = _invoke(name, args.full, args.seed, checkpoint_store)
     finally:
         profiler.disable()
         dump_path = args.profile_out or f"profile-{name}.prof"

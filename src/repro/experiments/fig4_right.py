@@ -34,12 +34,7 @@ from repro.experiments.common import (
 from repro.metrics import render_table
 from repro.network import Network
 from repro.sim import HOURS, MINUTES, SimOptions, Simulator
-from repro.snapshot import (
-    CheckpointStore,
-    disown_network,
-    restore_network,
-    snapshot_network,
-)
+from repro.snapshot import CheckpointStore, warm_start
 from repro.workload import noiser_catalog, publish_catalog
 
 #: r values of the paper's sweep (x axis 0..200).
@@ -88,7 +83,6 @@ def bootstrap_spec(
     depends on: the :class:`~repro.snapshot.CheckpointStore` key.
     Measurement-only knobs (``queries``) are deliberately absent —
     points that differ only there share one checkpoint."""
-    cfg = config if config is not None else PlatformConfig()
     noiser_count = noisers if with_noise else 0
     return {
         "experiment": "fig4_right",
@@ -99,32 +93,24 @@ def bootstrap_spec(
         "noisers": noiser_count,
         "fakes_per_noiser": fakes_per_noiser if noiser_count else 0,
         "options": asdict(options or SimOptions.from_env()),
-        "config": asdict(cfg),
+        "config": asdict(config or PlatformConfig()),
     }
 
 
-def _bootstrap(
-    r: int,
-    with_noise: bool,
-    seed: int,
-    warmup: float,
-    noisers: int,
-    fakes_per_noiser: int,
-    config: Optional[PlatformConfig],
-    options: Optional[SimOptions] = None,
-) -> Tuple[Network, Any]:
+def _bootstrap(key: Dict[str, Any]) -> Tuple[Network, Dict[str, Any]]:
     """Deploy and warm up one fig4-right overlay (the expensive,
-    measurement-independent prefix of :func:`run_point`)."""
-    sim = Simulator(seed=seed, options=options)
+    measurement-independent prefix of :func:`run_point`), built from
+    its key."""
+    r = key["r"]
+    sim = Simulator(seed=key["seed"], options=SimOptions(**key["options"]))
     network = Network(sim)
-    cfg = config if config is not None else PlatformConfig()
 
-    noiser_count = noisers if with_noise else 0
+    noiser_count = key["noisers"]
     spread = min(NOISER_RDV_SPREAD, r)
     # edges: [publisher, searcher, noisers...]
     attachment = [0, (r // 2) % r] + [i % spread for i in range(noiser_count)]
     overlay = build_overlay(
-        sim, network, cfg,
+        sim, network, PlatformConfig(**key["config"]),
         OverlayDescription(
             rendezvous_count=r,
             edge_count=2 + noiser_count,
@@ -143,7 +129,7 @@ def _bootstrap(
     if noiser_edges:
         publish_catalog(
             noiser_edges,
-            noiser_catalog(len(noiser_edges), fakes_per_noiser),
+            noiser_catalog(len(noiser_edges), key["fakes_per_noiser"]),
             expiration=12 * HOURS,
         )
     # the paper's searched resource: a peer advertisement, index
@@ -154,29 +140,8 @@ def _bootstrap(
     )
 
     # warm-up: peerviews into phase 3, SRDI pushed and replicated
-    sim.run(until=max(warmup, 4 * MINUTES))
-    return network, overlay
-
-
-def build_checkpoint(
-    r: int,
-    with_noise: bool,
-    seed: int = 1,
-    warmup: float = 45 * MINUTES,
-    noisers: int = NOISER_COUNT,
-    fakes_per_noiser: int = FAKES_PER_NOISER,
-    config: Optional[PlatformConfig] = None,
-    options: Optional[SimOptions] = None,
-) -> bytes:
-    """Run the bootstrap and capture it as a checkpoint blob (the
-    ``build`` callable of :meth:`CheckpointStore.load_or_build`)."""
-    network, overlay = _bootstrap(
-        r, with_noise, seed, warmup, noisers, fakes_per_noiser, config,
-        options,
-    )
-    blob = snapshot_network(network, extra={"overlay": overlay})
-    disown_network(network)
-    return blob
+    sim.run(until=key["warmup"])
+    return network, {"overlay": overlay}
 
 
 def run_point(
@@ -205,27 +170,12 @@ def run_point(
     measurement phase runs on state byte-identical to a cold run
     (docs/CHECKPOINTS.md pins that contract).
     """
-    options = SimOptions.from_env()
-    if checkpoint_store is None:
-        network, overlay = _bootstrap(
-            r, with_noise, seed, warmup, noisers, fakes_per_noiser, config,
-            options,
-        )
-    else:
-        blob, _hit = checkpoint_store.load_or_build(
-            bootstrap_spec(
-                r, with_noise, seed=seed, warmup=warmup, noisers=noisers,
-                fakes_per_noiser=fakes_per_noiser, config=config,
-                options=options,
-            ),
-            lambda: build_checkpoint(
-                r, with_noise, seed=seed, warmup=warmup, noisers=noisers,
-                fakes_per_noiser=fakes_per_noiser, config=config,
-                options=options,
-            ),
-        )
-        network, extra = restore_network(blob)
-        overlay = extra["overlay"]
+    key = bootstrap_spec(
+        r, with_noise, seed=seed, warmup=warmup, noisers=noisers,
+        fakes_per_noiser=fakes_per_noiser, config=config,
+    )
+    network, extra = warm_start(checkpoint_store, key, _bootstrap)
+    overlay = extra["overlay"]
     sim = network.sim
     searcher = overlay.edges[1]
 

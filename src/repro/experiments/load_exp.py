@@ -28,12 +28,7 @@ from repro.deploy import OverlayDescription, build_overlay
 from repro.metrics import render_table
 from repro.network import Network
 from repro.sim import MINUTES, SimOptions, Simulator
-from repro.snapshot import (
-    CheckpointStore,
-    disown_network,
-    restore_network,
-    snapshot_network,
-)
+from repro.snapshot import CheckpointStore, warm_start
 from repro.workload import (
     TraceOp,
     WorkloadEngine,
@@ -103,19 +98,18 @@ class LoadRun:
         return self.recorder.digest() if self.recorder is not None else None
 
 
-def _deploy(spec: WorkloadSpec, r: int, seed: int,
+def _deploy(client_count: int, r: int, seed: int,
             config: Optional[PlatformConfig] = None,
             options: Optional[SimOptions] = None):
     sim = Simulator(seed=seed, options=options)
     network = Network(sim)
     cfg = config if config is not None else PlatformConfig()
-    count = spec.client_count
     overlay = build_overlay(
         sim, network, cfg,
         OverlayDescription(
             rendezvous_count=r,
-            edge_count=count,
-            edge_attachment=[i % r for i in range(count)],
+            edge_count=client_count,
+            edge_attachment=[i % r for i in range(client_count)],
         ),
     )
     overlay.start()
@@ -135,7 +129,6 @@ def bootstrap_spec(
     duration, timeouts — only shape the measurement phase, so the whole
     rate × skew grid at one (r, seed) shares a single warmed overlay
     (popularity weights bias sampling, never the seed burst)."""
-    cfg = config if config is not None else PlatformConfig()
     catalog = Catalog.from_spec(spec.catalog)
     return {
         "experiment": "load",
@@ -153,54 +146,34 @@ def bootstrap_spec(
             "payload_bytes": catalog.payload_bytes,
         },
         "options": asdict(options or SimOptions.from_env()),
-        "config": asdict(cfg),
+        "config": asdict(config or PlatformConfig()),
     }
 
 
-def _bootstrap(
-    spec: WorkloadSpec,
-    r: int,
-    seed: int,
-    config: Optional[PlatformConfig],
-    options: Optional[SimOptions] = None,
-) -> Tuple[Any, Any]:
+def _bootstrap(key: Dict[str, Any]) -> Tuple[Network, Dict[str, Any]]:
     """Deploy the overlay, publish the catalog at ``seed_time`` and
-    warm up to ``spec.warmup`` — the traffic-independent prefix of a
-    load run.  The seed burst happens at the same simulated instant,
-    over the same edges, in the same item order as the cold path's
-    ``workload.seed`` event, and every draw it triggers comes from
-    named per-link/per-purpose RNG streams, so downstream state is
-    byte-equivalent (docs/CHECKPOINTS.md)."""
-    sim, overlay = _deploy(spec, r, seed, config, options)
-    network = overlay.group.network
-    catalog = Catalog.from_spec(spec.catalog)
+    warm up to ``warmup`` — the traffic-independent prefix of a load
+    run, built from its key.  The seed burst happens at the same
+    simulated instant, over the same edges, in the same item order as
+    the engine's own ``workload.seed`` event would, and every draw it
+    triggers comes from named per-link/per-purpose RNG streams, so
+    downstream state is byte-equivalent (docs/CHECKPOINTS.md)."""
+    clients = key["queriers"] + key["publishers"] + key["closed_clients"]
+    sim, overlay = _deploy(
+        clients, key["r"], key["seed"], PlatformConfig(**key["config"]),
+        SimOptions(**key["options"]),
+    )
     # publish_catalog's partition: publisher edges, or every client
     # edge when the population has no publishers (mirrors
     # WorkloadEngine._seed_edges)
-    seed_edges = (
-        overlay.edges[: spec.publishers]
-        if spec.publishers
-        else overlay.edges[: spec.client_count]
+    seed_edges = overlay.edges[: key["publishers"] or clients]
+    sim.run(until=key["seed_time"])
+    publish_catalog(
+        seed_edges, Catalog.from_spec(key["catalog"]),
+        key["publish_expiration"],
     )
-    sim.run(until=spec.seed_time)
-    publish_catalog(seed_edges, catalog, spec.publish_expiration)
-    sim.run(until=spec.warmup)
-    return network, overlay
-
-
-def build_checkpoint(
-    spec: WorkloadSpec,
-    r: int,
-    seed: int = 1,
-    config: Optional[PlatformConfig] = None,
-    options: Optional[SimOptions] = None,
-) -> bytes:
-    """Bootstrap once and capture the blob (``build`` callable of
-    :meth:`CheckpointStore.load_or_build`)."""
-    network, overlay = _bootstrap(spec, r, seed, config, options)
-    blob = snapshot_network(network, extra={"overlay": overlay})
-    disown_network(network)
-    return blob
+    sim.run(until=key["warmup"])
+    return overlay.group.network, {"overlay": overlay}
 
 
 def run_load(
@@ -213,28 +186,20 @@ def run_load(
 ) -> LoadRun:
     """Deploy an overlay, run the workload, drain in-flight requests.
 
-    With a ``checkpoint_store``, the deploy + seed + warm-up prefix is
-    restored from the content-addressed cache (built on first use) and
-    the engine warm-starts on top — trace bytes and SLO snapshot stay
-    byte-identical to the cold run."""
-    options = SimOptions.from_env()
-    if checkpoint_store is None:
-        sim, overlay = _deploy(spec, r, seed, config, options)
-        warm = False
-    else:
-        blob, _hit = checkpoint_store.load_or_build(
-            bootstrap_spec(spec, r, seed, config, options),
-            lambda: build_checkpoint(spec, r, seed, config, options),
-        )
-        network, extra = restore_network(blob)
-        sim, overlay = network.sim, extra["overlay"]
-        warm = True
+    The deploy + seed + warm-up prefix goes through
+    :func:`~repro.snapshot.warm_start` — restored from
+    ``checkpoint_store`` when given (built on first use) — and the
+    engine warm-starts on top: trace bytes and SLO snapshot are the
+    same on every path."""
+    network, extra = warm_start(
+        checkpoint_store, bootstrap_spec(spec, r, seed, config), _bootstrap
+    )
+    sim = network.sim
     recorder = WorkloadTraceRecorder() if record else None
-    engine = WorkloadEngine(spec, sim, overlay.edges, recorder=recorder)
-    if warm:
-        engine.start_warm()
-    else:
-        engine.start()
+    engine = WorkloadEngine(
+        spec, sim, extra["overlay"].edges, recorder=recorder
+    )
+    engine.start_warm()
     sim.run(until=spec.horizon + spec.timeout + DRAIN_SLACK)
     return LoadRun(spec=spec, r=r, seed=seed, engine=engine, recorder=recorder)
 
@@ -250,7 +215,7 @@ def replay_load(
     (spec, r, seed) — the regression oracle: for open-loop workloads
     the replayed run's trace bytes and SLO snapshot match the original
     exactly (docs/WORKLOADS.md)."""
-    sim, overlay = _deploy(spec, r, seed, config)
+    sim, overlay = _deploy(spec.client_count, r, seed, config)
     recorder = WorkloadTraceRecorder()
     engine = WorkloadEngine(spec, sim, overlay.edges, recorder=recorder)
     engine.start_replay(ops)

@@ -63,9 +63,9 @@ from repro.sim import SimOptions, Simulator
 from repro.sim.tracing import KernelTraceRecorder
 from repro.snapshot import (
     SnapshotError,
-    disown_network,
     restore_network,
     snapshot_network,
+    warm_start,
 )
 from repro.workload import WorkloadEngine, WorkloadSpec, WorkloadTraceRecorder
 
@@ -150,46 +150,25 @@ def bootstrap_spec(
     }
 
 
-def _deploy(case: FuzzCase, options: SimOptions):
-    """Cold bootstrap: deploy, start, run fault-free to BOOTSTRAP_TIME."""
-    sim = Simulator(seed=case.seed, options=options)
+def _bootstrap(key: Dict[str, Any]) -> Tuple[Network, Dict[str, Any]]:
+    """The fault-free prefix, built from its key: deploy, start, run to
+    ``BOOTSTRAP_TIME``."""
+    sim = Simulator(seed=key["seed"], options=SimOptions(**key["options"]))
     recorder = KernelTraceRecorder(sim)
     network = Network(sim)
-    spec = workload_spec_of(case)
+    r, edges = key["r"], key["edge_count"]
     overlay = build_overlay(
-        sim, network, platform_config_of(case),
+        sim, network, PlatformConfig(**key["config"]),
         OverlayDescription(
-            rendezvous_count=case.r,
-            topology=case.topology,
-            edge_count=spec.client_count if spec is not None else 0,
-            edge_attachment=(
-                [i % case.r for i in range(spec.client_count)]
-                if spec is not None else None
-            ),
+            rendezvous_count=r,
+            topology=key["topology"],
+            edge_count=edges,
+            edge_attachment=[i % r for i in range(edges)] if edges else None,
         ),
     )
     overlay.start()
-    sim.run(until=BOOTSTRAP_TIME)
-    return network, overlay, recorder
-
-
-def _bootstrap(case: FuzzCase, options: SimOptions, store, metrics: bool):
-    if store is None:
-        return _deploy(case, options)
-
-    def build() -> bytes:
-        network, overlay, recorder = _deploy(case, options)
-        blob = snapshot_network(
-            network, extra={"overlay": overlay, "recorder": recorder}
-        )
-        disown_network(network)
-        return blob
-
-    blob, _hit = store.load_or_build(
-        bootstrap_spec(case, options, metrics), build
-    )
-    network, extra = restore_network(blob)
-    return network, extra["overlay"], extra["recorder"]
+    sim.run(until=key["bootstrap_time"])
+    return network, {"overlay": overlay, "recorder": recorder}
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +224,10 @@ def run_case(
     metrics = COVERAGE in reads
     session = activate(ObsSession() if metrics else _NoHubSession())
     try:
-        network, overlay, recorder = _bootstrap(
-            case, options, store, metrics
+        network, extra = warm_start(
+            store, bootstrap_spec(case, options, metrics), _bootstrap
         )
+        overlay, recorder = extra["overlay"], extra["recorder"]
         sim = network.sim
         engine = ScenarioEngine(
             sim, network, peers_of(overlay), decode_scenario(case)
@@ -305,7 +285,10 @@ def run_case_with_midpoint_snapshot(
     t_mid = round((BOOTSTRAP_TIME + case.duration) / 2.0, 1)
     session = activate(ObsSession(metrics=True))
     try:
-        network, overlay, recorder = _bootstrap(case, options, store, True)
+        network, extra = warm_start(
+            store, bootstrap_spec(case, options), _bootstrap
+        )
+        overlay, recorder = extra["overlay"], extra["recorder"]
         sim = network.sim
         log = EventLog()
         engine = ScenarioEngine(

@@ -5,31 +5,31 @@
 * :func:`fork_network` — in-process structured copy, for fanning one
   bootstrapped network out to many divergent continuations.
 * :class:`CheckpointStore` — content-addressed on-disk cache mapping
-  canonical bootstrap specs to checkpoint blobs (the campaign/CLI
-  warm-start machinery builds on it).
+  canonical bootstrap specs to checkpoint blobs.
+* :func:`warm_start` — the bootstrap seam every warm-startable
+  experiment, campaign task and fuzz execution goes through.
 """
 
 from repro.snapshot.core import (
     SNAPSHOT_VERSION,
     SnapshotError,
-    disown_network,
     fork_network,
     restore_network,
     restore_simulator,
     snapshot_network,
     snapshot_simulator,
 )
-from repro.snapshot.store import CheckpointStore, checkpoint_key
+from repro.snapshot.store import CheckpointStore, checkpoint_key, warm_start
 
 __all__ = [
     "SNAPSHOT_VERSION",
     "CheckpointStore",
     "SnapshotError",
     "checkpoint_key",
-    "disown_network",
     "fork_network",
     "restore_network",
     "restore_simulator",
     "snapshot_network",
     "snapshot_simulator",
+    "warm_start",
 ]

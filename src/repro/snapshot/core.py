@@ -38,8 +38,7 @@ from __future__ import annotations
 
 import io
 import pickle
-import pickletools
-from typing import Any, Optional, Tuple
+from typing import Any, Tuple
 
 #: Bump whenever the pickled state contract changes incompatibly
 #: (slot layouts, scheduler tier layout, RNG stream naming).  Stored
@@ -109,8 +108,8 @@ def _readopt(network) -> None:
 def disown_network(network) -> None:
     """Inverse of the hub adoption at :class:`~repro.network.Network`
     construction: drop ``network``'s obs hub from the ambient obs
-    session, if present.  Warm-start build functions call this after
-    snapshotting a bootstrap graph they are about to discard — the
+    session, if present.  :func:`~repro.snapshot.store.warm_start`
+    calls this after snapshotting a bootstrap graph it discards — the
     caller continues from the *restored* copy, whose hub is re-adopted
     by :func:`restore_network`, and without the disown the build-time
     hub would double-count every bootstrap metric in the session
@@ -202,9 +201,3 @@ def fork_network(network, extra: Any = None) -> Tuple[Any, Any]:
     _readopt(clone)
     return clone, extra_clone
 
-
-def snapshot_size_report(blob: bytes) -> str:  # pragma: no cover - tooling
-    """Human-readable opcode/size summary of a snapshot (debug aid)."""
-    out = io.StringIO()
-    pickletools.dis(_unframe(blob), out=out)
-    return out.getvalue()

@@ -31,7 +31,12 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.campaign.spec import canonical_json
-from repro.snapshot.core import SNAPSHOT_VERSION
+from repro.snapshot.core import (
+    SNAPSHOT_VERSION,
+    disown_network,
+    restore_network,
+    snapshot_network,
+)
 
 _MAGIC = b"reprockp"
 _FORMAT_VERSION = 1
@@ -158,3 +163,28 @@ class CheckpointStore:
             f"CheckpointStore({str(self.root)!r}, hits={self.hits}, "
             f"misses={self.misses})"
         )
+
+
+def warm_start(
+    store: Optional[CheckpointStore],
+    key: Mapping[str, Any],
+    build: Callable[[Mapping[str, Any]], Tuple[Any, Any]],
+) -> Tuple[Any, Any]:
+    """The one bootstrap seam: ``(network, extra)`` of the bootstrap
+    that ``key`` describes.  ``build(key)`` deploys and warms it up
+    from the key alone, so the key always describes the blob.  Without
+    a store that is the answer; with one, the stored blob is restored,
+    built and stored first on a miss.  The build-time network's obs hub
+    leaves the ambient session: the caller continues from the restored
+    copy, whose hub :func:`restore_network` adopts."""
+    if store is None:
+        return build(key)
+
+    def snapshot() -> bytes:
+        network, extra = build(key)
+        blob = snapshot_network(network, extra=extra)
+        disown_network(network)
+        return blob
+
+    blob, _hit = store.load_or_build(key, snapshot)
+    return restore_network(blob)

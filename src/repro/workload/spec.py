@@ -234,14 +234,13 @@ class WorkloadEngine:
                 )
 
     def start_warm(self) -> None:
-        """Start against an overlay restored from a warm-start
-        checkpoint whose bootstrap already published the catalog at
-        ``seed_time`` (see :func:`repro.experiments.load_exp
-        .build_checkpoint`).  Reconstructs exactly what the cold path's
-        seed event would have contributed to this engine's trace and
-        SLO — records stamped at ``seed_time``, one ``seed`` success —
-        then starts every client; the run's trace bytes and SLO
-        snapshot come out byte-identical to a cold :meth:`start` run
+        """Start against an overlay whose bootstrap already published
+        the catalog at ``seed_time`` (see :func:`repro.experiments
+        .load_exp.run_load`).  Reconstructs exactly what the seed event
+        of :meth:`start` would have contributed to this engine's trace
+        and SLO — records stamped at ``seed_time``, one ``seed``
+        success — then starts every client; the run's trace bytes and
+        SLO snapshot come out byte-identical to a :meth:`start` run
         (pinned by the warm-start test suites)."""
         spec = self.spec
         if self.sim.now > spec.warmup:

@@ -44,7 +44,6 @@ def run_campaign(spec, root, jobs=1, warm_dir=None):
         spec, store,
         RunnerOptions(
             jobs=jobs,
-            warm_start=warm_dir is not None,
             checkpoint_dir=str(warm_dir) if warm_dir else None,
         ),
         progress=ProgressReporter(total=0, jobs=jobs, enabled=False),

@@ -15,15 +15,18 @@ import pytest
 from repro.advertisement import FakeAdvertisement
 from repro.config import PlatformConfig
 from repro.deploy import OverlayDescription, build_overlay
+from repro.experiments import churn_exp, fig4_right, load_exp
 from repro.network import Network
 from repro.sim import MINUTES, SimOptions, Simulator
 from repro.sim.tracing import KernelTraceRecorder
 from repro.snapshot import (
+    CheckpointStore,
     SnapshotError,
     fork_network,
     restore_network,
     snapshot_network,
 )
+from repro.workload import WorkloadEngine, WorkloadSpec, WorkloadTraceRecorder
 
 SCHEDULERS = ("wheel", "heap")
 
@@ -156,39 +159,80 @@ class TestFork:
         assert not set(draws) & set(network.sim.rng._streams)
 
 
-class TestWorkloadSLO:
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_warm_started_load_run_matches_cold(
-        self, scheduler, tmp_path, monkeypatch
-    ):
-        """The experiments-layer integration: a ``load`` run warm-started
-        from an on-disk checkpoint reproduces the cold run's trace
-        digest and SLO snapshot byte for byte."""
-        monkeypatch.setenv("REPRO_SCHEDULER", scheduler)
-        from repro.experiments.load_exp import run_load
-        from repro.snapshot import CheckpointStore
-        from repro.workload import WorkloadSpec
+def _load_run(store):
+    run = load_exp.run_load(
+        LOAD_SPEC, r=8, seed=3, record=True, checkpoint_store=store
+    )
+    return run.digest(), run.snapshot()
 
-        spec = WorkloadSpec(
-            name="load",
-            duration=30.0,
-            warmup=5 * MINUTES,
-            catalog={"popularity": "zipf", "size": 40, "skew": 1.0},
-            arrivals={"kind": "poisson", "rate": 2.0},
-            queriers=4,
-            publishers=2,
-            timeout=10.0,
-        )
-        cold = run_load(spec, r=8, seed=3, record=True)
+
+def _churn_run(store):
+    return churn_exp.run_point(
+        r=16, mean_session=20 * MINUTES, seed=2, checkpoint_store=store
+    )
+
+
+def _fig4_right_run(store):
+    return fig4_right.run_point(
+        8, True, queries=30, seed=1, warmup=8 * MINUTES, noisers=10,
+        fakes_per_noiser=50, checkpoint_store=store,
+    )
+
+
+LOAD_SPEC = WorkloadSpec(
+    name="load",
+    duration=30.0,
+    warmup=5 * MINUTES,
+    catalog={"popularity": "zipf", "size": 40, "skew": 1.0},
+    arrivals={"kind": "poisson", "rate": 2.0},
+    queriers=4,
+    publishers=2,
+    timeout=10.0,
+)
+
+#: every experiment bootstrap that goes through ``warm_start``, at the
+#: size its reduced CLI run uses
+WARM_STARTABLE = {
+    "load": _load_run,
+    "churn": _churn_run,
+    "fig4-right": _fig4_right_run,
+}
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    @pytest.mark.parametrize("experiment", sorted(WARM_STARTABLE))
+    def test_warm_start_is_invisible(
+        self, experiment, scheduler, tmp_path, monkeypatch
+    ):
+        """A run without a store, one that builds and stores its
+        bootstrap, and one that restores it answer byte for byte the
+        same."""
+        monkeypatch.setenv("REPRO_SCHEDULER", scheduler)
+        run = WARM_STARTABLE[experiment]
+        cold = run(None)
         store = CheckpointStore(tmp_path / "ckpts")
-        warm_miss = run_load(
-            spec, r=8, seed=3, record=True, checkpoint_store=store
+        warm_miss = run(store)
+        warm_hit = run(store)
+        assert (store.hits, store.misses) == (1, 1)
+        assert repr(warm_miss) == repr(cold)
+        assert repr(warm_hit) == repr(cold)
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_seeded_bootstrap_matches_the_engines_seed_event(
+        self, scheduler, monkeypatch
+    ):
+        """``run_load`` seeds the catalog inside its bootstrap and
+        warm-starts the engine on top; an engine that schedules its own
+        seed event on a bare deployment traces and answers the same."""
+        monkeypatch.setenv("REPRO_SCHEDULER", scheduler)
+        sim, overlay = load_exp._deploy(LOAD_SPEC.client_count, 8, 3)
+        recorder = WorkloadTraceRecorder()
+        engine = WorkloadEngine(
+            LOAD_SPEC, sim, overlay.edges, recorder=recorder
         )
-        warm_hit = run_load(
-            spec, r=8, seed=3, record=True, checkpoint_store=store
+        engine.start()
+        sim.run(
+            until=LOAD_SPEC.horizon + LOAD_SPEC.timeout + load_exp.DRAIN_SLACK
         )
-        assert store.counters()["misses"] == 1
-        assert store.counters()["hits"] == 1
-        for warm in (warm_miss, warm_hit):
-            assert warm.digest() == cold.digest()
-            assert warm.snapshot() == cold.snapshot()
+        assert (recorder.digest(), engine.slo.snapshot()) == _load_run(None)
