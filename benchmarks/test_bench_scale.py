@@ -15,7 +15,7 @@ from repro.sim import MINUTES
 def test_r160_inconsistent_regime(run_once, capsys):
     duration = 60 * MINUTES
     run = run_once(
-        run_peerview_overlay, r=160, duration=duration, seed=1, observers=[0]
+        run_peerview_overlay, r=160, duration=duration, seed=1
     )
     series = peerview_size_series(run.log, "rdv-0")
     phases = detect_phases(series, duration)

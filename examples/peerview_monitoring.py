@@ -2,18 +2,19 @@
 """Peerview convergence monitoring — the paper's §4.1 in miniature.
 
 Deploys 45 rendezvous peers (the overlay size at which the paper first
-observes Property (2) failing with default parameters), attaches the
-event-log instrumentation to every peer, and prints the live l(t)
-table, the Property (2) verdict over time, and the add/remove phase
-statistics of Figure 3 (right).
+observes Property (2) failing with default parameters), records every
+peer's peerview events through an observability hub, and prints the
+live l(t) table, the Property (2) verdict over time, and the
+add/remove phase statistics of Figure 3 (right).
 
 Run:  python examples/peerview_monitoring.py
 """
 
 from repro.config import PlatformConfig
 from repro.deploy import OverlayDescription, build_overlay
-from repro.metrics import EventLog, attach_peerview_logger, render_table
+from repro.metrics import render_table
 from repro.network import Network
+from repro.obs import enable_observability
 from repro.sim import MINUTES, Simulator
 
 R = 45
@@ -23,13 +24,13 @@ DURATION_MIN = 50
 def main() -> None:
     sim = Simulator(seed=11)
     network = Network(sim)
+    obs = enable_observability(
+        network, metrics=False, trace=True, categories=("peerview",)
+    )
     config = PlatformConfig()
     overlay = build_overlay(
         sim, network, config, OverlayDescription(rendezvous_count=R)
     )
-    log = EventLog()
-    for rdv in overlay.rendezvous:
-        attach_peerview_logger(log, rdv.name, rdv.view)
     overlay.start()
 
     rows = []
@@ -49,9 +50,10 @@ def main() -> None:
         ["t (min)", "min l", "mean l", "max l", "Property (2)"], rows
     ))
 
-    adds = log.records(kind="peerview.add")
-    removes = log.records(kind="peerview.remove")
-    first_remove = min((r.time for r in removes), default=float("inf"))
+    events = obs.tracer.events
+    adds = [e for e in events if e.name == "view.add"]
+    removes = [e for e in events if e.name == "view.remove"]
+    first_remove = min((e.t for e in removes), default=float("inf"))
     print()
     print(f"peerview events: {len(adds)} adds, {len(removes)} removes")
     print(f"first removal at {first_remove / 60:.1f} min "

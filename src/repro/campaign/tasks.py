@@ -174,7 +174,7 @@ def peerview_point(params: Dict[str, Any]) -> Dict[str, Any]:
 
     result = run_peerview_overlay(
         r=r, topology=topology, duration=duration, seed=seed,
-        config=config, observers=[0],
+        config=config,
     )
     series = peerview_size_series(result.log, "rdv-0")
     times, values = sample_at(series, 0.0, duration, sample_step)

@@ -56,7 +56,7 @@ def run(
                 pve_expiration=pve, peerview_interval=interval
             )
             result = run_peerview_overlay(
-                r=r, duration=duration, seed=seed, config=config, observers=[0]
+                r=r, duration=duration, seed=seed, config=config
             )
             sizes = result.overlay.group.peerview_sizes()
             network = result.overlay.group.network

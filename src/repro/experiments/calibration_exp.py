@@ -49,7 +49,7 @@ def run_point(
         random_probe_count=random_probe_count,
     )
     result = run_peerview_overlay(
-        r=r, duration=duration, seed=seed, config=config, observers=[0]
+        r=r, duration=duration, seed=seed, config=config
     )
     series = peerview_size_series(result.log, "rdv-0")
     tail = [

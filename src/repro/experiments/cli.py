@@ -245,8 +245,7 @@ def _write_metrics_snapshot(name: str, obs_session, args, many: bool) -> None:
     """Export one experiment's merged metrics snapshot (--metrics-out)."""
     from pathlib import Path
 
-    from repro.metrics.export import metrics_snapshot_to_json
-    from repro.metrics.report import render_metrics
+    from repro.obs.registry import metrics_snapshot_to_json, render_metrics
 
     path = Path(args.metrics_out)
     if many:

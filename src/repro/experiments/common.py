@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from repro.config import PlatformConfig
 from repro.deploy import OverlayDescription, build_overlay
 from repro.deploy.builder import DeployedOverlay
-from repro.metrics import EventLog, attach_peerview_logger
 from repro.network import Network
+from repro.obs.tracer import PeerViewRecorder, TimelineTracer
 from repro.sim import MINUTES, Simulator
 
 
@@ -21,12 +21,10 @@ class PeerviewRun:
     topology: str
     duration: float
     pve_expiration: float
-    log: EventLog
+    #: rdv-0's peerview adds/removes, recorded under the actor "rdv-0"
+    log: TimelineTracer
     overlay: DeployedOverlay
     sim: Simulator
-
-    def observer_names(self) -> List[str]:
-        return [rdv.name for rdv in self.overlay.rendezvous]
 
 
 def run_peerview_overlay(
@@ -35,11 +33,9 @@ def run_peerview_overlay(
     duration: float = 60 * MINUTES,
     seed: int = 1,
     config: Optional[PlatformConfig] = None,
-    observers: Optional[Sequence[int]] = None,
-    progress: Optional[Callable[[float], None]] = None,
 ) -> PeerviewRun:
-    """Deploy ``r`` rendezvous peers, log peerview events on the chosen
-    observers (all by default), run for ``duration`` simulated seconds.
+    """Deploy ``r`` rendezvous peers, log rdv-0's peerview events, run
+    for ``duration`` simulated seconds.
 
     This is the §4.1 benchmark: "Each time a rdv peer is added
     to/removed from the local peerview of a rendezvous peer, the
@@ -53,23 +49,11 @@ def run_peerview_overlay(
         sim, network, cfg,
         OverlayDescription(rendezvous_count=r, topology=topology),
     )
-    log = EventLog()
-    observer_set = (
-        set(observers) if observers is not None else range(len(overlay.rendezvous))
-    )
-    for i in observer_set:
-        rdv = overlay.rendezvous[i]
-        attach_peerview_logger(log, rdv.name, rdv.view)
+    log = TimelineTracer()
+    observer = overlay.rendezvous[0]
+    observer.view.add_listener(PeerViewRecorder(log, observer.name))
     overlay.start()
-    if progress is None:
-        sim.run(until=duration)
-    else:
-        slice_len = 5 * MINUTES
-        t = 0.0
-        while t < duration:
-            t = min(t + slice_len, duration)
-            sim.run(until=t)
-            progress(t)
+    sim.run(until=duration)
     return PeerviewRun(
         r=r,
         topology=topology,

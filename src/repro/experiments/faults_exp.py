@@ -38,13 +38,12 @@ from repro.faults import (
     peers_of,
 )
 from repro.metrics import (
-    EventLog,
-    attach_peerview_logger,
     convergence_ratio_series,
     peerview_size_series,
     render_table,
 )
 from repro.network import Network
+from repro.obs.tracer import PeerViewRecorder, TimelineTracer
 from repro.sim import MINUTES, Simulator
 from repro.sim.tracing import KernelTraceRecorder
 
@@ -154,11 +153,11 @@ def run_scenario(
         sim, network, cfg,
         OverlayDescription(rendezvous_count=r, topology="chain"),
     )
-    log = EventLog()
+    log = TimelineTracer()
     observer = overlay.rendezvous[0]
-    attach_peerview_logger(log, observer.name, observer.view)
+    observer.view.add_listener(PeerViewRecorder(log, observer.name))
 
-    engine = ScenarioEngine(sim, network, peers_of(overlay), scenario, log=log)
+    engine = ScenarioEngine(sim, network, peers_of(overlay), scenario)
     checker = InvariantChecker(
         sim, overlay.rendezvous, log=log,
         raise_on_violation=raise_on_violation,

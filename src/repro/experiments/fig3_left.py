@@ -90,7 +90,7 @@ def run(
         if verbose:
             print(f"# running r={r} topology={topology} ...", flush=True)
         result = run_peerview_overlay(
-            r=r, topology=topology, duration=duration, seed=seed, observers=[0]
+            r=r, topology=topology, duration=duration, seed=seed
         )
         out.append(
             Fig3LeftSeries(

@@ -63,18 +63,19 @@ def run(
     rendezvous in order of first appearance, as the paper does."""
     cfg = config if config is not None else PlatformConfig()
     result = run_peerview_overlay(
-        r=r, duration=duration, seed=seed, observers=[0], config=cfg
+        r=r, duration=duration, seed=seed, config=cfg
     )
     numbers: Dict[str, int] = {}
     add_points: List[Tuple[float, int]] = []
     remove_points: List[Tuple[float, int]] = []
-    for record in result.log.records(observer="rdv-0"):
-        if record.kind == "peerview.add":
-            if record.subject not in numbers:
-                numbers[record.subject] = len(numbers) + 1
-            add_points.append((record.time, numbers[record.subject]))
-        elif record.kind == "peerview.remove":
-            remove_points.append((record.time, numbers.get(record.subject, 0)))
+    for event in result.log.events:
+        peer = event.args["peer"]
+        if event.name == "view.add":
+            if peer not in numbers:
+                numbers[peer] = len(numbers) + 1
+            add_points.append((event.t, numbers[peer]))
+        elif event.name == "view.remove":
+            remove_points.append((event.t, numbers.get(peer, 0)))
     return Fig3RightResult(
         r=r,
         duration=duration,

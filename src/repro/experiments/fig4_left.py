@@ -73,11 +73,9 @@ def run(
         if tuned_expiration is not None
         else duration + 30 * MINUTES
     )
-    default_run = run_peerview_overlay(
-        r=r, duration=duration, seed=seed, observers=[0]
-    )
+    default_run = run_peerview_overlay(r=r, duration=duration, seed=seed)
     tuned_run = run_peerview_overlay(
-        r=r, duration=duration, seed=seed, observers=[0],
+        r=r, duration=duration, seed=seed,
         config=PlatformConfig().with_overrides(pve_expiration=tuned),
     )
     return Fig4LeftResult(

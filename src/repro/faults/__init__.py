@@ -20,8 +20,8 @@ into systematic correctness tooling:
   kernel's trace hooks that asserts, after every peerview probe
   round: local peerviews are totally ordered and duplicate-free,
   replica ranks stay within ``[0, l)``, leases never outlive their
-  grant, and Property (2) convergence ratios are emitted to
-  ``repro.metrics`` for the experiments CLI.
+  grant, and Property (2) convergence ratios are recorded into a
+  timeline tracer for the experiments CLI.
 
 ``repro.experiments.faults_exp`` reruns the 45-peer Property-(2)
 failure under each fault class using these pieces.

@@ -3,9 +3,8 @@
 :class:`ScenarioEngine` binds a declarative
 :class:`~repro.faults.actions.Scenario` to a deployed overlay: every
 action is scheduled on the simulation kernel at its instant, applied
-through a :class:`FaultContext`, and recorded in an
-:class:`~repro.metrics.EventLog` (kind ``fault.<Action>``) so fault
-timelines can be lined up against protocol event logs.
+through a :class:`FaultContext`, and recorded with its instant in
+:attr:`ScenarioEngine.applied`.
 
 Message-level faults (loss, duplication, reorder) are applied by
 :class:`NetworkFaultController`, installed as the network's
@@ -21,10 +20,9 @@ regression-testing robustness claims (cf. the determinism tests in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.faults.actions import ChurnWindow, FaultAction, Scenario
-from repro.metrics.events import EventLog
 from repro.network.churn import ChurnProcess, ExponentialChurn
 from repro.network.message import Envelope
 from repro.network.transport import FaultController, FaultDecision, NO_FAULT, Network
@@ -118,7 +116,7 @@ class NetworkFaultController(FaultController):
 
 class FaultContext:
     """What an action sees when it fires: the sim, the network, the
-    peers by name, the controller, and the fault event log."""
+    peers by name and the controller."""
 
     def __init__(
         self,
@@ -126,13 +124,11 @@ class FaultContext:
         network: Network,
         peers: Dict[str, object],
         controller: NetworkFaultController,
-        log: EventLog,
     ) -> None:
         self.sim = sim
         self.network = network
         self.peers = peers
         self.controller = controller
-        self.log = log
         #: peer name -> nominal peerview interval (for ClockSkew undo)
         self._base_intervals: Dict[str, float] = {}
         #: churn processes started by ChurnWindow actions
@@ -238,9 +234,6 @@ class ScenarioEngine(Process):
         :class:`~repro.deploy.builder.DeployedOverlay`.
     scenario:
         The declarative fault plan.
-    log:
-        Optional shared event log; every applied action is recorded as
-        kind ``fault.<Action>``.
     """
 
     def __init__(
@@ -249,16 +242,12 @@ class ScenarioEngine(Process):
         network: Network,
         peers: Dict[str, object],
         scenario: Scenario,
-        log: Optional[EventLog] = None,
     ) -> None:
         super().__init__(sim, name=f"faults:{scenario.name}")
         self.network = network
         self.scenario = scenario
-        self.log = log if log is not None else EventLog()
         self.controller = NetworkFaultController(sim)
-        self.context = FaultContext(
-            sim, network, peers, self.controller, self.log
-        )
+        self.context = FaultContext(sim, network, peers, self.controller)
         self.applied: List[Tuple[float, FaultAction]] = []
 
     def on_start(self) -> None:
@@ -287,12 +276,6 @@ class ScenarioEngine(Process):
             return
         action.apply(self.context)
         self.applied.append((self.sim.now, action))
-        self.log.record(
-            time=self.sim.now,
-            observer=self.name,
-            kind=f"fault.{action.kind}",
-            subject=getattr(action, "peer", "") or getattr(action, "site_a", ""),
-        )
 
 
 def peers_of(overlay) -> Dict[str, object]:

@@ -14,9 +14,8 @@ states but never mechanically checks:
 * **lease lifetime**: no edge lease on a rendezvous outlives its
   grant (``expires_at <= now + lease_duration``);
 * **Property (2) convergence**: the ratio ``l / (r_up − 1)`` is the
-  health signal the experiments track; the checker emits it to
-  ``repro.metrics`` every probe round as kind
-  ``invariant.convergence``.
+  health signal the experiments track; the checker records it every
+  probe round as an ``invariant``/``convergence`` timeline event.
 
 :class:`InvariantChecker` wires into the simulation kernel's trace
 hooks (phase ``"done"``): after every peerview probe-round tick it
@@ -30,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.metrics.events import EventLog
+from repro.obs.tracer import TimelineTracer
 from repro.sim.kernel import EventHandle, Simulator
 
 #: Index tuples spread over the hash space to exercise the rank
@@ -67,9 +66,9 @@ class InvariantChecker:
     rendezvous:
         The rendezvous peers to observe.
     log:
-        Optional event log; violations land as kind
-        ``invariant.violation`` and per-round convergence ratios as
-        kind ``invariant.convergence`` (value = ``l / (r_up − 1)``).
+        Optional tracer; per-round convergence ratios land as
+        ``("invariant", "convergence", peer name, {"value": l / (r_up − 1)})``.
+        Violations are kept in :attr:`violations`.
     probe_tuples:
         Index tuples used to exercise the replica rank function.
     raise_on_violation:
@@ -82,7 +81,7 @@ class InvariantChecker:
         self,
         sim: Simulator,
         rendezvous: Sequence[object],
-        log: Optional[EventLog] = None,
+        log: Optional[TimelineTracer] = None,
         probe_tuples: Sequence[Tuple[str, str, str]] = DEFAULT_PROBE_TUPLES,
         raise_on_violation: bool = False,
     ) -> None:
@@ -244,10 +243,8 @@ class InvariantChecker:
         up = sum(1 for p in self.rendezvous if p.running)
         target = max(1, up - 1)
         self.log.record(
-            time=now,
-            observer=peer.name,
-            kind="invariant.convergence",
-            value=peer.view.size / target,
+            now, "invariant", "convergence", peer.name,
+            {"value": peer.view.size / target},
         )
 
     def _violate(
@@ -255,13 +252,6 @@ class InvariantChecker:
     ) -> Violation:
         violation = Violation(now, observer, invariant, detail)
         self.violations.append(violation)
-        if self.log is not None:
-            self.log.record(
-                time=now,
-                observer=observer,
-                kind="invariant.violation",
-                subject=invariant,
-            )
         if self.raise_on_violation:
             raise InvariantViolationError(violation.format())
         return violation

@@ -56,7 +56,6 @@ from repro.fuzz.genome import (
     decode_scenario,
     has_churn,
 )
-from repro.metrics import EventLog
 from repro.network import Network
 from repro.obs.runtime import ObsSession, activate, deactivate
 from repro.sim import SimOptions, Simulator
@@ -290,11 +289,10 @@ def run_case_with_midpoint_snapshot(
         )
         overlay, recorder = extra["overlay"], extra["recorder"]
         sim = network.sim
-        log = EventLog()
         engine = ScenarioEngine(
-            sim, network, peers_of(overlay), decode_scenario(case), log=log
+            sim, network, peers_of(overlay), decode_scenario(case)
         )
-        checker = InvariantChecker(sim, overlay.rendezvous, log=log)
+        checker = InvariantChecker(sim, overlay.rendezvous)
         engine.start()
         sim.run(until=t_mid)
         try:
@@ -305,7 +303,6 @@ def run_case_with_midpoint_snapshot(
                     "recorder": recorder,
                     "engine": engine,
                     "checker": checker,
-                    "log": log,
                 },
             )
         except SnapshotError as exc:

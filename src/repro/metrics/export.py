@@ -1,50 +1,18 @@
-"""Export experiment data for external tooling (gnuplot, pandas, ...).
+"""Export experiment series for external tooling (gnuplot, pandas, ...).
 
-The paper's figures were plotted from flat event logs; these helpers
-write the same artefacts: CSV/JSON event logs and sampled series, and
-read them back (round-trip tested), so downstream users can regenerate
-plots without re-running simulations.
+The paper's figures were plotted from flat files; :func:`series_to_csv`
+writes sampled series in that form, so downstream users can regenerate
+plots without re-running simulations.  The raw event timeline is
+exported by :meth:`repro.obs.TimelineTracer.write_jsonl`.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
-from typing import Dict, List, Sequence, Union
-
-from repro.metrics.events import EventLog, EventRecord
-from repro.metrics.series import StepSeries
+from typing import Dict, Sequence, Union
 
 PathLike = Union[str, Path]
-
-
-def event_log_to_csv(log: EventLog, path: PathLike) -> int:
-    """Write an event log as CSV (time, observer, kind, subject, value).
-    Returns the number of rows written."""
-    records = log.records()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "observer", "kind", "subject", "value"])
-        for r in records:
-            writer.writerow([r.time, r.observer, r.kind, r.subject, r.value])
-    return len(records)
-
-
-def event_log_from_csv(path: PathLike) -> EventLog:
-    """Read an event log written by :func:`event_log_to_csv`."""
-    log = EventLog()
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            log.record(
-                time=float(row["time"]),
-                observer=row["observer"],
-                kind=row["kind"],
-                subject=row["subject"],
-                value=float(row["value"]),
-            )
-    return log
 
 
 def series_to_csv(
@@ -64,44 +32,3 @@ def series_to_csv(
                 [x] + [series[name][i] if i < len(series[name]) else "" for name in names]
             )
     return len(xs)
-
-
-def metrics_snapshot_to_json(snapshot: Dict, path: PathLike) -> None:
-    """Write a :meth:`repro.obs.MetricsRegistry.snapshot` as JSON.
-
-    Snapshots are already sorted; dumping with ``sort_keys`` keeps the
-    artefact byte-stable across runs, so metric exports can be diffed
-    (and the campaign store stays deterministic)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(snapshot, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def metrics_snapshot_from_json(path: PathLike) -> Dict:
-    """Read a snapshot written by :func:`metrics_snapshot_to_json`."""
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def metrics_counters_to_csv(snapshot: Dict, path: PathLike) -> int:
-    """Write a snapshot's counters as CSV (metric, count).  Returns the
-    number of rows written."""
-    counters = snapshot.get("counters", {})
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "count"])
-        for name, count in sorted(counters.items()):
-            writer.writerow([name, count])
-    return len(counters)
-
-
-def step_series_to_json(series: StepSeries, path: PathLike) -> None:
-    """Write a step series as JSON (``{"times": [...], "values": [...]}``)."""
-    with open(path, "w") as fh:
-        json.dump({"times": series.times, "values": series.values}, fh)
-
-
-def step_series_from_json(path: PathLike) -> StepSeries:
-    with open(path) as fh:
-        data = json.load(fh)
-    return StepSeries(times=data["times"], values=data["values"])

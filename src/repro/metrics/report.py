@@ -30,47 +30,6 @@ def render_table(
     return "\n".join(lines)
 
 
-def render_metrics(snapshot: Dict) -> str:
-    """Summary tables for a :meth:`repro.obs.MetricsRegistry.snapshot`.
-
-    One counters table and, when histograms were recorded, a second
-    table with their count/mean/min/max — the quick-look view the
-    ``--metrics-out`` flag and ``jxta-repro trace`` print; the full
-    bucket data lives in the JSON export.
-    """
-    sections: List[str] = []
-    counters = snapshot.get("counters", {})
-    if counters:
-        sections.append(
-            render_table(
-                ["metric", "count"],
-                [[name, counters[name]] for name in sorted(counters)],
-            )
-        )
-    histograms = snapshot.get("histograms", {})
-    if histograms:
-        rows: List[List[object]] = []
-        for name in sorted(histograms):
-            h = histograms[name]
-            count = h["count"]
-            mean = h["sum"] / count if count else 0.0
-            rows.append(
-                [
-                    name,
-                    count,
-                    f"{mean:.6f}",
-                    f"{h['min']:.6f}" if h["min"] is not None else "-",
-                    f"{h['max']:.6f}" if h["max"] is not None else "-",
-                ]
-            )
-        sections.append(
-            render_table(["histogram", "count", "mean", "min", "max"], rows)
-        )
-    if not sections:
-        return "(no metrics recorded)"
-    return "\n\n".join(sections)
-
-
 def render_series(
     x_label: str,
     xs: Sequence[float],

@@ -1,13 +1,13 @@
-"""Time-series extraction from event logs."""
+"""Time-series extraction from timeline events."""
 
 from __future__ import annotations
 
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.metrics.events import EventLog, EventRecord
+from repro.obs.tracer import TimelineTracer
 
 
 @dataclass
@@ -48,57 +48,47 @@ class StepSeries:
         return self.times[index]
 
 
-def peerview_size_series(
-    log: EventLog, observer: str
-) -> StepSeries:
-    """Reconstruct ``l(t)`` for one rendezvous from its add/remove
-    events (the paper's Figure 3 left / Figure 4 left curves)."""
+def peerview_size_series(log: TimelineTracer, actor: str) -> StepSeries:
+    """Reconstruct ``l(t)`` for one rendezvous from the ``view.add`` /
+    ``view.remove`` events recorded under ``actor`` (the paper's
+    Figure 3 left / Figure 4 left curves)."""
     times: List[float] = [0.0]
     values: List[float] = [0.0]
     size = 0
     events = [
-        r for r in log.records(observer=observer)
-        if r.kind in ("peerview.add", "peerview.remove")
+        e for e in log.events
+        if e.actor == actor and e.cat == "peerview"
+        and e.name in ("view.add", "view.remove")
     ]
-    events.sort(key=lambda r: r.time)
-    for record in events:
-        size += 1 if record.kind == "peerview.add" else -1
-        times.append(record.time)
+    events.sort(key=lambda e: e.t)
+    for event in events:
+        size += 1 if event.name == "view.add" else -1
+        times.append(event.t)
         values.append(float(size))
     return StepSeries(times, values)
 
 
-def value_series(
-    log: EventLog, kind: str, observer: str | None = None
-) -> StepSeries:
-    """Step series over the ``value`` field of all records of ``kind``
-    (optionally one observer) — e.g. the ``invariant.convergence``
-    ratios the fault experiments track."""
-    records = sorted(log.records(kind=kind, observer=observer), key=lambda r: r.time)
-    return StepSeries(
-        [r.time for r in records], [r.value for r in records]
-    )
-
-
-def convergence_ratio_series(log: EventLog) -> StepSeries:
+def convergence_ratio_series(log: TimelineTracer) -> StepSeries:
     """Overlay-wide Property (2) convergence: mean ``l / (r_up − 1)``
     per emission round, from the invariant checker's
-    ``invariant.convergence`` records."""
-    records = sorted(
-        log.records(kind="invariant.convergence"), key=lambda r: r.time
+    ``invariant``/``convergence`` events."""
+    events = sorted(
+        (e for e in log.events
+         if e.cat == "invariant" and e.name == "convergence"),
+        key=lambda e: e.t,
     )
     times: List[float] = []
     values: List[float] = []
-    # aggregate one value per probe-round instant (records at the same
+    # aggregate one value per probe-round instant (events at the same
     # emission time are averaged across observers)
     i = 0
-    while i < len(records):
+    while i < len(events):
         j = i
         total = 0.0
-        while j < len(records) and records[j].time == records[i].time:
-            total += records[j].value
+        while j < len(events) and events[j].t == events[i].t:
+            total += events[j].args["value"]
             j += 1
-        times.append(records[i].time)
+        times.append(events[i].t)
         values.append(total / (j - i))
         i = j
     return StepSeries(times, values)
@@ -138,19 +128,3 @@ def elementwise_mean_std(
             var = sum((v - mean) ** 2 for v in column) / (n - 1)
             stds.append(math.sqrt(var))
     return means, stds
-
-
-def latency_stats(samples: Iterable[float]) -> Dict[str, float]:
-    """Mean/min/max/p95 of a latency sample set, in the input unit."""
-    data = sorted(samples)
-    if not data:
-        raise ValueError("no samples")
-    n = len(data)
-    return {
-        "count": float(n),
-        "mean": sum(data) / n,
-        "min": data[0],
-        "max": data[-1],
-        "p50": data[n // 2],
-        "p95": data[min(n - 1, int(round(0.95 * (n - 1))))],
-    }

@@ -104,8 +104,7 @@ def trace_main(argv=None) -> int:
     finally:
         deactivate(session)
 
-    from repro.metrics.export import metrics_snapshot_to_json
-    from repro.metrics.report import render_metrics
+    from repro.obs.registry import metrics_snapshot_to_json, render_metrics
     from repro.obs.tracer import merged_chrome_trace
 
     tracers = session.tracers()

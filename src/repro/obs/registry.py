@@ -6,6 +6,10 @@ Every metric is keyed by a ``(protocol, event)`` tuple — e.g.
 to ``"protocol.event"`` and sort it, which keeps exports deterministic
 and campaign records byte-stable.
 
+The snapshot format — flattened, sorted names, written as sorted-key
+JSON by :func:`metrics_snapshot_to_json` and summarised as text by
+:func:`render_metrics` — is defined in this module alone.
+
 Registries merge: :meth:`MetricsRegistry.merge` folds another registry
 in (counters add, gauges take the other's last value, histograms merge
 bucket-wise), which is how multi-network experiments and campaign
@@ -14,7 +18,8 @@ fan-outs aggregate into one summary.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+import json
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.histogram import DEFAULT_LATENCY_EDGES_S, Histogram
 
@@ -106,3 +111,63 @@ class MetricsRegistry:
             f"MetricsRegistry(counters={len(self.counters)}, "
             f"gauges={len(self.gauges)}, histograms={len(self.histograms)})"
         )
+
+
+def metrics_snapshot_to_json(snapshot: Dict, path) -> None:
+    """Write a :meth:`MetricsRegistry.snapshot` as JSON.
+
+    Snapshots are already sorted; dumping with ``sort_keys`` keeps the
+    artefact byte-stable across runs, so metric exports can be diffed
+    (and the campaign store stays deterministic)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(snapshot, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+    cells = [list(headers)] + [[str(c) for c in row] for row in rows]
+    widths = [max(len(row[col]) for row in cells) for col in range(len(headers))]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in cells]
+    lines.insert(1, "  ".join("-" * w for w in widths))
+    return "\n".join(lines)
+
+
+def render_metrics(snapshot: Dict) -> str:
+    """Summary tables for a :meth:`MetricsRegistry.snapshot`.
+
+    One counters table and, when histograms were recorded, a second
+    table with their count/mean/min/max — the quick-look view the
+    ``--metrics-out`` flag and ``jxta-repro trace`` print; the full
+    bucket data lives in the JSON export.
+    """
+    sections: List[str] = []
+    counters = snapshot.get("counters", {})
+    if counters:
+        sections.append(
+            _table(
+                ["metric", "count"],
+                [[name, counters[name]] for name in sorted(counters)],
+            )
+        )
+    histograms = snapshot.get("histograms", {})
+    if histograms:
+        rows: List[List[object]] = []
+        for name in sorted(histograms):
+            h = histograms[name]
+            count = h["count"]
+            mean = h["sum"] / count if count else 0.0
+            rows.append(
+                [
+                    name,
+                    count,
+                    f"{mean:.6f}",
+                    f"{h['min']:.6f}" if h["min"] is not None else "-",
+                    f"{h['max']:.6f}" if h["max"] is not None else "-",
+                ]
+            )
+        sections.append(
+            _table(["histogram", "count", "mean", "min", "max"], rows)
+        )
+    if not sections:
+        return "(no metrics recorded)"
+    return "\n\n".join(sections)

@@ -148,6 +148,35 @@ class TimelineTracer:
         return f"TimelineTracer(events={len(self.events)}, dropped={self.dropped})"
 
 
+def peerview_event_args(event) -> Dict[str, str]:
+    """The ``args`` of a ``peerview``/``view.<kind>`` timeline event
+    for a :class:`~repro.rendezvous.peerview.PeerViewEvent`: the subject
+    peer's short ID and, for a removal with a cause, the reason."""
+    args = {"peer": event.subject.short()}
+    if event.reason:
+        args["reason"] = event.reason
+    return args
+
+
+class PeerViewRecorder:
+    """Peerview listener that records every add/remove into a tracer
+    as ``("peerview", "view.add" | "view.remove", actor, args)`` — the
+    §4.1 log Figures 3 and 4 are drawn from.  A class, not a closure:
+    the listener list rides along in simulation snapshots."""
+
+    __slots__ = ("tracer", "actor")
+
+    def __init__(self, tracer: TimelineTracer, actor: str) -> None:
+        self.tracer = tracer
+        self.actor = actor
+
+    def __call__(self, event) -> None:
+        self.tracer.record(
+            event.time, "peerview", f"view.{event.kind}", self.actor,
+            peerview_event_args(event),
+        )
+
+
 def merged_chrome_trace(tracers: Iterable[TimelineTracer]) -> Dict[str, Any]:
     """One Chrome trace from many tracers (one pid per tracer/network)."""
     events: List[Dict[str, Any]] = []

@@ -40,6 +40,7 @@ from repro.endpoint.service import (
     EndpointService,
 )
 from repro.ids.jxtaid import PeerID
+from repro.obs.tracer import peerview_event_args
 from repro.rendezvous.messages import (
     _PV_OVERHEAD,
     PeerViewProbe,
@@ -418,11 +419,9 @@ class PeerViewProtocol(Process):
         """PeerView listener: surface membership changes to repro.obs."""
         obs = self._net.obs
         if obs is not None and obs.active:
-            args = {"peer": event.subject.short()}
-            if event.reason:
-                args["reason"] = event.reason
             obs.event(
-                event.time, "peerview", f"view.{event.kind}", self._actor, **args
+                event.time, "peerview", f"view.{event.kind}", self._actor,
+                **peerview_event_args(event),
             )
 
     def _learn(self, adv: RdvAdvertisement, now: float) -> None:

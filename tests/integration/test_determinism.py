@@ -3,8 +3,8 @@
 from repro.advertisement import FakeAdvertisement
 from repro.config import PlatformConfig
 from repro.deploy import OverlayDescription, build_overlay
-from repro.metrics import EventLog, attach_peerview_logger
 from repro.network import Network
+from repro.obs.tracer import PeerViewRecorder, TimelineTracer
 from repro.sim import MINUTES, Simulator
 
 
@@ -17,9 +17,9 @@ def run_scenario(seed):
             rendezvous_count=10, edge_count=2, edge_attachment=[0, 5]
         ),
     )
-    log = EventLog()
+    log = TimelineTracer()
     for rdv in overlay.rendezvous:
-        attach_peerview_logger(log, rdv.name, rdv.view)
+        rdv.view.add_listener(PeerViewRecorder(log, rdv.name))
     overlay.start()
     sim.run(until=15 * MINUTES)
     overlay.edges[0].discovery.publish(FakeAdvertisement("det"))
@@ -31,7 +31,7 @@ def run_scenario(seed):
     )
     sim.run(until=sim.now + 1 * MINUTES)
     return {
-        "events": [(r.time, r.observer, r.kind, r.subject) for r in log.records()],
+        "events": [(e.t, e.actor, e.name, e.args) for e in log.events],
         "messages": network.stats.messages_sent,
         "bytes": network.stats.bytes_sent,
         "latencies": latencies,
@@ -47,6 +47,7 @@ class TestDeterminism:
     def test_same_seed_same_everything(self):
         a = run_scenario(17)
         b = run_scenario(17)
+        assert a["events"]
         assert a == b
 
     def test_different_seed_different_trajectory(self):

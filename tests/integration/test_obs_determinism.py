@@ -17,7 +17,8 @@ from repro.advertisement import FakeAdvertisement
 from repro.config import PlatformConfig
 from repro.deploy import OverlayDescription, build_overlay
 from repro.network import Network
-from repro.obs import ObsSession, enable_observability, session
+from repro.obs import ObsSession, TimelineTracer, enable_observability, session
+from repro.obs.tracer import PeerViewRecorder
 from repro.sim import MINUTES, SimOptions, Simulator
 from repro.sim.tracing import KernelTraceRecorder
 
@@ -96,6 +97,41 @@ class TestObservabilityIsInert:
         snapshot = s.merged_snapshot()
         assert snapshot["counters"].get("endpoint.send", 0) > 0
         assert snapshot["histograms"]["endpoint.delay"]["count"] > 0
+
+
+class TestPeerviewRecorder:
+    """One peerview event schema: what :class:`PeerViewRecorder` logs
+    for an experiment is what the hub's tracer records for the same
+    rendezvous."""
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_recorder_events_equal_the_hubs(self, scheduler):
+        sim = Simulator(
+            seed=3, options=replace(SimOptions.from_env(), scheduler=scheduler)
+        )
+        network = Network(sim)
+        obs = enable_observability(
+            network, metrics=False, trace=True, categories=("peerview",)
+        )
+        overlay = build_overlay(
+            sim, network, PlatformConfig(),
+            OverlayDescription(rendezvous_count=24, topology="chain"),
+        )
+        rdv = overlay.rendezvous[0]
+        log = TimelineTracer()
+        rdv.view.add_listener(PeerViewRecorder(log, rdv.name))
+        overlay.start()
+        sim.run(until=40 * MINUTES)
+        hub = [
+            (e.t, e.name, e.args) for e in obs.tracer.events
+            if e.actor == rdv.address and e.name.startswith("view.")
+        ]
+        mine = [(e.t, e.name, e.args) for e in log.events]
+        # both kinds, and the removal's reason, are compared
+        assert {(name, args.get("reason")) for _, name, args in mine} == {
+            ("view.add", None), ("view.remove", "expired"),
+        }
+        assert mine == hub
 
 
 class TestGoldenScenarioDeterminism:

@@ -31,7 +31,7 @@ class TestPeerviewPhases:
 
 class TestPeerviewGrowthShape:
     def test_growth_phase_is_monotone_increasing(self):
-        run = run_peerview_overlay(r=40, duration=15 * MINUTES, seed=6, observers=[0])
+        run = run_peerview_overlay(r=40, duration=15 * MINUTES, seed=6)
         series = peerview_size_series(run.log, "rdv-0")
         xs = [60.0 * m for m in range(1, 15)]
         ys = series.sampled(xs)

@@ -3,13 +3,13 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.metrics import EventLog
 from repro.metrics.series import StepSeries, peerview_size_series
+from repro.obs.tracer import TimelineTracer
 
 events = st.lists(
     st.tuples(
         st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
-        st.sampled_from(["peerview.add", "peerview.remove"]),
+        st.sampled_from(["view.add", "view.remove"]),
     ),
     min_size=0,
     max_size=60,
@@ -18,17 +18,17 @@ events = st.lists(
 
 @given(events)
 def test_series_final_value_equals_event_balance(evs):
-    log = EventLog()
+    log = TimelineTracer()
     # only record removes that keep the running size >= 0 (a PeerView
     # can never emit a remove without a prior add)
     size = 0
     kept = []
     for t, kind in sorted(evs):
-        if kind == "peerview.remove" and size == 0:
+        if kind == "view.remove" and size == 0:
             continue
-        size += 1 if kind == "peerview.add" else -1
+        size += 1 if kind == "view.add" else -1
         kept.append((t, kind))
-        log.record(t, "rdv-0", kind, "x")
+        log.record(t, "peerview", kind, "rdv-0", {"peer": "x"})
     series = peerview_size_series(log, "rdv-0")
     assert series.final == size
     assert min(series.values) >= 0

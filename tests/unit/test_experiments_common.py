@@ -16,23 +16,12 @@ from repro.sim import MINUTES
 
 class TestRunPeerviewOverlay:
     def test_collects_events_for_observer(self):
-        run = run_peerview_overlay(r=5, duration=5 * MINUTES, observers=[0])
-        assert len(run.log.records(observer="rdv-0")) > 0
+        run = run_peerview_overlay(r=5, duration=5 * MINUTES)
+        assert len(run.log) > 0
+        assert {e.actor for e in run.log.events} == {"rdv-0"}
         assert run.r == 5
         series = peerview_size_series(run.log, "rdv-0")
         assert series.final == 4
-
-    def test_all_observers_by_default(self):
-        run = run_peerview_overlay(r=4, duration=5 * MINUTES)
-        observers = {r.observer for r in run.log.records()}
-        assert observers == {"rdv-0", "rdv-1", "rdv-2", "rdv-3"}
-
-    def test_progress_callback_invoked(self):
-        ticks = []
-        run_peerview_overlay(
-            r=3, duration=12 * MINUTES, observers=[0], progress=ticks.append
-        )
-        assert ticks and ticks[-1] == 12 * MINUTES
 
 
 class TestQuerySequence:

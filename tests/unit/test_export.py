@@ -1,37 +1,6 @@
 """Unit tests for the metrics export helpers."""
 
-import pytest
-
-from repro.metrics import EventLog
-from repro.metrics.export import (
-    event_log_from_csv,
-    event_log_to_csv,
-    series_to_csv,
-    step_series_from_json,
-    step_series_to_json,
-)
-from repro.metrics.series import StepSeries
-
-
-@pytest.fixture
-def log():
-    out = EventLog()
-    out.record(1.0, "rdv-0", "peerview.add", "aa", 0.0)
-    out.record(2.5, "rdv-1", "peerview.remove", "bb", 1.5)
-    return out
-
-
-class TestEventLogCsv:
-    def test_roundtrip(self, log, tmp_path):
-        path = tmp_path / "events.csv"
-        assert event_log_to_csv(log, path) == 2
-        loaded = event_log_from_csv(path)
-        assert loaded.records() == log.records()
-
-    def test_empty_log(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        assert event_log_to_csv(EventLog(), path) == 0
-        assert len(event_log_from_csv(path)) == 0
+from repro.metrics.export import series_to_csv
 
 
 class TestSeriesCsv:
@@ -51,13 +20,3 @@ class TestSeriesCsv:
         series_to_csv("t", [0.0, 1.0], {"a": [1.0]}, path)
         lines = path.read_text().splitlines()
         assert lines[2].endswith(",")
-
-
-class TestStepSeriesJson:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "series.json"
-        series = StepSeries([0.0, 5.0, 9.0], [0.0, 2.0, 1.0])
-        step_series_to_json(series, path)
-        loaded = step_series_from_json(path)
-        assert loaded.times == series.times
-        assert loaded.values == series.values

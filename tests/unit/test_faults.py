@@ -22,8 +22,8 @@ from repro.faults import (
     ScenarioEngine,
     peers_of,
 )
-from repro.metrics import EventLog
 from repro.network import Network
+from repro.obs.tracer import TimelineTracer
 from repro.network.transport import FaultDecision
 from repro.sim import MINUTES, Simulator
 
@@ -38,8 +38,8 @@ def deploy(r=6, seed=1, duration_warmup=None):
     return sim, network, overlay
 
 
-def engine_for(sim, network, overlay, scenario, log=None):
-    return ScenarioEngine(sim, network, peers_of(overlay), scenario, log=log)
+def engine_for(sim, network, overlay, scenario):
+    return ScenarioEngine(sim, network, peers_of(overlay), scenario)
 
 
 class TestActionValidation:
@@ -118,7 +118,6 @@ class TestScenarioEngine:
 
     def test_applied_actions_recorded_in_log(self):
         sim, network, overlay = deploy()
-        log = EventLog()
         scenario = Scenario(
             name="p",
             actions=(
@@ -126,16 +125,16 @@ class TestScenarioEngine:
                 HealSites(at=120.0, site_a="rennes", site_b="sophia"),
             ),
         )
-        engine = engine_for(sim, network, overlay, scenario, log=log)
+        engine = engine_for(sim, network, overlay, scenario)
         overlay.start()
         engine.start()
         sim.run(until=90.0)
         assert network.is_partitioned("rennes", "sophia")
         sim.run(until=150.0)
         assert not network.is_partitioned("rennes", "sophia")
-        kinds = [r.kind for r in log.records()]
-        assert "fault.PartitionSites" in kinds
-        assert "fault.HealSites" in kinds
+        assert [(t, a.kind) for t, a in engine.applied] == [
+            (60.0, "PartitionSites"), (120.0, "HealSites"),
+        ]
 
     def test_loss_window_drops_only_inside_window(self):
         sim, network, overlay = deploy()
@@ -250,8 +249,8 @@ class TestFaultDecision:
 class TestInvariantChecker:
     def run_with(self, scenario, r=6, duration=12 * MINUTES, seed=2, **kwargs):
         sim, network, overlay = deploy(r=r, seed=seed)
-        log = EventLog()
-        engine = engine_for(sim, network, overlay, scenario, log=log)
+        log = TimelineTracer()
+        engine = engine_for(sim, network, overlay, scenario)
         checker = InvariantChecker(
             sim, overlay.rendezvous, log=log, **kwargs
         )
@@ -268,10 +267,11 @@ class TestInvariantChecker:
 
     def test_convergence_metric_emitted(self):
         checker, log, overlay = self.run_with(FAULT_FREE)
-        records = log.records(kind="invariant.convergence")
-        assert records
+        events = list(log.events)
+        assert events
+        assert {(e.cat, e.name) for e in events} == {("invariant", "convergence")}
         # converged overlay: final ratios reach 1.0
-        assert records[-1].value == pytest.approx(1.0)
+        assert events[-1].args["value"] == pytest.approx(1.0)
 
     def test_order_corruption_flagged(self):
         scenario = Scenario(
@@ -281,7 +281,8 @@ class TestInvariantChecker:
         checker, log, _ = self.run_with(scenario)
         assert not checker.ok
         assert "peerview.total-order" in checker.summary()
-        assert log.records(kind="invariant.violation")
+        first = checker.violations[0]
+        assert (first.time, first.observer) == (6 * MINUTES, "rdv-0")
         assert "VIOLATED" in checker.report()
 
     def test_duplicate_corruption_flagged(self):
@@ -346,16 +347,12 @@ class TestInvariantChecker:
         scenario = Scenario(
             name="crash", actions=(CrashPeer(at=2 * MINUTES, peer="rdv-0"),)
         )
-        log = EventLog()
-        engine = engine_for(sim, network, overlay, scenario, log=log)
+        log = TimelineTracer()
+        engine = engine_for(sim, network, overlay, scenario)
         checker = InvariantChecker(sim, overlay.rendezvous, log=log)
         overlay.start()
         engine.start()
         sim.run(until=10 * MINUTES)
         assert checker.ok
-        late = [
-            r
-            for r in log.records(kind="invariant.convergence", observer="rdv-0")
-            if r.time > 3 * MINUTES
-        ]
+        late = [e for e in log.events if e.actor == "rdv-0" and e.t > 3 * MINUTES]
         assert late == []

@@ -5,15 +5,13 @@ import pytest
 from repro.advertisement.rdvadv import RdvAdvertisement
 from repro.ids import NET_PEER_GROUP_ID, PeerID
 from repro.metrics import (
-    EventLog,
     StepSeries,
-    attach_peerview_logger,
-    latency_stats,
     peerview_size_series,
     render_series,
     render_table,
     sample_at,
 )
+from repro.obs.tracer import PeerViewRecorder, TimelineTracer
 from repro.rendezvous.peerview import PeerView
 
 
@@ -25,35 +23,19 @@ def adv(n):
     )
 
 
-class TestEventLog:
-    def test_record_and_filter(self):
-        log = EventLog()
-        log.record(1.0, "rdv-0", "peerview.add", "abc")
-        log.record(2.0, "rdv-1", "peerview.add", "def")
-        log.record(3.0, "rdv-0", "peerview.remove", "abc")
-        assert len(log) == 3
-        assert len(log.records(kind="peerview.add")) == 2
-        assert len(log.records(observer="rdv-0")) == 2
-        assert len(log.records(kind="peerview.add", observer="rdv-0")) == 1
-
-    def test_kinds_histogram(self):
-        log = EventLog()
-        log.record(1.0, "a", "x")
-        log.record(2.0, "a", "x")
-        log.record(3.0, "a", "y")
-        assert log.kinds() == {"x": 2, "y": 1}
-
-
 class TestPeerviewLogger:
     def test_events_flow_into_log(self):
-        log = EventLog()
+        log = TimelineTracer()
         view = PeerView(adv(50))
-        attach_peerview_logger(log, "rdv-50", view)
+        view.add_listener(PeerViewRecorder(log, "rdv-50"))
         view.upsert(adv(10), now=1.0)
         view.remove(adv(10).rdv_peer_id, now=2.0)
-        kinds = [r.kind for r in log.records()]
-        assert kinds == ["peerview.add", "peerview.remove"]
-        assert log.records()[0].observer == "rdv-50"
+        events = list(log.events)
+        assert [(e.t, e.cat, e.name) for e in events] == [
+            (1.0, "peerview", "view.add"), (2.0, "peerview", "view.remove"),
+        ]
+        assert events[0].actor == "rdv-50"
+        assert events[0].args == {"peer": adv(10).rdv_peer_id.short()}
 
 
 class TestStepSeries:
@@ -77,10 +59,11 @@ class TestStepSeries:
         assert s.time_of_max() == 5.0
 
     def test_reconstruction_from_log(self):
-        log = EventLog()
-        log.record(1.0, "rdv-0", "peerview.add", "a")
-        log.record(2.0, "rdv-0", "peerview.add", "b")
-        log.record(3.0, "rdv-0", "peerview.remove", "a")
+        log = TimelineTracer()
+        log.record(1.0, "peerview", "view.add", "rdv-0", {"peer": "a"})
+        log.record(2.0, "peerview", "view.add", "rdv-0", {"peer": "b"})
+        log.record(2.5, "peerview", "view.add", "rdv-1", {"peer": "c"})
+        log.record(3.0, "peerview", "view.remove", "rdv-0", {"peer": "a"})
         series = peerview_size_series(log, "rdv-0")
         assert series.value_at(0.5) == 0
         assert series.value_at(1.5) == 1
@@ -96,19 +79,6 @@ class TestStepSeries:
     def test_sample_bad_step(self):
         with pytest.raises(ValueError):
             sample_at(StepSeries([0.0], [1.0]), 0.0, 1.0, 0.0)
-
-
-class TestLatencyStats:
-    def test_basic_stats(self):
-        stats = latency_stats([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert stats["mean"] == 3.0
-        assert stats["min"] == 1.0
-        assert stats["max"] == 5.0
-        assert stats["count"] == 5.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            latency_stats([])
 
 
 class TestRenderers:

@@ -59,3 +59,29 @@ def test_every_module_has_a_docstring():
             if not module.__doc__:
                 missing.append(module.__name__)
     assert not missing, f"modules without docstrings: {missing}"
+
+
+@pytest.mark.parametrize("name", ["repro.obs", "repro.faults", "repro.fuzz"])
+def test_recording_layers_do_not_import_metrics(name):
+    # repro.metrics (series, renderers) reads what these layers record;
+    # an import the other way round would make the recorder depend on
+    # its readers.  Imports inside functions count too.
+    import ast
+    from pathlib import Path
+
+    package = importlib.import_module(name)
+    offenders = []
+    for path in sorted(Path(package.__path__[0]).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                targets = [node.module] + [
+                    f"{node.module}.{alias.name}" for alias in node.names
+                ]
+            else:
+                continue
+            if any(t == "repro.metrics" or t.startswith("repro.metrics.")
+                   for t in targets):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, f"{name} imports repro.metrics at {offenders}"
