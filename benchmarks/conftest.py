@@ -1,10 +1,10 @@
 """Benchmark harness configuration.
 
-Every benchmark regenerates one of the paper's tables/figures at a
-CI-sized (shape-preserving) configuration and asserts the published
-qualitative findings; paper-scale runs are available through
-``jxta-repro <experiment> --full``.  Simulation runs are seconds-long
-and deterministic, so a single round per benchmark is meaningful.
+Every file here is a performance benchmark whose numbers ``make bench``
+folds into BENCH_kernel.json; the paper's findings are the claim table
+(``repro.analysis.claims``), which tier-1 checks.  Simulation runs are
+seconds-long and deterministic, so a single round per benchmark is
+meaningful.
 """
 
 import os

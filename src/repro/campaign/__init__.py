@@ -24,7 +24,6 @@ from repro.campaign.aggregate import (
     AggregateRow,
     SeriesAggregate,
     aggregate_records,
-    experiment_seed_records,
     render_aggregate_table,
     write_aggregates,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "aggregate_records",
     "build_campaign",
     "canonical_json",
-    "experiment_seed_records",
     "get_task",
     "register_task",
     "render_aggregate_table",

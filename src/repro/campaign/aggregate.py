@@ -78,8 +78,6 @@ def mean_std_ci(values: Sequence[float]) -> Tuple[float, float, float]:
     return mean, std, Z95 * std / math.sqrt(n)
 
 
-
-
 def _group_identity(params: Dict[str, Any]) -> Tuple[str, str]:
     """(sort key, human label) of a task's parameters minus the seed."""
     identity = {k: v for k, v in params.items() if k != "seed"}
@@ -232,54 +230,3 @@ def render_aggregate_table(rows: Sequence[AggregateRow]) -> str:
     return render_table(
         ["group", "metric", "n", "mean", "std", "ci95"], body
     )
-
-
-def experiment_seed_records(
-    name: str,
-    per_seed: Dict[int, Any],
-) -> List[Dict[str, Any]]:
-    """Adapt raw experiment ``main()`` return values (one per seed) into
-    task-record form so they flow through :func:`aggregate_records` —
-    the machinery behind the experiment CLI's ``--seeds N``."""
-    import dataclasses
-
-    def rows_of(results: Any) -> List[Tuple[str, Dict[str, float]]]:
-        if dataclasses.is_dataclass(results) and not isinstance(results, type):
-            results = [results]
-        if not isinstance(results, list):
-            return []
-        out: List[Tuple[str, Dict[str, float]]] = []
-        for i, row in enumerate(results):
-            if not dataclasses.is_dataclass(row) or isinstance(row, type):
-                continue
-            metrics: Dict[str, float] = {}
-            tags: List[str] = []
-            for fld in dataclasses.fields(row):
-                if fld.name in NON_METRIC_FIELDS:
-                    continue
-                value = getattr(row, fld.name)
-                if isinstance(value, str):
-                    tags.append(value)
-                elif _is_number(value):
-                    metrics[fld.name] = float(value)
-            label = getattr(row, "label", None)
-            if not isinstance(label, str):
-                label = "-".join([f"{i:02d}"] + tags)
-            out.append((label, metrics))
-        return out
-
-    records: List[Dict[str, Any]] = []
-    for seed in sorted(per_seed):
-        for label, metrics in rows_of(per_seed[seed]):
-            if not metrics:
-                continue
-            records.append(
-                {
-                    "key": f"{name}:{label}:{seed}",
-                    "task": name,
-                    "params": {"experiment": name, "group": label, "seed": seed},
-                    "status": "ok",
-                    "result": metrics,
-                }
-            )
-    return records

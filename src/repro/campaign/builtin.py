@@ -17,15 +17,16 @@ paper's sweeps as a grid of independent tasks:
 
 Every builder takes ``seeds``: the grid gains a seed axis
 ``base_seed … base_seed+seeds-1`` and the aggregator reports the
-cross-seed spread per configuration.
+cross-seed spread per configuration.  The ``fig3``, ``ablation`` and
+``churn`` grids are their experiment modules' ``SIZES``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.campaign.spec import CampaignSpec
-from repro.sim import MINUTES, SECONDS
+from repro.sim import MINUTES
 
 
 def _seed_axis(seeds: int, base_seed: int):
@@ -38,18 +39,17 @@ def fig3_campaign(
     full: bool = False, seeds: int = 1, base_seed: int = 1,
     out: Optional[str] = None,
 ) -> CampaignSpec:
-    from repro.experiments.fig3_left import CI_CONFIGS, PAPER_CONFIGS
+    from repro.experiments.fig3_left import SIZES
 
-    configs = PAPER_CONFIGS if full else CI_CONFIGS
-    duration = (120 if full else 60) * MINUTES
+    size = SIZES["full" if full else "ci"]
     return CampaignSpec(
         name="fig3",
         task_type="peerview",
         grid={
-            "config": [{"r": r, "topology": t} for r, t in configs],
+            "config": [{"r": r, "topology": t} for r, t in size["configs"]],
             "seed": _seed_axis(seeds, base_seed),
         },
-        base={"duration": duration},
+        base={"duration": size["duration"]},
         description="Figure 3: peerview size l(t) across the r/topology grid",
     )
 
@@ -78,15 +78,18 @@ def ablation_campaign(
     full: bool = False, seeds: int = 1, base_seed: int = 1,
     out: Optional[str] = None,
 ) -> CampaignSpec:
+    from repro.experiments.ablation import SIZES
+
+    size = SIZES["full" if full else "ci"]
     return CampaignSpec(
         name="ablation",
         task_type="peerview",
         grid={
-            "pve_expiration": [10 * MINUTES, 20 * MINUTES, 90 * MINUTES],
-            "peerview_interval": [15 * SECONDS, 30 * SECONDS, 60 * SECONDS],
+            "pve_expiration": list(size["expirations"]),
+            "peerview_interval": list(size["intervals"]),
             "seed": _seed_axis(seeds, base_seed),
         },
-        base={"r": 80 if full else 30, "duration": 60 * MINUTES},
+        base={"r": size["r"], "duration": size["duration"]},
         description="PVE_EXPIRATION x PEERVIEW_INTERVAL freshness/bandwidth "
         "trade-off (§4.1)",
     )
@@ -96,14 +99,17 @@ def churn_campaign(
     full: bool = False, seeds: int = 1, base_seed: int = 1,
     out: Optional[str] = None,
 ) -> CampaignSpec:
+    from repro.experiments.churn_exp import SIZES
+
+    size = SIZES["full" if full else "ci"]
     return CampaignSpec(
         name="churn",
         task_type="churn",
         grid={
-            "mean_session": [60 * MINUTES, 20 * MINUTES, 5 * MINUTES],
+            "mean_session": list(size["sessions"]),
             "seed": _seed_axis(seeds, base_seed),
         },
-        base={"r": 32 if full else 16, "queries": 60},
+        base={"r": size["r"], "queries": size["queries"]},
         description="discovery success/latency under rendezvous volatility",
     )
 
@@ -176,8 +182,10 @@ def fuzz_campaign(
 
 def all_experiments_campaign(
     full: bool = False, seeds: int = 1, base_seed: int = 1,
-    out: Optional[str] = None,
+    out: Optional[str] = None, names: Optional[Sequence[str]] = None,
 ) -> CampaignSpec:
+    """Every experiment module as one task per seed; ``names`` narrows
+    the grid (``jxta-repro <experiment> --seeds N`` runs one name)."""
     from repro.experiments.cli import EXPERIMENTS
 
     base: Dict[str, Any] = {"full": full}
@@ -187,7 +195,7 @@ def all_experiments_campaign(
         name="all",
         task_type="experiment",
         grid={
-            "name": sorted(EXPERIMENTS),
+            "name": sorted(names or EXPERIMENTS),
             "seed": _seed_axis(seeds, base_seed),
         },
         base=base,

@@ -16,9 +16,11 @@ Built-in task types:
     One discovery-under-volatility point (the churn matrix).
 ``experiment``
     One whole experiment module from :data:`repro.experiments.cli
-    .EXPERIMENTS` — the unit behind ``jxta-repro sweep all`` and the
-    ``make experiments[-full]`` targets.  Rendered stdout and CSV/JSON
-    artefacts are written under ``params["out"]``.
+    .EXPERIMENTS` — the unit behind ``jxta-repro sweep all``, the
+    ``make experiments[-full]`` targets and ``jxta-repro <experiment>
+    --seeds N``.  Returns every numeric field of its result rows as
+    ``<row>.<field>``; rendered stdout and CSV/JSON artefacts are
+    written under ``params["out"]``.
 ``load``
     One :mod:`repro.workload` run (the rate × skew × r grid of the
     ``load`` campaign): open-loop clients against an r-rendezvous
@@ -180,16 +182,13 @@ def peerview_point(params: Dict[str, Any]) -> Dict[str, Any]:
     times, values = sample_at(series, 0.0, duration, sample_step)
     sizes = result.overlay.group.peerview_sizes()
     network = result.overlay.group.network
-
-    plateau_xs = [duration * (0.75 + 0.25 * i / 10) for i in range(11)]
-    plateau_vals = series.sampled(plateau_xs)
     return {
         "series_times": times,
         "series_values": values,
         "peak_l": series.max(),
         "peak_time_s": series.time_of_max(),
         "reached_max": bool(series.max() >= r - 1),
-        "plateau_l": sum(plateau_vals) / len(plateau_vals),
+        "plateau_l": series.plateau(duration),
         "min_l": min(sizes),
         "mean_l": sum(sizes) / len(sizes),
         "property_2": bool(result.overlay.group.property_2_satisfied()),
@@ -233,33 +232,31 @@ register_bootstrap_spec("churn", _churn_bootstrap_spec)
 
 
 def _load_workload_spec(params: Dict[str, Any]):
-    """The (WorkloadSpec, r, seed) a ``load`` task's params describe
-    (shared by the task body and its bootstrap-spec function)."""
-    from repro.workload import WorkloadSpec
+    """The (WorkloadSpec, r, seed) a ``load`` task's params describe:
+    the experiment's CI-sized :func:`~repro.experiments.load_exp.ci_spec`
+    with the given params overriding it (shared by the task body and its
+    bootstrap-spec function)."""
+    from repro.experiments.load_exp import CI_R, ci_spec
 
-    r = int(params.get("r", 12))
-    rate = float(params.get("rate", 2.0))
-    skew = float(params.get("skew", 1.0))
-    seed = int(params.get("seed", 1))
-    spec = WorkloadSpec(
-        name="load",
-        duration=float(params.get("duration", 60.0)),
-        warmup=float(params.get("warmup", 5 * MINUTES)),
+    base = ci_spec()
+    skew = float(params.get("skew", base.catalog["skew"]))
+    fields = (
+        ("duration", float), ("warmup", float), ("queriers", int),
+        ("publishers", int), ("closed_clients", int), ("timeout", float),
+    )
+    spec = ci_spec(
         catalog={
             "popularity": "zipf" if skew > 0 else "uniform",
-            "size": int(params.get("catalog_size", 120)),
+            "size": int(params.get("catalog_size", base.catalog["size"])),
             "skew": skew,
         },
         arrivals={
-            "kind": params.get("arrivals", "poisson"),
-            "rate": rate,
+            "kind": params.get("arrivals", base.arrivals["kind"]),
+            "rate": float(params.get("rate", base.arrivals["rate"])),
         },
-        queriers=int(params.get("queriers", 6)),
-        publishers=int(params.get("publishers", 2)),
-        closed_clients=int(params.get("closed_clients", 0)),
-        timeout=float(params.get("timeout", 10.0)),
+        **{name: kind(params[name]) for name, kind in fields if name in params},
     )
-    return spec, r, seed
+    return spec, int(params.get("r", CI_R)), int(params.get("seed", 1))
 
 
 @register_task("load")
@@ -304,10 +301,37 @@ def _load_bootstrap_spec(params: Dict[str, Any]) -> Dict[str, Any]:
 register_bootstrap_spec("load", _load_bootstrap_spec)
 
 
+def _row_metrics(results: Any) -> Dict[str, float]:
+    """Every numeric field of an experiment's result rows (one dataclass
+    or a list of them) as ``<row>.<field>``.  A row is named by its
+    ``label``, else by its index and string fields; the aggregator's
+    non-metric fields are skipped."""
+    import dataclasses
+
+    from repro.campaign.aggregate import NON_METRIC_FIELDS
+
+    metrics: Dict[str, float] = {}
+    for i, row in enumerate(results if isinstance(results, list) else [results]):
+        values = {
+            f.name: getattr(row, f.name) for f in dataclasses.fields(row)
+            if f.name not in NON_METRIC_FIELDS
+        }
+        label = getattr(row, "label", None)
+        if not isinstance(label, str):
+            tags = [v for v in values.values() if isinstance(v, str)]
+            label = "-".join([f"{i:02d}"] + tags)
+        metrics.update(
+            (f"{label}.{name}", float(v)) for name, v in values.items()
+            if isinstance(v, (int, float))
+        )
+    return metrics
+
+
 @register_task("experiment")
 def experiment_task(params: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one whole experiment module; capture its rendered output and
-    route its structured results through the existing exporter."""
+    """Run one whole experiment module; capture its rendered output,
+    route its structured results through the existing exporter and
+    return their numeric fields (what ``--seeds N`` aggregates)."""
     from repro.experiments.cli import _invoke
     from repro.experiments.export import save_results
 
@@ -333,6 +357,7 @@ def experiment_task(params: Dict[str, Any]) -> Dict[str, Any]:
         "seed": seed,
         "rendered_chars": len(buffer.getvalue()),
         "files": written,
+        **_row_metrics(results),
     }
 
 

@@ -1,25 +1,13 @@
-"""Experiment harness: one module per paper table/figure.
+"""Experiment harness: one module per paper table or figure.
 
-========  ====================================================
-module    paper artefact
-========  ====================================================
-table1    Table 1 + Figure 2 worked example (publish/lookup)
-fig3_left Figure 3 (left): peerview size l(t) vs r
-fig3_right Figure 3 (right): add/remove event scatter, r = 580
-fig4_left Figure 4 (left): l(t) for r = 50, PVE_EXPIRATION sweep
-fig4_right Figure 4 (right): discovery time vs r, configs A & B
-baselines_exp complexity comparison vs Chord / flooding / central
-ablation  §4.1 freshness-vs-bandwidth parameter sweep
-churn_exp §5 future work: discovery under volatility
-complex_queries §5 future work: wildcard and range lookups
-faults_exp §5 future work: fault matrix + invariant checking
+``cli.EXPERIMENTS`` maps each ``jxta-repro`` name to its module, and
+DESIGN.md §4 indexes the modules against the paper's artefacts.
 
-load_exp  workload-driven SLO runs (repro.workload load generator)
-transport_exp Figure 1's transports: TCP vs HTTP relay
-calibration_exp DESIGN §5b constants, ablated
-========  ====================================================
-
-Each module exposes ``run(...)`` returning structured results and a
-``main()`` that prints the paper-style series; the CLI front-end is
-``python -m repro.experiments.cli`` (installed as ``jxta-repro``).
+Each module declares its sizes once, ``SIZES = {"ci": {...}, "full":
+{...}}`` (keyword arguments of its ``run(...)``, which returns
+structured results), and a ``main(full, seed)`` that runs one size and
+prints the paper-style series.  The CLI front-end is
+``python -m repro.experiments.cli`` (installed as ``jxta-repro``); the
+campaign builders and the claim table (``repro.analysis.claims``) read
+the same ``SIZES``.
 """

@@ -15,12 +15,21 @@ completeness and the peerview bandwidth consumed per rendezvous.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.config import PlatformConfig
 from repro.experiments.common import run_peerview_overlay
 from repro.metrics import render_table
 from repro.sim import MINUTES, SECONDS
+
+#: keyword arguments of :func:`run` per size: the PVE_EXPIRATION x
+#: PEERVIEW_INTERVAL grid at fixed r
+SIZES = {
+    size: {"r": r, "duration": 60 * MINUTES,
+           "expirations": (10 * MINUTES, 20 * MINUTES, 90 * MINUTES),
+           "intervals": (15 * SECONDS, 30 * SECONDS, 60 * SECONDS)}
+    for size, r in (("ci", 30), ("full", 80))
+}
 
 
 @dataclass
@@ -36,10 +45,10 @@ class AblationPoint:
 
 
 def run(
-    r: int = 50,
-    duration: float = 60 * MINUTES,
-    expirations: Sequence[float] = (10 * MINUTES, 20 * MINUTES, 90 * MINUTES),
-    intervals: Sequence[float] = (15 * SECONDS, 30 * SECONDS, 60 * SECONDS),
+    r: int,
+    duration: float,
+    expirations: Sequence[float],
+    intervals: Sequence[float],
     seed: int = 1,
     verbose: bool = False,
 ) -> List[AblationPoint]:
@@ -102,13 +111,6 @@ def render(points: List[AblationPoint]) -> str:
 
 
 def main(full: bool = False, seed: int = 1) -> List[AblationPoint]:
-    r = 80 if full else 30
-    points = run(r=r, seed=seed, verbose=True)
+    points = run(**SIZES["full" if full else "ci"], seed=seed, verbose=True)
     print(render(points))
     return points
-
-
-if __name__ == "__main__":
-    import sys
-
-    main(full="--full" in sys.argv)

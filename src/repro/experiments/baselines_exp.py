@@ -139,8 +139,15 @@ def _run_chord(r: int, queries: int, seed: int) -> BaselinePoint:
     )
 
 
+#: keyword arguments of :func:`run` per size
+SIZES = {
+    "ci": {"r_values": (8, 16, 32)},
+    "full": {"r_values": (16, 32, 64, 128)},
+}
+
+
 def run(
-    r_values: Sequence[int] = (8, 16, 32),
+    r_values: Sequence[int],
     queries: int = 20,
     seed: int = 1,
     warmup: float = 10 * MINUTES,
@@ -180,13 +187,6 @@ def render(points: List[BaselinePoint]) -> str:
 
 
 def main(full: bool = False, seed: int = 1) -> List[BaselinePoint]:
-    r_values = (16, 32, 64, 128) if full else (8, 16, 32)
-    points = run(r_values=r_values, seed=seed)
+    points = run(**SIZES["full" if full else "ci"], seed=seed)
     print(render(points))
     return points
-
-
-if __name__ == "__main__":
-    import sys
-
-    main(full="--full" in sys.argv)

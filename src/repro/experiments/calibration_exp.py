@@ -52,9 +52,6 @@ def run_point(
         r=r, duration=duration, seed=seed, config=config
     )
     series = peerview_size_series(result.log, "rdv-0")
-    tail = [
-        series.value_at(duration * (0.75 + 0.25 * i / 10)) for i in range(11)
-    ]
     network = result.overlay.group.network
     return CalibrationPoint(
         r=r,
@@ -62,15 +59,24 @@ def run_point(
         random_probe_count=random_probe_count,
         peak=series.max(),
         peak_minutes=series.time_of_max() / 60.0,
-        plateau=sum(tail) / len(tail),
+        plateau=series.plateau(duration),
         kbps_per_rdv=network.stats.bytes_sent * 8.0 / duration / r / 1000.0,
     )
 
 
+#: keyword arguments of :func:`run` per size: the referral_count x
+#: random_probe_count grid
+SIZES = {
+    size: {"r": r, "referral_counts": (1, 3, 5),
+           "random_probe_counts": (0, 1, 2), "duration": duration}
+    for size, r, duration in (("ci", 40, 40 * MINUTES), ("full", 80, 60 * MINUTES))
+}
+
+
 def run(
-    r: int = 80,
-    referral_counts: Sequence[int] = (1, 3, 5),
-    random_probe_counts: Sequence[int] = (0, 1, 2),
+    r: int,
+    referral_counts: Sequence[int],
+    random_probe_counts: Sequence[int],
     duration: float = 60 * MINUTES,
     seed: int = 1,
     verbose: bool = False,
@@ -118,17 +124,6 @@ def render(points: List[CalibrationPoint]) -> str:
 
 
 def main(full: bool = False, seed: int = 1) -> List[CalibrationPoint]:
-    points = run(
-        r=80 if full else 40,
-        duration=(60 if full else 40) * MINUTES,
-        seed=seed,
-        verbose=True,
-    )
+    points = run(**SIZES["full" if full else "ci"], seed=seed, verbose=True)
     print(render(points))
     return points
-
-
-if __name__ == "__main__":
-    import sys
-
-    main(full="--full" in sys.argv)

@@ -51,6 +51,13 @@ class ChurnPoint:
 #: that will churn
 TARGET_COUNT = 20
 
+#: keyword arguments of :func:`run` per size: the session-length matrix
+SIZES = {
+    size: {"r": r, "sessions": (60 * MINUTES, 20 * MINUTES, 5 * MINUTES),
+           "queries": 60}
+    for size, r in (("ci", 16), ("full", 32))
+}
+
 
 def bootstrap_spec(
     r: int = 24,
@@ -191,8 +198,8 @@ def run_point(
 
 
 def run(
-    r: int = 24,
-    sessions: Sequence[float] = (60 * MINUTES, 20 * MINUTES, 5 * MINUTES),
+    r: int,
+    sessions: Sequence[float],
     queries: int = 60,
     seed: int = 1,
     verbose: bool = False,
@@ -237,14 +244,8 @@ def main(
     checkpoint_store: Optional[CheckpointStore] = None,
 ) -> List[ChurnPoint]:
     points = run(
-        r=32 if full else 16, seed=seed, verbose=True,
+        **SIZES["full" if full else "ci"], seed=seed, verbose=True,
         checkpoint_store=checkpoint_store,
     )
     print(render(points))
     return points
-
-
-if __name__ == "__main__":
-    import sys
-
-    main(full="--full" in sys.argv)

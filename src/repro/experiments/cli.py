@@ -4,9 +4,10 @@
 two-hour timelines, the 0–200 discovery sweep); without it a reduced
 but shape-preserving configuration runs in seconds to minutes.
 
-``--seeds N`` repeats the experiment over N consecutive seeds and
-reports the cross-seed spread (mean/std/95% CI per metric) through the
-campaign aggregator.
+``--seeds N`` runs the experiment as a campaign over N consecutive
+seeds (the ``experiment`` task of :mod:`repro.campaign`, in-process)
+and reports the cross-seed spread (mean/std/95% CI per result-row
+metric) through the campaign aggregator.
 
 ``jxta-repro sweep <campaign>`` hands over to the parallel, resumable
 campaign orchestrator (:mod:`repro.campaign`) — see
@@ -24,6 +25,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
+from pathlib import Path
 
 from repro.experiments import (
     ablation,
@@ -41,20 +44,22 @@ from repro.experiments import (
     transport_exp,
 )
 
+#: CLI name -> experiment module (each has ``SIZES``, ``run`` and
+#: ``main(full, seed)``)
 EXPERIMENTS = {
-    "table1": table1.main,
-    "fig3-left": fig3_left.main,
-    "fig3-right": fig3_right.main,
-    "fig4-left": fig4_left.main,
-    "fig4-right": fig4_right.main,
-    "baselines": baselines_exp.main,
-    "ablation": ablation.main,
-    "churn": churn_exp.main,
-    "complex-queries": complex_queries.main,
-    "faults": faults_exp.main,
-    "load": load_exp.main,
-    "transport": transport_exp.main,
-    "calibration": calibration_exp.main,
+    "table1": table1,
+    "fig3-left": fig3_left,
+    "fig3-right": fig3_right,
+    "fig4-left": fig4_left,
+    "fig4-right": fig4_right,
+    "baselines": baselines_exp,
+    "ablation": ablation,
+    "churn": churn_exp,
+    "complex-queries": complex_queries,
+    "faults": faults_exp,
+    "load": load_exp,
+    "transport": transport_exp,
+    "calibration": calibration_exp,
 }
 
 #: experiments whose ``main`` accepts ``checkpoint_store=`` (their
@@ -71,7 +76,16 @@ def _invoke(name: str, full: bool, seed: int, checkpoint_store):
     kwargs = {"full": full, "seed": seed}
     if checkpoint_store is not None and name in WARMSTART_EXPERIMENTS:
         kwargs["checkpoint_store"] = checkpoint_store
-    return EXPERIMENTS[name](**kwargs)
+    return EXPERIMENTS[name].main(**kwargs)
+
+
+def _per_experiment_path(path: str, name: str, many: bool, suffix: str) -> Path:
+    """``path``, or ``<stem>-<name><suffix>`` beside it when one run
+    writes a file per experiment (``all``)."""
+    out = Path(path)
+    if many:
+        out = out.with_name(f"{out.stem}-{name}{out.suffix or suffix}")
+    return out
 
 
 def main(argv=None) -> int:
@@ -119,8 +133,9 @@ def main(argv=None) -> int:
         default=1,
         metavar="N",
         help=(
-            "repeat over N consecutive seeds (starting at --seed) and "
-            "report the cross-seed spread per metric"
+            "run over N consecutive seeds (starting at --seed) and "
+            "report the cross-seed spread per metric instead of one "
+            "seed's tables (--out writes <experiment>-seeds.*)"
         ),
     )
     parser.add_argument(
@@ -179,7 +194,8 @@ def main(argv=None) -> int:
         metavar="FILE",
         help=(
             "where to dump the cProfile stats file (default: "
-            "profile-<experiment>.prof in the working directory); "
+            "profile-<experiment>.prof in the working directory; for "
+            "'all', one file per experiment with the name suffixed); "
             "inspect with 'python -m pstats' or snakeviz"
         ),
     )
@@ -194,6 +210,10 @@ def main(argv=None) -> int:
 
     if args.seeds < 1:
         parser.error("--seeds must be >= 1")
+    if args.seeds > 1 and args.metrics_out is not None:
+        # each seed's task records under its own obs session, so an
+        # outer one would see nothing
+        parser.error("--metrics-out records a single run: drop --seeds")
     checkpoint_store = None
     if args.warm_start or args.checkpoint_dir is not None:
         from repro.snapshot import CheckpointStore
@@ -202,6 +222,7 @@ def main(argv=None) -> int:
             args.checkpoint_dir or DEFAULT_CHECKPOINT_DIR
         )
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    many = len(names) > 1
     for name in names:
         if args.experiment == "all":
             print(f"\n{'=' * 70}\n{name}\n{'=' * 70}")
@@ -212,25 +233,22 @@ def main(argv=None) -> int:
             obs_session = activate(ObsSession(metrics=True))
         try:
             if args.profile:
-                results = _run_profiled(name, args, checkpoint_store)
+                results = _run_profiled(name, args, checkpoint_store, many)
             else:
-                results = _invoke(name, args.full, args.seed, checkpoint_store)
+                results = _run(name, args, checkpoint_store)
         finally:
             if obs_session is not None:
                 from repro.obs.runtime import deactivate
 
                 deactivate(obs_session)
         if obs_session is not None:
-            _write_metrics_snapshot(name, obs_session, args, many=len(names) > 1)
+            _write_metrics_snapshot(name, obs_session, args, many)
         if args.out is not None:
-            from pathlib import Path
-
             from repro.experiments.export import save_results
 
-            for path in save_results(name, results, Path(args.out)):
+            label = f"{name}-seeds" if args.seeds > 1 else name
+            for path in save_results(label, results, Path(args.out)):
                 print(f"# wrote {path}")
-        if args.seeds > 1:
-            _run_seed_spread(name, results, args, checkpoint_store)
     if checkpoint_store is not None:
         c = checkpoint_store.counters()
         print(
@@ -243,13 +261,9 @@ def main(argv=None) -> int:
 
 def _write_metrics_snapshot(name: str, obs_session, args, many: bool) -> None:
     """Export one experiment's merged metrics snapshot (--metrics-out)."""
-    from pathlib import Path
-
     from repro.obs.registry import metrics_snapshot_to_json, render_metrics
 
-    path = Path(args.metrics_out)
-    if many:
-        path = path.with_name(f"{path.stem}-{name}{path.suffix or '.json'}")
+    path = _per_experiment_path(args.metrics_out, name, many, ".json")
     if path.parent != Path("."):
         path.parent.mkdir(parents=True, exist_ok=True)
     snapshot = obs_session.merged_snapshot()
@@ -258,39 +272,45 @@ def _write_metrics_snapshot(name: str, obs_session, args, many: bool) -> None:
     print(render_metrics(snapshot))
 
 
-def _run_seed_spread(name: str, first_results, args, checkpoint_store=None) -> None:
-    """Re-run ``name`` for the remaining seeds and print the cross-seed
-    spread via the campaign aggregator."""
-    from repro.campaign.aggregate import (
-        aggregate_records,
-        experiment_seed_records,
-        render_aggregate_table,
-    )
+def _run(name: str, args, checkpoint_store=None):
+    """One seed's results, or with ``--seeds N`` the cross-seed rows."""
+    if args.seeds == 1:
+        return _invoke(name, args.full, args.seed, checkpoint_store)
+    from repro.campaign import CampaignRunner, RunStore, RunnerOptions
+    from repro.campaign.aggregate import aggregate_records, render_aggregate_table
+    from repro.campaign.builtin import all_experiments_campaign
+    from repro.campaign.progress import ProgressReporter
+    from repro.campaign.tasks import set_warm_store
 
-    per_seed = {args.seed: first_results}
-    for seed in range(args.seed + 1, args.seed + args.seeds):
-        print(f"# seed {seed} ...", flush=True)
-        per_seed[seed] = _invoke(name, args.full, seed, checkpoint_store)
-    records = experiment_seed_records(name, per_seed)
+    spec = all_experiments_campaign(
+        full=args.full, seeds=args.seeds, base_seed=args.seed, names=[name]
+    )
+    # the CLI's checkpoint store serves the in-process tasks, so its
+    # counters report their hits and misses
+    set_warm_store(checkpoint_store)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            store = RunStore(tmp)
+            CampaignRunner(
+                spec, store, RunnerOptions(max_retries=0),
+                progress=ProgressReporter(total=args.seeds, jobs=1),
+            ).run()
+            records = store.records()
+    finally:
+        set_warm_store(None)
+    for record in records:
+        if record["status"] != "ok":
+            raise RuntimeError(f"{name} failed:\n{record['error']}")
     rows, _ = aggregate_records(records, campaign=name)
-    if not rows:
-        print(f"# {name}: no scalar metrics to aggregate across seeds")
-        return
     print(
         f"\n{name} — cross-seed spread over seeds "
         f"{args.seed}..{args.seed + args.seeds - 1}\n"
     )
     print(render_aggregate_table(rows))
-    if args.out is not None:
-        from pathlib import Path
-
-        from repro.experiments.export import save_results
-
-        for path in save_results(f"{name}-seeds", rows, Path(args.out)):
-            print(f"# wrote {path}")
+    return rows
 
 
-def _run_profiled(name: str, args, checkpoint_store=None):
+def _run_profiled(name: str, args, checkpoint_store=None, many=False):
     """Run one experiment under cProfile; report and dump the stats."""
     import cProfile
     import pstats
@@ -298,10 +318,13 @@ def _run_profiled(name: str, args, checkpoint_store=None):
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        results = _invoke(name, args.full, args.seed, checkpoint_store)
+        results = _run(name, args, checkpoint_store)
     finally:
         profiler.disable()
-        dump_path = args.profile_out or f"profile-{name}.prof"
+        if args.profile_out is None:
+            dump_path = Path(f"profile-{name}.prof")
+        else:
+            dump_path = _per_experiment_path(args.profile_out, name, many, ".prof")
         profiler.dump_stats(dump_path)
         stats = pstats.Stats(profiler)
         print(f"\n# profile: top {args.profile_top} functions by cumulative time")

@@ -114,8 +114,15 @@ def run_point(
     return out
 
 
+#: keyword arguments of :func:`run` per size
+SIZES = {
+    "ci": {"r_values": (8, 16, 32)},
+    "full": {"r_values": (16, 32, 64, 96)},
+}
+
+
 def run(
-    r_values: Sequence[int] = (8, 16, 32),
+    r_values: Sequence[int],
     queries: int = 20,
     seed: int = 1,
     verbose: bool = False,
@@ -142,13 +149,6 @@ def render(points: List[ComplexQueryPoint]) -> str:
 
 
 def main(full: bool = False, seed: int = 1) -> List[ComplexQueryPoint]:
-    r_values = (16, 32, 64, 96) if full else (8, 16, 32)
-    points = run(r_values=r_values, seed=seed, verbose=True)
+    points = run(**SIZES["full" if full else "ci"], seed=seed, verbose=True)
     print(render(points))
     return points
-
-
-if __name__ == "__main__":
-    import sys
-
-    main(full="--full" in sys.argv)

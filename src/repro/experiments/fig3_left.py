@@ -22,27 +22,21 @@ from repro.metrics import render_series
 from repro.metrics.series import StepSeries, peerview_size_series, sample_at
 from repro.sim import MINUTES
 
-#: The paper's configurations: (r, topology).
-PAPER_CONFIGS: Tuple[Tuple[int, str], ...] = (
-    (10, "chain"),
-    (45, "chain"),
-    (50, "chain"),
-    (80, "chain"),
-    (160, "chain"),
-    (580, "chain"),
-    (160, "tree"),
-    (220, "tree"),
-    (338, "tree"),
-)
-
-#: Reduced configurations for CI-sized benchmark runs.
-CI_CONFIGS: Tuple[Tuple[int, str], ...] = (
-    (10, "chain"),
-    (45, "chain"),
-    (50, "chain"),
-    (80, "chain"),
-    (80, "tree"),
-)
+#: keyword arguments of :func:`run` per size: ``configs`` are (r,
+#: topology) pairs, the full set being the paper's
+SIZES = {
+    "ci": {
+        "configs": ((10, "chain"), (45, "chain"), (50, "chain"), (80, "chain"),
+                    (80, "tree")),
+        "duration": 60 * MINUTES,
+    },
+    "full": {
+        "configs": ((10, "chain"), (45, "chain"), (50, "chain"), (80, "chain"),
+                    (160, "chain"), (580, "chain"), (160, "tree"), (220, "tree"),
+                    (338, "tree")),
+        "duration": 120 * MINUTES,
+    },
+}
 
 
 @dataclass
@@ -73,13 +67,11 @@ class Fig3LeftSeries:
 
     def plateau(self, duration: float) -> float:
         """Mean of l over the last quarter of the run (phase 3)."""
-        xs = [duration * (0.75 + 0.25 * i / 10) for i in range(11)]
-        values = self.series.sampled(xs)
-        return sum(values) / len(values)
+        return self.series.plateau(duration)
 
 
 def run(
-    configs: Sequence[Tuple[int, str]] = CI_CONFIGS,
+    configs: Sequence[Tuple[int, str]],
     duration: float = 60 * MINUTES,
     seed: int = 1,
     verbose: bool = False,
@@ -149,14 +141,7 @@ def render(results: List[Fig3LeftSeries], duration: float) -> str:
 
 
 def main(full: bool = False, seed: int = 1) -> List[Fig3LeftSeries]:
-    duration = (120 if full else 60) * MINUTES
-    configs = PAPER_CONFIGS if full else CI_CONFIGS
-    results = run(configs, duration=duration, seed=seed, verbose=True)
-    print(render(results, duration))
+    size = SIZES["full" if full else "ci"]
+    results = run(**size, seed=seed, verbose=True)
+    print(render(results, size["duration"]))
     return results
-
-
-if __name__ == "__main__":
-    import sys
-
-    main(full="--full" in sys.argv)

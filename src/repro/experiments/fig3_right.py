@@ -24,6 +24,12 @@ from repro.config import PlatformConfig
 from repro.experiments.common import run_peerview_overlay
 from repro.sim import MINUTES
 
+#: keyword arguments of :func:`run` per size (the paper's is r = 580)
+SIZES = {
+    "ci": {"r": 60, "duration": 60 * MINUTES},
+    "full": {"r": 580, "duration": 120 * MINUTES},
+}
+
 
 @dataclass
 class Fig3RightResult:
@@ -109,14 +115,6 @@ def render(result: Fig3RightResult) -> str:
 
 
 def main(full: bool = False, seed: int = 1) -> Fig3RightResult:
-    r = 580 if full else 60
-    duration = (120 if full else 60) * MINUTES
-    result = run(r=r, duration=duration, seed=seed)
+    result = run(**SIZES["full" if full else "ci"], seed=seed)
     print(render(result))
     return result
-
-
-if __name__ == "__main__":
-    import sys
-
-    main(full="--full" in sys.argv)

@@ -19,6 +19,13 @@ from repro.metrics import render_series
 from repro.metrics.series import StepSeries, peerview_size_series, sample_at
 from repro.sim import MINUTES
 
+#: keyword arguments of :func:`run` per size: the paper's own run is
+#: already small, so both sizes are r = 50 over 60 minutes
+SIZES = {
+    "ci": {"r": 50, "duration": 60 * MINUTES},
+    "full": {"r": 50, "duration": 60 * MINUTES},
+}
+
 
 @dataclass
 class Fig4LeftResult:
@@ -117,12 +124,6 @@ def render(result: Fig4LeftResult) -> str:
 
 
 def main(full: bool = False, seed: int = 1) -> Fig4LeftResult:
-    result = run(r=50, duration=60 * MINUTES, seed=seed)
+    result = run(**SIZES["full" if full else "ci"], seed=seed)
     print(render(result))
     return result
-
-
-if __name__ == "__main__":
-    import sys
-
-    main(full="--full" in sys.argv)

@@ -37,15 +37,24 @@ from repro.sim import HOURS, MINUTES, SimOptions, Simulator
 from repro.snapshot import CheckpointStore, warm_start
 from repro.workload import noiser_catalog, publish_catalog
 
-#: r values of the paper's sweep (x axis 0..200).
-PAPER_R_VALUES: tuple = (5, 25, 50, 100, 150, 200)
-#: CI-sized sweep.
-CI_R_VALUES: tuple = (4, 8, 16)
-
 #: Configuration B parameters (§4.2).
 NOISER_COUNT = 50
 FAKES_PER_NOISER = 100
 NOISER_RDV_SPREAD = 5
+
+#: keyword arguments of :func:`run` per size; the full sweep is the
+#: paper's x axis 0..200, each point over three seeds
+SIZES = {
+    "ci": {
+        "r_values": (4, 8, 16), "queries": 30, "seeds": 1,
+        "warmup": 8 * MINUTES, "noisers": 10, "fakes_per_noiser": 50,
+    },
+    "full": {
+        "r_values": (5, 25, 50, 100, 150, 200), "queries": 100, "seeds": 3,
+        "warmup": 45 * MINUTES, "noisers": NOISER_COUNT,
+        "fakes_per_noiser": FAKES_PER_NOISER,
+    },
+}
 
 
 @dataclass
@@ -195,9 +204,10 @@ def run_point(
 
 
 def run(
-    r_values: Sequence[int] = CI_R_VALUES,
+    r_values: Sequence[int],
     queries: int = 100,
-    seeds: Sequence[int] = (1, 2, 3),
+    seed: int = 1,
+    seeds: int = 3,
     warmup: float = 45 * MINUTES,
     noisers: int = NOISER_COUNT,
     fakes_per_noiser: int = FAKES_PER_NOISER,
@@ -206,11 +216,12 @@ def run(
 ) -> List[Fig4RightPoint]:
     """Full sweep: configurations A and B at every r.
 
-    Each point is averaged over several seeds: the walk distance of a
-    single deployment depends on where the one searched tuple happens
-    to land relative to the observers' views, so one seed per point is
-    dominated by placement luck (the paper's testbed saw the same
-    effect averaged away by drifting peerviews across its 100 queries).
+    Each point is averaged over ``seeds`` consecutive seeds from
+    ``seed``: the walk distance of a single deployment depends on where
+    the one searched tuple happens to land relative to the observers'
+    views, so one seed per point is dominated by placement luck (the
+    paper's testbed saw the same effect averaged away by drifting
+    peerviews across its 100 queries).
     """
     out: List[Fig4RightPoint] = []
     for r in r_values:
@@ -224,7 +235,7 @@ def run(
                     noisers=noisers, fakes_per_noiser=fakes_per_noiser,
                     checkpoint_store=checkpoint_store,
                 )
-                for s in seeds
+                for s in range(seed, seed + seeds)
             ]
             merged_samples = [s for p in per_seed for s in p.samples]
             out.append(
@@ -278,23 +289,9 @@ def main(
     seed: int = 1,
     checkpoint_store: Optional[CheckpointStore] = None,
 ) -> List[Fig4RightPoint]:
-    if full:
-        points = run(
-            PAPER_R_VALUES, queries=100, seeds=(seed, seed + 1, seed + 2),
-            warmup=45 * MINUTES, verbose=True,
-            checkpoint_store=checkpoint_store,
-        )
-    else:
-        points = run(
-            CI_R_VALUES, queries=30, seeds=(seed,),
-            warmup=8 * MINUTES, noisers=10, fakes_per_noiser=50, verbose=True,
-            checkpoint_store=checkpoint_store,
-        )
+    points = run(
+        **SIZES["full" if full else "ci"], seed=seed, verbose=True,
+        checkpoint_store=checkpoint_store,
+    )
     print(render(points))
     return points
-
-
-if __name__ == "__main__":
-    import sys
-
-    main(full="--full" in sys.argv)

@@ -77,6 +77,13 @@ def full_spec(**overrides: Any) -> WorkloadSpec:
     return WorkloadSpec(**base)
 
 
+#: keyword arguments of :func:`run_load` per size
+SIZES = {
+    "ci": {"spec": ci_spec(), "r": CI_R},
+    "full": {"spec": full_spec(), "r": FULL_R},
+}
+
+
 @dataclass
 class LoadRun:
     """Everything one workload run produced."""
@@ -289,43 +296,17 @@ def render(run: LoadRun) -> str:
     return head + "\n" + body + tail
 
 
-def render_results(rows: List[LoadResult]) -> str:
-    body = [
-        [
-            row.label,
-            row.requests,
-            f"{row.qps:.1f}",
-            f"{row.p50_ms:.1f}" if row.p50_ms else "-",
-            f"{row.p99_ms:.1f}" if row.p99_ms else "-",
-            f"{100.0 * row.timeout_rate:.2f}%",
-        ]
-        for row in rows
-    ]
-    return render_table(
-        ["workload.op", "requests", "req/s", "p50 [ms]", "p99 [ms]",
-         "timeouts"],
-        body,
-    )
-
-
 def main(
     full: bool = False,
     seed: int = 1,
     checkpoint_store: Optional[CheckpointStore] = None,
 ) -> List[LoadResult]:
-    spec = full_spec() if full else ci_spec()
-    r = FULL_R if full else CI_R
+    size = SIZES["full" if full else "ci"]
     print(
-        f"# load: r={r}, ~{spec.expected_requests():.0f} open-loop "
-        f"requests expected, seed={seed} ...",
+        f"# load: r={size['r']}, ~{size['spec'].expected_requests():.0f} "
+        f"open-loop requests expected, seed={seed} ...",
         flush=True,
     )
-    run = run_load(spec, r=r, seed=seed, checkpoint_store=checkpoint_store)
+    run = run_load(**size, seed=seed, checkpoint_store=checkpoint_store)
     print(render(run))
     return results_of(run)
-
-
-if __name__ == "__main__":
-    import sys
-
-    main(full="--full" in sys.argv)

@@ -37,6 +37,9 @@ PAPER_RDV_IDS = (6, 20, 36, 50, 88, 180)
 EXAMPLE_HASH = 116
 EXAMPLE_MAX_HASH = 200
 
+#: keyword arguments of :func:`run` per size; the worked example has one
+SIZES = {"ci": {}, "full": {}}
+
 
 @dataclass
 class Table1Result:
@@ -150,10 +153,6 @@ def render(result: Table1Result) -> str:
 
 
 def main(full: bool = False, seed: int = 1) -> Table1Result:
-    result = run(seed=seed)
+    result = run(**SIZES["full" if full else "ci"], seed=seed)
     print(render(result))
     return result
-
-
-if __name__ == "__main__":
-    main()

@@ -80,8 +80,15 @@ def run_point(
     )
 
 
+#: keyword arguments of :func:`run` per size
+SIZES = {
+    size: {"poll_intervals": (0.5, 2.0, 5.0), "r": r, "queries": queries}
+    for size, r, queries in (("ci", 8, 30), ("full", 16, 60))
+}
+
+
 def run(
-    poll_intervals: Sequence[float] = (0.5, 2.0, 5.0),
+    poll_intervals: Sequence[float],
     r: int = 8,
     queries: int = 30,
     seed: int = 1,
@@ -117,18 +124,6 @@ def render(points: List[TransportPoint]) -> str:
 
 
 def main(full: bool = False, seed: int = 1) -> List[TransportPoint]:
-    points = run(
-        poll_intervals=(0.5, 2.0, 5.0),
-        r=16 if full else 8,
-        queries=60 if full else 30,
-        seed=seed,
-        verbose=True,
-    )
+    points = run(**SIZES["full" if full else "ci"], seed=seed, verbose=True)
     print(render(points))
     return points
-
-
-if __name__ == "__main__":
-    import sys
-
-    main(full="--full" in sys.argv)

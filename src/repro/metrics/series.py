@@ -34,6 +34,12 @@ class StepSeries:
     def sampled(self, at_times: Sequence[float]) -> List[float]:
         return [self.value_at(t) for t in at_times]
 
+    def plateau(self, duration: float) -> float:
+        """Mean over the last quarter of ``duration`` (the peerview's
+        phase 3), sampled at eleven evenly spaced times."""
+        values = self.sampled([duration * (0.75 + 0.25 * i / 10) for i in range(11)])
+        return sum(values) / len(values)
+
     @property
     def final(self) -> float:
         return self.values[-1] if self.values else 0.0

@@ -32,7 +32,7 @@ def _run_target(name: str, full: bool, seed: int) -> None:
     from repro.experiments.cli import EXPERIMENTS
 
     if name in EXPERIMENTS:
-        EXPERIMENTS[name](full=full, seed=seed)
+        EXPERIMENTS[name].main(full=full, seed=seed)
         return
     from repro.campaign.builtin import CAMPAIGNS, build_campaign
 

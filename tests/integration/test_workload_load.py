@@ -137,16 +137,13 @@ def test_experiment_main_returns_flat_rows(capsys):
     assert query.p99_ms >= query.p50_ms > 0
     assert 0.0 <= query.timeout_rate <= 1.0
     # flat dataclass rows with a label → the --seeds aggregator works
-    from repro.campaign.aggregate import (
-        aggregate_records,
-        experiment_seed_records,
-    )
-    records = experiment_seed_records("load", {1: rows})
+    from repro.campaign.aggregate import aggregate_records
+    from repro.campaign.tasks import _row_metrics
+
+    records = [{"key": "k", "params": {"name": "load", "seed": 1},
+                "result": _row_metrics(rows)}]
     agg_rows, _ = aggregate_records(records, campaign="load")
-    assert any(
-        "load.query" in row.group and row.metric == "p99_ms"
-        for row in agg_rows
-    )
+    assert any(row.metric == "load.query.p99_ms" for row in agg_rows)
 
 
 def test_full_spec_meets_acceptance_floor():

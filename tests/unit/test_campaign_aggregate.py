@@ -5,11 +5,11 @@ import math
 from repro.campaign.aggregate import (
     AggregateRow,
     aggregate_records,
-    experiment_seed_records,
     mean_std_ci,
     render_aggregate_table,
     write_aggregates,
 )
+from repro.campaign.tasks import _row_metrics
 from repro.metrics.series import elementwise_mean_std
 
 
@@ -148,42 +148,38 @@ class TestRenderAggregateTable:
         assert "r=10" in text and "±1.13" in text
 
 
+def _ablation_point(mean_l=29.0):
+    from repro.experiments.ablation import AblationPoint
+
+    return AblationPoint(
+        r=30, pve_expiration=600.0, peerview_interval=30.0, min_l=29,
+        mean_l=mean_l, property_2=True, bandwidth_bps_per_rdv=100.0,
+    )
+
+
 class TestExperimentSeedRecords:
+    """The ``experiment`` task returns its result rows' numeric fields,
+    so a seed spread is an ordinary campaign aggregate."""
+
     def test_dataclass_rows_become_records(self):
-        from repro.experiments.ablation import AblationPoint
-
-        def point(seed, mean_l):
-            return AblationPoint(
-                r=30, pve_expiration=600.0, peerview_interval=30.0,
-                min_l=29, mean_l=mean_l, property_2=True,
-                bandwidth_bps_per_rdv=100.0,
-            )
-
-        per_seed = {1: [point(1, 29.0)], 2: [point(2, 28.0)]}
-        records = experiment_seed_records("ablation", per_seed)
-        assert len(records) == 2
+        records = [
+            record(seed, _row_metrics([_ablation_point(mean_l)]), {"name": "ablation"})
+            for seed, mean_l in ((1, 29.0), (2, 28.0))
+        ]
         rows, _ = aggregate_records(records, campaign="ablation")
-        mean_l = [r for r in rows if r.metric == "mean_l"]
-        assert mean_l and mean_l[0].n == 2 and mean_l[0].mean == 28.5
+        (mean_l,) = [r for r in rows if r.metric == "00.mean_l"]
+        assert mean_l.n == 2 and mean_l.mean == 28.5
+        assert {r.metric for r in rows} >= {"00.property_2", "00.r"}
 
     def test_single_dataclass_result(self):
-        from repro.experiments.ablation import AblationPoint
-
-        point = AblationPoint(
-            r=30, pve_expiration=600.0, peerview_interval=30.0,
-            min_l=29, mean_l=29.0, property_2=True,
-            bandwidth_bps_per_rdv=100.0,
-        )
-        records = experiment_seed_records("ablation", {1: point})
-        assert len(records) == 1
+        point = _ablation_point()
+        assert _row_metrics(point) == _row_metrics([point])
+        assert _row_metrics(point)["00.mean_l"] == 29.0
 
     def test_label_attribute_used_when_present(self):
         from repro.experiments.fig3_left import Fig3LeftSeries
         from repro.metrics.series import StepSeries
 
-        row = Fig3LeftSeries(
-            r=10, topology="chain",
-            series=StepSeries([0.0], [0.0]), final_sizes=[9],
-        )
-        records = experiment_seed_records("fig3-left", {1: [row]})
-        assert records[0]["params"]["group"] == "10-chain"
+        row = Fig3LeftSeries(r=10, topology="chain",
+                             series=StepSeries([0.0], [0.0]), final_sizes=[9])
+        assert _row_metrics([row]) == {"10-chain.r": 10.0}

@@ -28,6 +28,12 @@ class TestSeedsOption:
         with pytest.raises(SystemExit):
             experiments_cli.main(["table1", "--seeds", "0"])
 
+    def test_metrics_out_needs_a_single_run(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            experiments_cli.main(
+                ["table1", "--seeds", "2", "--metrics-out", str(tmp_path / "m.json")]
+            )
+
     def test_cross_seed_spread_printed_and_exported(self, tmp_path, capsys):
         rc = experiments_cli.main(
             ["table1", "--seeds", "2", "--out", str(tmp_path)]

@@ -27,3 +27,15 @@ def test_profile_default_dump_location(tmp_path, capsys, monkeypatch):
     rc = cli.main(["table1", "--profile", "--profile-top", "1"])
     assert rc == 0
     assert (tmp_path / "profile-table1.prof").exists()
+
+
+
+def test_profile_out_is_suffixed_per_experiment(tmp_path, capsys, monkeypatch):
+    """'all' writes one profile per experiment, named like --metrics-out's."""
+    names = ("table1", "transport")
+    monkeypatch.setattr(cli, "EXPERIMENTS", {n: cli.EXPERIMENTS[n] for n in names})
+    out = tmp_path / "run.prof"
+    assert cli.main(["all", "--profile", "--profile-out", str(out)]) == 0
+    for name in names:
+        assert pstats.Stats(str(tmp_path / f"run-{name}.prof")).total_calls > 0
+    assert not out.exists()
