@@ -28,8 +28,8 @@ import hashlib
 import json
 import numbers
 import random
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.campaign.spec import canonical_json
 from repro.faults.actions import (
@@ -55,12 +55,6 @@ SITE_NAMES: Tuple[str, ...] = tuple(s.name for s in GRID5000_SITES)
 #: that is what makes the bootstrap a warm-startable checkpoint prefix
 #: (see repro.fuzz.runner).
 BOOTSTRAP_TIME = 30.0
-
-#: Action kinds the fuzzer may emit (``CorruptPeerView`` excluded).
-ACTION_KINDS: Tuple[str, ...] = (
-    "loss", "duplicate", "reorder", "partition", "heal", "heal-all",
-    "crash", "restart", "churn", "clock-skew",
-)
 
 #: Highest peer index a genome may name (decoded modulo ``r``).
 MAX_PEER_INDEX = 63
@@ -99,9 +93,9 @@ DEFAULT_BOUNDS = GenomeBounds()
 
 @dataclass(frozen=True)
 class FuzzCase:
-    """One genome.  ``actions`` is a tuple of plain JSON dicts (see the
-    per-kind schemas in :data:`_ACTION_FIELDS`); ``workload`` is either
-    None or ``{"queriers", "publishers", "rate", "catalog_size"}``."""
+    """One genome.  ``actions`` is a tuple of plain JSON dicts (one
+    schema per kind in :data:`ACTIONS`); ``workload`` is either None or
+    a dict of the :data:`WORKLOAD` fields."""
 
     seed: int = 1
     r: int = 6
@@ -114,20 +108,196 @@ class FuzzCase:
 
 
 # ---------------------------------------------------------------------------
+# the schema: one Gene per field
+# ---------------------------------------------------------------------------
+
+def _t(rng: random.Random, lo: float, hi: float) -> float:
+    """A time/scalar draw, rounded to 0.1 for tidy genomes."""
+    return round(rng.uniform(lo, hi), 1)
+
+
+def peer_name(index: int, r: int) -> str:
+    """Peer index -> deployed rendezvous name (modulo ``r``, so a
+    genome stays decodable as ``r`` shrinks)."""
+    return f"rdv-{index % r}"
+
+
+@dataclass(frozen=True)
+class Gene:
+    """One genome field: its legal range, the fuzzer's draw and the
+    shrinker's mildest value.  ``kind`` is ``"real"``, ``"int"``,
+    ``"peer"`` (an index decoded modulo ``r``), ``"peers"`` (``lo``..
+    ``hi`` peer indices) or ``"name"`` (one of ``hi``).  A bound is a
+    literal or a :class:`GenomeBounds` field name; ``lo`` is exclusive
+    when ``open_lo``.  ``draw(rng, bounds, case_duration)`` defaults to
+    the whole legal range; ``mildest`` (a peer list: how many it keeps)
+    is what the shrinker weakens to, None for never."""
+
+    kind: str
+    lo: Any = None
+    hi: Any = None
+    draw: Optional[Callable[[random.Random, GenomeBounds, float], Any]] = None
+    mildest: Any = None
+    open_lo: bool = False
+
+    def range(self, bounds: GenomeBounds) -> Tuple[Any, Any]:
+        lo, hi = self.lo, self.hi
+        return (
+            getattr(bounds, lo) if isinstance(lo, str) else lo,
+            getattr(bounds, hi) if isinstance(hi, str) else hi,
+        )
+
+    def legal(self, bounds: GenomeBounds) -> str:
+        lo, hi = self.range(bounds)
+        if self.kind == "name":
+            return f"{hi}"
+        return f"{'(' if self.open_lo else '['}{lo}, {hi}]"
+
+    def accepts(self, value: Any, bounds: GenomeBounds) -> bool:
+        lo, hi = self.range(bounds)
+        if self.kind == "name":
+            return value in hi
+        if self.kind == "peers":
+            return (
+                isinstance(value, (list, tuple))
+                and lo <= len(value) <= hi
+                and all(PEER.accepts(t, bounds) for t in value)
+            )
+        number = numbers.Real if self.kind == "real" else int
+        if not isinstance(value, number) or isinstance(value, bool):
+            return False
+        return (lo < value if self.open_lo else lo <= value) and value <= hi
+
+    def sample(
+        self, rng: random.Random, bounds: GenomeBounds, duration: float,
+        count: int = 1,
+    ) -> Any:
+        """The fuzzer's draw (a peer list: ``count`` peer draws)."""
+        if self.kind == "peers":
+            return [PEER.sample(rng, bounds, duration) for _ in range(count)]
+        if self.draw is not None:
+            return self.draw(rng, bounds, duration)
+        lo, hi = self.range(bounds)
+        if self.kind == "name":
+            return rng.choice(hi)
+        return _t(rng, lo, hi) if self.kind == "real" else rng.randint(lo, hi)
+
+    def decode(self, value: Any, r: int) -> Any:
+        if self.kind == "peer":
+            return peer_name(value, r)
+        if self.kind == "peers":
+            # dedupe after the modulo fold, preserving first-seen order
+            return tuple(dict.fromkeys(peer_name(t, r) for t in value))
+        return float(value) if self.kind == "real" else value
+
+    def weakest(self, value: Any) -> Any:
+        return value[: self.mildest] if self.kind == "peers" else self.mildest
+
+
+def _u(lo: float, hi: float) -> Callable[..., float]:
+    """A rounded uniform draw over a fixed ``[lo, hi]``."""
+    return lambda rng, b, d: _t(rng, lo, hi)
+
+
+def _at(duration: float) -> Gene:
+    """Every action's ``at``: after the bootstrap prefix, inside the run."""
+    return Gene("real", "min_action_at", duration)
+
+
+def _window(shortest: float) -> Gene:
+    """A window: drawn from ``shortest`` to the run's end, weakened to it."""
+    return Gene(
+        "real", 0.0, "duration_max", lambda rng, b, d: _t(rng, shortest, d),
+        mildest=shortest, open_lo=True,
+    )
+
+
+PEER = Gene(
+    "peer", 0, MAX_PEER_INDEX, lambda rng, b, d: rng.randint(0, b.r_max - 1)
+)
+SITE = Gene("name", hi=SITE_NAMES)
+_SHARE = Gene("real", 0.0, 0.9, _u(0.1, 0.5), mildest=0.2, open_lo=True)
+
+#: kind -> (FaultAction class, its fields in draw order).  Every action
+#: also has an :func:`_at`, drawn first.
+ACTIONS: Dict[str, Tuple[type, Dict[str, Gene]]] = {
+    "loss": (LossWindow, {"duration": _window(10.0), "rate": _SHARE}),
+    "duplicate": (DuplicateWindow, {
+        "duration": _window(10.0),
+        "probability": _SHARE,
+        "copies": Gene("int", 1, 3, lambda rng, b, d: rng.randint(1, 2), 1),
+    }),
+    "reorder": (ReorderWindow, {
+        "duration": _window(10.0),
+        "max_extra_delay": Gene(
+            "real", 0.0, 5.0, _u(0.5, 4.0), mildest=0.5, open_lo=True
+        ),
+    }),
+    "partition": (PartitionSites, {"site_a": SITE, "site_b": SITE}),
+    "heal": (HealSites, {"site_a": SITE, "site_b": SITE}),
+    "heal-all": (HealAllSites, {}),
+    "crash": (CrashPeer, {"peer": PEER}),
+    "restart": (RestartPeer, {"peer": PEER}),
+    "churn": (ChurnWindow, {
+        "duration": _window(20.0),
+        "mean_session": Gene("real", 5.0, 600.0, _u(20.0, 120.0)),
+        "mean_downtime": Gene("real", 2.0, 120.0, _u(5.0, 60.0), 2.0),
+        "targets": Gene("peers", 1, "max_churn_targets", mildest=1),
+    }),
+    "clock-skew": (ClockSkew, {
+        "peer": PEER,
+        "factor": Gene(
+            "real", 0.25, 4.0,
+            lambda rng, b, d: rng.choice([0.5, 2.0, 3.0]), mildest=1.0,
+        ),
+    }),
+}
+
+#: Action kinds the fuzzer may emit (``CorruptPeerView`` excluded).
+ACTION_KINDS: Tuple[str, ...] = tuple(ACTIONS)
+
+#: The case-level fields (``pve_expiration``/``peerview_interval`` sit
+#: under ``config`` in the encoding).
+CASE: Dict[str, Gene] = {
+    "seed": Gene(
+        "int", 0, 2 ** 32 - 1, lambda rng, b, d: rng.randrange(2 ** 16)
+    ),
+    "r": Gene("int", "r_min", "r_max"),
+    "topology": Gene("name", hi="topologies"),
+    "duration": Gene("real", "duration_min", "duration_max"),
+    "pve_expiration": Gene(
+        "real", "pve_expiration_min", "pve_expiration_max",
+        lambda rng, b, d: _t(
+            rng, b.pve_expiration_min, min(b.pve_expiration_max, 2 * d)
+        ),
+    ),
+    "peerview_interval": Gene(
+        "real", "peerview_interval_min", "peerview_interval_max"
+    ),
+}
+
+WORKLOAD: Dict[str, Gene] = {
+    "queriers": Gene("int", 1, "max_queriers"),
+    "publishers": Gene("int", 0, "max_publishers"),
+    "rate": Gene("real", "rate_min", "rate_max"),
+    "catalog_size": Gene("int", "catalog_min", "catalog_max"),
+}
+
+
+# ---------------------------------------------------------------------------
 # encode / decode
 # ---------------------------------------------------------------------------
+
+#: the CASE fields encoded under ``config``
+_CONFIG = ("pve_expiration", "peerview_interval")
+_TOP_KEYS = {"v", "config", *CASE} - set(_CONFIG)
+
 
 def to_dict(case: FuzzCase) -> Dict[str, Any]:
     return {
         "v": GENOME_VERSION,
-        "seed": case.seed,
-        "r": case.r,
-        "topology": case.topology,
-        "duration": case.duration,
-        "config": {
-            "pve_expiration": case.pve_expiration,
-            "peerview_interval": case.peerview_interval,
-        },
+        **{name: getattr(case, name) for name in CASE if name not in _CONFIG},
+        "config": {name: getattr(case, name) for name in _CONFIG},
         "actions": [dict(a) for a in case.actions],
         "workload": dict(case.workload) if case.workload is not None else None,
     }
@@ -142,19 +312,31 @@ def to_json(case: FuzzCase) -> str:
 def from_dict(
     data: Dict[str, Any], bounds: GenomeBounds = DEFAULT_BOUNDS
 ) -> FuzzCase:
+    _check(isinstance(data, dict), "a genome must be a JSON object")
     if data.get("v") != GENOME_VERSION:
         raise ValueError(f"unsupported genome version {data.get('v')!r}")
-    config = data.get("config", {})
+    _check(
+        set(data) - {"actions", "workload"} == _TOP_KEYS,
+        f"keys {sorted(map(str, data))} != {sorted(_TOP_KEYS)} "
+        "and optional actions, workload",
+    )
+    config, actions = data["config"], data.get("actions", [])
     workload = data.get("workload")
+    _check(
+        isinstance(config, dict) and set(config) == set(_CONFIG),
+        f"config must hold exactly {_CONFIG}",
+    )
+    _check(
+        isinstance(actions, (list, tuple))
+        and all(isinstance(a, dict) for a in actions),
+        "actions must be a list of objects",
+    )
     case = FuzzCase(
-        seed=data["seed"],
-        r=data["r"],
-        topology=data["topology"],
-        duration=data["duration"],
-        pve_expiration=config["pve_expiration"],
-        peerview_interval=config["peerview_interval"],
-        actions=tuple(dict(a) for a in data.get("actions", [])),
-        workload=dict(workload) if workload is not None else None,
+        **{name: data[name] for name in CASE if name not in _CONFIG},
+        **config,
+        actions=tuple(dict(a) for a in actions),
+        # a non-dict workload is left for validate_case to reject
+        workload=dict(workload) if isinstance(workload, dict) else workload,
     )
     validate_case(case, bounds)
     return case
@@ -173,19 +355,29 @@ def case_key(case: FuzzCase) -> str:
 # validation
 # ---------------------------------------------------------------------------
 
-def _is_num(value: Any) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _invalid(msg: str) -> ValueError:
+    return ValueError(f"invalid genome: {msg}")
 
 
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-#: kind -> (required numeric window?, field validators).  Each
-#: validator is (predicate, description); ``at`` is validated for all.
 def _check(cond: bool, msg: str) -> None:
     if not cond:
-        raise ValueError(f"invalid genome: {msg}")
+        raise _invalid(msg)
+
+
+def _check_fields(
+    values: Dict[str, Any], genes: Dict[str, Gene], bounds: GenomeBounds,
+    where: str, others: Tuple[str, ...] = (),
+) -> None:
+    """Check that ``values`` holds exactly ``others`` and the genes'
+    fields, and that each gene accepts its value."""
+    expected = {*others, *genes}
+    if set(values) != expected:
+        raise _invalid(f"{where}fields {sorted(values)} != {sorted(expected)}")
+    for name, gene in genes.items():
+        if not gene.accepts(values[name], bounds):
+            raise _invalid(
+                f"{where}{name}={values[name]!r} outside {gene.legal(bounds)}"
+            )
 
 
 def _validate_action(
@@ -194,146 +386,17 @@ def _validate_action(
     _check(isinstance(action, dict), "action must be a dict")
     kind = action.get("kind")
     _check(kind in ACTION_KINDS, f"unknown action kind {kind!r}")
-    at = action.get("at")
-    _check(_is_num(at), f"{kind}: 'at' must be a number")
-    _check(
-        bounds.min_action_at <= at <= duration,
-        f"{kind}: at={at} outside [{bounds.min_action_at}, {duration}]",
-    )
-
-    def need(fields: Tuple[str, ...]) -> None:
-        _check(
-            set(action) == {"kind", "at", *fields},
-            f"{kind}: fields {sorted(action)} != expected "
-            f"{sorted(('kind', 'at', *fields))}",
-        )
-
-    if kind in ("loss", "duplicate", "reorder", "churn"):
-        window = action.get("duration")
-        _check(_is_num(window), f"{kind}: 'duration' must be a number")
-        _check(
-            0 < window <= bounds.duration_max,
-            f"{kind}: window duration {window} outside (0, "
-            f"{bounds.duration_max}]",
-        )
-    if kind == "loss":
-        need(("duration", "rate"))
-        _check(
-            _is_num(action["rate"]) and 0.0 < action["rate"] <= 0.9,
-            f"loss rate {action.get('rate')} outside (0, 0.9]",
-        )
-    elif kind == "duplicate":
-        need(("duration", "probability", "copies"))
-        _check(
-            _is_num(action["probability"])
-            and 0.0 < action["probability"] <= 0.9,
-            f"duplicate probability {action.get('probability')} "
-            "outside (0, 0.9]",
-        )
-        _check(
-            _is_int(action["copies"]) and 1 <= action["copies"] <= 3,
-            f"duplicate copies {action.get('copies')} outside [1, 3]",
-        )
-    elif kind == "reorder":
-        need(("duration", "max_extra_delay"))
-        _check(
-            _is_num(action["max_extra_delay"])
-            and 0.0 < action["max_extra_delay"] <= 5.0,
-            f"reorder max_extra_delay {action.get('max_extra_delay')} "
-            "outside (0, 5]",
-        )
-    elif kind in ("partition", "heal"):
-        need(("site_a", "site_b"))
-        _check(
-            action["site_a"] in SITE_NAMES and action["site_b"] in SITE_NAMES,
-            f"{kind}: sites must come from {SITE_NAMES}",
-        )
-        _check(
-            action["site_a"] != action["site_b"],
-            f"{kind}: site_a == site_b",
-        )
-    elif kind == "heal-all":
-        need(())
-    elif kind in ("crash", "restart"):
-        need(("peer",))
-        _check(
-            _is_int(action["peer"]) and 0 <= action["peer"] <= MAX_PEER_INDEX,
-            f"{kind}: peer index {action.get('peer')} outside "
-            f"[0, {MAX_PEER_INDEX}]",
-        )
-    elif kind == "churn":
-        need(("duration", "mean_session", "mean_downtime", "targets"))
-        _check(
-            _is_num(action["mean_session"])
-            and 5.0 <= action["mean_session"] <= 600.0,
-            f"churn mean_session {action.get('mean_session')} "
-            "outside [5, 600]",
-        )
-        _check(
-            _is_num(action["mean_downtime"])
-            and 2.0 <= action["mean_downtime"] <= 120.0,
-            f"churn mean_downtime {action.get('mean_downtime')} "
-            "outside [2, 120]",
-        )
-        targets = action.get("targets")
-        _check(
-            isinstance(targets, (list, tuple))
-            and 1 <= len(targets) <= bounds.max_churn_targets,
-            f"churn targets must hold 1..{bounds.max_churn_targets} "
-            "peer indices",
-        )
-        for t in targets:
-            _check(
-                _is_int(t) and 0 <= t <= MAX_PEER_INDEX,
-                f"churn target {t!r} outside [0, {MAX_PEER_INDEX}]",
-            )
-    elif kind == "clock-skew":
-        need(("peer", "factor"))
-        _check(
-            _is_int(action["peer"]) and 0 <= action["peer"] <= MAX_PEER_INDEX,
-            f"clock-skew peer index outside [0, {MAX_PEER_INDEX}]",
-        )
-        _check(
-            _is_num(action["factor"]) and 0.25 <= action["factor"] <= 4.0,
-            f"clock-skew factor {action.get('factor')} outside [0.25, 4]",
-        )
+    genes = {"at": _at(duration), **ACTIONS[kind][1]}
+    _check_fields(action, genes, bounds, f"{kind}: ", ("kind",))
+    sites = [action[name] for name, gene in genes.items() if gene is SITE]
+    _check(len(set(sites)) == len(sites), f"{kind}: site_a == site_b")
 
 
 def validate_case(
     case: FuzzCase, bounds: GenomeBounds = DEFAULT_BOUNDS
 ) -> None:
     """Raise ``ValueError`` unless ``case`` lies inside ``bounds``."""
-    _check(_is_int(case.seed) and 0 <= case.seed < 2 ** 32, "seed outside [0, 2^32)")
-    _check(
-        _is_int(case.r) and bounds.r_min <= case.r <= bounds.r_max,
-        f"r={case.r} outside [{bounds.r_min}, {bounds.r_max}]",
-    )
-    _check(
-        case.topology in bounds.topologies,
-        f"topology {case.topology!r} not in {bounds.topologies}",
-    )
-    _check(
-        _is_num(case.duration)
-        and bounds.duration_min <= case.duration <= bounds.duration_max,
-        f"duration={case.duration} outside "
-        f"[{bounds.duration_min}, {bounds.duration_max}]",
-    )
-    _check(
-        _is_num(case.pve_expiration)
-        and bounds.pve_expiration_min
-        <= case.pve_expiration
-        <= bounds.pve_expiration_max,
-        f"pve_expiration={case.pve_expiration} outside "
-        f"[{bounds.pve_expiration_min}, {bounds.pve_expiration_max}]",
-    )
-    _check(
-        _is_num(case.peerview_interval)
-        and bounds.peerview_interval_min
-        <= case.peerview_interval
-        <= bounds.peerview_interval_max,
-        f"peerview_interval={case.peerview_interval} outside "
-        f"[{bounds.peerview_interval_min}, {bounds.peerview_interval_max}]",
-    )
+    _check_fields(vars(case), CASE, bounds, "", ("actions", "workload"))
     _check(
         len(case.actions) <= bounds.max_actions,
         f"{len(case.actions)} actions > max {bounds.max_actions}",
@@ -341,93 +404,20 @@ def validate_case(
     for action in case.actions:
         _validate_action(action, case.duration, bounds)
     if case.workload is not None:
-        w = case.workload
-        _check(isinstance(w, dict), "workload must be a dict or None")
-        _check(
-            set(w) == {"queriers", "publishers", "rate", "catalog_size"},
-            f"workload fields {sorted(w)} unexpected",
-        )
-        _check(
-            _is_int(w["queriers"]) and 1 <= w["queriers"] <= bounds.max_queriers,
-            f"workload queriers outside [1, {bounds.max_queriers}]",
-        )
-        _check(
-            _is_int(w["publishers"])
-            and 0 <= w["publishers"] <= bounds.max_publishers,
-            f"workload publishers outside [0, {bounds.max_publishers}]",
-        )
-        _check(
-            _is_num(w["rate"]) and bounds.rate_min <= w["rate"] <= bounds.rate_max,
-            f"workload rate outside [{bounds.rate_min}, {bounds.rate_max}]",
-        )
-        _check(
-            _is_int(w["catalog_size"])
-            and bounds.catalog_min <= w["catalog_size"] <= bounds.catalog_max,
-            f"workload catalog_size outside "
-            f"[{bounds.catalog_min}, {bounds.catalog_max}]",
-        )
+        _check(isinstance(case.workload, dict), "workload must be a dict")
+        _check_fields(case.workload, WORKLOAD, bounds, "workload ")
 
 
 # ---------------------------------------------------------------------------
 # decoding into the fault vocabulary
 # ---------------------------------------------------------------------------
 
-def peer_name(index: int, r: int) -> str:
-    """Peer index -> deployed rendezvous name (modulo ``r``, so a
-    genome stays decodable as ``r`` shrinks)."""
-    return f"rdv-{index % r}"
-
-
 def decode_action(action: Dict[str, Any], r: int):
-    kind = action["kind"]
-    at = float(action["at"])
-    if kind == "loss":
-        return LossWindow(
-            at=at, duration=float(action["duration"]),
-            rate=float(action["rate"]),
-        )
-    if kind == "duplicate":
-        return DuplicateWindow(
-            at=at, duration=float(action["duration"]),
-            probability=float(action["probability"]),
-            copies=int(action["copies"]),
-        )
-    if kind == "reorder":
-        return ReorderWindow(
-            at=at, duration=float(action["duration"]),
-            max_extra_delay=float(action["max_extra_delay"]),
-        )
-    if kind == "partition":
-        return PartitionSites(
-            at=at, site_a=action["site_a"], site_b=action["site_b"]
-        )
-    if kind == "heal":
-        return HealSites(
-            at=at, site_a=action["site_a"], site_b=action["site_b"]
-        )
-    if kind == "heal-all":
-        return HealAllSites(at=at)
-    if kind == "crash":
-        return CrashPeer(at=at, peer=peer_name(action["peer"], r))
-    if kind == "restart":
-        return RestartPeer(at=at, peer=peer_name(action["peer"], r))
-    if kind == "churn":
-        # dedupe after the modulo fold, preserving first-seen order
-        targets = tuple(
-            dict.fromkeys(peer_name(t, r) for t in action["targets"])
-        )
-        return ChurnWindow(
-            at=at, duration=float(action["duration"]),
-            mean_session=float(action["mean_session"]),
-            mean_downtime=float(action["mean_downtime"]),
-            targets=targets,
-        )
-    if kind == "clock-skew":
-        return ClockSkew(
-            at=at, peer=peer_name(action["peer"], r),
-            factor=float(action["factor"]),
-        )
-    raise ValueError(f"unknown action kind {kind!r}")
+    cls, genes = ACTIONS[action["kind"]]
+    return cls(
+        at=float(action["at"]),
+        **{name: gene.decode(action[name], r) for name, gene in genes.items()},
+    )
 
 
 def decode_scenario(case: FuzzCase) -> Scenario:
@@ -447,90 +437,45 @@ def has_churn(case: FuzzCase) -> bool:
 # generation / mutation / crossover (all driven by one random.Random)
 # ---------------------------------------------------------------------------
 
-def _t(rng: random.Random, lo: float, hi: float) -> float:
-    """A time/scalar draw, rounded to 0.1 for tidy genomes."""
-    return round(rng.uniform(lo, hi), 1)
-
-
 def random_action(
     rng: random.Random, duration: float, bounds: GenomeBounds = DEFAULT_BOUNDS
 ) -> Dict[str, Any]:
     kind = rng.choice(ACTION_KINDS)
-    at = _t(rng, bounds.min_action_at, duration)
-    if kind == "loss":
-        return {
-            "kind": kind, "at": at,
-            "duration": _t(rng, 10.0, duration),
-            "rate": _t(rng, 0.1, 0.5),
-        }
-    if kind == "duplicate":
-        return {
-            "kind": kind, "at": at,
-            "duration": _t(rng, 10.0, duration),
-            "probability": _t(rng, 0.1, 0.5),
-            "copies": rng.randint(1, 2),
-        }
-    if kind == "reorder":
-        return {
-            "kind": kind, "at": at,
-            "duration": _t(rng, 10.0, duration),
-            "max_extra_delay": _t(rng, 0.5, 4.0),
-        }
+    action = {"kind": kind, "at": _at(duration).sample(rng, bounds, duration)}
+    # partition/heal take both sites from one sample, before any field
     if kind in ("partition", "heal"):
-        site_a, site_b = rng.sample(SITE_NAMES, 2)
-        return {"kind": kind, "at": at, "site_a": site_a, "site_b": site_b}
-    if kind == "heal-all":
-        return {"kind": kind, "at": at}
-    if kind in ("crash", "restart"):
-        return {"kind": kind, "at": at, "peer": rng.randint(0, bounds.r_max - 1)}
-    if kind == "churn":
-        count = rng.randint(1, bounds.max_churn_targets)
-        return {
-            "kind": kind, "at": at,
-            "duration": _t(rng, 20.0, duration),
-            "mean_session": _t(rng, 20.0, 120.0),
-            "mean_downtime": _t(rng, 5.0, 60.0),
-            "targets": [rng.randint(0, bounds.r_max - 1) for _ in range(count)],
-        }
-    return {  # clock-skew
-        "kind": kind, "at": at,
-        "peer": rng.randint(0, bounds.r_max - 1),
-        "factor": rng.choice([0.5, 2.0, 3.0]),
-    }
+        action["site_a"], action["site_b"] = rng.sample(SITE_NAMES, 2)
+    # churn draws its target count before its scalars, its targets after
+    count = rng.randint(1, bounds.max_churn_targets) if kind == "churn" else 0
+    for name, gene in ACTIONS[kind][1].items():
+        if name not in action:
+            action[name] = gene.sample(rng, bounds, duration, count)
+    return action
 
 
 def random_workload(
     rng: random.Random, bounds: GenomeBounds = DEFAULT_BOUNDS
 ) -> Dict[str, Any]:
     return {
-        "queriers": rng.randint(1, bounds.max_queriers),
-        "publishers": rng.randint(0, bounds.max_publishers),
-        "rate": _t(rng, bounds.rate_min, bounds.rate_max),
-        "catalog_size": rng.randint(bounds.catalog_min, bounds.catalog_max),
+        name: gene.sample(rng, bounds, 0.0) for name, gene in WORKLOAD.items()
     }
 
 
 def random_case(
     rng: random.Random, bounds: GenomeBounds = DEFAULT_BOUNDS
 ) -> FuzzCase:
-    duration = _t(rng, bounds.duration_min, bounds.duration_max)
+    duration = CASE["duration"].sample(rng, bounds, 0.0)
     # bias toward few actions: min of two draws keeps most genomes
     # small (fast) while the tail still reaches max_actions
     count = min(
         rng.randint(0, bounds.max_actions), rng.randint(0, bounds.max_actions)
     )
     case = FuzzCase(
-        seed=rng.randrange(2 ** 16),
-        r=rng.randint(bounds.r_min, bounds.r_max),
-        topology=rng.choice(bounds.topologies),
         duration=duration,
-        pve_expiration=_t(
-            rng, bounds.pve_expiration_min,
-            min(bounds.pve_expiration_max, 2 * duration),
-        ),
-        peerview_interval=_t(
-            rng, bounds.peerview_interval_min, bounds.peerview_interval_max
-        ),
+        **{
+            name: gene.sample(rng, bounds, duration)
+            for name, gene in CASE.items() if name != "duration"
+        },
         actions=tuple(
             random_action(rng, duration, bounds) for _ in range(count)
         ),
@@ -546,6 +491,19 @@ def _drop_late_actions(
     return tuple(a for a in actions if a["at"] <= duration)
 
 
+#: mutate's redraw operators -> the CASE fields each one draws afresh
+_REDRAW: Dict[str, Tuple[str, ...]] = {
+    "reseed": ("seed",),
+    "resize": ("r", "topology"),
+    "retime": ("duration",),
+    "reconfig": ("pve_expiration", "peerview_interval"),
+}
+MUTATE_OPERATORS: Tuple[str, ...] = (
+    "add-action", "drop-action", "replace-action", "tweak-time", *_REDRAW,
+    "reworkload",
+)
+
+
 def mutate(
     case: FuzzCase,
     rng: random.Random,
@@ -553,75 +511,32 @@ def mutate(
 ) -> FuzzCase:
     """One mutation step; always returns a *valid* genome (possibly
     equal to the input when the drawn operator has nothing to do)."""
-    op = rng.choice(
-        (
-            "add-action", "drop-action", "replace-action", "tweak-time",
-            "reseed", "resize", "retime", "reconfig", "reworkload",
-        )
-    )
-    out = case
-    if op == "add-action" and len(case.actions) < bounds.max_actions:
-        pos = rng.randint(0, len(case.actions))
-        action = random_action(rng, case.duration, bounds)
-        out = replace(
-            case,
-            actions=case.actions[:pos] + (action,) + case.actions[pos:],
-        )
-    elif op == "drop-action" and case.actions:
-        pos = rng.randrange(len(case.actions))
-        out = replace(
-            case, actions=case.actions[:pos] + case.actions[pos + 1:]
-        )
-    elif op == "replace-action" and case.actions:
-        pos = rng.randrange(len(case.actions))
-        action = random_action(rng, case.duration, bounds)
-        out = replace(
-            case,
-            actions=case.actions[:pos] + (action,) + case.actions[pos + 1:],
-        )
-    elif op == "tweak-time" and case.actions:
-        pos = rng.randrange(len(case.actions))
-        action = dict(case.actions[pos])
-        action["at"] = _t(rng, bounds.min_action_at, case.duration)
-        out = replace(
-            case,
-            actions=case.actions[:pos] + (action,) + case.actions[pos + 1:],
-        )
-    elif op == "reseed":
-        out = replace(case, seed=rng.randrange(2 ** 16))
-    elif op == "resize":
-        out = replace(
-            case,
-            r=rng.randint(bounds.r_min, bounds.r_max),
-            topology=rng.choice(bounds.topologies),
-        )
-    elif op == "retime":
-        duration = _t(rng, bounds.duration_min, bounds.duration_max)
-        out = replace(
-            case,
-            duration=duration,
-            actions=_drop_late_actions(case.actions, duration),
-        )
-    elif op == "reconfig":
-        out = replace(
-            case,
-            pve_expiration=_t(
-                rng, bounds.pve_expiration_min,
-                min(bounds.pve_expiration_max, 2 * case.duration),
-            ),
-            peerview_interval=_t(
-                rng, bounds.peerview_interval_min,
-                bounds.peerview_interval_max,
-            ),
-        )
+    op = rng.choice(MUTATE_OPERATORS)
+    out, actions = case, list(case.actions)
+    if op == "add-action" and len(actions) < bounds.max_actions:
+        pos = rng.randint(0, len(actions))
+        actions.insert(pos, random_action(rng, case.duration, bounds))
+    elif op == "drop-action" and actions:
+        del actions[rng.randrange(len(actions))]
+    elif op == "replace-action" and actions:
+        pos = rng.randrange(len(actions))
+        actions[pos] = random_action(rng, case.duration, bounds)
+    elif op == "tweak-time" and actions:
+        pos = rng.randrange(len(actions))
+        at = _at(case.duration).sample(rng, bounds, case.duration)
+        actions[pos] = dict(actions[pos], at=at)
+    elif op in _REDRAW:
+        out = replace(case, **{
+            name: CASE[name].sample(rng, bounds, case.duration)
+            for name in _REDRAW[op]
+        })
+        if op == "retime":
+            actions = _drop_late_actions(actions, out.duration)
+    elif op == "reworkload" and case.workload is not None:
+        out = replace(case, workload=None)
     elif op == "reworkload":
-        out = replace(
-            case,
-            workload=(
-                None if case.workload is not None
-                else random_workload(rng, bounds)
-            ),
-        )
+        out = replace(case, workload=random_workload(rng, bounds))
+    out = replace(out, actions=tuple(actions))
     validate_case(out, bounds)
     return out
 
@@ -641,14 +556,11 @@ def crossover(
         (a.actions[:cut_a] + b.actions[cut_b:])[: bounds.max_actions], duration
     )
     out = FuzzCase(
-        seed=rng.choice((a.seed, b.seed)),
-        r=rng.choice((a.r, b.r)),
-        topology=rng.choice((a.topology, b.topology)),
         duration=duration,
-        pve_expiration=rng.choice((a.pve_expiration, b.pve_expiration)),
-        peerview_interval=rng.choice(
-            (a.peerview_interval, b.peerview_interval)
-        ),
+        **{
+            name: rng.choice((getattr(a, name), getattr(b, name)))
+            for name in CASE if name != "duration"
+        },
         actions=actions,
         workload=rng.choice((a.workload, b.workload)),
     )

@@ -12,9 +12,9 @@ predicate accepts:
    / reorder windows into one spanning window;
 3. **structure drops** — remove the workload, shrink ``r`` toward the
    lower bound, halve the duration (discarding now-late actions);
-4. **field weakening** — round action times, lower loss rates /
-   duplicate copies / reorder delays / churn target counts toward
-   their mildest legal values.
+4. **field weakening** — set each action field that has a
+   ``Gene.mildest`` (in the genome's ``ACTIONS`` table) to that mildest
+   legal value, field by field in the table's draw order.
 
 Everything is pure function of the input case and the predicate — no
 randomness — so a given failure always shrinks to the same minimal
@@ -28,9 +28,10 @@ exactly what shrink probes vary).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.fuzz.genome import (
+    ACTIONS,
     DEFAULT_BOUNDS,
     FuzzCase,
     GenomeBounds,
@@ -164,37 +165,18 @@ def _drop_structure(case: FuzzCase, budget: _Budget) -> FuzzCase:
     return case
 
 
-#: per-kind (field, mildest legal value) weakening targets
-_WEAKEN: Dict[str, Tuple[Tuple[str, object], ...]] = {
-    "loss": (("rate", 0.2), ("duration", 10.0)),
-    "duplicate": (("probability", 0.2), ("copies", 1), ("duration", 10.0)),
-    "reorder": (("max_extra_delay", 0.5), ("duration", 10.0)),
-    "churn": (("duration", 20.0), ("mean_downtime", 2.0)),
-    "clock-skew": (("factor", 1.0),),
-}
-
-
 def _weaken_fields(case: FuzzCase, budget: _Budget) -> FuzzCase:
     for idx, action in enumerate(case.actions):
-        for field_name, target in _WEAKEN.get(action["kind"], ()):
-            if action.get(field_name) == target:
+        for name, gene in ACTIONS[action["kind"]][1].items():
+            if gene.mildest is None:
                 continue
-            weak = dict(action)
-            weak[field_name] = target
-            actions = list(case.actions)
-            actions[idx] = weak
+            weak = dict(action, **{name: gene.weakest(action[name])})
+            if weak == action:
+                continue
+            actions = case.actions[:idx] + (weak,) + case.actions[idx + 1:]
             trial = _with_actions(case, actions)
             if budget.fails(trial):
-                case = trial
-                action = weak
-        if action["kind"] == "churn" and len(action["targets"]) > 1:
-            weak = dict(action)
-            weak["targets"] = action["targets"][:1]
-            actions = list(case.actions)
-            actions[idx] = weak
-            trial = _with_actions(case, actions)
-            if budget.fails(trial):
-                case = trial
+                case, action = trial, weak
     return case
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the FuzzCase genome codec, validation and decode."""
 
+import hashlib
+import math
 import random
 
 import pytest
@@ -19,7 +21,18 @@ from repro.fuzz import (
     to_json,
     validate_case,
 )
-from repro.fuzz.genome import decode_action, decode_scenario, has_churn
+from repro.fuzz.genome import (
+    ACTION_KINDS,
+    ACTIONS,
+    CASE,
+    MUTATE_OPERATORS,
+    WORKLOAD,
+    Gene,
+    decode_action,
+    decode_scenario,
+    has_churn,
+    random_action,
+)
 
 
 def test_seed_cases_valid_and_distinct():
@@ -140,3 +153,166 @@ def test_generation_is_seed_deterministic():
     a = [random_case(random.Random(3), DEFAULT_BOUNDS) for _ in range(1)]
     b = [random_case(random.Random(3), DEFAULT_BOUNDS) for _ in range(1)]
     assert [to_json(c) for c in a] == [to_json(c) for c in b]
+
+
+def _broken(edit):
+    data = to_dict(SEED_CASES[3])
+    edit(data)
+    return data
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        _broken(lambda d: d.pop("seed")),
+        _broken(lambda d: d.pop("config")),
+        _broken(lambda d: d.update(actions=5)),
+        _broken(lambda d: d.update(actions=[1])),
+        _broken(lambda d: d.update(workload=[1, 2])),
+        _broken(lambda d: d.update(workloads=d.pop("workload"))),
+        _broken(lambda d: d["config"].update(pve_expiry=60.0)),
+        [to_dict(SEED_CASES[0])],
+    ],
+    ids=[
+        "missing-seed", "missing-config", "actions-int", "actions-of-int",
+        "workload-list", "misspelled-workload", "extra-config-key",
+        "top-level-list",
+    ],
+)
+def test_malformed_genome_raises_value_error(data):
+    with pytest.raises(ValueError, match="invalid genome"):
+        from_dict(data)
+
+
+class _RecordingRandom(random.Random):
+    """A ``random.Random`` that remembers every ``choice`` it made
+    (same stream: only ``choice``'s result is observed)."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.picks = []
+
+    def choice(self, seq):
+        pick = super().choice(seq)
+        self.picks.append(pick)
+        return pick
+
+
+#: sha256 of the genomes seeds 0-199 generate (random_case, six
+#: mutations, one crossover).  ``fuzz-batch`` and the pinned report
+#: digest consume this stream; a change that moves it must say so.
+DRAW_STREAM_DIGEST = (
+    "ca50f49644e3d0dca36bffb769c97ffb61ac9293402bffb956029d1cdff15206"
+)
+
+def test_draw_stream_is_pinned():
+    digest = hashlib.sha256()
+    kinds, picks = set(), set()
+    for seed in range(200):
+        rng = _RecordingRandom(seed)
+        first = case = random_case(rng)
+        genomes = [case]
+        for _ in range(6):
+            case = mutate(case, rng)
+            genomes.append(case)
+        genomes.append(crossover(first, case, rng))
+        for genome in genomes:
+            digest.update(to_json(genome).encode() + b"\n")
+            kinds.update(a["kind"] for a in genome.actions)
+        picks.update(p for p in rng.picks if isinstance(p, str))
+    assert kinds == set(ACTION_KINDS)
+    assert set(MUTATE_OPERATORS) <= picks
+    assert digest.hexdigest() == DRAW_STREAM_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# the gene tables: every field's range, draw and decode agree
+# ---------------------------------------------------------------------------
+
+RUN = 600.0  # the case duration the schema property runs at
+
+
+def _drawn(kind, n=20):
+    """``n`` actions of ``kind`` as random_action draws them."""
+    rng, found = random.Random(kind), []
+    while len(found) < n:
+        action = random_action(rng, RUN)
+        if action["kind"] == kind:
+            found.append(action)
+    return found
+
+
+@pytest.mark.parametrize("kind", ACTION_KINDS)
+def test_drawn_action_decodes_validates_and_round_trips(kind):
+    cls = ACTIONS[kind][0]
+    for action in _drawn(kind):
+        case = FuzzCase(duration=RUN, actions=(action,))
+        validate_case(case)
+        assert isinstance(decode_action(action, r=6), cls)
+        assert to_json(from_json(to_json(case))) == to_json(case)
+
+
+def _case_with(table, name, value):
+    """A case whose field ``name`` of ``table`` is ``value``."""
+    if table == "case":
+        return FuzzCase(**{name: value})
+    if table == "workload":
+        return FuzzCase(workload=dict(SEED_CASES[3].workload, **{name: value}))
+    action = dict(_drawn(table, 1)[0], **{name: value})
+    return FuzzCase(duration=RUN, actions=(action,))
+
+
+def _fields():
+    yield from (("case", n, g) for n, g in CASE.items())
+    yield from (("workload", n, g) for n, g in WORKLOAD.items())
+    for kind, (_, genes) in ACTIONS.items():
+        yield kind, "at", Gene("real", "min_action_at", RUN)
+        yield from ((kind, n, g) for n, g in genes.items())
+
+
+def _edges(gene, taken):
+    """(values the gene must accept, values it must reject); a name
+    already ``taken`` by a sibling field is not offered."""
+    lo, hi = gene.range(DEFAULT_BOUNDS)
+    if gene.kind == "name":
+        return [n for n in hi if n not in taken], ["nowhere", None, 1]
+    if gene.kind == "peers":
+        return (
+            [[0] * lo, [63] * hi],
+            [[0] * (lo - 1), [0] * (hi + 1), [True], [64], [-1], [1.0], 3],
+        )
+    step = (lambda v, to: math.nextafter(v, to)) if gene.kind == "real" else (
+        lambda v, to: v + (1 if to > v else -1)
+    )
+    accept = [hi] if gene.open_lo else [lo, hi]
+    reject = [step(hi, math.inf), step(lo, -math.inf), math.nan, None, "1"]
+    if gene.open_lo:
+        reject.append(lo)
+    if gene.kind != "real":
+        reject += [True, False, float(lo)]
+    return accept, reject
+
+
+@pytest.mark.parametrize(
+    "table,name,gene", list(_fields()),
+    ids=[f"{t}.{n}" for t, n, _ in _fields()],
+)
+def test_gene_range_edges(table, name, gene):
+    taken = _drawn(table, 1)[0].values() if table in ACTIONS else ()
+    accept, reject = _edges(gene, list(taken))
+    for value in accept:
+        case = _case_with(table, name, value)
+        validate_case(case)
+        decode_scenario(case)  # the FaultAction accepts it too
+    for value in reject:
+        with pytest.raises(ValueError):
+            validate_case(_case_with(table, name, value))
+
+
+def test_fuzzing_doc_names_every_action_kind():
+    from pathlib import Path
+
+    doc = Path(__file__).resolve().parents[2] / "docs" / "FUZZING.md"
+    text = doc.read_text(encoding="utf-8")
+    missing = [kind for kind in ACTION_KINDS if f"`{kind}`" not in text]
+    assert not missing, f"docs/FUZZING.md does not name {missing}"

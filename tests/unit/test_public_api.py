@@ -61,17 +61,15 @@ def test_every_module_has_a_docstring():
     assert not missing, f"modules without docstrings: {missing}"
 
 
-@pytest.mark.parametrize("name", ["repro.obs", "repro.faults", "repro.fuzz"])
-def test_recording_layers_do_not_import_metrics(name):
-    # repro.metrics (series, renderers) reads what these layers record;
-    # an import the other way round would make the recorder depend on
-    # its readers.  Imports inside functions count too.
+def _imports_of(name, banned):
+    """``file:line`` of every import of ``banned`` (or a submodule of it)
+    anywhere under package ``name``, imports inside functions included."""
     import ast
     from pathlib import Path
 
     package = importlib.import_module(name)
     offenders = []
-    for path in sorted(Path(package.__path__[0]).glob("*.py")):
+    for path in sorted(Path(package.__path__[0]).rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 targets = [alias.name for alias in node.names]
@@ -81,7 +79,22 @@ def test_recording_layers_do_not_import_metrics(name):
                 ]
             else:
                 continue
-            if any(t == "repro.metrics" or t.startswith("repro.metrics.")
-                   for t in targets):
+            if any(t == banned or t.startswith(banned + ".") for t in targets):
                 offenders.append(f"{path.name}:{node.lineno}")
+    return offenders
+
+
+@pytest.mark.parametrize("name", ["repro.obs", "repro.faults", "repro.fuzz"])
+def test_recording_layers_do_not_import_metrics(name):
+    # repro.metrics (series, renderers) reads what these layers record;
+    # an import the other way round would make the recorder depend on
+    # its readers.
+    offenders = _imports_of(name, "repro.metrics")
     assert not offenders, f"{name} imports repro.metrics at {offenders}"
+
+
+def test_fault_vocabulary_does_not_import_fuzzer():
+    # the fuzzer's gene tables (ranges, draws) read repro.faults; the
+    # fault vocabulary must not learn the fuzzer's ranges back
+    offenders = _imports_of("repro.faults", "repro.fuzz")
+    assert not offenders, f"repro.faults imports repro.fuzz at {offenders}"
