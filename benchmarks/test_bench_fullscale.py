@@ -50,10 +50,10 @@ def test_fullscale_steady_state_throughput(benchmark):
     def advance():
         deadline[0] += ROUND_SIM_MINUTES * MINUTES
         # net allocated-block growth per fired event over the round:
-        # with the steady-state pools warm this should be ~0 (the
-        # getallocatedblocks delta is what the object pooling exists
-        # to eliminate); the last round's value lands on the recorded
-        # trajectory via extra_info
+        # at steady state this should be ~0 (per-event objects are
+        # freed by reference counting when their event is done; a
+        # positive drift is something escaping); the last round's
+        # value lands on the recorded trajectory via extra_info
         blocks_before = sys.getallocatedblocks()
         events_before = sim.events_fired
         sim.run(until=deadline[0])

@@ -180,8 +180,6 @@ def peerview_point(params: Dict[str, Any]) -> Dict[str, Any]:
     )
     series = peerview_size_series(result.log, "rdv-0")
     times, values = sample_at(series, 0.0, duration, sample_step)
-    sizes = result.overlay.group.peerview_sizes()
-    network = result.overlay.group.network
     return {
         "series_times": times,
         "series_values": values,
@@ -189,10 +187,7 @@ def peerview_point(params: Dict[str, Any]) -> Dict[str, Any]:
         "peak_time_s": series.time_of_max(),
         "reached_max": bool(series.max() >= r - 1),
         "plateau_l": series.plateau(duration),
-        "min_l": min(sizes),
-        "mean_l": sum(sizes) / len(sizes),
-        "property_2": bool(result.overlay.group.property_2_satisfied()),
-        "bandwidth_bps_per_rdv": network.stats.bytes_sent * 8.0 / duration / r,
+        **result.summary(),
     }
 
 

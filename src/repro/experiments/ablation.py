@@ -67,19 +67,12 @@ def run(
             result = run_peerview_overlay(
                 r=r, duration=duration, seed=seed, config=config
             )
-            sizes = result.overlay.group.peerview_sizes()
-            network = result.overlay.group.network
             out.append(
                 AblationPoint(
                     r=r,
                     pve_expiration=pve,
                     peerview_interval=interval,
-                    min_l=min(sizes),
-                    mean_l=sum(sizes) / len(sizes),
-                    property_2=result.overlay.group.property_2_satisfied(),
-                    bandwidth_bps_per_rdv=(
-                        network.stats.bytes_sent * 8.0 / duration / r
-                    ),
+                    **result.summary(),
                 )
             )
     return out

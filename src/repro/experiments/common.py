@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.config import PlatformConfig
 from repro.deploy import OverlayDescription, build_overlay
@@ -25,6 +25,21 @@ class PeerviewRun:
     log: TimelineTracer
     overlay: DeployedOverlay
     sim: Simulator
+
+    def summary(self) -> Dict[str, Any]:
+        """The end-of-run figures the ablation sweep and the
+        ``peerview`` campaign task report: smallest and mean ``l``,
+        Property (2), and peerview traffic per rendezvous in bit/s."""
+        group = self.overlay.group
+        sizes = group.peerview_sizes()
+        return {
+            "min_l": min(sizes),
+            "mean_l": sum(sizes) / len(sizes),
+            "property_2": bool(group.property_2_satisfied()),
+            "bandwidth_bps_per_rdv": (
+                group.network.stats.bytes_sent * 8.0 / self.duration / self.r
+            ),
+        }
 
 
 def run_peerview_overlay(

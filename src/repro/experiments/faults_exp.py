@@ -201,8 +201,8 @@ SIZES = {
 
 
 def run(
-    r: int = 45,
-    duration: float = 60 * MINUTES,
+    r: int,
+    duration: float,
     seed: int = 1,
     scenarios: Optional[Sequence[Scenario]] = None,
     verbose: bool = False,

@@ -205,12 +205,12 @@ def run_point(
 
 def run(
     r_values: Sequence[int],
-    queries: int = 100,
+    queries: int,
+    seeds: int,
+    warmup: float,
+    noisers: int,
+    fakes_per_noiser: int,
     seed: int = 1,
-    seeds: int = 3,
-    warmup: float = 45 * MINUTES,
-    noisers: int = NOISER_COUNT,
-    fakes_per_noiser: int = FAKES_PER_NOISER,
     verbose: bool = False,
     checkpoint_store: Optional[CheckpointStore] = None,
 ) -> List[Fig4RightPoint]:

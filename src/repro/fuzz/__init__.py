@@ -14,8 +14,8 @@ Layers (see docs/FUZZING.md):
 * :mod:`repro.fuzz.genome` — the ``FuzzCase`` codec, bounds,
   validation, mutation and crossover;
 * :mod:`repro.fuzz.runner` — executes one case and applies the oracle
-  battery (invariants, scheduler equivalence, pooling equivalence,
-  snapshot invisibility, replay identity);
+  battery (invariants, scheduler equivalence, snapshot invisibility,
+  replay identity);
 * :mod:`repro.fuzz.shrink` — deterministic delta-debugging shrinker;
 * :mod:`repro.fuzz.corpus` — JSONL corpus entries, order-independent
   merge, the committed regression corpus under ``tests/fuzz_corpus/``;

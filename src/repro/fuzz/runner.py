@@ -27,8 +27,6 @@ Oracles (:func:`check_case`):
 ``scheduler``
     The same case re-run under the *other* kernel scheduler
     (wheel vs heap) must produce a byte-identical kernel trace digest.
-``pooling``
-    The same case without object pooling must be trace-invisible.
 ``snapshot``
     Pausing at mid-run, snapshotting, continuing — and separately
     restoring the snapshot and continuing — must both reproduce the
@@ -70,7 +68,7 @@ from repro.workload import WorkloadEngine, WorkloadSpec, WorkloadTraceRecorder
 
 #: the oracle battery, in evaluation order
 ORACLES: Tuple[str, ...] = (
-    "invariants", "scheduler", "pooling", "snapshot", "replay",
+    "invariants", "scheduler", "snapshot", "replay",
 )
 
 #: what ``run_case(reads=...)`` collects beyond the invariant verdict:
@@ -373,7 +371,7 @@ def check_case(
     options = options or SimOptions.from_env()
     need_replay = "replay" in oracles and case.workload is not None
     reads = []
-    if coverage or {"scheduler", "pooling", "snapshot"} & set(oracles):
+    if coverage or {"scheduler", "snapshot"} & set(oracles):
         reads.append(DIGEST)
     if coverage:
         reads.append(COVERAGE)
@@ -413,23 +411,6 @@ def check_case(
                     detail=(
                         f"kernel digests diverge: {primary}="
                         f"{base.digest[:12]} {other}={alt.digest[:12]}"
-                    ),
-                )
-            )
-
-    if "pooling" in oracles:
-        alt = run_case(
-            case, options=replace(options, pooling=False), store=store,
-            reads=(DIGEST,),
-        )
-        if alt.digest != base.digest:
-            failures.append(
-                Failure(
-                    oracle="pooling",
-                    signature="pooling-equivalence",
-                    detail=(
-                        f"kernel digests diverge with pooling off: "
-                        f"{base.digest[:12]} vs {alt.digest[:12]}"
                     ),
                 )
             )

@@ -28,7 +28,7 @@ from repro.obs import runtime as _obs_runtime
 from repro.network.message import Envelope
 from repro.network.site import Node
 from repro.network.stats import TrafficStats
-from repro.sim.kernel import _HANDLE_POOL_MAX, Simulator
+from repro.sim.kernel import Simulator
 
 Handler = Callable[[Envelope], None]
 
@@ -37,12 +37,7 @@ DEFAULT_BANDWIDTH_BPS: float = 1e9
 #: Per-message software overhead (XML parse/emit + stack traversal).
 DEFAULT_SW_OVERHEAD: float = 0.8e-3
 
-#: Envelope free-list cap: bounds how many idle envelopes a network
-#: keeps around between delivery bursts.
-_ENVELOPE_POOL_MAX = 4096
-
-#: Message-shell free-list cap (see :attr:`Network.message_pool`).
-_MESSAGE_POOL_MAX = 4096
+_new_envelope = Envelope.__new__
 
 
 class DeliveryError(Exception):
@@ -104,11 +99,6 @@ class Network:
     loss_rate:
         Probability a message silently disappears (default 0, like the
         paper's controlled testbed).
-
-    ``sim.options.pooling`` recycles delivered envelopes and fired
-    deliver-timer handles, so the steady-state send path allocates
-    nothing: a delivery handler must not retain an envelope past its
-    callback.  ``sim.options.pool_debug`` checks the free lists.
     """
 
     def __init__(
@@ -166,27 +156,6 @@ class Network:
         # fixed for the network's lifetime)
         self._latency_delay = self.latency.delay
         self._schedule = sim.schedule
-        #: steady-state recycling of envelopes + deliver handles
-        self.pooling = sim.options.pooling
-        self._envelope_pool: list[Envelope] = []
-        #: Free list of endpoint message *shells* (the payload layer's
-        #: counterpart to the envelope pool).  Protocols that know
-        #: their receivers never retain the shell — the peerview
-        #: protocol is the volume sender — acquire shells here and
-        #: mark them ``recyclable``; the pooled delivery path returns
-        #: them after the delivery callback.  The transport stays
-        #: payload-agnostic: it only honours the ``recyclable`` flag.
-        self.message_pool: list = []
-        self._pool_debug = sim.options.pool_debug
-        self._env_pool_ids: set[int] = set()
-        self._release_handle = sim.release_handle
-        self._reschedule = sim.reschedule
-        self._schedule_recycled = sim.schedule_recycled
-        # the non-debug delivery path returns handles to the kernel's
-        # free list inline (one bounds-checked append) instead of
-        # through release_handle; the list object is stable for the
-        # simulator's lifetime
-        self._handle_pool = sim._handle_pool
         # Grid'5000 fast path: reuse the site-name pair tuple the stats
         # counter needs anyway to probe the model's base-delay cache
         # directly, and draw the jitter inline — exactly the arithmetic
@@ -211,30 +180,6 @@ class Network:
         self.obs = None
         if _obs_runtime._stack:
             _obs_runtime._stack[-1].adopt(self)
-
-    # ------------------------------------------------------------------
-    # pickling (repro.snapshot)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Everything round-trips — the pooling switches too: a
-        restored network runs as it was built — except the id()-based
-        pool-integrity set, which is meaningless in another process and
-        is rebuilt from the envelope pool's contents on restore.  The
-        cached bound methods (``_schedule``, ``_latency_delay``, ...) pickle as
-        ordinary bound methods of the memo-shared simulator/latency
-        objects, so the restored network keeps pointing at the restored
-        simulator."""
-        state = dict(self.__dict__)
-        state["_env_pool_ids"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._env_pool_ids = (
-            {id(e) for e in self._envelope_pool}
-            if self._pool_debug
-            else set()
-        )
 
     # ------------------------------------------------------------------
     # attachment
@@ -318,24 +263,15 @@ class Network:
         src_site = src_node.site
 
         now = self._clock._now
-        pool = self._envelope_pool
-        if pool and self.pooling:
-            # recycle a delivered envelope: direct field writes keep
-            # the construction semantics (size validation) without the
-            # allocation or the __init__ call
-            if size_bytes <= 0:
-                raise ValueError(
-                    f"size_bytes must be > 0 (got {size_bytes})"
-                )
-            envelope = pool.pop()
-            if self._pool_debug:
-                self._env_pool_ids.discard(id(envelope))
-            envelope.src = src
-            envelope.dst = dst
-            envelope.payload = payload
-            envelope.size_bytes = size_bytes
-        else:
-            envelope = Envelope(src, dst, payload, size_bytes)
+        # envelope built without an __init__ frame, as Simulator.schedule
+        # builds its handles: one per message sent
+        if size_bytes <= 0:
+            raise ValueError(f"size_bytes must be > 0 (got {size_bytes})")
+        envelope = _new_envelope(Envelope)
+        envelope.src = src
+        envelope.dst = dst
+        envelope.payload = payload
+        envelope.size_bytes = size_bytes
         try:
             dst_site = endpoints[dst][0].site
             dst_dead = False
@@ -413,16 +349,6 @@ class Network:
                 if on_drop is not None:
                     self._schedule(delay, on_drop, envelope, label="net.drop")
                 return envelope
-            if self.pooling:
-                # the steady-state path: the deliver timer re-arms a
-                # recycled fired handle (same "net.deliver" label, same
-                # seq draw — kernel traces are byte-identical) and
-                # hands it to _deliver, which returns handle and
-                # envelope to their pools after the delivery callback
-                self._schedule_recycled(
-                    delay, self._deliver, envelope, on_drop, "net.deliver"
-                )
-                return envelope
             self._schedule(
                 delay, self._deliver, envelope, on_drop, label="net.deliver"
             )
@@ -457,18 +383,11 @@ class Network:
                 self._schedule(delay, on_drop, envelope, label="net.drop")
             return envelope
 
-        if self.pooling and not duplicates:
-            self._schedule_recycled(
-                delay, self._deliver, envelope, on_drop, "net.deliver"
-            )
-            return envelope
         self._schedule(
             delay, self._deliver, envelope, on_drop, label="net.deliver"
         )
         for _ in range(duplicates):
             self.faulted_duplicates += 1
-            # duplicated deliveries share one envelope, so none of
-            # them may recycle it: all go through the unpooled path
             self._schedule(
                 delay, self._deliver, envelope, None, label="net.deliver.dup"
             )
@@ -478,7 +397,6 @@ class Network:
         self,
         envelope: Envelope,
         on_drop: Optional[Callable[[Envelope], None]],
-        handle=None,
     ) -> None:
         try:
             entry = self._endpoints[envelope.dst]
@@ -487,58 +405,6 @@ class Network:
             self.stats.record_drop()
             if on_drop is not None:
                 on_drop(envelope)
-            if handle is not None:
-                self._release_handle(handle)
-                if on_drop is None:
-                    self._release_envelope(envelope)
             return
         self.stats.messages_delivered += 1
         entry[1](envelope)
-        if handle is not None:
-            if self._pool_debug:
-                # debug keeps the integrity-checked release methods
-                self._release_handle(handle)
-                self._release_envelope(envelope)
-            else:
-                # inlined release_handle + _release_envelope: two
-                # bounds-checked appends instead of two Python frames
-                # on every delivered message
-                if handle._state is False:
-                    hpool = self._handle_pool
-                    if len(hpool) < _HANDLE_POOL_MAX:
-                        hpool.append(handle)
-                epool = self._envelope_pool
-                if len(epool) < _ENVELOPE_POOL_MAX:
-                    epool.append(envelope)
-            # recycle the message shell too (only pooled — never
-            # duplicated — deliveries reach this branch, so a shell
-            # is released at most once per flight); the try/except
-            # stays duck-typed for payloads without the flag while
-            # reading it as a plain attribute on endpoint messages
-            payload = envelope.payload
-            try:
-                recyclable = payload.recyclable
-            except AttributeError:
-                recyclable = False
-            if recyclable:
-                payload.recyclable = False
-                mpool = self.message_pool
-                if len(mpool) < _MESSAGE_POOL_MAX:
-                    mpool.append(payload)
-
-    def _release_envelope(self, envelope: Envelope) -> None:
-        """Return a delivered envelope to the free list.  The payload
-        reference is kept — clearing it would surprise senders that
-        still hold the envelope returned by :meth:`send` — and is
-        overwritten on reuse."""
-        pool = self._envelope_pool
-        if self._pool_debug:
-            eid = id(envelope)
-            if eid in self._env_pool_ids:
-                raise DeliveryError(
-                    f"double release of pooled envelope {envelope!r}"
-                )
-            if len(pool) < _ENVELOPE_POOL_MAX:
-                self._env_pool_ids.add(eid)
-        if len(pool) < _ENVELOPE_POOL_MAX:
-            pool.append(envelope)

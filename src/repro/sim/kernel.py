@@ -37,13 +37,6 @@ Design notes
   :meth:`Simulator.reschedule` instead of allocating a fresh one per
   tick — at r = 580 the peerview/SRDI/lease tick storm is millions of
   avoided allocations over a paper-scale run.
-* One-shot event plumbing is pooled:
-  :meth:`Simulator.schedule_recycled` arms a *fired* handle taken from
-  a per-simulator free list and :meth:`Simulator.release_handle`
-  returns it after the firing, so a steady-state message send (the
-  transport's deliver timer) allocates no handle.  Pool integrity
-  checks (double release, re-arm of a pool-resident handle) are
-  compiled in behind ``SimOptions(pool_debug=True)``.
 * When a wheel slot migrates inward, its survivors are *sorted once*
   into a batch list (``_batch``) instead of heapified into the active
   queue: the run loop then merges the batch cursor against the heap
@@ -106,11 +99,6 @@ _WHEEL_MASK = _WHEEL_SLOTS - 1
 _WHEEL_WIDTH = 0.5
 _INV_WIDTH = 2.0  # 1 / _WHEEL_WIDTH
 _WHEEL_SPAN = _WHEEL_SLOTS * _WHEEL_WIDTH  # 64 s horizon
-
-#: Handle free-list cap: beyond this the pool stops growing and extra
-#: releases fall to the garbage collector.  Steady-state in-flight
-#: message counts sit far below this even at r = 1160.
-_HANDLE_POOL_MAX = 8192
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -223,7 +211,6 @@ class Simulator:
         "_batch", "_batch_pos",
         "_max_events", "_running", "_stop_requested",
         "_trace_hooks", "_fire_hooks", "_done_hooks", "_hooks_active",
-        "_handle_pool", "_pool_debug", "_pool_ids",
     )
 
     def __init__(
@@ -272,12 +259,6 @@ class Simulator:
         #: tuple compare per event (empty under the heap scheduler)
         self._batch: list = []
         self._batch_pos = 0
-        #: free list of *fired* handles (schedule_recycled / release_handle)
-        self._handle_pool: list[EventHandle] = []
-        #: ``options.pool_debug``, bound where the hot paths read it
-        self._pool_debug = options.pool_debug
-        #: ids of pool-resident handles (``pool_debug`` only)
-        self._pool_ids: set[int] = set()
         self._max_events = max_events
         self._running = False
         self._stop_requested = False
@@ -452,17 +433,12 @@ class Simulator:
                 "only a fired handle can be re-armed; schedule() a new "
                 "one for pending or cancelled timers"
             )
-        if self._pool_debug and id(handle) in self._pool_ids:
-            raise SchedulingError(
-                "re-arming a handle that is resident in the free list "
-                "(use after release_handle)"
-            )
         time = self.clock._now + delay
         seq = self._seq
         self._seq = seq + 1
         handle._state = self
-        # tier routing inlined: with pooled transport sends this joins
-        # schedule() as the hottest entry point in a paper-scale run
+        # tier routing inlined: every periodic timer re-arms through
+        # here on each tick
         if time < self._win_end:
             _heappush(self._queue, (time, seq, handle, fn, args))
         elif time < self._wheel_limit:
@@ -473,80 +449,6 @@ class Simulator:
         else:
             _heappush(self._overflow, (time, seq, handle, fn, args))
         return handle
-
-    def schedule_recycled(
-        self,
-        delay: float,
-        fn: Callable[..., Any],
-        a: Any,
-        b: Any,
-        label: str = "",
-    ) -> EventHandle:
-        """The per-message delivery timer: schedule ``fn(a, b, handle)``
-        ``delay`` seconds from now on a handle taken off the free list
-        (a fresh one when the list is empty).
-
-        The handle rides along as the trailing callback argument so
-        the callee can hand it back with :meth:`release_handle`; a hot
-        caller — the network transport scheduling one delivery per
-        message — then runs allocation-free in steady state, the same
-        handle objects circulating between the pool and the scheduler.
-        The trace label is (re)set here, so recycled handles are
-        indistinguishable from fresh ones in kernel traces."""
-        if delay < 0:
-            raise SchedulingError(f"cannot schedule in the past (delay={delay})")
-        pool = self._handle_pool
-        if pool:
-            handle = pool.pop()
-            if self._pool_debug:
-                self._pool_ids.discard(id(handle))
-        else:
-            handle = _new_handle(EventHandle)
-        handle._label = label
-        time = self.clock._now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        handle._state = self
-        args = (a, b, handle)
-        if time < self._win_end:
-            _heappush(self._queue, (time, seq, handle, fn, args))
-        elif time < self._wheel_limit:
-            self._wheel[int(time * _INV_WIDTH) & _WHEEL_MASK].append(
-                (time, seq, handle, fn, args)
-            )
-            self._wheel_count += 1
-        else:
-            _heappush(self._overflow, (time, seq, handle, fn, args))
-        return handle
-
-    # ------------------------------------------------------------------
-    # handle free list
-    # ------------------------------------------------------------------
-    def release_handle(self, handle: EventHandle) -> None:
-        """Return a *fired* handle to the free list.
-
-        Only fired handles are poolable: a pending handle still has a
-        live scheduler entry and a cancelled one may have a tombstone
-        resident in a tier — recycling either would let one handle
-        stand behind two entries.  The caller must not touch the
-        handle after releasing it; ``SimOptions.pool_debug`` turns a
-        double release (and a ``reschedule`` of a pool-resident
-        handle) into an immediate :class:`SchedulingError`."""
-        if handle._state is not False:
-            raise SchedulingError(
-                "only a fired handle can be released to the pool"
-            )
-        pool = self._handle_pool
-        if self._pool_debug:
-            hid = id(handle)
-            if hid in self._pool_ids:
-                raise SchedulingError(
-                    f"double release of pooled handle {handle!r}"
-                )
-            if len(pool) < _HANDLE_POOL_MAX:
-                self._pool_ids.add(hid)
-        if len(pool) < _HANDLE_POOL_MAX:
-            pool.append(handle)
 
     # ------------------------------------------------------------------
     # window migration (wheel -> active queue)
@@ -777,17 +679,14 @@ class Simulator:
         verbatim, and so do the options (a restored run runs as it was
         built, whatever the restoring process's environment); the
         run-control flags reset (a snapshot is only legal between
-        ``run`` calls); the id-based pool-integrity set is dropped and
-        rebuilt from the pool contents on restore.  The
-        derived ``_fire_hooks``/``_done_hooks`` views are rebuilt from
-        ``_trace_hooks``."""
+        ``run`` calls).  The derived ``_fire_hooks``/``_done_hooks``
+        views are rebuilt from ``_trace_hooks``."""
         if self._running:
             raise SchedulingError(
                 "cannot snapshot a running simulator; snapshot between "
                 "run() calls (an event boundary)"
             )
         state = {slot: getattr(self, slot) for slot in self.__slots__}
-        state["_pool_ids"] = None
         state["_fire_hooks"] = None
         state["_done_hooks"] = None
         return state
@@ -797,11 +696,6 @@ class Simulator:
             setattr(self, slot, value)
         self._running = False
         self._stop_requested = False
-        # the id() set from the snapshotting process is meaningless
-        # here: rebuild it from the pool contents
-        self._pool_ids = (
-            {id(h) for h in self._handle_pool} if self._pool_debug else set()
-        )
         self._rebuild_hook_lists()
 
     def snapshot(self) -> bytes:

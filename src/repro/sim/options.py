@@ -23,14 +23,10 @@ CANARIES = (EXPIRE_LEAK,)
 @dataclass(frozen=True)
 class SimOptions:
     """``scheduler``: ``"wheel"`` or ``"heap"``, one fire order;
-    ``pooling``: recycle envelopes and deliver handles; ``pool_debug``:
-    check those free lists; ``canaries``: the armed :data:`CANARIES`, a
-    sorted tuple (a set's order would tie blob bytes to
-    ``PYTHONHASHSEED``)."""
+    ``canaries``: the armed :data:`CANARIES`, a sorted tuple (a set's
+    order would tie blob bytes to ``PYTHONHASHSEED``)."""
 
     scheduler: str = "wheel"
-    pooling: bool = True
-    pool_debug: bool = False
     canaries: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -43,11 +39,9 @@ class SimOptions:
 
     @classmethod
     def from_env(cls) -> "SimOptions":
-        """``REPRO_SCHEDULER``, ``REPRO_POOL_DEBUG=1`` and
-        ``REPRO_CANARY=1`` (every canary); pooling has no variable."""
+        """``REPRO_SCHEDULER`` and ``REPRO_CANARY=1`` (every canary)."""
         env = os.environ
         return cls(
             scheduler=env.get("REPRO_SCHEDULER", "wheel"),
-            pool_debug=env.get("REPRO_POOL_DEBUG") == "1",
             canaries=CANARIES if env.get("REPRO_CANARY") == "1" else (),
         )

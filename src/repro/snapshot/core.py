@@ -2,9 +2,9 @@
 
 A snapshot is a protocol-5 pickle of the live object graph — the
 :class:`~repro.sim.kernel.Simulator` (every scheduler tier, clock, seq
-counter, handle pool, trace hooks), the RNG registry with each named
+counter, trace hooks), the RNG registry with each named
 stream's Mersenne state, the :class:`~repro.network.Network` (endpoints,
-latency model, pools, fault controller, intern table, observability
+latency model, fault controller, intern table, observability
 hub) and all per-peer protocol state reachable from queued events.
 Pickle's memo preserves shared-object identity inside one graph, so a
 restored transport still holds the *same* latency stream object as the
@@ -43,7 +43,7 @@ from typing import Any, Tuple
 #: Bump whenever the pickled state contract changes incompatibly
 #: (slot layouts, scheduler tier layout, RNG stream naming).  Stored
 #: checkpoints with another version are invalidated, not misread.
-SNAPSHOT_VERSION = 16
+SNAPSHOT_VERSION = 17
 
 #: sha256 of the pickled layout (classes, their fields, container
 #: types) reachable from a reference snapshot, as
@@ -51,7 +51,7 @@ SNAPSHOT_VERSION = 16
 #: that test fails the layout moved: bump the version above, then
 #: regenerate this value with the command the failure prints.
 SNAPSHOT_LAYOUT_FINGERPRINT = (
-    "0e83f9cdc1721876bce66002ecf2092e6061643a1bfa85debe78d9d577f7ebdc"
+    "45544809f5351af911d259188ffbefb99d426fca8e3bc394fd40979683f1eeae"
 )
 
 _MAGIC = b"repro-snap"

@@ -9,8 +9,7 @@ minute 12 on complete ones), so the computed replica misses and the
 query walks the peerview in both directions.
 
 The digest below was generated at the commit *before* the query-path
-fast lane (PR 13) and must be reproduced by both schedulers with and
-without object pooling.  A hop edit that moves the simulation fails
+fast lane (PR 13) and must be reproduced by both schedulers.  A hop edit that moves the simulation fails
 here in seconds, not in the benchmark.
 """
 
@@ -35,7 +34,7 @@ WALK_DIGEST = (
 MIN_WALK_STEPS_PER_QUERY = 5.0
 
 
-def _run_walk(scheduler: str, pooling: bool):
+def _run_walk(scheduler: str):
     spec = WorkloadSpec(
         name="walk",
         warmup=12 * MINUTES,
@@ -48,9 +47,7 @@ def _run_walk(scheduler: str, pooling: bool):
     )
     sim = Simulator(
         seed=1,
-        options=replace(
-            SimOptions.from_env(), scheduler=scheduler, pooling=pooling
-        ),
+        options=replace(SimOptions.from_env(), scheduler=scheduler),
     )
     network = Network(sim)
     overlay = build_overlay(
@@ -78,10 +75,14 @@ def _run_walk(scheduler: str, pooling: bool):
     return digest, sum(walk_steps), slo["walk.query"]
 
 
-@pytest.mark.parametrize("pooling", [True, False], ids=["pooled", "unpooled"])
+# The ids name the two send paths the digest was pinned under while object
+# pools existed.  There is one path now: both ids run it, and both must still
+# read the pinned digest, so neither the wheel nor the heap run may depend on
+# an earlier simulation in the same process.
+@pytest.mark.parametrize("path", ["pooled", "unpooled"])
 @pytest.mark.parametrize("scheduler", ["wheel", "heap"])
-def test_walk_digest_is_pinned(scheduler, pooling):
-    digest, walk_steps, queries = _run_walk(scheduler, pooling)
+def test_walk_digest_is_pinned(scheduler, path):
+    digest, walk_steps, queries = _run_walk(scheduler)
     # the regime first: a digest of the flat path would pin nothing
     assert queries["requests"] > 50
     assert queries["timeout"] == 0 and queries["failure"] == 0

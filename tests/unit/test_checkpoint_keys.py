@@ -20,7 +20,7 @@ from repro.snapshot import checkpoint_key
 DEFAULT = SimOptions()
 
 CHURN_R16_SEED2 = (
-    "418cef2e175a3aaafa0460da24ff1a491d432acc6a8ce9ce28f6bdcf1b17c2dd"
+    "243058bb2a7c6edae30ebb90c4e8d40fb3b1a12001354147cc01356bbe6d596e"
 )
 
 KEYS = {
@@ -30,34 +30,34 @@ KEYS = {
     ),
     "fig4-right r=8 A": (
         lambda: fig4_right.bootstrap_spec(8, False, options=DEFAULT),
-        "81237fab6df1c9568edec9771feae66be0df72bfaebbe5085045dc928c579c1a",
+        "3a5a501c0079cdb3391bfdf911a16296c0ff1798d45c46651fe83cb753d926b9",
     ),
     "fig4-right r=20 B warmup=60min": (
         lambda: fig4_right.bootstrap_spec(
             20, True, warmup=60 * MINUTES, options=DEFAULT
         ),
-        "ed484ba80cef7be86a5eb03692f45fdb2d086c8393bc663859dd97e8e8743920",
+        "352341712053acfdb2b52a859e9dfa3dfeff8836bbddf2d1d2a4c35f5e146507",
     ),
     "load ci_spec r=8 seed=3": (
         lambda: load_exp.bootstrap_spec(
             load_exp.ci_spec(), 8, seed=3, options=DEFAULT
         ),
-        "da3bf3f47e883d4157e9914a6687e8dc96204188a2edb67b21d236b54752eddf",
+        "60be3b9261cd21c724b409c1585f4e092af4725d97cdb265faad5da8e50dd942",
     ),
 }
 
 FUZZ_KEYS = (
-    "8166916f1275c0917694c84be285329d92a73b4fee865e0c203028f316f8b794",
-    "10aecfdcf5d54aebdc345d740910e464689312bee6daeb9c5930f63029630707",
-    "8d11fdaf65167cf6897875b541a52c449f645b88bd0bcc6e1de56436762dd9a2",
-    "165bccda0bc10fad232223ab3f4b5f64ab930c066a92dfdd794e9d51675f592d",
+    "7499de330a4f49e9f9d4ac224c920e76c39f839fad716cccfa4c16dabee22234",
+    "239304c04fb8471a3f462c2fc48a0d7fea168c44bbb1a5872e5a1abb9c6490c0",
+    "8178fbda18f41d6ff8afde173e17cd00de9540fb325d524b6d8f91eaeccc733c",
+    "dc1dc5108b5642d12b573b2b7ff0c0283ad7f67223b10f347bf96e69452e31e2",
 )
 
 CAMPAIGN_KEYS = {
     "churn": ({"r": 16, "seed": 2}, CHURN_R16_SEED2),
     "load": (
         {"r": 24, "rate": 1, "skew": 0, "seed": 1, "warmup": 3600},
-        "661b9de8ff3b4df43ecb1f66bb3e9093499b5f478b30ec1771c0e05f9917df40",
+        "d21c46ec1c17b3a3da67149337f7828a41aca92866b0da4a8237dfea33d7d502",
     ),
 }
 
@@ -76,7 +76,7 @@ def test_fuzz_key_is_pinned(index):
 
 @pytest.mark.parametrize("task_type", sorted(CAMPAIGN_KEYS))
 def test_campaign_group_key_is_pinned(task_type, monkeypatch):
-    for name in ("REPRO_SCHEDULER", "REPRO_POOL_DEBUG", "REPRO_CANARY"):
+    for name in ("REPRO_SCHEDULER", "REPRO_CANARY"):
         monkeypatch.delenv(name, raising=False)
     params, key = CAMPAIGN_KEYS[task_type]
     assert checkpoint_key(bootstrap_spec_of(task_type, params)) == key

@@ -28,7 +28,7 @@ PLAIN, CRASH, CHURN, LOADED = SEED_CASES
 
 @pytest.fixture(autouse=True)
 def default_kernel(monkeypatch):
-    """Primary execution = wheel + pooled, whatever the CI leg sets."""
+    """Primary execution = wheel, whatever the CI leg sets."""
     monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
     monkeypatch.delenv("REPRO_CANARY", raising=False)
 
@@ -45,8 +45,8 @@ def _plant(monkeypatch, diverges=lambda **call: False, midpoint=("k", "k")):
 
     def fake_run_case(case, options=None, store=None,
                       reads=EVERYTHING, replay_ops=None):
-        call = dict(scheduler=options.scheduler, pooling=options.pooling,
-                    reads=tuple(reads), replay=replay_ops is not None)
+        call = dict(scheduler=options.scheduler, reads=tuple(reads),
+                    replay=replay_ops is not None)
         calls.append(call)
         mark = "!" if diverges(**call) else ""
         return RunResult(
@@ -83,11 +83,6 @@ def test_agreeing_executions_report_nothing(monkeypatch):
 def test_other_scheduler_digest_is_scheduler_equivalence(monkeypatch):
     _plant(monkeypatch, lambda scheduler, **_: scheduler == "heap")
     assert _signatures(check_case(PLAIN)) == ["scheduler-equivalence"]
-
-
-def test_unpooled_digest_is_pooling_equivalence(monkeypatch):
-    _plant(monkeypatch, lambda pooling, **_: pooling is False)
-    assert _signatures(check_case(PLAIN)) == ["pooling-equivalence"]
 
 
 def test_continued_digest_is_snapshot_invisibility(monkeypatch):
@@ -139,7 +134,6 @@ def test_each_execution_is_asked_only_for_what_is_compared(monkeypatch):
     assert [c["reads"] for c in calls] == [
         (DIGEST, COVERAGE, WORKLOAD),  # base
         (DIGEST,),                     # other scheduler
-        (DIGEST,),                     # pooling off
         (WORKLOAD,),                   # replay
     ]
     del calls[:]
@@ -147,7 +141,7 @@ def test_each_execution_is_asked_only_for_what_is_compared(monkeypatch):
     check_case(LOADED, oracles=("invariants",), coverage=False)
     assert [c["reads"] for c in calls] == [()]
     del calls[:]
-    check_case(LOADED, oracles=("pooling",), coverage=False)
+    check_case(LOADED, oracles=("scheduler",), coverage=False)
     assert [c["reads"] for c in calls] == [(DIGEST,), (DIGEST,)]
     del calls[:]
     check_case(LOADED, oracles=("replay",), coverage=False)
@@ -188,7 +182,7 @@ def test_full_battery_opens_one_hub_and_two_workload_traces(instruments):
     report = check_case(LOADED)
     assert report.failures == []
     assert report.base.coverage
-    # base, scheduler, pooling, replay ran; only the base counted keys,
+    # base, scheduler, replay ran; only the base counted keys,
     # only the base and the replay traced the workload
     assert instruments == {"hubs": 1, "workload_traces": 2}
 
@@ -242,5 +236,5 @@ def test_reads_selects_fields_and_never_changes_them():
 
 def test_oracle_catalogue_is_unchanged():
     assert ORACLES == (
-        "invariants", "scheduler", "pooling", "snapshot", "replay",
+        "invariants", "scheduler", "snapshot", "replay",
     )

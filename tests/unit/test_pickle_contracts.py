@@ -1,7 +1,7 @@
 """Pickle contracts of the snapshot-critical classes.
 
 Every class that carries derived or process-local state (memo caches,
-id()-based integrity sets, free lists, legitimately unset slots)
+legitimately unset slots)
 defines an explicit ``__getstate__``/``__setstate__`` pair so a
 :mod:`repro.snapshot` blob round-trips exactly.  One test class per
 audited type; each asserts both directions of the contract:
@@ -38,10 +38,6 @@ def pid(n):
 
 def _noop(*args):
     """Module-level so scheduled events pickle by reference."""
-
-
-def _release(sim, _unused, handle):
-    sim.release_handle(handle)
 
 
 def rdv_adv(n):
@@ -111,7 +107,7 @@ class TestSimulator:
     @pytest.mark.parametrize("scheduler", ["wheel", "heap"])
     def test_round_trip_is_byte_stable(self, scheduler):
         # every tier populated (active window, batch remnant, wheel,
-        # overflow), a tombstone resident and a handle in the free list
+        # overflow) and a tombstone resident
         sim = Simulator(
             seed=3,
             options=replace(SimOptions.from_env(), scheduler=scheduler),
@@ -119,13 +115,13 @@ class TestSimulator:
         for i, delay in enumerate([0.1, 0.2, 0.3, 0.3, 7.0, 500.0]):
             sim.schedule(delay, _noop, i, label=f"ev-{i}")
         sim.schedule(30.0, _noop).cancel()
-        sim.schedule_recycled(0.05, _release, sim, None)
         sim.run(until=0.25)
         sim.schedule(0.01, _noop, "into-window")
-        assert len(sim._handle_pool) == 1
         blob = pickle.dumps(sim)
         clone = pickle.loads(blob)
         assert pickle.dumps(clone) == blob
+        # the options travel with the blob
+        assert clone.options == sim.options
 
     def test_refuses_to_pickle_mid_run(self):
         sim = Simulator(seed=3)
@@ -136,25 +132,6 @@ class TestSimulator:
                 pickle.dumps(sim)
         finally:
             sim._running = False
-
-    def test_pool_ids_rebuilt_for_restoring_process(self):
-        options = SimOptions(pool_debug=True)
-        sim = Simulator(seed=3, options=options)
-        handle = sim.schedule(0.5, _noop)
-        sim.run(until=1.0)
-        sim.release_handle(handle)
-        sim2 = pickle.loads(pickle.dumps(sim))
-        # the options travel with the blob ...
-        assert sim2.options == options and sim2._pool_debug
-        # ... and the id() set is rebuilt from *this* process's object
-        # identities, never the snapshotting process's meaningless ones
-        assert len(sim2._handle_pool) == 1
-        assert sim2._pool_ids == {id(h) for h in sim2._handle_pool}
-        with pytest.raises(SchedulingError, match="double release"):
-            sim2.release_handle(sim2._handle_pool[0])
-        # a blob built without the checks restores without them
-        plain = pickle.loads(pickle.dumps(Simulator(seed=3, options=SimOptions())))
-        assert not plain._pool_debug and plain._pool_ids == set()
 
 
 class TestRngRegistry:
@@ -246,25 +223,16 @@ class TestJxtaID:
 
 
 class TestNetwork:
-    def test_env_pool_ids_rebuilt_on_restore(self):
-        from repro.network.site import place_nodes
-
-        sim = Simulator(seed=11, options=SimOptions(pool_debug=True))
+    def test_cached_bound_methods_follow_restored_simulator(self):
+        sim = Simulator(seed=11, options=SimOptions(scheduler="heap"))
         net = Network(sim, latency=ConstantLatency(0.001))
-        nodes = place_nodes(2)
-        net.attach("a", nodes[0], _noop)
-        net.attach("b", nodes[1], _noop)
-        net.send("a", "b", "x")
-        sim.run()
-        assert len(net._envelope_pool) == 1
         net2 = pickle.loads(pickle.dumps(net))
-        # the switches travel with the blob; only the id() set is rebuilt
-        assert net2.sim.options.pool_debug and net2._pool_debug
-        assert net2._env_pool_ids == {id(e) for e in net2._envelope_pool}
-        assert len(net2._env_pool_ids) == 1
-        # the restored network's cached bound methods point at the
-        # restored simulator (memo sharing), not the original
+        # the options travel with the blob, and the restored network's
+        # cached bound methods point at the restored simulator (memo
+        # sharing), not the original
+        assert net2.sim.options == sim.options
         assert net2.sim is not sim
+        assert net2._schedule.__self__ is net2.sim
 
     def test_round_trip_is_byte_stable(self):
         net = Network(Simulator(seed=11), latency=ConstantLatency(0.001))

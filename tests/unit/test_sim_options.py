@@ -1,6 +1,6 @@
 """One options value, one reader of the environment.
 
-The scheduler, pooling, pool-integrity and canary switches are a
+The scheduler and canary switches are a
 :class:`SimOptions` value the simulator is built with.  The environment
 is read in :meth:`SimOptions.from_env` and nowhere else under
 ``src/repro``; nothing there writes it.  A snapshot carries the options
@@ -96,7 +96,7 @@ def test_only_from_env_reads_the_environment():
 
 def test_defaults_are_the_benchmarked_program():
     assert SimOptions() == SimOptions(
-        scheduler="wheel", pooling=True, pool_debug=False, canaries=()
+        scheduler="wheel", canaries=()
     )
 
 
@@ -110,15 +110,14 @@ def test_canaries_are_a_sorted_tuple_of_known_names():
         SimOptions(scheduler="calendar")
 
 
-def test_from_env_maps_the_three_variables(monkeypatch):
-    for name in ("REPRO_SCHEDULER", "REPRO_POOL_DEBUG", "REPRO_CANARY"):
+def test_from_env_maps_the_two_variables(monkeypatch):
+    for name in ("REPRO_SCHEDULER", "REPRO_CANARY"):
         monkeypatch.delenv(name, raising=False)
     assert SimOptions.from_env() == SimOptions()
     monkeypatch.setenv("REPRO_SCHEDULER", "heap")
-    monkeypatch.setenv("REPRO_POOL_DEBUG", "1")
     monkeypatch.setenv("REPRO_CANARY", "1")
     assert SimOptions.from_env() == SimOptions(
-        scheduler="heap", pool_debug=True, canaries=CANARIES
+        scheduler="heap", canaries=CANARIES
     )
     assert Simulator(seed=1).options == SimOptions.from_env()
 
@@ -127,9 +126,8 @@ def test_the_network_and_the_views_read_the_simulators_options():
     from repro.config import PlatformConfig
     from repro.deploy import OverlayDescription, build_overlay
 
-    sim = Simulator(seed=1, options=SimOptions(pooling=False, canaries=CANARIES))
+    sim = Simulator(seed=1, options=ARMED)
     network = Network(sim)
-    assert network.pooling is False
     overlay = build_overlay(
         sim, network, PlatformConfig(), OverlayDescription(rendezvous_count=3)
     )
@@ -163,12 +161,18 @@ def test_an_armed_blob_is_a_warm_start_miss_for_the_defaults(tmp_path):
     assert store.counters()["hits"] == 1
 
 
-@pytest.mark.parametrize("variable", ["REPRO_POOL_DEBUG", "REPRO_CANARY"])
-def test_experiment_warm_start_keys_cover_every_switch(monkeypatch, variable):
-    for name in ("REPRO_SCHEDULER", "REPRO_POOL_DEBUG", "REPRO_CANARY"):
+@pytest.mark.parametrize(
+    "variable, value",
+    [("REPRO_SCHEDULER", "heap"), ("REPRO_CANARY", "1")],
+    ids=["REPRO_SCHEDULER", "REPRO_CANARY"],
+)
+def test_experiment_warm_start_keys_cover_every_switch(
+    monkeypatch, variable, value
+):
+    for name in ("REPRO_SCHEDULER", "REPRO_CANARY"):
         monkeypatch.delenv(name, raising=False)
     plain = (churn_exp.bootstrap_spec(), fig4_right.bootstrap_spec(8, False))
-    monkeypatch.setenv(variable, "1")
+    monkeypatch.setenv(variable, value)
     switched = (churn_exp.bootstrap_spec(), fig4_right.bootstrap_spec(8, False))
     assert plain[0] != switched[0] and plain[1] != switched[1]
 
