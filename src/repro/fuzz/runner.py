@@ -26,17 +26,22 @@ Oracles (:func:`check_case`):
     armed in ``SimOptions.canaries``).
 ``scheduler``
     The same case re-run under the *other* kernel scheduler
-    (wheel vs heap) must produce a byte-identical kernel trace digest.
+    (wheel vs heap) must record an identical kernel trace.
 ``snapshot``
     Pausing at mid-run, snapshotting, continuing — and separately
     restoring the snapshot and continuing — must both reproduce the
-    uninterrupted digest.  Gated to cases without churn (closure-driven
-    churn processes) or workload (generator-driven arrivals), whose
-    graphs are deliberately unsnapshottable (docs/CHECKPOINTS.md).
+    uninterrupted kernel trace.  Gated to cases without churn
+    (closure-driven churn processes) or workload (generator-driven
+    arrivals), whose graphs are deliberately unsnapshottable
+    (docs/CHECKPOINTS.md).
 ``replay``
     For workload cases: re-driving the recorded operation trace on a
-    fresh deployment must reproduce the workload trace digest and the
-    SLO snapshot byte for byte.
+    fresh deployment must reproduce the workload trace and the SLO
+    snapshot.
+
+Every oracle compares the traces themselves (list equality, so no hash
+collision can hide a divergence); a hex digest is formatted only for a
+failure's ``detail`` line.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from repro.fuzz.genome import (
 from repro.network import Network
 from repro.obs.runtime import ObsSession, activate, deactivate
 from repro.sim import SimOptions, Simulator
-from repro.sim.tracing import KernelTraceRecorder
+from repro.sim.tracing import KernelTraceRecorder, trace_digest
 from repro.snapshot import (
     SnapshotError,
     restore_network,
@@ -65,6 +70,7 @@ from repro.snapshot import (
     warm_start,
 )
 from repro.workload import WorkloadEngine, WorkloadSpec, WorkloadTraceRecorder
+from repro.workload.trace import ops_digest
 
 #: the oracle battery, in evaluation order
 ORACLES: Tuple[str, ...] = (
@@ -72,8 +78,9 @@ ORACLES: Tuple[str, ...] = (
 )
 
 #: what ``run_case(reads=...)`` collects beyond the invariant verdict:
-#: the kernel trace digest; the coverage key set (a metrics hub rides
-#: the run); the workload trace, its digest and the SLO snapshot
+#: the kernel trace (without it the recorder is detached after the
+#: bootstrap prefix); the coverage key set (a metrics hub rides the
+#: run); the workload trace and the SLO snapshot
 DIGEST, COVERAGE, WORKLOAD = "digest", "coverage", "workload"
 EVERYTHING: Tuple[str, ...] = (DIGEST, COVERAGE, WORKLOAD)
 
@@ -179,11 +186,21 @@ class RunResult:
 
     invariant_summary: Dict[str, int]
     violations: Tuple[str, ...]
-    digest: Optional[str] = None
+    #: the kernel trace, ``(time, label)`` per fired event
+    trace: Optional[List[Tuple[float, str]]] = None
     coverage: Tuple[str, ...] = ()
     slo_json: Optional[str] = None
-    workload_digest: Optional[str] = None
     trace_ops: Optional[List[Any]] = None
+
+    @property
+    def digest(self) -> Optional[str]:
+        """:meth:`KernelTraceRecorder.digest` of ``trace``."""
+        return None if self.trace is None else trace_digest(self.trace)
+
+    @property
+    def workload_digest(self) -> Optional[str]:
+        """:meth:`WorkloadTraceRecorder.digest` of ``trace_ops``."""
+        return None if self.trace_ops is None else ops_digest(self.trace_ops)
 
 
 def _coverage_keys(
@@ -214,9 +231,9 @@ def run_case(
     reads: Sequence[str] = EVERYTHING,
     replay_ops: Optional[Sequence[Any]] = None,
 ) -> RunResult:
-    """One seeded execution of ``case`` under the invariant checker and
-    the kernel trace recorder, collecting what ``reads`` names of
-    :data:`EVERYTHING` for the caller."""
+    """One seeded execution of ``case`` under the invariant checker,
+    collecting what ``reads`` names of :data:`EVERYTHING` for the
+    caller."""
     options = options or SimOptions.from_env()
     metrics = COVERAGE in reads
     session = activate(ObsSession() if metrics else _NoHubSession())
@@ -225,6 +242,8 @@ def run_case(
             store, bootstrap_spec(case, options, metrics), _bootstrap
         )
         overlay, recorder = extra["overlay"], extra["recorder"]
+        if DIGEST not in reads:
+            recorder.detach()
         sim = network.sim
         engine = ScenarioEngine(
             sim, network, peers_of(overlay), decode_scenario(case)
@@ -255,14 +274,13 @@ def run_case(
             violations=tuple(v.format() for v in checker.violations[:8]),
         )
         if DIGEST in reads:
-            result.digest = recorder.digest()
+            result.trace = recorder.entries
         if metrics:
             result.coverage = _coverage_keys(
                 session.merged_snapshot(), summary
             )
         if wrecorder is not None:
             result.slo_json = canonical_json(wengine.slo.snapshot())
-            result.workload_digest = wrecorder.digest()
             result.trace_ops = wrecorder.ops
         return result
     finally:
@@ -271,12 +289,12 @@ def run_case(
 
 def run_case_with_midpoint_snapshot(
     case: FuzzCase, options: SimOptions, store=None
-) -> Tuple[Optional[str], Optional[str], Optional[str]]:
+) -> Tuple[Optional[list], Optional[list], Optional[str]]:
     """The snapshot-invisibility probe: pause at mid-run, snapshot,
     continue; separately restore the blob and continue that copy.
 
-    Returns ``(continued_digest, restored_digest, skip_reason)`` —
-    digests are None when the case's graph is not snapshottable."""
+    Returns ``(continued_trace, restored_trace, skip_reason)`` — the
+    kernel traces are None when the case's graph is not snapshottable."""
     if case.workload is not None or has_churn(case):
         return None, None, "workload/churn graphs are not snapshottable"
     t_mid = round((BOOTSTRAP_TIME + case.duration) / 2.0, 1)
@@ -309,7 +327,7 @@ def run_case_with_midpoint_snapshot(
         checker.check_all()
         engine.stop()
         checker.detach()
-        continued = recorder.digest()
+        continued = recorder.entries
     finally:
         deactivate(session)
 
@@ -324,7 +342,7 @@ def run_case_with_midpoint_snapshot(
         checker2.check_all()
         engine2.stop()
         checker2.detach()
-        restored = recorder2.digest()
+        restored = recorder2.entries
     finally:
         deactivate(session)
     return continued, restored, None
@@ -364,7 +382,7 @@ def check_case(
     (default :meth:`SimOptions.from_env`).  Re-executions collect what
     their oracle compares, and so does the base for a caller that reads
     ``failures`` only (``coverage=False``: shrink probes); otherwise it
-    adds the digest and the coverage keys."""
+    adds the kernel trace and the coverage keys."""
     unknown = set(oracles) - set(ORACLES)
     if unknown:
         raise ValueError(f"unknown oracle(s): {sorted(unknown)}")
@@ -403,7 +421,7 @@ def check_case(
             case, options=replace(options, scheduler=other), store=store,
             reads=(DIGEST,),
         )
-        if alt.digest != base.digest:
+        if alt.trace != base.trace:
             failures.append(
                 Failure(
                     oracle="scheduler",
@@ -422,25 +440,27 @@ def check_case(
         if skip is not None:
             skipped.append(f"snapshot: {skip}")
         else:
-            if continued != base.digest:
+            if continued != base.trace:
                 failures.append(
                     Failure(
                         oracle="snapshot",
                         signature="snapshot-invisibility",
                         detail=(
-                            "taking a mid-run snapshot perturbed the "
-                            f"run: {continued[:12]} vs {base.digest[:12]}"
+                            "taking a mid-run snapshot perturbed the run: "
+                            f"{trace_digest(continued)[:12]} vs "
+                            f"{base.digest[:12]}"
                         ),
                     )
                 )
-            if restored != base.digest:
+            if restored != base.trace:
                 failures.append(
                     Failure(
                         oracle="snapshot",
                         signature="snapshot-restore",
                         detail=(
                             "restored continuation diverged: "
-                            f"{(restored or '?')[:12]} vs {base.digest[:12]}"
+                            f"{trace_digest(restored)[:12]} vs "
+                            f"{base.digest[:12]}"
                         ),
                     )
                 )
@@ -454,7 +474,7 @@ def check_case(
                 replay_ops=base.trace_ops,
             )
             if (
-                replayed.workload_digest != base.workload_digest
+                replayed.trace_ops != base.trace_ops
                 or replayed.slo_json != base.slo_json
             ):
                 failures.append(

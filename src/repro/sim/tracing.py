@@ -48,7 +48,10 @@ class KernelTraceRecorder:
 
     def digest(self) -> str:
         """SHA-256 over the whole trace — a compact equality witness."""
-        h = hashlib.sha256()
-        for time, label in self.entries:
-            h.update(f"{time!r}:{label}\n".encode("utf-8"))
-        return h.hexdigest()
+        return trace_digest(self.entries)
+
+
+def trace_digest(entries: List[Tuple[float, str]]) -> str:
+    """SHA-256 over one ``f"{time!r}:{label}\\n"`` line per entry."""
+    body = "".join([f"{time!r}:{label}\n" for time, label in entries])
+    return hashlib.sha256(body.encode("utf-8")).hexdigest()

@@ -51,7 +51,7 @@ SNAPSHOT_VERSION = 17
 #: that test fails the layout moved: bump the version above, then
 #: regenerate this value with the command the failure prints.
 SNAPSHOT_LAYOUT_FINGERPRINT = (
-    "45544809f5351af911d259188ffbefb99d426fca8e3bc394fd40979683f1eeae"
+    "79e9fd181bc460acebe81a8bad268835edf1c0f07d387554f250afa2f05421ac"
 )
 
 _MAGIC = b"repro-snap"

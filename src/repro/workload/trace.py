@@ -99,10 +99,16 @@ class WorkloadTraceRecorder:
 
     def digest(self) -> str:
         """SHA-256 of the canonical JSONL (the byte-identity oracle)."""
-        return hashlib.sha256(self.to_jsonl().encode("utf-8")).hexdigest()
+        return ops_digest(self.ops)
 
     def __len__(self) -> int:
         return len(self.ops)
+
+
+def ops_digest(ops: Iterable[TraceOp]) -> str:
+    """SHA-256 of the canonical JSONL of ``ops``."""
+    body = "".join([op.to_json() + "\n" for op in ops])
+    return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
 def load_trace_lines(source: Union[str, Path, Iterable[str]]) -> List[TraceOp]:

@@ -52,12 +52,13 @@ def _ignore(advertisements, latency):
 
 
 def build():
-    """What a stored checkpoint holds (``fuzz/runner.py:_deploy``, a
+    """What a stored checkpoint holds (``fuzz/runner.py:_bootstrap``, a
     campaign task under its ``ObsSession``): 8 rendezvous + 4 edges with
     a metrics-and-trace hub, a kernel trace recorder and a fault
     controller, two edges publishing one 40-item catalog (multi-publisher
-    SRDI buckets, replica copies), one WAN partition, minute 6, one
-    discovery query on the wire."""
+    SRDI buckets, replica copies), one WAN partition, and on the wire
+    past minute 6 a peerview referral, an SRDI push and one discovery
+    query."""
     sim = Simulator(seed=1)
     recorder = KernelTraceRecorder(sim)
     with obs_session(metrics=True, trace=True):
@@ -75,6 +76,21 @@ def build():
             edge.discovery.publish(catalog.adv(k))
     network.partition("rennes", "sophia")
     sim.run(until=6 * MINUTES)
+    # stop right after a rendezvous answers a probe with a referral
+    protocols = [r.peerview_protocol for r in overlay.rendezvous]
+    referrals = sum(p.referrals_sent for p in protocols)
+
+    def stop_after_referral(now, phase, handle):
+        if sum(p.referrals_sent for p in protocols) > referrals:
+            sim.stop()
+
+    sim.add_trace_hook(stop_after_referral, phases=("done",))
+    sim.run(until=12 * MINUTES)
+    sim.remove_trace_hook(stop_after_referral)
+    assert sum(p.referrals_sent for p in protocols) > referrals
+    discovery = overlay.edges[2].discovery
+    discovery.publish(catalog.adv(0))
+    discovery.pusher.push_now()
     overlay.edges[3].discovery.get_remote_advertisements(
         *catalog.adv(7).index_tuples()[0], callback=_ignore
     )

@@ -5,7 +5,9 @@ replaced by a fake that plants exactly one divergence, so each test
 pins one failure signature (and that no other oracle fires with it)
 without simulating anything.  The accounting tests below them run real
 executions and count the instruments: coverage hubs, workload trace
-recorders."""
+recorders, kernel trace hooks."""
+
+import math
 
 import pytest
 
@@ -22,6 +24,7 @@ from repro.fuzz.runner import (
     RunResult,
 )
 from repro.obs.runtime import ObsSession
+from repro.workload.trace import TraceOp
 
 PLAIN, CRASH, CHURN, LOADED = SEED_CASES
 
@@ -37,10 +40,20 @@ def default_kernel(monkeypatch):
 # verdicts, on planted divergences
 # ---------------------------------------------------------------------------
 
-def _plant(monkeypatch, diverges=lambda **call: False, midpoint=("k", "k")):
+def _trace(mark="", time=1.5):
+    return [(0.5, "rdv.tick"), (time, "net.deliver" + mark)]
+
+
+def _ops(mark=""):
+    return [TraceOp(t=61.0, client="edge-0", op="query", item="adv-1" + mark)]
+
+
+def _plant(monkeypatch, diverges=lambda **call: False, midpoint=("", ""),
+           trace=_trace):
     """Replace both execution functions: every execution agrees on
     every compared field except the ones ``diverges(**call)`` selects,
-    whose results come back perturbed."""
+    whose results come back perturbed (``trace(mark)`` builds the kernel
+    trace; ``midpoint`` marks the continued and the restored one)."""
     calls = []
 
     def fake_run_case(case, options=None, store=None,
@@ -51,17 +64,16 @@ def _plant(monkeypatch, diverges=lambda **call: False, midpoint=("k", "k")):
         mark = "!" if diverges(**call) else ""
         return RunResult(
             invariant_summary={}, violations=(),
-            digest="k" + mark if DIGEST in reads else None,
+            trace=trace(mark) if DIGEST in reads else None,
             coverage=("metric:counters.x",) if COVERAGE in reads else (),
             slo_json="{}" + mark if WORKLOAD in reads else None,
-            workload_digest="w" + mark if WORKLOAD in reads else None,
-            trace_ops=[] if WORKLOAD in reads else None,
+            trace_ops=_ops(mark) if WORKLOAD in reads else None,
         )
 
     def fake_midpoint(case, options, store=None):
         if case.workload is not None or runner.has_churn(case):
             return None, None, "not snapshottable"
-        return (*midpoint, None)
+        return (*map(trace, midpoint), None)
 
     monkeypatch.setattr(runner, "run_case", fake_run_case)
     monkeypatch.setattr(
@@ -85,13 +97,31 @@ def test_other_scheduler_digest_is_scheduler_equivalence(monkeypatch):
     assert _signatures(check_case(PLAIN)) == ["scheduler-equivalence"]
 
 
+def test_one_ulp_in_one_event_time_is_scheduler_equivalence(monkeypatch):
+    """Traces compare as values: one entry's time one ulp later fails."""
+    def trace(mark):
+        return _trace(time=math.nextafter(1.5, 2.0) if mark else 1.5)
+
+    _plant(monkeypatch, lambda scheduler, **_: scheduler == "heap",
+           trace=trace)
+    report = check_case(PLAIN)
+    assert _signatures(report) == ["scheduler-equivalence"]
+    # the detail line names both traces by their digest prefixes
+    base = RunResult({}, (), trace=trace(""))
+    alt = RunResult({}, (), trace=trace("!"))
+    assert report.failures[0].detail == (
+        f"kernel digests diverge: wheel={base.digest[:12]} "
+        f"heap={alt.digest[:12]}"
+    )
+
+
 def test_continued_digest_is_snapshot_invisibility(monkeypatch):
-    _plant(monkeypatch, midpoint=("k!", "k"))
+    _plant(monkeypatch, midpoint=("!", ""))
     assert _signatures(check_case(PLAIN)) == ["snapshot-invisibility"]
 
 
 def test_restored_digest_is_snapshot_restore(monkeypatch):
-    _plant(monkeypatch, midpoint=("k", "k!"))
+    _plant(monkeypatch, midpoint=("", "!"))
     assert _signatures(check_case(PLAIN)) == ["snapshot-restore"]
 
 
@@ -208,6 +238,48 @@ def test_hubless_execution_hides_from_an_ambient_session(instruments):
         deactivate(ambient)
     assert instruments["hubs"] == 0
     assert ambient.hubs == []
+
+
+@pytest.fixture
+def recorders(monkeypatch):
+    """Every execution's (simulator, kernel trace recorder), in order."""
+    seen = []
+    warm_start = runner.warm_start
+
+    def spying(store, key, build):
+        network, extra = warm_start(store, key, build)
+        seen.append((network.sim, extra["recorder"]))
+        return network, extra
+
+    monkeypatch.setattr(runner, "warm_start", spying)
+    return seen
+
+
+def test_only_executions_that_read_the_trace_keep_recording(recorders):
+    report = check_case(LOADED)
+    assert report.failures == []
+    hooked = [rec._on_event in sim._fire_hooks for sim, rec in recorders]
+    # base, scheduler, replay
+    assert hooked == [True, True, False]
+    base, _, replay = (rec for _, rec in recorders)
+    assert 0 < len(replay) < len(base)
+    assert report.base.trace is base.entries
+
+
+def test_result_digests_are_the_recorders_digests(recorders, monkeypatch):
+    workload_recorders = []
+    recorder = runner.WorkloadTraceRecorder
+
+    def keeping_recorder():
+        workload_recorders.append(recorder())
+        return workload_recorders[-1]
+
+    monkeypatch.setattr(runner, "WorkloadTraceRecorder", keeping_recorder)
+    result = run_case(LOADED)
+    ((_, kernel),) = recorders
+    (workload,) = workload_recorders
+    assert result.digest == kernel.digest()
+    assert result.workload_digest == workload.digest()
 
 
 def test_run_case_defaults_fill_every_field():

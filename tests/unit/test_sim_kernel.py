@@ -329,3 +329,58 @@ class TestSecondsConstant:
     def test_unit_sanity(self):
         assert 30 * SECONDS == 30.0
         assert 20 * MINUTES == 1200.0
+
+
+class TestKernelTraceDigest:
+    """``KernelTraceRecorder.digest()`` is what the fault experiment and
+    the determinism and golden tests compare: it must stay the SHA-256
+    of one ``f"{time!r}:{label}\\n"`` line per entry, byte for byte."""
+
+    AWKWARD = [
+        (0.0, "boot"),
+        (1e-07, "rdv.tick"),
+        (0.1 + 0.2, "net.deliver"),
+        (3.0, "lease.renew"),
+        (120.0, "probe"),
+        (1e22, "far"),
+        (123456789.123, "big"),
+        (5e-324, "denormal"),
+        (7200.000000001, "pv.é"),
+    ]
+
+    @staticmethod
+    def _per_entry(entries):
+        import hashlib
+
+        h = hashlib.sha256()
+        for time, label in entries:
+            h.update(f"{time!r}:{label}\n".encode("utf-8"))
+        return h.hexdigest()
+
+    def _recorder(self, entries):
+        from repro.sim.tracing import KernelTraceRecorder
+
+        recorder = KernelTraceRecorder(Simulator(seed=1))
+        recorder.entries = list(entries)
+        return recorder
+
+    def test_awkward_floats_hash_as_the_per_entry_formula(self):
+        digest = self._recorder(self.AWKWARD).digest()
+        assert digest == self._per_entry(self.AWKWARD)
+        assert digest == (
+            "c33b4ac63733adacc703373aa1b64c07128c6f9fd425c02510f610c65ed07d1e"
+        )
+
+    def test_empty_trace(self):
+        assert self._recorder([]).digest() == self._per_entry([])
+
+    def test_recorded_run_hashes_as_the_per_entry_formula(self):
+        from repro.sim.tracing import KernelTraceRecorder
+
+        sim = Simulator(seed=3)
+        recorder = KernelTraceRecorder(sim)
+        for i in range(50):
+            sim.schedule(i * 0.1 + 1e-07, lambda: None, label=f"e{i % 7}")
+        sim.run()
+        assert len(recorder) == 50
+        assert recorder.digest() == self._per_entry(recorder.entries)

@@ -240,6 +240,11 @@ class TestTrace:
         rec2.record(1.5, "query-0", "query", "item-3")
         rec2.record(1.52, "query-0", "query.ok", "item-3", 0.02)
         assert rec.digest() == rec2.digest()
+        import hashlib
+
+        jsonl = rec.to_jsonl().encode("utf-8")
+        assert rec.digest() == hashlib.sha256(jsonl).hexdigest()
+        assert WorkloadTraceRecorder().digest() == hashlib.sha256(b"").hexdigest()
 
     def test_roundtrip_through_file(self, tmp_path):
         rec = WorkloadTraceRecorder()
