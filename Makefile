@@ -23,14 +23,13 @@ smoke-campaign:
 	$(PYTHON) scripts/campaign_smoke.py
 
 # workload subsystem acceptance checks: 40-rdv load run with SLO
-# assertions, wheel/heap byte-identity, record/replay oracle, and
-# sweep --jobs parallel determinism (see docs/WORKLOADS.md)
+# assertions, record/replay oracle, and sweep --jobs parallel
+# determinism (see docs/WORKLOADS.md)
 smoke-load:
 	$(PYTHON) scripts/load_smoke.py
 
 # fuzzer acceptance checks: canary find+shrink, committed-corpus
-# replay under both schedulers, fuzz-digest identity across --jobs
-# and REPRO_SCHEDULER (see docs/FUZZING.md)
+# replay, fuzz-digest identity across --jobs (see docs/FUZZING.md)
 fuzz-smoke:
 	$(PYTHON) scripts/fuzz_smoke.py
 

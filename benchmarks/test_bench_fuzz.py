@@ -28,7 +28,9 @@ from repro.sim import Simulator
 #: ``bench/workloads.py``'s FUZZ_MASTER_SEED
 MASTER_SEED = derive_seed(1, "bench/fuzz-batch")
 GENOMES = 4
-ROUNDS = 3
+#: the minimum of three rounds read 14.85–22.76 µs/event across six
+#: invocations on a loaded 2-vCPU box, wider than the +15 % CI floor
+ROUNDS = 10
 
 
 def test_fuzz_slice_cost(benchmark, monkeypatch):

@@ -26,7 +26,8 @@ same runs give the same bytes).  That file is what a claim commits,
 beside its ``SUMMARY.md``, as
 ``results/perf/PR-<n>/seed<S>-<workloads>.jsonl.gz``
 (``tests/unit/test_perf_evidence.py`` re-derives the summary's table
-from it).  The full JSONs are deleted once it is written unless
+from it).  The full JSONs, and the ``spans-<workload>.npz`` files the
+traced passes leave beside them, are deleted once it is written unless
 ``--keep-full`` is given, and even then stay under ``.benchmarks/``.
 The script prints the compare table and one line per run, and exits
 non-zero when any run failed the benchmark's correctness gate.
@@ -179,7 +180,8 @@ def main(argv=None) -> int:
     parser.add_argument("--layers", default=",".join(DEFAULT_LAYERS),
                         help="comma-separated per-layer metrics to keep per run")
     parser.add_argument("--keep-full", action="store_true",
-                        help="keep each run's full JSON beside pairs.jsonl.gz")
+                        help="keep each run's full JSON (and the last traced "
+                        "pass's spans) beside pairs.jsonl.gz")
     args = parser.parse_args(argv)
 
     sha = _git("rev-parse", "--short", f"{args.base}^{{commit}}")
@@ -223,6 +225,10 @@ def main(argv=None) -> int:
     if not args.keep_full:
         for *_, path in runs:
             path.unlink()
+        # every traced pass writes its spans beside the run JSON (and
+        # overwrites the previous pass's): only the last survives
+        for spans in out.glob("spans-*.npz"):
+            spans.unlink()
     print(f"\n== every run, in the order made ({compact})")
     for line in read_pairs(compact)[1]:
         print(_report(line))

@@ -33,7 +33,7 @@ Three subcommands:
         python scripts/bench_trajectory.py check .benchmarks/ci.json \\
             --bench test_publish_retained_bytes --max-bytes-per-publish 515
         python scripts/bench_trajectory.py check .benchmarks/ci.json \\
-            --bench test_fuzz_slice_cost --max-executions-per-genome 3.74
+            --bench test_fuzz_slice_cost --max-executions-per-genome 2.59
 
 Only ``min`` is compared across entries: it is the statistic least
 polluted by scheduler noise (the median moves tens of percent between

@@ -7,12 +7,10 @@ Asserts the headline guarantees end to end:
    (``SimOptions(canaries=CANARIES)``) a fixed-budget fuzz run finds
    it, classifies it as canary-dependent and shrinks the reproducer to
    ≤ 8 actions.
-2. **Corpus replay matrix** — the committed ``tests/fuzz_corpus/``
-   entries replay green under both ``REPRO_SCHEDULER=wheel`` and
-   ``heap`` (via the tier-1 replayer suite).
+2. **Corpus replay** — the committed ``tests/fuzz_corpus/`` entries
+   replay green (via the tier-1 replayer suite).
 3. **Determinism** — ``jxta-repro fuzz --seed 0`` prints the same
-   digest across ``--jobs 1`` vs ``--jobs 2`` and across both kernel
-   schedulers.
+   digest across ``--jobs 1`` vs ``--jobs 2``.
 
 Next to what it asserts it prints what the budget cost — genomes per
 second of every run, and the executions the canary loop took — so a
@@ -38,16 +36,14 @@ sys.path.insert(0, str(REPO / "src"))
 SEED = 0
 BUDGET = 24
 BATCH_SIZE = 8
-SCHEDULERS = ("wheel", "heap")
 
 
-def _env(**extra: str) -> dict:
+def _env() -> dict:
     env = dict(os.environ)
     env.pop("REPRO_CANARY", None)
     env["PYTHONPATH"] = f"{REPO / 'src'}" + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
-    env.update(extra)
     return env
 
 
@@ -109,17 +105,16 @@ def check_canary_loop() -> None:
     )
 
 
-def check_corpus_replay_matrix() -> None:
-    for scheduler in SCHEDULERS:
-        subprocess.run(
-            [sys.executable, "-m", "pytest", "tests/fuzz", "-q",
-             "--no-header", "-p", "no:cacheprovider"],
-            env=_env(REPRO_SCHEDULER=scheduler), check=True, cwd=REPO,
-        )
-        print(f"fuzz-smoke: corpus replays green under {scheduler}")
+def check_corpus_replay() -> None:
+    subprocess.run(
+        [sys.executable, "-m", "pytest", "tests/fuzz", "-q",
+         "--no-header", "-p", "no:cacheprovider"],
+        env=_env(), check=True, cwd=REPO,
+    )
+    print("fuzz-smoke: corpus replays green")
 
 
-def _fuzz_digest(jobs: int, scheduler: str) -> tuple:
+def _fuzz_digest(jobs: int) -> tuple:
     """``(digest, wall seconds)`` of one ``jxta-repro fuzz`` process."""
     t0 = time.perf_counter()
     proc = subprocess.run(
@@ -127,7 +122,7 @@ def _fuzz_digest(jobs: int, scheduler: str) -> tuple:
          "--seed", str(SEED), "--budget", str(BUDGET),
          "--batch-size", str(BATCH_SIZE), "--jobs", str(jobs),
          "--quiet"],
-        env=_env(REPRO_SCHEDULER=scheduler), check=True, cwd=REPO,
+        env=_env(), check=True, cwd=REPO,
         capture_output=True, text=True,
     )
     match = re.search(r"# digest: ([0-9a-f]{64})", proc.stdout)
@@ -138,21 +133,19 @@ def _fuzz_digest(jobs: int, scheduler: str) -> tuple:
 def check_determinism() -> None:
     digests = {}
     for jobs in (1, 2):
-        for scheduler in SCHEDULERS:
-            digest, wall = _fuzz_digest(jobs, scheduler)
-            digests[jobs, scheduler] = digest
-            print(f"fuzz-smoke: jobs={jobs} scheduler={scheduler} "
-                  f"digest {digest[:16]}…  {BUDGET} genomes in "
-                  f"{wall:.1f} s ({BUDGET / wall:.1f} genomes/s)")
+        digest, wall = _fuzz_digest(jobs)
+        digests[jobs] = digest
+        print(f"fuzz-smoke: jobs={jobs} digest {digest[:16]}…  {BUDGET} "
+              f"genomes in {wall:.1f} s ({BUDGET / wall:.1f} genomes/s)")
     assert len(set(digests.values())) == 1, (
-        f"fuzz digests diverge across jobs/schedulers: {digests}"
+        f"fuzz digests diverge across jobs: {digests}"
     )
-    print("fuzz-smoke: --jobs 1 == --jobs 2, wheel == heap")
+    print("fuzz-smoke: --jobs 1 == --jobs 2")
 
 
 def main() -> int:
     check_canary_loop()
-    check_corpus_replay_matrix()
+    check_corpus_replay()
     check_determinism()
     print("fuzz-smoke: all checks passed")
     return 0

@@ -7,12 +7,9 @@ guarantees end to end:
 1. **SLO sanity** — the run sustains its offered load: every request
    resolves, quantiles are reported, timeouts stay rare on a static
    overlay.
-2. **Scheduler matrix** — ``REPRO_SCHEDULER=wheel`` and ``heap``
-   produce byte-identical canonical traces and SLO snapshots.
-3. **Record/replay oracle** — re-driving the recorded trace on a fresh
-   deployment reproduces trace bytes and SLO snapshot exactly, under
-   both schedulers.
-4. **Sweep parallelism** — ``jxta-repro sweep load --jobs 1`` and
+2. **Record/replay oracle** — re-driving the recorded trace on a fresh
+   deployment reproduces trace bytes and SLO snapshot exactly.
+3. **Sweep parallelism** — ``jxta-repro sweep load --jobs 1`` and
    ``--jobs 2`` write byte-identical aggregates.
 
 Exit code 0 on success; any violated guarantee raises.
@@ -33,7 +30,6 @@ sys.path.insert(0, str(REPO / "src"))
 
 R = 40
 SEED = 1
-SCHEDULERS = ("wheel", "heap")
 
 
 def _env() -> dict:
@@ -56,12 +52,10 @@ def _snap_sha(run) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _run_one(scheduler: str):
-    """One recorded load run under the given scheduler (in-process;
-    the Simulator reads REPRO_SCHEDULER at construction)."""
+def _run_one():
+    """One recorded load run (in-process)."""
     from repro.experiments.load_exp import run_load
 
-    os.environ["REPRO_SCHEDULER"] = scheduler
     return run_load(_spec(), r=R, seed=SEED, record=True)
 
 
@@ -85,40 +79,23 @@ def check_slo(run) -> None:
           f"timeouts {query['timeout_rate']:.2%}")
 
 
-def check_scheduler_matrix() -> dict:
-    runs = {}
-    for scheduler in SCHEDULERS:
-        run = _run_one(scheduler)
-        runs[scheduler] = (run, run.digest(), _snap_sha(run))
-        print(f"load-smoke: {scheduler}: trace {run.digest()[:12]}… "
-              f"slo {_snap_sha(run)[:12]}…")
-    digests = {d for _, d, _ in runs.values()}
-    slo_shas = {s for _, _, s in runs.values()}
-    assert len(digests) == 1, f"trace bytes differ across schedulers: {digests}"
-    assert len(slo_shas) == 1, f"SLO snapshots differ across schedulers: {slo_shas}"
-    print("load-smoke: wheel == heap byte-identical")
-    return runs
-
-
-def check_replay(runs: dict) -> None:
+def check_replay(original) -> None:
     from repro.experiments.load_exp import replay_load
     from repro.workload.trace import load_trace_lines, replay_ops
 
-    original, orig_digest, orig_slo = runs[SCHEDULERS[0]]
+    print(f"load-smoke: trace {original.digest()[:12]}… "
+          f"slo {_snap_sha(original)[:12]}…")
     with tempfile.TemporaryDirectory() as tmp:
         path = original.recorder.write(Path(tmp) / "trace.jsonl")
         ops = replay_ops(load_trace_lines(path))
-    for scheduler in SCHEDULERS:
-        os.environ["REPRO_SCHEDULER"] = scheduler
-        replayed = replay_load(_spec(), r=R, ops=ops, seed=SEED)
-        assert replayed.digest() == orig_digest, (
-            f"replay trace bytes diverged under {scheduler}"
-        )
-        assert _snap_sha(replayed) == orig_slo, (
-            f"replay SLO snapshot diverged under {scheduler}"
-        )
-        print(f"load-smoke: replay under {scheduler} reproduces the "
-              "original run byte-for-byte")
+    replayed = replay_load(_spec(), r=R, ops=ops, seed=SEED)
+    assert replayed.digest() == original.digest(), (
+        "replay trace bytes diverged"
+    )
+    assert _snap_sha(replayed) == _snap_sha(original), (
+        "replay SLO snapshot diverged"
+    )
+    print("load-smoke: replay reproduces the original run byte-for-byte")
 
 
 def check_sweep_parallelism() -> None:
@@ -139,9 +116,9 @@ def check_sweep_parallelism() -> None:
 
 
 def main() -> int:
-    runs = check_scheduler_matrix()
-    check_slo(runs[SCHEDULERS[0]][0])
-    check_replay(runs)
+    run = _run_one()
+    check_slo(run)
+    check_replay(run)
     check_sweep_parallelism()
     print("load-smoke: all checks passed")
     return 0

@@ -368,8 +368,7 @@ def fuzz_batch(params: Dict[str, Any]) -> Dict[str, Any]:
 def fuzz_finalize(records: list, out_dir: Path) -> list:
     """Merge the batch corpora into <out>/fuzz-corpus.jsonl plus a
     campaign-level report, and surface the merged digest — the single
-    string that must match across reruns, worker counts and kernel
-    schedulers."""
+    string that must match across reruns and worker counts."""
     import json
 
     from repro.fuzz.corpus import entry_from_dict, save_corpus

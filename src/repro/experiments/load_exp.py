@@ -13,9 +13,9 @@ skew — the way the follow-on measurement studies in PAPERS.md frame
 it.  ``--full`` sizes the run to the acceptance floor: ≥100k open-loop
 requests at r = 150.
 
-Runs are deterministic per seed (byte-identical trace and SLO snapshot
-under both schedulers); :func:`replay_load` re-drives
-a recorded trace as the regression oracle (docs/WORKLOADS.md).
+Runs are deterministic per seed (byte-identical trace and SLO
+snapshot); :func:`replay_load` re-drives a recorded trace as the
+regression oracle (docs/WORKLOADS.md).
 """
 
 from __future__ import annotations

@@ -7,15 +7,14 @@ system's correctness contracts.  Everything is deterministic: a
 run is a seeded simulation, mutation/crossover draw from one seeded
 ``random.Random``, and the whole campaign (corpus, coverage map,
 failure set) digests to a single sha256 that is identical across
-repeat runs, worker counts and both kernel schedulers.
+repeat runs and worker counts.
 
 Layers (see docs/FUZZING.md):
 
 * :mod:`repro.fuzz.genome` — the ``FuzzCase`` codec, bounds,
   validation, mutation and crossover;
 * :mod:`repro.fuzz.runner` — executes one case and applies the oracle
-  battery (invariants, scheduler equivalence, snapshot invisibility,
-  replay identity);
+  battery (invariants, snapshot invisibility, replay identity);
 * :mod:`repro.fuzz.shrink` — deterministic delta-debugging shrinker;
 * :mod:`repro.fuzz.corpus` — JSONL corpus entries, order-independent
   merge, the committed regression corpus under ``tests/fuzz_corpus/``;

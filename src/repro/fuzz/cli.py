@@ -2,11 +2,10 @@
 
 Budget mode (the default) is fully deterministic: the budget is split
 into fixed-size batches seeded from ``--seed`` and the batch index,
-so ``--jobs 1`` and ``--jobs 2`` (and reruns, and either scheduler of
-:meth:`SimOptions.from_env`) print the same corpus, coverage map, failure set
-and digest.  ``--time`` instead keeps launching batches until the
-wall-clock budget is spent — useful for soak runs, at the cost of a
-run-dependent batch count.
+so ``--jobs 1`` and ``--jobs 2`` (and reruns) print the same corpus,
+coverage map, failure set and digest.  ``--time`` instead keeps
+launching batches until the wall-clock budget is spent — useful for
+soak runs, at the cost of a run-dependent batch count.
 
 Exit status is 1 when any oracle failure was found (after shrinking),
 0 otherwise.

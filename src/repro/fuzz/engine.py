@@ -18,8 +18,7 @@ batches to workers produces the same batch reports, and
 :func:`merge_reports` / :func:`~repro.fuzz.corpus.merge_entries`
 combine them order-independently.  The report digest therefore
 answers "did these two campaigns observe the same behaviour?" with a
-single string comparison — across reruns, worker counts, and kernel
-schedulers.
+single string comparison — across reruns and worker counts.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ class FuzzReport:
         """Identity of everything the campaign observed.  Covers the
         coverage map and the merged corpus (including shrunk failure
         genomes); excludes human-facing details and probe counts, so
-        it is stable across schedulers and worker counts."""
+        it is stable across reruns and worker counts."""
         payload = {
             "coverage": sorted(self.coverage),
             "corpus": [entry_to_dict(e) for e in self.entries],

@@ -24,9 +24,6 @@ Oracles (:func:`check_case`):
     matrix pins that the standard fault classes produce *zero*
     violations, so a violation here is a real bug (or a planted canary
     armed in ``SimOptions.canaries``).
-``scheduler``
-    The same case re-run under the *other* kernel scheduler
-    (wheel vs heap) must record an identical kernel trace.
 ``snapshot``
     Pausing at mid-run, snapshotting, continuing — and separately
     restoring the snapshot and continuing — must both reproduce the
@@ -46,7 +43,7 @@ failure's ``detail`` line.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.spec import canonical_json
@@ -73,9 +70,7 @@ from repro.workload import WorkloadEngine, WorkloadSpec, WorkloadTraceRecorder
 from repro.workload.trace import ops_digest
 
 #: the oracle battery, in evaluation order
-ORACLES: Tuple[str, ...] = (
-    "invariants", "scheduler", "snapshot", "replay",
-)
+ORACLES: Tuple[str, ...] = ("invariants", "snapshot", "replay")
 
 #: what ``run_case(reads=...)`` collects beyond the invariant verdict:
 #: the kernel trace (without it the recorder is detached after the
@@ -356,7 +351,7 @@ def run_case_with_midpoint_snapshot(
 class Failure:
     """One oracle failure.  ``signature`` is the stable dedup/digest
     identity; ``detail`` is human-facing only (never digested — it may
-    mention run-environment facts like which scheduler was primary)."""
+    quote trace digests or violation text)."""
 
     oracle: str
     signature: str
@@ -389,7 +384,7 @@ def check_case(
     options = options or SimOptions.from_env()
     need_replay = "replay" in oracles and case.workload is not None
     reads = []
-    if coverage or {"scheduler", "snapshot"} & set(oracles):
+    if coverage or "snapshot" in oracles:
         reads.append(DIGEST)
     if coverage:
         reads.append(COVERAGE)
@@ -411,25 +406,6 @@ def check_case(
                     oracle="invariants",
                     signature=f"invariants:{kind}",
                     detail=detail,
-                )
-            )
-
-    if "scheduler" in oracles:
-        primary = options.scheduler
-        other = "heap" if primary == "wheel" else "wheel"
-        alt = run_case(
-            case, options=replace(options, scheduler=other), store=store,
-            reads=(DIGEST,),
-        )
-        if alt.trace != base.trace:
-            failures.append(
-                Failure(
-                    oracle="scheduler",
-                    signature="scheduler-equivalence",
-                    detail=(
-                        f"kernel digests diverge: {primary}="
-                        f"{base.digest[:12]} {other}={alt.digest[:12]}"
-                    ),
                 )
             )
 

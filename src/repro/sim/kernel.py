@@ -2,61 +2,32 @@
 
 Design notes
 ------------
-* The scheduler is **two-tier**.  The *active window* is a binary heap
-  of ``(time, seq, handle, fn, args)`` tuples (``_queue``) covering the
-  next ``_WHEEL_WIDTH`` seconds of simulated time; the run loop pops
-  straight off it, so its hot path is identical to a plain-heap
-  kernel.  Everything further out lives in a **timer wheel**: 128
-  slots of 0.5 s (64 s span) whose buckets are *unsorted* lists —
-  scheduling a protocol timer is a C-speed ``list.append`` instead of
-  an ``O(log n)`` sift through a heap holding every pending event.
-  Events beyond the wheel horizon (lease renewals, expiration sweeps)
-  wait in an overflow heap and migrate inward as the horizon advances.
-  When the active window drains, :meth:`Simulator._refill` slides the
-  window one slot forward: filter the bucket's tombstones, heapify the
-  survivors, go.  The slot width is a power of two, so slot arithmetic
-  (``int(time * 2.0)``) is float-exact and the fire order is the exact
-  global ``(time, seq)`` order — bit-for-bit the same as the pure-heap
-  scheduler (``SimOptions(scheduler="heap")`` selects that fallback,
-  and the determinism tests compare the two byte-for-byte).
-* ``seq`` is a monotonically increasing tie-breaker so that events
-  scheduled for the same instant fire in FIFO order — this makes every
-  run fully deterministic for a given seed.  Tuples (rather than bare
-  handles) keep the heap's sift comparisons in C: no Python
-  ``__lt__`` frames on the hot path.
-* Cancellation is *lazy*: a cancelled handle stays in its slot (wheel
-  bucket or heap) and is skipped when popped or migrated.  This keeps
-  ``cancel()`` O(1), which matters because protocol timers (lease
-  renewals, peerview probes) are rescheduled constantly at large
-  overlay sizes.  Wheel-resident tombstones die for free at the next
-  slot migration, so the cancel/reschedule churn of periodic timers
-  never accumulates; the compaction pass (:meth:`Simulator._compact`)
-  remains as the backstop for heap-resident dead (and is the primary
-  mechanism under the heap scheduler).
+* The scheduler is **one binary heap** of ``(time, seq, handle, fn,
+  args)`` tuples (``_queue``).  ``seq`` is a monotonically increasing
+  tie-breaker so that events scheduled for the same instant fire in
+  FIFO order: ``(time, seq)`` is the only place the fire order is
+  decided, and it makes every run fully deterministic for a given
+  seed.  Tuples (rather than bare handles) keep the heap's sift
+  comparisons in C: no Python ``__lt__`` frames on the hot path.
+* Cancellation is *lazy*: a cancelled handle stays in the heap and is
+  skipped when popped.  This keeps ``cancel()`` O(1), which matters
+  because protocol timers (lease renewals, peerview probes) are
+  rescheduled constantly at large overlay sizes.  When the tombstones
+  outnumber the live entries, :meth:`Simulator._compact` filters them
+  out and re-heapifies in place.
 * Periodic timers can *re-arm* their existing handle through
   :meth:`Simulator.reschedule` instead of allocating a fresh one per
   tick — at r = 580 the peerview/SRDI/lease tick storm is millions of
   avoided allocations over a paper-scale run.
-* When a wheel slot migrates inward, its survivors are *sorted once*
-  into a batch list (``_batch``) instead of heapified into the active
-  queue: the run loop then merges the batch cursor against the heap
-  head with a single C tuple compare per event, so the heap only ever
-  holds events scheduled *into* the current window and the common
-  case — a cohort of protocol timers sharing a slot — dispatches with
-  no per-event sift at all.  ``(time, seq)`` keys are unique, so the
-  merge reproduces the exact global fire order of the pure-heap
-  scheduler, bit for bit.
 * :meth:`Simulator.run` is **one loop**, for ``run()`` and
-  ``run(until=…)`` alike (no deadline is a deadline of infinity).  It
-  *peeks* at the next entry — batch cursor against heap head — before
-  taking it, because an event beyond the deadline has to stay where it
-  is for the next slice; every experiment drives the kernel as a
-  sliced timeline, so that is the path worth having.  Per event the
-  loop re-reads the stop flag, the batch cursor, the handle's state
-  and the hook flag, which is all that a mid-run ``stop``, ``cancel``,
+  ``run(until=…)`` alike (no deadline is a deadline of infinity).  An
+  event popped beyond the deadline is pushed back unchanged for the
+  next slice; every experiment drives the kernel as a sliced timeline.
+  Per event the loop re-reads the stop flag, the handle's state and
+  the hook flag, which is all that a mid-run ``stop``, ``cancel``,
   compaction or hook (un)registration needs.
 * Live-event accounting is O(1): ``pending_events`` is derived from
-  the scheduled/fired/cancelled counters instead of scanning tiers.
+  the scheduled/fired/cancelled counters instead of a heap scan.
 * ``schedule`` and the ``run`` loop are deliberately inlined (no
   helper-call chain, handle construction without an ``__init__``
   frame, a no-hook fast path, ``__slots__`` everywhere): the
@@ -90,16 +61,6 @@ TraceHook = Callable[[float, str, "EventHandle"], None]
 #: cancelled handles are queued *and* they outnumber the live ones.
 _COMPACT_MIN_DEAD = 64
 
-#: Timer-wheel geometry.  The width is a power of two so that
-#: ``time * _INV_WIDTH`` and ``slot * _WHEEL_WIDTH`` are exact float
-#: operations: an event is always placed in, and drained from, the
-#: same slot regardless of how the window got there.
-_WHEEL_SLOTS = 128
-_WHEEL_MASK = _WHEEL_SLOTS - 1
-_WHEEL_WIDTH = 0.5
-_INV_WIDTH = 2.0  # 1 / _WHEEL_WIDTH
-_WHEEL_SPAN = _WHEEL_SLOTS * _WHEEL_WIDTH  # 64 s horizon
-
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 _heapify = heapq.heapify
@@ -114,7 +75,7 @@ class EventHandle:
     field: *pending* handles hold their :class:`Simulator`,
     *cancelled* ones hold ``None`` and *fired* ones hold ``False``.
     Fire time, sequence number and callback arguments live in the
-    scheduler entry, not here."""
+    heap entry, not here."""
 
     __slots__ = ("fn", "_label", "_state")
 
@@ -206,9 +167,6 @@ class Simulator:
     __slots__ = (
         "clock", "rng", "seed", "compactions", "options",
         "_queue", "_seq", "_events_fired", "_cancelled", "_dead",
-        "_use_wheel", "_wheel", "_wheel_count", "_overflow",
-        "_next_slot", "_win_end", "_wheel_limit",
-        "_batch", "_batch_pos",
         "_max_events", "_running", "_stop_requested",
         "_trace_hooks", "_fire_hooks", "_done_hooks", "_hooks_active",
     )
@@ -222,43 +180,15 @@ class Simulator:
         self.clock = Clock()
         self.rng = RngRegistry(seed)
         self.seed = seed
-        self.options = options = options or SimOptions.from_env()
-        self._use_wheel = options.scheduler == "wheel"
+        self.options = options or SimOptions.from_env()
         self._queue: list[tuple[float, int, EventHandle]] = []
         #: scheduled-event count; doubles as the FIFO tie-breaker
         self._seq = 0
         self._events_fired = 0
         #: total events ever cancelled (pending_events derives from it)
         self._cancelled = 0
-        #: cancelled handles still resident in any tier (active queue,
-        #: batch remnant, wheel bucket or overflow heap)
+        #: cancelled handles still resident in the heap
         self._dead = 0
-        if self._use_wheel:
-            #: far-tier slots; each bucket is an *unsorted* entry list
-            self._wheel: list[list] = [[] for _ in range(_WHEEL_SLOTS)]
-            #: entries (live + dead) currently in wheel buckets
-            self._wheel_count = 0
-            #: events beyond the wheel horizon, as a heap
-            self._overflow: list = []
-            #: absolute index of the next slot to migrate
-            self._next_slot = 0
-            #: active-window end: events below it heap straight into
-            #: ``_queue``; at or beyond it they go to the wheel tiers
-            self._win_end = 0.0
-            #: wheel horizon (``_win_end + _WHEEL_SPAN``)
-            self._wheel_limit = _WHEEL_SPAN
-        else:
-            self._wheel = []
-            self._wheel_count = 0
-            self._overflow = []
-            self._next_slot = 0
-            self._win_end = float("inf")
-            self._wheel_limit = float("inf")
-        #: migrated wheel slot, sorted ascending; the run loop merges
-        #: ``_batch[_batch_pos:]`` against the active heap by a single
-        #: tuple compare per event (empty under the heap scheduler)
-        self._batch: list = []
-        self._batch_pos = 0
         self._max_events = max_events
         self._running = False
         self._stop_requested = False
@@ -270,7 +200,7 @@ class Simulator:
         self._done_hooks: list[TraceHook] = []
         #: single flag the fire loop checks before touching hook lists
         self._hooks_active = False
-        #: how many times the tiers were compacted (diagnostics)
+        #: how many times the heap was compacted (diagnostics)
         self.compactions = 0
 
     # ------------------------------------------------------------------
@@ -290,18 +220,8 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of live (non-cancelled) events still queued.  O(1):
         derived from the schedule/fire/cancel counters rather than a
-        scan of the scheduler tiers."""
+        scan of the heap."""
         return self._seq - self._events_fired - self._cancelled
-
-    def _resident_entries(self):
-        """Every entry currently held by the scheduler, across all
-        tiers (active queue, batch remnant, wheel buckets, overflow).
-        Diagnostics/test helper — never on a hot path."""
-        yield from self._queue
-        yield from self._batch[self._batch_pos:]
-        for bucket in self._wheel:
-            yield from bucket
-        yield from self._overflow
 
     def add_trace_hook(
         self, hook: TraceHook, phases: tuple[str, ...] = ("fire",)
@@ -388,7 +308,7 @@ class Simulator:
         self._seq = seq + 1
         # handle built without an __init__ frame: this is the single
         # most-executed allocation in a paper-scale run.  The callable,
-        # its args, ``time`` and ``seq`` all live in the scheduler
+        # its args, ``time`` and ``seq`` all live in the heap
         # entry — the handle itself carries only what outlives the
         # pop: the lifecycle state and whichever of label/callable the
         # ``label`` property needs for its trace name.
@@ -398,15 +318,7 @@ class Simulator:
         else:
             handle.fn = fn
         handle._state = self
-        if time < self._win_end:
-            _heappush(self._queue, (time, seq, handle, fn, args))
-        elif time < self._wheel_limit:
-            self._wheel[int(time * _INV_WIDTH) & _WHEEL_MASK].append(
-                (time, seq, handle, fn, args)
-            )
-            self._wheel_count += 1
-        else:
-            _heappush(self._overflow, (time, seq, handle, fn, args))
+        _heappush(self._queue, (time, seq, handle, fn, args))
         return handle
 
     def reschedule(
@@ -425,7 +337,7 @@ class Simulator:
         new handle.  Only fired handles are accepted: a pending one
         would leave two live entries behind one handle, and a
         *cancelled* one may still have a tombstoned entry resident in
-        a tier — re-arming would resurrect that entry and fire it."""
+        the heap — re-arming would resurrect that entry and fire it."""
         if delay < 0:
             raise SchedulingError(f"cannot schedule in the past (delay={delay})")
         if handle._state is not False:
@@ -437,95 +349,15 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         handle._state = self
-        # tier routing inlined: every periodic timer re-arms through
-        # here on each tick
-        if time < self._win_end:
-            _heappush(self._queue, (time, seq, handle, fn, args))
-        elif time < self._wheel_limit:
-            self._wheel[int(time * _INV_WIDTH) & _WHEEL_MASK].append(
-                (time, seq, handle, fn, args)
-            )
-            self._wheel_count += 1
-        else:
-            _heappush(self._overflow, (time, seq, handle, fn, args))
+        _heappush(self._queue, (time, seq, handle, fn, args))
         return handle
-
-    # ------------------------------------------------------------------
-    # window migration (wheel -> active queue)
-    # ------------------------------------------------------------------
-    def _refill(self) -> bool:
-        """Slide the active window forward until it holds the next
-        pending events (or every tier is empty).  Returns True when
-        events are available in the active window afterwards.
-
-        Invariants: the active queue plus the batch remnant hold
-        exactly the entries with ``time < _win_end``; wheel buckets
-        cover ``[_win_end, _wheel_limit)``; the overflow heap holds the
-        rest.  Each step advances the window one slot: tombstones
-        filtered (this is where cancelled wheel timers die, with no
-        compaction pass), survivors *sorted once* into the batch list
-        — ``(time, seq)`` keys are unique, so a sort dispatches the
-        slot cohort in the same order heapify + N heappops would, at a
-        fraction of the compare count — and overflow entries whose
-        time dropped below the horizon dealt into their buckets."""
-        queue = self._queue
-        if queue:
-            return True
-        batch = self._batch
-        if self._batch_pos < len(batch):
-            return True
-        if batch:
-            # previous batch fully consumed: recycle the list in place
-            # (the run loop holds a reference to it)
-            del batch[:]
-            self._batch_pos = 0
-        if not self._use_wheel:
-            return False
-        wheel = self._wheel
-        overflow = self._overflow
-        while True:
-            if self._wheel_count == 0:
-                if not overflow:
-                    return False
-                # nothing in the wheel: snap the window to the slot of
-                # the next overflow event instead of stepping through
-                # the empty gap half-second by half-second
-                slot = int(overflow[0][0] * _INV_WIDTH)
-                if slot > self._next_slot:
-                    self._next_slot = slot
-                    self._win_end = slot * _WHEEL_WIDTH
-                    self._wheel_limit = self._win_end + _WHEEL_SPAN
-            # deal newly-in-horizon overflow events into their buckets
-            limit = self._wheel_limit
-            while overflow and overflow[0][0] < limit:
-                entry = _heappop(overflow)
-                wheel[int(entry[0] * _INV_WIDTH) & _WHEEL_MASK].append(entry)
-                self._wheel_count += 1
-            # migrate the next slot into the batch
-            bucket = wheel[self._next_slot & _WHEEL_MASK]
-            self._next_slot += 1
-            self._win_end = self._next_slot * _WHEEL_WIDTH
-            self._wheel_limit = self._win_end + _WHEEL_SPAN
-            if bucket:
-                total = len(bucket)
-                live = [e for e in bucket if e[2]._state is not None]
-                bucket.clear()
-                self._wheel_count -= total
-                self._dead -= total - len(live)
-                if live:
-                    live.sort()
-                    batch[:] = live
-                    self._batch_pos = 0
-                    return True
 
     # ------------------------------------------------------------------
     # cancellation bookkeeping & compaction
     # ------------------------------------------------------------------
     def _note_cancel(self) -> None:
         """Called by :meth:`EventHandle.cancel`: O(1) accounting plus a
-        periodic in-place compaction when heap-resident dead dominate
-        (under the wheel scheduler most tombstones die in slot
-        migrations long before this trips)."""
+        periodic in-place compaction when tombstones dominate."""
         self._cancelled += 1
         dead = self._dead + 1
         self._dead = dead
@@ -533,38 +365,13 @@ class Simulator:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled entries from every tier and re-heapify *in
-        place* (callers — including a ``run`` loop in progress — hold
-        references to the queue list, so its identity must not
-        change).  The ``(time, seq)`` order is total, so extraction
-        order is unchanged."""
+        """Drop cancelled entries and re-heapify *in place* (a ``run``
+        loop in progress holds a reference to the queue list, so its
+        identity must not change).  The ``(time, seq)`` order is total,
+        so extraction order is unchanged."""
         queue = self._queue
         queue[:] = [entry for entry in queue if entry[2]._state is not None]
         _heapify(queue)
-        batch = self._batch
-        pos = self._batch_pos
-        if pos < len(batch):
-            # filter the unconsumed tail in place: the cursor and the
-            # consumed prefix stay put, so a run loop mid-batch just
-            # sees a shorter (still sorted) remainder
-            batch[pos:] = [
-                e for e in batch[pos:] if e[2]._state is not None
-            ]
-        if self._use_wheel:
-            removed = 0
-            for bucket in self._wheel:
-                if bucket:
-                    total = len(bucket)
-                    bucket[:] = [
-                        e for e in bucket if e[2]._state is not None
-                    ]
-                    removed += total - len(bucket)
-            self._wheel_count -= removed
-            overflow = self._overflow
-            overflow[:] = [
-                e for e in overflow if e[2]._state is not None
-            ]
-            _heapify(overflow)
         self._dead = 0
         self.compactions += 1
 
@@ -582,14 +389,13 @@ class Simulator:
             raise SchedulingError("simulator is not reentrant")
         self._running = True
         self._stop_requested = False
-        # Hot loop, with the queue, batch, clock and heappop bound to
-        # locals.  Both lists are only ever mutated in place
-        # (push/pop/refill/compact), so the bindings stay valid across
-        # event callbacks.  The batch cursor, ``_stop_requested`` and
-        # ``_hooks_active`` are re-read every iteration because a
-        # callback may compact, call ``stop`` or add/remove hooks.
+        # Hot loop, with the queue, clock and heap operations bound to
+        # locals.  The queue is only ever mutated in place
+        # (push/pop/compact), so the binding stays valid across event
+        # callbacks.  ``_stop_requested`` and ``_hooks_active`` are
+        # re-read every iteration because a callback may call ``stop``
+        # or add/remove hooks.
         queue = self._queue
-        batch = self._batch
         clock = self.clock
         pop = _heappop
         max_events = self._max_events
@@ -603,46 +409,22 @@ class Simulator:
         if gc_was_enabled:
             gc.disable()
         try:
-            # peek (batch cursor vs heap head) before taking, so an
-            # event beyond the deadline stays queued — or waiting at
-            # the batch cursor — for the next slice
             while True:
                 if self._stop_requested:
                     return
-                bpos = self._batch_pos
-                if bpos < len(batch):
-                    entry = batch[bpos]
-                    from_batch = True
-                    if queue:
-                        head = queue[0]
-                        if head < entry:
-                            entry = head
-                            from_batch = False
-                elif queue:
-                    entry = queue[0]
-                    from_batch = False
-                else:
-                    # window drained inside the deadline: pull the next
-                    # one in (it may hold events at or before the
-                    # deadline) and go around
-                    if self._refill():
-                        continue
+                if not queue:
                     break
+                entry = pop(queue)
                 handle = entry[2]
                 if handle._state is None:
-                    if from_batch:
-                        self._batch_pos = bpos + 1
-                    else:
-                        pop(queue)
                     self._dead -= 1
                     continue
                 t = entry[0]
                 if t > deadline:
+                    # the same tuple goes back: the heap's contents,
+                    # and so the fire order, are as before the pop
+                    _heappush(queue, entry)
                     break
-                if from_batch:
-                    self._batch_pos = bpos + 1
-                else:
-                    pop(queue)
                 clock._now = t
                 handle._state = False
                 fired += 1
@@ -674,10 +456,10 @@ class Simulator:
     # pickling & checkpointing (repro.snapshot)
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        """State contract (see docs/CHECKPOINTS.md): every scheduler
-        tier, the clock, the seq counter and the RNG registry pickle
-        verbatim, and so do the options (a restored run runs as it was
-        built, whatever the restoring process's environment); the
+        """State contract (see docs/CHECKPOINTS.md): the heap, the
+        clock, the seq counter and the RNG registry pickle verbatim, and
+        so do the options (a restored run runs as it was built,
+        whatever the restoring process's environment); the
         run-control flags reset (a snapshot is only legal between
         ``run`` calls).  The derived ``_fire_hooks``/``_done_hooks``
         views are rebuilt from ``_trace_hooks``."""
@@ -716,7 +498,7 @@ class Simulator:
     def stop(self) -> None:
         """Request the current ``run`` call to return after the executing
         event completes.  The run loop reads the flag before it looks at
-        the next event, so nothing is taken off a tier: every later
+        the next event, so nothing is taken off the heap: every later
         event stays pending for the next ``run`` call."""
         self._stop_requested = True
 

@@ -12,7 +12,6 @@ import os
 from dataclasses import dataclass
 from typing import Tuple
 
-SCHEDULERS = ("wheel", "heap")
 #: makes :meth:`PeerView.expire` leak the ordered-list slot of every
 #: third key
 EXPIRE_LEAK = "peerview.expire-leak"
@@ -22,16 +21,12 @@ CANARIES = (EXPIRE_LEAK,)
 
 @dataclass(frozen=True)
 class SimOptions:
-    """``scheduler``: ``"wheel"`` or ``"heap"``, one fire order;
-    ``canaries``: the armed :data:`CANARIES`, a sorted tuple (a set's
-    order would tie blob bytes to ``PYTHONHASHSEED``)."""
+    """``canaries``: the armed :data:`CANARIES`, a sorted tuple (a
+    set's order would tie blob bytes to ``PYTHONHASHSEED``)."""
 
-    scheduler: str = "wheel"
     canaries: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.scheduler not in SCHEDULERS:
-            raise ValueError(f"unknown scheduler {self.scheduler!r}")
         canaries = tuple(sorted(set(self.canaries)))
         if not set(canaries) <= set(CANARIES):
             raise ValueError(f"unknown canaries {canaries}; known: {CANARIES}")
@@ -39,9 +34,7 @@ class SimOptions:
 
     @classmethod
     def from_env(cls) -> "SimOptions":
-        """``REPRO_SCHEDULER`` and ``REPRO_CANARY=1`` (every canary)."""
-        env = os.environ
+        """``REPRO_CANARY=1`` arms every canary."""
         return cls(
-            scheduler=env.get("REPRO_SCHEDULER", "wheel"),
-            canaries=CANARIES if env.get("REPRO_CANARY") == "1" else (),
+            canaries=CANARIES if os.environ.get("REPRO_CANARY") == "1" else (),
         )

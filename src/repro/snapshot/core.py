@@ -1,8 +1,8 @@
 """Full-fidelity capture and restore of a running simulation.
 
 A snapshot is a protocol-5 pickle of the live object graph — the
-:class:`~repro.sim.kernel.Simulator` (every scheduler tier, clock, seq
-counter, trace hooks), the RNG registry with each named
+:class:`~repro.sim.kernel.Simulator` (event heap, clock, seq counter,
+trace hooks), the RNG registry with each named
 stream's Mersenne state, the :class:`~repro.network.Network` (endpoints,
 latency model, fault controller, intern table, observability
 hub) and all per-peer protocol state reachable from queued events.
@@ -14,10 +14,10 @@ at the restored peers.
 The determinism contract (pinned by the snapshot test suites and a CI
 step): a restored run fires the exact same ``(time, seq)`` event
 sequence as the never-checkpointed run and reproduces golden traces,
-obs digests and workload SLO snapshots byte for byte, under both
-schedulers.  The blob carries the simulator's
-:class:`~repro.sim.options.SimOptions`: a restored run runs as it was
-built, whatever the restoring process's environment.
+obs digests and workload SLO snapshots byte for byte.  The blob
+carries the simulator's :class:`~repro.sim.options.SimOptions`: a
+restored run runs as it was built, whatever the restoring process's
+environment.
 
 What does NOT snapshot — by design (see docs/CHECKPOINTS.md):
 
@@ -41,9 +41,9 @@ import pickle
 from typing import Any, Tuple
 
 #: Bump whenever the pickled state contract changes incompatibly
-#: (slot layouts, scheduler tier layout, RNG stream naming).  Stored
+#: (slot layouts, event-heap entry layout, RNG stream naming).  Stored
 #: checkpoints with another version are invalidated, not misread.
-SNAPSHOT_VERSION = 17
+SNAPSHOT_VERSION = 18
 
 #: sha256 of the pickled layout (classes, their fields, container
 #: types) reachable from a reference snapshot, as
@@ -51,7 +51,7 @@ SNAPSHOT_VERSION = 17
 #: that test fails the layout moved: bump the version above, then
 #: regenerate this value with the command the failure prints.
 SNAPSHOT_LAYOUT_FINGERPRINT = (
-    "79e9fd181bc460acebe81a8bad268835edf1c0f07d387554f250afa2f05421ac"
+    "59d0d0d3668537a2d746694ed090882250a8abda6e00b02745ce32e5ba593a6f"
 )
 
 _MAGIC = b"repro-snap"

@@ -12,8 +12,8 @@ their recorded times against a fresh deployment.  Replay draws
 come from the trace), and workload streams are independent of the
 network/protocol streams by the named-stream discipline — so a replay
 on the same overlay seed reproduces the original completions, SLO
-snapshot and trace bytes exactly.  The scheduler-matrix CI job pins
-this under both schedulers.
+snapshot and trace bytes exactly.  The fuzzer's ``replay`` oracle and
+CI's determinism job pin this.
 """
 
 from __future__ import annotations

@@ -4,8 +4,6 @@ most 8 actions, and classifies it as canary-dependent — pinning the
 whole find→shrink→corpus loop end to end.  The canary is armed by the
 options value the engine runs under, never by the environment."""
 
-from dataclasses import replace
-
 from repro.fuzz import FuzzCase, check_case
 from repro.fuzz.engine import FuzzEngine
 from repro.sim.options import CANARIES, SimOptions
@@ -13,10 +11,8 @@ from repro.sim.options import CANARIES, SimOptions
 #: generous relative to reality (the canary surfaces at seed-case #2)
 FIND_BUDGET = 8
 
-#: the scheduler and pool checks come from the environment, so the
-#: fuzz-smoke corpus matrix runs this loop under both schedulers
-ARMED = replace(SimOptions.from_env(), canaries=CANARIES)
-DISARMED = replace(ARMED, canaries=())
+ARMED = SimOptions(canaries=CANARIES)
+DISARMED = SimOptions()
 
 
 def test_fuzzer_finds_and_shrinks_canary():

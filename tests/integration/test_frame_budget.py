@@ -37,9 +37,9 @@ BUDGET = {
         "rendezvous": 1.3, "resolver": 5.4, "sim": 3.0, "workload": 0.6,
     },
     "peerview": {
-        "total": 12.8,
+        "total": 12.7,
         "endpoint": 1.0, "ids": 0.4, "network": 2.0, "other": 0.0,
-        "rendezvous": 7.9, "sim": 1.4,
+        "rendezvous": 7.9, "sim": 1.3,
     },
 }
 

@@ -5,7 +5,7 @@ stopped collecting what nobody reads (PR 18), so they hold the line
 that change must not move: the report digest (coverage map + corpus,
 shrunk reproducers included), ``executed``, ``skipped``, and per
 executed genome its key, its verdict and the size of its coverage
-snapshot — identical under both kernel schedulers.  The properties
+snapshot.  The properties
 below them pin what the cheaper re-executions lean on: a metrics hub
 is invisible to the kernel trace, and a warm-started bootstrap prefix
 never crosses between executions with and without one."""
@@ -47,12 +47,16 @@ CANARY_DIGEST = (
 CANARY_SHRINK_PROBES = 13
 
 
+#: the ids name the two schedulers the constants were pinned under until
+#: the kernel became one event heap; both ids run it, and both must read
+#: the pinned values, so neither run may lean on an earlier one in the
+#: same process
 @pytest.fixture(params=("wheel", "heap"))
-def scheduler(request):
+def repeat(request):
     return request.param
 
 
-def test_report_and_per_genome_verdicts_are_pinned(scheduler, monkeypatch):
+def test_report_and_per_genome_verdicts_are_pinned(repeat, monkeypatch):
     executed = []
     real = engine_mod.check_case
 
@@ -67,8 +71,7 @@ def test_report_and_per_genome_verdicts_are_pinned(scheduler, monkeypatch):
         return result
 
     monkeypatch.setattr(engine_mod, "check_case", recording)
-    options = SimOptions(scheduler=scheduler)
-    report = FuzzEngine(seed=SEED, options=options).run(BUDGET)
+    report = FuzzEngine(seed=SEED, options=SimOptions()).run(BUDGET)
     assert report.digest() == REPORT_DIGEST
     assert report.executed == BUDGET
     assert report.skipped == SKIPPED
@@ -77,8 +80,8 @@ def test_report_and_per_genome_verdicts_are_pinned(scheduler, monkeypatch):
     assert tuple(executed) == EXECUTED
 
 
-def test_canary_find_and_shrink_is_pinned(scheduler):
-    armed = SimOptions(scheduler=scheduler, canaries=CANARIES)
+def test_canary_find_and_shrink_is_pinned(repeat):
+    armed = SimOptions(canaries=CANARIES)
     report = FuzzEngine(seed=0, options=armed).run(8)
     assert report.digest() == CANARY_DIGEST
     assert report.shrink_probes == CANARY_SHRINK_PROBES

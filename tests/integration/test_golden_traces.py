@@ -5,9 +5,9 @@ JSONL timeline diffed line-by-line against the committed fixture.  Any
 change to protocol message counts, fire order or event timing —
 however a refactor smuggles it in — shows up as a diff here.
 
-The traces must also be independent of the scheduler implementation,
-so every scenario runs under both ``REPRO_SCHEDULER=wheel`` and
-``heap``.
+Every scenario runs twice in one process, under the ids ``wheel`` and
+``heap`` of the two schedulers the kernel had until it became one event
+heap: neither run may depend on an earlier simulation in the process.
 
 If a test fails after an *intentional* protocol change, regenerate the
 fixtures and review the diff like code::
@@ -25,7 +25,7 @@ from repro.obs.golden import GOLDEN_SCENARIOS, SCENARIO_FUNCTIONS
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures" / "golden"
 
-SCHEDULERS = ("wheel", "heap")
+RUNS = ("wheel", "heap")
 
 
 def _fixture_lines(name):
@@ -37,10 +37,9 @@ def _fixture_lines(name):
     return path.read_text().splitlines()
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
+@pytest.mark.parametrize("run", RUNS)
 @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
-def test_trace_matches_golden_fixture(name, scheduler, monkeypatch):
-    monkeypatch.setenv("REPRO_SCHEDULER", scheduler)
+def test_trace_matches_golden_fixture(name, run):
     actual = SCENARIO_FUNCTIONS[name]()
     expected = _fixture_lines(name)
     if actual != expected:
@@ -48,13 +47,12 @@ def test_trace_matches_golden_fixture(name, scheduler, monkeypatch):
             difflib.unified_diff(
                 expected, actual,
                 fromfile=f"tests/fixtures/golden/{GOLDEN_SCENARIOS[name]}",
-                tofile=f"{name} (re-run, scheduler={scheduler})",
+                tofile=f"{name} (re-run)",
                 lineterm="", n=2,
             )
         )
         pytest.fail(
-            f"golden trace {name!r} diverged from the committed fixture "
-            f"under REPRO_SCHEDULER={scheduler}.\n"
+            f"golden trace {name!r} diverged from the committed fixture.\n"
             "If this protocol change is INTENTIONAL, regenerate with\n"
             "    python scripts/regen_goldens.py\n"
             "and commit the fixture diff after reviewing it like code.\n"

@@ -5,10 +5,9 @@ metric or trace event never draws from the RNG, never schedules a
 kernel event and never mutates protocol state.  Consequently a run
 with full tracing + metrics on must be *byte-identical* — same RNG
 draws, same ``(time, seq)`` fire order, same results — to the same
-run with observability off, on both scheduler implementations.
+run with observability off.
 """
 
-from dataclasses import replace
 from typing import List
 
 import pytest
@@ -19,19 +18,19 @@ from repro.deploy import OverlayDescription, build_overlay
 from repro.network import Network
 from repro.obs import ObsSession, TimelineTracer, enable_observability, session
 from repro.obs.tracer import PeerViewRecorder
-from repro.sim import MINUTES, SimOptions, Simulator
+from repro.sim import MINUTES, Simulator
 from repro.sim.tracing import KernelTraceRecorder
 
-SCHEDULERS = ("wheel", "heap")
+#: the ids of the two schedulers the kernel had until it became one
+#: event heap; both ids run it, each in a fresh simulator
+REPEATS = ("wheel", "heap")
 
 
-def _run(seed: int, scheduler: str, obs: str):
+def _run(seed: int, obs: str):
     """One publish/lookup scenario; ``obs`` picks the instrumentation
     flavour: ``"off"``, ``"metrics"``, or ``"full"`` (metrics + trace,
     including the kernel fire hook)."""
-    sim = Simulator(
-        seed=seed, options=replace(SimOptions.from_env(), scheduler=scheduler)
-    )
+    sim = Simulator(seed=seed)
     network = Network(sim)
     recorder = KernelTraceRecorder(sim)
     if obs == "metrics":
@@ -71,29 +70,24 @@ def _run(seed: int, scheduler: str, obs: str):
 
 
 class TestObservabilityIsInert:
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    @pytest.mark.parametrize("repeat", REPEATS)
     @pytest.mark.parametrize("obs", ["metrics", "full"])
-    def test_enabled_run_byte_identical_to_disabled(self, scheduler, obs):
-        base = _run(23, scheduler, "off")
-        instrumented = _run(23, scheduler, obs)
+    def test_enabled_run_byte_identical_to_disabled(self, repeat, obs):
+        base = _run(23, "off")
+        instrumented = _run(23, obs)
         assert instrumented == base
-
-    def test_wheel_and_heap_agree_under_instrumentation(self):
-        a = _run(29, "wheel", "full")
-        b = _run(29, "heap", "full")
-        assert a == b
 
     def test_session_adoption_is_inert(self):
         """The ambient-session path (CLI --metrics-out, campaign
         workers) must be as invisible as direct attachment."""
-        base = _run(31, "wheel", "off")
+        base = _run(31, "off")
         with session(metrics=True, trace=True):
-            instrumented = _run(31, "wheel", "off")
+            instrumented = _run(31, "off")
         assert instrumented == base
 
     def test_session_collects_while_staying_inert(self):
         with session(metrics=True) as s:
-            _run(37, "wheel", "off")
+            _run(37, "off")
         snapshot = s.merged_snapshot()
         assert snapshot["counters"].get("endpoint.send", 0) > 0
         assert snapshot["histograms"]["endpoint.delay"]["count"] > 0
@@ -104,11 +98,9 @@ class TestPeerviewRecorder:
     for an experiment is what the hub's tracer records for the same
     rendezvous."""
 
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_recorder_events_equal_the_hubs(self, scheduler):
-        sim = Simulator(
-            seed=3, options=replace(SimOptions.from_env(), scheduler=scheduler)
-        )
+    @pytest.mark.parametrize("repeat", REPEATS)
+    def test_recorder_events_equal_the_hubs(self, repeat):
+        sim = Simulator(seed=3)
         network = Network(sim)
         obs = enable_observability(
             network, metrics=False, trace=True, categories=("peerview",)
@@ -136,7 +128,7 @@ class TestPeerviewRecorder:
 
 class TestGoldenScenarioDeterminism:
     """The golden scenarios themselves are run-to-run stable (the
-    per-scheduler fixture diff lives in test_golden_traces.py)."""
+    fixture diff lives in test_golden_traces.py)."""
 
     def test_peerview_scenario_stable_across_runs(self):
         from repro.obs.golden import peerview_convergence_trace

@@ -20,10 +20,9 @@ listener log — ``(view, time, kind, subject, reason)``:
   the obs timeline observe it).  Within one sweep, removal order is
   oldest refresh first, ties in the order the refreshes happened.
 
-Both must be reproduced by both schedulers.
+Both must still be reproduced.
 """
 
-from dataclasses import replace
 import hashlib
 import itertools
 import json
@@ -33,7 +32,7 @@ import pytest
 from repro.config import PlatformConfig
 from repro.deploy import OverlayDescription, build_overlay
 from repro.network import Network
-from repro.sim import MINUTES, SimOptions, Simulator
+from repro.sim import MINUTES, Simulator
 
 R = 40
 CHURN_DIGEST = (
@@ -52,11 +51,8 @@ def _digest(state, log):
     ).encode()).hexdigest()
 
 
-def _run_churn(scheduler: str):
-    sim = Simulator(
-        seed=1,
-        options=replace(SimOptions.from_env(), scheduler=scheduler),
-    )
+def _run_churn():
+    sim = Simulator(seed=1)
     network = Network(sim)
     overlay = build_overlay(
         sim, network,
@@ -85,14 +81,15 @@ def _run_churn(scheduler: str):
     return _digest(state, log), _digest(state, by_subject), views
 
 
-# The ids name the two send paths the digest was pinned under while object
-# pools existed.  There is one path now: both ids run it, and both must still
-# read the pinned digest, so neither the wheel nor the heap run may depend on
-# an earlier simulation in the same process.
+# The ids name the two send paths and the two schedulers the digest was
+# pinned under while object pools and the timer wheel existed.  There is one
+# path and one event heap now: all four ids run them, and all four must still
+# read the pinned digest, so no run may depend on an earlier simulation in the
+# same process.
 @pytest.mark.parametrize("path", ["pooled", "unpooled"])
-@pytest.mark.parametrize("scheduler", ["wheel", "heap"])
-def test_churn_digest_is_pinned(scheduler, path):
-    digest, by_subject, views = _run_churn(scheduler)
+@pytest.mark.parametrize("repeat", ["wheel", "heap"])
+def test_churn_digest_is_pinned(repeat, path):
+    digest, by_subject, views = _run_churn()
     # the regime first: a digest of a run without churn would pin nothing
     assert sum(v.removes for v in views) > MIN_REMOVES
     assert sum(v.size for v in views) / R < R - 1

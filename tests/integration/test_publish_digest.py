@@ -19,10 +19,9 @@ way: the single-member → container promotion of a bucket is exercised,
 and asserted below.
 
 The digest was generated at the commit *before* the one-object-per-fact
-publish path (PR 17) and must be reproduced by both schedulers.
+publish path (PR 17) and must still be reproduced.
 """
 
-from dataclasses import replace
 import hashlib
 import json
 
@@ -32,7 +31,7 @@ from repro.advertisement.testadv import FakeAdvertisement
 from repro.config import PlatformConfig
 from repro.deploy import OverlayDescription, build_overlay
 from repro.network import Network
-from repro.sim import MINUTES, SimOptions, Simulator
+from repro.sim import MINUTES, Simulator
 from repro.workload import WorkloadEngine, WorkloadSpec
 
 R = 12
@@ -43,7 +42,7 @@ PUBLISH_DIGEST = (
 MIN_SRDI_INSERTS = 1000
 
 
-def _run_publish(scheduler: str):
+def _run_publish():
     spec = WorkloadSpec(
         name="publish",
         warmup=6 * MINUTES,
@@ -53,10 +52,7 @@ def _run_publish(scheduler: str):
         queriers=2,
         publishers=6,
     )
-    sim = Simulator(
-        seed=1,
-        options=replace(SimOptions.from_env(), scheduler=scheduler),
-    )
+    sim = Simulator(seed=1)
     network = Network(sim)
     overlay = build_overlay(
         sim, network, PlatformConfig(),
@@ -102,14 +98,15 @@ def _run_publish(scheduler: str):
     return digest, inserts, most_publishers
 
 
-# The ids name the two send paths the digest was pinned under while object
-# pools existed.  There is one path now: both ids run it, and both must still
-# read the pinned digest, so neither the wheel nor the heap run may depend on
-# an earlier simulation in the same process.
+# The ids name the two send paths and the two schedulers the digest was
+# pinned under while object pools and the timer wheel existed.  There is one
+# path and one event heap now: all four ids run them, and all four must still
+# read the pinned digest, so no run may depend on an earlier simulation in the
+# same process.
 @pytest.mark.parametrize("path", ["pooled", "unpooled"])
-@pytest.mark.parametrize("scheduler", ["wheel", "heap"])
-def test_publish_digest_is_pinned(scheduler, path):
-    digest, inserts, most_publishers = _run_publish(scheduler)
+@pytest.mark.parametrize("repeat", ["wheel", "heap"])
+def test_publish_digest_is_pinned(repeat, path):
+    digest, inserts, most_publishers = _run_publish()
     # the regime first: a digest over empty or single-publisher buckets
     # would leave the multi-publisher bucket form unexercised
     assert inserts >= MIN_SRDI_INSERTS

@@ -208,7 +208,7 @@ def test_the_walk_sees_the_layouts_past_bumps_were_about():
         "repro.discovery.srdi.SrdiPusher": ["_pushed=dict"],
         "repro.discovery.srdi._SrdiRecord": ["expires_at key publisher"],
         "repro.network.transport.Network": ["_partitions=dict[tuple]"],
-        "repro.sim.kernel.Simulator": ["_seq", "_wheel=list"],
+        "repro.sim.kernel.Simulator": ["_seq", "_queue=list"],
         "repro.sim.kernel.EventHandle": ["_label _state"],
     }.items():
         assert cls in listing, cls

@@ -4,11 +4,8 @@ The :mod:`repro.snapshot` determinism contract: pausing a simulation at
 an event boundary, serialising it to bytes, restoring it (in principle
 in another process) and continuing must produce *byte-identical*
 results to the run that never stopped — same kernel fire order, same
-message counts, same peerview contents, same workload SLO — under both
-scheduler implementations.
+message counts, same peerview contents, same workload SLO.
 """
-
-from dataclasses import replace
 
 import pytest
 
@@ -17,7 +14,7 @@ from repro.config import PlatformConfig
 from repro.deploy import OverlayDescription, build_overlay
 from repro.experiments import churn_exp, fig4_right, load_exp
 from repro.network import Network
-from repro.sim import MINUTES, SimOptions, Simulator
+from repro.sim import MINUTES, Simulator
 from repro.sim.tracing import KernelTraceRecorder
 from repro.snapshot import (
     CheckpointStore,
@@ -28,17 +25,17 @@ from repro.snapshot import (
 )
 from repro.workload import WorkloadEngine, WorkloadSpec, WorkloadTraceRecorder
 
-SCHEDULERS = ("wheel", "heap")
+#: the ids of the two schedulers the kernel had until it became one
+#: event heap; both ids run it, each in fresh simulators
+REPEATS = ("wheel", "heap")
 
 MID = 8 * MINUTES
 END = 14 * MINUTES
 
 
-def _deploy(seed: int, scheduler: str):
+def _deploy(seed: int):
     """A publish/lookup scenario paused at its bootstrap boundary."""
-    sim = Simulator(
-        seed=seed, options=replace(SimOptions.from_env(), scheduler=scheduler)
-    )
+    sim = Simulator(seed=seed)
     network = Network(sim)
     recorder = KernelTraceRecorder(sim)
     overlay = build_overlay(
@@ -80,11 +77,11 @@ def _continue(network, overlay, recorder):
 
 
 class TestMidRunRestore:
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_restored_continuation_is_byte_identical(self, scheduler):
-        baseline = _continue(*_deploy(seed=5, scheduler=scheduler))
+    @pytest.mark.parametrize("repeat", REPEATS)
+    def test_restored_continuation_is_byte_identical(self, repeat):
+        baseline = _continue(*_deploy(seed=5))
 
-        network, overlay, recorder = _deploy(seed=5, scheduler=scheduler)
+        network, overlay, recorder = _deploy(seed=5)
         blob = snapshot_network(
             network, extra={"overlay": overlay, "recorder": recorder}
         )
@@ -94,10 +91,10 @@ class TestMidRunRestore:
 
         assert resumed == baseline
 
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_snapshot_bytes_are_stable(self, scheduler):
+    @pytest.mark.parametrize("repeat", REPEATS)
+    def test_snapshot_bytes_are_stable(self, repeat):
         """Snapshotting the same paused graph twice yields the same
-        bytes (caches and free lists are normalised out by the pickle
+        bytes (caches are normalised out by the pickle
         contracts), and re-snapshotting a restored copy is a semantic
         fixpoint: its blob restores to an identical continuation.
 
@@ -106,7 +103,7 @@ class TestMidRunRestore:
         strings, so the restored graph's string-sharing pattern (and
         hence pickle memo layout) can legitimately differ while every
         value is identical."""
-        network, overlay, recorder = _deploy(seed=5, scheduler=scheduler)
+        network, overlay, recorder = _deploy(seed=5)
         extra = {"overlay": overlay, "recorder": recorder}
         blob_a = snapshot_network(network, extra=extra)
         blob_b = snapshot_network(network, extra=extra)
@@ -120,7 +117,7 @@ class TestMidRunRestore:
         assert twice == baseline
 
     def test_snapshot_refuses_mid_event(self):
-        network, overlay, recorder = _deploy(seed=5, scheduler="wheel")
+        network, overlay, recorder = _deploy(seed=5)
         network.sim._running = True
         try:
             with pytest.raises(SnapshotError):
@@ -131,7 +128,7 @@ class TestMidRunRestore:
 
 class TestFork:
     def test_fork_and_original_continue_identically(self):
-        network, overlay, recorder = _deploy(seed=5, scheduler="wheel")
+        network, overlay, recorder = _deploy(seed=5)
         clone, extra = fork_network(
             network, extra={"overlay": overlay, "recorder": recorder}
         )
@@ -140,7 +137,7 @@ class TestFork:
         assert forked == original
 
     def test_fork_preserves_shared_stream_identity(self):
-        network, overlay, recorder = _deploy(seed=5, scheduler="wheel")
+        network, overlay, recorder = _deploy(seed=5)
         clone, _ = fork_network(network)
         # the clone's transport latency stream is the clone registry's
         # stream object, never the original's (no cross-graph leakage)
@@ -200,15 +197,14 @@ WARM_STARTABLE = {
 
 
 class TestWarmStart:
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    @pytest.mark.parametrize("repeat", REPEATS)
     @pytest.mark.parametrize("experiment", sorted(WARM_STARTABLE))
     def test_warm_start_is_invisible(
-        self, experiment, scheduler, tmp_path, monkeypatch
+        self, experiment, repeat, tmp_path
     ):
         """A run without a store, one that builds and stores its
         bootstrap, and one that restores it answer byte for byte the
         same."""
-        monkeypatch.setenv("REPRO_SCHEDULER", scheduler)
         run = WARM_STARTABLE[experiment]
         cold = run(None)
         store = CheckpointStore(tmp_path / "ckpts")
@@ -218,14 +214,13 @@ class TestWarmStart:
         assert repr(warm_miss) == repr(cold)
         assert repr(warm_hit) == repr(cold)
 
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    @pytest.mark.parametrize("repeat", REPEATS)
     def test_seeded_bootstrap_matches_the_engines_seed_event(
-        self, scheduler, monkeypatch
+        self, repeat
     ):
         """``run_load`` seeds the catalog inside its bootstrap and
         warm-starts the engine on top; an engine that schedules its own
         seed event on a bare deployment traces and answers the same."""
-        monkeypatch.setenv("REPRO_SCHEDULER", scheduler)
         sim, overlay = load_exp._deploy(LOAD_SPEC.client_count, 8, 3)
         recorder = WorkloadTraceRecorder()
         engine = WorkloadEngine(

@@ -9,11 +9,10 @@ minute 12 on complete ones), so the computed replica misses and the
 query walks the peerview in both directions.
 
 The digest below was generated at the commit *before* the query-path
-fast lane (PR 13) and must be reproduced by both schedulers.  A hop edit that moves the simulation fails
-here in seconds, not in the benchmark.
+fast lane (PR 13) and must still be reproduced.  A hop edit that moves
+the simulation fails here in seconds, not in the benchmark.
 """
 
-from dataclasses import replace
 import hashlib
 import json
 
@@ -22,7 +21,7 @@ import pytest
 from repro.config import PlatformConfig
 from repro.deploy import OverlayDescription, build_overlay
 from repro.network import Network
-from repro.sim import HOURS, MINUTES, SimOptions, Simulator
+from repro.sim import HOURS, MINUTES, Simulator
 from repro.workload import WorkloadEngine, WorkloadSpec
 
 R = 30
@@ -34,7 +33,7 @@ WALK_DIGEST = (
 MIN_WALK_STEPS_PER_QUERY = 5.0
 
 
-def _run_walk(scheduler: str):
+def _run_walk():
     spec = WorkloadSpec(
         name="walk",
         warmup=12 * MINUTES,
@@ -45,10 +44,7 @@ def _run_walk(scheduler: str):
         publishers=1,
         seed_time=2 * MINUTES,
     )
-    sim = Simulator(
-        seed=1,
-        options=replace(SimOptions.from_env(), scheduler=scheduler),
-    )
+    sim = Simulator(seed=1)
     network = Network(sim)
     overlay = build_overlay(
         sim, network,
@@ -75,14 +71,15 @@ def _run_walk(scheduler: str):
     return digest, sum(walk_steps), slo["walk.query"]
 
 
-# The ids name the two send paths the digest was pinned under while object
-# pools existed.  There is one path now: both ids run it, and both must still
-# read the pinned digest, so neither the wheel nor the heap run may depend on
-# an earlier simulation in the same process.
+# The ids name the two send paths and the two schedulers the digest was
+# pinned under while object pools and the timer wheel existed.  There is one
+# path and one event heap now: all four ids run them, and all four must still
+# read the pinned digest, so no run may depend on an earlier simulation in the
+# same process.
 @pytest.mark.parametrize("path", ["pooled", "unpooled"])
-@pytest.mark.parametrize("scheduler", ["wheel", "heap"])
-def test_walk_digest_is_pinned(scheduler, path):
-    digest, walk_steps, queries = _run_walk(scheduler)
+@pytest.mark.parametrize("repeat", ["wheel", "heap"])
+def test_walk_digest_is_pinned(repeat, path):
+    digest, walk_steps, queries = _run_walk()
     # the regime first: a digest of the flat path would pin nothing
     assert queries["requests"] > 50
     assert queries["timeout"] == 0 and queries["failure"] == 0

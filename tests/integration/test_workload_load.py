@@ -3,8 +3,7 @@ byte-exact regression oracle.
 
 The load experiment's acceptance contract: for a given (spec, r,
 seed), the run produces a byte-identical canonical trace and SLO
-snapshot across repetitions, across both event schedulers
-(``REPRO_SCHEDULER=wheel|heap``), and under trace replay on a fresh
+snapshot across repetitions and under trace replay on a fresh
 deployment.
 """
 
@@ -42,23 +41,12 @@ def test_different_seeds_differ():
     assert a.digest() != b.digest()
 
 
-@pytest.mark.parametrize("scheduler", ["wheel", "heap"])
-def test_scheduler_invariance(monkeypatch, scheduler):
-    """Both schedulers produce the same bytes as the default run."""
-    reference = run_load(_spec(), r=5, seed=4, record=True)
-    monkeypatch.setenv("REPRO_SCHEDULER", scheduler)
-    run = run_load(_spec(), r=5, seed=4, record=True)
-    assert run.digest() == reference.digest()
-    assert json.dumps(run.snapshot(), sort_keys=True) == json.dumps(
-        reference.snapshot(), sort_keys=True
-    )
-
-
-@pytest.mark.parametrize("scheduler", ["wheel", "heap"])
-def test_replay_reproduces_trace_and_slo(monkeypatch, tmp_path, scheduler):
+# the ids name the two schedulers the kernel had until it became one
+# event heap; both ids run it
+@pytest.mark.parametrize("repeat", ["wheel", "heap"])
+def test_replay_reproduces_trace_and_slo(tmp_path, repeat):
     """The recorded trace, re-driven on a fresh deployment (through the
     JSONL file format), reproduces the original run byte-for-byte."""
-    monkeypatch.setenv("REPRO_SCHEDULER", scheduler)
     original = run_load(_spec(), r=6, seed=7, record=True)
     path = original.recorder.write(tmp_path / "trace.jsonl")
 

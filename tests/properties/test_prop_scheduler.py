@@ -1,34 +1,91 @@
-"""Property-based tests: wheel-vs-heap scheduler equivalence.
+"""Property-based tests: the kernel against a reference model.
 
-The timer-wheel scheduler must be *observationally identical* to the
-plain binary heap: same (time, seq) fire order, same clock trajectory,
-same counters — byte for byte, for any interleaving of scheduling,
-cancellation, handle reuse (``reschedule``) and mid-run control
-changes (trace hooks and ``stop``).  A generated program of timer
-operations is interpreted on one simulator of each flavour and the
-full observable logs are compared exactly — drained with ``run()`` and
-driven the way every experiment drives the kernel, as ``run(until=…)``
-slices, which must also fire what the drain fires.
+The kernel's contract is small: events fire in ``(time, seq)`` order,
+a cancelled event never fires, a fired handle can be re-armed, hooks
+see the events fired while they are registered, ``stop`` ends the run
+it is called in with every later event still pending, and
+``run(until=…)`` fires what is due and leaves the clock at ``until``.
+:class:`Model` is that contract in the plainest code there is — one
+list kept sorted, scanned from the front.  A generated program of
+timer operations (spawn, cancel, reschedule, hook toggles, ``stop``)
+is interpreted on the kernel and on the model and the full observable
+logs are compared exactly — drained with ``run()`` and driven the way
+every experiment drives the kernel, as ``run(until=…)`` slices with
+timers cancelled between them (their tombstones stay in the heap).
 """
 
-from dataclasses import replace
+import bisect
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import SimOptions, Simulator
+from repro.sim import Simulator
 
-# Delays straddling every tier boundary: inside the active window,
-# across wheel slots (0.5 s wide, 128 slots = 64 s span) and beyond
-# the wheel horizon into the overflow heap.
-_BOUNDARY_DELAYS = (
-    0.0, 1e-9, 0.25, 0.4999999, 0.5, 0.5000001, 1.0, 7.3,
-    63.999999, 64.0, 64.000001, 100.0, 127.75, 200.0, 500.0,
-)
 
+class ModelHandle:
+    def __init__(self, model, label):
+        self.model, self.label, self.state = model, label, "pending"
+
+    def cancel(self):
+        if self.state != "pending":
+            return False
+        self.state = "cancelled"
+        self.model.pending_events -= 1
+        return True
+
+
+class Model:
+    """A sorted list of ``(time, seq, handle, fn, args)``."""
+
+    def __init__(self):
+        self.now, self.events_fired, self.pending_events = 0.0, 0, 0
+        self.seq, self.queue, self.hooks, self.stopped = 0, [], [], False
+
+    def schedule(self, delay, fn, *args, label=""):
+        return self.reschedule(ModelHandle(self, label), delay, fn, *args)
+
+    def reschedule(self, handle, delay, fn, *args):
+        handle.state = "pending"
+        bisect.insort(self.queue, (self.now + delay, self.seq, handle, fn, args))
+        self.seq += 1
+        self.pending_events += 1
+        return handle
+
+    def add_trace_hook(self, hook, phases):
+        self.hooks = [hook]
+
+    def remove_trace_hook(self, hook):
+        self.hooks = []
+
+    def stop(self):
+        self.stopped = True
+
+    def run(self, until=None):
+        self.stopped = False
+        while self.queue and not self.stopped:
+            time, _, handle, fn, args = self.queue[0]
+            if handle.state == "pending" and until is not None and time > until:
+                break
+            del self.queue[0]
+            if handle.state != "pending":
+                continue
+            self.now, handle.state = time, "fired"
+            self.events_fired += 1
+            self.pending_events -= 1
+            hooked = self.hooks
+            for hook in hooked:
+                hook(time, "fire", handle)
+            fn(*args)
+            for hook in self.hooks if hooked else ():
+                hook(self.now, "done", handle)
+        if not self.stopped and until is not None and self.now < until:
+            self.now = until
+
+
+# Exact values make same-instant ties (FIFO by seq) likely.
 delay_values = st.one_of(
     st.floats(min_value=0.0, max_value=200.0, allow_nan=False),
-    st.sampled_from(_BOUNDARY_DELAYS),
+    st.sampled_from((0.0, 1e-9, 0.5, 1.0, 7.3, 64.0, 100.0)),
 )
 
 # One top-level timer: (delay, kind, auxiliary delay, auxiliary int).
@@ -41,17 +98,14 @@ event_specs = st.tuples(
 )
 
 programs = st.lists(event_specs, min_size=1, max_size=25)
+slice_cuts = st.lists(delay_values, min_size=1, max_size=6)
 
 
-def _interpret(events, scheduler, cuts=None, cancel_at_cuts=False):
-    """Run ``events`` on a fresh simulator; return the observable log.
-    With ``cuts`` the program is driven by ``run(until=…)`` slices, one
-    per cut, before it is drained; ``cancel_at_cuts`` also cancels a
-    timer between slices, leaving its tombstone resident in whichever
-    tier currently holds the entry."""
-    sim = Simulator(
-        seed=3, options=replace(SimOptions.from_env(), scheduler=scheduler)
-    )
+def _interpret(sim, events, cuts=None, cancel_at_cuts=False):
+    """Run ``events`` on ``sim``; return the observable log.  With
+    ``cuts`` the program is driven by ``run(until=…)`` slices, one per
+    cut, before it is drained; ``cancel_at_cuts`` also cancels a timer
+    between slices."""
     log = []
     handles = []
     hook_on = [False]
@@ -97,6 +151,7 @@ def _interpret(events, scheduler, cuts=None, cancel_at_cuts=False):
     for i, cut in enumerate(cuts or ()):
         at += cut
         sim.run(until=at)
+        log.append(("slice", sim.now, sim.events_fired, sim.pending_events))
         if cancel_at_cuts:
             log.append(("cut-cancel", i, handles[i % len(handles)].cancel()))
     # a ``stop`` event ends the run it fires in; keep draining until the
@@ -111,20 +166,17 @@ def _interpret(events, scheduler, cuts=None, cancel_at_cuts=False):
 
 @settings(max_examples=60, deadline=None)
 @given(programs)
-def test_wheel_and_heap_fire_identically(events):
-    assert _interpret(events, "wheel") == _interpret(events, "heap")
-
-
-slice_cuts = st.lists(delay_values, min_size=1, max_size=6)
+def test_kernel_fires_as_the_reference_model(events):
+    assert _interpret(Simulator(seed=3), events) == _interpret(Model(), events)
 
 
 @settings(max_examples=40, deadline=None)
 @given(programs, slice_cuts)
-def test_sliced_runs_match_across_schedulers(events, cuts):
-    """Deadline-sliced runs (the experiment-campaign pattern) must also
-    agree: window refills happen at different moments under slicing."""
-    assert _interpret(events, "wheel", cuts, cancel_at_cuts=True) == (
-        _interpret(events, "heap", cuts, cancel_at_cuts=True)
+def test_sliced_runs_match_the_reference_model(events, cuts):
+    """Deadline slices with a timer cancelled between each pair: the
+    tombstone waits in the heap until the next slice pops it."""
+    assert _interpret(Simulator(seed=3), events, cuts, True) == (
+        _interpret(Model(), events, cuts, True)
     )
 
 
@@ -133,10 +185,11 @@ def test_sliced_runs_match_across_schedulers(events, cuts):
 def test_sliced_program_fires_what_the_drain_fires(events, cuts):
     """Where the slices fall changes nothing that fires — not even
     around a ``stop``, which ends one slice and leaves the rest of the
-    timeline to the next.  Only the final clock may differ: a slice
-    advances it to ``until``."""
-    sliced = _interpret(events, "wheel", cuts)
-    assert sliced == _interpret(events, "heap", cuts)
-    drained = _interpret(events, "wheel")
-    assert sliced[:-1] == drained[:-1]
-    assert sliced[-1][2:] == drained[-1][2:]
+    timeline to the next.  Only the clock may differ: a slice advances
+    it to ``until``."""
+    sliced = _interpret(Simulator(seed=3), events, cuts)
+    assert sliced == _interpret(Model(), events, cuts)
+    drained = _interpret(Simulator(seed=3), events)
+    fires = [entry for entry in sliced if entry[0] != "slice"]
+    assert fires[:-1] == drained[:-1]
+    assert fires[-1][2:] == drained[-1][2:]

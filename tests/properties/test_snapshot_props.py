@@ -1,15 +1,13 @@
 """Property-based tests: checkpointing is observationally invisible.
 
-For *any* event boundary in a protocol run — any overlay size, seed
-and scheduler implementation — snapshotting, restoring
+For *any* event boundary in a protocol run — any overlay size and
+seed — snapshotting, restoring
 and continuing must reproduce the never-checkpointed run exactly
 (kernel fire digest, message counters, peerview contents).  And an
 in-process fork is a genuinely independent universe: mutating the
 clone never perturbs the original, identical continuations stay
 identical, divergent ones diverge.
 """
-
-from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,18 +16,15 @@ from repro.advertisement import FakeAdvertisement
 from repro.config import PlatformConfig
 from repro.deploy import OverlayDescription, build_overlay
 from repro.network import Network
-from repro.sim import MINUTES, SimOptions, Simulator
+from repro.sim import MINUTES, Simulator
 from repro.sim.tracing import KernelTraceRecorder
 from repro.snapshot import fork_network, restore_network, snapshot_network
 
 END = 10 * MINUTES
 
 
-def _deploy(r, seed, scheduler):
-    sim = Simulator(
-        seed=seed,
-        options=replace(SimOptions.from_env(), scheduler=scheduler),
-    )
+def _deploy(r, seed):
+    sim = Simulator(seed=seed)
     network = Network(sim)
     recorder = KernelTraceRecorder(sim)
     overlay = build_overlay(
@@ -62,17 +57,16 @@ scenario = st.tuples(
     st.integers(min_value=3, max_value=7),       # r
     st.integers(min_value=1, max_value=10_000),  # seed
     st.floats(min_value=0.01, max_value=0.99),   # boundary fraction
-    st.sampled_from(["wheel", "heap"]),
 )
 
 
 @settings(max_examples=12, deadline=None)
 @given(scenario)
 def test_restore_at_any_boundary_is_invisible(params):
-    r, seed, frac, scheduler = params
-    baseline = _finish(*_deploy(r, seed, scheduler))
+    r, seed, frac = params
+    baseline = _finish(*_deploy(r, seed))
 
-    network, overlay, recorder = _deploy(r, seed, scheduler)
+    network, overlay, recorder = _deploy(r, seed)
     network.sim.run(until=frac * END)  # an arbitrary event boundary
     blob = snapshot_network(
         network, extra={"overlay": overlay, "recorder": recorder}
@@ -105,7 +99,7 @@ def _diverge(network, overlay, recorder, k):
 def test_forked_universes_are_independent(seed, frac, k1, k2):
     graphs = []
     for _ in range(3):
-        network, overlay, recorder = _deploy(4, seed, "wheel")
+        network, overlay, recorder = _deploy(4, seed)
         network.sim.run(until=frac * END)
         graphs.append((network, overlay, recorder))
     parent, twin, control = graphs

@@ -3,9 +3,8 @@
 A key is the store address of a warmed overlay: if one moves, every
 cache filled before the move silently misses and rebuilds.  Each key
 function gets an explicit ``SimOptions()``, and the campaign groups
-(whose tasks resolve their options from the environment) run with the
-``REPRO_*`` switches cleared, so the values hold on either scheduler
-leg of CI.
+(whose tasks resolve their options from the environment) run with
+``REPRO_CANARY`` cleared.
 """
 
 import pytest
@@ -20,7 +19,7 @@ from repro.snapshot import checkpoint_key
 DEFAULT = SimOptions()
 
 CHURN_R16_SEED2 = (
-    "243058bb2a7c6edae30ebb90c4e8d40fb3b1a12001354147cc01356bbe6d596e"
+    "81d80de96a42cd8ad2de8f7f5d84ef06232086784c8482ce5b2d2674ab941081"
 )
 
 KEYS = {
@@ -30,34 +29,34 @@ KEYS = {
     ),
     "fig4-right r=8 A": (
         lambda: fig4_right.bootstrap_spec(8, False, options=DEFAULT),
-        "3a5a501c0079cdb3391bfdf911a16296c0ff1798d45c46651fe83cb753d926b9",
+        "21a3b8bee687c9682a3ffae0c0a45626e6f9c5304c100059d8709fb03486a310",
     ),
     "fig4-right r=20 B warmup=60min": (
         lambda: fig4_right.bootstrap_spec(
             20, True, warmup=60 * MINUTES, options=DEFAULT
         ),
-        "352341712053acfdb2b52a859e9dfa3dfeff8836bbddf2d1d2a4c35f5e146507",
+        "f6cc69072b8989e9f63404e0be3cf5e6f59e03b805e82cede71f864858fc6ecc",
     ),
     "load ci_spec r=8 seed=3": (
         lambda: load_exp.bootstrap_spec(
             load_exp.ci_spec(), 8, seed=3, options=DEFAULT
         ),
-        "60be3b9261cd21c724b409c1585f4e092af4725d97cdb265faad5da8e50dd942",
+        "af135c680b16013df3f474cfba34ba8a081563e3ff1d792ed00dcc87ab7c0fed",
     ),
 }
 
 FUZZ_KEYS = (
-    "7499de330a4f49e9f9d4ac224c920e76c39f839fad716cccfa4c16dabee22234",
-    "239304c04fb8471a3f462c2fc48a0d7fea168c44bbb1a5872e5a1abb9c6490c0",
-    "8178fbda18f41d6ff8afde173e17cd00de9540fb325d524b6d8f91eaeccc733c",
-    "dc1dc5108b5642d12b573b2b7ff0c0283ad7f67223b10f347bf96e69452e31e2",
+    "636d9b1c91d684fea40538c7da11d3d69a59289baef98ffd338883aa6b493cc8",
+    "1cac4072221c067f2cf6c82b8b6a0dad6dd0b543f3f7d1125b66c40cabc771a1",
+    "60fdeec58d256348f1a7cb1cf7d3f888d6304bbc1dfa0a8315bd678c01aae091",
+    "8b8681e76777a6e39eec2b0c260881857fa9b1bb4f600ba17f585807bf5f9168",
 )
 
 CAMPAIGN_KEYS = {
     "churn": ({"r": 16, "seed": 2}, CHURN_R16_SEED2),
     "load": (
         {"r": 24, "rate": 1, "skew": 0, "seed": 1, "warmup": 3600},
-        "d21c46ec1c17b3a3da67149337f7828a41aca92866b0da4a8237dfea33d7d502",
+        "1ca8e517cf359d9579d29e8b0a327d5e296e61f7afe341d74b1e8290d440a9c8",
     ),
 }
 
@@ -76,7 +75,6 @@ def test_fuzz_key_is_pinned(index):
 
 @pytest.mark.parametrize("task_type", sorted(CAMPAIGN_KEYS))
 def test_campaign_group_key_is_pinned(task_type, monkeypatch):
-    for name in ("REPRO_SCHEDULER", "REPRO_CANARY"):
-        monkeypatch.delenv(name, raising=False)
+    monkeypatch.delenv("REPRO_CANARY", raising=False)
     params, key = CAMPAIGN_KEYS[task_type]
     assert checkpoint_key(bootstrap_spec_of(task_type, params)) == key

@@ -1,6 +1,6 @@
 """The oracle battery's verdicts, and what each execution collects.
 
-The four comparison oracles are exercised with the execution function
+The three comparison oracles are exercised with the execution function
 replaced by a fake that plants exactly one divergence, so each test
 pins one failure signature (and that no other oracle fires with it)
 without simulating anything.  The accounting tests below them run real
@@ -30,9 +30,8 @@ PLAIN, CRASH, CHURN, LOADED = SEED_CASES
 
 
 @pytest.fixture(autouse=True)
-def default_kernel(monkeypatch):
-    """Primary execution = wheel, whatever the CI leg sets."""
-    monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
+def default_options(monkeypatch):
+    """No canary armed, whatever the environment sets."""
     monkeypatch.delenv("REPRO_CANARY", raising=False)
 
 
@@ -58,8 +57,7 @@ def _plant(monkeypatch, diverges=lambda **call: False, midpoint=("", ""),
 
     def fake_run_case(case, options=None, store=None,
                       reads=EVERYTHING, replay_ops=None):
-        call = dict(scheduler=options.scheduler, reads=tuple(reads),
-                    replay=replay_ops is not None)
+        call = dict(reads=tuple(reads), replay=replay_ops is not None)
         calls.append(call)
         mark = "!" if diverges(**call) else ""
         return RunResult(
@@ -92,26 +90,20 @@ def test_agreeing_executions_report_nothing(monkeypatch):
     assert _signatures(check_case(LOADED)) == []
 
 
-def test_other_scheduler_digest_is_scheduler_equivalence(monkeypatch):
-    _plant(monkeypatch, lambda scheduler, **_: scheduler == "heap")
-    assert _signatures(check_case(PLAIN)) == ["scheduler-equivalence"]
-
-
-def test_one_ulp_in_one_event_time_is_scheduler_equivalence(monkeypatch):
+def test_one_ulp_in_one_event_time_is_snapshot_invisibility(monkeypatch):
     """Traces compare as values: one entry's time one ulp later fails."""
     def trace(mark):
         return _trace(time=math.nextafter(1.5, 2.0) if mark else 1.5)
 
-    _plant(monkeypatch, lambda scheduler, **_: scheduler == "heap",
-           trace=trace)
+    _plant(monkeypatch, midpoint=("!", ""), trace=trace)
     report = check_case(PLAIN)
-    assert _signatures(report) == ["scheduler-equivalence"]
+    assert _signatures(report) == ["snapshot-invisibility"]
     # the detail line names both traces by their digest prefixes
     base = RunResult({}, (), trace=trace(""))
-    alt = RunResult({}, (), trace=trace("!"))
+    continued = RunResult({}, (), trace=trace("!"))
     assert report.failures[0].detail == (
-        f"kernel digests diverge: wheel={base.digest[:12]} "
-        f"heap={alt.digest[:12]}"
+        "taking a mid-run snapshot perturbed the run: "
+        f"{continued.digest[:12]} vs {base.digest[:12]}"
     )
 
 
@@ -161,18 +153,18 @@ def test_unknown_oracle_is_refused():
 def test_each_execution_is_asked_only_for_what_is_compared(monkeypatch):
     calls = _plant(monkeypatch)
     check_case(LOADED)
-    assert [c["reads"] for c in calls] == [
-        (DIGEST, COVERAGE, WORKLOAD),  # base
-        (DIGEST,),                     # other scheduler
-        (WORKLOAD,),                   # replay
+    # a full battery on a workload case is the base and the replay
+    assert calls == [
+        dict(reads=(DIGEST, COVERAGE, WORKLOAD), replay=False),
+        dict(reads=(WORKLOAD,), replay=True),
     ]
     del calls[:]
     # a probe's base collects what the one oracle compares, no more
     check_case(LOADED, oracles=("invariants",), coverage=False)
     assert [c["reads"] for c in calls] == [()]
     del calls[:]
-    check_case(LOADED, oracles=("scheduler",), coverage=False)
-    assert [c["reads"] for c in calls] == [(DIGEST,), (DIGEST,)]
+    check_case(PLAIN, oracles=("snapshot",), coverage=False)
+    assert [c["reads"] for c in calls] == [(DIGEST,)]
     del calls[:]
     check_case(LOADED, oracles=("replay",), coverage=False)
     assert [c["reads"] for c in calls] == [(WORKLOAD,), (WORKLOAD,)]
@@ -212,18 +204,19 @@ def test_full_battery_opens_one_hub_and_two_workload_traces(instruments):
     report = check_case(LOADED)
     assert report.failures == []
     assert report.base.coverage
-    # base, scheduler, replay ran; only the base counted keys,
-    # only the base and the replay traced the workload
+    # base and replay ran; only the base counted keys, both traced
+    # the workload
     assert instruments == {"hubs": 1, "workload_traces": 2}
 
 
 def test_shrink_probe_opens_no_hub(instruments):
-    for oracle, case in (("invariants", CRASH), ("scheduler", LOADED)):
+    for oracle, case in (("invariants", CRASH), ("replay", LOADED)):
         probe = FuzzEngine()._still_fails(
             Failure(oracle, f"{oracle}:planted", "")
         )
         assert probe(case) is False
-    assert instruments == {"hubs": 0, "workload_traces": 0}
+    # the replay probe traces the workload of its base and its replay
+    assert instruments == {"hubs": 0, "workload_traces": 2}
 
 
 def test_hubless_execution_hides_from_an_ambient_session(instruments):
@@ -259,9 +252,9 @@ def test_only_executions_that_read_the_trace_keep_recording(recorders):
     report = check_case(LOADED)
     assert report.failures == []
     hooked = [rec._on_event in sim._fire_hooks for sim, rec in recorders]
-    # base, scheduler, replay
-    assert hooked == [True, True, False]
-    base, _, replay = (rec for _, rec in recorders)
+    # base, replay
+    assert hooked == [True, False]
+    base, replay = (rec for _, rec in recorders)
     assert 0 < len(replay) < len(base)
     assert report.base.trace is base.entries
 
@@ -307,6 +300,4 @@ def test_reads_selects_fields_and_never_changes_them():
 
 
 def test_oracle_catalogue_is_unchanged():
-    assert ORACLES == (
-        "invariants", "scheduler", "snapshot", "replay",
-    )
+    assert ORACLES == ("invariants", "snapshot", "replay")

@@ -9,8 +9,7 @@ The pinned values were measured when a timeout *event* per probe popped
 the record instead: the probes each rendezvous sent, and the SHA-256 of
 the kernel trace with every ``*.probe_timeout`` entry left out (15 and
 74 of them fired).  The deadline must send the same probes, and its
-*unfiltered* trace must hash to the pinned value, under either
-scheduler.
+*unfiltered* trace must hash to the pinned value.
 
 The dead-seed scenario pins the tie.  There ``peerview_interval ==
 probe_timeout``, so each tick of the seed's neighbour lands exactly on
@@ -22,18 +21,20 @@ rendezvous 1 sends 90 probes where it sent 75.
 """
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Tuple
 
 import pytest
 
-from repro.sim import MINUTES, SECONDS, SimOptions
+from repro.sim import MINUTES, SECONDS
 from repro.sim.tracing import KernelTraceRecorder
 from repro.snapshot import restore_network, snapshot_network
 from tests.integration.test_frame_budget import load_frames_per_op
 from tests.unit.test_peerview_protocol import build_rdv_overlay
 
-SCHEDULERS = ("wheel", "heap")
+#: the ids of the two schedulers the kernel had until it became one
+#: event heap; both ids run it
+REPEATS = ("wheel", "heap")
 
 
 @dataclass(frozen=True)
@@ -67,15 +68,10 @@ MID_CRASH = Scenario(
 )
 
 
-def _options(scheduler):
-    return replace(SimOptions.from_env(), scheduler=scheduler)
-
-
-def _start(scenario, scheduler):
+def _start(scenario):
     """The scenario run up to (and including) its crash."""
     sim, overlay = build_rdv_overlay(
-        scenario.r, seed=scenario.seed, options=_options(scheduler),
-        peerview_interval=scenario.interval,
+        scenario.r, seed=scenario.seed, peerview_interval=scenario.interval,
     )
     recorder = KernelTraceRecorder(sim)
     sim.run(until=scenario.crash_at)
@@ -96,14 +92,14 @@ def _filtered_digest(recorder):
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    @pytest.mark.parametrize("repeat", REPEATS)
     @pytest.mark.parametrize(
         "scenario", [DEAD_SEED, MID_CRASH], ids=["dead-seed", "mid-crash"]
     )
     def test_same_probes_and_trace_without_timeout_events(
-        self, scenario, scheduler
+        self, scenario, repeat
     ):
-        sim, overlay, recorder = _start(scenario, scheduler)
+        sim, overlay, recorder = _start(scenario)
         sim.run(until=scenario.until)
         assert _probes(overlay) == scenario.probes
         assert _filtered_digest(recorder) == scenario.digest
@@ -147,16 +143,16 @@ class TestLifecycle:
         assert proto._pending_probes[address] == sim.now + 10 * SECONDS
 
     def test_stop_clears_outstanding_probes(self):
-        sim, overlay, _ = _start(DEAD_SEED, "wheel")
+        sim, overlay, _ = _start(DEAD_SEED)
         sim.run(until=110 * SECONDS)
         proto = overlay.rendezvous[1].peerview_protocol
         assert proto._pending_probes
         proto.stop()
         assert proto._pending_probes == {}
 
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_restored_snapshot_keeps_the_suppression(self, scheduler):
-        sim, overlay, recorder = _start(DEAD_SEED, scheduler)
+    @pytest.mark.parametrize("repeat", REPEATS)
+    def test_restored_snapshot_keeps_the_suppression(self, repeat):
+        sim, overlay, recorder = _start(DEAD_SEED)
         sim.run(until=110 * SECONDS)
         proto = overlay.rendezvous[1].peerview_protocol
         # the probe to the dead seed is outstanding across the snapshot,

@@ -11,7 +11,6 @@ audited type; each asserts both directions of the contract:
 * the restored object *recomputes* it correctly on demand.
 """
 
-from dataclasses import replace
 import pickle
 
 import pytest
@@ -27,6 +26,7 @@ from repro.network.transport import Network
 from repro.rendezvous.peerview import PeerView
 from repro.resolver.messages import ResolverQuery
 from repro.sim import SimOptions, Simulator
+from repro.sim.options import CANARIES
 from repro.sim.kernel import EventHandle, SchedulingError
 from repro.sim.rng import RngRegistry
 from repro.snapshot import restore_network, snapshot_network
@@ -72,7 +72,7 @@ class TestEventHandle:
         assert clone.label == handle.label
 
     def test_state_holds_only_what_schedule_writes(self):
-        # fire time, seq and args live in the scheduler entry; the
+        # fire time, seq and args live in the heap entry; the
         # handle pickles its lifecycle state plus one of fn / _label
         assert EventHandle.__slots__ == ("fn", "_label", "_state")
         sim = Simulator(seed=7)
@@ -104,14 +104,12 @@ class TestSimulator:
         assert sim_a._seq == sim_b._seq
         assert sim_a._events_fired == sim_b._events_fired
 
-    @pytest.mark.parametrize("scheduler", ["wheel", "heap"])
-    def test_round_trip_is_byte_stable(self, scheduler):
-        # every tier populated (active window, batch remnant, wheel,
-        # overflow) and a tombstone resident
-        sim = Simulator(
-            seed=3,
-            options=replace(SimOptions.from_env(), scheduler=scheduler),
-        )
+    # the ids name the two schedulers the kernel had until it became one
+    # event heap; both run it
+    @pytest.mark.parametrize("repeat", ["wheel", "heap"])
+    def test_round_trip_is_byte_stable(self, repeat):
+        # fired, pending and tombstoned entries, non-default options
+        sim = Simulator(seed=3, options=SimOptions(canaries=CANARIES))
         for i, delay in enumerate([0.1, 0.2, 0.3, 0.3, 7.0, 500.0]):
             sim.schedule(delay, _noop, i, label=f"ev-{i}")
         sim.schedule(30.0, _noop).cancel()
@@ -224,7 +222,7 @@ class TestJxtaID:
 
 class TestNetwork:
     def test_cached_bound_methods_follow_restored_simulator(self):
-        sim = Simulator(seed=11, options=SimOptions(scheduler="heap"))
+        sim = Simulator(seed=11, options=SimOptions(canaries=CANARIES))
         net = Network(sim, latency=ConstantLatency(0.001))
         net2 = pickle.loads(pickle.dumps(net))
         # the options travel with the blob, and the restored network's

@@ -94,11 +94,11 @@ class TestHeapCompaction:
         for h in handles[:150]:
             h.cancel()
         assert sim.compactions > 0
-        # _dead always equals the cancelled entries resident in a tier
+        # _dead always equals the cancelled entries resident in the heap
         assert sim._dead == sum(
-            1 for entry in sim._resident_entries() if entry[2]._state is None
+            1 for entry in sim._queue if entry[2]._state is None
         )
-        assert sum(1 for _ in sim._resident_entries()) < 200
+        assert len(sim._queue) < 200
         assert sim.pending_events == 50
         sim.run()
         assert sim.events_fired == 50

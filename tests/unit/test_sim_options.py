@@ -1,7 +1,7 @@
 """One options value, one reader of the environment.
 
-The scheduler and canary switches are a
-:class:`SimOptions` value the simulator is built with.  The environment
+The canary switch is a :class:`SimOptions` value the simulator is
+built with.  The environment
 is read in :meth:`SimOptions.from_env` and nowhere else under
 ``src/repro``; nothing there writes it.  A snapshot carries the options
 it was built with, and every warm-start key covers the whole value.
@@ -10,6 +10,7 @@ it was built with, and every warm-start key covers the whole value.
 import ast
 import os
 import pickle
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -95,9 +96,8 @@ def test_only_from_env_reads_the_environment():
 # ---------------------------------------------------------------------------
 
 def test_defaults_are_the_benchmarked_program():
-    assert SimOptions() == SimOptions(
-        scheduler="wheel", canaries=()
-    )
+    assert [f.name for f in fields(SimOptions)] == ["canaries"]
+    assert SimOptions() == SimOptions(canaries=())
 
 
 def test_canaries_are_a_sorted_tuple_of_known_names():
@@ -106,19 +106,19 @@ def test_canaries_are_a_sorted_tuple_of_known_names():
     assert options == ARMED and hash(options) == hash(ARMED)
     with pytest.raises(ValueError, match="unknown canaries"):
         SimOptions(canaries=("nonsense",))
-    with pytest.raises(ValueError, match="unknown scheduler"):
-        SimOptions(scheduler="calendar")
 
 
 def test_from_env_maps_the_two_variables(monkeypatch):
+    """``REPRO_CANARY=1`` arms every canary; ``REPRO_SCHEDULER``, which
+    chose between two schedulers until the kernel became one heap, is
+    read no more."""
     for name in ("REPRO_SCHEDULER", "REPRO_CANARY"):
         monkeypatch.delenv(name, raising=False)
     assert SimOptions.from_env() == SimOptions()
     monkeypatch.setenv("REPRO_SCHEDULER", "heap")
+    assert SimOptions.from_env() == SimOptions()
     monkeypatch.setenv("REPRO_CANARY", "1")
-    assert SimOptions.from_env() == SimOptions(
-        scheduler="heap", canaries=CANARIES
-    )
+    assert SimOptions.from_env() == SimOptions(canaries=CANARIES)
     assert Simulator(seed=1).options == SimOptions.from_env()
 
 
@@ -139,13 +139,10 @@ def test_the_network_and_the_views_read_the_simulators_options():
 # ---------------------------------------------------------------------------
 
 def test_a_restored_simulator_runs_as_it_was_built(monkeypatch):
-    built = SimOptions(scheduler="heap", canaries=CANARIES)
-    blob = pickle.dumps(Simulator(seed=1, options=built))
-    monkeypatch.setenv("REPRO_SCHEDULER", "wheel")
+    blob = pickle.dumps(Simulator(seed=1, options=ARMED))
     monkeypatch.delenv("REPRO_CANARY", raising=False)
     restored = pickle.loads(blob)
-    assert restored.options == built
-    assert not restored._use_wheel
+    assert restored.options == ARMED
 
 
 def test_an_armed_blob_is_a_warm_start_miss_for_the_defaults(tmp_path):
@@ -162,15 +159,12 @@ def test_an_armed_blob_is_a_warm_start_miss_for_the_defaults(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "variable, value",
-    [("REPRO_SCHEDULER", "heap"), ("REPRO_CANARY", "1")],
-    ids=["REPRO_SCHEDULER", "REPRO_CANARY"],
+    "variable, value", [("REPRO_CANARY", "1")], ids=["REPRO_CANARY"],
 )
 def test_experiment_warm_start_keys_cover_every_switch(
     monkeypatch, variable, value
 ):
-    for name in ("REPRO_SCHEDULER", "REPRO_CANARY"):
-        monkeypatch.delenv(name, raising=False)
+    monkeypatch.delenv("REPRO_CANARY", raising=False)
     plain = (churn_exp.bootstrap_spec(), fig4_right.bootstrap_spec(8, False))
     monkeypatch.setenv(variable, value)
     switched = (churn_exp.bootstrap_spec(), fig4_right.bootstrap_spec(8, False))
