@@ -163,7 +163,7 @@ def fuzz_campaign(
     """Coverage-guided fuzzing fanned out as fixed-size batches.
 
     ``seeds`` is repurposed as extra batches (each batch already runs
-    under its own derived seed); the registered ``fuzz`` finalizer
+    under its own derived seed); the ``fuzz`` finalizer
     merges all batch corpora deterministically after aggregation."""
     batches = (8 if full else 4) * max(1, seeds)
     return CampaignSpec(

@@ -28,7 +28,7 @@ from repro.campaign.builtin import CAMPAIGNS, build_campaign
 from repro.campaign.progress import ProgressReporter
 from repro.campaign.runner import CampaignRunner, RunnerOptions
 from repro.campaign.store import RunStore
-from repro.campaign.tasks import finalize_campaign
+from repro.campaign.tasks import FINALIZERS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -148,8 +148,9 @@ def main(argv=None) -> int:
 
     records = list(store.completed().values())
     written = write_aggregates(spec.name, records, out_dir)
-    for line in finalize_campaign(spec.name, records, out_dir):
-        print(line)
+    if spec.name in FINALIZERS:
+        for line in FINALIZERS[spec.name](records, out_dir):
+            print(line)
     rows, _ = aggregate_records(records, campaign=spec.name)
     if rows and not args.quiet:
         print(f"\nCampaign {spec.name} — cross-seed aggregates "

@@ -22,17 +22,23 @@ Reliability behaviors:
   ``--resume`` picks up from there); a second Ctrl-C aborts hard.
 * **Crash safety** — every finished task is fsynced into the JSONL
   store before it counts as done; ``resume=True`` skips completed keys.
+
+:func:`run_in_memory` runs a spec on this pool in a throwaway store and
+returns its records: ``--seeds N``, ``jxta-repro fuzz --jobs N`` and
+multi-seed scripts fan out through it.
 """
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
 import platform
 import queue as queue_mod
 import signal
+import tempfile
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.campaign.progress import ProgressReporter
@@ -41,10 +47,11 @@ from repro.campaign.store import RunStore
 from repro.campaign.tasks import run_task
 
 
-def _default_context() -> str:
-    import multiprocessing as mp
-
-    return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+#: worker start method: fork where the platform has it (test task types
+#: registered in the parent reach the workers), spawn elsewhere
+_MP_CONTEXT = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+#: how long the pool loop sleeps when no worker made progress (seconds)
+_POLL_INTERVAL = 0.05
 
 
 @dataclass
@@ -56,8 +63,6 @@ class RunnerOptions:
     max_retries: int = 2
     #: first retry delay; doubles per subsequent attempt
     retry_backoff: float = 0.5
-    mp_context: str = field(default_factory=_default_context)
-    poll_interval: float = 0.05
     #: restore task bootstraps from the content-addressed checkpoint
     #: cache in this directory (built on first use; None = cold);
     #: results stay byte-identical to cold runs — see docs/CHECKPOINTS.md
@@ -157,20 +162,14 @@ class _Worker:
             return None
 
     def stop(self, timeout: float = 2.0) -> None:
+        """Ask the worker to exit; kill it if it has not within ``timeout``."""
         if self.process.is_alive():
             try:
                 self.inbox.put(("stop",))
             except ValueError:
                 pass
         self.process.join(timeout)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(1.0)
-        if self.process.is_alive():
-            self.process.kill()
-            self.process.join(1.0)
-        self.inbox.close()
-        self.outbox.close()
+        self.kill()
 
     def kill(self) -> None:
         """Hard-stop a hung or doomed worker; its queues are discarded."""
@@ -456,9 +455,7 @@ class CampaignRunner:
         return None
 
     def _run_pool(self, pending: List[TaskSpec]) -> None:
-        import multiprocessing as mp
-
-        ctx = mp.get_context(self.options.mp_context)
+        ctx = mp.get_context(_MP_CONTEXT)
         jobs = min(self.options.jobs, max(len(pending), 1))
         workers = [_Worker(ctx, i, self._warm_dir) for i in range(jobs)]
         ready: List[Tuple[int, TaskSpec]] = [(0, t) for t in pending]
@@ -498,42 +495,58 @@ class CampaignRunner:
                                 task, attempt, status, payload, worker.id, delayed
                             )
                         continue
-                    if worker.busy and not worker.process.is_alive():
+                    if not worker.busy:
+                        continue
+                    if not worker.process.is_alive():
                         # crashed mid-task (poll() above already drained
                         # any result it managed to deliver)
-                        task, attempt = worker.task, worker.attempt
-                        exitcode = worker.process.exitcode
-                        worker.kill()
-                        workers[i] = _Worker(ctx, worker.id, self._warm_dir)
-                        progressed = True
-                        self._retry_or_fail(
-                            task,
-                            attempt,
-                            "crashed",
-                            f"worker exited with code {exitcode}",
-                            worker.id,
-                            delayed,
-                        )
-                        continue
-                    if (
-                        worker.busy
-                        and self.options.task_timeout is not None
+                        status = "crashed"
+                        detail = f"worker exited with code {worker.process.exitcode}"
+                    elif (
+                        self.options.task_timeout is not None
                         and now - worker.started_at > self.options.task_timeout
                     ):
-                        task, attempt = worker.task, worker.attempt
-                        worker.kill()
-                        workers[i] = _Worker(ctx, worker.id, self._warm_dir)
-                        progressed = True
-                        self._retry_or_fail(
-                            task,
-                            attempt,
-                            "timeout",
-                            f"exceeded task_timeout={self.options.task_timeout}s",
-                            worker.id,
-                            delayed,
-                        )
+                        status = "timeout"
+                        detail = f"exceeded task_timeout={self.options.task_timeout}s"
+                    else:
+                        continue
+                    task, attempt = worker.task, worker.attempt
+                    worker.kill()
+                    workers[i] = _Worker(ctx, worker.id, self._warm_dir)
+                    progressed = True
+                    self._retry_or_fail(
+                        task, attempt, status, detail, worker.id, delayed
+                    )
                 if not progressed:
-                    time.sleep(self.options.poll_interval)
+                    time.sleep(_POLL_INTERVAL)
         finally:
             for worker in workers:
                 worker.stop()
+
+
+def run_in_memory(
+    spec: CampaignSpec,
+    jobs: int = 1,
+    progress: Optional[ProgressReporter] = None,
+) -> List[Dict[str, Any]]:
+    """Run ``spec`` on ``jobs`` workers in a throwaway store and return
+    its task records in the spec's task order.  No retries: the first
+    failed task raises :class:`RuntimeError` with its traceback.  The
+    seam for a script that wants a grid's results, not a resumable run
+    directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        store = RunStore(tmp)
+        manifest = CampaignRunner(
+            spec, store, RunnerOptions(jobs=jobs, max_retries=0), progress
+        ).run()
+        latest = {record["key"]: record for record in store.records()}
+    if manifest["interrupted"]:
+        raise KeyboardInterrupt
+    records = [latest[task.key] for task in spec.expand()]
+    for record in records:
+        if record["status"] != "ok":
+            raise RuntimeError(
+                f"{record['task']} task {record['key']} failed:\n"
+                f"{record['error']}"
+            )
+    return records

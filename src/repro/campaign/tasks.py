@@ -29,7 +29,7 @@ Built-in task types:
 ``fuzz``
     One fixed-size coverage-guided fuzzing batch (:mod:`repro.fuzz`).
     Batches never share corpus state, so the campaign's worker split
-    cannot affect results; the registered campaign *finalizer* merges
+    cannot affect results; the campaign *finalizer* (``FINALIZERS``) merges
     the batch corpora deterministically into one JSONL + report.
 """
 
@@ -114,38 +114,6 @@ def get_task(name: str) -> TaskFn:
 
 def run_task(name: str, params: Dict[str, Any]) -> Dict[str, Any]:
     return get_task(name)(params)
-
-
-# --------------------------------------------------------------------------
-# campaign finalizers (post-aggregation hooks)
-# --------------------------------------------------------------------------
-
-#: ``campaign name -> (records, out_dir) -> list of report lines``.
-#: Called by the sweep CLI after aggregation with every task record;
-#: used by campaigns whose cross-task result is not a numeric
-#: aggregate (e.g. ``fuzz`` merges batch corpora into one JSONL).
-FinalizerFn = Callable[[list, Path], list]
-
-_FINALIZERS: Dict[str, FinalizerFn] = {}
-
-
-def register_finalizer(campaign: str, fn: FinalizerFn | None = None):
-    """Register a campaign finalizer (usable as a decorator)."""
-    if fn is not None:
-        _FINALIZERS[campaign] = fn
-        return fn
-
-    def decorator(func: FinalizerFn) -> FinalizerFn:
-        _FINALIZERS[campaign] = func
-        return func
-
-    return decorator
-
-
-def finalize_campaign(campaign: str, records: list, out_dir: Path) -> list:
-    """Run the campaign's finalizer, if any; returns its report lines."""
-    fn = _FINALIZERS.get(campaign)
-    return fn(records, out_dir) if fn is not None else []
 
 
 # --------------------------------------------------------------------------
@@ -364,46 +332,23 @@ def fuzz_batch(params: Dict[str, Any]) -> Dict[str, Any]:
     return run_batch(params)
 
 
-@register_finalizer("fuzz")
 def fuzz_finalize(records: list, out_dir: Path) -> list:
     """Merge the batch corpora into <out>/fuzz-corpus.jsonl plus a
     campaign-level report, and surface the merged digest — the single
     string that must match across reruns and worker counts."""
-    import json
+    from repro.fuzz.engine import merge_reports, report_from_dict, write_report
 
-    from repro.fuzz.corpus import entry_from_dict, save_corpus
-    from repro.fuzz.engine import FuzzReport, merge_reports, report_to_dict
-
-    results = [
-        rec.get("result", rec)
-        for rec in records
-        if rec.get("status", "ok") == "ok"
-    ]
-    reports = [
-        FuzzReport(
-            seed=res["seed"],
-            executed=res["executed"],
-            coverage=tuple(res["coverage"]),
-            entries=[entry_from_dict(e) for e in res["corpus"]],
-            shrink_probes=res["shrink_probes"],
-            skipped=res["skipped_oracles"],
-        )
-        for res in results
-    ]
-    merged = merge_reports(reports)
-    corpus_path = out_dir / "fuzz-corpus.jsonl"
-    save_corpus(corpus_path, merged.entries)
-    report_path = out_dir / "fuzz-report.json"
-    report_path.write_text(
-        json.dumps(report_to_dict(merged), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
+    merged = merge_reports(
+        [report_from_dict(rec["result"]) for rec in records],
+        # every batch of one campaign shares its master seed
+        seed=records[0]["params"]["master_seed"] if records else 0,
     )
+    paths = write_report(merged, out_dir)
     lines = [
         f"# fuzz: {merged.executed} genome(s), "
         f"{len(merged.coverage)} coverage key(s), "
         f"{len(merged.failures)} failure(s)",
-        f"# wrote {corpus_path}",
-        f"# wrote {report_path}",
+        *(f"# wrote {path}" for path in paths),
         f"# fuzz digest: {merged.digest()}",
     ]
     for entry in merged.failures:
@@ -413,3 +358,13 @@ def fuzz_finalize(records: list, out_dir: Path) -> list:
             f"{' [canary]' if entry.requires_canary else ''}",
         )
     return lines
+
+
+# --------------------------------------------------------------------------
+# campaign finalizers (post-aggregation hooks)
+# --------------------------------------------------------------------------
+
+#: ``campaign name -> (completed records, out_dir) -> report lines``.
+#: The sweep CLI calls a campaign's finalizer after aggregation, for
+#: campaigns whose cross-task result is not a numeric aggregate.
+FINALIZERS: Dict[str, Callable[[list, Path], list]] = {"fuzz": fuzz_finalize}

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Union
 
-from repro.advertisement.routeadv import RouteAdvertisement
 from repro.ids.jxtaid import PeerID
 from repro.network.message import Envelope
 
@@ -100,9 +99,6 @@ class EndpointRouter:
         routes = self._routes
         if key >= len(routes) or routes[key] != address:
             self._set(key, address)
-
-    def add_route_advertisement(self, adv: RouteAdvertisement) -> None:
-        self.add_route(adv.dst_peer_id, adv.hops)
 
     def learn_reverse_route(self, peer_id: PeerID, origin_address: str) -> None:
         """Learn a direct route back to a message origin.  Never

@@ -151,11 +151,6 @@ class EndpointService:
         self._hot_name = None
         self._hot_listener = None
 
-    def remove_listener(self, service_name: str, service_param: str) -> None:
-        self._listeners.pop((service_name, service_param), None)
-        self._hot_name = None
-        self._hot_listener = None
-
     # ------------------------------------------------------------------
     # sending
     # ------------------------------------------------------------------

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import tempfile
 from pathlib import Path
 
 from repro.experiments import (
@@ -276,10 +275,10 @@ def _run(name: str, args, checkpoint_store=None):
     """One seed's results, or with ``--seeds N`` the cross-seed rows."""
     if args.seeds == 1:
         return _invoke(name, args.full, args.seed, checkpoint_store)
-    from repro.campaign import CampaignRunner, RunStore, RunnerOptions
     from repro.campaign.aggregate import aggregate_records, render_aggregate_table
     from repro.campaign.builtin import all_experiments_campaign
     from repro.campaign.progress import ProgressReporter
+    from repro.campaign.runner import run_in_memory
     from repro.campaign.tasks import set_warm_store
 
     spec = all_experiments_campaign(
@@ -289,18 +288,11 @@ def _run(name: str, args, checkpoint_store=None):
     # counters report their hits and misses
     set_warm_store(checkpoint_store)
     try:
-        with tempfile.TemporaryDirectory() as tmp:
-            store = RunStore(tmp)
-            CampaignRunner(
-                spec, store, RunnerOptions(max_retries=0),
-                progress=ProgressReporter(total=args.seeds, jobs=1),
-            ).run()
-            records = store.records()
+        records = run_in_memory(
+            spec, progress=ProgressReporter(total=args.seeds, jobs=1)
+        )
     finally:
         set_warm_store(None)
-    for record in records:
-        if record["status"] != "ok":
-            raise RuntimeError(f"{name} failed:\n{record['error']}")
     rows, _ = aggregate_records(records, campaign=name)
     print(
         f"\n{name} — cross-seed spread over seeds "

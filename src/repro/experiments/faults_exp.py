@@ -170,15 +170,13 @@ def run_scenario(
     checker.detach()
 
     series = peerview_size_series(log, observer.name)
-    xs = [duration * (0.75 + 0.25 * i / 10) for i in range(11)]
-    plateau_values = series.sampled(xs)
     convergence = convergence_ratio_series(log)
     kills = sum(c.kill_count for c in engine.context.churn_processes)
     return FaultRunResult(
         scenario=scenario,
         r=r,
         duration=duration,
-        plateau=sum(plateau_values) / len(plateau_values),
+        plateau=series.plateau(duration),
         peak=series.max(),
         convergence=convergence.final,
         violations=len(checker.violations),

@@ -14,34 +14,20 @@ Exit status is 1 when any oracle failure was found (after shrinking),
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
+from repro.campaign.runner import run_in_memory
+from repro.campaign.spec import CampaignSpec
 from repro.fuzz.engine import (
     FuzzReport,
     merge_reports,
-    report_to_dict,
+    report_from_dict,
     run_batch,
+    write_report,
 )
-from repro.fuzz.corpus import entry_from_dict, save_corpus
 from repro.fuzz.runner import ORACLES
-
-
-def _batch_params(
-    master_seed: int, batches: List[int], oracles: Sequence[str]
-) -> List[Dict[str, Any]]:
-    return [
-        {
-            "master_seed": master_seed,
-            "batch": index,
-            "batch_size": size,
-            "oracles": tuple(oracles),
-        }
-        for index, size in enumerate(batches)
-    ]
 
 
 def _split_budget(budget: int, batch_size: int) -> List[int]:
@@ -52,29 +38,6 @@ def _split_budget(budget: int, batch_size: int) -> List[int]:
         sizes.append(min(batch_size, remaining))
         remaining -= sizes[-1]
     return sizes
-
-
-def _report_from_record(record: Dict[str, Any]) -> FuzzReport:
-    return FuzzReport(
-        seed=record["seed"],
-        executed=record["executed"],
-        coverage=tuple(record["coverage"]),
-        entries=[entry_from_dict(e) for e in record["corpus"]],
-        shrink_probes=record["shrink_probes"],
-        skipped=record["skipped_oracles"],
-    )
-
-
-def _run_batches(
-    params: List[Dict[str, Any]], jobs: int
-) -> List[FuzzReport]:
-    if jobs <= 1 or len(params) <= 1:
-        return [_report_from_record(run_batch(p)) for p in params]
-    import multiprocessing
-
-    with multiprocessing.Pool(processes=jobs) as pool:
-        records = pool.map(run_batch, params)
-    return [_report_from_record(r) for r in records]
 
 
 def fuzz_main(argv: Optional[Sequence[str]] = None) -> int:
@@ -135,27 +98,34 @@ def fuzz_main(argv: Optional[Sequence[str]] = None) -> int:
 
     say = (lambda msg: None) if args.quiet else print
 
+    base = {"master_seed": args.seed, "oracles": oracles}
     if args.time is not None:
         deadline = time.monotonic() + args.time
         reports: List[FuzzReport] = []
-        index = 0
         while time.monotonic() < deadline:
-            params = _batch_params(
-                args.seed, [args.batch_size], oracles
-            )
-            params[0]["batch"] = index
-            reports.append(_report_from_record(run_batch(params[0])))
-            index += 1
+            reports.append(report_from_dict(run_batch(
+                {**base, "batch": len(reports), "batch_size": args.batch_size}
+            )))
         say(f"# fuzz seed={args.seed} time={args.time}s "
-            f"-> {index} batch(es)")
+            f"-> {len(reports)} batch(es)")
     else:
         sizes = _split_budget(args.budget, args.batch_size)
-        params = _batch_params(args.seed, sizes, oracles)
         say(
             f"# fuzz seed={args.seed} budget={args.budget} "
             f"batches={len(sizes)} jobs={args.jobs}"
         )
-        reports = _run_batches(params, args.jobs)
+        # one fuzz campaign task per batch; a dict axis value carries
+        # each batch's own size, so the remainder batch keeps its size
+        spec = CampaignSpec(
+            name="fuzz", task_type="fuzz", base=base,
+            grid={"batch": [
+                {"batch": i, "batch_size": n} for i, n in enumerate(sizes)
+            ]},
+        )
+        reports = [
+            report_from_dict(record["result"])
+            for record in run_in_memory(spec, jobs=args.jobs)
+        ]
 
     report = merge_reports(reports, seed=args.seed)
     say(f"# executed {report.executed} genome(s)")
@@ -175,18 +145,8 @@ def fuzz_main(argv: Optional[Sequence[str]] = None) -> int:
     print(f"# digest: {report.digest()}")
 
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        corpus_path = out / "fuzz-corpus.jsonl"
-        save_corpus(corpus_path, report.entries)
-        report_path = out / "fuzz-report.json"
-        report_path.write_text(
-            json.dumps(report_to_dict(report), indent=2, sort_keys=True)
-            + "\n",
-            encoding="utf-8",
-        )
-        say(f"# wrote {corpus_path}")
-        say(f"# wrote {report_path}")
+        for path in write_report(report, args.out):
+            say(f"# wrote {path}")
 
     return 1 if report.failures else 0
 

@@ -24,15 +24,19 @@ single string comparison — across reruns and worker counts.
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.spec import canonical_json, derive_seed
 from repro.fuzz.corpus import (
     CorpusEntry,
+    entry_from_dict,
     entry_to_dict,
     merge_entries,
+    save_corpus,
 )
 from repro.fuzz.genome import (
     DEFAULT_BOUNDS,
@@ -94,6 +98,32 @@ def report_to_dict(report: FuzzReport) -> Dict[str, Any]:
         "coverage": sorted(report.coverage),
         "corpus": [entry_to_dict(e) for e in report.entries],
     }
+
+
+def report_from_dict(data: Dict[str, Any]) -> FuzzReport:
+    """The inverse of :func:`report_to_dict` (its derived counts and
+    digest are recomputed, not read)."""
+    return FuzzReport(
+        seed=data["seed"],
+        executed=data["executed"],
+        coverage=tuple(data["coverage"]),
+        entries=[entry_from_dict(e) for e in data["corpus"]],
+        shrink_probes=data["shrink_probes"],
+        skipped=data["skipped_oracles"],
+    )
+
+
+def write_report(report: FuzzReport, out_dir: Path) -> List[Path]:
+    """Write ``fuzz-corpus.jsonl`` and ``fuzz-report.json`` under
+    ``out_dir`` (created if missing); returns the two paths."""
+    corpus_path = Path(out_dir) / "fuzz-corpus.jsonl"
+    save_corpus(corpus_path, report.entries)
+    report_path = Path(out_dir) / "fuzz-report.json"
+    report_path.write_text(
+        json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n",
+        encoding="utf-8",
+    )
+    return [corpus_path, report_path]
 
 
 def merge_reports(

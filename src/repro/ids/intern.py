@@ -34,7 +34,7 @@ Rules (also in docs/PERFORMANCE.md)
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.ids.jxtaid import JxtaID
 
@@ -112,11 +112,6 @@ class IdInternTable:
     def order_token(self, key: int) -> Tuple[bytes, int]:
         """The one ``(id bytes, key)`` tuple ordered lists hold for ``key``."""
         return self._tokens[key]
-
-    def ids_of(self, keys: Iterable[int]) -> List[JxtaID]:
-        """Batch :meth:`id_of` (comprehension bound once)."""
-        ids = self._ids
-        return [ids[k] for k in keys]
 
     def __contains__(self, jid: JxtaID) -> bool:
         return self.lookup(jid) is not None

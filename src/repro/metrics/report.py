@@ -9,25 +9,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-
-def render_table(
-    headers: Sequence[str], rows: Sequence[Sequence[object]]
-) -> str:
-    """Fixed-width ASCII table."""
-    cells = [[str(h) for h in headers]] + [
-        [str(c) for c in row] for row in rows
-    ]
-    widths = [
-        max(len(row[col]) for row in cells) for col in range(len(headers))
-    ]
-    lines = []
-    for i, row in enumerate(cells):
-        lines.append(
-            "  ".join(cell.ljust(widths[col]) for col, cell in enumerate(row))
-        )
-        if i == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines)
+# the one table renderer lives with the metrics summaries, because
+# repro.obs may not import this package (it reads what obs records)
+from repro.obs.registry import render_table
 
 
 def render_series(

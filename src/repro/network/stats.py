@@ -24,9 +24,6 @@ class TrafficStats:
     #: (src site, dst site) -> message count
     site_pair_messages: Counter = field(default_factory=Counter)
 
-    def record_delivery(self) -> None:
-        self.messages_delivered += 1
-
     def record_drop(self) -> None:
         self.messages_dropped += 1
 

@@ -124,8 +124,10 @@ def metrics_snapshot_to_json(snapshot: Dict, path) -> None:
         fh.write("\n")
 
 
-def _table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    cells = [list(headers)] + [[str(c) for c in row] for row in rows]
+def render_table(headers: Sequence[object], rows: Sequence[Sequence[object]]) -> str:
+    """Fixed-width ASCII table (every experiment's tables, through
+    :mod:`repro.metrics.report`, and the metrics summaries below)."""
+    cells = [[str(c) for c in row] for row in [headers, *rows]]
     widths = [max(len(row[col]) for row in cells) for col in range(len(headers))]
     lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in cells]
     lines.insert(1, "  ".join("-" * w for w in widths))
@@ -144,7 +146,7 @@ def render_metrics(snapshot: Dict) -> str:
     counters = snapshot.get("counters", {})
     if counters:
         sections.append(
-            _table(
+            render_table(
                 ["metric", "count"],
                 [[name, counters[name]] for name in sorted(counters)],
             )
@@ -166,7 +168,7 @@ def render_metrics(snapshot: Dict) -> str:
                 ]
             )
         sections.append(
-            _table(["histogram", "count", "mean", "min", "max"], rows)
+            render_table(["histogram", "count", "mean", "min", "max"], rows)
         )
     if not sections:
         return "(no metrics recorded)"

@@ -23,6 +23,7 @@ from repro.campaign import (
     write_aggregates,
 )
 from repro.campaign.progress import ProgressReporter
+from repro.campaign.runner import run_in_memory
 
 
 @register_task("test-square")
@@ -226,3 +227,17 @@ class TestStoreRecordShape:
         assert record["wall_s"] >= 0
         line = store.tasks_path.read_text().splitlines()[0]
         assert json.loads(line) == store.records()[0]
+
+
+class TestRunInMemory:
+    def test_records_come_back_in_spec_order_at_any_jobs(self):
+        spec = square_spec(n=3)
+        serial = run_in_memory(spec)
+        pooled = run_in_memory(spec, jobs=2)
+        assert [r["key"] for r in pooled] == [t.key for t in spec.expand()]
+        assert [r["result"] for r in pooled] == [r["result"] for r in serial]
+
+    def test_a_failed_task_raises(self):
+        spec = CampaignSpec(name="bad", task_type="test-raise", grid={"x": [1]})
+        with pytest.raises(RuntimeError, match="deterministic failure"):
+            run_in_memory(spec)

@@ -10,6 +10,8 @@ below them pin what the cheaper re-executions lean on: a metrics hub
 is invisible to the kernel trace, and a warm-started bootstrap prefix
 never crosses between executions with and without one."""
 
+import functools
+
 import pytest
 
 from repro.fuzz import SEED_CASES, FuzzEngine, case_key, run_case
@@ -48,12 +50,17 @@ CANARY_SHRINK_PROBES = 13
 
 
 #: the ids name the two schedulers the constants were pinned under until
-#: the kernel became one event heap; both ids run it, and both must read
-#: the pinned values, so neither run may lean on an earlier one in the
-#: same process
+#: the kernel became one event heap.  Both ids of the report test run the
+#: engine, and both must read the pinned values, so neither run may lean on
+#: an earlier one in the same process; the canary test's ids share one run.
 @pytest.fixture(params=("wheel", "heap"))
 def repeat(request):
     return request.param
+
+
+@functools.cache
+def _canary_report():
+    return FuzzEngine(seed=0, options=SimOptions(canaries=CANARIES)).run(8)
 
 
 def test_report_and_per_genome_verdicts_are_pinned(repeat, monkeypatch):
@@ -81,8 +88,7 @@ def test_report_and_per_genome_verdicts_are_pinned(repeat, monkeypatch):
 
 
 def test_canary_find_and_shrink_is_pinned(repeat):
-    armed = SimOptions(canaries=CANARIES)
-    report = FuzzEngine(seed=0, options=armed).run(8)
+    report = _canary_report()
     assert report.digest() == CANARY_DIGEST
     assert report.shrink_probes == CANARY_SHRINK_PROBES
     assert [(e.signature, len(e.case.actions)) for e in report.failures] == [

@@ -8,6 +8,7 @@ draws, same ``(time, seq)`` fire order, same results — to the same
 run with observability off.
 """
 
+import functools
 from typing import List
 
 import pytest
@@ -22,7 +23,7 @@ from repro.sim import MINUTES, Simulator
 from repro.sim.tracing import KernelTraceRecorder
 
 #: the ids of the two schedulers the kernel had until it became one
-#: event heap; both ids run it, each in a fresh simulator
+#: event heap; the two ids share one run of each configuration
 REPEATS = ("wheel", "heap")
 
 
@@ -69,12 +70,16 @@ def _run(seed: int, obs: str):
     }
 
 
+#: ``_run`` once per configuration, for the parametrised tests
+_run_once = functools.cache(_run)
+
+
 class TestObservabilityIsInert:
     @pytest.mark.parametrize("repeat", REPEATS)
     @pytest.mark.parametrize("obs", ["metrics", "full"])
     def test_enabled_run_byte_identical_to_disabled(self, repeat, obs):
-        base = _run(23, "off")
-        instrumented = _run(23, obs)
+        base = _run_once(23, "off")
+        instrumented = _run_once(23, obs)
         assert instrumented == base
 
     def test_session_adoption_is_inert(self):
@@ -100,6 +105,16 @@ class TestPeerviewRecorder:
 
     @pytest.mark.parametrize("repeat", REPEATS)
     def test_recorder_events_equal_the_hubs(self, repeat):
+        mine, hub = self._recorder_and_hub_events()
+        # both kinds, and the removal's reason, are compared
+        assert {(name, args.get("reason")) for _, name, args in mine} == {
+            ("view.add", None), ("view.remove", "expired"),
+        }
+        assert mine == hub
+
+    @staticmethod
+    @functools.cache
+    def _recorder_and_hub_events():
         sim = Simulator(seed=3)
         network = Network(sim)
         obs = enable_observability(
@@ -119,11 +134,7 @@ class TestPeerviewRecorder:
             if e.actor == rdv.address and e.name.startswith("view.")
         ]
         mine = [(e.t, e.name, e.args) for e in log.events]
-        # both kinds, and the removal's reason, are compared
-        assert {(name, args.get("reason")) for _, name, args in mine} == {
-            ("view.add", None), ("view.remove", "expired"),
-        }
-        assert mine == hub
+        return mine, hub
 
 
 class TestGoldenScenarioDeterminism:

@@ -7,6 +7,10 @@ results to the run that never stopped — same kernel fire order, same
 message counts, same peerview contents, same workload SLO.
 """
 
+import functools
+import tempfile
+from pathlib import Path
+
 import pytest
 
 from repro.advertisement import FakeAdvertisement
@@ -26,7 +30,8 @@ from repro.snapshot import (
 from repro.workload import WorkloadEngine, WorkloadSpec, WorkloadTraceRecorder
 
 #: the ids of the two schedulers the kernel had until it became one
-#: event heap; both ids run it, each in fresh simulators
+#: event heap; the two ids share one run (the ``functools.cache``
+#: helpers below)
 REPEATS = ("wheel", "heap")
 
 MID = 8 * MINUTES
@@ -76,19 +81,40 @@ def _continue(network, overlay, recorder):
     }
 
 
+@functools.cache
+def _restored_and_baseline():
+    baseline = _continue(*_deploy(seed=5))
+
+    network, overlay, recorder = _deploy(seed=5)
+    blob = snapshot_network(
+        network, extra={"overlay": overlay, "recorder": recorder}
+    )
+    del network, overlay, recorder  # continue from the restored copy
+    network2, extra = restore_network(blob)
+    return _continue(network2, extra["overlay"], extra["recorder"]), baseline
+
+
+@functools.cache
+def _resnapshot():
+    """Two snapshots of one paused graph (equal or not), and the
+    continuations of its restored copy and of that copy's re-snapshot."""
+    network, overlay, recorder = _deploy(seed=5)
+    extra = {"overlay": overlay, "recorder": recorder}
+    blob_a = snapshot_network(network, extra=extra)
+    blob_b = snapshot_network(network, extra=extra)
+
+    network2, extra2 = restore_network(blob_a)
+    blob_c = snapshot_network(network2, extra=extra2)
+    network3, extra3 = restore_network(blob_c)
+    baseline = _continue(network2, extra2["overlay"], extra2["recorder"])
+    twice = _continue(network3, extra3["overlay"], extra3["recorder"])
+    return blob_a == blob_b, twice, baseline
+
+
 class TestMidRunRestore:
     @pytest.mark.parametrize("repeat", REPEATS)
     def test_restored_continuation_is_byte_identical(self, repeat):
-        baseline = _continue(*_deploy(seed=5))
-
-        network, overlay, recorder = _deploy(seed=5)
-        blob = snapshot_network(
-            network, extra={"overlay": overlay, "recorder": recorder}
-        )
-        del network, overlay, recorder  # continue from the restored copy
-        network2, extra = restore_network(blob)
-        resumed = _continue(network2, extra["overlay"], extra["recorder"])
-
+        resumed, baseline = _restored_and_baseline()
         assert resumed == baseline
 
     @pytest.mark.parametrize("repeat", REPEATS)
@@ -103,17 +129,8 @@ class TestMidRunRestore:
         strings, so the restored graph's string-sharing pattern (and
         hence pickle memo layout) can legitimately differ while every
         value is identical."""
-        network, overlay, recorder = _deploy(seed=5)
-        extra = {"overlay": overlay, "recorder": recorder}
-        blob_a = snapshot_network(network, extra=extra)
-        blob_b = snapshot_network(network, extra=extra)
-        assert blob_a == blob_b
-
-        network2, extra2 = restore_network(blob_a)
-        blob_c = snapshot_network(network2, extra=extra2)
-        network3, extra3 = restore_network(blob_c)
-        baseline = _continue(network2, extra2["overlay"], extra2["recorder"])
-        twice = _continue(network3, extra3["overlay"], extra3["recorder"])
+        same_bytes, twice, baseline = _resnapshot()
+        assert same_bytes
         assert twice == baseline
 
     def test_snapshot_refuses_mid_event(self):
@@ -196,23 +213,39 @@ WARM_STARTABLE = {
 }
 
 
+@functools.cache
+def _cold_miss_hit(experiment):
+    """``repr`` of a run without a store, of one that builds and stores
+    its bootstrap and of one that restores it; the store's (hits,
+    misses)."""
+    run = WARM_STARTABLE[experiment]
+    with tempfile.TemporaryDirectory() as tmp:
+        store = CheckpointStore(Path(tmp) / "ckpts")
+        runs = tuple(repr(run(s)) for s in (None, store, store))
+        return runs, (store.hits, store.misses)
+
+
+@functools.cache
+def _engine_and_bootstrap_seeded_load_runs():
+    sim, overlay = load_exp._deploy(LOAD_SPEC.client_count, 8, 3)
+    recorder = WorkloadTraceRecorder()
+    engine = WorkloadEngine(LOAD_SPEC, sim, overlay.edges, recorder=recorder)
+    engine.start()
+    sim.run(until=LOAD_SPEC.horizon + LOAD_SPEC.timeout + load_exp.DRAIN_SLACK)
+    return (recorder.digest(), engine.slo.snapshot()), _load_run(None)
+
+
 class TestWarmStart:
     @pytest.mark.parametrize("repeat", REPEATS)
     @pytest.mark.parametrize("experiment", sorted(WARM_STARTABLE))
-    def test_warm_start_is_invisible(
-        self, experiment, repeat, tmp_path
-    ):
+    def test_warm_start_is_invisible(self, experiment, repeat):
         """A run without a store, one that builds and stores its
         bootstrap, and one that restores it answer byte for byte the
         same."""
-        run = WARM_STARTABLE[experiment]
-        cold = run(None)
-        store = CheckpointStore(tmp_path / "ckpts")
-        warm_miss = run(store)
-        warm_hit = run(store)
-        assert (store.hits, store.misses) == (1, 1)
-        assert repr(warm_miss) == repr(cold)
-        assert repr(warm_hit) == repr(cold)
+        (cold, warm_miss, warm_hit), counts = _cold_miss_hit(experiment)
+        assert counts == (1, 1)
+        assert warm_miss == cold
+        assert warm_hit == cold
 
     @pytest.mark.parametrize("repeat", REPEATS)
     def test_seeded_bootstrap_matches_the_engines_seed_event(
@@ -221,13 +254,5 @@ class TestWarmStart:
         """``run_load`` seeds the catalog inside its bootstrap and
         warm-starts the engine on top; an engine that schedules its own
         seed event on a bare deployment traces and answers the same."""
-        sim, overlay = load_exp._deploy(LOAD_SPEC.client_count, 8, 3)
-        recorder = WorkloadTraceRecorder()
-        engine = WorkloadEngine(
-            LOAD_SPEC, sim, overlay.edges, recorder=recorder
-        )
-        engine.start()
-        sim.run(
-            until=LOAD_SPEC.horizon + LOAD_SPEC.timeout + load_exp.DRAIN_SLACK
-        )
-        assert (recorder.digest(), engine.slo.snapshot()) == _load_run(None)
+        engine_seeded, bootstrap_seeded = _engine_and_bootstrap_seeded_load_runs()
+        assert engine_seeded == bootstrap_seeded

@@ -246,3 +246,28 @@ def test_seeds_must_be_positive():
     with pytest.raises(SystemExit) as exc:
         cli_main(["load", "--seeds", "0"])
     assert exc.value.code == 2
+
+
+def test_check_reads_the_best_of_several_reports(
+    bench_trajectory, tmp_path, capsys
+):
+    reports = []
+    for i, us in enumerate((18.2, 15.1, 20.4)):
+        path = tmp_path / f"fuzz-{i}.json"
+        path.write_text(json.dumps({"benchmarks": [{
+            "name": "b", "stats": {"min": 0.9},
+            "extra_info": {"us_per_fuzz_event": us,
+                           "executions_per_genome": 2.25},
+        }]}))
+        reports.append(str(path))
+    check = ["check", *reports, "--bench", "b",
+             "--max-executions-per-genome", "2.59",
+             "--max-us-per-fuzz-event"]
+    assert bench_trajectory.main(check + ["16.4"]) == 0
+    assert "per fuzzed event 15.1 us (best of 3)" in capsys.readouterr().out
+    assert bench_trajectory.main(check + ["15"]) == 1
+    assert "slower than the floor" in capsys.readouterr().err
+    # a report without the benchmark (a failed invocation) fails
+    (tmp_path / "fuzz-0.json").write_text(json.dumps({"benchmarks": []}))
+    assert bench_trajectory.main(check + ["16.4"]) == 1
+    assert "not in" in capsys.readouterr().err

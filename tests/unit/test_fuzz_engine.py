@@ -254,6 +254,54 @@ def test_cli_exit_code_signals_failures(monkeypatch, tmp_path):
     assert any(e.kind == "canary" for e in corpus)
 
 
+def _cli_lines(capsys, jobs):
+    rc = fuzz_main(
+        ["--seed", "0", "--budget", "3", "--batch-size", "2",
+         "--oracles", "invariants", "--jobs", str(jobs)]
+    )
+    assert rc == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_cli_pool_matches_serial_and_keeps_remainder_batch(capsys):
+    serial = _cli_lines(capsys, jobs=1)
+    pooled = _cli_lines(capsys, jobs=2)
+    digests = [line for line in pooled if line.startswith("# digest: ")]
+    assert len(digests) == 1 and digests[0] in serial
+    # 3 genomes in batches of 2: the remainder batch of 1 still runs
+    assert "# executed 3 genome(s)" in pooled
+
+
+def test_sweep_finalizer_merges_batches_under_the_master_seed(tmp_path):
+    from repro.campaign.tasks import fuzz_finalize
+
+    params = [
+        {"master_seed": 5, "batch": i, "batch_size": 2, "oracles": CHEAP}
+        for i in range(2)
+    ]
+    results = [run_batch(p) for p in params]
+    # what the run store hands the finalizer: JSON-round-tripped records
+    records = json.loads(json.dumps([
+        {"key": str(i), "task": "fuzz", "params": p, "status": "ok",
+         "result": r}
+        for i, (p, r) in enumerate(zip(params, results))
+    ]))
+    lines = fuzz_finalize(records, tmp_path)
+    expected = merge_reports(
+        [FuzzEngine(seed=batch_seed(5, i), oracles=CHEAP).run(2)
+         for i in range(2)],
+        seed=5,
+    )
+    report = json.loads((tmp_path / "fuzz-report.json").read_text())
+    assert report["seed"] == 5
+    assert report["digest"] == expected.digest()
+    assert report["executed"] == 4
+    assert f"# fuzz digest: {expected.digest()}" in lines
+    assert len(load_corpus(tmp_path / "fuzz-corpus.jsonl")) == len(
+        expected.entries
+    )
+
+
 def test_main_cli_delegates_fuzz(capsys):
     from repro.experiments.cli import main as cli_main
 

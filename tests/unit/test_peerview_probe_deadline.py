@@ -20,6 +20,7 @@ timeout and found the probe still pending.  An exclusive deadline
 rendezvous 1 sends 90 probes where it sent 75.
 """
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Tuple
@@ -33,7 +34,8 @@ from tests.integration.test_frame_budget import load_frames_per_op
 from tests.unit.test_peerview_protocol import build_rdv_overlay
 
 #: the ids of the two schedulers the kernel had until it became one
-#: event heap; both ids run it
+#: event heap; the two ids share one run (the ``functools.cache``
+#: helpers below)
 REPEATS = ("wheel", "heap")
 
 
@@ -91,6 +93,18 @@ def _filtered_digest(recorder):
     return h.hexdigest()
 
 
+@functools.cache
+def _run_to_the_end(scenario):
+    """Probes sent, filtered and whole trace digests, timeout entries."""
+    sim, overlay, recorder = _start(scenario)
+    sim.run(until=scenario.until)
+    timeouts = [e for e in recorder.entries if e[1].endswith(".probe_timeout")]
+    return (
+        _probes(overlay), _filtered_digest(recorder), recorder.digest(),
+        timeouts,
+    )
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("repeat", REPEATS)
     @pytest.mark.parametrize(
@@ -99,13 +113,37 @@ class TestEquivalence:
     def test_same_probes_and_trace_without_timeout_events(
         self, scenario, repeat
     ):
-        sim, overlay, recorder = _start(scenario)
-        sim.run(until=scenario.until)
-        assert _probes(overlay) == scenario.probes
-        assert _filtered_digest(recorder) == scenario.digest
-        timeouts = [e for e in recorder.entries if e[1].endswith(".probe_timeout")]
+        probes, filtered, digest, timeouts = _run_to_the_end(scenario)
+        assert probes == scenario.probes
+        assert filtered == scenario.digest
         assert timeouts == []
-        assert recorder.digest() == scenario.digest
+        assert digest == scenario.digest
+
+
+@functools.cache
+def _continued_and_restored():
+    """DEAD_SEED snapshotted at 110 s: whether a probe was outstanding
+    across the snapshot, the outstanding probes before it and in the
+    restored copy, and the probes and digest of the run that went on and
+    of the restored copy."""
+    sim, overlay, recorder = _start(DEAD_SEED)
+    sim.run(until=110 * SECONDS)
+    proto = overlay.rendezvous[1].peerview_protocol
+    outstanding = any(d > sim.now for d in proto._pending_probes.values())
+    pending = dict(proto._pending_probes)
+    blob = snapshot_network(
+        overlay.group.network,
+        extra={"overlay": overlay, "recorder": recorder},
+    )
+    sim.run(until=DEAD_SEED.until)
+    continued = (_probes(overlay), recorder.digest())
+
+    network, extra = restore_network(blob)
+    restored_proto = extra["overlay"].rendezvous[1].peerview_protocol
+    restored_pending = dict(restored_proto._pending_probes)
+    network.sim.run(until=DEAD_SEED.until)
+    restored = (_probes(extra["overlay"]), extra["recorder"].digest())
+    return outstanding, pending, restored_pending, continued, restored
 
 
 class TestLifecycle:
@@ -152,25 +190,13 @@ class TestLifecycle:
 
     @pytest.mark.parametrize("repeat", REPEATS)
     def test_restored_snapshot_keeps_the_suppression(self, repeat):
-        sim, overlay, recorder = _start(DEAD_SEED)
-        sim.run(until=110 * SECONDS)
-        proto = overlay.rendezvous[1].peerview_protocol
+        outstanding, pending, restored_pending, continued, restored = (
+            _continued_and_restored()
+        )
         # the probe to the dead seed is outstanding across the snapshot,
         # and the next tick lands on its deadline
-        assert any(d > sim.now for d in proto._pending_probes.values())
-        pending = dict(proto._pending_probes)
-        blob = snapshot_network(
-            overlay.group.network,
-            extra={"overlay": overlay, "recorder": recorder},
-        )
-        sim.run(until=DEAD_SEED.until)
-        continued = (_probes(overlay), recorder.digest())
-
-        network, extra = restore_network(blob)
-        restored_proto = extra["overlay"].rendezvous[1].peerview_protocol
-        assert restored_proto._pending_probes == pending
-        network.sim.run(until=DEAD_SEED.until)
-        restored = (_probes(extra["overlay"]), extra["recorder"].digest())
+        assert outstanding
+        assert restored_pending == pending
         assert restored == continued == (DEAD_SEED.probes, DEAD_SEED.digest)
 
 
