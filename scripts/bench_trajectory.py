@@ -6,12 +6,16 @@ trajectory, so regressions are visible as history rather than folklore.
 Three subcommands:
 
 ``record``
-    Fold a pytest-benchmark JSON export into the trajectory file::
+    Fold pytest-benchmark JSON exports into the trajectory file::
 
         python -m pytest benchmarks/ --benchmark-only \\
             --benchmark-json=.benchmarks/latest.json
         python scripts/bench_trajectory.py record .benchmarks/latest.json \\
-            --label "PR 2" [--commit abc1234]
+            [.benchmarks/fuzz-1.json ...] --label "PR 2" [--commit abc1234]
+
+    Given several reports (separate invocations), each benchmark's entry
+    holds the best ``min`` and the best value of each extra key among
+    the reports that ran it, the way ``check`` reads them.
 
 ``show``
     Print the trajectory as a table (per benchmark, oldest first, with
@@ -96,16 +100,23 @@ def _extra_info_of(report: dict) -> dict:
 
 
 def cmd_record(args: argparse.Namespace) -> int:
-    report = json.loads(Path(args.report).read_text())
+    reports = [json.loads(Path(path).read_text()) for path in args.reports]
     trajectory = _load_trajectory(TRAJECTORY)
-    machine = report.get("machine_info", {})
-    recorded_at = report.get("datetime", "")
-    stats = _stats_of(report)
-    extra = _extra_info_of(report)
-    if not stats:
-        print(f"no benchmarks found in {args.report}", file=sys.stderr)
+    machine = reports[0].get("machine_info", {})
+    recorded_at = reports[0].get("datetime", "")
+    # name -> [(stats, extra_info)], one per report that ran it
+    runs: dict = {}
+    for report in reports:
+        extra = _extra_info_of(report)
+        for name, s in _stats_of(report).items():
+            runs.setdefault(name, []).append((s, extra.get(name, {})))
+    if not runs:
+        print(f"no benchmarks found in {' '.join(args.reports)}", file=sys.stderr)
         return 1
-    for name, s in stats.items():
+    for name, measured in runs.items():
+        # the best (lowest) min and extra values over the reports, as
+        # ``check`` reads them; the other statistics are the best min's
+        s = min((s for s, _ in measured), key=lambda s: s["min"])
         entry = {
             "label": args.label,
             "recorded_at": recorded_at,
@@ -117,8 +128,9 @@ def cmd_record(args: argparse.Namespace) -> int:
             "python": machine.get("python_version", ""),
         }
         for key in EXTRA_KEYS:
-            if key in extra.get(name, {}):
-                entry[key] = extra[name][key]
+            values = [extra[key] for _, extra in measured if key in extra]
+            if values:
+                entry[key] = min(values)
         if args.commit:
             entry["commit"] = args.commit
         trajectory["benchmarks"].setdefault(name, []).append(entry)
@@ -283,7 +295,11 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("record", help="append a pytest-benchmark export")
-    p.add_argument("report", help="pytest-benchmark JSON file")
+    p.add_argument(
+        "reports", nargs="+", metavar="report",
+        help="pytest-benchmark JSON file; with several (invocations of "
+        "the same benchmarks), each benchmark records its best values",
+    )
     p.add_argument("--label", required=True, help="trajectory entry label")
     p.add_argument("--commit", default="", help="git commit of the run")
     p.set_defaults(fn=cmd_record)

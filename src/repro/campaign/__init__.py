@@ -31,7 +31,6 @@ from repro.campaign.builtin import CAMPAIGNS, build_campaign
 from repro.campaign.runner import CampaignRunner, RunnerOptions
 from repro.campaign.spec import CampaignSpec, TaskSpec, canonical_json, task_key
 from repro.campaign.store import RunStore
-from repro.campaign.tasks import get_task, register_task, run_task
 
 __all__ = [
     "AggregateRow",
@@ -45,10 +44,7 @@ __all__ = [
     "aggregate_records",
     "build_campaign",
     "canonical_json",
-    "get_task",
-    "register_task",
     "render_aggregate_table",
-    "run_task",
     "task_key",
     "write_aggregates",
 ]

@@ -44,7 +44,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.campaign.progress import ProgressReporter
 from repro.campaign.spec import CampaignSpec, TaskSpec
 from repro.campaign.store import RunStore
-from repro.campaign.tasks import run_task
+from repro.campaign.tasks import TASKS
 
 
 #: worker start method: fork where the platform has it (test task types
@@ -88,7 +88,11 @@ def _execute(task_type: str, params: Dict[str, Any]) -> Tuple[str, Any, Dict[str
     ckpt_before = store.counters() if store is not None else None
     obs_session = activate(ObsSession(metrics=True))
     try:
-        result = run_task(task_type, params)
+        if task_type not in TASKS:
+            raise KeyError(
+                f"unknown task type {task_type!r} (known: {sorted(TASKS)})"
+            )
+        result = TASKS[task_type](params)
         status, payload = "ok", result
     except Exception:
         status, payload = "error", traceback.format_exc(limit=20)
@@ -314,16 +318,18 @@ class CampaignRunner:
         """Map each pending task to its bootstrap-prefix group (the
         checkpoint key of its bootstrap spec) so the pool can gate
         group members behind one leader build."""
-        from repro.campaign.tasks import bootstrap_spec_of
+        from repro.campaign.tasks import BOOTSTRAP_SPECS
         from repro.snapshot import checkpoint_key
 
         for task in pending:
+            spec_of = BOOTSTRAP_SPECS.get(task.task_type)
+            if spec_of is None:
+                continue  # no warm-startable bootstrap
             try:
-                spec = bootstrap_spec_of(task.task_type, task.params)
+                spec = spec_of(task.params)
             except Exception:
                 continue  # malformed params fail inside the task instead
-            if spec is not None:
-                self._group_of[task.key] = checkpoint_key(spec)
+            self._group_of[task.key] = checkpoint_key(spec)
         if self.progress and self._group_of:
             groups = len(set(self._group_of.values()))
             self.progress.note(

@@ -44,8 +44,6 @@ from repro.sim import MINUTES
 
 TaskFn = Callable[[Dict[str, Any]], Dict[str, Any]]
 
-_REGISTRY: Dict[str, TaskFn] = {}
-
 # --------------------------------------------------------------------------
 # warm-start context (out of band, so params — and task keys — never change)
 # --------------------------------------------------------------------------
@@ -55,13 +53,6 @@ _REGISTRY: Dict[str, TaskFn] = {}
 #: at worker startup for the pool — NOT passed through task params:
 #: a task's content-hashed key must not depend on cache location.
 _WARM_STORE: Optional[Any] = None
-
-#: ``task_type -> (params -> bootstrap spec dict)`` for task types whose
-#: experiment has a warm-startable bootstrap.  The runner uses it to
-#: group tasks sharing a bootstrap prefix (one build, many restores);
-#: the spec function reads the params through the same helper as the
-#: task body, so the two cannot disagree on a default.
-_BOOTSTRAP_SPECS: Dict[str, Callable[[Dict[str, Any]], Dict[str, Any]]] = {}
 
 
 def set_warm_store(store: Optional[Any]) -> None:
@@ -74,54 +65,11 @@ def warm_store() -> Optional[Any]:
     return _WARM_STORE
 
 
-def register_bootstrap_spec(
-    task_type: str, fn: Callable[[Dict[str, Any]], Dict[str, Any]]
-) -> None:
-    _BOOTSTRAP_SPECS[task_type] = fn
-
-
-def bootstrap_spec_of(
-    task_type: str, params: Dict[str, Any]
-) -> Optional[Dict[str, Any]]:
-    """The bootstrap spec a task's warm-start would key on, or None if
-    the task type has no warm-startable bootstrap."""
-    fn = _BOOTSTRAP_SPECS.get(task_type)
-    return fn(params) if fn is not None else None
-
-
-def register_task(name: str, fn: TaskFn | None = None):
-    """Register a task type (usable as a decorator).  Tests register
-    throwaway task types the same way the built-ins do."""
-    if fn is not None:
-        _REGISTRY[name] = fn
-        return fn
-
-    def decorator(func: TaskFn) -> TaskFn:
-        _REGISTRY[name] = func
-        return func
-
-    return decorator
-
-
-def get_task(name: str) -> TaskFn:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown task type {name!r} (known: {sorted(_REGISTRY)})"
-        ) from None
-
-
-def run_task(name: str, params: Dict[str, Any]) -> Dict[str, Any]:
-    return get_task(name)(params)
-
-
 # --------------------------------------------------------------------------
 # built-in task types
 # --------------------------------------------------------------------------
 
 
-@register_task("peerview")
 def peerview_point(params: Dict[str, Any]) -> Dict[str, Any]:
     """One peerview overlay run; covers the fig3 grid (r × topology)
     and the ablation grid (PVE_EXPIRATION × PEERVIEW_INTERVAL)."""
@@ -165,7 +113,6 @@ def _churn_overlay(params: Dict[str, Any]):
     return int(params.get("r", 16)), int(params.get("seed", 1))
 
 
-@register_task("churn")
 def churn_point(params: Dict[str, Any]) -> Dict[str, Any]:
     """One discovery-under-churn measurement (§5 volatility study)."""
     import dataclasses
@@ -189,9 +136,6 @@ def _churn_bootstrap_spec(params: Dict[str, Any]) -> Dict[str, Any]:
 
     r, seed = _churn_overlay(params)
     return bootstrap_spec(r=r, seed=seed)
-
-
-register_bootstrap_spec("churn", _churn_bootstrap_spec)
 
 
 def _load_workload_spec(params: Dict[str, Any]):
@@ -222,7 +166,6 @@ def _load_workload_spec(params: Dict[str, Any]):
     return spec, int(params.get("r", CI_R)), int(params.get("seed", 1))
 
 
-@register_task("load")
 def load_point(params: Dict[str, Any]) -> Dict[str, Any]:
     """One workload run on one overlay configuration.  Returns the
     query-operation SLO as flat scalars (what the cross-seed aggregator
@@ -261,9 +204,6 @@ def _load_bootstrap_spec(params: Dict[str, Any]) -> Dict[str, Any]:
     return bootstrap_spec(spec, r, seed=seed)
 
 
-register_bootstrap_spec("load", _load_bootstrap_spec)
-
-
 def _row_metrics(results: Any) -> Dict[str, float]:
     """Every numeric field of an experiment's result rows (one dataclass
     or a list of them) as ``<row>.<field>``.  A row is named by its
@@ -290,7 +230,6 @@ def _row_metrics(results: Any) -> Dict[str, float]:
     return metrics
 
 
-@register_task("experiment")
 def experiment_task(params: Dict[str, Any]) -> Dict[str, Any]:
     """Run one whole experiment module; capture its rendered output,
     route its structured results through the existing exporter and
@@ -324,7 +263,6 @@ def experiment_task(params: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-@register_task("fuzz")
 def fuzz_batch(params: Dict[str, Any]) -> Dict[str, Any]:
     """One coverage-guided fuzzing batch (see :mod:`repro.fuzz`)."""
     from repro.fuzz.engine import run_batch
@@ -361,8 +299,28 @@ def fuzz_finalize(records: list, out_dir: Path) -> list:
 
 
 # --------------------------------------------------------------------------
-# campaign finalizers (post-aggregation hooks)
+# the registries
 # --------------------------------------------------------------------------
+
+#: ``task type -> task function``.  Tests add throwaway task types to it
+#: the same way (``monkeypatch.setitem``).
+TASKS: Dict[str, TaskFn] = {
+    "peerview": peerview_point,
+    "churn": churn_point,
+    "load": load_point,
+    "experiment": experiment_task,
+    "fuzz": fuzz_batch,
+}
+
+#: ``task type -> (params -> bootstrap spec dict)`` for task types whose
+#: experiment has a warm-startable bootstrap.  The runner uses it to
+#: group tasks sharing a bootstrap prefix (one build, many restores);
+#: the spec function reads the params through the same helper as the
+#: task body, so the two cannot disagree on a default.
+BOOTSTRAP_SPECS: Dict[str, Callable[[Dict[str, Any]], Dict[str, Any]]] = {
+    "churn": _churn_bootstrap_spec,
+    "load": _load_bootstrap_spec,
+}
 
 #: ``campaign name -> (completed records, out_dir) -> report lines``.
 #: The sweep CLI calls a campaign's finalizer after aggregation, for

@@ -129,24 +129,6 @@ class _Outstanding:
     done: bool = False
 
 
-class _OnConnectedHook:
-    """Picklable lease-connected chain: run the previously installed
-    hook (if any), then trigger an SRDI re-push.  A closure here would
-    make every edge peer — and so every network — unpicklable for
-    :mod:`repro.snapshot`."""
-
-    __slots__ = ("previous", "pusher")
-
-    def __init__(self, previous, pusher) -> None:
-        self.previous = previous
-        self.pusher = pusher
-
-    def __call__(self, rdv_adv) -> None:
-        if self.previous is not None:
-            self.previous(rdv_adv)
-        self.pusher.rendezvous_changed()
-
-
 class DiscoveryService(QueryHandler):
     """Publish/discover advertisements over the LC-DHT."""
 
@@ -219,10 +201,6 @@ class DiscoveryService(QueryHandler):
             self.pusher = SrdiPusher(
                 sim, cache, config, self._send_srdi_payload,
                 name=f"srdi:{resolver.endpoint.peer_id.short()}",
-            )
-            # re-publish all indexes when (re)connecting to a rendezvous
-            lease_client.on_connected = _OnConnectedHook(
-                lease_client.on_connected, self.pusher
             )
         else:
             self.pusher = None

@@ -37,12 +37,12 @@ def _run_target(name: str, full: bool, seed: int) -> None:
     from repro.campaign.builtin import CAMPAIGNS, build_campaign
 
     if name in CAMPAIGNS:
-        from repro.campaign.tasks import run_task
+        from repro.campaign.tasks import TASKS
 
         spec = build_campaign(name, full=full, base_seed=seed)
         task = spec.expand()[0]
         print(f"# tracing campaign {name!r}, task {task.label()}")
-        run_task(task.task_type, task.params)
+        TASKS[task.task_type](task.params)
         return
     raise KeyError(f"unknown trace target {name!r}")
 

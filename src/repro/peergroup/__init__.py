@@ -11,20 +11,12 @@ discovery/LC-DHT); :class:`PeerGroup` is the overlay
 ``S = {Ri} ∪ {Ej}``.
 """
 
-from repro.peergroup.context import (
-    EdgeGroupContext,
-    GroupContext,
-    RendezvousGroupContext,
-)
 from repro.peergroup.group import PeerGroup
 from repro.peergroup.peer import EdgePeer, Peer, RendezvousPeer
 
 __all__ = [
-    "EdgeGroupContext",
     "EdgePeer",
-    "GroupContext",
     "Peer",
     "PeerGroup",
-    "RendezvousGroupContext",
     "RendezvousPeer",
 ]

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.config import PlatformConfig
 from repro.discovery.replica import ReplicaFunction
 from repro.ids.idfactory import IDFactory
-from repro.ids.jxtaid import NET_PEER_GROUP_ID, PeerGroupID, PeerID
+from repro.ids.jxtaid import NET_PEER_GROUP_ID, PeerID
 from repro.network.site import Node
 from repro.network.transport import Network
 from repro.peergroup.peer import DEFAULT_PORT, EdgePeer, Peer, RendezvousPeer
@@ -24,19 +24,20 @@ from repro.sim.kernel import Simulator
 class PeerGroup:
     """Factory and registry for the peers of one overlay."""
 
+    #: every overlay is the Net peer group (as every Peer's group_id)
+    group_id = NET_PEER_GROUP_ID
+
     def __init__(
         self,
         sim: Simulator,
         network: Network,
         config: PlatformConfig,
-        group_id: PeerGroupID = NET_PEER_GROUP_ID,
         replica_fn: Optional[ReplicaFunction] = None,
         discovery_mode: str = "lcdht",
     ) -> None:
         self.sim = sim
         self.network = network
         self.config = config
-        self.group_id = group_id
         # ReplicaPeer(tuple) is the group's function: one object, and one
         # tuple -> hash memo, shared by every peer this group creates
         self.replica_fn = replica_fn if replica_fn is not None else ReplicaFunction()
@@ -68,7 +69,6 @@ class PeerGroup:
             self.sim, self.network, node, pid,
             config if config is not None else self.config,
             name=name or f"rdv-{len(self.rendezvous)}",
-            group_id=self.group_id,
             port=self._allocate_port(node),
             replica_fn=self.replica_fn,
             discovery_mode=self.discovery_mode,
@@ -96,7 +96,6 @@ class PeerGroup:
             self.sim, self.network, node, pid,
             base.with_seeds(list(seeds)),
             name=name or f"edge-{len(self.edges)}",
-            group_id=self.group_id,
             port=self._allocate_port(node),
             replica_fn=self.replica_fn,
             discovery_mode=self.discovery_mode,

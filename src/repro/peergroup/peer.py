@@ -1,36 +1,38 @@
 """Edge and rendezvous peers: the full protocol stack, assembled.
 
 A peer owns one endpoint service bound to a transport address on a
-physical node and one ERP router; everything above is organized in
-per-group :class:`~repro.peergroup.context.GroupContext` objects — the
-primary group (the Net peer group by default) plus any groups joined
-later with :meth:`Peer.join_group`.  A peer can be rendezvous in one
-group and edge in another, as in JXTA.
-
-The classic single-group attribute paths (``peer.discovery``,
-``peer.view``, ``peer.lease_client``, ...) remain available: they
-delegate to the primary group's context.
+physical node, one ERP router, and the services of its one peer group,
+the Net peer group every experiment of the paper runs in: a resolver
+channel and an advertisement cache, plus what its role adds — peerview,
+lease server, propagation, LC-DHT discovery and a relay on a
+rendezvous; lease client, SRDI pusher and discovery on an edge.
+Group-scoped listeners are keyed by ``(service name, group URN)``, as
+in JXTA.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional
 
+from repro.advertisement.cache import AdvertisementCache
 from repro.advertisement.peeradv import PeerAdvertisement
+from repro.advertisement.rdvadv import RdvAdvertisement
 from repro.config import PlatformConfig
 from repro.discovery.replica import ReplicaFunction
+from repro.discovery.service import DiscoveryService
 from repro.endpoint.address import tcp_address
 from repro.endpoint.relay import RelayClient, RelayServer
 from repro.endpoint.router import EndpointRouter
-from repro.endpoint.service import EndpointService
-from repro.ids.jxtaid import NET_PEER_GROUP_ID, PeerGroupID, PeerID
+from repro.endpoint.service import EndpointMessage, EndpointService
+from repro.ids.jxtaid import NET_PEER_GROUP_ID, PeerID
 from repro.network.site import Node
 from repro.network.transport import Network
-from repro.peergroup.context import (
-    EdgeGroupContext,
-    GroupContext,
-    RendezvousGroupContext,
-)
+from repro.rendezvous.lease import EdgeLeaseClient, RdvLeaseServer
+from repro.rendezvous.messages import PropagatedMessage
+from repro.rendezvous.propagation import PROPAGATE_SERVICE_NAME, PropagationService
+from repro.rendezvous.protocol import PeerViewProtocol
+from repro.resolver.messages import ResolverQuery
+from repro.resolver.service import ResolverService
 from repro.sim.kernel import Simulator
 
 #: Default JXTA TCP port.
@@ -38,7 +40,13 @@ DEFAULT_PORT = 9701
 
 
 class Peer:
-    """Common base: endpoint + router + per-group contexts."""
+    """Common base: endpoint + router + the group's resolver and cache.
+    A role subclass builds the rest and provides ``_start``, ``_stop``
+    and ``_halt``."""
+
+    #: the one peer group every peer belongs to
+    group_id = NET_PEER_GROUP_ID
+    is_rendezvous = False
 
     def __init__(
         self,
@@ -48,7 +56,6 @@ class Peer:
         peer_id: PeerID,
         config: PlatformConfig,
         name: str = "",
-        group_id: PeerGroupID = NET_PEER_GROUP_ID,
         port: int = DEFAULT_PORT,
     ) -> None:
         self.sim = sim
@@ -57,118 +64,41 @@ class Peer:
         self.peer_id = peer_id
         self.config = config
         self.name = name or f"peer-{peer_id.short()}"
-        self.group_id = group_id
         self.address = tcp_address(node.hostname, port)
         self.endpoint = EndpointService(sim, network, peer_id, node, self.address)
         self.router = EndpointRouter(self.endpoint)
-        #: group id -> membership context; populated by subclasses
-        #: (primary) and :meth:`join_group` (secondary)
-        self.contexts: Dict[PeerGroupID, GroupContext] = {}
+        self.resolver = ResolverService(self.endpoint, group_param=self.group_id.urn())
+        self.cache = AdvertisementCache()
+        self.discovery: DiscoveryService  # built by the role
         self._running = False
-
-    # ------------------------------------------------------------------
-    # group membership
-    # ------------------------------------------------------------------
-    @property
-    def primary(self) -> GroupContext:
-        """The context of the peer's primary group."""
-        return self.contexts[self.group_id]
-
-    def context(self, group_id: PeerGroupID) -> GroupContext:
-        """The membership context for ``group_id`` (KeyError if not a
-        member)."""
-        return self.contexts[group_id]
-
-    def join_group(
-        self,
-        group_id: PeerGroupID,
-        role: str = "edge",
-        seeds: Sequence[str] = (),
-        config: Optional[PlatformConfig] = None,
-        replica_fn: Optional[ReplicaFunction] = None,
-        discovery_mode: str = "lcdht",
-    ) -> GroupContext:
-        """Join an additional peer group as ``role`` ("edge" or
-        "rendezvous").  Edge membership needs at least one seed
-        rendezvous *of that group*.  The context starts immediately if
-        the peer is running.
-        """
-        if group_id in self.contexts:
-            raise ValueError(f"already a member of {group_id.short()}")
-        base = config if config is not None else self.config
-        if seeds:
-            base = base.with_seeds(list(seeds))
-        if role == "rendezvous":
-            context: GroupContext = RendezvousGroupContext(
-                self, group_id, base,
-                replica_fn=replica_fn, discovery_mode=discovery_mode,
-            )
-        elif role == "edge":
-            context = EdgeGroupContext(
-                self, group_id, base,
-                replica_fn=replica_fn, discovery_mode=discovery_mode,
-            )
-        else:
-            raise ValueError(f"unknown role {role!r} (edge or rendezvous)")
-        self.contexts[group_id] = context
-        if self._running:
-            context.start()
-        return context
-
-    def leave_group(self, group_id: PeerGroupID) -> None:
-        """Leave a secondary group (the primary group cannot be left)."""
-        if group_id == self.group_id:
-            raise ValueError("cannot leave the primary group; stop the peer")
-        context = self.contexts.pop(group_id, None)
-        if context is not None:
-            context.stop()
-
-    # ------------------------------------------------------------------
-    # primary-group shorthands (the classic single-group API)
-    # ------------------------------------------------------------------
-    @property
-    def resolver(self):
-        return self.primary.resolver
-
-    @property
-    def cache(self):
-        return self.primary.cache
-
-    @property
-    def discovery(self):
-        return self.primary.discovery
-
-    @property
-    def is_rendezvous(self) -> bool:
-        return self.primary.is_rendezvous
 
     @property
     def running(self) -> bool:
         return self._running
 
     def peer_advertisement(self) -> PeerAdvertisement:
-        """This peer's own peer advertisement (primary group)."""
+        """This peer's own peer advertisement."""
         return PeerAdvertisement(self.peer_id, self.group_id, self.name)
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Bind the transport address and start every group context."""
+        """Bind the transport address and start the role's protocols."""
         if self._running:
             raise RuntimeError(f"{self.name} already started")
         self.endpoint.attach()
         self._running = True
-        for context in self.contexts.values():
-            context.start()
+        self._start()
+        # every JXTA peer publishes its own peer advertisement at boot,
+        # so members are discoverable by name/PID within the group
+        self.discovery.publish(self.peer_advertisement())
 
     def stop(self) -> None:
         """Graceful shutdown: stop protocols, unbind the address."""
         if not self._running:
             return
-        self._stop_peer_services()
-        for context in self.contexts.values():
-            context.stop()
+        self._stop()
         self.endpoint.detach()
         self._running = False
 
@@ -177,14 +107,9 @@ class Peer:
         goodbye messages (used by the churn experiments)."""
         if not self._running:
             return
-        self._stop_peer_services()
-        for context in self.contexts.values():
-            context.halt()
+        self._halt()
         self.endpoint.detach()
         self._running = False
-
-    def _stop_peer_services(self) -> None:
-        """Per-peer (non-group) services; subclasses extend."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "rdv" if self.is_rendezvous else "edge"
@@ -192,7 +117,10 @@ class Peer:
 
 
 class RendezvousPeer(Peer):
-    """Peer whose primary-group role is rendezvous."""
+    """Super-peer: peerview + lease server + propagation + LC-DHT, and
+    a relay for HTTP (NAT'd) edges."""
+
+    is_rendezvous = True
 
     def __init__(
         self,
@@ -202,44 +130,68 @@ class RendezvousPeer(Peer):
         peer_id: PeerID,
         config: PlatformConfig,
         name: str = "",
-        group_id: PeerGroupID = NET_PEER_GROUP_ID,
         port: int = DEFAULT_PORT,
         replica_fn: Optional[ReplicaFunction] = None,
         discovery_mode: str = "lcdht",
     ) -> None:
-        super().__init__(sim, network, node, peer_id, config, name, group_id, port)
-        self.contexts[group_id] = RendezvousGroupContext(
-            self, group_id, config,
-            replica_fn=replica_fn, discovery_mode=discovery_mode,
+        super().__init__(sim, network, node, peer_id, config, name, port)
+        group_param = self.group_id.urn()
+        self.rdv_adv = RdvAdvertisement(
+            rdv_peer_id=peer_id,
+            group_id=self.group_id,
+            name=self.name,
+            route_hint=self.address,
         )
-        # every rendezvous can relay for HTTP (NAT'd) edges
-        self.relay_server = RelayServer(self.endpoint, group_id.urn())
-
-    # primary-group shorthands specific to the rendezvous role --------
-    @property
-    def rdv_adv(self):
-        return self.primary.rdv_adv
-
-    @property
-    def peerview_protocol(self):
-        return self.primary.peerview_protocol
-
-    @property
-    def lease_server(self):
-        return self.primary.lease_server
-
-    @property
-    def propagation(self):
-        return self.primary.propagation
+        self.peerview_protocol = PeerViewProtocol(
+            self.endpoint, config, self.rdv_adv, group_param
+        )
+        self.lease_server = RdvLeaseServer(
+            self.endpoint, config, self.rdv_adv, group_param
+        )
+        self.propagation = PropagationService(
+            self.endpoint, self.resolver, self.view, config, group_param
+        )
+        self.resolver.propagator = self.propagation.propagate
+        self.discovery = DiscoveryService(
+            sim, config, self.resolver, self.cache,
+            is_rendezvous=True, view=self.view, replica_fn=replica_fn,
+            mode=discovery_mode,
+        )
+        # edges that disappear take their SRDI records with them
+        self.lease_server.on_edge_disconnected = (
+            self.discovery.srdi.remove_publisher
+        )
+        self.relay_server = RelayServer(self.endpoint, group_param)
 
     @property
     def view(self):
-        """The primary group's local peerview (shorthand)."""
-        return self.primary.view
+        """The local peerview."""
+        return self.peerview_protocol.view
+
+    def _start(self) -> None:
+        self.peerview_protocol.start()
+        self.discovery.start_maintenance()
+
+    def _stop(self) -> None:
+        self.discovery.stop_maintenance()
+        self.peerview_protocol.stop()
+
+    def _halt(self) -> None:
+        # a crash loses all in-memory state: the peerview, the SRDI
+        # store and the lease table vanish; the advertisement cache
+        # survives (JXTA-C's CM is disk-backed)
+        self._stop()
+        now = self.sim.now
+        for pid in list(self.view.known_ids()):
+            self.view.remove(pid, now, reason="crash")
+        self.peerview_protocol._seeds_contacted = False
+        self.discovery.srdi.clear()
+        self.lease_server._leases.clear()
 
 
 class EdgePeer(Peer):
-    """Peer whose primary-group role is edge."""
+    """Regular peer: lease client + SRDI pusher + discovery; over HTTP,
+    a relay client too."""
 
     def __init__(
         self,
@@ -249,7 +201,6 @@ class EdgePeer(Peer):
         peer_id: PeerID,
         config: PlatformConfig,
         name: str = "",
-        group_id: PeerGroupID = NET_PEER_GROUP_ID,
         port: int = DEFAULT_PORT,
         replica_fn: Optional[ReplicaFunction] = None,
         discovery_mode: str = "lcdht",
@@ -257,35 +208,74 @@ class EdgePeer(Peer):
     ) -> None:
         if transport not in ("tcp", "http"):
             raise ValueError(f"unknown transport {transport!r} (tcp or http)")
-        super().__init__(sim, network, node, peer_id, config, name, group_id, port)
+        super().__init__(sim, network, node, peer_id, config, name, port)
         self.transport = transport
-        context = EdgeGroupContext(
-            self, group_id, config,
-            replica_fn=replica_fn, discovery_mode=discovery_mode,
+        group_param = self.group_id.urn()
+        self.lease_client = EdgeLeaseClient(self.endpoint, config, group_param)
+        self.discovery = DiscoveryService(
+            sim, config, self.resolver, self.cache,
+            is_rendezvous=False, lease_client=self.lease_client,
+            replica_fn=replica_fn, mode=discovery_mode,
         )
-        self.contexts[group_id] = context
-        self.relay_client: Optional[RelayClient] = None
-        if transport == "http":
-            # firewalled edge: all inbound traffic rides the relay
-            # queue of the leased rendezvous, drained by polling
-            self.relay_client = RelayClient(self.endpoint, group_id.urn())
-            previous_hook = context.lease_client.on_connected
+        self.resolver.propagator = self._propagate_via_rdv
+        # firewalled edge: all inbound traffic rides the relay queue of
+        # the leased rendezvous, drained by polling
+        self.relay_client: Optional[RelayClient] = (
+            RelayClient(self.endpoint, group_param)
+            if transport == "http" else None
+        )
+        self.lease_client.on_connected = self._lease_connected
 
-            def _attach_relay(rdv_adv, _prev=previous_hook):
-                self.relay_client.attach(rdv_adv.route_hint)
-                if _prev is not None:
-                    _prev(rdv_adv)
+    def _lease_connected(self, rdv_adv: RdvAdvertisement) -> None:
+        """A (new) rendezvous lease: attach the relay first, so that the
+        SRDI re-publication advertises the relay address."""
+        if self.relay_client is not None:
+            self.relay_client.attach(rdv_adv.route_hint)
+        self.discovery.pusher.rendezvous_changed()
 
-            # DiscoveryService wrapped on_connected at context build
-            # time; wrap again so the relay attaches first and the SRDI
-            # re-publication advertises the relay address
-            context.lease_client.on_connected = _attach_relay
+    def _propagate_via_rdv(self, query: ResolverQuery) -> None:
+        """Edge-originated group propagation goes through the leased
+        rendezvous (the lease is the subscription to propagation)."""
+        rdv_address = self.lease_client.rdv_address
+        if rdv_address is None:
+            raise RuntimeError(
+                f"{self.name} cannot propagate in "
+                f"{self.group_id.short()}: no rendezvous lease yet"
+            )
+        self.endpoint.send_direct(
+            rdv_address,
+            EndpointMessage(
+                src_peer=self.peer_id,
+                dst_peer=self.lease_client.rdv_peer_id,
+                service_name=PROPAGATE_SERVICE_NAME,
+                service_param=self.group_id.urn(),
+                body=PropagatedMessage(
+                    payload=query, ttl=self.config.propagate_ttl
+                ),
+            ),
+        )
 
-    # primary-group shorthands specific to the edge role ---------------
-    @property
-    def lease_client(self):
-        return self.primary.lease_client
+    def _start(self) -> None:
+        self.lease_client.connect()
+        self.discovery.pusher.start()
 
-    def _stop_peer_services(self) -> None:
+    def _stop(self) -> None:
         if self.relay_client is not None:
             self.relay_client.detach()
+        self.discovery.pusher.stop()
+        self.lease_client.disconnect()
+
+    def _halt(self) -> None:
+        # crash: no LeaseCancel farewell
+        if self.relay_client is not None:
+            self.relay_client.detach()
+        self.discovery.pusher.stop()
+        client = self.lease_client
+        if client._renewal_handle is not None:
+            client._renewal_handle.cancel()
+            client._renewal_handle = None
+        if client._request_timeout_handle is not None:
+            client._request_timeout_handle.cancel()
+            client._request_timeout_handle = None
+        client._connecting = False
+        client.rdv_adv = None

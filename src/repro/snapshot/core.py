@@ -43,7 +43,7 @@ from typing import Any, Tuple
 #: Bump whenever the pickled state contract changes incompatibly
 #: (slot layouts, event-heap entry layout, RNG stream naming).  Stored
 #: checkpoints with another version are invalidated, not misread.
-SNAPSHOT_VERSION = 18
+SNAPSHOT_VERSION = 19
 
 #: sha256 of the pickled layout (classes, their fields, container
 #: types) reachable from a reference snapshot, as
@@ -51,7 +51,7 @@ SNAPSHOT_VERSION = 18
 #: that test fails the layout moved: bump the version above, then
 #: regenerate this value with the command the failure prints.
 SNAPSHOT_LAYOUT_FINGERPRINT = (
-    "59d0d0d3668537a2d746694ed090882250a8abda6e00b02745ce32e5ba593a6f"
+    "f643d96881eae1c256a91bf9b76c23dbd811122dbd85aeeb059620cd5b583bca"
 )
 
 _MAGIC = b"repro-snap"

@@ -1,9 +1,9 @@
 """Integration tests for the campaign runner: parallel determinism,
 resume semantics, crash/timeout retry, SIGINT-style draining.
 
-The test task types registered here reach worker processes through the
-fork start method (the runner default on Linux), exactly as the
-built-in tasks do.
+The test task types added to ``TASKS`` here reach worker processes
+through the fork start method (the runner default on Linux), exactly as
+the built-in tasks do.
 """
 
 import json
@@ -18,15 +18,14 @@ from repro.campaign import (
     CampaignSpec,
     RunnerOptions,
     RunStore,
-    register_task,
     task_key,
     write_aggregates,
 )
 from repro.campaign.progress import ProgressReporter
 from repro.campaign.runner import run_in_memory
+from repro.campaign.tasks import TASKS
 
 
-@register_task("test-square")
 def _square(params):
     if "touch_dir" in params:
         marker = Path(params["touch_dir"]) / f"{params['x']}-{params['seed']}"
@@ -35,7 +34,6 @@ def _square(params):
             "series_values": [0.0, float(params["x"])]}
 
 
-@register_task("test-crash-once")
 def _crash_once(params):
     sentinel = Path(params["dir"]) / f"crashed-{params['x']}"
     if not sentinel.exists():
@@ -44,15 +42,23 @@ def _crash_once(params):
     return {"y": float(params["x"])}
 
 
-@register_task("test-raise")
 def _raise(params):
     raise ValueError("deterministic failure")
 
 
-@register_task("test-sleep")
 def _sleep(params):
     time.sleep(params["sleep"])
     return {"y": 1.0}
+
+
+@pytest.fixture(autouse=True)
+def throwaway_tasks(monkeypatch):
+    """The throwaway task types, in the registry for one test."""
+    for name, fn in (
+        ("test-square", _square), ("test-crash-once", _crash_once),
+        ("test-raise", _raise), ("test-sleep", _sleep),
+    ):
+        monkeypatch.setitem(TASKS, name, fn)
 
 
 def square_spec(n=4, **base):
@@ -240,4 +246,11 @@ class TestRunInMemory:
     def test_a_failed_task_raises(self):
         spec = CampaignSpec(name="bad", task_type="test-raise", grid={"x": [1]})
         with pytest.raises(RuntimeError, match="deterministic failure"):
+            run_in_memory(spec)
+
+    def test_an_unknown_task_type_names_the_known_ones(self):
+        spec = CampaignSpec(name="bad", task_type="no-such-task", grid={"x": [1]})
+        with pytest.raises(
+            RuntimeError, match=r"unknown task type 'no-such-task' \(known: .*'churn'"
+        ):
             run_in_memory(spec)

@@ -53,12 +53,12 @@ def _ignore(advertisements, latency):
 
 def build():
     """What a stored checkpoint holds (``fuzz/runner.py:_bootstrap``, a
-    campaign task under its ``ObsSession``): 8 rendezvous + 4 edges with
-    a metrics-and-trace hub, a kernel trace recorder and a fault
-    controller, two edges publishing one 40-item catalog (multi-publisher
-    SRDI buckets, replica copies), one WAN partition, and on the wire
-    past minute 6 a peerview referral, an SRDI push and one discovery
-    query."""
+    campaign task under its ``ObsSession``): 8 rendezvous + 5 edges, the
+    fifth on HTTP behind its rendezvous' relay, with a metrics-and-trace
+    hub, a kernel trace recorder and a fault controller, two edges
+    publishing one 40-item catalog (multi-publisher SRDI buckets,
+    replica copies), one WAN partition, and on the wire past minute 6 a
+    peerview referral, an SRDI push and one discovery query."""
     sim = Simulator(seed=1)
     recorder = KernelTraceRecorder(sim)
     with obs_session(metrics=True, trace=True):
@@ -66,7 +66,10 @@ def build():
     network.fault_controller = NetworkFaultController(sim)
     overlay = build_overlay(
         sim, network, PlatformConfig(),
-        OverlayDescription(rendezvous_count=8, topology="chain", edge_count=4),
+        OverlayDescription(
+            rendezvous_count=8, topology="chain", edge_count=5,
+            edge_transports=["tcp"] * 4 + ["http"],
+        ),
     )
     overlay.start()
     sim.run(until=1 * MINUTES)

@@ -143,6 +143,46 @@ class TestMidRunRestore:
             network.sim._running = False
 
 
+HTTP_MID = 120.0
+HTTP_END = 900.0
+
+
+def _http_deploy():
+    """An overlay whose first edge is on HTTP (its inbound traffic
+    rides its rendezvous' relay queue), paused at ``HTTP_MID``."""
+    sim = Simulator(seed=7)
+    network = Network(sim)
+    recorder = KernelTraceRecorder(sim)
+    overlay = build_overlay(
+        sim, network, PlatformConfig(),
+        OverlayDescription(
+            rendezvous_count=4, edge_count=2, topology="chain",
+            edge_transports=["http", "tcp"],
+        ),
+    )
+    overlay.start()
+    sim.run(until=HTTP_MID)
+    return network, overlay, recorder
+
+
+class TestHttpEdgeRestore:
+    def test_restored_http_edge_run_traces_like_the_uninterrupted_one(self):
+        network, overlay, recorder = _http_deploy()
+        assert overlay.edges[0].relay_client.attached
+        network.sim.run(until=HTTP_END)
+        baseline = recorder.entries
+
+        network, overlay, recorder = _http_deploy()
+        blob = snapshot_network(
+            network, extra={"overlay": overlay, "recorder": recorder}
+        )
+        del network, overlay, recorder  # continue from the restored copy
+        network2, extra = restore_network(blob)
+        network2.sim.run(until=HTTP_END)
+        assert extra["overlay"].edges[0].relay_client.attached
+        assert extra["recorder"].entries == baseline
+
+
 class TestFork:
     def test_fork_and_original_continue_identically(self):
         network, overlay, recorder = _deploy(seed=5)

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.campaign.tasks import run_task
+from repro.campaign.tasks import TASKS
 from repro.experiments import load_exp
 from repro.experiments.load_exp import ci_spec, replay_load, run_load
 from repro.workload import WorkloadSpec
@@ -107,8 +107,8 @@ def test_load_campaign_task_is_deterministic():
     params = {"r": 6, "rate": 2.0, "skew": 1.0, "seed": 11,
               "duration": 20.0, "warmup": 4 * 60.0,
               "queriers": 4, "publishers": 1, "catalog_size": 40}
-    a = run_task("load", params)
-    b = run_task("load", dict(params))
+    a = TASKS["load"](params)
+    b = TASKS["load"](dict(params))
     assert a == b
     assert a["query_requests"] > 0
     assert a["trace_digest"]

@@ -9,7 +9,7 @@ function gets an explicit ``SimOptions()``, and the campaign groups
 
 import pytest
 
-from repro.campaign.tasks import bootstrap_spec_of
+from repro.campaign.tasks import BOOTSTRAP_SPECS
 from repro.experiments import churn_exp, fig4_right, load_exp
 from repro.fuzz import SEED_CASES
 from repro.fuzz import runner as fuzz_runner
@@ -19,7 +19,7 @@ from repro.snapshot import checkpoint_key
 DEFAULT = SimOptions()
 
 CHURN_R16_SEED2 = (
-    "81d80de96a42cd8ad2de8f7f5d84ef06232086784c8482ce5b2d2674ab941081"
+    "8529309d407dcb988483d5086102067e3837b9caad12e424c82cf028feac0ae8"
 )
 
 KEYS = {
@@ -29,34 +29,34 @@ KEYS = {
     ),
     "fig4-right r=8 A": (
         lambda: fig4_right.bootstrap_spec(8, False, options=DEFAULT),
-        "21a3b8bee687c9682a3ffae0c0a45626e6f9c5304c100059d8709fb03486a310",
+        "c3e21972ac77b52b7cde90ee16d8d8579848db5d81b7190dfd3ae63a6c087f27",
     ),
     "fig4-right r=20 B warmup=60min": (
         lambda: fig4_right.bootstrap_spec(
             20, True, warmup=60 * MINUTES, options=DEFAULT
         ),
-        "f6cc69072b8989e9f63404e0be3cf5e6f59e03b805e82cede71f864858fc6ecc",
+        "26b082f8cd03228b0d3da52673c951c8969b629b444c14c1b8b58f1bb01545d9",
     ),
     "load ci_spec r=8 seed=3": (
         lambda: load_exp.bootstrap_spec(
             load_exp.ci_spec(), 8, seed=3, options=DEFAULT
         ),
-        "af135c680b16013df3f474cfba34ba8a081563e3ff1d792ed00dcc87ab7c0fed",
+        "0825e803bdbcb3676b1aa07f74ce8a3ab95eef71ace6f71affed3b3eaf8ebb92",
     ),
 }
 
 FUZZ_KEYS = (
-    "636d9b1c91d684fea40538c7da11d3d69a59289baef98ffd338883aa6b493cc8",
-    "1cac4072221c067f2cf6c82b8b6a0dad6dd0b543f3f7d1125b66c40cabc771a1",
-    "60fdeec58d256348f1a7cb1cf7d3f888d6304bbc1dfa0a8315bd678c01aae091",
-    "8b8681e76777a6e39eec2b0c260881857fa9b1bb4f600ba17f585807bf5f9168",
+    "e195a59e21d294ab8c5fe4f4b23efded5688849906e04fd07f0d3b1a67172206",
+    "6f17408c3672feafa9911987dc9996b2f95e108ac55e35d294416ce220b77d23",
+    "f059d095ca1d3e21ed05df098620f2ffedc0b36c9dec9a1f0fa67f22bac09b72",
+    "eba3af82def76b08c263cdf5ee82b0934928265b1b29720d097f22675a491af1",
 )
 
 CAMPAIGN_KEYS = {
     "churn": ({"r": 16, "seed": 2}, CHURN_R16_SEED2),
     "load": (
         {"r": 24, "rate": 1, "skew": 0, "seed": 1, "warmup": 3600},
-        "1ca8e517cf359d9579d29e8b0a327d5e296e61f7afe341d74b1e8290d440a9c8",
+        "db9bb5a0f37bab82ba262e90b2fd461596d96b65253dd325b801359e25ff93bd",
     ),
 }
 
@@ -77,4 +77,4 @@ def test_fuzz_key_is_pinned(index):
 def test_campaign_group_key_is_pinned(task_type, monkeypatch):
     monkeypatch.delenv("REPRO_CANARY", raising=False)
     params, key = CAMPAIGN_KEYS[task_type]
-    assert checkpoint_key(bootstrap_spec_of(task_type, params)) == key
+    assert checkpoint_key(BOOTSTRAP_SPECS[task_type](params)) == key

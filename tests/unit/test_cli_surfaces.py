@@ -209,6 +209,36 @@ def test_check_enforces_fuzz_floors(bench_trajectory, tmp_path, capsys):
     assert "nothing to check" in capsys.readouterr().err
 
 
+def test_record_keeps_the_best_of_several_reports(
+    bench_trajectory, tmp_path, monkeypatch
+):
+    trajectory = tmp_path / "trajectory.json"
+    monkeypatch.setattr(bench_trajectory, "TRAJECTORY", trajectory)
+
+    def bench(name, min_s, us):
+        stats = {"min": min_s, "median": min_s + 0.1, "mean": min_s + 0.2,
+                 "stddev": 0.01, "rounds": 10}
+        return {"name": name, "stats": stats,
+                "extra_info": {"us_per_fuzz_event": us}}
+
+    reports = []
+    for i, benches in enumerate((
+        [bench("fuzz", 0.9, 15.0), bench("walk", 0.3, 1.0)],
+        [bench("fuzz", 0.8, 17.0)],
+        [bench("fuzz", 1.0, 16.0)],
+    )):
+        path = tmp_path / f"report-{i}.json"
+        path.write_text(json.dumps({"benchmarks": benches}))
+        reports.append(str(path))
+    assert bench_trajectory.main(["record", *reports, "--label", "x"]) == 0
+    entries = json.loads(trajectory.read_text())["benchmarks"]
+    (fuzz,), (walk,) = entries["fuzz"], entries["walk"]
+    # each value is the best among the reports that ran the benchmark
+    assert (fuzz["min_s"], fuzz["median_s"]) == (0.8, 0.9)
+    assert fuzz["us_per_fuzz_event"] == 15.0
+    assert (walk["min_s"], walk["us_per_fuzz_event"]) == (0.3, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # --warm-start / --checkpoint-dir
 # ---------------------------------------------------------------------------

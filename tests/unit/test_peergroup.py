@@ -100,14 +100,6 @@ class TestGroupReplicaFunction:
         a, b = group.create_rendezvous(node), other.create_rendezvous(node)
         assert a.discovery.replica_fn is not b.discovery.replica_fn
 
-    def test_a_secondary_group_context_does_not_share(self, group):
-        from repro.ids import IDFactory
-
-        rdv = group.create_rendezvous(place_nodes(1)[0])
-        gid = IDFactory(group.sim.rng.stream("test.groups")).new_peer_group_id()
-        context = rdv.join_group(gid, role="rendezvous")
-        assert context.discovery.replica_fn is not group.replica_fn
-
     def test_explicit_replica_fn_reaches_every_peer(self):
         sim = Simulator(seed=4)
         injected = ReplicaFunction(max_hash=200, hash_fn=lambda key: 116)
