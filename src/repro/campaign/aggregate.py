@@ -25,15 +25,12 @@ from pathlib import Path
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.campaign.spec import canonical_json
+from repro.experiments.export import HEAVY_FIELDS
 from repro.metrics.series import elementwise_mean_std
 
-#: result/row fields never treated as metrics (mirrors the exporter's
-#: heavy-field exclusions)
-NON_METRIC_FIELDS = frozenset(
-    {"samples", "log", "overlay", "sim", "series", "default_series",
-     "tuned_series", "add_points", "remove_points", "peerviews",
-     "bindings", "final_sizes", "seed", "files", "full", "rendered_chars"}
-)
+#: result/row fields never treated as metrics: the exporter's heavy
+#: fields plus run bookkeeping
+NON_METRIC_FIELDS = HEAVY_FIELDS | {"seed", "files", "full", "rendered_chars"}
 
 #: z for a two-sided 95% confidence interval
 Z95 = 1.959963984540054

@@ -18,7 +18,9 @@ paper's sweeps as a grid of independent tasks:
 Every builder takes ``seeds``: the grid gains a seed axis
 ``base_seed … base_seed+seeds-1`` and the aggregator reports the
 cross-seed spread per configuration.  The ``fig3``, ``ablation`` and
-``churn`` grids are their experiment modules' ``SIZES``.
+``churn`` grids are their experiment modules' ``SIZES``; the CI-sized
+``load`` grid takes its warm-up and population from
+:func:`~repro.experiments.load_exp.ci_spec`.
 """
 
 from __future__ import annotations
@@ -133,6 +135,9 @@ def load_campaign(
             "catalog_size": 500,
         }
     else:
+        from repro.experiments.load_exp import ci_spec
+
+        spec = ci_spec()
         grid = {
             "rate": [1.0, 3.0],
             "skew": [0.0, 1.0],
@@ -141,10 +146,10 @@ def load_campaign(
         }
         base = {
             "duration": 30.0,
-            "warmup": 5 * MINUTES,
-            "queriers": 6,
-            "publishers": 2,
-            "catalog_size": 120,
+            "warmup": spec.warmup,
+            "queriers": spec.queriers,
+            "publishers": spec.publishers,
+            "catalog_size": spec.catalog["size"],
         }
     return CampaignSpec(
         name="load",

@@ -149,7 +149,7 @@ def _load_workload_spec(params: Dict[str, Any]):
     skew = float(params.get("skew", base.catalog["skew"]))
     fields = (
         ("duration", float), ("warmup", float), ("queriers", int),
-        ("publishers", int), ("closed_clients", int), ("timeout", float),
+        ("publishers", int), ("timeout", float),
     )
     spec = ci_spec(
         catalog={
@@ -158,7 +158,7 @@ def _load_workload_spec(params: Dict[str, Any]):
             "skew": skew,
         },
         arrivals={
-            "kind": params.get("arrivals", base.arrivals["kind"]),
+            "kind": "poisson",
             "rate": float(params.get("rate", base.arrivals["rate"])),
         },
         **{name: kind(params[name]) for name, kind in fields if name in params},

@@ -18,6 +18,14 @@ from repro.metrics.export import series_to_csv
 from repro.metrics.series import sample_at
 from repro.sim import MINUTES
 
+#: result-row fields too heavy for a CSV cell (series, logs, live
+#: objects); the campaign aggregator never reads them as metrics either
+HEAVY_FIELDS = frozenset(
+    {"samples", "log", "overlay", "sim", "series", "default_series",
+     "tuned_series", "add_points", "remove_points", "peerviews",
+     "bindings", "final_sizes"}
+)
+
 
 def _csv_cell(value: Any) -> Any:
     # nested dataclasses (e.g. a fault Scenario) reduce to their name;
@@ -34,10 +42,7 @@ def _dataclass_rows_to_csv(rows: List[Any], path: Path) -> None:
 
     fields = [
         f.name for f in dataclasses.fields(rows[0])
-        if f.name not in ("samples", "log", "overlay", "sim", "series",
-                          "default_series", "tuned_series", "add_points",
-                          "remove_points", "peerviews", "bindings",
-                          "final_sizes")
+        if f.name not in HEAVY_FIELDS
     ]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -25,7 +25,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import PlatformConfig
 from repro.deploy import OverlayDescription, build_overlay
-from repro.metrics import render_table
 from repro.network import Network
 from repro.sim import MINUTES, SimOptions, Simulator
 from repro.snapshot import CheckpointStore, warm_start
@@ -132,7 +131,7 @@ def bootstrap_spec(
 ) -> Dict[str, Any]:
     """Checkpoint key for a load-run bootstrap: overlay shape, seed,
     warm-up timeline and the *published* face of the catalog (names +
-    payload).  Traffic knobs — arrival kind/rate, popularity skew,
+    payload).  Traffic knobs — arrival rate, popularity skew,
     duration, timeouts — only shape the measurement phase, so the whole
     rate × skew grid at one (r, seed) shares a single warmed overlay
     (popularity weights bias sampling, never the seed burst)."""
@@ -146,7 +145,6 @@ def bootstrap_spec(
         "publish_expiration": spec.publish_expiration,
         "queriers": spec.queriers,
         "publishers": spec.publishers,
-        "closed_clients": spec.closed_clients,
         "catalog": {
             "size": len(catalog),
             "prefix": spec.catalog.get("prefix", "item"),
@@ -165,7 +163,7 @@ def _bootstrap(key: Dict[str, Any]) -> Tuple[Network, Dict[str, Any]]:
     the engine's own ``workload.seed`` event would, and every draw it
     triggers comes from named per-link/per-purpose RNG streams, so
     downstream state is byte-equivalent (docs/CHECKPOINTS.md)."""
-    clients = key["queriers"] + key["publishers"] + key["closed_clients"]
+    clients = key["queriers"] + key["publishers"]
     sim, overlay = _deploy(
         clients, key["r"], key["seed"], PlatformConfig(**key["config"]),
         SimOptions(**key["options"]),
@@ -219,9 +217,9 @@ def replay_load(
     config: Optional[PlatformConfig] = None,
 ) -> LoadRun:
     """Re-drive a recorded trace on a fresh deployment of the same
-    (spec, r, seed) — the regression oracle: for open-loop workloads
-    the replayed run's trace bytes and SLO snapshot match the original
-    exactly (docs/WORKLOADS.md)."""
+    (spec, r, seed) — the regression oracle: the replayed run's trace
+    bytes and SLO snapshot match the original exactly
+    (docs/WORKLOADS.md)."""
     sim, overlay = _deploy(spec.client_count, r, seed, config)
     recorder = WorkloadTraceRecorder()
     engine = WorkloadEngine(spec, sim, overlay.edges, recorder=recorder)
@@ -281,8 +279,7 @@ def render(run: LoadRun) -> str:
     spec = run.spec
     head = (
         f"Load — r={run.r}, {spec.queriers} queriers + "
-        f"{spec.publishers} publishers + {spec.closed_clients} closed, "
-        f"{spec.arrivals.get('kind', 'poisson')} arrivals, "
+        f"{spec.publishers} publishers, poisson arrivals, "
         f"catalog {spec.catalog.get('popularity')}"
         f"(size={spec.catalog.get('size')}, "
         f"skew={spec.catalog.get('skew', 0)}), "

@@ -6,15 +6,12 @@ and worst-case overhead from 50 "noiser" edges publishing 5 000 fake
 advertisements.  This subpackage turns those hard-coded loops into a
 first-class, seeded workload layer:
 
-* :mod:`repro.workload.arrivals` — arrival processes (constant-rate,
-  Poisson, MMPP/bursty, diurnal) driven off named
+* :mod:`repro.workload.arrivals` — Poisson arrivals driven off named
   :class:`~repro.sim.rng.RngRegistry` streams, so schedules are
   byte-reproducible per seed;
 * :mod:`repro.workload.catalog` — advertisement catalogs with
   Zipf/uniform popularity (generalising the fake-adv noisers);
-* :mod:`repro.workload.clients` — open-loop publishers/queriers and
-  closed-loop clients with think-time and timeout/retry/backoff
-  budgets;
+* :mod:`repro.workload.clients` — open-loop publishers and queriers;
 * :mod:`repro.workload.slo` — per-(workload, operation) latency
   histograms (p50/p95/p99), timeout and failure rates;
 * :mod:`repro.workload.trace` — a canonical JSONL workload-trace
@@ -26,20 +23,9 @@ first-class, seeded workload layer:
 See docs/WORKLOADS.md for the catalogue and the replay contract.
 """
 
-from repro.workload.arrivals import (
-    ArrivalProcess,
-    ConstantArrivals,
-    DiurnalArrivals,
-    MmppArrivals,
-    PoissonArrivals,
-    make_arrivals,
-)
+from repro.workload.arrivals import PoissonArrivals, make_arrivals
 from repro.workload.catalog import Catalog, noiser_catalog, publish_catalog
-from repro.workload.clients import (
-    ClosedLoopClient,
-    OpenLoopPublisher,
-    OpenLoopQuerier,
-)
+from repro.workload.clients import OpenLoopPublisher, OpenLoopQuerier
 from repro.workload.slo import SloTracker
 from repro.workload.spec import WorkloadEngine, WorkloadSpec
 from repro.workload.trace import (
@@ -50,12 +36,7 @@ from repro.workload.trace import (
 )
 
 __all__ = [
-    "ArrivalProcess",
     "Catalog",
-    "ClosedLoopClient",
-    "ConstantArrivals",
-    "DiurnalArrivals",
-    "MmppArrivals",
     "OpenLoopPublisher",
     "OpenLoopQuerier",
     "PoissonArrivals",

@@ -1,111 +1,44 @@
-"""Arrival processes: when do requests happen.
+"""Arrival process: when do requests happen.
 
-Every stochastic process here is generated by the *time-change*
-(inversion) construction: the RNG stream yields a unit-rate Poisson
+Every client's schedule is a homogeneous Poisson process built by the
+*time-change* construction: the RNG stream yields a unit-rate Poisson
 process ``S_1 < S_2 < ...`` (cumulative ``expovariate(1.0)`` gaps), and
-arrival ``k`` fires at the time ``t_k`` where the cumulative rate
-function catches up, ``Λ(t_k) = S_k``.  Two properties fall out:
+arrival ``k`` fires at ``start + S_k / rate``.  Two properties fall
+out:
 
 * **seed determinism** — the arrival schedule is a pure function of
-  the RNG stream and the rate parameters; no wall clock, no global
-  state;
-* **monotone rate scaling** — scaling the rate function up can only
-  move every ``t_k`` earlier, so the number of arrivals in any window
-  is non-decreasing in the rate (the hypothesis suite pins this).
+  the RNG stream and the rate; no wall clock, no global state;
+* **monotone rate scaling** — a higher rate can only move every
+  ``t_k`` earlier, so the number of arrivals in any window is
+  non-decreasing in the rate (the hypothesis suite pins this).
 
-``ConstantArrivals`` is the degenerate deterministic case (no RNG
-draws at all): arrival ``k`` fires at ``start + (k+1)/rate``.
-
-Processes are described by JSON-able spec dicts (``{"kind":
-"poisson", "rate": 5.0}``) so they embed directly in
+The process is described by a JSON-able spec dict (``{"kind":
+"poisson", "rate": 5.0}``) so it embeds directly in
 :class:`~repro.workload.spec.WorkloadSpec` and campaign grids;
-:func:`make_arrivals` is the factory.
+:func:`make_arrivals` is the factory and the schema check.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterator, Optional
-
-#: Bisection iterations for numeric Λ-inversion.  60 halvings on a
-#: bounded bracket reach float resolution, so the result is a pure
-#: (byte-reproducible) function of the inputs.
-_INVERT_ITERS = 60
+from numbers import Real
+from typing import Any, Dict, Iterator
 
 
-class ArrivalProcess:
-    """Base class: a named, rate-scalable arrival-time generator."""
-
-    KIND = "abstract"
-
-    def iter_times(
-        self, rng, start: float, horizon: float
-    ) -> Iterator[float]:
-        """Yield strictly increasing arrival times in ``(start,
-        horizon]``.  ``rng`` is a named stream from
-        :class:`~repro.sim.rng.RngRegistry`; deterministic processes
-        must not draw from it."""
-        raise NotImplementedError
-
-    def mean_rate(self) -> float:
-        """Long-run average arrivals per second (for sizing runs)."""
-        raise NotImplementedError
-
-    def spec(self) -> Dict[str, Any]:
-        """JSON-able description; ``make_arrivals(spec)`` round-trips."""
-        raise NotImplementedError
-
-    def scaled(self, factor: float) -> "ArrivalProcess":
-        """A copy with every rate multiplied by ``factor`` (> 0)."""
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}({self.spec()})"
-
-
-class ConstantArrivals(ArrivalProcess):
-    """Deterministic constant-rate arrivals (an open-loop metronome)."""
-
-    KIND = "constant"
-
-    def __init__(self, rate: float) -> None:
-        if rate <= 0:
-            raise ValueError(f"rate must be > 0 (got {rate})")
-        self.rate = float(rate)
-
-    def iter_times(self, rng, start, horizon):
-        # k/rate rather than cumulative addition: no float drift, and
-        # the schedule is independent of how far iteration got
-        gap = 1.0 / self.rate
-        k = 1
-        while True:
-            t = start + k * gap
-            if t > horizon:
-                return
-            yield t
-            k += 1
-
-    def mean_rate(self) -> float:
-        return self.rate
-
-    def spec(self):
-        return {"kind": self.KIND, "rate": self.rate}
-
-    def scaled(self, factor: float) -> "ConstantArrivals":
-        return ConstantArrivals(self.rate * factor)
-
-
-class PoissonArrivals(ArrivalProcess):
+class PoissonArrivals:
     """Homogeneous Poisson arrivals at ``rate`` per second."""
 
     KIND = "poisson"
 
     def __init__(self, rate: float) -> None:
-        if rate <= 0:
-            raise ValueError(f"rate must be > 0 (got {rate})")
+        if not 0 < rate < math.inf:
+            raise ValueError(f"rate must be a finite number > 0 (got {rate})")
         self.rate = float(rate)
 
-    def iter_times(self, rng, start, horizon):
+    def iter_times(self, rng, start: float, horizon: float) -> Iterator[float]:
+        """Yield strictly increasing arrival times in ``(start,
+        horizon]``, drawn from ``rng`` (a named stream from
+        :class:`~repro.sim.rng.RngRegistry`)."""
         # unit-rate cumulative sums scaled by 1/rate: for a fixed
         # stream, a higher rate yields a superset of arrival times
         expovariate = rng.expovariate
@@ -118,221 +51,26 @@ class PoissonArrivals(ArrivalProcess):
                 return
             yield t
 
-    def mean_rate(self) -> float:
-        return self.rate
 
-    def spec(self):
-        return {"kind": self.KIND, "rate": self.rate}
+def make_arrivals(spec: Dict[str, Any]) -> PoissonArrivals:
+    """Build the arrival process a spec dict describes.
 
-    def scaled(self, factor: float) -> "PoissonArrivals":
-        return PoissonArrivals(self.rate * factor)
-
-
-class MmppArrivals(ArrivalProcess):
-    """Two-state Markov-modulated Poisson process (bursty traffic).
-
-    The modulating chain alternates between a *base* state and a
-    *burst* state with exponentially distributed dwell times; within a
-    state, arrivals are Poisson at that state's rate.  The state
-    timeline is drawn first (its own draws), then arrival times are
-    produced by exact piecewise-linear inversion of the cumulative
-    rate — so scaling both rates leaves the burst timing untouched and
-    only densifies arrivals.
-    """
-
-    KIND = "mmpp"
-
-    def __init__(
-        self,
-        base_rate: float,
-        burst_rate: float,
-        mean_base_dwell: float = 60.0,
-        mean_burst_dwell: float = 10.0,
-    ) -> None:
-        if base_rate <= 0 or burst_rate <= 0:
-            raise ValueError("rates must be > 0")
-        if mean_base_dwell <= 0 or mean_burst_dwell <= 0:
-            raise ValueError("dwell times must be > 0")
-        self.base_rate = float(base_rate)
-        self.burst_rate = float(burst_rate)
-        self.mean_base_dwell = float(mean_base_dwell)
-        self.mean_burst_dwell = float(mean_burst_dwell)
-
-    def iter_times(self, rng, start, horizon):
-        expovariate = rng.expovariate
-        rates = (self.base_rate, self.burst_rate)
-        dwells = (self.mean_base_dwell, self.mean_burst_dwell)
-        # The state timeline is drawn FIRST, covering the whole window:
-        # the dwell draws always form the same stream prefix, so a
-        # rate-scaled copy sees the identical burst timing and the
-        # arrival count is monotone in the scale factor.
-        segments = []  # (seg_start, seg_end, rate)
-        state = 0
-        seg_start = start
-        while seg_start < horizon:
-            seg_end = seg_start + expovariate(1.0) * dwells[state]
-            segments.append((seg_start, min(seg_end, horizon), rates[state]))
-            seg_start = seg_end
-            state = 1 - state
-        # arrivals by exact piecewise-linear inversion of Λ
-        index = 0
-        lam0 = 0.0
-        s = 0.0
-        prev = start
-        while index < len(segments):
-            s += expovariate(1.0)
-            while index < len(segments):
-                a, b, rate = segments[index]
-                if lam0 + (b - a) * rate >= s:
-                    break
-                lam0 += (b - a) * rate
-                index += 1
-            else:
-                return
-            a, b, rate = segments[index]
-            # clamp against float roundoff at segment boundaries so the
-            # yielded sequence is always non-decreasing
-            t = max(a + (s - lam0) / rate, prev)
-            if t > horizon:
-                return
-            yield t
-            prev = t
-
-    def mean_rate(self) -> float:
-        total = self.mean_base_dwell + self.mean_burst_dwell
-        return (
-            self.base_rate * self.mean_base_dwell
-            + self.burst_rate * self.mean_burst_dwell
-        ) / total
-
-    def spec(self):
-        return {
-            "kind": self.KIND,
-            "base_rate": self.base_rate,
-            "burst_rate": self.burst_rate,
-            "mean_base_dwell": self.mean_base_dwell,
-            "mean_burst_dwell": self.mean_burst_dwell,
-        }
-
-    def scaled(self, factor: float) -> "MmppArrivals":
-        return MmppArrivals(
-            self.base_rate * factor,
-            self.burst_rate * factor,
-            self.mean_base_dwell,
-            self.mean_burst_dwell,
-        )
-
-
-class DiurnalArrivals(ArrivalProcess):
-    """Sinusoidal rate ramp: ``rate(t) = base·(1 + amp·sin(2π(t−phase)/period))``.
-
-    ``0 ≤ amp ≤ 1`` keeps the rate non-negative.  The cumulative rate
-    has a closed form; each arrival solves ``Λ(t) = S_k`` by bisection
-    (fixed iteration count, so byte-reproducible).
-    """
-
-    KIND = "diurnal"
-
-    def __init__(
-        self,
-        base_rate: float,
-        amplitude: float = 0.5,
-        period: float = 3600.0,
-        phase: float = 0.0,
-    ) -> None:
-        if base_rate <= 0:
-            raise ValueError(f"base_rate must be > 0 (got {base_rate})")
-        if not 0.0 <= amplitude <= 1.0:
-            raise ValueError(f"amplitude must be in [0, 1] (got {amplitude})")
-        if period <= 0:
-            raise ValueError(f"period must be > 0 (got {period})")
-        self.base_rate = float(base_rate)
-        self.amplitude = float(amplitude)
-        self.period = float(period)
-        self.phase = float(phase)
-
-    def _cumulative(self, start: float, t: float) -> float:
-        """Λ(t): integral of the rate from ``start`` to ``t``."""
-        w = 2.0 * math.pi / self.period
-        c = self.amplitude / w
-        return self.base_rate * (
-            (t - start)
-            + c * (math.cos(w * (start - self.phase)) - math.cos(w * (t - self.phase)))
-        )
-
-    def iter_times(self, rng, start, horizon):
-        expovariate = rng.expovariate
-        lam_horizon = self._cumulative(start, horizon)
-        s = 0.0
-        lo = start
-        while True:
-            s += expovariate(1.0)
-            if s > lam_horizon:
-                return
-            # Λ is non-decreasing, so the previous arrival time is a
-            # valid lower bracket; the upper bracket is the horizon
-            hi = horizon
-            a = lo
-            for _ in range(_INVERT_ITERS):
-                mid = 0.5 * (a + hi)
-                if self._cumulative(start, mid) < s:
-                    a = mid
-                else:
-                    hi = mid
-            t = hi
-            if t > horizon:
-                return
-            yield t
-            lo = t
-
-    def mean_rate(self) -> float:
-        return self.base_rate
-
-    def spec(self):
-        return {
-            "kind": self.KIND,
-            "base_rate": self.base_rate,
-            "amplitude": self.amplitude,
-            "period": self.period,
-            "phase": self.phase,
-        }
-
-    def scaled(self, factor: float) -> "DiurnalArrivals":
-        return DiurnalArrivals(
-            self.base_rate * factor, self.amplitude, self.period, self.phase
-        )
-
-
-#: kind -> constructor keyword names (the factory's schema).
-_KINDS = {
-    ConstantArrivals.KIND: ConstantArrivals,
-    PoissonArrivals.KIND: PoissonArrivals,
-    MmppArrivals.KIND: MmppArrivals,
-    DiurnalArrivals.KIND: DiurnalArrivals,
-}
-
-
-def make_arrivals(
-    spec: Dict[str, Any], rate_scale: Optional[float] = None
-) -> ArrivalProcess:
-    """Build an arrival process from its spec dict.
-
-    ``rate_scale`` multiplies every rate after construction — the knob
-    campaign grids sweep without rewriting the nested spec.
+    The one schema is ``{"kind": "poisson", "rate": <number > 0>}``; any
+    other shape raises :class:`ValueError` naming the offending field.
     """
     if "kind" not in spec:
         raise ValueError(f"arrival spec needs a 'kind' field (got {spec})")
     kind = spec["kind"]
-    try:
-        cls = _KINDS[kind]
-    except KeyError:
+    if kind != PoissonArrivals.KIND:
         raise ValueError(
-            f"unknown arrival kind {kind!r} (known: {sorted(_KINDS)})"
-        ) from None
-    kwargs = {k: v for k, v in spec.items() if k != "kind"}
-    process = cls(**kwargs)
-    if rate_scale is not None:
-        if rate_scale <= 0:
-            raise ValueError(f"rate_scale must be > 0 (got {rate_scale})")
-        process = process.scaled(rate_scale)
-    return process
+            f"unknown arrival kind {kind!r} (known: [{PoissonArrivals.KIND!r}])"
+        )
+    unknown = sorted(set(spec) - {"kind", "rate"})
+    if unknown:
+        raise ValueError(f"unknown arrival spec field(s) {unknown}")
+    if "rate" not in spec:
+        raise ValueError(f"arrival spec needs a 'rate' field (got {spec})")
+    rate = spec["rate"]
+    if isinstance(rate, bool) or not isinstance(rate, Real):
+        raise ValueError(f"arrival 'rate' must be a number (got {rate!r})")
+    return PoissonArrivals(rate)

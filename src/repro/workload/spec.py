@@ -3,16 +3,14 @@
 A :class:`WorkloadSpec` is a JSON-able bundle — catalog spec, arrival
 spec, client population, SLO/timeout budgets, timeline — consumed by
 ``jxta-repro load``, the ``load`` campaign task, and the benchmarks.
-:meth:`WorkloadSpec.to_dict` / :meth:`from_dict` round-trip, so specs
-embed directly in campaign grids and run manifests.
 
 A :class:`WorkloadEngine` wires the spec onto a deployed overlay's
-edge peers (one client per edge: publishers first, then open-loop
-queriers, then closed-loop clients), seeds the catalog during warm-up,
-runs the measured window, and exposes the SLO tracker plus an optional
-trace recorder.  :meth:`WorkloadEngine.start_replay` re-drives a
-recorded trace instead of generating traffic — the regression-oracle
-path (see docs/WORKLOADS.md for the replay contract).
+edge peers (one open-loop client per edge: publishers first, then
+queriers), seeds the catalog during warm-up, runs the measured window,
+and exposes the SLO tracker plus an optional trace recorder.
+:meth:`WorkloadEngine.start_replay` re-drives a recorded trace instead
+of generating traffic — the regression-oracle path (see
+docs/WORKLOADS.md for the replay contract).
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from repro.sim import HOURS, MINUTES
 from repro.workload.arrivals import make_arrivals
 from repro.workload.catalog import Catalog, publish_catalog
 from repro.workload.clients import (
-    ClosedLoopClient,
     OpenLoopPublisher,
     OpenLoopQuerier,
     issue_query,
@@ -46,23 +43,14 @@ class WorkloadSpec:
     catalog: Dict[str, Any] = field(
         default_factory=lambda: {"popularity": "zipf", "size": 200, "skew": 1.0}
     )
-    #: per-client arrival process (open-loop clients)
+    #: per-client arrival process (see :func:`make_arrivals`)
     arrivals: Dict[str, Any] = field(
         default_factory=lambda: {"kind": "poisson", "rate": 2.0}
     )
-    #: global multiplier on every client's arrival rate (the campaign knob)
-    rate_scale: float = 1.0
     queriers: int = 8
     publishers: int = 2
-    closed_clients: int = 0
-    #: closed-loop think time mean (exponential), seconds
-    think_mean: float = 1.0
-    #: per-request timeout, seconds
+    #: per-query timeout, seconds
     timeout: float = 10.0
-    #: closed-loop retry budget + exponential backoff
-    retries: int = 2
-    backoff_base: float = 0.5
-    backoff_factor: float = 2.0
     publish_expiration: float = 12 * HOURS
     #: when to burst-publish the whole catalog (simulated s; must leave
     #: time for leases before and SRDI propagation after)
@@ -75,22 +63,20 @@ class WorkloadSpec:
             raise ValueError("warmup must be >= 0")
         if not 0 <= self.seed_time <= self.warmup:
             raise ValueError("seed_time must lie inside the warm-up")
-        if self.queriers < 0 or self.publishers < 0 or self.closed_clients < 0:
+        if self.queriers < 0 or self.publishers < 0:
             raise ValueError("client counts must be >= 0")
-        if self.queriers + self.publishers + self.closed_clients < 1:
+        if self.queriers + self.publishers < 1:
             raise ValueError("workload needs at least one client")
         if self.timeout <= 0:
             raise ValueError("timeout must be > 0")
-        if self.rate_scale <= 0:
-            raise ValueError("rate_scale must be > 0")
         # fail early on malformed nested specs
-        make_arrivals(self.arrivals, rate_scale=self.rate_scale)
+        make_arrivals(self.arrivals)
         Catalog.from_spec(self.catalog)
 
     # ------------------------------------------------------------------
     @property
     def client_count(self) -> int:
-        return self.queriers + self.publishers + self.closed_clients
+        return self.queriers + self.publishers
 
     @property
     def horizon(self) -> float:
@@ -98,40 +84,9 @@ class WorkloadSpec:
         return self.warmup + self.duration
 
     def expected_requests(self) -> float:
-        """Open-loop request volume the spec is sized for (mean)."""
-        per_client = (
-            make_arrivals(self.arrivals, rate_scale=self.rate_scale)
-            .mean_rate() * self.duration
-        )
-        return per_client * (self.queriers + self.publishers)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "duration": self.duration,
-            "warmup": self.warmup,
-            "catalog": dict(self.catalog),
-            "arrivals": dict(self.arrivals),
-            "rate_scale": self.rate_scale,
-            "queriers": self.queriers,
-            "publishers": self.publishers,
-            "closed_clients": self.closed_clients,
-            "think_mean": self.think_mean,
-            "timeout": self.timeout,
-            "retries": self.retries,
-            "backoff_base": self.backoff_base,
-            "backoff_factor": self.backoff_factor,
-            "publish_expiration": self.publish_expiration,
-            "seed_time": self.seed_time,
-        }
-
-    @classmethod
-    def from_dict(cls, spec: Dict[str, Any]) -> "WorkloadSpec":
-        known = {f: spec[f] for f in cls.__dataclass_fields__ if f in spec}
-        unknown = set(spec) - set(known)
-        if unknown:
-            raise ValueError(f"unknown workload spec fields: {sorted(unknown)}")
-        return cls(**known)
+        """Request volume the spec is sized for (mean)."""
+        rate = make_arrivals(self.arrivals).rate
+        return rate * self.duration * self.client_count
 
 
 class WorkloadEngine:
@@ -155,47 +110,27 @@ class WorkloadEngine:
         self.slo = slo if slo is not None else SloTracker()
         self.recorder = recorder
         self.catalog = Catalog.from_spec(spec.catalog)
-        arrivals = make_arrivals(spec.arrivals, rate_scale=spec.rate_scale)
+        arrivals = make_arrivals(spec.arrivals)
 
-        self.clients: List[Any] = []
-        self._by_name: Dict[str, Any] = {}
-        cursor = 0
-        for i in range(spec.publishers):
-            client = OpenLoopPublisher(
-                sim, edges[cursor], spec.name, f"pub-{i}", self.catalog,
+        pubs = spec.publishers
+        self.clients: List[Any] = [
+            OpenLoopPublisher(
+                sim, edges[i], spec.name, f"pub-{i}", self.catalog,
                 arrivals, self.slo, recorder,
                 expiration=spec.publish_expiration,
             )
-            self._add(client)
-            cursor += 1
-        for i in range(spec.queriers):
-            client = OpenLoopQuerier(
-                sim, edges[cursor], spec.name, f"query-{i}", self.catalog,
+            for i in range(pubs)
+        ] + [
+            OpenLoopQuerier(
+                sim, edges[pubs + i], spec.name, f"query-{i}", self.catalog,
                 arrivals, self.slo, recorder, timeout=spec.timeout,
             )
-            self._add(client)
-            cursor += 1
-        for i in range(spec.closed_clients):
-            client = ClosedLoopClient(
-                sim, edges[cursor], spec.name, f"closed-{i}", self.catalog,
-                self.slo, recorder,
-                think_mean=spec.think_mean,
-                timeout=spec.timeout,
-                retries=spec.retries,
-                backoff_base=spec.backoff_base,
-                backoff_factor=spec.backoff_factor,
-            )
-            self._add(client)
-            cursor += 1
+            for i in range(spec.queriers)
+        ]
+        self._by_name = {client.name: client for client in self.clients}
         #: edges used to seed the catalog (the publishers; all clients
         #: if the population has none)
-        self._seed_edges = [
-            c.edge for c in self.clients if isinstance(c, OpenLoopPublisher)
-        ] or [c.edge for c in self.clients]
-
-    def _add(self, client) -> None:
-        self.clients.append(client)
-        self._by_name[client.name] = client
+        self._seed_edges = list(edges[: pubs or spec.client_count])
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -271,12 +206,12 @@ class WorkloadEngine:
 
         Each op is scheduled at its recorded time against the client it
         was recorded from (``seed-*`` ops go to the seeding edges);
-        nothing is drawn from the workload RNG streams, so on the same
-        overlay seed the replayed run reproduces the original
-        completions, SLO snapshot and trace bytes exactly (open-loop
-        workloads; see docs/WORKLOADS.md).  Returns the number of
-        scheduled ops.  Call before ``sim.run``, instead of
-        :meth:`start`.
+        nothing is drawn from the workload RNG streams, and every client
+        is open loop (no issue waits on an outcome), so on the same
+        overlay seed the replayed run of any spec reproduces the
+        original completions, SLO snapshot and trace bytes exactly (see
+        docs/WORKLOADS.md).  Returns the number of scheduled ops.  Call
+        before ``sim.run``, instead of :meth:`start`.
         """
         now = self.sim.now
         scheduled = 0

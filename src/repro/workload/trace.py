@@ -1,7 +1,7 @@
 """Canonical JSONL workload traces: record a run, re-drive it exactly.
 
 **Record**: every client operation (publish issue, query issue, query
-completion/timeout/failure) appends one canonical JSON line — sorted
+completion/timeout) appends one canonical JSON line — sorted
 keys, fixed field set, repr'd floats — so two identical runs produce
 byte-identical trace files, and a digest comparison is a regression
 oracle.
@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
-#: Operations recorded in a trace.  "issue" ops are re-driven by
-#: replay; "outcome" ops exist to make the trace a complete oracle.
+#: The "issue" ops replay re-drives.  The "outcome" ops (``query.ok``,
+#: ``query.timeout``) exist to make the trace a complete oracle; a
+#: replayed run regenerates them.
 ISSUE_OPS = ("publish", "query")
-OUTCOME_OPS = ("query.ok", "query.timeout", "query.failure")
 
 
 @dataclass(slots=True)

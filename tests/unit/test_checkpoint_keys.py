@@ -41,7 +41,7 @@ KEYS = {
         lambda: load_exp.bootstrap_spec(
             load_exp.ci_spec(), 8, seed=3, options=DEFAULT
         ),
-        "0825e803bdbcb3676b1aa07f74ce8a3ab95eef71ace6f71affed3b3eaf8ebb92",
+        "eab5e30d1bff51800f2e13df96de1916fcad9af93bb91cb0a462b8219d1806a1",
     ),
 }
 
@@ -56,7 +56,7 @@ CAMPAIGN_KEYS = {
     "churn": ({"r": 16, "seed": 2}, CHURN_R16_SEED2),
     "load": (
         {"r": 24, "rate": 1, "skew": 0, "seed": 1, "warmup": 3600},
-        "db9bb5a0f37bab82ba262e90b2fd461596d96b65253dd325b801359e25ff93bd",
+        "bd770d823bfdcc7111caf06d185762cd446df20a234a36739220f62ba582b7a6",
     ),
 }
 

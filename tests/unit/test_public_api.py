@@ -11,16 +11,22 @@ PACKAGES = [
     "repro.advertisement",
     "repro.analysis",
     "repro.baselines",
+    "repro.campaign",
     "repro.deploy",
     "repro.discovery",
     "repro.endpoint",
+    "repro.faults",
+    "repro.fuzz",
     "repro.ids",
     "repro.metrics",
     "repro.network",
+    "repro.obs",
     "repro.peergroup",
     "repro.rendezvous",
     "repro.resolver",
     "repro.sim",
+    "repro.snapshot",
+    "repro.workload",
 ]
 
 

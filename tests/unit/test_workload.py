@@ -1,8 +1,8 @@
 """Unit tests for the repro.workload subsystem (arrivals, catalogs,
 SLO tracking, traces, specs)."""
 
-import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -10,9 +10,6 @@ from repro.obs.histogram import Histogram
 from repro.sim import Simulator
 from repro.workload import (
     Catalog,
-    ConstantArrivals,
-    DiurnalArrivals,
-    MmppArrivals,
     PoissonArrivals,
     SloTracker,
     TraceOp,
@@ -29,15 +26,6 @@ from repro.workload import (
 
 # ---------------------------------------------------------------- arrivals
 class TestArrivals:
-    def test_constant_is_an_exact_grid(self):
-        times = list(ConstantArrivals(2.0).iter_times(random.Random(1), 10.0, 12.0))
-        assert times == [10.5, 11.0, 11.5, 12.0]
-
-    def test_constant_draws_no_randomness(self):
-        rng = random.Random(7)
-        list(ConstantArrivals(5.0).iter_times(rng, 0.0, 3.0))
-        assert rng.random() == random.Random(7).random()
-
     def test_poisson_deterministic_per_stream(self):
         a = list(PoissonArrivals(3.0).iter_times(random.Random(42), 0.0, 50.0))
         b = list(PoissonArrivals(3.0).iter_times(random.Random(42), 0.0, 50.0))
@@ -49,44 +37,42 @@ class TestArrivals:
         times = list(PoissonArrivals(4.0).iter_times(random.Random(3), 0.0, 500.0))
         assert 1600 < len(times) < 2400  # mean 2000
 
-    def test_mmpp_bursts_and_monotone_times(self):
-        proc = MmppArrivals(base_rate=1.0, burst_rate=50.0,
-                            mean_base_dwell=20.0, mean_burst_dwell=5.0)
-        times = list(proc.iter_times(random.Random(11), 0.0, 200.0))
-        assert all(t2 >= t1 for t1, t2 in zip(times, times[1:]))
-        assert len(times) > 200  # far above the base rate alone
-
-    def test_diurnal_ramp_denser_at_peak(self):
-        proc = DiurnalArrivals(base_rate=2.0, amplitude=0.9,
-                               period=100.0, phase=25.0)
-        times = list(proc.iter_times(random.Random(5), 0.0, 100.0))
-        # rate(t) = 2·(1 + 0.9·sin(2π(t−25)/100)) is above base on
-        # (25, 75) and below it elsewhere in the window
-        high = sum(1 for t in times if 25.0 < t < 75.0)
-        low = len(times) - high
-        assert high > low
-
     def test_factory_roundtrip_and_scaling(self):
-        for spec in (
-            {"kind": "constant", "rate": 2.0},
-            {"kind": "poisson", "rate": 3.0},
-            {"kind": "mmpp", "base_rate": 1.0, "burst_rate": 10.0},
-            {"kind": "diurnal", "base_rate": 2.0, "amplitude": 0.5,
-             "period": 60.0},
-        ):
-            proc = make_arrivals(spec)
-            assert proc.spec()["kind"] == spec["kind"]
-            assert make_arrivals(proc.spec()).spec() == proc.spec()
-            doubled = make_arrivals(spec, rate_scale=2.0)
-            assert doubled.mean_rate() == pytest.approx(2.0 * proc.mean_rate())
+        proc = make_arrivals({"kind": "poisson", "rate": 3})
+        assert isinstance(proc, PoissonArrivals) and proc.rate == 3.0
+        direct = PoissonArrivals(3.0).iter_times(random.Random(8), 0.0, 20.0)
+        assert list(proc.iter_times(random.Random(8), 0.0, 20.0)) == list(direct)
+        doubled = make_arrivals({"kind": "poisson", "rate": 6.0})
+        assert doubled.rate == pytest.approx(2.0 * proc.rate)
 
     def test_factory_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown arrival"):
+        with pytest.raises(ValueError, match="unknown arrival.*'poisson'"):
             make_arrivals({"kind": "fractal", "rate": 1.0})
+
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ({"rate": 2.0}, "kind"),
+            ({"kind": "poisson", "rate": 2.0, "burst": 1}, "burst"),
+            ({"kind": "poisson"}, "rate"),
+            ({"kind": "poisson", "rate": "2"}, "rate"),
+            ({"kind": "poisson", "rate": True}, "rate"),
+            ({"kind": "poisson", "rate": 0.0}, "rate"),
+            ({"kind": "poisson", "rate": float("inf")}, "rate"),
+            ({"kind": "poisson", "rate": float("nan")}, "rate"),
+        ],
+        ids=["no-kind", "extra-key", "no-rate", "str-rate", "bool-rate",
+             "zero-rate", "inf-rate", "nan-rate"],
+    )
+    def test_factory_rejects_malformed_spec(self, spec, field):
+        # a ValueError naming the field, never a TypeError from the
+        # constructor
+        with pytest.raises(ValueError, match=field):
+            make_arrivals(spec)
 
     def test_rates_must_be_positive(self):
         with pytest.raises(ValueError):
-            ConstantArrivals(0.0)
+            PoissonArrivals(0.0)
         with pytest.raises(ValueError):
             PoissonArrivals(-1.0)
 
@@ -265,32 +251,28 @@ class TestTrace:
 
 # ------------------------------------------------------------------- spec
 class TestWorkloadSpec:
-    def test_roundtrip(self):
-        spec = WorkloadSpec(queriers=3, publishers=1, closed_clients=2,
-                            rate_scale=1.5)
-        again = WorkloadSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
-        assert again.to_dict() == spec.to_dict()
-
     def test_rejects_unknown_fields(self):
-        with pytest.raises(ValueError, match="unknown workload spec"):
-            WorkloadSpec.from_dict({"queriers": 1, "sharding": True})
+        with pytest.raises(TypeError, match="sharding"):
+            WorkloadSpec(queriers=1, sharding=True)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             WorkloadSpec(duration=0.0)
         with pytest.raises(ValueError):
-            WorkloadSpec(queriers=0, publishers=0, closed_clients=0)
+            WorkloadSpec(queriers=0, publishers=0)
         with pytest.raises(ValueError):
             WorkloadSpec(seed_time=10 * 60.0, warmup=60.0)
         with pytest.raises(ValueError):
             WorkloadSpec(arrivals={"kind": "nope", "rate": 1.0})
+        with pytest.raises(ValueError, match="rate"):
+            WorkloadSpec(arrivals={"kind": "poisson"})
 
     def test_expected_requests_scales(self):
         spec = WorkloadSpec(duration=100.0, warmup=120.0, seed_time=60.0,
                             queriers=4, publishers=0,
-                            arrivals={"kind": "constant", "rate": 2.0})
+                            arrivals={"kind": "poisson", "rate": 2.0})
         assert spec.expected_requests() == pytest.approx(800.0)
-        spec2 = WorkloadSpec(**{**spec.to_dict(), "rate_scale": 2.0})
+        spec2 = replace(spec, arrivals={"kind": "poisson", "rate": 4.0})
         assert spec2.expected_requests() == pytest.approx(1600.0)
 
     def test_engine_needs_enough_edges(self):
