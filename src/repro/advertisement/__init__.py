@@ -2,7 +2,7 @@
 
 "An *advertisement* is an XML document describing a resource" (§3.1).
 Every resource a JXTA peer publishes or discovers — peers, rendezvous
-peers, pipes, routes — is described by an advertisement.  Each
+peers, pipes — is described by an advertisement.  Each
 advertisement type declares the attributes by which its instances are
 indexed; those ``(type, attribute, value)`` tuples are what the SRDI /
 LC-DHT machinery of :mod:`repro.discovery` replicates and queries.
@@ -23,7 +23,6 @@ from repro.advertisement.cache import AdvertisementCache, CacheEntry
 from repro.advertisement.peeradv import PeerAdvertisement
 from repro.advertisement.pipeadv import PipeAdvertisement
 from repro.advertisement.rdvadv import RdvAdvertisement
-from repro.advertisement.routeadv import RouteAdvertisement
 from repro.advertisement.testadv import FakeAdvertisement
 from repro.advertisement.xmlcodec import (
     UnknownAdvertisementType,
@@ -42,7 +41,6 @@ __all__ = [
     "PeerAdvertisement",
     "PipeAdvertisement",
     "RdvAdvertisement",
-    "RouteAdvertisement",
     "UnknownAdvertisementType",
     "parse_advertisement",
     "register_advertisement_type",

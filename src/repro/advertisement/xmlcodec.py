@@ -31,11 +31,6 @@ def register_advertisement_type(cls: Type[Advertisement]) -> Type[Advertisement]
     return cls
 
 
-def registered_types() -> Dict[str, Type[Advertisement]]:
-    """Copy of the registry (type string -> class)."""
-    return dict(_REGISTRY)
-
-
 def parse_advertisement(xml_str: str) -> Advertisement:
     """Parse an XML document produced by ``Advertisement.to_xml``."""
     try:

@@ -19,9 +19,6 @@ class LinearFit:
     #: Coefficient of determination in [0, 1].
     r_squared: float
 
-    def predict(self, x: float) -> float:
-        return self.slope * x + self.intercept
-
 
 def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
     """Fit a line; used e.g. to verify the O(r) regime of Figure 4

@@ -138,19 +138,32 @@ def _churn_bootstrap_spec(params: Dict[str, Any]) -> Dict[str, Any]:
     return bootstrap_spec(r=r, seed=seed)
 
 
+_LOAD_SPEC_FIELDS = (
+    ("duration", float), ("warmup", float), ("queriers", int),
+    ("publishers", int), ("timeout", float),
+)
+_LOAD_PARAMS = frozenset(
+    {"rate", "skew", "catalog_size", "r", "seed"}
+    | {name for name, _ in _LOAD_SPEC_FIELDS}
+)
+
+
 def _load_workload_spec(params: Dict[str, Any]):
     """The (WorkloadSpec, r, seed) a ``load`` task's params describe:
     the experiment's CI-sized :func:`~repro.experiments.load_exp.ci_spec`
     with the given params overriding it (shared by the task body and its
-    bootstrap-spec function)."""
+    bootstrap-spec function).  A param outside :data:`_LOAD_PARAMS` is a
+    ``ValueError``, not a silent default."""
     from repro.experiments.load_exp import CI_R, ci_spec
 
+    unknown = sorted(set(params) - _LOAD_PARAMS)
+    if unknown:
+        raise ValueError(
+            f"unknown load task param(s): {', '.join(unknown)} "
+            f"(known: {', '.join(sorted(_LOAD_PARAMS))})"
+        )
     base = ci_spec()
     skew = float(params.get("skew", base.catalog["skew"]))
-    fields = (
-        ("duration", float), ("warmup", float), ("queriers", int),
-        ("publishers", int), ("timeout", float),
-    )
     spec = ci_spec(
         catalog={
             "popularity": "zipf" if skew > 0 else "uniform",
@@ -161,7 +174,11 @@ def _load_workload_spec(params: Dict[str, Any]):
             "kind": "poisson",
             "rate": float(params.get("rate", base.arrivals["rate"])),
         },
-        **{name: kind(params[name]) for name, kind in fields if name in params},
+        **{
+            name: kind(params[name])
+            for name, kind in _LOAD_SPEC_FIELDS
+            if name in params
+        },
     )
     return spec, int(params.get("r", CI_R)), int(params.get("seed", 1))
 

@@ -16,7 +16,7 @@ peer".  This subpackage provides:
 """
 
 from repro.endpoint.address import EndpointAddress
-from repro.endpoint.router import EndpointRouter, RoutingError
+from repro.endpoint.router import EndpointRouter
 from repro.endpoint.service import (
     EndpointListener,
     EndpointMessage,
@@ -29,5 +29,4 @@ __all__ = [
     "EndpointMessage",
     "EndpointRouter",
     "EndpointService",
-    "RoutingError",
 ]

@@ -48,10 +48,6 @@ class EndpointAddress:
         """The ``proto://host`` prefix (what the network layer routes on)."""
         return f"{self.protocol}://{self.host}"
 
-    def with_service(self, name: str, param: str = "") -> "EndpointAddress":
-        """Same transport endpoint, different service target."""
-        return EndpointAddress(self.protocol, self.host, name, param)
-
     def __str__(self) -> str:
         out = self.transport_part
         if self.service_name:

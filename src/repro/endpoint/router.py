@@ -28,10 +28,6 @@ from repro.ids.jxtaid import PeerID
 from repro.network.message import Envelope
 
 
-class RoutingError(Exception):
-    """No route to the destination peer."""
-
-
 class EndpointRouter:
     """ERP route table and forwarding engine for one peer."""
 

@@ -215,6 +215,12 @@ def main(argv=None) -> int:
         parser.error("--metrics-out records a single run: drop --seeds")
     checkpoint_store = None
     if args.warm_start or args.checkpoint_dir is not None:
+        if args.experiment not in WARMSTART_EXPERIMENTS | {"all"}:
+            parser.error(
+                f"{args.experiment} does not warm-start; --warm-start and "
+                "--checkpoint-dir are supported by: "
+                + ", ".join(sorted(WARMSTART_EXPERIMENTS))
+            )
         from repro.snapshot import CheckpointStore
 
         checkpoint_store = CheckpointStore(

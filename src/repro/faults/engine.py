@@ -80,13 +80,6 @@ class NetworkFaultController(FaultController):
             _ActiveWindow(start, end, max_extra_delay=max_extra_delay)
         )
 
-    def quiescent(self, now: float) -> bool:
-        """True when no window is (or will become) active at ``now``."""
-        return all(
-            now >= w.end
-            for w in self._loss + self._duplicate + self._reorder
-        )
-
     # ------------------------------------------------------------------
     # FaultController interface
     # ------------------------------------------------------------------

@@ -21,7 +21,6 @@ from repro.ids.intern import IdInternTable
 from repro.ids.jxtaid import (
     ID_FORMAT,
     JxtaID,
-    ModuleClassID,
     PeerGroupID,
     PeerID,
     PipeID,
@@ -34,7 +33,6 @@ __all__ = [
     "IDFactory",
     "IdInternTable",
     "JxtaID",
-    "ModuleClassID",
     "NET_PEER_GROUP_ID",
     "PeerGroupID",
     "PeerID",

@@ -11,13 +11,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from repro.ids.jxtaid import (
-    ModuleClassID,
-    NET_PEER_GROUP_ID,
-    PeerGroupID,
-    PeerID,
-    PipeID,
-)
+from repro.ids.jxtaid import NET_PEER_GROUP_ID, PeerGroupID, PeerID, PipeID
 
 
 class IDFactory:
@@ -36,18 +30,8 @@ class IDFactory:
                 self._minted[value] = None
                 return value
 
-    def new_peer_group_id(self) -> PeerGroupID:
-        return PeerGroupID.from_uuid(self._unique16())
-
     def new_peer_id(self, group: Optional[PeerGroupID] = None) -> PeerID:
         return PeerID.from_parts(group or NET_PEER_GROUP_ID, self._unique16())
 
     def new_pipe_id(self, group: Optional[PeerGroupID] = None) -> PipeID:
         return PipeID.from_parts(group or NET_PEER_GROUP_ID, self._unique16())
-
-    def new_module_class_id(
-        self, group: Optional[PeerGroupID] = None
-    ) -> ModuleClassID:
-        return ModuleClassID.from_parts(
-            group or NET_PEER_GROUP_ID, self._unique16()
-        )

@@ -29,7 +29,6 @@ TYPE_CODAT = 0x01
 TYPE_PEERGROUP = 0x02
 TYPE_PEER = 0x03
 TYPE_PIPE = 0x05
-TYPE_MODULECLASS = 0x06
 
 T = TypeVar("T", bound="JxtaID")
 
@@ -169,10 +168,6 @@ class _GroupScopedID(JxtaID):
         return cls.from_parts(group, n.to_bytes(16, "big"))
 
     @property
-    def group_uuid(self) -> bytes:
-        return self._value[:16]
-
-    @property
     def unique_value(self) -> bytes:
         return self._value[16:32]
 
@@ -187,12 +182,6 @@ class PipeID(_GroupScopedID):
     """Identifier of a pipe."""
 
     TYPE_BYTE = TYPE_PIPE
-
-
-class ModuleClassID(_GroupScopedID):
-    """Identifier of a module class (service implementations)."""
-
-    TYPE_BYTE = TYPE_MODULECLASS
 
 
 #: The well-known World peer group every JXTA peer boots into.

@@ -3,7 +3,7 @@
 The paper's figures were plotted from flat files; :func:`series_to_csv`
 writes sampled series in that form, so downstream users can regenerate
 plots without re-running simulations.  The raw event timeline is
-exported by :meth:`repro.obs.TimelineTracer.write_jsonl`.
+exported by :meth:`repro.obs.TimelineTracer.to_jsonl_lines`.
 """
 
 from __future__ import annotations

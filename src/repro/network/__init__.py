@@ -5,9 +5,8 @@ Grenoble, Lille, Lyon, Nancy, Orsay, Rennes, Sophia, Toulouse) linked
 by the French NREN (RENATER), with Gigabit Ethernet inside each
 cluster.  We cannot use the real testbed, so this subpackage provides
 the closest synthetic equivalent: named sites, realistic intra- and
-inter-site one-way latencies, bandwidth/serialization delay, optional
-loss and jitter, per-site node placement, churn processes, and traffic
-accounting.
+inter-site one-way latencies, bandwidth/serialization delay, jitter,
+per-site node placement, churn processes, and traffic accounting.
 
 Both protocols under study are timer- and latency-bound, so a network
 model with the right *relative* delays reproduces the paper's effects;
@@ -24,7 +23,6 @@ from repro.network.latency import (
     ConstantLatency,
     Grid5000Latency,
     LatencyModel,
-    UniformLatency,
 )
 from repro.network.message import Envelope
 from repro.network.site import GRID5000_SITES, Node, Site, place_nodes
@@ -53,6 +51,5 @@ __all__ = [
     "ParetoChurn",
     "Site",
     "TrafficStats",
-    "UniformLatency",
     "place_nodes",
 ]

@@ -42,21 +42,6 @@ class ConstantLatency(LatencyModel):
         return self.delay_s
 
 
-class UniformLatency(LatencyModel):
-    """Uniform draw from [lo, hi) for every pair."""
-
-    def __init__(self, lo: float, hi: float) -> None:
-        if not (0 <= lo <= hi):
-            raise ValueError(f"need 0 <= lo <= hi (got {lo}, {hi})")
-        self.lo = float(lo)
-        self.hi = float(hi)
-
-    def delay(self, src: Site, dst: Site, rng: random.Random) -> float:
-        if self.lo == self.hi:
-            return self.lo
-        return rng.uniform(self.lo, self.hi)
-
-
 class Grid5000Latency(LatencyModel):
     """Distance-derived two-regime latency model of Grid'5000/RENATER.
 

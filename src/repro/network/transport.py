@@ -8,9 +8,11 @@ to end-to-end timing:
 * **per-message software overhead** — JXTA-C parses and re-emits XML
   for every message; the paper's ~12 ms four-message discovery at
   r ≤ 50 implies a couple of milliseconds of software cost per hop on
-  2006-era Opterons, dominated by XML handling, not the wire;
-* optional **loss** (used by the churn/volatility extension; the
-  paper's controlled runs are loss-free).
+  2006-era Opterons, dominated by XML handling, not the wire.
+
+Random loss, duplication and reordering come from a
+:class:`FaultController` (``repro.faults``); the paper's controlled
+runs are loss-free.
 
 Destinations are *transport addresses* (strings).  A peer attaches a
 handler per address; detaching models a crashed peer — messages to it
@@ -96,9 +98,6 @@ class Network:
         Link bandwidth used for the serialization term.
     sw_overhead:
         Fixed per-message software cost added at the receiver side.
-    loss_rate:
-        Probability a message silently disappears (default 0, like the
-        paper's controlled testbed).
     """
 
     def __init__(
@@ -107,24 +106,15 @@ class Network:
         latency: Optional[LatencyModel] = None,
         bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS,
         sw_overhead: float = DEFAULT_SW_OVERHEAD,
-        loss_rate: float = 0.0,
-        egress_queueing: bool = True,
     ) -> None:
         if bandwidth_bps <= 0:
             raise ValueError(f"bandwidth must be > 0 (got {bandwidth_bps})")
         if sw_overhead < 0:
             raise ValueError(f"sw_overhead must be >= 0 (got {sw_overhead})")
-        if not (0.0 <= loss_rate < 1.0):
-            raise ValueError(f"loss_rate must be in [0, 1) (got {loss_rate})")
         self.sim = sim
         self.latency = latency if latency is not None else Grid5000Latency()
         self.bandwidth_bps = float(bandwidth_bps)
         self.sw_overhead = float(sw_overhead)
-        self.loss_rate = float(loss_rate)
-        #: Serialize each node's outgoing messages through its NIC:
-        #: concurrent sends from one machine queue behind each other
-        #: (visible when an SRDI burst pushes thousands of tuples).
-        self.egress_queueing = egress_queueing
         #: One intern table per network: every peer registers its ID at
         #: construction, and the hot per-peer structures (peerview,
         #: routing tables, lease maps, SRDI buckets) key on the dense
@@ -132,10 +122,10 @@ class Network:
         self.interner = IdInternTable()
         self.stats = TrafficStats()
         self._endpoints: Dict[str, tuple[Node, Handler]] = {}
-        #: node id -> simulated time its NIC finishes the current send
+        #: node id -> simulated time its NIC finishes the current send:
+        #: concurrent sends from one machine queue behind each other
+        #: (visible when an SRDI burst pushes thousands of tuples)
         self._egress_busy_until: Dict[int, float] = {}
-        #: worst egress queueing delay observed (diagnostics)
-        self.peak_queue_delay = 0.0
         #: blocked site pairs (WAN partitions), each as its sorted tuple
         self._partitions: Dict[tuple, None] = {}
         #: optional per-message fault controller (repro.faults)
@@ -147,7 +137,6 @@ class Network:
         # registry lookup; stream seeds are name-derived, so grabbing
         # them eagerly draws nothing and changes no replay.
         self._latency_rng = sim.rng.stream("network.latency")
-        self._loss_rng = sim.rng.stream("network.loss")
         # the send path reads the clock once per message; going through
         # the Simulator.now property twice per send showed up in the
         # protocol-stack profile
@@ -197,13 +186,6 @@ class Network:
     def is_attached(self, address: str) -> bool:
         return address in self._endpoints
 
-    def node_of(self, address: str) -> Node:
-        """Physical node currently bound to ``address``."""
-        try:
-            return self._endpoints[address][0]
-        except KeyError:
-            raise DeliveryError(f"unknown address: {address!r}") from None
-
     # ------------------------------------------------------------------
     # WAN partitions (site-level volatility)
     # ------------------------------------------------------------------
@@ -224,13 +206,6 @@ class Network:
 
     def is_partitioned(self, site_a: str, site_b: str) -> bool:
         return tuple(sorted((site_a, site_b))) in self._partitions
-
-    def isolate_site(self, site: str, all_sites) -> None:
-        """Partition ``site`` from every other site in ``all_sites``."""
-        for other in all_sites:
-            name = getattr(other, "name", other)
-            if name != site:
-                self.partition(site, name)
 
     # ------------------------------------------------------------------
     # sending
@@ -289,22 +264,16 @@ class Network:
         # NIC serialization plus queueing behind this node's in-flight
         # sends, inline — send() is the hottest function in a full-scale run
         serialization = size_bytes * 8.0 / self.bandwidth_bps
-        if self.egress_queueing:
-            busy = self._egress_busy_until
-            nid = src_node.node_id
-            try:
-                start = busy[nid]
-                if start < now:
-                    start = now
-            except KeyError:  # first send from this node
+        busy = self._egress_busy_until
+        nid = src_node.node_id
+        try:
+            start = busy[nid]
+            if start < now:
                 start = now
-            busy[nid] = start + serialization
-            queue_delay = start - now
-            if queue_delay > self.peak_queue_delay:
-                self.peak_queue_delay = queue_delay
-            egress = queue_delay + serialization
-        else:
-            egress = serialization
+        except KeyError:  # first send from this node
+            start = now
+        busy[nid] = start + serialization
+        egress = start - now + serialization
 
         g5k = self._g5k
         if g5k is not None:
@@ -328,16 +297,10 @@ class Network:
         # bookkeeping entirely
         fc = self.fault_controller
         if fc is None:
-            lost = (
-                dst_dead
-                or (
-                    self._partitions
-                    and tuple(sorted(site_pair)) in self._partitions
-                )
-                or (
-                    self.loss_rate > 0.0
-                    and self._loss_rng.random() < self.loss_rate
-                )
+            lost = dst_dead or (
+                tuple(sorted(site_pair)) in self._partitions
+                if self._partitions
+                else False
             )
             obs = self.obs
             if obs is not None and obs.active:
@@ -362,12 +325,9 @@ class Network:
             dst_dead
             or faulted_drop
             or (
-                self._partitions
-                and tuple(sorted(site_pair)) in self._partitions
-            )
-            or (
-                self.loss_rate > 0.0
-                and self._loss_rng.random() < self.loss_rate
+                tuple(sorted(site_pair)) in self._partitions
+                if self._partitions
+                else False
             )
         )
         obs = self.obs

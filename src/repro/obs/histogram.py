@@ -146,23 +146,6 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    @classmethod
-    def from_snapshot(cls, snapshot: Dict[str, object]) -> "Histogram":
-        """Rebuild a histogram from :meth:`snapshot` output, so stored
-        campaign/SLO records can answer quantile queries after the
-        fact.  Exact inverse of ``snapshot()`` (same snapshot back)."""
-        h = cls(snapshot["edges"])  # type: ignore[arg-type]
-        counts = list(snapshot["counts"])  # type: ignore[arg-type]
-        if len(counts) != len(h.counts):
-            raise ValueError("snapshot counts do not match its edges")
-        h.counts = [int(c) for c in counts]
-        h.overflow = int(snapshot["overflow"])  # type: ignore[arg-type]
-        h.count = int(snapshot["count"])  # type: ignore[arg-type]
-        h.total = float(snapshot["sum"])  # type: ignore[arg-type]
-        h.min = snapshot["min"]  # type: ignore[assignment]
-        h.max = snapshot["max"]  # type: ignore[assignment]
-        return h
-
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
         """JSON-serialisable state (deterministic key order)."""

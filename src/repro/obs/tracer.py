@@ -92,11 +92,6 @@ class TimelineTracer:
     def to_jsonl_lines(self) -> List[str]:
         return [e.to_json() for e in self.events]
 
-    def write_jsonl(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for line in self.to_jsonl_lines():
-                fh.write(line + "\n")
-
     # ------------------------------------------------------------------
     def chrome_trace_events(
         self, pid: int = 1, actor_tids: Optional[Dict[str, int]] = None
@@ -139,10 +134,6 @@ class TimelineTracer:
             "displayTimeUnit": "ms",
             "traceEvents": self.chrome_trace_events(),
         }
-
-    def write_chrome_trace(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_chrome_trace(), fh)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TimelineTracer(events={len(self.events)}, dropped={self.dropped})"

@@ -312,9 +312,6 @@ class PeerView:
             return index
         return None
 
-    def rank_of_key(self, key: int) -> Optional[int]:
-        return self.rank_of(self.interner.id_of(key))
-
     def id_at(self, rank: int) -> PeerID:
         """Member ID at ``rank`` (0-based) in the ordered list."""
         return self.interner.id_of(self._order[rank][1])
@@ -360,16 +357,6 @@ class PeerView:
     # ------------------------------------------------------------------
     # referral choice
     # ------------------------------------------------------------------
-    def random_referral(
-        self, rng: random.Random, exclude: Iterable[PeerID] = ()
-    ) -> Optional[RdvAdvertisement]:
-        """A uniformly random member's advertisement for a referral
-        response, excluding the probing peer (no point referring someone
-        to themselves) and self (the response already carries our
-        advertisement)."""
-        picks = self.random_referrals(rng, 1, exclude)
-        return picks[0] if picks else None
-
     def random_referrals(
         self, rng: random.Random, count: int, exclude: Iterable[PeerID] = ()
     ) -> List[RdvAdvertisement]:
@@ -472,14 +459,6 @@ class PeerView:
                         break
                 out.append(keys[j])
         return out
-
-    # ------------------------------------------------------------------
-    # Property (2)
-    # ------------------------------------------------------------------
-    def is_complete(self, global_size: int) -> bool:
-        """Check this view against Property (2)'s target: ``l = g``
-        where ``g`` excludes the local peer (so ``g = r - 1``)."""
-        return self.size == global_size
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

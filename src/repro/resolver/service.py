@@ -72,9 +72,6 @@ class ResolverService:
             raise ValueError(f"resolver handler already registered: {name!r}")
         self._handlers[name] = handler
 
-    def unregister_handler(self, name: str) -> None:
-        self._handlers.pop(name, None)
-
     # ------------------------------------------------------------------
     # sending
     # ------------------------------------------------------------------

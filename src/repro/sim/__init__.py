@@ -21,7 +21,6 @@ from repro.sim.clock import (
     format_time,
 )
 from repro.sim.errors import (
-    EventCancelled,
     SchedulingError,
     SimulationError,
     SimulationLimitExceeded,
@@ -33,7 +32,6 @@ from repro.sim.rng import RngRegistry, derive_seed
 
 __all__ = [
     "Clock",
-    "EventCancelled",
     "EventHandle",
     "HOURS",
     "MILLISECONDS",

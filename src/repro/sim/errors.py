@@ -9,9 +9,5 @@ class SchedulingError(SimulationError):
     """An event was scheduled incorrectly (e.g. in the past)."""
 
 
-class EventCancelled(SimulationError):
-    """An operation was attempted on a cancelled event handle."""
-
-
 class SimulationLimitExceeded(SimulationError):
     """The run exceeded a configured safety limit (events or time)."""

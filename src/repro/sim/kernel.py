@@ -480,21 +480,6 @@ class Simulator:
         self._stop_requested = False
         self._rebuild_hook_lists()
 
-    def snapshot(self) -> bytes:
-        """Serialize the complete simulation state (this simulator and
-        everything reachable from its queued events) to bytes.  See
-        :mod:`repro.snapshot`."""
-        from repro.snapshot import snapshot_simulator
-
-        return snapshot_simulator(self)
-
-    @classmethod
-    def restore(cls, blob: bytes) -> "Simulator":
-        """Rebuild a simulator from :meth:`snapshot` output."""
-        from repro.snapshot import restore_simulator
-
-        return restore_simulator(blob)
-
     def stop(self) -> None:
         """Request the current ``run`` call to return after the executing
         event completes.  The run loop reads the flag before it looks at

@@ -36,14 +36,13 @@ What does NOT snapshot — by design (see docs/CHECKPOINTS.md):
 
 from __future__ import annotations
 
-import io
 import pickle
 from typing import Any, Tuple
 
 #: Bump whenever the pickled state contract changes incompatibly
 #: (slot layouts, event-heap entry layout, RNG stream naming).  Stored
 #: checkpoints with another version are invalidated, not misread.
-SNAPSHOT_VERSION = 19
+SNAPSHOT_VERSION = 20
 
 #: sha256 of the pickled layout (classes, their fields, container
 #: types) reachable from a reference snapshot, as
@@ -51,7 +50,7 @@ SNAPSHOT_VERSION = 19
 #: that test fails the layout moved: bump the version above, then
 #: regenerate this value with the command the failure prints.
 SNAPSHOT_LAYOUT_FINGERPRINT = (
-    "f643d96881eae1c256a91bf9b76c23dbd811122dbd85aeeb059620cd5b583bca"
+    "d797b940c16c4d06b06c301eee0b3c534c5de22afd084ef29ebf967d5edd7e32"
 )
 
 _MAGIC = b"repro-snap"
@@ -127,25 +126,6 @@ def disown_network(network) -> None:
 
 
 # ---------------------------------------------------------------------------
-# simulator-level API
-# ---------------------------------------------------------------------------
-
-def snapshot_simulator(sim) -> bytes:
-    """Serialize ``sim`` and everything reachable from it to bytes."""
-    return _frame(_dumps({"kind": "simulator", "sim": sim}))
-
-
-def restore_simulator(blob: bytes):
-    """Inverse of :func:`snapshot_simulator`."""
-    payload = pickle.loads(_unframe(blob))
-    if payload.get("kind") != "simulator":
-        raise SnapshotError(
-            f"expected a simulator snapshot, got {payload.get('kind')!r}"
-        )
-    return payload["sim"]
-
-
-# ---------------------------------------------------------------------------
 # network-level API (the experiment/campaign unit)
 # ---------------------------------------------------------------------------
 
@@ -176,28 +156,4 @@ def restore_network(blob: bytes) -> Tuple[Any, Any]:
     network = payload["net"]
     _readopt(network)
     return network, payload["extra"]
-
-
-def fork_network(network, extra: Any = None) -> Tuple[Any, Any]:
-    """In-process fast path: structured copy of the simulation graph
-    through an in-memory pickle round-trip (C-speed, memo-preserving —
-    several times faster than ``copy.deepcopy`` on these graphs, and
-    subject to the same state contract).  The original keeps running;
-    the copy can diverge — reseed a continuation stream and go."""
-    if network.sim._running:
-        raise SnapshotError(
-            "cannot fork while the simulator is running; fork between "
-            "run() calls (an event boundary)"
-        )
-    buf = io.BytesIO()
-    try:
-        pickle.Pickler(buf, protocol=5).dump((network, extra))
-    except Exception as exc:
-        raise SnapshotError(
-            f"simulation state is not forkable: {exc!r} (same contract "
-            "as snapshot_network; see docs/CHECKPOINTS.md)"
-        ) from exc
-    clone, extra_clone = pickle.loads(buf.getvalue())
-    _readopt(clone)
-    return clone, extra_clone
 

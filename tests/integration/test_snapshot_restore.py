@@ -23,7 +23,6 @@ from repro.sim.tracing import KernelTraceRecorder
 from repro.snapshot import (
     CheckpointStore,
     SnapshotError,
-    fork_network,
     restore_network,
     snapshot_network,
 )
@@ -186,16 +185,16 @@ class TestHttpEdgeRestore:
 class TestFork:
     def test_fork_and_original_continue_identically(self):
         network, overlay, recorder = _deploy(seed=5)
-        clone, extra = fork_network(
+        clone, extra = restore_network(snapshot_network(
             network, extra={"overlay": overlay, "recorder": recorder}
-        )
+        ))
         original = _continue(network, overlay, recorder)
         forked = _continue(clone, extra["overlay"], extra["recorder"])
         assert forked == original
 
     def test_fork_preserves_shared_stream_identity(self):
         network, overlay, recorder = _deploy(seed=5)
-        clone, _ = fork_network(network)
+        clone, _ = restore_network(snapshot_network(network))
         # the clone's transport latency stream is the clone registry's
         # stream object, never the original's (no cross-graph leakage)
         assert clone.sim.rng is not network.sim.rng

@@ -5,9 +5,10 @@ operations and checks it against a plain-dict reference model.
 """
 
 import bisect
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.advertisement.rdvadv import RdvAdvertisement
@@ -147,7 +148,7 @@ def test_views_on_one_table_hold_its_tokens(operations):
             ) == alone.neighbor_of(alone.local_peer_id, direction)
         for rank, pid in enumerate(view.ordered_ids()):
             assert view.rank_of(pid) == alone.rank_of(pid) == rank
-            assert view.rank_of_key(view.key_at(rank)) == rank
+            assert view.rank_of(table.id_of(view.key_at(rank))) == rank
             assert table.id_of(view.key_at(rank)) == alone.id_at(rank)
             for direction in (1, -1):
                 assert view.neighbor_of(pid, direction) == alone.neighbor_of(
@@ -266,3 +267,36 @@ def test_referrals_never_include_self_or_prober(members, seed):
         assert referral.rdv_peer_id != view.local_peer_id
         assert referral.rdv_peer_id != prober
     assert len({a.rdv_peer_id for a in picks}) == len(picks)
+
+
+@example(list(range(60)), [3, 3, 450], 4, 7)  # set side (n = 57 > 21)
+@example(list(range(80)), [1, 2], 7, 7)  # pool side (n = 78 <= 85)
+@example(list(range(10)), [9, 9], 9, 1)  # the whole pool
+@given(
+    st.lists(st.integers(0, 400), unique=True, max_size=120),
+    st.lists(st.integers(0, 450), max_size=12),
+    st.integers(1, 40),
+    st.integers(0, 2**32 - 1),
+)
+def test_sample_entry_keys_matches_random_sample(members, excluded, count, seed):
+    """``sample_entry_keys`` picks what ``random.sample`` over the
+    filtered entry keys picks and leaves the generator in the same
+    state; asking for the whole pool returns it in insertion order and
+    draws nothing.  Exclusions repeat and name absent peers; views
+    straddle ``random.sample``'s pool/set crossover (21 for counts up
+    to 5)."""
+    view = PeerView(adv(LOCAL))
+    for n in members:
+        view.upsert(adv(n), now=0.0)
+    intern = view.interner.intern
+    exclude_keys = [
+        intern(PeerID.from_int(NET_PEER_GROUP_ID, n)) for n in excluded
+    ]
+    filtered = [k for k in view._entries if k not in exclude_keys]
+    rng, reference = random.Random(seed), random.Random(seed)
+    picks = view.sample_entry_keys(rng, count, exclude_keys)
+    if count < len(filtered):
+        assert picks == reference.sample(filtered, count)
+    else:
+        assert picks == filtered
+    assert rng.getstate() == reference.getstate()

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from repro.advertisement import (
     FakeAdvertisement,
     PeerAdvertisement,
-    RouteAdvertisement,
     parse_advertisement,
 )
 from repro.ids import NET_PEER_GROUP_ID, PeerID
@@ -39,24 +38,6 @@ def test_peer_advertisement_roundtrip(pid, name, desc):
     parsed = parse_advertisement(adv.to_xml())
     assert parsed == adv
     assert parsed.peer_id == pid
-
-
-@given(
-    peer_ids,
-    st.lists(
-        st.text(
-            alphabet=st.characters(min_codepoint=0x21, max_codepoint=0x7E),
-            min_size=1,
-            max_size=30,
-        ),
-        min_size=1,
-        max_size=5,
-    ),
-)
-def test_route_advertisement_roundtrip(pid, hops):
-    adv = RouteAdvertisement(pid, hops)
-    parsed = parse_advertisement(adv.to_xml())
-    assert parsed.hops == hops
 
 
 @given(nonempty_xml_text, xml_text)

@@ -18,7 +18,7 @@ from repro.deploy import OverlayDescription, build_overlay
 from repro.network import Network
 from repro.sim import MINUTES, Simulator
 from repro.sim.tracing import KernelTraceRecorder
-from repro.snapshot import fork_network, restore_network, snapshot_network
+from repro.snapshot import restore_network, snapshot_network
 
 END = 10 * MINUTES
 
@@ -104,9 +104,9 @@ def test_forked_universes_are_independent(seed, frac, k1, k2):
         graphs.append((network, overlay, recorder))
     parent, twin, control = graphs
 
-    clone, extra = fork_network(
+    clone, extra = restore_network(snapshot_network(
         parent[0], extra={"overlay": parent[1], "recorder": parent[2]}
-    )
+    ))
     clone_result = _diverge(clone, extra["overlay"], extra["recorder"], k1)
 
     # 1. forking + mutating the clone never perturbs the parent: its

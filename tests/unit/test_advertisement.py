@@ -10,12 +10,11 @@ from repro.advertisement import (
     PeerAdvertisement,
     PipeAdvertisement,
     RdvAdvertisement,
-    RouteAdvertisement,
     UnknownAdvertisementType,
     parse_advertisement,
 )
 from repro.advertisement.pipeadv import PIPE_TYPE_PROPAGATE
-from repro.advertisement.xmlcodec import registered_types
+from repro.advertisement.xmlcodec import _REGISTRY
 from repro.ids import IDFactory, NET_PEER_GROUP_ID
 from repro.ids.jxtaid import PeerID, PipeID
 
@@ -73,21 +72,6 @@ class TestRdvAdvertisement:
         a = RdvAdvertisement(pid, NET_PEER_GROUP_ID, name="x")
         b = RdvAdvertisement(pid, NET_PEER_GROUP_ID, name="y")
         assert a.unique_key() == b.unique_key()
-
-
-class TestRouteAdvertisement:
-    def test_roundtrip_multi_hop(self, factory):
-        adv = RouteAdvertisement(
-            factory.new_peer_id(), ["tcp://a:1", "tcp://b:2"]
-        )
-        parsed = parse_advertisement(adv.to_xml())
-        assert parsed.hops == ["tcp://a:1", "tcp://b:2"]
-        assert parsed.first_hop == "tcp://a:1"
-        assert parsed.last_hop == "tcp://b:2"
-
-    def test_empty_route_rejected(self, factory):
-        with pytest.raises(ValueError):
-            RouteAdvertisement(factory.new_peer_id(), [])
 
 
 class TestPipeAdvertisement:
@@ -164,8 +148,6 @@ PINNED_KEYS = [
      f"jxta:PA|{_PID_URN}"),
     (RdvAdvertisement(_PID, NET_PEER_GROUP_ID, name="rdv-0", route_hint="tcp://a:1"),
      f"jxta:RdvAdvertisement|{_PID_URN}|{_GROUP_URN}"),
-    (RouteAdvertisement(_PID, ["tcp://a:1", "tcp://b:2"]),
-     f"jxta:RA|{_PID_URN}"),
     (PipeAdvertisement(_PIPE, "chat"),
      f"jxta:PipeAdvertisement|{_PIPE_URN}"),
 ]
@@ -174,7 +156,7 @@ PINNED_KEYS = [
 class TestUniqueKeyMemo:
     def test_every_registered_type_is_pinned(self):
         assert {type(adv) for adv, _ in PINNED_KEYS} == set(
-            registered_types().values()
+            _REGISTRY.values()
         )
 
     @pytest.mark.parametrize(

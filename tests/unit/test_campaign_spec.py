@@ -148,6 +148,19 @@ class TestBuiltinCampaigns:
         digest = hashlib.sha256(",".join(keys).encode()).hexdigest()[:16]
         assert digest == PINNED_TASK_KEYS[name]
 
+    def test_load_task_rejects_unknown_params(self):
+        from repro.campaign.builtin import build_campaign
+        from repro.campaign.tasks import _load_workload_spec
+
+        with pytest.raises(ValueError, match="closed_clients.*qeuriers"):
+            _load_workload_spec(
+                {"closed_clients": 3, "arrivals": "mmpp", "qeuriers": 40}
+            )
+        # every built-in load task passes only known params
+        for full in (False, True):
+            for task in build_campaign("load", full=full).expand():
+                _load_workload_spec(task.params)
+
     def test_unknown_campaign(self):
         from repro.campaign.builtin import build_campaign
 

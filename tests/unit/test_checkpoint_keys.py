@@ -19,7 +19,7 @@ from repro.snapshot import checkpoint_key
 DEFAULT = SimOptions()
 
 CHURN_R16_SEED2 = (
-    "8529309d407dcb988483d5086102067e3837b9caad12e424c82cf028feac0ae8"
+    "72a4c4931288ac2680bf8cb5c639aa114af1a4f2997d744820310b43f9809a2f"
 )
 
 KEYS = {
@@ -29,34 +29,34 @@ KEYS = {
     ),
     "fig4-right r=8 A": (
         lambda: fig4_right.bootstrap_spec(8, False, options=DEFAULT),
-        "c3e21972ac77b52b7cde90ee16d8d8579848db5d81b7190dfd3ae63a6c087f27",
+        "07a9a5c3879432e60366d596d05e3849716f45168e4f5fd63f1b83b5fdb630e9",
     ),
     "fig4-right r=20 B warmup=60min": (
         lambda: fig4_right.bootstrap_spec(
             20, True, warmup=60 * MINUTES, options=DEFAULT
         ),
-        "26b082f8cd03228b0d3da52673c951c8969b629b444c14c1b8b58f1bb01545d9",
+        "d6fdfd590e6b08a319f0c275b5f842b536130e21d087e5c4dfe052ce0e8315bc",
     ),
     "load ci_spec r=8 seed=3": (
         lambda: load_exp.bootstrap_spec(
             load_exp.ci_spec(), 8, seed=3, options=DEFAULT
         ),
-        "eab5e30d1bff51800f2e13df96de1916fcad9af93bb91cb0a462b8219d1806a1",
+        "d99b6cb2f2bea46847b2ed5656b964ef8cb69962c3ec86e259448e73489427d8",
     ),
 }
 
 FUZZ_KEYS = (
-    "e195a59e21d294ab8c5fe4f4b23efded5688849906e04fd07f0d3b1a67172206",
-    "6f17408c3672feafa9911987dc9996b2f95e108ac55e35d294416ce220b77d23",
-    "f059d095ca1d3e21ed05df098620f2ffedc0b36c9dec9a1f0fa67f22bac09b72",
-    "eba3af82def76b08c263cdf5ee82b0934928265b1b29720d097f22675a491af1",
+    "bbccfd604eafff8a5d92f8b0f1032e1c496d86810deab8891ca48486d9ff5411",
+    "2e94436cd4fe06219aa60e3a05a4640c2431ee2142cf2cf3ae961f56a0aaf66e",
+    "8807f63a073960f42bab0ab18ace6570f045356bda91b185641ed4eca3bc96b4",
+    "1e45b8d4b164347f289bf86c2473d27c0b1b515a7558cb86f176210834f8b6d6",
 )
 
 CAMPAIGN_KEYS = {
     "churn": ({"r": 16, "seed": 2}, CHURN_R16_SEED2),
     "load": (
         {"r": 24, "rate": 1, "skew": 0, "seed": 1, "warmup": 3600},
-        "bd770d823bfdcc7111caf06d185762cd446df20a234a36739220f62ba582b7a6",
+        "406c1b293dec301ecd9fd5dbcd433e336f3477f611a606e86d098151bfe12086",
     ),
 }
 

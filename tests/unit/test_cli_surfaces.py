@@ -272,6 +272,16 @@ def test_no_warm_start_no_checkpoint_summary(capsys):
     assert "# checkpoints:" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "flags", (["--warm-start"], ["--checkpoint-dir", "unused"])
+)
+def test_warm_start_rejected_where_unsupported(flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["table1", *flags])
+    assert exc.value.code == 2
+    assert "supported by: churn, fig4-right, load" in capsys.readouterr().err
+
+
 def test_seeds_must_be_positive():
     with pytest.raises(SystemExit) as exc:
         cli_main(["load", "--seeds", "0"])

@@ -35,8 +35,9 @@ class TestEndpointAddress:
         assert str(EndpointAddress.parse(text)) == text
 
     def test_with_service(self):
-        a = EndpointAddress.parse("tcp://h:1").with_service("s", "p")
+        a = EndpointAddress("tcp", "h:1", "s", "p")
         assert str(a) == "tcp://h:1/s/p"
+        assert EndpointAddress.parse(str(a)) == a
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):

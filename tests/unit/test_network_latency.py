@@ -4,11 +4,7 @@ import random
 
 import pytest
 
-from repro.network.latency import (
-    ConstantLatency,
-    Grid5000Latency,
-    UniformLatency,
-)
+from repro.network.latency import ConstantLatency, Grid5000Latency
 from repro.network.site import site_by_name
 
 RENNES = site_by_name("rennes")
@@ -24,25 +20,6 @@ class TestConstantLatency:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             ConstantLatency(-1.0)
-
-
-class TestUniformLatency:
-    def test_within_bounds(self):
-        m = UniformLatency(0.001, 0.002)
-        rng = random.Random(0)
-        for _ in range(100):
-            d = m.delay(RENNES, SOPHIA, rng)
-            assert 0.001 <= d < 0.002
-
-    def test_degenerate_interval(self):
-        m = UniformLatency(0.001, 0.001)
-        assert m.delay(RENNES, RENNES, random.Random(0)) == 0.001
-
-    def test_bad_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            UniformLatency(0.002, 0.001)
-        with pytest.raises(ValueError):
-            UniformLatency(-0.001, 0.002)
 
 
 class TestGrid5000Latency:

@@ -196,12 +196,12 @@ class TestReferral:
         view.upsert(adv(20), now=0.0)
         rng = random.Random(0)
         for _ in range(50):
-            referral = view.random_referral(rng, exclude=(pid(10),))
+            (referral,) = view.random_referrals(rng, 1, exclude=(pid(10),))
             assert referral.rdv_peer_id == pid(20)
 
     def test_no_candidates_returns_none(self, view):
         view.upsert(adv(10), now=0.0)
-        assert view.random_referral(random.Random(0), exclude=(pid(10),)) is None
+        assert view.random_referrals(random.Random(0), 1, exclude=(pid(10),)) == []
 
     def test_uniformity(self, view):
         for n in (10, 20, 30):
@@ -209,7 +209,8 @@ class TestReferral:
         rng = random.Random(0)
         counts = {}
         for _ in range(3000):
-            referral = view.random_referral(rng).rdv_peer_id
+            (referral,) = view.random_referrals(rng, 1)
+            referral = referral.rdv_peer_id
             counts[referral] = counts.get(referral, 0) + 1
         assert all(800 < c < 1200 for c in counts.values())
 
@@ -229,5 +230,6 @@ class TestProperty2:
     def test_complete_view(self, view):
         for n in (10, 20):
             view.upsert(adv(n), now=0.0)
-        assert view.is_complete(2)
-        assert not view.is_complete(3)
+        # Property (2)'s target l = g, with g = r - 1 excluding self
+        assert view.size == 2
+        assert view.member_count() == 3

@@ -20,8 +20,7 @@ class TestResolverEdgeCases:
             def process_query(self, query):
                 return "resp"
 
-        rb.register_handler("h", H())
-        rb.unregister_handler("h")
+        rb.register_handler("other", H())
         a.router.add_route(b.peer_id, [b.transport_address])
         ra.send_query(b.peer_id, ra.new_query("h", "x"))
         sim.run()  # no crash, no response
