@@ -17,8 +17,9 @@ that is a (dotted) identifier — how ``getattr``, registries and the
 benchmark harness's patch tables name code.  Comments and prose docstrings do
 not count.  Dunder methods are skipped (the interpreter calls them).
 The scan is lexical: a dead method that shares its name with a live
-one is not listed.  It always exits 0 — the output is a list of leads,
-not a gate.
+one is not listed.  It always exits 0;
+``tests/unit/test_unreached_defs.py`` holds its output to the committed
+``tests/fixtures/unreached_defs.txt``.
 """
 
 from __future__ import annotations

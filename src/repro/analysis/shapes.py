@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -35,18 +35,6 @@ def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r_squared = 1.0 if ss_tot == 0 else max(0.0, 1.0 - ss_res / ss_tot)
     return LinearFit(slope=float(slope), intercept=float(intercept), r_squared=r_squared)
-
-
-def plateau_stats(
-    series: StepSeries, start: float, stop: float, samples: int = 50
-) -> Tuple[float, float]:
-    """(mean, std) of a step series over [start, stop] — the phase-3
-    fluctuation statistics of Figure 3."""
-    if stop <= start:
-        raise ValueError("stop must be > start")
-    xs = np.linspace(start, stop, samples)
-    values = np.asarray(series.sampled(list(xs)))
-    return float(values.mean()), float(values.std())
 
 
 def relative_spread(values: Sequence[float]) -> float:
@@ -120,26 +108,3 @@ def detect_phases(
         plateau_mean=plateau_mean,
         plateau_std=plateau_std,
     )
-
-
-def find_crossover(
-    xs: Sequence[float], ys_a: Sequence[float], ys_b: Sequence[float]
-) -> Optional[float]:
-    """x at which curve B first drops to/below curve A (linear
-    interpolation between samples) — e.g. where the configuration-B
-    noise overhead of Figure 4 (right) vanishes.  None if it never
-    does."""
-    x = np.asarray(xs, dtype=float)
-    a = np.asarray(ys_a, dtype=float)
-    b = np.asarray(ys_b, dtype=float)
-    if not (x.size == a.size == b.size):
-        raise ValueError("mismatched lengths")
-    diff = b - a
-    for i in range(diff.size):
-        if diff[i] <= 0:
-            if i == 0 or diff[i] == diff[i - 1]:
-                return float(x[i])
-            # interpolate the zero crossing between i-1 and i
-            frac = diff[i - 1] / (diff[i - 1] - diff[i])
-            return float(x[i - 1] + frac * (x[i] - x[i - 1]))
-    return None

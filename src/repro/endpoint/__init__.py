@@ -5,17 +5,14 @@ directly above the physical transport: "the endpoint routing protocol
 is used to find available routes from a source peer to a destination
 peer".  This subpackage provides:
 
-* :class:`EndpointAddress` — ``jxta://`` service addresses and
-  ``tcp://`` transport addresses;
 * :class:`EndpointService` — per-peer demultiplexer binding service
   listeners and sending :class:`EndpointMessage` objects through the
   simulated network;
-* :class:`EndpointRouter` — the ERP: a route table mapping peer IDs to
-  hop sequences, hop-by-hop forwarding with TTL, and reverse-route
-  learning.
+* :class:`EndpointRouter` — the ERP, owned by the service: a route
+  table mapping peer IDs to next-hop transport addresses, hop-by-hop
+  forwarding with TTL, and reverse-route learning.
 """
 
-from repro.endpoint.address import EndpointAddress
 from repro.endpoint.router import EndpointRouter
 from repro.endpoint.service import (
     EndpointListener,
@@ -24,7 +21,6 @@ from repro.endpoint.service import (
 )
 
 __all__ = [
-    "EndpointAddress",
     "EndpointListener",
     "EndpointMessage",
     "EndpointRouter",

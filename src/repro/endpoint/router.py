@@ -4,13 +4,13 @@
 (ERP) is used to find available routes from a source peer to a
 destination peer" (§3.1).  The router keeps a table
 
-    destination peer ID  ->  ordered hop list of transport addresses
+    destination peer ID  ->  transport address of the next hop
 
-Routes come from three places, mirroring JXTA-C:
+Every route is one hop: a direct connection, or the relay through an
+edge's rendezvous.  Routes come from three places, mirroring JXTA-C:
 
 * **configuration** — seed rendezvous addresses;
-* **advertisements** — rendezvous advertisements carry a route hint,
-  route advertisements carry full hop lists;
+* **advertisements** — rendezvous advertisements carry a route hint;
 * **reverse-route learning** — receiving a message teaches the route
   back to its origin (JXTA-C reuses the incoming TCP connection).
 
@@ -22,7 +22,7 @@ forwards the query to the publisher edge) is carried.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Optional
 
 from repro.ids.jxtaid import PeerID
 from repro.network.message import Envelope
@@ -33,19 +33,14 @@ class EndpointRouter:
 
     def __init__(self, endpoint: "EndpointService") -> None:  # noqa: F821
         self.endpoint = endpoint
-        endpoint.router = self
         #: route slot per interned peer key (keys are dense per
         #: network); None, or a key past the end, means no route.  A
         #: write past the end extends the list to ``key + 1`` only, so
         #: a peer that routes to low keys alone keeps a short table.
         #: A converged r = 580 rendezvous holds ~579 routes: the list
         #: is ~5 KB where a dict of int keys was ~17.6 KB.
-        #: Single-hop routes — the overwhelming majority at any scale —
-        #: are stored as the bare address string: wrapping each in a
-        #: one-element list costs ~20 MB of resident heap across the
-        #: overlay.  Multi-hop routes keep the hop list.
         self.interner = endpoint.interner
-        self._routes: List[Union[None, str, List[str]]] = []
+        self._routes: List[Optional[str]] = []
         self._default_route: Optional[str] = None
         self.forwards = 0
         self.no_route_drops = 0
@@ -53,11 +48,11 @@ class EndpointRouter:
     # ------------------------------------------------------------------
     # table maintenance
     # ------------------------------------------------------------------
-    def _get(self, key: int) -> Union[None, str, List[str]]:
+    def _get(self, key: int) -> Optional[str]:
         routes = self._routes
         return routes[key] if key < len(routes) else None
 
-    def _set(self, key: int, route: Union[None, str, List[str]]) -> None:
+    def _set(self, key: int, route: Optional[str]) -> None:
         routes = self._routes
         if key < len(routes):
             routes[key] = route
@@ -65,26 +60,13 @@ class EndpointRouter:
             routes.extend([None] * (key - len(routes)))
             routes.append(route)
 
-    def add_route(self, peer_id: PeerID, hops: List[str]) -> None:
-        """Install/replace the route to ``peer_id``; a single hop is
-        :meth:`add_direct_route`."""
-        if not hops:
-            raise ValueError("route needs at least one hop")
-        if len(hops) == 1:
-            self.add_direct_route(peer_id, hops[0])
-            return
-        key = self.interner.intern(peer_id)
-        if self._get(key) != hops:
-            self._set(key, list(hops))
-
     def add_direct_route(self, peer_id: PeerID, address: str) -> None:
-        """Install/refresh a single-hop route without any hop-list
-        allocation.  A flat lookup installs two (the replica's route to
-        the publisher, the publisher's to the searcher), so the
-        interner's cached-key fast path and the slot read are inline,
-        as in :meth:`route_and_send`.  :meth:`_set` runs only when the
-        route changes — protocols re-install the same single-hop route
-        on every message."""
+        """Install/refresh the route to ``peer_id``.  A flat lookup
+        installs two (the replica's route to the publisher, the
+        publisher's to the searcher), so the interner's cached-key fast
+        path and the slot read are inline, as in :meth:`route_and_send`.
+        :meth:`_set` runs only when the route changes — protocols
+        re-install the same route on every message."""
         interner = self.interner
         try:
             table, key = peer_id._intern
@@ -95,21 +77,6 @@ class EndpointRouter:
         routes = self._routes
         if key >= len(routes) or routes[key] != address:
             self._set(key, address)
-
-    def learn_reverse_route(self, peer_id: PeerID, origin_address: str) -> None:
-        """Learn a direct route back to a message origin.  Never
-        overwrites an explicitly installed multi-hop route."""
-        key = self.interner.intern(peer_id)
-        if key == self.endpoint.peer_key:
-            return
-        existing = self._get(key)
-        if existing is None or (
-            type(existing) is str and existing != origin_address
-        ):
-            # a multi-hop route is never overwritten by hearsay;
-            # unchanged single-hop routes (the common case: every
-            # message from a stable peer) skip the write
-            self._set(key, origin_address)
 
     def remove_route(self, peer_id: PeerID) -> None:
         key = self.interner.lookup(peer_id)
@@ -124,15 +91,12 @@ class EndpointRouter:
         key = self.interner.lookup(peer_id)
         return key is not None and self._get(key) is not None
 
-    def resolve(self, peer_id: PeerID) -> Optional[List[str]]:
-        """The hop list for ``peer_id``, or None if unroutable."""
+    def resolve(self, peer_id: PeerID) -> Optional[str]:
+        """The next hop toward ``peer_id`` (the default route when the
+        table has none), or None if unroutable."""
         key = self.interner.lookup(peer_id)
-        hops = None if key is None else self._get(key)
-        if hops is not None:
-            return [hops] if type(hops) is str else list(hops)
-        if self._default_route is not None:
-            return [self._default_route]
-        return None
+        route = None if key is None else self._get(key)
+        return self._default_route if route is None else route
 
     def route_table_size(self) -> int:
         """Number of peers with a route (the non-None slots)."""
@@ -189,11 +153,8 @@ class EndpointRouter:
         if message.ttl <= 0:
             self.no_route_drops += 1
             return
-        # first hop of resolve(), without building its hop list
         if route is None:
             route = self._default_route
-        elif type(route) is not str:
-            route = route[0]
         if route is None:
             self.no_route_drops += 1
             if on_drop is not None:

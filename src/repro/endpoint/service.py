@@ -3,16 +3,17 @@
 The endpoint service is each peer's message doorway: it binds the
 peer's transport address on the simulated network, demultiplexes
 incoming :class:`EndpointMessage` objects to registered service
-listeners (rendezvous, resolver, ...) and, together with
+listeners (rendezvous, resolver, ...) and, through its own
 :class:`repro.endpoint.router.EndpointRouter`, delivers messages
 addressed to peer IDs rather than transport addresses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro.endpoint.router import EndpointRouter
 from repro.ids.jxtaid import PeerID
 from repro.network.message import Envelope
 from repro.network.site import Node
@@ -57,7 +58,6 @@ class EndpointMessage:
     #: Transport address of the *origin* peer (reverse-route learning).
     origin_address: str = ""
     ttl: int = DEFAULT_TTL
-    hops_taken: int = 0
 
     def size_bytes(self) -> int:
         # _body_size inlined: computed once per message sent
@@ -67,10 +67,8 @@ class EndpointMessage:
         return MESSAGE_HEADER_BYTES + _body_size(self.body)
 
     def forwarded(self) -> "EndpointMessage":
-        """Copy with TTL decremented / hop count incremented."""
-        return replace(
-            self, ttl=self.ttl - 1, hops_taken=self.hops_taken + 1
-        )
+        """Copy with TTL decremented."""
+        return replace(self, ttl=self.ttl - 1)
 
 
 class EndpointService:
@@ -108,8 +106,8 @@ class EndpointService:
         self._hot_name: Optional[str] = None
         self._hot_param: Optional[str] = None
         self._hot_listener: Optional[EndpointListener] = None
-        #: Set by the owning peer; forwards messages for other peers.
-        self.router = None  # type: Optional["EndpointRouter"]
+        #: forwards messages for other peers
+        self.router = EndpointRouter(self)
         #: Optional hook (a rendezvous relay server): called with each
         #: message addressed to another peer; returning True means the
         #: message was queued for a relay client and must not be
@@ -184,8 +182,6 @@ class EndpointService:
         on_drop: Optional[Callable[[Envelope], None]] = None,
     ) -> None:
         """Send to ``message.dst_peer`` via the ERP route table."""
-        if self.router is None:
-            raise RuntimeError("endpoint service has no router")
         self.router.route_and_send(message, on_drop=on_drop)
 
     # ------------------------------------------------------------------
@@ -198,14 +194,14 @@ class EndpointService:
                 f"endpoint received non-endpoint payload: {type(message)!r}"
             )
         self.messages_in += 1
-        router = self.router
         peer_key = self.peer_key
         interner = self.interner
-        if router is not None and message.origin_address:
-            # inlined router.learn_reverse_route (kept as a method for
-            # other callers): this runs once per received message, and
-            # the interner's cached-key fast path is unrolled too (an
-            # attribute load + identity check instead of a call)
+        origin = message.origin_address
+        if origin:
+            # reverse-route learning, inline: this runs once per
+            # received message, and the interner's cached-key fast path
+            # is unrolled too (an attribute load + identity check
+            # instead of a call)
             src_peer = message.src_peer
             try:
                 table, key = src_peer._intern
@@ -214,18 +210,16 @@ class EndpointService:
             except AttributeError:
                 key = interner.intern(src_peer)
             if key != peer_key:
-                routes = router._routes
+                routes = self.router._routes
                 try:
-                    existing = routes[key]
-                    if existing is None or (
-                        type(existing) is str
-                        and existing != message.origin_address
-                    ):
-                        routes[key] = message.origin_address
+                    # unchanged routes (every message from a stable
+                    # peer) skip the write
+                    if routes[key] != origin:
+                        routes[key] = origin
                 except IndexError:
                     # past the end: extend the slot list to key + 1
                     routes.extend([None] * (key - len(routes)))
-                    routes.append(message.origin_address)
+                    routes.append(origin)
         dst_peer = message.dst_peer
         if dst_peer is not None:
             try:
@@ -239,7 +233,7 @@ class EndpointService:
         if dst_key != peer_key:
             # ERP relay (e.g. a rendezvous forwarding to its edge); the
             # router checks the HTTP relay queue before forwarding
-            if self.router is None or message.ttl <= 0:
+            if message.ttl <= 0:
                 return
             self.messages_relayed += 1
             obs = self._net.obs
@@ -257,15 +251,9 @@ class EndpointService:
         else:
             listener = self._listeners.get((name, param))
             if listener is None:
-                # JXTA drops messages for unknown services silently;
-                # keep a fallback wildcard on the service name.
-                listener = self._listeners.get((name, "*"))
-                if listener is None:
-                    return
-            else:
-                # only exact matches are cached (a later exact
-                # registration must beat a cached wildcard)
-                self._hot_name = name
-                self._hot_param = param
-                self._hot_listener = listener
+                # JXTA drops messages for unknown services silently
+                return
+            self._hot_name = name
+            self._hot_param = param
+            self._hot_listener = listener
         listener(message)

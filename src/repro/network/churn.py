@@ -13,7 +13,7 @@ revives peers through caller-supplied callbacks.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
@@ -82,14 +82,6 @@ class ChurnProcess(Process):
     ``on_kill(name)`` / ``on_revive(name)`` are invoked each time a
     target's session ends / its downtime ends.  Targets start *up*;
     their first session length is drawn at :meth:`start`.
-
-    Besides the autonomous up/down cycling, :meth:`kill_now` and
-    :meth:`revive_now` let a fault scenario (``repro.faults``) force a
-    transition at a scripted instant while keeping this process's
-    bookkeeping (``is_up``, counters) authoritative.  Forcing a state
-    the target is already in is a no-op, mirroring the autonomous
-    paths: killing an already-dead peer or reviving a live one does
-    nothing.
     """
 
     def __init__(
@@ -154,28 +146,3 @@ class ChurnProcess(Process):
         self.revive_count += 1
         self.on_revive(target)
         self._schedule_kill(target)
-
-    # ------------------------------------------------------------------
-    # scripted transitions (fault scenarios)
-    # ------------------------------------------------------------------
-    def _check_target(self, target: str) -> None:
-        if target not in self.is_up:
-            raise ValueError(f"unknown churn target: {target!r}")
-
-    def kill_now(self, target: str) -> bool:
-        """Force ``target`` down immediately.  Returns True if it was
-        up (a no-op on an already-dead target returns False)."""
-        self._check_target(target)
-        if not self.started or not self.is_up[target]:
-            return False
-        self._kill(target)
-        return True
-
-    def revive_now(self, target: str) -> bool:
-        """Force ``target`` back up immediately.  Returns True if it
-        was down (zero-downtime revival of a live target is a no-op)."""
-        self._check_target(target)
-        if not self.started or self.is_up[target]:
-            return False
-        self._revive(target)
-        return True

@@ -22,7 +22,6 @@ from repro.discovery.replica import ReplicaFunction
 from repro.discovery.service import DiscoveryService
 from repro.endpoint.address import tcp_address
 from repro.endpoint.relay import RelayClient, RelayServer
-from repro.endpoint.router import EndpointRouter
 from repro.endpoint.service import EndpointMessage, EndpointService
 from repro.ids.jxtaid import NET_PEER_GROUP_ID, PeerID
 from repro.network.site import Node
@@ -66,7 +65,7 @@ class Peer:
         self.name = name or f"peer-{peer_id.short()}"
         self.address = tcp_address(node.hostname, port)
         self.endpoint = EndpointService(sim, network, peer_id, node, self.address)
-        self.router = EndpointRouter(self.endpoint)
+        self.router = self.endpoint.router
         self.resolver = ResolverService(self.endpoint, group_param=self.group_id.urn())
         self.cache = AdvertisementCache()
         self.discovery: DiscoveryService  # built by the role

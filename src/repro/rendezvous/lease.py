@@ -138,7 +138,9 @@ class RdvLeaseServer:
                 lease.edge_address = body.edge_address
                 lease.expires_at = now + self.config.lease_duration
             # the rendezvous must be able to reach its edges directly
-            self.endpoint.router.add_route(body.edge_peer, [body.edge_address])
+            self.endpoint.router.add_direct_route(
+                body.edge_peer, body.edge_address
+            )
             if body.renewal:
                 self.renewals += 1
             else:
@@ -341,8 +343,8 @@ class EdgeLeaseClient:
             )
             self.rdv_adv = body.rdv_adv
             # all traffic for peers we cannot resolve goes via our rdv
-            self.endpoint.router.add_route(
-                body.rdv_adv.rdv_peer_id, [body.rdv_adv.route_hint]
+            self.endpoint.router.add_direct_route(
+                body.rdv_adv.rdv_peer_id, body.rdv_adv.route_hint
             )
             self.endpoint.router.set_default_route(body.rdv_adv.route_hint)
             self._schedule_renewal(body.lease_duration)

@@ -307,7 +307,6 @@ class PeerViewProtocol(Process):
         message.body = body
         message.origin_address = endpoint.advertised_address
         message.ttl = DEFAULT_TTL
-        message.hops_taken = 0
         self._net.send(self._addr, address, message, size)
 
     # ------------------------------------------------------------------

@@ -8,8 +8,8 @@ correlation metadata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, List
+from dataclasses import dataclass
+from typing import Any
 
 from repro.ids.jxtaid import PeerID
 
@@ -32,12 +32,10 @@ class ResolverQuery:
     handler_name: str
     query_id: int
     src_peer: PeerID
-    #: Route back to the query source (JXTA's ``SrcPeerRoute`` field) —
-    #: responders install it so the response can be sent directly.
-    #: A forwarded copy (``ResolverService.forward_query``, every hop
-    #: of a walk) shares the origin's list: nothing mutates it, and
-    #: ``EndpointRouter.add_route`` copies a multi-hop list it keeps.
-    src_route: List[str]
+    #: Route back to the query source (JXTA's ``SrcPeerRoute`` field):
+    #: its advertised address, which responders install so the
+    #: response can be sent directly.
+    src_route: str
     payload: Any
     hop_count: int = 0
 
@@ -56,7 +54,7 @@ class ResolverQuery:
             self.handler_name,
             self.query_id,
             self.src_peer,
-            list(self.src_route),
+            self.src_route,
             self.payload if payload is None else payload,
             self.hop_count + 1,
         )

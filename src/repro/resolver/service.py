@@ -81,7 +81,7 @@ class ResolverService:
             handler_name,
             self._next_query_id,
             self.endpoint.peer_id,
-            [self.endpoint.advertised_address],
+            self.endpoint.advertised_address,
             payload,
         )
         self._next_query_id += 1
@@ -173,7 +173,7 @@ class ResolverService:
             )
         src_peer = query.src_peer
         if query.src_route:
-            endpoint.router.add_route(src_peer, query.src_route)
+            endpoint.router.add_direct_route(src_peer, query.src_route)
         endpoint.send_to_peer(
             EndpointMessage(
                 endpoint.peer_id, src_peer, RESOLVER_SERVICE_NAME,

@@ -42,7 +42,7 @@ from typing import Any, Tuple
 #: Bump whenever the pickled state contract changes incompatibly
 #: (slot layouts, event-heap entry layout, RNG stream naming).  Stored
 #: checkpoints with another version are invalidated, not misread.
-SNAPSHOT_VERSION = 20
+SNAPSHOT_VERSION = 21
 
 #: sha256 of the pickled layout (classes, their fields, container
 #: types) reachable from a reference snapshot, as
@@ -50,7 +50,7 @@ SNAPSHOT_VERSION = 20
 #: that test fails the layout moved: bump the version above, then
 #: regenerate this value with the command the failure prints.
 SNAPSHOT_LAYOUT_FINGERPRINT = (
-    "d797b940c16c4d06b06c301eee0b3c534c5de22afd084ef29ebf967d5edd7e32"
+    "aee9d15e6677576010fd45d18f9370a195a8583c2c4b7da8638252976f21db86"
 )
 
 _MAGIC = b"repro-snap"

@@ -1,4 +1,4 @@
-"""Property-based tests: range specs, endpoint addresses, walk helpers."""
+"""Property-based tests: range specs, walk helpers."""
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,7 +11,6 @@ from repro.discovery.rangequery import (
     tuple_in_range,
 )
 from repro.discovery.walker import WALK_DOWN, WALK_UP, walk_next_target
-from repro.endpoint.address import EndpointAddress
 from repro.ids import NET_PEER_GROUP_ID, PeerID
 from repro.rendezvous.peerview import PeerView
 
@@ -37,25 +36,6 @@ class TestRangeSpecProperties:
     @given(st.text(max_size=30).filter(lambda s: ".." not in s))
     def test_plain_values_are_never_ranges(self, value):
         assert not is_range_query(value)
-
-
-hostnames = st.text(
-    alphabet=st.characters(min_codepoint=0x61, max_codepoint=0x7A),
-    min_size=1,
-    max_size=20,
-)
-
-
-class TestEndpointAddressProperties:
-    @given(hostnames, hostnames, hostnames)
-    def test_parse_str_roundtrip(self, host, service, param):
-        addr = EndpointAddress("tcp", host, service, param)
-        assert EndpointAddress.parse(str(addr)) == addr
-
-    @given(hostnames)
-    def test_transport_part_strips_services(self, host):
-        addr = EndpointAddress.parse(f"tcp://{host}/svc/p")
-        assert addr.transport_part == f"tcp://{host}"
 
 
 def _adv(n):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro.advertisement.rdvadv import RdvAdvertisement
 from repro.config import PlatformConfig
-from repro.endpoint.router import EndpointRouter
 from repro.endpoint.service import EndpointMessage, EndpointService
 from repro.ids.jxtaid import NET_PEER_GROUP_ID, PeerID
 from repro.network.latency import ConstantLatency
@@ -65,7 +64,6 @@ def test_peerview_protocol_survives_arbitrary_traffic(sequence):
     endpoint = EndpointService(
         sim, network, local_adv.rdv_peer_id, node, "tcp://fuzz-local:9701"
     )
-    EndpointRouter(endpoint)
     endpoint.attach()
     protocol = PeerViewProtocol(
         endpoint, PlatformConfig(), local_adv, "fuzz-group"

@@ -11,14 +11,14 @@ here against the constructors themselves — and against the two-copy
 A walk hop also reads its next target with one bisect
 (``PeerView.neighbor_key``) and forwards through
 ``ResolverService.forward_query``, which builds the hopped query in
-place and shares the origin's ``src_route``; both are held here to the
-code they replaced.
+place and carries the origin's ``src_route`` address; both are held
+here to the code they replaced.
 
 A flat lookup's hit reads each match's expiration off the cache's
-entries in place (no ``AdvertisementCache.get``), and its two
-single-hop route installs go through ``EndpointRouter.add_direct_route``
-(no ``add_route`` → ``intern`` → ``_get`` → ``_set``); both are held
-here to the calls they replaced.
+entries in place (no ``AdvertisementCache.get``), and its two route
+installs go through ``EndpointRouter.add_direct_route`` (no ``intern``
+→ ``_get`` → ``_set``); both are held here to the calls they
+replaced.
 """
 
 import bisect
@@ -72,7 +72,7 @@ queries = st.builds(
     src_peer=st.integers(1, 50).map(
         lambda n: PeerID.from_int(NET_PEER_GROUP_ID, n)
     ),
-    src_route=st.lists(st.sampled_from(["tcp://a:1", "tcp://b:2"]), max_size=3),
+    src_route=st.sampled_from(["tcp://a:1", "tcp://b:2"]),
     payload=payloads,
     hop_count=st.integers(0, 40),
 )
@@ -98,7 +98,7 @@ def old_with_routing_then_hopped(query, payload, at_replica, walk_direction):
         handler_name=query.handler_name,
         query_id=query.query_id,
         src_peer=query.src_peer,
-        src_route=list(query.src_route),
+        src_route=query.src_route,
         payload=new_payload,
         hop_count=query.hop_count,
     )
@@ -106,7 +106,7 @@ def old_with_routing_then_hopped(query, payload, at_replica, walk_direction):
         handler_name=routed.handler_name,
         query_id=routed.query_id,
         src_peer=routed.src_peer,
-        src_route=list(routed.src_route),
+        src_route=routed.src_route,
         payload=routed.payload,
         hop_count=routed.hop_count + 1,
     )
@@ -152,9 +152,6 @@ def test_hopped_with_payload_equals_the_old_two_copies(query, routing):
     got = query.hopped(payload.routed(*routing))
     assert _field_values(got) == _field_values(want)
     assert got.size_bytes() == want.size_bytes()
-    # own route list: a responder installing it must not alias the
-    # sender's copy
-    assert got.src_route is not query.src_route
     assert got.payload is not payload
 
 
@@ -164,7 +161,6 @@ def test_hopped_without_payload_keeps_the_body(query):
     assert hopped.payload is query.payload
     assert hopped.hop_count == query.hop_count + 1
     assert hopped.src_route == query.src_route
-    assert hopped.src_route is not query.src_route
 
 
 @settings(max_examples=60)
@@ -244,17 +240,15 @@ class _Collector(QueryHandler):
 @given(
     queries,
     routings,
-    st.lists(st.sampled_from(["tcp://a:1", "tcp://b:2"]), min_size=2, max_size=4),
+    st.sampled_from(["tcp://a:1", "tcp://b:2"]),
 )
 def test_forwarded_query_is_the_hopped_copy(query, routing, route):
     """What ``forward_query`` delivers is ``hopped(payload)`` in every
-    field; its ``src_route`` is the origin's list, and installing it as
-    a multi-hop route leaves both its contents and the origin's as
-    they were (the router keeps its own copy)."""
+    field; its ``src_route`` is the origin's address, and installing it
+    routes the responder straight back to the origin."""
     query.src_route = route
-    sent_route = list(route)
     sim, _, (a, b) = build_peers(2)
-    a.router.add_route(b.peer_id, [b.transport_address])
+    a.router.add_direct_route(b.peer_id, b.transport_address)
     sender = ResolverService(a, group_param="g")
     ResolverService(b, group_param="g").register_handler(
         query.handler_name, collector := _Collector()
@@ -267,10 +261,8 @@ def test_forwarded_query_is_the_hopped_copy(query, routing, route):
     assert got.hop_count == query.hop_count + 1
     assert got.payload is payload
     assert got.src_route is query.src_route
-    b.router.add_route(got.src_peer, got.src_route)
-    assert got.src_route == query.src_route == sent_route
-    assert b.router.resolve(got.src_peer) == sent_route
-    assert b.router._routes[b.interner.intern(got.src_peer)] is not route
+    b.router.add_direct_route(got.src_peer, got.src_route)
+    assert b.router.resolve(got.src_peer) == route
 
 
 #: (local?, lifetime or expiration, residual expiration) per cached
@@ -348,12 +340,7 @@ def test_hit_path_expirations_are_cache_get(entries, tick, data):
 
 
 addresses = st.sampled_from(["tcp://a:1", "tcp://b:2", "tcp://c:3"])
-slots = st.lists(
-    st.one_of(
-        st.none(), addresses, st.lists(addresses, min_size=2, max_size=3),
-    ),
-    max_size=12,
-)
+slots = st.lists(st.one_of(st.none(), addresses), max_size=12)
 
 
 def old_single_hop_add_route(router, peer_id, address):
@@ -366,13 +353,12 @@ def old_single_hop_add_route(router, peer_id, address):
 
 @settings(max_examples=150, deadline=None)
 @given(slots, st.integers(0, 20), addresses)
-@example([["tcp://a:1", "tcp://b:2"]], 0, "tcp://a:1")  # multi-hop slot
+@example(["tcp://b:2"], 0, "tcp://a:1")  # a slot holding another address
 @example([], 15, "tcp://c:3")  # far past the end of the table
 def test_add_direct_route_is_add_route_of_one_hop(table, n, address):
-    """On any route table — ``None`` slots, single-hop strings,
-    multi-hop lists, and a destination whose key is past the end of
-    ``_routes`` — the single-hop install leaves the table exactly as
-    ``add_route(p, [a])`` and the code it replaced do."""
+    """On any route table — ``None`` slots, address strings, and a
+    destination whose key is past the end of ``_routes`` — the install
+    leaves the table exactly as the code it replaced does."""
     _, _, (endpoint,) = build_peers(1)
     router = endpoint.router
     peers = [PeerID.from_int(NET_PEER_GROUP_ID, k) for k in range(1, 22)]
@@ -382,13 +368,10 @@ def test_add_direct_route_is_add_route_of_one_hop(table, n, address):
     results = []
     for install in (
         lambda: router.add_direct_route(peer, address),
-        lambda: router.add_route(peer, [address]),
         lambda: old_single_hop_add_route(router, peer, address),
     ):
-        router._routes = [
-            list(slot) if type(slot) is list else slot for slot in table
-        ]
+        router._routes = list(table)
         install()
         results.append(router._routes)
-    assert results[0] == results[1] == results[2]
-    assert router.resolve(peer) == [address]
+    assert results[0] == results[1]
+    assert router.resolve(peer) == address

@@ -2,11 +2,12 @@
 
 ``EndpointRouter._routes`` is a list indexed by the network's interned
 peer keys: ``None`` — or a key past the end — means "no route", and a
-write past the end extends the list.  The model below is the table as
-it was when it was a ``{key: route}`` dict, with every overwrite rule
-copied in: reverse learning (``learn_reverse_route`` and its inlined
-copy in ``EndpointService._on_envelope``) never overwrites a multi-hop
-route, while the peerview's ``_learn`` and ``add_direct_route`` do.
+write past the end extends the list; every route is one transport
+address.  The model below is the table as it was when it was a
+``{key: route}`` dict, with every writer's rule copied in: reverse
+learning (in ``EndpointService._on_envelope``), the peerview's
+``_learn`` and ``add_direct_route`` each install the address they are
+handed, and none of them routes the local peer.
 
 Random interleavings of every writer — the table methods, an endpoint
 delivery and a peerview learn, on peers whose keys lie past the current
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.advertisement.rdvadv import RdvAdvertisement
-from repro.endpoint import EndpointMessage, EndpointRouter, EndpointService
+from repro.endpoint import EndpointMessage, EndpointService
 from repro.ids import NET_PEER_GROUP_ID, PeerID
 from repro.network.latency import ConstantLatency
 from repro.network.message import Envelope
@@ -48,46 +49,26 @@ class DictTable:
         self.routes = {}
         self.default = None
 
-    def add_route(self, n, hops):
-        if len(hops) == 1:
-            if self.routes.get(n) != hops[0]:
-                self.routes[n] = hops[0]
-        elif self.routes.get(n) != hops:
-            self.routes[n] = list(hops)
-
     def add_direct_route(self, n, address):
         if self.routes.get(n) != address:
-            self.routes[n] = address
-
-    def learn_reverse_route(self, n, address):
-        if n == LOCAL:
-            return
-        existing = self.routes.get(n)
-        if existing is None or (type(existing) is str and existing != address):
             self.routes[n] = address
 
     def remove_route(self, n):
         self.routes.pop(n, None)
 
     def deliver(self, n, origin):
-        if origin:
-            self.learn_reverse_route(n, origin)
+        if origin and n != LOCAL and self.routes.get(n) != origin:
+            self.routes[n] = origin
 
     def learn(self, n, hint):
         if n != LOCAL and hint and self.routes.get(n) != hint:
             self.routes[n] = hint
 
     def resolve(self, n):
-        hops = self.routes.get(n)
-        if hops is not None:
-            return [hops] if type(hops) is str else list(hops)
-        return None if self.default is None else [self.default]
+        return self.routes.get(n, self.default)
 
     def first_hop(self, n):
-        if n == LOCAL:
-            return LOCAL_HOP
-        route = self.routes.get(n, self.default)
-        return route if route is None or type(route) is str else route[0]
+        return LOCAL_HOP if n == LOCAL else self.resolve(n)
 
 
 def build(pre_interned):
@@ -100,7 +81,7 @@ def build(pre_interned):
     svc = EndpointService(
         sim, net, pid(LOCAL), place_nodes(1)[0], "tcp://local:1"
     )
-    router = EndpointRouter(svc)
+    router = svc.router
     local_adv = RdvAdvertisement(
         rdv_peer_id=pid(LOCAL), group_id=NET_PEER_GROUP_ID,
         route_hint="tcp://local:1",
@@ -125,10 +106,7 @@ def message(src, dst, origin="", service="svc"):
 peers = st.integers(0, PEERS - 1)
 addresses = st.sampled_from(ADDRESSES)
 operations = st.one_of(
-    st.tuples(st.just("add_route"), peers,
-              st.lists(addresses, min_size=1, max_size=3)),
     st.tuples(st.just("add_direct_route"), peers, addresses),
-    st.tuples(st.just("learn_reverse_route"), peers, addresses),
     st.tuples(st.just("remove_route"), peers, st.none()),
     st.tuples(st.just("deliver"), peers, st.sampled_from(ADDRESSES + ("",))),
     st.tuples(st.just("learn"), peers, st.sampled_from(ADDRESSES + ("",))),
@@ -169,6 +147,7 @@ def check(net, svc, router, model, sent):
         assert (sent.pop() if sent else None) == model.first_hop(n)
         assert not sent
     assert len(router._routes) <= len(net.interner)
+    assert all(route is None or type(route) is str for route in router._routes)
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,9 +4,7 @@ import pytest
 
 from repro.analysis import (
     detect_phases,
-    find_crossover,
     linear_fit,
-    plateau_stats,
     relative_spread,
 )
 from repro.metrics.series import StepSeries
@@ -41,18 +39,6 @@ class TestLinearFit:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             linear_fit([1, 2], [1])
-
-
-class TestPlateauStats:
-    def test_constant_tail(self):
-        series = StepSeries([0.0, 10.0], [0.0, 7.0])
-        mean, std = plateau_stats(series, 20.0, 40.0)
-        assert mean == pytest.approx(7.0)
-        assert std == pytest.approx(0.0)
-
-    def test_bad_interval_rejected(self):
-        with pytest.raises(ValueError):
-            plateau_stats(StepSeries([0.0], [1.0]), 10.0, 10.0)
 
 
 class TestRelativeSpread:
@@ -98,25 +84,3 @@ class TestDetectPhases:
         phases = detect_phases(series, duration=100.0)
         assert phases is not None
         assert phases.plateau_mean == pytest.approx(9.0, abs=0.5)
-
-
-class TestCrossover:
-    def test_simple_crossover(self):
-        xs = [0, 10, 20, 30]
-        a = [10, 10, 10, 10]
-        b = [20, 15, 10, 8]
-        x = find_crossover(xs, a, b)
-        assert x == pytest.approx(20.0)
-
-    def test_interpolated_crossover(self):
-        xs = [0, 10]
-        a = [0, 0]
-        b = [5, -5]
-        assert find_crossover(xs, a, b) == pytest.approx(5.0)
-
-    def test_no_crossover(self):
-        assert find_crossover([0, 1], [0, 0], [1, 1]) is None
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            find_crossover([0, 1], [0], [1, 1])

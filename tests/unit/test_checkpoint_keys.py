@@ -19,7 +19,7 @@ from repro.snapshot import checkpoint_key
 DEFAULT = SimOptions()
 
 CHURN_R16_SEED2 = (
-    "72a4c4931288ac2680bf8cb5c639aa114af1a4f2997d744820310b43f9809a2f"
+    "1585171ea02fb0fe8b64b29d64f998a18fcc38827a0988de1798c4e7173f1732"
 )
 
 KEYS = {
@@ -29,34 +29,34 @@ KEYS = {
     ),
     "fig4-right r=8 A": (
         lambda: fig4_right.bootstrap_spec(8, False, options=DEFAULT),
-        "07a9a5c3879432e60366d596d05e3849716f45168e4f5fd63f1b83b5fdb630e9",
+        "ab0e07000a298409c0c8497a6e2222890b184e14a1f60252c8da721ea776113e",
     ),
     "fig4-right r=20 B warmup=60min": (
         lambda: fig4_right.bootstrap_spec(
             20, True, warmup=60 * MINUTES, options=DEFAULT
         ),
-        "d6fdfd590e6b08a319f0c275b5f842b536130e21d087e5c4dfe052ce0e8315bc",
+        "44a305a27976aede438770d0cdb34b9ce3a46182d8f109d8994de908ef3f309b",
     ),
     "load ci_spec r=8 seed=3": (
         lambda: load_exp.bootstrap_spec(
             load_exp.ci_spec(), 8, seed=3, options=DEFAULT
         ),
-        "d99b6cb2f2bea46847b2ed5656b964ef8cb69962c3ec86e259448e73489427d8",
+        "6eee9d144e0ee9effb5075507d2073f3bcd641ad750d9a4cbaf029361d721df3",
     ),
 }
 
 FUZZ_KEYS = (
-    "bbccfd604eafff8a5d92f8b0f1032e1c496d86810deab8891ca48486d9ff5411",
-    "2e94436cd4fe06219aa60e3a05a4640c2431ee2142cf2cf3ae961f56a0aaf66e",
-    "8807f63a073960f42bab0ab18ace6570f045356bda91b185641ed4eca3bc96b4",
-    "1e45b8d4b164347f289bf86c2473d27c0b1b515a7558cb86f176210834f8b6d6",
+    "9ee7ad798159e2b72b7087a28f5af2388e83b008c0a4a42f06ba8515338bf0eb",
+    "a3ab5a13171d756a3c04214306c5b591387deadc1120e66d3e01666ed9662d11",
+    "ddaf294f6c92949de75e26f55de62d3d0b02b2026797b14de8ea8571a3720e22",
+    "e3e1d4c798c23683cc7ea62295c732abe4d856c9e3bcbfedd6fb53937c02905f",
 )
 
 CAMPAIGN_KEYS = {
     "churn": ({"r": 16, "seed": 2}, CHURN_R16_SEED2),
     "load": (
         {"r": 24, "rate": 1, "skew": 0, "seed": 1, "warmup": 3600},
-        "406c1b293dec301ecd9fd5dbcd433e336f3477f611a606e86d098151bfe12086",
+        "6c2426458d23bbfde81c8c06b8eb80bd41323a1cdf4e65f761b6dd02b7e8794d",
     ),
 }
 

@@ -4,13 +4,9 @@ import random
 
 import pytest
 
-from repro.endpoint import (
-    EndpointAddress,
-    EndpointMessage,
-    EndpointRouter,
-    EndpointService,
-)
+from repro.endpoint import EndpointMessage, EndpointService
 from repro.endpoint.address import tcp_address
+from repro.endpoint.service import DEFAULT_TTL
 from repro.ids import IDFactory
 from repro.network.latency import ConstantLatency
 from repro.network.site import place_nodes
@@ -19,30 +15,6 @@ from repro.sim import Simulator
 
 
 class TestEndpointAddress:
-    def test_parse_full(self):
-        a = EndpointAddress.parse("jxta://abc123/svc/param")
-        assert (a.protocol, a.host, a.service_name, a.service_param) == (
-            "jxta", "abc123", "svc", "param",
-        )
-
-    def test_parse_transport_only(self):
-        a = EndpointAddress.parse("tcp://rennes-0:9701")
-        assert a.transport_part == "tcp://rennes-0:9701"
-        assert a.service_name == ""
-
-    def test_str_roundtrip(self):
-        text = "jxta://abc/svc/p"
-        assert str(EndpointAddress.parse(text)) == text
-
-    def test_with_service(self):
-        a = EndpointAddress("tcp", "h:1", "s", "p")
-        assert str(a) == "tcp://h:1/s/p"
-        assert EndpointAddress.parse(str(a)) == a
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            EndpointAddress.parse("no-scheme")
-
     def test_tcp_address_helper(self):
         assert tcp_address("rennes-0", 9701) == "tcp://rennes-0:9701"
         with pytest.raises(ValueError):
@@ -50,7 +22,8 @@ class TestEndpointAddress:
 
 
 def build_peers(n=3, seed=1):
-    """Create n endpoint services with routers on a fast test network."""
+    """Create n endpoint services (each owns its router) on a fast
+    test network."""
     sim = Simulator(seed=seed)
     net = Network(sim, latency=ConstantLatency(0.001), sw_overhead=0.0)
     nodes = place_nodes(n)
@@ -59,7 +32,6 @@ def build_peers(n=3, seed=1):
     for i in range(n):
         pid = factory.new_peer_id()
         svc = EndpointService(sim, net, pid, nodes[i], tcp_address(nodes[i].hostname, 9701))
-        EndpointRouter(svc)
         svc.attach()
         services.append(svc)
     return sim, net, services
@@ -87,16 +59,13 @@ class TestEndpointService:
 
     def test_unknown_service_is_dropped_silently(self):
         sim, _, (a, b, _) = build_peers()
-        a.send_direct(b.transport_address, msg(a, b, service="ghost"))
-        sim.run()  # must not raise
-
-    def test_wildcard_param_listener(self):
-        sim, _, (a, b, _) = build_peers()
         got = []
-        b.add_listener("svc", "*", got.append)
+        b.add_listener("svc", "p", got.append)
+        a.send_direct(b.transport_address, msg(a, b, service="ghost"))
+        # listeners match (name, param) exactly: another param is unknown
         a.send_direct(b.transport_address, msg(a, b, param="anything"))
-        sim.run()
-        assert len(got) == 1
+        sim.run()  # must not raise
+        assert got == [] and b.messages_in == 2
 
     def test_duplicate_listener_rejected(self):
         _, _, (a, _, _) = build_peers()
@@ -133,7 +102,7 @@ class TestRouter:
         sim, _, (a, b, _) = build_peers()
         got = []
         b.add_listener("svc", "p", got.append)
-        a.router.add_route(b.peer_id, [b.transport_address])
+        a.router.add_direct_route(b.peer_id, b.transport_address)
         a.send_to_peer(msg(a, b))
         sim.run()
         assert len(got) == 1
@@ -152,29 +121,28 @@ class TestRouter:
         got = []
         b.add_listener("svc", "p", got.append)
         a.router.set_default_route(c.transport_address)
-        c.router.add_route(b.peer_id, [b.transport_address])
+        c.router.add_direct_route(b.peer_id, b.transport_address)
         a.send_to_peer(msg(a, b))
         sim.run()
         assert len(got) == 1
-        assert got[0].hops_taken == 1
+        assert got[0].ttl == DEFAULT_TTL - 1
         assert c.messages_relayed == 1
 
     def test_send_takes_the_first_hop_that_resolve_reports(self):
         """route_and_send reads the route table without going through
-        resolve(); the two must agree for every kind of route."""
+        resolve(); the two must agree for the default and a direct
+        route."""
         sim, _, (a, b, c) = build_peers()
         sent_to = []
         a.send_direct = lambda dst, message, on_drop=None: sent_to.append(dst)
         for install in (
             lambda: a.router.set_default_route(c.transport_address),
-            lambda: a.router.add_route(b.peer_id, [b.transport_address]),
-            lambda: a.router.add_route(
-                b.peer_id, [c.transport_address, b.transport_address]),
+            lambda: a.router.add_direct_route(b.peer_id, b.transport_address),
         ):
             install()
             a.send_to_peer(msg(a, b))
-            assert sent_to.pop() == a.router.resolve(b.peer_id)[0]
-        assert a.router.forwards == 3
+            assert sent_to.pop() == a.router.resolve(b.peer_id)
+        assert a.router.forwards == 2
 
     def test_ttl_exhaustion_breaks_forwarding_loop(self):
         # a and b default-route to each other; an unroutable message
@@ -198,29 +166,13 @@ class TestRouter:
     def test_reverse_route_learning(self):
         sim, _, (a, b, _) = build_peers()
         b.add_listener("svc", "p", lambda m: None)
-        a.router.add_route(b.peer_id, [b.transport_address])
+        a.router.add_direct_route(b.peer_id, b.transport_address)
         a.send_to_peer(msg(a, b))
         sim.run()
-        assert b.router.resolve(a.peer_id) == [a.transport_address]
-
-    def test_reverse_learning_does_not_clobber_multihop_route(self):
-        sim, _, (a, b, c) = build_peers()
-        b.add_listener("svc", "p", lambda m: None)
-        b.router.add_route(a.peer_id, [c.transport_address, a.transport_address])
-        a.router.add_route(b.peer_id, [b.transport_address])
-        a.send_to_peer(msg(a, b))
-        sim.run()
-        assert b.router.resolve(a.peer_id) == [
-            c.transport_address, a.transport_address,
-        ]
-
-    def test_empty_route_rejected(self):
-        _, _, (a, b, _) = build_peers()
-        with pytest.raises(ValueError):
-            a.router.add_route(b.peer_id, [])
+        assert b.router.resolve(a.peer_id) == a.transport_address
 
     def test_remove_route(self):
         _, _, (a, b, _) = build_peers()
-        a.router.add_route(b.peer_id, [b.transport_address])
+        a.router.add_direct_route(b.peer_id, b.transport_address)
         a.router.remove_route(b.peer_id)
         assert not a.router.has_route(b.peer_id)

@@ -112,49 +112,6 @@ class TestChurnEdgeCases:
         )
         return sim, proc, events
 
-    def test_zero_downtime_revival(self):
-        # kill and revive at the same instant: the peer must come back
-        # up with both transitions delivered, and the cycle continues
-        sim, proc, events = self._proc()
-        proc.start()
-        sim.run(until=1.0)
-        assert proc.kill_now("p1") is True
-        assert proc.revive_now("p1") is True
-        assert proc.is_up["p1"]
-        assert events == [("kill", "p1"), ("revive", "p1")]
-        assert (proc.kill_count, proc.revive_count) == (1, 1)
-
-    def test_killing_already_dead_peer_is_noop(self):
-        sim, proc, events = self._proc()
-        proc.start()
-        sim.run(until=1.0)
-        assert proc.kill_now("p1") is True
-        assert proc.kill_now("p1") is False
-        assert events.count(("kill", "p1")) == 1
-        assert proc.kill_count == 1
-
-    def test_reviving_live_peer_is_noop(self):
-        sim, proc, events = self._proc()
-        proc.start()
-        sim.run(until=1.0)
-        assert proc.revive_now("p1") is False
-        assert events == []
-        assert proc.revive_count == 0
-
-    def test_forced_transitions_require_started_process(self):
-        _, proc, events = self._proc()
-        assert proc.kill_now("p1") is False
-        assert proc.revive_now("p1") is False
-        assert events == []
-
-    def test_unknown_target_rejected(self):
-        sim, proc, _ = self._proc()
-        proc.start()
-        with pytest.raises(ValueError, match="unknown churn target"):
-            proc.kill_now("ghost")
-        with pytest.raises(ValueError, match="unknown churn target"):
-            proc.revive_now("ghost")
-
     def test_empty_and_duplicate_targets_rejected(self):
         sim = Simulator(seed=7)
         model = ExponentialChurn(mean_session=10.0, mean_downtime=10.0)

@@ -171,7 +171,7 @@ class TestEndpointRouter:
     slots share with the rest of the graph, survive a snapshot."""
 
     def test_route_table_round_trips_byte_stably(self):
-        from repro.endpoint import EndpointRouter, EndpointService
+        from repro.endpoint import EndpointService
         from repro.network.site import place_nodes
 
         sim = Simulator(seed=11)
@@ -179,14 +179,14 @@ class TestEndpointRouter:
         for n in range(1, 6):
             net.interner.intern(pid(n))
         svc = EndpointService(sim, net, pid(0), place_nodes(1)[0], "tcp://h0:1")
-        router = EndpointRouter(svc)
-        router.add_route(pid(2), ["tcp://h2:1"])
-        router.add_route(pid(4), ["tcp://h1:1", "tcp://h4:1"])
-        router.learn_reverse_route(pid(7), "tcp://h7:1")  # past the end
+        router = svc.router
+        router.add_direct_route(pid(2), "tcp://h2:1")
+        router.add_direct_route(pid(4), "tcp://h4:1")
+        router.add_direct_route(pid(7), "tcp://h7:1")  # past the end
         router.remove_route(pid(2))
         routes = router._routes
         assert len(routes) == net.interner.lookup(pid(7)) + 1
-        assert {type(r) for r in routes} == {type(None), str, list}
+        assert {type(r) for r in routes} == {type(None), str}
         blob = pickle.dumps(router)
         assert pickle.dumps(router) == blob
         clone = pickle.loads(blob)
@@ -584,7 +584,7 @@ class TestDiscoveryQuery:
         )
         return ResolverQuery(
             handler_name="jxta.service.discovery", query_id=7,
-            src_peer=pid(3), src_route=["tcp://host-3:9701"], payload=payload,
+            src_peer=pid(3), src_route="tcp://host-3:9701", payload=payload,
         )
 
     def test_derived_fields_travel_with_a_routed_copy(self):

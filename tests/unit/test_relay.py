@@ -75,6 +75,23 @@ class TestRelayedDiscovery:
         sim.run(until=sim.now + 1 * MINUTES)
         assert len(results) == 1
         assert results[0][0][0].name == "behind-nat"
+        # after mixed TCP/HTTP traffic every route is one address, and
+        # each rendezvous routes its leased edges to the address they
+        # advertise (an HTTP edge's is its relay's)
+        edges = {edge.peer_id: edge for edge in overlay.group.edges}
+        leased = 0
+        for peer in overlay.rendezvous + overlay.group.edges:
+            assert all(
+                route is None or type(route) is str
+                for route in peer.router._routes
+            )
+        for rdv in overlay.rendezvous:
+            for edge_peer in rdv.lease_server.edges():
+                assert rdv.router.resolve(edge_peer) == (
+                    edges[edge_peer].endpoint.advertised_address
+                )
+                leased += 1
+        assert leased == len(edges) == 3
 
     def test_http_edge_can_search(self):
         sim, overlay, http_edge = build_with_http_edge()
@@ -148,7 +165,9 @@ class TestRelayServer:
 
         rdv = overlay.rendezvous[1]
         for i in range(6):
-            rdv.router.add_route(edge.peer_id, [overlay.rendezvous[0].address])
+            rdv.router.add_direct_route(
+                edge.peer_id, overlay.rendezvous[0].address
+            )
             rdv.endpoint.send_to_peer(
                 EndpointMessage(
                     src_peer=rdv.peer_id,

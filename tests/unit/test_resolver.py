@@ -49,7 +49,7 @@ def build_resolvers(n=3):
     for a in services:
         for b in services:
             if a is not b:
-                a.router.add_route(b.peer_id, [b.transport_address])
+                a.router.add_direct_route(b.peer_id, b.transport_address)
     return sim, services, resolvers
 
 

@@ -21,7 +21,7 @@ class TestResolverEdgeCases:
                 return "resp"
 
         rb.register_handler("other", H())
-        a.router.add_route(b.peer_id, [b.transport_address])
+        a.router.add_direct_route(b.peer_id, b.transport_address)
         ra.send_query(b.peer_id, ra.new_query("h", "x"))
         sim.run()  # no crash, no response
 
@@ -62,7 +62,7 @@ class TestResolverEdgeCases:
                 return "resp"
 
         rb.register_handler("h", Echo())
-        a.router.add_route(b.peer_id, [b.transport_address])
+        a.router.add_direct_route(b.peer_id, b.transport_address)
         q = ra.new_query("h", "x")
         ra.send_query(b.peer_id, q)
         sim.run()

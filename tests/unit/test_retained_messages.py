@@ -19,7 +19,7 @@ from repro.sim import MINUTES, Simulator
 
 SHELL_FIELDS = (
     "src_peer", "dst_peer", "service_name", "service_param", "body",
-    "origin_address", "ttl", "hops_taken",
+    "origin_address", "ttl",
 )
 
 
