@@ -28,8 +28,9 @@ smoke-campaign:
 smoke-load:
 	$(PYTHON) scripts/load_smoke.py
 
-# fuzzer acceptance checks: canary find+shrink, committed-corpus
-# replay, fuzz-digest identity across --jobs (see docs/FUZZING.md)
+# fuzzer acceptance checks: find+shrink on the expire-leak mutant (a
+# copy of src/, scripts/mutants.py), committed-corpus replay,
+# fuzz-digest identity across --jobs (see docs/FUZZING.md)
 fuzz-smoke:
 	$(PYTHON) scripts/fuzz_smoke.py
 

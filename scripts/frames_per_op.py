@@ -11,9 +11,7 @@ which is one per Python function entry and one per generator resumption
 each to the ``repro`` package that defines the code (``repro.discovery
 .service`` → ``discovery``; anything outside ``repro`` is ``other``).
 
-Regimes (build and warm-up run unprofiled; only the window is counted;
-every simulator runs the default kernel, ``SimOptions()``, whatever the
-environment says):
+Regimes (build and warm-up run unprofiled; only the window is counted):
 
 * ``flat`` — one completed LC-DHT lookup on
   ``repro.workload.regimes.FLAT`` (``discovery-flat``'s shape, the
@@ -49,7 +47,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.config import PlatformConfig
 from repro.deploy import DeployedOverlay, OverlayDescription, build_overlay
 from repro.network import Network
-from repro.sim import MINUTES, SimOptions, Simulator
+from repro.sim import MINUTES, Simulator
 from repro.workload.regimes import FLAT, WALK, walk_steps
 
 
@@ -102,7 +100,7 @@ def count_frames(run: Callable[[], None]) -> Dict[str, int]:
 def flat() -> Count:
     """Frames per completed lookup on the four-message path."""
     window = 25.0
-    sim, overlay, engine = FLAT.build(window, options=SimOptions())
+    sim, overlay, engine = FLAT.build(window)
     steps = walk_steps(overlay)
     frames = count_frames(lambda: sim.run(until=FLAT.warmup + window))
     assert walk_steps(overlay) == steps, "the flat regime walked"
@@ -114,7 +112,7 @@ def flat() -> Count:
 def walk() -> Count:
     """Frames per walk hop."""
     window = 5.0
-    sim, overlay, _ = WALK.build(window, options=SimOptions())
+    sim, overlay, _ = WALK.build(window)
     steps = walk_steps(overlay)
     frames = count_frames(lambda: sim.run(until=WALK.warmup + window))
     return Count("walk", "walk hop", walk_steps(overlay) - steps, frames)
@@ -128,7 +126,7 @@ def peerview_regime() -> Tuple[Simulator, Network, DeployedOverlay]:
     """The peerview regime, built and run to the start of its window
     (``tests/unit/test_peerview_probe_deadline.py`` counts the kernel
     work of the same window)."""
-    sim = Simulator(seed=1, options=SimOptions())
+    sim = Simulator(seed=1)
     network = Network(sim)
     overlay = build_overlay(
         sim, network, PlatformConfig(),

@@ -3,10 +3,10 @@
 
 Asserts the headline guarantees end to end:
 
-1. **Canary loop** — with the planted bug armed
-   (``SimOptions(canaries=CANARIES)``) a fixed-budget fuzz run finds
-   it, classifies it as canary-dependent and shrinks the reproducer to
-   ≤ 8 actions.
+1. **Canary loop** — on the ``peerview.expire-leak`` mutant
+   (``scripts/mutants.py``, applied to a temporary copy of ``src/``) a
+   fixed-budget fuzz run finds the planted bug and shrinks the
+   reproducer to ≤ 8 actions.
 2. **Corpus replay** — the committed ``tests/fuzz_corpus/`` entries
    replay green (via the tier-1 replayer suite).
 3. **Determinism** — ``jxta-repro fuzz --seed 0`` prints the same
@@ -26,12 +26,12 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from contextlib import contextmanager
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO / "src"))
 
 SEED = 0
 BUDGET = 24
@@ -40,7 +40,6 @@ BATCH_SIZE = 8
 
 def _env() -> dict:
     env = dict(os.environ)
-    env.pop("REPRO_CANARY", None)
     env["PYTHONPATH"] = f"{REPO / 'src'}" + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
@@ -76,26 +75,23 @@ def counted_executions():
         runner.run_case_with_midpoint_snapshot = midpoint
 
 
-def check_canary_loop() -> None:
+def canary_loop() -> str:
+    """Find and shrink; runs in the mutant's interpreter and returns
+    the line :func:`check_canary_loop` prints."""
     from repro.fuzz.engine import FuzzEngine
-    from repro.sim.options import CANARIES, SimOptions
 
-    armed = SimOptions(canaries=CANARIES)
     t0 = time.perf_counter()
     with counted_executions() as counted:
-        report = FuzzEngine(seed=SEED, options=armed).run(8)
+        report = FuzzEngine(seed=SEED).run(8)
     wall = time.perf_counter() - t0
     failures = report.failures
     assert failures, "canary bug not found within the smoke budget"
     for entry in failures:
-        assert entry.requires_canary, (
-            f"{entry.signature} misclassified as a real failure"
-        )
         assert len(entry.case.actions) <= 8, (
             f"{entry.signature} reproducer not shrunk: "
             f"{len(entry.case.actions)} actions"
         )
-    print(
+    return (
         f"fuzz-smoke: canary found and shrunk "
         f"({len(failures)} signature(s), "
         f"max {max(len(e.case.actions) for e in failures)} action(s), "
@@ -103,6 +99,14 @@ def check_canary_loop() -> None:
         f"{report.executed} genomes, {counted['executions']} executions, "
         f"{report.executed / wall:.1f} genomes/s"
     )
+
+
+def check_canary_loop() -> None:
+    import mutants
+
+    with tempfile.TemporaryDirectory() as tmp:
+        src = mutants.apply("peerview.expire-leak", Path(tmp))
+        print(mutants.call_in(src, Path(__file__), "canary_loop"))
 
 
 def check_corpus_replay() -> None:

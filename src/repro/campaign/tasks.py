@@ -308,9 +308,7 @@ def fuzz_finalize(records: list, out_dir: Path) -> list:
     ]
     for entry in merged.failures:
         lines.insert(
-            1,
-            f"#   {entry.signature}: {len(entry.case.actions)} action(s)"
-            f"{' [canary]' if entry.requires_canary else ''}",
+            1, f"#   {entry.signature}: {len(entry.case.actions)} action(s)"
         )
     return lines
 

@@ -31,7 +31,7 @@ from repro.experiments.common import (
 from repro.metrics import render_table
 from repro.network.churn import ChurnProcess, ExponentialChurn
 from repro.network import Network
-from repro.sim import HOURS, MINUTES, SimOptions, Simulator
+from repro.sim import HOURS, MINUTES, Simulator
 from repro.snapshot import CheckpointStore, warm_start
 
 
@@ -64,7 +64,6 @@ def bootstrap_spec(
     seed: int = 1,
     warmup: float = 15 * MINUTES,
     config: Optional[PlatformConfig] = None,
-    options: Optional[SimOptions] = None,
 ) -> Dict[str, Any]:
     """Checkpoint key for the churn bootstrap.  The churn laws
     (``mean_session``/``mean_downtime``) and ``queries`` are
@@ -76,7 +75,6 @@ def bootstrap_spec(
         "seed": seed,
         "warmup": warmup,
         "targets": TARGET_COUNT,
-        "options": asdict(options or SimOptions.from_env()),
         "config": asdict(config or PlatformConfig()),
     }
 
@@ -85,7 +83,7 @@ def _bootstrap(key: Dict[str, Any]) -> Tuple[Network, Dict[str, Any]]:
     """Deploy, publish the churn targets and warm up: the churn-law-
     independent prefix of :func:`run_point`, built from its key."""
     r = key["r"]
-    sim = Simulator(seed=key["seed"], options=SimOptions(**key["options"]))
+    sim = Simulator(seed=key["seed"])
     network = Network(sim)
     overlay = build_overlay(
         sim, network, PlatformConfig(**key["config"]),

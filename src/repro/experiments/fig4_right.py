@@ -33,7 +33,7 @@ from repro.experiments.common import (
 )
 from repro.metrics import render_table
 from repro.network import Network
-from repro.sim import HOURS, MINUTES, SimOptions, Simulator
+from repro.sim import HOURS, MINUTES, Simulator
 from repro.snapshot import CheckpointStore, warm_start
 from repro.workload import noiser_catalog, publish_catalog
 
@@ -86,7 +86,6 @@ def bootstrap_spec(
     noisers: int = NOISER_COUNT,
     fakes_per_noiser: int = FAKES_PER_NOISER,
     config: Optional[PlatformConfig] = None,
-    options: Optional[SimOptions] = None,
 ) -> Dict[str, Any]:
     """Canonical description of everything the warm-started state
     depends on: the :class:`~repro.snapshot.CheckpointStore` key.
@@ -101,7 +100,6 @@ def bootstrap_spec(
         "warmup": max(warmup, 4 * MINUTES),
         "noisers": noiser_count,
         "fakes_per_noiser": fakes_per_noiser if noiser_count else 0,
-        "options": asdict(options or SimOptions.from_env()),
         "config": asdict(config or PlatformConfig()),
     }
 
@@ -111,7 +109,7 @@ def _bootstrap(key: Dict[str, Any]) -> Tuple[Network, Dict[str, Any]]:
     measurement-independent prefix of :func:`run_point`), built from
     its key."""
     r = key["r"]
-    sim = Simulator(seed=key["seed"], options=SimOptions(**key["options"]))
+    sim = Simulator(seed=key["seed"])
     network = Network(sim)
 
     noiser_count = key["noisers"]

@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.config import PlatformConfig
 from repro.deploy import OverlayDescription, build_overlay
 from repro.network import Network
-from repro.sim import MINUTES, SimOptions, Simulator
+from repro.sim import MINUTES, Simulator
 from repro.snapshot import CheckpointStore, warm_start
 from repro.workload import (
     TraceOp,
@@ -105,9 +105,8 @@ class LoadRun:
 
 
 def _deploy(client_count: int, r: int, seed: int,
-            config: Optional[PlatformConfig] = None,
-            options: Optional[SimOptions] = None):
-    sim = Simulator(seed=seed, options=options)
+            config: Optional[PlatformConfig] = None):
+    sim = Simulator(seed=seed)
     network = Network(sim)
     cfg = config if config is not None else PlatformConfig()
     overlay = build_overlay(
@@ -127,7 +126,6 @@ def bootstrap_spec(
     r: int,
     seed: int = 1,
     config: Optional[PlatformConfig] = None,
-    options: Optional[SimOptions] = None,
 ) -> Dict[str, Any]:
     """Checkpoint key for a load-run bootstrap: overlay shape, seed,
     warm-up timeline and the *published* face of the catalog (names +
@@ -150,7 +148,6 @@ def bootstrap_spec(
             "prefix": spec.catalog.get("prefix", "item"),
             "payload_bytes": catalog.payload_bytes,
         },
-        "options": asdict(options or SimOptions.from_env()),
         "config": asdict(config or PlatformConfig()),
     }
 
@@ -166,7 +163,6 @@ def _bootstrap(key: Dict[str, Any]) -> Tuple[Network, Dict[str, Any]]:
     clients = key["queriers"] + key["publishers"]
     sim, overlay = _deploy(
         clients, key["r"], key["seed"], PlatformConfig(**key["config"]),
-        SimOptions(**key["options"]),
     )
     # publish_catalog's partition: publisher edges, or every client
     # edge when the population has no publishers (mirrors

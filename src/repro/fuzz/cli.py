@@ -136,10 +136,7 @@ def fuzz_main(argv: Optional[Sequence[str]] = None) -> int:
         f"({len(report.failures)} failure(s))"
     )
     for entry in report.failures:
-        say(
-            f"#   {entry.signature}: {len(entry.case.actions)} "
-            f"action(s){' [canary]' if entry.requires_canary else ''}"
-        )
+        say(f"#   {entry.signature}: {len(entry.case.actions)} action(s)")
     if report.skipped:
         say(f"# skipped oracle checks: {report.skipped}")
     print(f"# digest: {report.digest()}")

@@ -6,15 +6,14 @@ reason it is kept:
 * ``kind="coverage"`` — the case exercised coverage keys no earlier
   case in its batch had reached (``new_keys`` records which);
 * ``kind="failure"`` — the (shrunk) case fails an oracle, identified
-  by ``signature``;
-* ``kind="canary"`` — a failure that only reproduces with a planted
-  bug armed in ``SimOptions.canaries`` (``requires_canary`` is set); these
-  live in a separate file so the tier-1 replayer can assert them
-  *red* under the canary and keep everything else green.
+  by ``signature``.
 
 The committed regression corpus lives under ``tests/fuzz_corpus/``
 (one JSON object per line, sorted by the entry sort key so diffs are
-stable); ``tests/fuzz/test_corpus_replay.py`` re-runs every entry.
+stable); ``tests/fuzz/test_corpus_replay.py`` re-runs every entry, and
+the failures a mutant of the source produces (``scripts/mutants.py``)
+live there in a file of their own, red under the mutant and green on
+the product.
 
 ``merge_entries`` is the determinism keystone for multi-worker runs:
 it deduplicates by ``(kind, signature, case_key)``, keeps the
@@ -32,7 +31,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple, Union
 from repro.campaign.spec import canonical_json
 from repro.fuzz.genome import FuzzCase, case_key, from_dict, to_dict, to_json
 
-ENTRY_KINDS = ("coverage", "failure", "canary")
+ENTRY_KINDS = ("coverage", "failure")
 
 
 @dataclass(frozen=True)
@@ -41,13 +40,12 @@ class CorpusEntry:
     kind: str = "coverage"
     signature: str = ""
     new_keys: Tuple[str, ...] = ()
-    requires_canary: bool = False
     note: str = ""
 
     def __post_init__(self) -> None:
         if self.kind not in ENTRY_KINDS:
             raise ValueError(f"unknown corpus entry kind: {self.kind!r}")
-        if self.kind in ("failure", "canary") and not self.signature:
+        if self.kind == "failure" and not self.signature:
             raise ValueError(f"{self.kind} entry requires a signature")
 
 
@@ -57,7 +55,6 @@ def entry_to_dict(entry: CorpusEntry) -> Dict[str, object]:
         "signature": entry.signature,
         "case": to_dict(entry.case),
         "new_keys": list(entry.new_keys),
-        "requires_canary": entry.requires_canary,
         "note": entry.note,
     }
 
@@ -68,7 +65,6 @@ def entry_from_dict(data: Dict[str, object]) -> CorpusEntry:
         kind=data.get("kind", "coverage"),
         signature=data.get("signature", ""),
         new_keys=tuple(data.get("new_keys", ())),
-        requires_canary=bool(data.get("requires_canary", False)),
         note=data.get("note", ""),
     )
 
@@ -89,7 +85,7 @@ def merge_entries(
 ) -> List[CorpusEntry]:
     """Union corpora from any number of workers, order-independently.
 
-    Coverage entries dedup by exact case; failure/canary entries keep
+    Coverage entries dedup by exact case; failure entries keep
     one minimal reproducer per signature.  The result is sorted by
     ``(kind, signature, case_key)``."""
     coverage: Dict[str, CorpusEntry] = {}

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -50,7 +50,6 @@ from repro.fuzz.genome import (
 )
 from repro.fuzz.runner import ORACLES, Failure, check_case
 from repro.fuzz.shrink import shrink_case
-from repro.sim import SimOptions
 
 #: per-failure shrink probe budget
 SHRINK_PROBES = 120
@@ -144,7 +143,7 @@ def merge_reports(
 
 
 class FuzzEngine:
-    """One deterministic fuzzing batch, run under ``options``."""
+    """One deterministic fuzzing batch."""
 
     def __init__(
         self,
@@ -153,10 +152,8 @@ class FuzzEngine:
         oracles: Sequence[str] = ORACLES,
         store=None,
         log: Optional[Callable[[str], None]] = None,
-        options: Optional[SimOptions] = None,
     ) -> None:
         self.seed = seed
-        self.options = options or SimOptions.from_env()
         self.bounds = bounds
         self.oracles = tuple(oracles)
         self.store = store
@@ -187,30 +184,17 @@ class FuzzEngine:
 
     # -- failure handling -------------------------------------------------
 
-    def _still_fails(
-        self, failure: Failure, options: Optional[SimOptions] = None
-    ) -> Callable[[FuzzCase], bool]:
-        options = options or self.options
-
+    def _still_fails(self, failure: Failure) -> Callable[[FuzzCase], bool]:
         def predicate(candidate: FuzzCase) -> bool:
             probe = check_case(
                 candidate, oracles=(failure.oracle,), store=self.store,
-                coverage=False, options=options,
+                coverage=False,
             )
             return any(
                 f.signature == failure.signature for f in probe.failures
             )
 
         return predicate
-
-    def _requires_canary(
-        self, failure: Failure, case: FuzzCase
-    ) -> bool:
-        """Does this reproducer pass with every canary disarmed?"""
-        if not self.options.canaries:
-            return False
-        disarmed = replace(self.options, canaries=())
-        return not self._still_fails(failure, disarmed)(case)
 
     def _record_failure(self, failure: Failure, case: FuzzCase) -> None:
         self._failed_signatures.add(failure.signature)
@@ -226,13 +210,11 @@ class FuzzEngine:
         )
         self.report.shrink_probes += result.probes
         shrunk = result.case
-        canary = self._requires_canary(failure, shrunk)
         self._entries.append(
             CorpusEntry(
                 case=shrunk,
-                kind="canary" if canary else "failure",
+                kind="failure",
                 signature=failure.signature,
-                requires_canary=canary,
                 note=f"oracle={failure.oracle}",
             )
         )
@@ -250,9 +232,7 @@ class FuzzEngine:
         if key in self._seen:
             return
         self._seen.add(key)
-        result = check_case(
-            case, self.oracles, self.store, options=self.options
-        )
+        result = check_case(case, self.oracles, self.store)
         self.report.skipped += len(result.skipped)
         new_keys = set(result.base.coverage) - self._coverage
         self._coverage.update(result.base.coverage)

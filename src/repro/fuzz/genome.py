@@ -579,7 +579,7 @@ SEED_CASES: Tuple[FuzzCase, ...] = (
         pve_expiration=300.0, peerview_interval=30.0,
     ),
     # 2 — crash + expiry: crashed peers' entries age out of every other
-    # view (the path the peerview.expire-leak canary corrupts)
+    # view (the path scripts/mutants.py's peerview.expire-leak corrupts)
     FuzzCase(
         seed=2, r=6, topology="chain", duration=300.0,
         pve_expiration=60.0, peerview_interval=15.0,

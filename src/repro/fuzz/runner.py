@@ -22,8 +22,8 @@ Oracles (:func:`check_case`):
 ``invariants``
     Any :class:`~repro.faults.InvariantChecker` violation.  The fault
     matrix pins that the standard fault classes produce *zero*
-    violations, so a violation here is a real bug (or a planted canary
-    armed in ``SimOptions.canaries``).
+    violations, so a violation here is a real bug (or a planted one: a
+    mutant applied to a copy of the source, ``scripts/mutants.py``).
 ``snapshot``
     Pausing at mid-run, snapshotting, continuing — and separately
     restoring the snapshot and continuing — must both reproduce the
@@ -58,7 +58,7 @@ from repro.fuzz.genome import (
 )
 from repro.network import Network
 from repro.obs.runtime import ObsSession, activate, deactivate
-from repro.sim import SimOptions, Simulator
+from repro.sim import Simulator
 from repro.sim.tracing import KernelTraceRecorder, trace_digest
 from repro.snapshot import (
     SnapshotError,
@@ -122,17 +122,13 @@ def end_time(case: FuzzCase) -> float:
     return case.duration + WORKLOAD_TIMEOUT + DRAIN_SLACK
 
 
-def bootstrap_spec(
-    case: FuzzCase, options: Optional[SimOptions] = None, metrics: bool = True,
-) -> Dict[str, Any]:
+def bootstrap_spec(case: FuzzCase, metrics: bool = True) -> Dict[str, Any]:
     """Checkpoint key of a case's fault-free bootstrap prefix.  Keyed
     on everything the prefix depends on — actions and workload traffic
     only start after ``BOOTSTRAP_TIME``, so shrink probes that differ
-    only in those share one cached prefix — the options the blob
-    carries, and ``metrics``: the network pickles its obs hub, so a
-    prefix built without one would restore into a coverage-reading run
-    with its counters missing."""
-    options = options or SimOptions.from_env()
+    only in those share one cached prefix — and ``metrics``: the
+    network pickles its obs hub, so a prefix built without one would
+    restore into a coverage-reading run with its counters missing."""
     edge_count = (
         workload_spec_of(case).client_count if case.workload else 0
     )
@@ -144,7 +140,6 @@ def bootstrap_spec(
         "edge_count": edge_count,
         "bootstrap_time": BOOTSTRAP_TIME,
         "config": asdict(platform_config_of(case)),
-        "options": asdict(options),
         "metrics": metrics,
     }
 
@@ -152,7 +147,7 @@ def bootstrap_spec(
 def _bootstrap(key: Dict[str, Any]) -> Tuple[Network, Dict[str, Any]]:
     """The fault-free prefix, built from its key: deploy, start, run to
     ``BOOTSTRAP_TIME``."""
-    sim = Simulator(seed=key["seed"], options=SimOptions(**key["options"]))
+    sim = Simulator(seed=key["seed"])
     recorder = KernelTraceRecorder(sim)
     network = Network(sim)
     r, edges = key["r"], key["edge_count"]
@@ -221,7 +216,6 @@ class _NoHubSession(ObsSession):
 
 def run_case(
     case: FuzzCase,
-    options: Optional[SimOptions] = None,
     store=None,
     reads: Sequence[str] = EVERYTHING,
     replay_ops: Optional[Sequence[Any]] = None,
@@ -229,12 +223,11 @@ def run_case(
     """One seeded execution of ``case`` under the invariant checker,
     collecting what ``reads`` names of :data:`EVERYTHING` for the
     caller."""
-    options = options or SimOptions.from_env()
     metrics = COVERAGE in reads
     session = activate(ObsSession() if metrics else _NoHubSession())
     try:
         network, extra = warm_start(
-            store, bootstrap_spec(case, options, metrics), _bootstrap
+            store, bootstrap_spec(case, metrics), _bootstrap
         )
         overlay, recorder = extra["overlay"], extra["recorder"]
         if DIGEST not in reads:
@@ -283,7 +276,7 @@ def run_case(
 
 
 def run_case_with_midpoint_snapshot(
-    case: FuzzCase, options: SimOptions, store=None
+    case: FuzzCase, store=None,
 ) -> Tuple[Optional[list], Optional[list], Optional[str]]:
     """The snapshot-invisibility probe: pause at mid-run, snapshot,
     continue; separately restore the blob and continue that copy.
@@ -296,7 +289,7 @@ def run_case_with_midpoint_snapshot(
     session = activate(ObsSession(metrics=True))
     try:
         network, extra = warm_start(
-            store, bootstrap_spec(case, options), _bootstrap
+            store, bootstrap_spec(case), _bootstrap
         )
         overlay, recorder = extra["overlay"], extra["recorder"]
         sim = network.sim
@@ -371,17 +364,14 @@ def check_case(
     oracles: Sequence[str] = ORACLES,
     store=None,
     coverage: bool = True,
-    options: Optional[SimOptions] = None,
 ) -> CaseReport:
-    """Run ``case`` under the requested oracle subset and ``options``
-    (default :meth:`SimOptions.from_env`).  Re-executions collect what
-    their oracle compares, and so does the base for a caller that reads
-    ``failures`` only (``coverage=False``: shrink probes); otherwise it
-    adds the kernel trace and the coverage keys."""
+    """Run ``case`` under the requested oracle subset.  Re-executions
+    collect what their oracle compares, and so does the base for a
+    caller that reads ``failures`` only (``coverage=False``: shrink
+    probes); otherwise it adds the kernel trace and the coverage keys."""
     unknown = set(oracles) - set(ORACLES)
     if unknown:
         raise ValueError(f"unknown oracle(s): {sorted(unknown)}")
-    options = options or SimOptions.from_env()
     need_replay = "replay" in oracles and case.workload is not None
     reads = []
     if coverage or "snapshot" in oracles:
@@ -390,7 +380,7 @@ def check_case(
         reads.append(COVERAGE)
     if need_replay:
         reads.append(WORKLOAD)
-    base = run_case(case, options=options, store=store, reads=reads)
+    base = run_case(case, store=store, reads=reads)
     failures: List[Failure] = []
     skipped: List[str] = []
 
@@ -411,7 +401,7 @@ def check_case(
 
     if "snapshot" in oracles:
         continued, restored, skip = run_case_with_midpoint_snapshot(
-            case, options, store=store
+            case, store=store
         )
         if skip is not None:
             skipped.append(f"snapshot: {skip}")
@@ -446,7 +436,7 @@ def check_case(
             skipped.append("replay: case has no workload")
         else:
             replayed = run_case(
-                case, options=options, store=store, reads=(WORKLOAD,),
+                case, store=store, reads=(WORKLOAD,),
                 replay_ops=base.trace_ops,
             )
             if (

@@ -87,19 +87,14 @@ PeerViewListener = Callable[[PeerViewEvent], None]
 
 
 class PeerView:
-    """Sorted, expiring set of rendezvous advertisements.
-
-    ``expire_leak`` arms the ``"peerview.expire-leak"`` canary
-    (docs/FUZZING.md)."""
+    """Sorted, expiring set of rendezvous advertisements."""
 
     def __init__(
         self,
         local_adv: RdvAdvertisement,
         interner: Optional[IdInternTable] = None,
-        expire_leak: bool = False,
     ) -> None:
         self.local_adv = local_adv
-        self.expire_leak = expire_leak
         self.local_peer_id = local_adv.rdv_peer_id
         #: shared per-network table normally; a private one keeps
         #: standalone views (unit tests, worked examples) working
@@ -292,10 +287,6 @@ class PeerView:
             return []
         for key in dead_keys:
             self.remove_by_key(key, now, reason="expired")
-            if self.expire_leak and key % 3 == 1:
-                # the planted canary: the _order slot goes back, leaving
-                # the ordered list inconsistent with the entry map
-                bisect.insort(self._order, self.interner.order_token(key))
         id_of = self.interner.id_of
         return [id_of(key) for key in dead_keys]
 

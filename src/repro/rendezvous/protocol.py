@@ -49,7 +49,6 @@ from repro.rendezvous.messages import (
     PeerViewUpdate,
 )
 from repro.rendezvous.peerview import PeerView
-from repro.sim.options import EXPIRE_LEAK
 from repro.sim.process import PeriodicTask, Process
 
 #: Endpoint service name for peerview traffic (as in JXTA-C).
@@ -73,8 +72,7 @@ class PeerViewProtocol(Process):
         self.config = config
         self.local_adv = local_adv
         self.group_param = group_param
-        leak = EXPIRE_LEAK in self.sim.options.canaries
-        self.view = PeerView(local_adv, endpoint.interner, leak)
+        self.view = PeerView(local_adv, endpoint.interner)
         #: outstanding probes: target transport address -> deadline
         #: (sent_at + probe_timeout); see _probe_address
         self._pending_probes: Dict[str, float] = {}

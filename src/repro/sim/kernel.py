@@ -52,7 +52,6 @@ from typing import Any, Callable, Optional
 
 from repro.sim.clock import Clock, format_time
 from repro.sim.errors import SchedulingError, SimulationLimitExceeded
-from repro.sim.options import SimOptions
 from repro.sim.rng import RngRegistry
 
 TraceHook = Callable[[float, str, "EventHandle"], None]
@@ -158,14 +157,10 @@ class Simulator:
     max_events:
         Safety valve: abort if more than this many events fire in one
         ``run`` call (guards against runaway protocol loops).
-    options:
-        :class:`~repro.sim.options.SimOptions`, read by the network and
-        the protocols as ``sim.options``; ``None`` means
-        :meth:`SimOptions.from_env`.
     """
 
     __slots__ = (
-        "clock", "rng", "seed", "compactions", "options",
+        "clock", "rng", "seed", "compactions",
         "_queue", "_seq", "_events_fired", "_cancelled", "_dead",
         "_max_events", "_running", "_stop_requested",
         "_trace_hooks", "_fire_hooks", "_done_hooks", "_hooks_active",
@@ -175,12 +170,10 @@ class Simulator:
         self,
         seed: int = 0,
         max_events: Optional[int] = None,
-        options: Optional[SimOptions] = None,
     ) -> None:
         self.clock = Clock()
         self.rng = RngRegistry(seed)
         self.seed = seed
-        self.options = options or SimOptions.from_env()
         self._queue: list[tuple[float, int, EventHandle]] = []
         #: scheduled-event count; doubles as the FIFO tie-breaker
         self._seq = 0
@@ -457,9 +450,7 @@ class Simulator:
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         """State contract (see docs/CHECKPOINTS.md): the heap, the
-        clock, the seq counter and the RNG registry pickle verbatim, and
-        so do the options (a restored run runs as it was built,
-        whatever the restoring process's environment); the
+        clock, the seq counter and the RNG registry pickle verbatim; the
         run-control flags reset (a snapshot is only legal between
         ``run`` calls).  The derived ``_fire_hooks``/``_done_hooks``
         views are rebuilt from ``_trace_hooks``."""

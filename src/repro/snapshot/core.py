@@ -14,10 +14,9 @@ at the restored peers.
 The determinism contract (pinned by the snapshot test suites and a CI
 step): a restored run fires the exact same ``(time, seq)`` event
 sequence as the never-checkpointed run and reproduces golden traces,
-obs digests and workload SLO snapshots byte for byte.  The blob
-carries the simulator's :class:`~repro.sim.options.SimOptions`: a
-restored run runs as it was built, whatever the restoring process's
-environment.
+obs digests and workload SLO snapshots byte for byte.  Nothing in the
+blob depends on the restoring process's environment: a restored run
+runs as it was built.
 
 What does NOT snapshot — by design (see docs/CHECKPOINTS.md):
 
@@ -42,7 +41,7 @@ from typing import Any, Tuple
 #: Bump whenever the pickled state contract changes incompatibly
 #: (slot layouts, event-heap entry layout, RNG stream naming).  Stored
 #: checkpoints with another version are invalidated, not misread.
-SNAPSHOT_VERSION = 21
+SNAPSHOT_VERSION = 22
 
 #: sha256 of the pickled layout (classes, their fields, container
 #: types) reachable from a reference snapshot, as
@@ -50,7 +49,7 @@ SNAPSHOT_VERSION = 21
 #: that test fails the layout moved: bump the version above, then
 #: regenerate this value with the command the failure prints.
 SNAPSHOT_LAYOUT_FINGERPRINT = (
-    "aee9d15e6677576010fd45d18f9370a195a8583c2c4b7da8638252976f21db86"
+    "3e3f6f0d525dd1bee0f559a7e3b36c110b2b9326490103799d56c07cef5ad4f5"
 )
 
 _MAGIC = b"repro-snap"

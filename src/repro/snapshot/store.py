@@ -2,8 +2,8 @@
 
 A checkpoint is keyed by the SHA-256 of the *canonical bootstrap spec*
 — the JSON description of everything the warm-started state depends on
-(overlay size, seed, warmup horizon, protocol overrides, sim options,
-snapshot version...).  Same spec → same key → same bytes, however many
+(overlay size, seed, warmup horizon, protocol overrides, snapshot
+version...).  Same spec → same key → same bytes, however many
 tasks share the prefix; a spec change — however small — misses and
 rebuilds rather than silently reusing stale state.
 

@@ -20,12 +20,12 @@ chain-bootstrapped overlay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.config import PlatformConfig
 from repro.deploy import DeployedOverlay, OverlayDescription, build_overlay
 from repro.network import Network
-from repro.sim import HOURS, MINUTES, SimOptions, Simulator
+from repro.sim import HOURS, MINUTES, Simulator
 from repro.workload.spec import WorkloadEngine, WorkloadSpec
 
 #: peerview entries outlive the run, so views stay complete once formed
@@ -61,13 +61,13 @@ class QueryRegime:
         )
 
     def build(
-        self, duration: float, options: Optional[SimOptions] = None
+        self, duration: float,
     ) -> Tuple[Simulator, DeployedOverlay, WorkloadEngine]:
         """Build the overlay and its clients and run the warm-up: the
         returned simulator stands at ``warmup`` with complete views,
         and the queriers run for ``duration`` simulated seconds."""
         spec = self.spec(duration)
-        sim = Simulator(seed=1, options=options)
+        sim = Simulator(seed=1)
         network = Network(sim)
         overlay = build_overlay(
             sim, network, TUNED,

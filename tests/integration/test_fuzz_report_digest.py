@@ -10,20 +10,17 @@ below them pin what the cheaper re-executions lean on: a metrics hub
 is invisible to the kernel trace, and a warm-started bootstrap prefix
 never crosses between executions with and without one."""
 
-import functools
-
 import pytest
 
 from repro.fuzz import SEED_CASES, FuzzEngine, case_key, run_case
 from repro.fuzz import engine as engine_mod
 from repro.fuzz.runner import COVERAGE, DIGEST, Failure, bootstrap_spec
-from repro.sim.options import CANARIES, SimOptions
 from repro.snapshot import CheckpointStore
 
 SEED = 7
 BUDGET = len(SEED_CASES) + 4
 REPORT_DIGEST = (
-    "be84f7fb44ad0e91c440d27c66b359bc2c3e285baba49a0420cea3e14b39e3de"
+    "4798e0bf436213c00bf6665bc7c42f3e36b0576396d4730d33b49abb601a0ba8"
 )
 SKIPPED = 9
 COVERAGE_KEYS = 109
@@ -41,26 +38,22 @@ EXECUTED = (
     ("ea38f218d8cd1b3d", (), 43, (NO_SNAPSHOT,)),
 )
 
-#: ``FuzzEngine(seed=0).run(8)`` with the planted canary armed: two
-#: signatures found at seed case 2, both shrunk to zero actions
-CANARY_DIGEST = (
-    "27d4209c6e49e5459aaa066ab0a400b2620c9d5394182767ebc150ed8999532e"
+#: ``FuzzEngine(seed=0).run(8)`` on the ``peerview.expire-leak`` mutant
+#: (the ``expire_leak`` fixture): two signatures found at seed case 2,
+#: both shrunk to zero actions
+MUTANT_DIGEST = (
+    "24c2e7be7e3d011fa891379f4f097f594ec8cdd5d71d0eb32993559c3e7a50a5"
 )
-CANARY_SHRINK_PROBES = 13
+MUTANT_SHRINK_PROBES = 13
 
 
 #: the ids name the two schedulers the constants were pinned under until
 #: the kernel became one event heap.  Both ids of the report test run the
 #: engine, and both must read the pinned values, so neither run may lean on
-#: an earlier one in the same process; the canary test's ids share one run.
+#: an earlier one in the same process; the mutant test's ids share one run.
 @pytest.fixture(params=("wheel", "heap"))
 def repeat(request):
     return request.param
-
-
-@functools.cache
-def _canary_report():
-    return FuzzEngine(seed=0, options=SimOptions(canaries=CANARIES)).run(8)
 
 
 def test_report_and_per_genome_verdicts_are_pinned(repeat, monkeypatch):
@@ -78,7 +71,7 @@ def test_report_and_per_genome_verdicts_are_pinned(repeat, monkeypatch):
         return result
 
     monkeypatch.setattr(engine_mod, "check_case", recording)
-    report = FuzzEngine(seed=SEED, options=SimOptions()).run(BUDGET)
+    report = FuzzEngine(seed=SEED).run(BUDGET)
     assert report.digest() == REPORT_DIGEST
     assert report.executed == BUDGET
     assert report.skipped == SKIPPED
@@ -87,11 +80,13 @@ def test_report_and_per_genome_verdicts_are_pinned(repeat, monkeypatch):
     assert tuple(executed) == EXECUTED
 
 
-def test_canary_find_and_shrink_is_pinned(repeat):
-    report = _canary_report()
-    assert report.digest() == CANARY_DIGEST
-    assert report.shrink_probes == CANARY_SHRINK_PROBES
-    assert [(e.signature, len(e.case.actions)) for e in report.failures] == [
+def test_canary_find_and_shrink_is_pinned(repeat, expire_leak):
+    assert expire_leak["digests"][0] == MUTANT_DIGEST
+    assert expire_leak["shrink_probes"] == MUTANT_SHRINK_PROBES
+    assert [
+        (e["signature"], len(e["case"]["actions"]))
+        for e in expire_leak["failures"]
+    ] == [
         ("invariants:peerview.consistency", 0),
         ("invariants:peerview.total-order", 0),
     ]

@@ -134,8 +134,7 @@ def test_merge_dedups_and_keeps_smallest_reproducer():
 
 def test_entry_dict_round_trip():
     entry = _entry(
-        4, kind="canary", signature="invariants:y",
-        requires_canary=True, note="oracle=invariants",
+        4, kind="failure", signature="invariants:y", note="oracle=invariants",
     )
     assert entry_to_dict(entry_from_dict(entry_to_dict(entry))) == (
         entry_to_dict(entry)
@@ -243,15 +242,11 @@ def test_cli_rejects_bad_flags(capsys):
         fuzz_main(["--jobs", "0"])
 
 
-def test_cli_exit_code_signals_failures(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_CANARY", "1")
-    rc = fuzz_main(
-        ["--seed", "0", "--budget", "2", "--batch-size", "2",
-         "--oracles", "invariants", "--quiet", "--out", str(tmp_path)]
-    )
-    assert rc == 1
-    corpus = load_corpus(tmp_path / "fuzz-corpus.jsonl")
-    assert any(e.kind == "canary" for e in corpus)
+def test_cli_exit_code_signals_failures(expire_leak):
+    # ``--seed 0 --budget 2 --batch-size 2 --oracles invariants --out``,
+    # run on the expire-leak mutant
+    assert expire_leak["cli_exit"] == 1
+    assert any(e["kind"] == "failure" for e in expire_leak["cli_corpus"])
 
 
 def _cli_lines(capsys, jobs):

@@ -29,12 +29,6 @@ from repro.workload.trace import TraceOp
 PLAIN, CRASH, CHURN, LOADED = SEED_CASES
 
 
-@pytest.fixture(autouse=True)
-def default_options(monkeypatch):
-    """No canary armed, whatever the environment sets."""
-    monkeypatch.delenv("REPRO_CANARY", raising=False)
-
-
 # ---------------------------------------------------------------------------
 # verdicts, on planted divergences
 # ---------------------------------------------------------------------------
@@ -55,8 +49,7 @@ def _plant(monkeypatch, diverges=lambda **call: False, midpoint=("", ""),
     trace; ``midpoint`` marks the continued and the restored one)."""
     calls = []
 
-    def fake_run_case(case, options=None, store=None,
-                      reads=EVERYTHING, replay_ops=None):
+    def fake_run_case(case, store=None, reads=EVERYTHING, replay_ops=None):
         call = dict(reads=tuple(reads), replay=replay_ops is not None)
         calls.append(call)
         mark = "!" if diverges(**call) else ""
@@ -68,7 +61,7 @@ def _plant(monkeypatch, diverges=lambda **call: False, midpoint=("", ""),
             trace_ops=_ops(mark) if WORKLOAD in reads else None,
         )
 
-    def fake_midpoint(case, options, store=None):
+    def fake_midpoint(case, store=None):
         if case.workload is not None or runner.has_churn(case):
             return None, None, "not snapshottable"
         return (*map(trace, midpoint), None)

@@ -111,19 +111,6 @@ class TestExpiry:
         assert view.expire(now=50.1, pve_expiration=50.0) == []
         assert view.expire(now=50.2, pve_expiration=50.0) == [pid(10)]
 
-    def test_expire_leak_canary_leaks_every_third_key(self):
-        for armed in (False, True):
-            view = PeerView(adv(50), expire_leak=armed)
-            for n in range(1, 9):
-                view.upsert(adv(n), now=0.0)
-            leaked = sum(1 for key in view.known_keys() if key % 3 == 1)
-            assert leaked
-            assert len(view.expire(now=101.0, pve_expiration=100.0)) == 8
-            assert view.size == 0
-            # armed, the ordered-list slot of every key with key % 3 == 1
-            # goes back; unarmed, every slot goes
-            assert view.member_count() == 1 + (leaked if armed else 0)
-
 
 class TestRemove:
     def test_remove_present(self, view):

@@ -14,10 +14,9 @@ def build_rdv_overlay(
     topology="chain",
     seed=1,
     latency=0.002,
-    options=None,
     **config_overrides,
 ):
-    sim = Simulator(seed=seed, options=options)
+    sim = Simulator(seed=seed)
     net = Network(sim, latency=ConstantLatency(latency))
     config = PlatformConfig().with_overrides(**config_overrides)
     overlay = build_overlay(

@@ -25,8 +25,7 @@ from repro.network.latency import ConstantLatency
 from repro.network.transport import Network
 from repro.rendezvous.peerview import PeerView
 from repro.resolver.messages import ResolverQuery
-from repro.sim import SimOptions, Simulator
-from repro.sim.options import CANARIES
+from repro.sim import Simulator
 from repro.sim.kernel import EventHandle, SchedulingError
 from repro.sim.rng import RngRegistry
 from repro.snapshot import restore_network, snapshot_network
@@ -108,8 +107,8 @@ class TestSimulator:
     # event heap; both run it
     @pytest.mark.parametrize("repeat", ["wheel", "heap"])
     def test_round_trip_is_byte_stable(self, repeat):
-        # fired, pending and tombstoned entries, non-default options
-        sim = Simulator(seed=3, options=SimOptions(canaries=CANARIES))
+        # fired, pending and tombstoned entries
+        sim = Simulator(seed=3)
         for i, delay in enumerate([0.1, 0.2, 0.3, 0.3, 7.0, 500.0]):
             sim.schedule(delay, _noop, i, label=f"ev-{i}")
         sim.schedule(30.0, _noop).cancel()
@@ -118,8 +117,6 @@ class TestSimulator:
         blob = pickle.dumps(sim)
         clone = pickle.loads(blob)
         assert pickle.dumps(clone) == blob
-        # the options travel with the blob
-        assert clone.options == sim.options
 
     def test_refuses_to_pickle_mid_run(self):
         sim = Simulator(seed=3)
@@ -222,13 +219,11 @@ class TestJxtaID:
 
 class TestNetwork:
     def test_cached_bound_methods_follow_restored_simulator(self):
-        sim = Simulator(seed=11, options=SimOptions(canaries=CANARIES))
+        sim = Simulator(seed=11)
         net = Network(sim, latency=ConstantLatency(0.001))
         net2 = pickle.loads(pickle.dumps(net))
-        # the options travel with the blob, and the restored network's
-        # cached bound methods point at the restored simulator (memo
-        # sharing), not the original
-        assert net2.sim.options == sim.options
+        # the restored network's cached bound methods point at the
+        # restored simulator (memo sharing), not the original
         assert net2.sim is not sim
         assert net2._schedule.__self__ is net2.sim
 
