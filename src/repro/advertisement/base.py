@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import ClassVar, Sequence, Tuple
 import xml.etree.ElementTree as ET
 
-from repro.sim.clock import HOURS
+from repro.sim.units import HOURS
 
 IndexTuple = Tuple[str, str, str]  # (advertisement type, attribute, value)
 

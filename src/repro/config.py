@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import List
 
-from repro.sim.clock import MINUTES, SECONDS
+from repro.sim.units import MINUTES, SECONDS
 
 
 @dataclass(frozen=True)

@@ -285,7 +285,7 @@ class DiscoveryService(QueryHandler):
         threshold is reached (or at the first response for
         threshold=1).  Returns the query id.
         """
-        now = self.sim.clock._now  # the clock read without two property frames
+        now = self.sim.now
         payload = DiscoveryQueryPayload(adv_type, attribute, value, threshold)
         query = self.resolver.new_query(DISCOVERY_HANDLER_NAME, payload)
         query_id = query.query_id
@@ -343,7 +343,7 @@ class DiscoveryService(QueryHandler):
         if not isinstance(payload, DiscoveryResponsePayload):
             return
         self.responses_received += 1
-        now = self.sim.clock._now
+        now = self.sim.now
         received = record.received
         for adv, expiration in zip(payload.advertisements, payload.expirations):
             self.cache.store_remote(adv, now, max(expiration, 1.0))
@@ -461,7 +461,7 @@ class DiscoveryService(QueryHandler):
             # than circulate forever (queries are best-effort)
             return
         self.queries_handled += 1
-        now = self.sim.clock._now  # the clock read without two property frames
+        now = self.sim.now
         obs = self._net.obs
         if obs is not None and obs.active:
             obs.event(

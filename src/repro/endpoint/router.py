@@ -22,27 +22,26 @@ forwards the query to the publisher edge) is carried.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
+from repro.ids.intern import IdInternTable
 from repro.ids.jxtaid import PeerID
-from repro.network.message import Envelope
 
 
 class EndpointRouter:
-    """ERP route table and forwarding engine for one peer."""
+    """ERP route table for one peer; its endpoint's ``send_to_peer``
+    forwards through it."""
 
-    def __init__(self, endpoint: "EndpointService") -> None:  # noqa: F821
-        self.endpoint = endpoint
+    def __init__(self, interner: IdInternTable) -> None:
         #: route slot per interned peer key (keys are dense per
         #: network); None, or a key past the end, means no route.  A
         #: write past the end extends the list to ``key + 1`` only, so
         #: a peer that routes to low keys alone keeps a short table.
         #: A converged r = 580 rendezvous holds ~579 routes: the list
         #: is ~5 KB where a dict of int keys was ~17.6 KB.
-        self.interner = endpoint.interner
+        self.interner = interner
         self._routes: List[Optional[str]] = []
         self._default_route: Optional[str] = None
-        self.forwards = 0
         self.no_route_drops = 0
 
     # ------------------------------------------------------------------
@@ -64,7 +63,8 @@ class EndpointRouter:
         """Install/refresh the route to ``peer_id``.  A flat lookup
         installs two (the replica's route to the publisher, the
         publisher's to the searcher), so the interner's cached-key fast
-        path and the slot read are inline, as in :meth:`route_and_send`.
+        path and the slot read are inline, as in
+        :meth:`EndpointService.send_to_peer`.
         :meth:`_set` runs only when the route changes — protocols
         re-install the same route on every message."""
         interner = self.interner
@@ -91,81 +91,6 @@ class EndpointRouter:
         key = self.interner.lookup(peer_id)
         return key is not None and self._get(key) is not None
 
-    def resolve(self, peer_id: PeerID) -> Optional[str]:
-        """The next hop toward ``peer_id`` (the default route when the
-        table has none), or None if unroutable."""
-        key = self.interner.lookup(peer_id)
-        route = None if key is None else self._get(key)
-        return self._default_route if route is None else route
-
     def route_table_size(self) -> int:
         """Number of peers with a route (the non-None slots)."""
         return len(self._routes) - self._routes.count(None)
-
-    # ------------------------------------------------------------------
-    # forwarding
-    # ------------------------------------------------------------------
-    def route_and_send(
-        self,
-        message: "EndpointMessage",  # noqa: F821
-        on_drop: Optional[Callable[[Envelope], None]] = None,
-    ) -> None:
-        """Send ``message`` one hop toward its destination peer.
-
-        Messages with exhausted TTL or no resolvable route are dropped
-        (with ``on_drop`` notification when provided), like JXTA's
-        best-effort propagation.
-        """
-        endpoint = self.endpoint
-        dst_peer = message.dst_peer
-        route = None
-        if dst_peer is not None:
-            # the interner's cached-key fast path unrolled, as in
-            # EndpointService._on_envelope: one per message sent
-            interner = self.interner
-            try:
-                table, key = dst_peer._intern
-                if table is not interner:
-                    key = interner.intern(dst_peer)
-            except AttributeError:
-                key = interner.intern(dst_peer)
-            if key == endpoint.peer_key:
-                # routing to self: deliver locally without a network hop
-                endpoint._on_envelope(
-                    Envelope(
-                        src=endpoint.transport_address,
-                        dst=endpoint.transport_address,
-                        payload=message,
-                        size_bytes=message.size_bytes(),
-                    )
-                )
-                return
-            # messages for an HTTP relay client wait in the relay queue
-            # instead of being pushed (the client cannot accept inbound
-            # connections; it will poll)
-            interceptor = endpoint.relay_interceptor
-            if interceptor is not None and interceptor(message):
-                return
-            # the slot read inlined (no _get frame on the per-send path)
-            routes = self._routes
-            if key < len(routes):
-                route = routes[key]
-        if message.ttl <= 0:
-            self.no_route_drops += 1
-            return
-        if route is None:
-            route = self._default_route
-        if route is None:
-            self.no_route_drops += 1
-            if on_drop is not None:
-                on_drop(
-                    Envelope(
-                        src=endpoint.transport_address,
-                        dst="<no-route>",
-                        payload=message,
-                        size_bytes=message.size_bytes(),
-                    )
-                )
-            return
-        self.forwards += 1
-        endpoint.send_direct(route, message, on_drop=on_drop)

@@ -106,8 +106,8 @@ class EndpointService:
         self._hot_name: Optional[str] = None
         self._hot_param: Optional[str] = None
         self._hot_listener: Optional[EndpointListener] = None
-        #: forwards messages for other peers
-        self.router = EndpointRouter(self)
+        #: the ERP route table ``send_to_peer`` reads
+        self.router = EndpointRouter(self.interner)
         #: Optional hook (a rendezvous relay server): called with each
         #: message addressed to another peer; returning True means the
         #: message was queued for a relay client and must not be
@@ -181,8 +181,65 @@ class EndpointService:
         message: EndpointMessage,
         on_drop: Optional[Callable[[Envelope], None]] = None,
     ) -> None:
-        """Send to ``message.dst_peer`` via the ERP route table."""
-        self.router.route_and_send(message, on_drop=on_drop)
+        """Send ``message`` one hop toward ``message.dst_peer`` via the
+        ERP route table, or the default route when the table has none.
+
+        Messages with exhausted TTL or no route are dropped (with
+        ``on_drop`` notification when provided), like JXTA's
+        best-effort propagation.
+        """
+        router = self.router
+        dst_peer = message.dst_peer
+        route = None
+        if dst_peer is not None:
+            # the interner's cached-key fast path unrolled, as in
+            # _on_envelope: one per message sent
+            interner = self.interner
+            try:
+                table, key = dst_peer._intern
+                if table is not interner:
+                    key = interner.intern(dst_peer)
+            except AttributeError:
+                key = interner.intern(dst_peer)
+            if key == self.peer_key:
+                # routing to self: deliver locally without a network hop
+                self._on_envelope(
+                    Envelope(
+                        src=self.transport_address,
+                        dst=self.transport_address,
+                        payload=message,
+                        size_bytes=message.size_bytes(),
+                    )
+                )
+                return
+            # messages for an HTTP relay client wait in the relay queue
+            # instead of being pushed (the client cannot accept inbound
+            # connections; it will poll)
+            interceptor = self.relay_interceptor
+            if interceptor is not None and interceptor(message):
+                return
+            # the slot read inlined (no _get frame on the per-send path)
+            routes = router._routes
+            if key < len(routes):
+                route = routes[key]
+        if message.ttl <= 0:
+            router.no_route_drops += 1
+            return
+        if route is None:
+            route = router._default_route
+        if route is None:
+            router.no_route_drops += 1
+            if on_drop is not None:
+                on_drop(
+                    Envelope(
+                        src=self.transport_address,
+                        dst="<no-route>",
+                        payload=message,
+                        size_bytes=message.size_bytes(),
+                    )
+                )
+            return
+        self.send_direct(route, message, on_drop=on_drop)
 
     # ------------------------------------------------------------------
     # receiving
@@ -231,18 +288,18 @@ class EndpointService:
         else:
             dst_key = peer_key
         if dst_key != peer_key:
-            # ERP relay (e.g. a rendezvous forwarding to its edge); the
-            # router checks the HTTP relay queue before forwarding
+            # ERP relay (e.g. a rendezvous forwarding to its edge);
+            # send_to_peer checks the HTTP relay queue before forwarding
             if message.ttl <= 0:
                 return
             self.messages_relayed += 1
             obs = self._net.obs
             if obs is not None and obs.active:
                 obs.event(
-                    self.sim.clock._now, "endpoint", "relay",
+                    self.sim.now, "endpoint", "relay",
                     self.transport_address, service=message.service_name,
                 )
-            self.router.route_and_send(message.forwarded())
+            self.send_to_peer(message.forwarded())
             return
         name = message.service_name
         param = message.service_param

@@ -50,8 +50,8 @@ class IdInternTable:
     That fast path (``table, key = jid._intern``; fall back to
     ``intern`` on ``AttributeError`` or a foreign table) is unrolled at
     the per-message call sites: ``EndpointService._on_envelope`` (source
-    and destination), ``EndpointRouter.route_and_send`` and
-    ``add_direct_route``, ``PeerViewProtocol._learn`` and
+    and destination) and ``send_to_peer``,
+    ``EndpointRouter.add_direct_route``, ``PeerViewProtocol._learn`` and
     ``_on_referral``.  A change to the cache's format updates every one
     of them."""
 

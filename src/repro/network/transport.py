@@ -137,10 +137,6 @@ class Network:
         # registry lookup; stream seeds are name-derived, so grabbing
         # them eagerly draws nothing and changes no replay.
         self._latency_rng = sim.rng.stream("network.latency")
-        # the send path reads the clock once per message; going through
-        # the Simulator.now property twice per send showed up in the
-        # protocol-stack profile
-        self._clock = sim.clock
         # bound methods resolved once (latency model and simulator are
         # fixed for the network's lifetime)
         self._latency_delay = self.latency.delay
@@ -237,7 +233,7 @@ class Network:
             raise DeliveryError(f"unknown source address: {src!r}") from None
         src_site = src_node.site
 
-        now = self._clock._now
+        now = self.sim.now
         # envelope built without an __init__ frame, as Simulator.schedule
         # builds its handles: one per message sent
         if size_bytes <= 0:
@@ -293,34 +289,15 @@ class Network:
         delay = egress + latency + self.sw_overhead
 
         # fault-free sends (every paper-configuration run) skip the
-        # decision object's attribute loads and the duplicate/faulted
-        # bookkeeping entirely
+        # controller and its decision object's attribute loads
         fc = self.fault_controller
-        if fc is None:
-            lost = dst_dead or (
-                tuple(sorted(site_pair)) in self._partitions
-                if self._partitions
-                else False
-            )
-            obs = self.obs
-            if obs is not None and obs.active:
-                obs.on_network_send(
-                    now, site_pair, src, dst, payload, size_bytes, delay, lost
-                )
-            if lost:
-                self.stats.record_drop()
-                if on_drop is not None:
-                    self._schedule(delay, on_drop, envelope, label="net.drop")
-                return envelope
-            self._schedule(
-                delay, self._deliver, envelope, on_drop, label="net.deliver"
-            )
-            return envelope
-
-        decision = fc.intercept(envelope, src_site.name, dst_site.name)
-        delay += decision.extra_delay
-        faulted_drop = decision.drop
-        duplicates = decision.duplicates
+        faulted_drop = False
+        duplicates = 0
+        if fc is not None:
+            decision = fc.intercept(envelope, src_site.name, dst_site.name)
+            delay += decision.extra_delay
+            faulted_drop = decision.drop
+            duplicates = decision.duplicates
         lost = (
             dst_dead
             or faulted_drop
@@ -346,7 +323,8 @@ class Network:
         self._schedule(
             delay, self._deliver, envelope, on_drop, label="net.deliver"
         )
-        for _ in range(duplicates):
+        while duplicates:
+            duplicates -= 1
             self.faulted_duplicates += 1
             self._schedule(
                 delay, self._deliver, envelope, None, label="net.deliver.dup"

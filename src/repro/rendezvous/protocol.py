@@ -127,7 +127,6 @@ class PeerViewProtocol(Process):
         # through a listener so upsert/expire stay obs-agnostic
         self._net = endpoint.network
         self._actor = endpoint.transport_address
-        self._clock = endpoint.sim.clock
         # immutable per-peer facts and hot callables, bound once so the
         # per-message paths below load one attribute instead of two
         # (advertised_address is deliberately NOT bound: relay clients
@@ -153,7 +152,7 @@ class PeerViewProtocol(Process):
     # the periodic iteration (Algorithm 1 body)
     # ------------------------------------------------------------------
     def _iteration(self) -> None:
-        now = self._clock._now
+        now = self.sim.now
         config = self.config
         self.view.expire(now, config.pve_expiration)
         size = self.view.size
@@ -250,7 +249,7 @@ class PeerViewProtocol(Process):
         the deadline and still finds the probe pending.  An address
         that never answers keeps its expired deadline until its next
         probe overwrites it or a late response pops it."""
-        now = self._clock._now
+        now = self.sim.now
         deadline = self._pending_probes.get(address)
         if deadline is not None and now <= deadline:
             return
@@ -281,7 +280,7 @@ class PeerViewProtocol(Process):
         obs = self._net.obs
         if obs is not None and obs.active:
             obs.event(
-                self._clock._now, "peerview", "update.sent", self._actor,
+                self.sim.now, "peerview", "update.sent", self._actor,
                 dst=hint,
             )
         self._send(hint, adv.rdv_peer_id, self._update_body, self._update_size)
@@ -324,7 +323,7 @@ class PeerViewProtocol(Process):
         handler(body, message)
 
     def _on_probe(self, body: PeerViewProbe, message: EndpointMessage) -> None:
-        now = self._clock._now
+        now = self.sim.now
         adv = body.rdv_adv
         self._learn(adv, now)
         # (1) response with our own advertisement
@@ -371,7 +370,7 @@ class PeerViewProtocol(Process):
     ) -> None:
         adv = body.rdv_adv
         self._pending_probes.pop(adv.route_hint, None)
-        now = self._clock._now
+        now = self.sim.now
         obs = self._net.obs
         if obs is not None and obs.active:
             obs.event(
@@ -381,12 +380,12 @@ class PeerViewProtocol(Process):
         self._learn(adv, now)
 
     def _on_update(self, body: PeerViewUpdate, message: EndpointMessage) -> None:
-        self._learn(body.rdv_adv, self._clock._now)
+        self._learn(body.rdv_adv, self.sim.now)
 
     def _on_referrals(
         self, body: PeerViewReferral, message: EndpointMessage
     ) -> None:
-        now = self._clock._now
+        now = self.sim.now
         obs = self._net.obs
         if obs is not None and obs.active:
             obs.event(

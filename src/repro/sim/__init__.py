@@ -12,8 +12,7 @@ real time while preserving every timer ordering and message latency
 the protocols can perceive.
 """
 
-from repro.sim.clock import (
-    Clock,
+from repro.sim.units import (
     HOURS,
     MILLISECONDS,
     MINUTES,
@@ -30,7 +29,6 @@ from repro.sim.process import PeriodicTask, Process
 from repro.sim.rng import RngRegistry, derive_seed
 
 __all__ = [
-    "Clock",
     "EventHandle",
     "HOURS",
     "MILLISECONDS",

@@ -50,7 +50,7 @@ import gc
 import heapq
 from typing import Any, Callable, Optional
 
-from repro.sim.clock import Clock, format_time
+from repro.sim.units import format_time
 from repro.sim.errors import SchedulingError, SimulationLimitExceeded
 from repro.sim.rng import RngRegistry
 
@@ -160,8 +160,8 @@ class Simulator:
     """
 
     __slots__ = (
-        "clock", "rng", "seed", "compactions",
-        "_queue", "_seq", "_events_fired", "_cancelled", "_dead",
+        "now", "events_fired", "rng", "seed", "compactions",
+        "_queue", "_seq", "_cancelled", "_dead",
         "_max_events", "_running", "_stop_requested",
         "_trace_hooks", "_fire_hooks", "_done_hooks", "_hooks_active",
     )
@@ -171,13 +171,16 @@ class Simulator:
         seed: int = 0,
         max_events: Optional[int] = None,
     ) -> None:
-        self.clock = Clock()
+        #: current simulated time in seconds; written only by ``run``
+        self.now = 0.0
+        #: total number of events executed so far; ``run`` batches it in
+        #: a local and writes it back before any hook runs and on exit
+        self.events_fired = 0
         self.rng = RngRegistry(seed)
         self.seed = seed
         self._queue: list[tuple[float, int, EventHandle]] = []
         #: scheduled-event count; doubles as the FIFO tie-breaker
         self._seq = 0
-        self._events_fired = 0
         #: total events ever cancelled (pending_events derives from it)
         self._cancelled = 0
         #: cancelled handles still resident in the heap
@@ -200,21 +203,11 @@ class Simulator:
     # introspection
     # ------------------------------------------------------------------
     @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self.clock.now
-
-    @property
-    def events_fired(self) -> int:
-        """Total number of events executed so far."""
-        return self._events_fired
-
-    @property
     def pending_events(self) -> int:
         """Number of live (non-cancelled) events still queued.  O(1):
         derived from the schedule/fire/cancel counters rather than a
         scan of the heap."""
-        return self._seq - self._events_fired - self._cancelled
+        return self._seq - self.events_fired - self._cancelled
 
     def add_trace_hook(
         self, hook: TraceHook, phases: tuple[str, ...] = ("fire",)
@@ -296,7 +289,7 @@ class Simulator:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SchedulingError(f"cannot schedule in the past (delay={delay})")
-        time = self.clock._now + delay
+        time = self.now + delay
         seq = self._seq
         self._seq = seq + 1
         # handle built without an __init__ frame: this is the single
@@ -338,7 +331,7 @@ class Simulator:
                 "only a fired handle can be re-armed; schedule() a new "
                 "one for pending or cancelled timers"
             )
-        time = self.clock._now + delay
+        time = self.now + delay
         seq = self._seq
         self._seq = seq + 1
         handle._state = self
@@ -382,14 +375,13 @@ class Simulator:
             raise SchedulingError("simulator is not reentrant")
         self._running = True
         self._stop_requested = False
-        # Hot loop, with the queue, clock and heap operations bound to
+        # Hot loop, with the queue and heap operations bound to
         # locals.  The queue is only ever mutated in place
         # (push/pop/compact), so the binding stays valid across event
         # callbacks.  ``_stop_requested`` and ``_hooks_active`` are
         # re-read every iteration because a callback may call ``stop``
         # or add/remove hooks.
         queue = self._queue
-        clock = self.clock
         pop = _heappop
         max_events = self._max_events
         limit = float("inf") if max_events is None else max_events
@@ -397,7 +389,7 @@ class Simulator:
         # ``fired`` is batched in a local and flushed in ``finally`` (and
         # before any hook runs), which keeps post-run readers exact even
         # on stop()/exception exits.
-        fired = self._events_fired
+        fired = self.events_fired
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
@@ -418,7 +410,7 @@ class Simulator:
                     # and so the fire order, are as before the pop
                     _heappush(queue, entry)
                     break
-                clock._now = t
+                self.now = t
                 handle._state = False
                 fired += 1
                 if fired > limit:
@@ -428,19 +420,19 @@ class Simulator:
                 fn = entry[3]
                 args = entry[4]
                 if self._hooks_active:
-                    self._events_fired = fired
+                    self.events_fired = fired
                     for hook in self._fire_hooks:
                         hook(t, "fire", handle)
                     fn(*args)
-                    now = clock._now
+                    now = self.now
                     for hook in self._done_hooks:
                         hook(now, "done", handle)
                 else:
                     fn(*args)
-            if until is not None and clock._now < until:
-                clock._advance_to(until)
+            if until is not None and self.now < until:
+                self.now = until
         finally:
-            self._events_fired = fired
+            self.events_fired = fired
             if gc_was_enabled:
                 gc.enable()
             self._running = False
@@ -480,6 +472,6 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Simulator(t={format_time(self.clock.now)}, "
-            f"fired={self._events_fired}, pending={self.pending_events})"
+            f"Simulator(t={format_time(self.now)}, "
+            f"fired={self.events_fired}, pending={self.pending_events})"
         )

@@ -41,7 +41,7 @@ from typing import Any, Tuple
 #: Bump whenever the pickled state contract changes incompatibly
 #: (slot layouts, event-heap entry layout, RNG stream naming).  Stored
 #: checkpoints with another version are invalidated, not misread.
-SNAPSHOT_VERSION = 22
+SNAPSHOT_VERSION = 23
 
 #: sha256 of the pickled layout (classes, their fields, container
 #: types) reachable from a reference snapshot, as
@@ -49,7 +49,7 @@ SNAPSHOT_VERSION = 22
 #: that test fails the layout moved: bump the version above, then
 #: regenerate this value with the command the failure prints.
 SNAPSHOT_LAYOUT_FINGERPRINT = (
-    "3e3f6f0d525dd1bee0f559a7e3b36c110b2b9326490103799d56c07cef5ad4f5"
+    "8b43647582a1db53ad7f62fe3f6fc8251ab052baf5aefb78a1693cf80b43dfb0"
 )
 
 _MAGIC = b"repro-snap"

@@ -159,10 +159,7 @@ class OpenLoopQuerier(_ClientBase):
         t = next(self._times, None)
         if t is None or self._stopped:
             return
-        # the clock read without two property frames: once per query
-        self.sim.schedule(
-            t - self.sim.clock._now, self._fire, label="workload.query"
-        )
+        self.sim.schedule(t - self.sim.now, self._fire, label="workload.query")
 
     def _fire(self) -> None:
         if self._stopped:

@@ -11,7 +11,7 @@ from repro.fuzz.engine import FuzzEngine
 FIND_BUDGET = 8
 
 
-def test_fuzzer_finds_and_shrinks_canary(expire_leak):
+def test_fuzzer_finds_and_shrinks_the_mutant(expire_leak):
     failures = expire_leak["failures"]
     assert failures, "the mutant's bug was not found within the budget"
     assert {e["signature"] for e in failures} == {
@@ -24,17 +24,17 @@ def test_fuzzer_finds_and_shrinks_canary(expire_leak):
         assert entry["signature"] in fired
 
 
-def test_canary_find_is_deterministic(expire_leak):
+def test_mutant_find_is_deterministic(expire_leak):
     first, second = expire_leak["digests"]
     assert first == second
 
 
-def test_no_failures_without_canary():
+def test_no_failures_on_the_product():
     report = FuzzEngine(seed=0).run(FIND_BUDGET)
     assert report.failures == []
 
 
-def test_canary_only_fires_on_affected_keys(expire_leak):
+def test_mutant_only_fires_on_affected_keys(expire_leak):
     # seed case 0 (fault-free, long expiration) never expires entries,
     # so the mutated branch stays cold and the case remains green
     assert expire_leak["seed_case_0"] == []

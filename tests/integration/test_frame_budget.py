@@ -25,16 +25,16 @@ SCRIPT = Path(__file__).resolve().parents[2] / "scripts" / "frames_per_op.py"
 #: frames per operation: total and by layer, one decimal
 BUDGET = {
     "flat": {
-        "total": 107.6,
-        "advertisement": 10.9, "discovery": 21.4, "endpoint": 22.0,
+        "total": 103.4,
+        "advertisement": 10.9, "discovery": 21.4, "endpoint": 18.1,
         "ids": 1.0, "network": 8.1, "obs": 1.0, "other": 3.9,
-        "rendezvous": 0.6, "resolver": 16.9, "sim": 12.4, "workload": 9.4,
+        "rendezvous": 0.6, "resolver": 16.9, "sim": 12.2, "workload": 9.4,
     },
     "walk": {
-        "total": 31.5,
-        "advertisement": 1.9, "discovery": 7.8, "endpoint": 7.0,
+        "total": 30.1,
+        "advertisement": 1.9, "discovery": 7.8, "endpoint": 5.6,
         "ids": 1.1, "network": 2.8, "obs": 0.1, "other": 0.5,
-        "rendezvous": 1.3, "resolver": 5.4, "sim": 3.0, "workload": 0.6,
+        "rendezvous": 1.3, "resolver": 5.4, "sim": 2.9, "workload": 0.6,
     },
     "peerview": {
         "total": 12.7,

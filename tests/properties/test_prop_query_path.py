@@ -44,6 +44,7 @@ from repro.ids import NET_PEER_GROUP_ID, PeerID
 from repro.rendezvous.peerview import PeerView
 from repro.resolver import QueryHandler, ResolverService
 from repro.resolver.messages import ResolverQuery
+from tests.routes import next_hop
 from tests.unit.test_endpoint import build_peers
 
 bounds = st.floats(-1e6, 1e6, allow_nan=False)
@@ -262,7 +263,7 @@ def test_forwarded_query_is_the_hopped_copy(query, routing, route):
     assert got.payload is payload
     assert got.src_route is query.src_route
     b.router.add_direct_route(got.src_peer, got.src_route)
-    assert b.router.resolve(got.src_peer) == route
+    assert next_hop(b.router, got.src_peer) == route
 
 
 #: (local?, lifetime or expiration, residual expiration) per cached
@@ -323,7 +324,7 @@ def test_hit_path_expirations_are_cache_get(entries, tick, data):
     )
     now = 10.0 * tick
     sim.run(until=now)
-    assert sim.clock._now == now
+    assert sim.now == now
     cache.search = lambda *args, **kwargs: list(matches)
     query = service.resolver.new_query(
         DISCOVERY_HANDLER_NAME,
@@ -374,4 +375,4 @@ def test_add_direct_route_is_add_route_of_one_hop(table, n, address):
         install()
         results.append(router._routes)
     assert results[0] == results[1]
-    assert router.resolve(peer) == address
+    assert next_hop(router, peer) == address

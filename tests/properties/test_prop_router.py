@@ -12,8 +12,9 @@ handed, and none of them routes the local peer.
 Random interleavings of every writer — the table methods, an endpoint
 delivery and a peerview learn, on peers whose keys lie past the current
 end, on the local peer and on peers the interner has never seen — must
-leave ``resolve``, ``has_route``, ``route_table_size`` and the first hop
-``route_and_send`` takes equal to the model's after every operation.
+leave the table's next hop, ``has_route``, ``route_table_size`` and the
+first hop ``EndpointService.send_to_peer`` takes equal to the model's
+after every operation.
 """
 
 from types import SimpleNamespace
@@ -31,6 +32,7 @@ from repro.network.transport import Network
 from repro.rendezvous.peerview import PeerView
 from repro.rendezvous.protocol import PeerViewProtocol
 from repro.sim import Simulator
+from tests.routes import next_hop
 
 PEERS = 12
 LOCAL = 0
@@ -139,11 +141,11 @@ def check(net, svc, router, model, sent):
     assert router.route_table_size() == len(model.routes)
     for n in range(PEERS):
         peer = pid(n)
-        assert router.resolve(peer) == model.resolve(n)
+        assert next_hop(router, peer) == model.resolve(n)
         assert router.has_route(peer) == (n in model.routes)
         if net.interner.lookup(peer) is None:
-            continue  # route_and_send interns; keep unseen peers unseen
-        router.route_and_send(message(pid(LOCAL), peer))
+            continue  # send_to_peer interns; keep unseen peers unseen
+        svc.send_to_peer(message(pid(LOCAL), peer))
         assert (sent.pop() if sent else None) == model.first_hop(n)
         assert not sent
     assert len(router._routes) <= len(net.interner)
@@ -172,7 +174,7 @@ def test_a_write_extends_the_table_to_its_key_only():
     key = net.interner.lookup(pid(3))
     assert len(router._routes) == key + 1 < len(net.interner)
     assert router._routes[:key] == [None] * key
-    assert not router.has_route(pid(7)) and router.resolve(pid(7)) is None
+    assert not router.has_route(pid(7)) and next_hop(router, pid(7)) is None
     router.remove_route(pid(7))  # past the end: nothing to clear
     assert len(router._routes) == key + 1
     router.remove_route(pid(3))

@@ -14,7 +14,7 @@ from repro.sim import MINUTES
 from repro.snapshot import checkpoint_key
 
 CHURN_R16_SEED2 = (
-    "0296d3f085b2d9b24a40f6164f401e3e034e0a7d31982391687c518567d854ba"
+    "fa59e2c0f2dc7b2a1911f3115d46aea519994bd230a7bcff93f0de1c8d7fe339"
 )
 
 KEYS = {
@@ -24,30 +24,30 @@ KEYS = {
     ),
     "fig4-right r=8 A": (
         lambda: fig4_right.bootstrap_spec(8, False),
-        "d240dcdd26b1e5c869859f6e4536fa96cfdb2332690cbdfcd5df5717b017917b",
+        "b2256a4970b870abe53f6764ad29c18ecc9fa2e09b5466e5d61ce1a11fae65e3",
     ),
     "fig4-right r=20 B warmup=60min": (
         lambda: fig4_right.bootstrap_spec(20, True, warmup=60 * MINUTES),
-        "272275f2c2e6a69c548d5d5a25de05722cc0d5a05fc7f4b33063491e1d5ff856",
+        "d0fe1e9012677955a4b48ba0de6b48181c17ef4c1e5119646c77db04480b579b",
     ),
     "load ci_spec r=8 seed=3": (
         lambda: load_exp.bootstrap_spec(load_exp.ci_spec(), 8, seed=3),
-        "0602ab9d730e014b658d13d0236c9bd648c186afdfb08898fff76cce1c72516b",
+        "b2aca9e3c95298fab5e524681ca2279cb4269537f79e51aa85732cbc1e0c61d2",
     ),
 }
 
 FUZZ_KEYS = (
-    "147a7a80c946273aa9d6d1906a7c24d591100bcf0bd2e0589e4a98831af59d49",
-    "84ef1033f3a84be0e07a2d50b88990a6b03d5b08dbe3318fe32ae9e82bad1301",
-    "7d68b3eb1ce1d784935901e1467cd813d2892708e26c98d4c8d33252871f77e0",
-    "cac9909ddfa0493af4ce162f0bfeff2e840535ea1cf8724c8b569674f384b44d",
+    "ef80de9ac5d447058a927b5980c06dd27c1630024cd06da89f63b78d9d40568a",
+    "f59f1e78b501e47f0081acede5b2c96ff1725f269a60db83a08dff695abf5ac6",
+    "7bffce0c2ff43f424d6dd0406978b117a79c40552a1a28b122576870284d2aa8",
+    "a1a62d8eba1fa44976c747c1b862b6a1dbda281b55616668ce6725f751961d12",
 )
 
 CAMPAIGN_KEYS = {
     "churn": ({"r": 16, "seed": 2}, CHURN_R16_SEED2),
     "load": (
         {"r": 24, "rate": 1, "skew": 0, "seed": 1, "warmup": 3600},
-        "208c45703dcef7cefd657d765f3bc0bde43b91fa47aa092940817b4852c30209",
+        "f526be89f4a4ca4290098cebc128eacda4b94b338f389c5b120aef2e9889ee66",
     ),
 }
 

@@ -12,6 +12,7 @@ from repro.network.latency import ConstantLatency
 from repro.network.site import place_nodes
 from repro.network.transport import Network
 from repro.sim import Simulator
+from tests.routes import next_hop
 
 
 class TestEndpointAddress:
@@ -129,20 +130,23 @@ class TestRouter:
         assert c.messages_relayed == 1
 
     def test_send_takes_the_first_hop_that_resolve_reports(self):
-        """route_and_send reads the route table without going through
-        resolve(); the two must agree for the default and a direct
-        route."""
+        """send_to_peer hands the message to the default route while the
+        table has no route for the destination, and to the direct route
+        once one is installed."""
         sim, _, (a, b, c) = build_peers()
         sent_to = []
         a.send_direct = lambda dst, message, on_drop=None: sent_to.append(dst)
-        for install in (
-            lambda: a.router.set_default_route(c.transport_address),
-            lambda: a.router.add_direct_route(b.peer_id, b.transport_address),
+        for install, hop in (
+            (lambda: a.router.set_default_route(c.transport_address),
+             c.transport_address),
+            (lambda: a.router.add_direct_route(b.peer_id, b.transport_address),
+             b.transport_address),
         ):
             install()
             a.send_to_peer(msg(a, b))
-            assert sent_to.pop() == a.router.resolve(b.peer_id)
-        assert a.router.forwards == 2
+            assert sent_to == [hop]
+            sent_to.clear()
+        assert a.router.no_route_drops == 0
 
     def test_ttl_exhaustion_breaks_forwarding_loop(self):
         # a and b default-route to each other; an unroutable message
@@ -169,7 +173,7 @@ class TestRouter:
         a.router.add_direct_route(b.peer_id, b.transport_address)
         a.send_to_peer(msg(a, b))
         sim.run()
-        assert b.router.resolve(a.peer_id) == a.transport_address
+        assert next_hop(b.router, a.peer_id) == a.transport_address
 
     def test_remove_route(self):
         _, _, (a, b, _) = build_peers()

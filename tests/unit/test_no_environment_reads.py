@@ -63,7 +63,7 @@ def test_the_pass_sees_every_spelling():
     ]
 
 
-def test_only_from_env_reads_the_environment():
+def test_nothing_under_src_reads_the_environment():
     found = {
         (str(path.relative_to(SRC)), scope)
         for path in sorted(SRC.rglob("*.py"))

@@ -28,6 +28,7 @@ from repro.resolver.messages import ResolverQuery
 from repro.sim import Simulator
 from repro.sim.kernel import EventHandle, SchedulingError
 from repro.sim.rng import RngRegistry
+from tests.routes import next_hop
 from repro.snapshot import restore_network, snapshot_network
 
 
@@ -101,7 +102,7 @@ class TestSimulator:
         sim_b.run(until=10.0)
         assert sim_a.now == sim_b.now
         assert sim_a._seq == sim_b._seq
-        assert sim_a._events_fired == sim_b._events_fired
+        assert sim_a.events_fired == sim_b.events_fired
 
     # the ids name the two schedulers the kernel had until it became one
     # event heap; both run it
@@ -193,7 +194,7 @@ class TestEndpointRouter:
         assert pickle.dumps(pickle.loads(blob2)) == blob2
         assert clone._routes == routes
         for n in range(8):
-            assert clone.resolve(pid(n)) == router.resolve(pid(n))
+            assert next_hop(clone, pid(n)) == next_hop(router, pid(n))
         assert clone.route_table_size() == router.route_table_size() == 2
 
 

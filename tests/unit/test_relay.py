@@ -8,6 +8,7 @@ from repro.deploy import OverlayDescription, build_overlay
 from repro.endpoint.relay import RelayClient, RelayServer
 from repro.network import Network
 from repro.sim import MINUTES, SECONDS, Simulator
+from tests.routes import next_hop
 
 
 def build_with_http_edge(seed=14, r=4):
@@ -87,7 +88,7 @@ class TestRelayedDiscovery:
             )
         for rdv in overlay.rendezvous:
             for edge_peer in rdv.lease_server.edges():
-                assert rdv.router.resolve(edge_peer) == (
+                assert next_hop(rdv.router, edge_peer) == (
                     edges[edge_peer].endpoint.advertised_address
                 )
                 leased += 1

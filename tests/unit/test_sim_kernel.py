@@ -10,34 +10,32 @@ from repro.sim import (
     Simulator,
     format_time,
 )
-from repro.sim.clock import Clock
 
 
 class TestClock:
+    """Simulated time is the kernel's ``now`` slot: it starts at zero
+    and only ``run`` moves it, forward."""
+
     def test_starts_at_zero(self):
-        assert Clock().now == 0.0
-
-    def test_custom_start(self):
-        assert Clock(5.0).now == 5.0
-
-    def test_negative_start_rejected(self):
-        with pytest.raises(ValueError):
-            Clock(-1.0)
+        assert Simulator().now == 0.0
 
     def test_advance_forward(self):
-        c = Clock()
-        c._advance_to(3.5)
-        assert c.now == 3.5
+        sim = Simulator()
+        sim.run(until=3.5)
+        assert sim.now == 3.5
 
     def test_advance_backwards_rejected(self):
-        c = Clock(10.0)
-        with pytest.raises(ValueError):
-            c._advance_to(9.0)
+        sim = Simulator()
+        sim.schedule(12.0, lambda: None)
+        sim.run(until=10.0)
+        sim.run(until=9.0)  # a deadline in the past moves nothing
+        assert sim.now == 10.0 and sim.pending_events == 1
 
     def test_advance_to_same_time_allowed(self):
-        c = Clock(10.0)
-        c._advance_to(10.0)
-        assert c.now == 10.0
+        sim = Simulator()
+        sim.run(until=10.0)
+        sim.run(until=10.0)
+        assert sim.now == 10.0
 
 
 class TestFormatTime:
