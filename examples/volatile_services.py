@@ -51,9 +51,7 @@ def main() -> None:
     churn = ChurnProcess(
         sim,
         ParetoChurn(median_session=8 * MINUTES, mean_downtime=3 * MINUTES),
-        targets=list(victims),
-        on_kill=lambda name: victims[name].crash(),
-        on_revive=lambda name: victims[name].start(),
+        victims,
     )
     churn.start()
 

@@ -66,13 +66,12 @@ class PhaseBoundaries:
 def detect_phases(
     series: StepSeries,
     duration: float,
-    band_sigmas: float = 3.0,
 ) -> Optional[PhaseBoundaries]:
     """Locate the paper's three peerview phases in ``l(t)``.
 
     Phase 1 ends at the (first) global peak; phase 3 starts at the
     earliest time after the peak from which the series never leaves
-    ``plateau_mean ± band_sigmas · plateau_std`` (the plateau band is
+    ``plateau_mean ± 3 · plateau_std`` (the plateau band is
     estimated from the final quarter of the run).  Returns None when
     the series is too short or never grows.
     """
@@ -88,7 +87,7 @@ def detect_phases(
     tail = values[int(400 * 0.75):]
     plateau_mean = float(tail.mean())
     plateau_std = float(tail.std())
-    band = band_sigmas * max(plateau_std, 0.5)
+    band = 3.0 * max(plateau_std, 0.5)
 
     inside = np.abs(values - plateau_mean) <= band
     fluctuation_start = duration

@@ -31,6 +31,13 @@ from repro.sim.process import PeriodicTask
 M = 32
 RING = 2**M
 
+#: Period of each node's stabilization and of its finger fixing, in
+#: seconds.
+STABILIZE_INTERVAL = 30.0
+
+#: Successors a node keeps and hands to its predecessor.
+SUCCESSOR_LIST_LEN = 4
+
 
 def chord_key(name: str) -> int:
     """Hash an arbitrary name onto the ring."""
@@ -144,21 +151,12 @@ class ChordNode:
         network: Network,
         node: Node,
         address: str,
-        key: Optional[int] = None,
-        stabilize_interval: float = 30.0,
-        fix_fingers_interval: float = 30.0,
-        successor_list_len: int = 4,
     ) -> None:
         self.sim = sim
         self.network = network
         self.node = node
         self.address = address
-        self.key = key if key is not None else chord_key(address)
-        if not (0 <= self.key < RING):
-            raise ValueError(f"key out of ring range: {self.key}")
-        self.stabilize_interval = stabilize_interval
-        self.fix_fingers_interval = fix_fingers_interval
-        self.successor_list_len = successor_list_len
+        self.key = chord_key(address)
 
         #: finger[i] routes keys at distance >= 2**i: (address, key)
         self.fingers: List[Optional[tuple]] = [None] * M
@@ -174,12 +172,12 @@ class ChordNode:
         self.lookups_routed = 0
 
         self._stabilize_task = PeriodicTask(
-            sim, stabilize_interval, self._stabilize,
-            name=f"chord.stab.{self.key}", start_jitter=stabilize_interval,
+            sim, STABILIZE_INTERVAL, self._stabilize,
+            name=f"chord.stab.{self.key}", start_jitter=STABILIZE_INTERVAL,
         )
         self._fix_task = PeriodicTask(
-            sim, fix_fingers_interval, self._fix_next_finger,
-            name=f"chord.fix.{self.key}", start_jitter=fix_fingers_interval,
+            sim, STABILIZE_INTERVAL, self._fix_next_finger,
+            name=f"chord.fix.{self.key}", start_jitter=STABILIZE_INTERVAL,
         )
         network.attach(address, node, self._on_envelope)
 
@@ -365,7 +363,7 @@ class ChordNode:
                 PredecessorIs(
                     address=self.predecessor[0] if self.predecessor else None,
                     node_key=self.predecessor[1] if self.predecessor else None,
-                    successors=self.successor_list[: self.successor_list_len],
+                    successors=self.successor_list[:SUCCESSOR_LIST_LEN],
                 ),
             )
         elif isinstance(body, PredecessorIs):
@@ -407,7 +405,7 @@ class ChordNode:
         # refresh successor list from the (possibly new) successor
         self.successor_list = (
             [self.successor] + list(body.successors)
-        )[: self.successor_list_len]
+        )[:SUCCESSOR_LIST_LEN]
         self._send(
             self.successor[0],
             Notify(address=self.address, node_key=self.key),
@@ -422,7 +420,6 @@ class ChordRing:
         sim: Simulator,
         network: Network,
         nodes: List[Node],
-        stabilize_interval: float = 30.0,
         static_build: bool = True,
     ) -> None:
         """With ``static_build`` the ring starts fully converged
@@ -434,14 +431,9 @@ class ChordRing:
         self.sim = sim
         self.network = network
         self.members: List[ChordNode] = []
-        for i, node in enumerate(nodes):
-            address = f"chord://{node.hostname}:4000"
+        for node in nodes:
             self.members.append(
-                ChordNode(
-                    sim, network, node, address,
-                    stabilize_interval=stabilize_interval,
-                    fix_fingers_interval=stabilize_interval,
-                )
+                ChordNode(sim, network, node, f"chord://{node.hostname}:4000")
             )
         self.members.sort(key=lambda m: m.key)
         if static_build:
@@ -462,7 +454,7 @@ class ChordRing:
             member.successor_list = [
                 (self.members[(i + 1 + j) % n].address,
                  self.members[(i + 1 + j) % n].key)
-                for j in range(member.successor_list_len)
+                for j in range(SUCCESSOR_LIST_LEN)
             ]
             for f in range(M):
                 start = (member.key + 2**f) % RING

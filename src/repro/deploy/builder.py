@@ -16,7 +16,7 @@ from repro.deploy.description import OverlayDescription
 from repro.deploy.topologies import make_topology
 from repro.discovery.replica import ReplicaFunction
 from repro.endpoint.address import tcp_address
-from repro.network.site import GRID5000_SITES, Node, site_by_name
+from repro.network.site import place_nodes
 from repro.network.transport import Network
 from repro.peergroup.group import PeerGroup
 from repro.peergroup.peer import DEFAULT_PORT, EdgePeer, RendezvousPeer
@@ -64,18 +64,11 @@ def build_overlay(
     """Instantiate the overlay described by ``description``.
 
     Each peer gets its own physical node, dealt round-robin across the
-    chosen sites (all nine Grid'5000 sites by default), exactly like
-    the paper's multi-site deployments.
+    nine Grid'5000 sites, exactly like the paper's multi-site
+    deployments.
     """
-    sites = (
-        tuple(site_by_name(s) for s in description.sites)
-        if description.sites is not None
-        else GRID5000_SITES
-    )
     r = description.rendezvous_count
-    e = description.edge_count
-    total = r + e
-    nodes = [Node(i, sites[i % len(sites)]) for i in range(total)]
+    nodes = place_nodes(r + description.edge_count)
     rdv_nodes, edge_nodes = nodes[:r], nodes[r:]
 
     # addresses are deterministic (one peer per node, default port), so
@@ -84,7 +77,7 @@ def build_overlay(
     rdv_addresses = [
         tcp_address(node.hostname, DEFAULT_PORT) for node in rdv_nodes
     ]
-    seed_graph = make_topology(description.topology, r, description.tree_fanout)
+    seed_graph = make_topology(description.topology, r)
 
     group = PeerGroup(
         sim, network, config,
@@ -100,15 +93,12 @@ def build_overlay(
         )
 
     edges: List[EdgePeer] = []
-    for i, (node, rdv_index, transport) in enumerate(
-        zip(edge_nodes, description.attachment(), description.transports())
+    for i, (node, rdv_index) in enumerate(
+        zip(edge_nodes, description.attachment())
     ):
         edges.append(
             group.create_edge(
-                node,
-                seeds=[rdv_addresses[rdv_index]],
-                name=f"edge-{i}",
-                transport=transport,
+                node, seeds=[rdv_addresses[rdv_index]], name=f"edge-{i}"
             )
         )
 

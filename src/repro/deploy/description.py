@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional
 
 
 @dataclass
@@ -20,46 +20,23 @@ class OverlayDescription:
     topology:
         Bootstrap graph among rendezvous peers: ``"chain"``, ``"tree"``
         or ``"star"``.
-    tree_fanout:
-        Fanout for the tree topology.
     edge_attachment:
         For each edge, the index of the rendezvous it is seeded to.
         Default: round-robin over all rendezvous.  The paper's
         configuration B attaches 50 edges to 5 rendezvous — expressed
         as ``[i % 5 for i in range(50)]``.
-    edge_transports:
-        Per-edge physical transport (``"tcp"`` or ``"http"``); default
-        all TCP, as in the paper's runs.  HTTP edges receive through
-        their rendezvous' relay queue.
-    sites:
-        Optional subset of Grid'5000 site names to deploy on
-        (default: all nine).
     """
 
     rendezvous_count: int
     edge_count: int = 0
     topology: str = "chain"
-    tree_fanout: int = 2
     edge_attachment: Optional[List[int]] = None
-    edge_transports: Optional[List[str]] = None
-    sites: Optional[Sequence[str]] = None
 
     def __post_init__(self) -> None:
         if self.rendezvous_count < 1:
             raise ValueError("need at least one rendezvous peer")
         if self.edge_count < 0:
             raise ValueError("edge_count must be >= 0")
-        if self.edge_transports is not None:
-            if len(self.edge_transports) != self.edge_count:
-                raise ValueError(
-                    f"edge_transports has {len(self.edge_transports)} "
-                    f"entries, expected edge_count={self.edge_count}"
-                )
-            for transport in self.edge_transports:
-                if transport not in ("tcp", "http"):
-                    raise ValueError(
-                        f"unknown edge transport {transport!r}"
-                    )
         if self.edge_attachment is not None:
             if len(self.edge_attachment) != self.edge_count:
                 raise ValueError(
@@ -78,9 +55,3 @@ class OverlayDescription:
         if self.edge_attachment is not None:
             return list(self.edge_attachment)
         return [i % self.rendezvous_count for i in range(self.edge_count)]
-
-    def transports(self) -> List[str]:
-        """Resolved per-edge transports (default: all TCP)."""
-        if self.edge_transports is not None:
-            return list(self.edge_transports)
-        return ["tcp"] * self.edge_count

@@ -47,7 +47,7 @@ TOPOLOGIES = {
 }
 
 
-def make_topology(name: str, n: int, fanout: int = 2) -> SeedGraph:
+def make_topology(name: str, n: int) -> SeedGraph:
     """Build a named topology (``chain`` / ``tree`` / ``star``)."""
     try:
         builder = TOPOLOGIES[name]
@@ -55,6 +55,4 @@ def make_topology(name: str, n: int, fanout: int = 2) -> SeedGraph:
         raise ValueError(
             f"unknown topology {name!r}; known: {sorted(TOPOLOGIES)}"
         ) from None
-    if name == "tree":
-        return builder(n, fanout)
     return builder(n)

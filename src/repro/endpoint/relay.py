@@ -34,6 +34,8 @@ from repro.sim.process import PeriodicTask
 
 #: JXTA-C's default HTTP poll period.
 DEFAULT_POLL_INTERVAL = 2.0
+#: Seconds a client's registration holds; it re-registers every half.
+RELAY_LEASE = 300.0
 #: Relay queue bound per client (JXTA drops excess, relays are not
 #: infinite buffers).
 DEFAULT_QUEUE_LIMIT = 200
@@ -180,14 +182,12 @@ class RelayClient:
         endpoint: EndpointService,
         group_param: str,
         poll_interval: float = DEFAULT_POLL_INTERVAL,
-        lease: float = 300.0,
     ) -> None:
         if poll_interval <= 0:
             raise ValueError(f"poll_interval must be > 0 (got {poll_interval})")
         self.endpoint = endpoint
         self.group_param = group_param
         self.poll_interval = poll_interval
-        self.lease = lease
         self.relay_address: Optional[str] = None
         self.polls_sent = 0
         self.messages_received = 0
@@ -197,7 +197,7 @@ class RelayClient:
             start_jitter=poll_interval,
         )
         self._register_task = PeriodicTask(
-            endpoint.sim, lease / 2, self._register,
+            endpoint.sim, RELAY_LEASE / 2, self._register,
             name=f"relay-reg:{endpoint.peer_id.short()}",
         )
         endpoint.add_listener(RELAY_SERVICE_NAME, group_param, self._on_message)
@@ -238,7 +238,7 @@ class RelayClient:
                 body=RelayRegister(
                     client_peer=self.endpoint.peer_id,
                     client_address=self.endpoint.transport_address,
-                    lease=self.lease,
+                    lease=RELAY_LEASE,
                 ),
             ),
         )

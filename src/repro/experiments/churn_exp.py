@@ -63,7 +63,6 @@ def bootstrap_spec(
     r: int = 24,
     seed: int = 1,
     warmup: float = 15 * MINUTES,
-    config: Optional[PlatformConfig] = None,
 ) -> Dict[str, Any]:
     """Checkpoint key for the churn bootstrap.  The churn laws
     (``mean_session``/``mean_downtime``) and ``queries`` are
@@ -75,7 +74,7 @@ def bootstrap_spec(
         "seed": seed,
         "warmup": warmup,
         "targets": TARGET_COUNT,
-        "config": asdict(config or PlatformConfig()),
+        "config": asdict(PlatformConfig()),
     }
 
 
@@ -110,39 +109,28 @@ def run_point(
     queries: int = 60,
     seed: int = 1,
     warmup: float = 15 * MINUTES,
-    config: Optional[PlatformConfig] = None,
     checkpoint_store: Optional[CheckpointStore] = None,
 ) -> ChurnPoint:
     network, extra = warm_start(
-        checkpoint_store, bootstrap_spec(r, seed, warmup, config), _bootstrap
+        checkpoint_store, bootstrap_spec(r, seed, warmup), _bootstrap
     )
     overlay = extra["overlay"]
     sim = network.sim
     searcher = overlay.edges[1]
     target_count = TARGET_COUNT
 
-    # churn every rendezvous except the two the edges lease to
+    # churn every rendezvous except the two the edges lease to; a
+    # revived rendezvous restarts with an empty peerview and
+    # re-bootstraps from its configured seeds
     protected = {0, (r // 2) % r}
-    victims = [
-        rdv for i, rdv in enumerate(overlay.rendezvous) if i not in protected
-    ]
-    by_name: Dict[str, object] = {rdv.name: rdv for rdv in victims}
-
-    def kill(name: str) -> None:
-        by_name[name].crash()
-
-    def revive(name: str) -> None:
-        peer = by_name[name]
-        # a revived rendezvous restarts with an empty peerview and
-        # re-bootstraps from its configured seeds
-        peer.start()
-
+    victims = {
+        rdv.name: rdv
+        for i, rdv in enumerate(overlay.rendezvous) if i not in protected
+    }
     churn = ChurnProcess(
         sim,
         ExponentialChurn(mean_session=mean_session, mean_downtime=mean_downtime),
-        targets=[rdv.name for rdv in victims],
-        on_kill=kill,
-        on_revive=revive,
+        victims,
     )
     churn.start()
 

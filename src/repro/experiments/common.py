@@ -88,6 +88,11 @@ class DiscoverySample:
     found: bool
 
 
+#: Seconds a :func:`run_query_sequence` query waits before it counts as
+#: failed.
+QUERY_TIMEOUT = 30.0
+
+
 def run_query_sequence(
     sim: Simulator,
     searcher,
@@ -95,17 +100,15 @@ def run_query_sequence(
     attribute: str,
     value: str,
     count: int,
-    flush_between: bool = True,
-    per_query_timeout: float = 30.0,
 ) -> List[DiscoverySample]:
     """Issue ``count`` *consecutive* queries from ``searcher``, flushing
     its local cache between queries "in order to avoid cache speedup"
-    (§4.2).  Each query starts when the previous one finishes."""
+    (§4.2).  Each query starts when the previous one finishes, or times
+    out after ``QUERY_TIMEOUT`` seconds."""
     samples: List[DiscoverySample] = []
 
     def issue() -> None:
-        if flush_between:
-            searcher.cache.flush()
+        searcher.cache.flush()
 
         def on_result(advs, latency):
             samples.append(DiscoverySample(latency=latency, found=True))
@@ -113,7 +116,7 @@ def run_query_sequence(
                 issue()
 
         def on_timeout():
-            samples.append(DiscoverySample(latency=per_query_timeout, found=False))
+            samples.append(DiscoverySample(latency=QUERY_TIMEOUT, found=False))
             if len(samples) < count:
                 issue()
 
@@ -121,13 +124,13 @@ def run_query_sequence(
             adv_type, attribute, value,
             callback=on_result,
             on_timeout=on_timeout,
-            timeout=per_query_timeout,
+            timeout=QUERY_TIMEOUT,
         )
 
     issue()
     # generous horizon: every query resolves or times out within
-    # per_query_timeout, sequentially
-    sim.run(until=sim.now + count * (per_query_timeout + 1.0))
+    # QUERY_TIMEOUT, sequentially
+    sim.run(until=sim.now + count * (QUERY_TIMEOUT + 1.0))
     return samples
 
 

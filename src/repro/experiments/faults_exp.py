@@ -139,8 +139,6 @@ def run_scenario(
     r: int = 45,
     duration: float = 60 * MINUTES,
     seed: int = 1,
-    config: Optional[PlatformConfig] = None,
-    raise_on_violation: bool = False,
 ) -> FaultRunResult:
     """One seeded, fully deterministic fault run: deploy ``r`` chained
     rendezvous, arm the scenario engine and the invariant checker, run
@@ -148,9 +146,8 @@ def run_scenario(
     sim = Simulator(seed=seed)
     recorder = KernelTraceRecorder(sim)
     network = Network(sim)
-    cfg = config if config is not None else PlatformConfig()
     overlay = build_overlay(
-        sim, network, cfg,
+        sim, network, PlatformConfig(),
         OverlayDescription(rendezvous_count=r, topology="chain"),
     )
     log = TimelineTracer()
@@ -158,10 +155,7 @@ def run_scenario(
     observer.view.add_listener(PeerViewRecorder(log, observer.name))
 
     engine = ScenarioEngine(sim, network, peers_of(overlay), scenario)
-    checker = InvariantChecker(
-        sim, overlay.rendezvous, log=log,
-        raise_on_violation=raise_on_violation,
-    )
+    checker = InvariantChecker(sim, overlay.rendezvous, log=log)
     overlay.start()
     engine.start()
     sim.run(until=duration)

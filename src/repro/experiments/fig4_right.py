@@ -85,7 +85,6 @@ def bootstrap_spec(
     warmup: float = 45 * MINUTES,
     noisers: int = NOISER_COUNT,
     fakes_per_noiser: int = FAKES_PER_NOISER,
-    config: Optional[PlatformConfig] = None,
 ) -> Dict[str, Any]:
     """Canonical description of everything the warm-started state
     depends on: the :class:`~repro.snapshot.CheckpointStore` key.
@@ -100,7 +99,7 @@ def bootstrap_spec(
         "warmup": max(warmup, 4 * MINUTES),
         "noisers": noiser_count,
         "fakes_per_noiser": fakes_per_noiser if noiser_count else 0,
-        "config": asdict(config or PlatformConfig()),
+        "config": asdict(PlatformConfig()),
     }
 
 
@@ -159,7 +158,6 @@ def run_point(
     warmup: float = 45 * MINUTES,
     noisers: int = NOISER_COUNT,
     fakes_per_noiser: int = FAKES_PER_NOISER,
-    config: Optional[PlatformConfig] = None,
     checkpoint_store: Optional[CheckpointStore] = None,
 ) -> Fig4RightPoint:
     """Measure the mean discovery time for one overlay size.
@@ -179,7 +177,7 @@ def run_point(
     """
     key = bootstrap_spec(
         r, with_noise, seed=seed, warmup=warmup, noisers=noisers,
-        fakes_per_noiser=fakes_per_noiser, config=config,
+        fakes_per_noiser=fakes_per_noiser,
     )
     network, extra = warm_start(checkpoint_store, key, _bootstrap)
     overlay = extra["overlay"]

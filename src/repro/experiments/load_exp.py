@@ -104,13 +104,11 @@ class LoadRun:
         return self.recorder.digest() if self.recorder is not None else None
 
 
-def _deploy(client_count: int, r: int, seed: int,
-            config: Optional[PlatformConfig] = None):
+def _deploy(client_count: int, r: int, seed: int):
     sim = Simulator(seed=seed)
     network = Network(sim)
-    cfg = config if config is not None else PlatformConfig()
     overlay = build_overlay(
-        sim, network, cfg,
+        sim, network, PlatformConfig(),
         OverlayDescription(
             rendezvous_count=r,
             edge_count=client_count,
@@ -125,7 +123,6 @@ def bootstrap_spec(
     spec: WorkloadSpec,
     r: int,
     seed: int = 1,
-    config: Optional[PlatformConfig] = None,
 ) -> Dict[str, Any]:
     """Checkpoint key for a load-run bootstrap: overlay shape, seed,
     warm-up timeline and the *published* face of the catalog (names +
@@ -148,7 +145,7 @@ def bootstrap_spec(
             "prefix": spec.catalog.get("prefix", "item"),
             "payload_bytes": catalog.payload_bytes,
         },
-        "config": asdict(config or PlatformConfig()),
+        "config": asdict(PlatformConfig()),
     }
 
 
@@ -161,9 +158,7 @@ def _bootstrap(key: Dict[str, Any]) -> Tuple[Network, Dict[str, Any]]:
     triggers comes from named per-link/per-purpose RNG streams, so
     downstream state is byte-equivalent (docs/CHECKPOINTS.md)."""
     clients = key["queriers"] + key["publishers"]
-    sim, overlay = _deploy(
-        clients, key["r"], key["seed"], PlatformConfig(**key["config"]),
-    )
+    sim, overlay = _deploy(clients, key["r"], key["seed"])
     # publish_catalog's partition: publisher edges, or every client
     # edge when the population has no publishers (mirrors
     # WorkloadEngine._seed_edges)
@@ -182,7 +177,6 @@ def run_load(
     r: int,
     seed: int = 1,
     record: bool = False,
-    config: Optional[PlatformConfig] = None,
     checkpoint_store: Optional[CheckpointStore] = None,
 ) -> LoadRun:
     """Deploy an overlay, run the workload, drain in-flight requests.
@@ -193,7 +187,7 @@ def run_load(
     engine warm-starts on top: trace bytes and SLO snapshot are the
     same on every path."""
     network, extra = warm_start(
-        checkpoint_store, bootstrap_spec(spec, r, seed, config), _bootstrap
+        checkpoint_store, bootstrap_spec(spec, r, seed), _bootstrap
     )
     sim = network.sim
     recorder = WorkloadTraceRecorder() if record else None
@@ -210,13 +204,12 @@ def replay_load(
     r: int,
     ops: Sequence[TraceOp],
     seed: int = 1,
-    config: Optional[PlatformConfig] = None,
 ) -> LoadRun:
     """Re-drive a recorded trace on a fresh deployment of the same
     (spec, r, seed) — the regression oracle: the replayed run's trace
     bytes and SLO snapshot match the original exactly
     (docs/WORKLOADS.md)."""
-    sim, overlay = _deploy(spec.client_count, r, seed, config)
+    sim, overlay = _deploy(spec.client_count, r, seed)
     recorder = WorkloadTraceRecorder()
     engine = WorkloadEngine(spec, sim, overlay.edges, recorder=recorder)
     engine.start_replay(ops)

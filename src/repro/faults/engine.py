@@ -153,37 +153,21 @@ class FaultContext:
 
     def start_churn(self, window: ChurnWindow) -> ChurnProcess:
         targets = list(window.targets) or self.rendezvous_names()
-        by_name = {name: self.peer(name) for name in targets}
-
-        def kill(name: str) -> None:
-            target = by_name[name]
-            if target.running:
-                target.crash()
-
-        def revive(name: str) -> None:
-            target = by_name[name]
-            if not target.running:
-                target.start()
-
+        peers = {name: self.peer(name) for name in targets}
+        if len(peers) != len(targets):
+            raise ValueError("duplicate churn targets")
         churn = ChurnProcess(
             self.sim,
             ExponentialChurn(window.mean_session, window.mean_downtime),
-            targets=targets,
-            on_kill=kill,
-            on_revive=revive,
+            peers,
             name=f"faults.churn{len(self.churn_processes)}@{window.at:g}",
         )
         churn.start()
         self.churn_processes.append(churn)
-
-        def end_window() -> None:
-            churn.stop()
-            # the window never leaves peers down past its end
-            for name in targets:
-                if not churn.is_up[name]:
-                    revive(name)
-
-        self.sim.schedule(window.duration, end_window, label="fault.churn.end")
+        # the window never leaves peers down past its end
+        self.sim.schedule(
+            window.duration, churn.finish, label="fault.churn.end"
+        )
         return churn
 
     def corrupt_peerview(self, name: str, mode: str) -> None:

@@ -69,8 +69,6 @@ class InvariantChecker:
         Optional tracer; per-round convergence ratios land as
         ``("invariant", "convergence", peer name, {"value": l / (r_up − 1)})``.
         Violations are kept in :attr:`violations`.
-    probe_tuples:
-        Index tuples used to exercise the replica rank function.
     raise_on_violation:
         If True the first violation raises
         :class:`InvariantViolationError` (test mode); otherwise
@@ -82,13 +80,11 @@ class InvariantChecker:
         sim: Simulator,
         rendezvous: Sequence[object],
         log: Optional[TimelineTracer] = None,
-        probe_tuples: Sequence[Tuple[str, str, str]] = DEFAULT_PROBE_TUPLES,
         raise_on_violation: bool = False,
     ) -> None:
         self.sim = sim
         self.rendezvous = list(rendezvous)
         self.log = log
-        self.probe_tuples = list(probe_tuples)
         self.raise_on_violation = raise_on_violation
         self.violations: List[Violation] = []
         self.rounds_checked = 0
@@ -193,7 +189,7 @@ class InvariantChecker:
         # (4) replica ranks within [0, l) for every probe tuple
         member_count = view.member_count()
         replica_fn = peer.discovery.replica_fn
-        for index_tuple in self.probe_tuples:
+        for index_tuple in DEFAULT_PROBE_TUPLES:
             try:
                 rank = replica_fn.rank(index_tuple, member_count)
             except ValueError as exc:

@@ -27,10 +27,10 @@ Oracles (:func:`check_case`):
 ``snapshot``
     Pausing at mid-run, snapshotting, continuing — and separately
     restoring the snapshot and continuing — must both reproduce the
-    uninterrupted kernel trace.  Gated to cases without churn
-    (closure-driven churn processes) or workload (generator-driven
-    arrivals), whose graphs are deliberately unsnapshottable
-    (docs/CHECKPOINTS.md).
+    uninterrupted kernel trace.  Gated to cases without workload
+    (generator-driven arrivals do not pickle, docs/CHECKPOINTS.md) or
+    churn: a churn graph pickles, but the probe costs about twice its
+    base execution.
 ``replay``
     For workload cases: re-driving the recorded operation trace on a
     fresh deployment must reproduce the workload trace and the SLO
@@ -284,7 +284,8 @@ def run_case_with_midpoint_snapshot(
     Returns ``(continued_trace, restored_trace, skip_reason)`` — the
     kernel traces are None when the case's graph is not snapshottable."""
     if case.workload is not None or has_churn(case):
-        return None, None, "workload/churn graphs are not snapshottable"
+        reason = "workload graphs do not pickle; churn is gated for cost"
+        return None, None, reason
     t_mid = round((BOOTSTRAP_TIME + case.duration) / 2.0, 1)
     session = activate(ObsSession(metrics=True))
     try:

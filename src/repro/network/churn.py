@@ -6,14 +6,14 @@ evaluate the behaviour of the fall-back mechanism used for resource
 discovery under high volatility").  This module provides that
 extension: session/downtime length distributions drawn from the DHT
 churn literature the paper cites ([16, 18] model session lengths with
-exponential and heavy-tailed laws), plus a driver that kills and
-revives peers through caller-supplied callbacks.
+exponential and heavy-tailed laws), plus a driver that crashes and
+restarts the peers it is given.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List
+from typing import Dict, Mapping
 
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
@@ -77,32 +77,27 @@ class ParetoChurn(ChurnModel):
 
 
 class ChurnProcess(Process):
-    """Drives up/down cycles for a set of named targets.
+    """Drives up/down cycles for a set of named peers.
 
-    ``on_kill(name)`` / ``on_revive(name)`` are invoked each time a
-    target's session ends / its downtime ends.  Targets start *up*;
-    their first session length is drawn at :meth:`start`.
+    When a peer's session ends it is crashed if it is running; when its
+    downtime ends it is started if it is not, and re-bootstraps from
+    its configured seeds.  Peers start *up*; their first session length
+    is drawn at :meth:`start`, in the mapping's order.
     """
 
     def __init__(
         self,
         sim: Simulator,
         model: ChurnModel,
-        targets: List[str],
-        on_kill: Callable[[str], None],
-        on_revive: Callable[[str], None],
+        peers: Mapping[str, object],
         name: str = "churn",
     ) -> None:
         super().__init__(sim, name)
-        if not targets:
+        if not peers:
             raise ValueError("churn needs at least one target")
-        if len(set(targets)) != len(targets):
-            raise ValueError("duplicate churn targets")
         self.model = model
-        self.targets = list(targets)
-        self.on_kill = on_kill
-        self.on_revive = on_revive
-        self.is_up: Dict[str, bool] = {t: True for t in self.targets}
+        self.peers = dict(peers)
+        self.is_up: Dict[str, bool] = {t: True for t in self.peers}
         self.kill_count = 0
         self.revive_count = 0
         self._handles: list = []
@@ -111,7 +106,7 @@ class ChurnProcess(Process):
         return self.sim.rng.stream(f"{self.name}.draws")
 
     def on_start(self) -> None:
-        for target in self.targets:
+        for target in self.peers:
             self._schedule_kill(target)
 
     def on_stop(self) -> None:
@@ -136,7 +131,9 @@ class ChurnProcess(Process):
             return
         self.is_up[target] = False
         self.kill_count += 1
-        self.on_kill(target)
+        peer = self.peers[target]
+        if peer.running:
+            peer.crash()
         self._schedule_revive(target)
 
     def _revive(self, target: str) -> None:
@@ -144,5 +141,17 @@ class ChurnProcess(Process):
             return
         self.is_up[target] = True
         self.revive_count += 1
-        self.on_revive(target)
+        self._start_peer(target)
         self._schedule_kill(target)
+
+    def finish(self) -> None:
+        """Stop the cycles and start every peer they left down."""
+        self.stop()
+        for target, up in self.is_up.items():
+            if not up:
+                self._start_peer(target)
+
+    def _start_peer(self, target: str) -> None:
+        peer = self.peers[target]
+        if not peer.running:
+            peer.start()

@@ -93,12 +93,9 @@ class TimelineTracer:
         return [e.to_json() for e in self.events]
 
     # ------------------------------------------------------------------
-    def chrome_trace_events(
-        self, pid: int = 1, actor_tids: Optional[Dict[str, int]] = None
-    ) -> List[Dict[str, Any]]:
+    def chrome_trace_events(self, pid: int = 1) -> List[Dict[str, Any]]:
         """Chrome ``trace_event`` dicts (instant events, one tid/actor)."""
-        if actor_tids is None:
-            actor_tids = {}
+        actor_tids: Dict[str, int] = {}
         out: List[Dict[str, Any]] = []
         for e in self.events:
             tid = actor_tids.get(e.actor)

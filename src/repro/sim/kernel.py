@@ -26,8 +26,8 @@ Design notes
   Per event the loop re-reads the stop flag, the handle's state and
   the hook flag, which is all that a mid-run ``stop``, ``cancel``,
   compaction or hook (un)registration needs.
-* Live-event accounting is O(1): ``pending_events`` is derived from
-  the scheduled/fired/cancelled counters instead of a heap scan.
+* Live-event accounting is O(1): ``pending_events`` is the heap's
+  length less its resident tombstones, exact inside a run as well.
 * ``schedule`` and the ``run`` loop are deliberately inlined (no
   helper-call chain, handle construction without an ``__init__``
   frame, a no-hook fast path, ``__slots__`` everywhere): the
@@ -161,7 +161,7 @@ class Simulator:
 
     __slots__ = (
         "now", "events_fired", "rng", "seed", "compactions",
-        "_queue", "_seq", "_cancelled", "_dead",
+        "_queue", "_seq", "_dead",
         "_max_events", "_running", "_stop_requested",
         "_trace_hooks", "_fire_hooks", "_done_hooks", "_hooks_active",
     )
@@ -181,8 +181,6 @@ class Simulator:
         self._queue: list[tuple[float, int, EventHandle]] = []
         #: scheduled-event count; doubles as the FIFO tie-breaker
         self._seq = 0
-        #: total events ever cancelled (pending_events derives from it)
-        self._cancelled = 0
         #: cancelled handles still resident in the heap
         self._dead = 0
         self._max_events = max_events
@@ -205,9 +203,8 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of live (non-cancelled) events still queued.  O(1):
-        derived from the schedule/fire/cancel counters rather than a
-        scan of the heap."""
-        return self._seq - self.events_fired - self._cancelled
+        the heap's length less its resident tombstones."""
+        return len(self._queue) - self._dead
 
     def add_trace_hook(
         self, hook: TraceHook, phases: tuple[str, ...] = ("fire",)
@@ -344,7 +341,6 @@ class Simulator:
     def _note_cancel(self) -> None:
         """Called by :meth:`EventHandle.cancel`: O(1) accounting plus a
         periodic in-place compaction when tombstones dominate."""
-        self._cancelled += 1
         dead = self._dead + 1
         self._dead = dead
         if dead >= _COMPACT_MIN_DEAD and dead > self.pending_events:

@@ -26,7 +26,8 @@ What does NOT snapshot — by design (see docs/CHECKPOINTS.md):
   classes precisely so the *bootstrap-phase* graph is always clean;
   measurement-phase objects (in-flight query callbacks, live workload
   engines with generator-driven arrival processes) are constructed
-  *after* restore instead.
+  *after* restore instead.  A churn driver holds its peers, not
+  callbacks, so a churned network snapshots (since version 24).
 * a recorder that patches ``network.send`` with a closure — recorders
   that must survive a restore hang off the graph itself, like
   :class:`~repro.sim.tracing.KernelTraceRecorder` or the
@@ -41,7 +42,7 @@ from typing import Any, Tuple
 #: Bump whenever the pickled state contract changes incompatibly
 #: (slot layouts, event-heap entry layout, RNG stream naming).  Stored
 #: checkpoints with another version are invalidated, not misread.
-SNAPSHOT_VERSION = 23
+SNAPSHOT_VERSION = 24
 
 #: sha256 of the pickled layout (classes, their fields, container
 #: types) reachable from a reference snapshot, as
@@ -49,7 +50,7 @@ SNAPSHOT_VERSION = 23
 #: that test fails the layout moved: bump the version above, then
 #: regenerate this value with the command the failure prints.
 SNAPSHOT_LAYOUT_FINGERPRINT = (
-    "8b43647582a1db53ad7f62fe3f6fc8251ab052baf5aefb78a1693cf80b43dfb0"
+    "af0855a586d04e6c7960bfb73750039ac7469061ace91a77c854dae83bc0f00a"
 )
 
 _MAGIC = b"repro-snap"

@@ -25,7 +25,7 @@ REPORT_DIGEST = (
 SKIPPED = 9
 COVERAGE_KEYS = 109
 NO_WORKLOAD = "replay: case has no workload"
-NO_SNAPSHOT = "snapshot: workload/churn graphs are not snapshottable"
+NO_SNAPSHOT = "snapshot: workload graphs do not pickle; churn is gated for cost"
 #: per executed genome: (key, failure signatures, coverage keys, skipped)
 EXECUTED = (
     ("a5350b3428300a78", (), 42, (NO_WORKLOAD,)),

@@ -32,10 +32,11 @@ class TestPartitionPrimitives:
         network = Network(sim)
         overlay = build_overlay(
             sim, network, PlatformConfig(),
-            OverlayDescription(rendezvous_count=2, sites=["rennes", "sophia"]),
+            OverlayDescription(rendezvous_count=2),
         )
+        west, east = (r.node.site.name for r in overlay.rendezvous)
         overlay.start()
-        network.partition("rennes", "sophia")
+        network.partition(west, east)
         drops_before = network.stats.messages_dropped
         sim.run(until=3 * MINUTES)
         assert network.stats.messages_dropped > drops_before
@@ -47,12 +48,13 @@ class TestPartitionPrimitives:
         network = Network(sim)
         overlay = build_overlay(
             sim, network, PlatformConfig(),
-            OverlayDescription(rendezvous_count=2, sites=["rennes", "sophia"]),
+            OverlayDescription(rendezvous_count=2),
         )
+        west, east = (r.node.site.name for r in overlay.rendezvous)
         overlay.start()
-        network.partition("rennes", "sophia")
+        network.partition(west, east)
         sim.run(until=3 * MINUTES)
-        network.heal("rennes", "sophia")
+        network.heal(west, east)
         sim.run(until=10 * MINUTES)
         assert overlay.group.property_2_satisfied()
 

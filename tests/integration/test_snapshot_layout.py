@@ -37,6 +37,7 @@ from repro.config import PlatformConfig
 from repro.deploy import OverlayDescription, build_overlay
 from repro.faults.engine import NetworkFaultController
 from repro.network import Network
+from repro.network.site import GRID5000_SITES, Node
 from repro.obs.runtime import session as obs_session
 from repro.sim import MINUTES, Simulator
 from repro.sim.tracing import KernelTraceRecorder
@@ -66,11 +67,14 @@ def build():
     network.fault_controller = NetworkFaultController(sim)
     overlay = build_overlay(
         sim, network, PlatformConfig(),
-        OverlayDescription(
-            rendezvous_count=8, topology="chain", edge_count=5,
-            edge_transports=["tcp"] * 4 + ["http"],
-        ),
+        OverlayDescription(rendezvous_count=8, topology="chain", edge_count=4),
     )
+    overlay.edges.append(overlay.group.create_edge(
+        Node(12, GRID5000_SITES[12 % 9]),
+        seeds=[overlay.rendezvous[4].address],
+        name="edge-4",
+        transport="http",
+    ))
     overlay.start()
     sim.run(until=1 * MINUTES)
     catalog = Catalog.uniform(40)

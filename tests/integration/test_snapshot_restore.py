@@ -17,7 +17,10 @@ from repro.advertisement import FakeAdvertisement
 from repro.config import PlatformConfig
 from repro.deploy import OverlayDescription, build_overlay
 from repro.experiments import churn_exp, fig4_right, load_exp
+from repro.fuzz import SEED_CASES
+from repro.fuzz import runner as fuzz_runner
 from repro.network import Network
+from repro.network.site import GRID5000_SITES, Node
 from repro.sim import MINUTES, Simulator
 from repro.sim.tracing import KernelTraceRecorder
 from repro.snapshot import (
@@ -154,11 +157,15 @@ def _http_deploy():
     recorder = KernelTraceRecorder(sim)
     overlay = build_overlay(
         sim, network, PlatformConfig(),
-        OverlayDescription(
-            rendezvous_count=4, edge_count=2, topology="chain",
-            edge_transports=["http", "tcp"],
-        ),
+        OverlayDescription(rendezvous_count=4, topology="chain"),
     )
+    for i, transport in enumerate(("http", "tcp")):
+        overlay.edges.append(overlay.group.create_edge(
+            Node(4 + i, GRID5000_SITES[4 + i]),
+            seeds=[overlay.rendezvous[i].address],
+            name=f"edge-{i}",
+            transport=transport,
+        ))
     overlay.start()
     sim.run(until=HTTP_MID)
     return network, overlay, recorder
@@ -180,6 +187,26 @@ class TestHttpEdgeRestore:
         network2.sim.run(until=HTTP_END)
         assert extra["overlay"].edges[0].relay_client.attached
         assert extra["recorder"].entries == baseline
+
+
+class TestChurnGraphSnapshot:
+    def test_fuzz_churn_case_snapshots_mid_window(self, monkeypatch):
+        """Fuzz seed case 3 (churn plus loss) snapshotted at t = 165 s,
+        inside its 60–180 s churn window: continuing, and separately
+        restoring and continuing, both fire the uninterrupted kernel
+        trace.  The fuzzer skips this probe on churn cases only for its
+        cost, so the test lifts that gate."""
+        case = SEED_CASES[2]
+        assert fuzz_runner.has_churn(case) and case.workload is None
+        base = fuzz_runner.run_case(case, reads=(fuzz_runner.DIGEST,))
+        monkeypatch.setattr(fuzz_runner, "has_churn", lambda case: False)
+        continued, restored, skip = (
+            fuzz_runner.run_case_with_midpoint_snapshot(case)
+        )
+        assert skip is None
+        assert len(base.trace) > 1000
+        assert continued == base.trace
+        assert restored == base.trace
 
 
 class TestFork:

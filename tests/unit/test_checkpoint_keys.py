@@ -14,7 +14,7 @@ from repro.sim import MINUTES
 from repro.snapshot import checkpoint_key
 
 CHURN_R16_SEED2 = (
-    "fa59e2c0f2dc7b2a1911f3115d46aea519994bd230a7bcff93f0de1c8d7fe339"
+    "786331bdd850a76ee7098684bf269ea6af2a2cedb348df9564bc1235aa7e234c"
 )
 
 KEYS = {
@@ -24,30 +24,30 @@ KEYS = {
     ),
     "fig4-right r=8 A": (
         lambda: fig4_right.bootstrap_spec(8, False),
-        "b2256a4970b870abe53f6764ad29c18ecc9fa2e09b5466e5d61ce1a11fae65e3",
+        "1fc1b2c1ddc467499f7a1efaec823113a8ac255915f6077600e25ae2c9e84305",
     ),
     "fig4-right r=20 B warmup=60min": (
         lambda: fig4_right.bootstrap_spec(20, True, warmup=60 * MINUTES),
-        "d0fe1e9012677955a4b48ba0de6b48181c17ef4c1e5119646c77db04480b579b",
+        "59d7f3688f1983f944d8523b824939343310b2580cb77fd0778ff6c96be1ea21",
     ),
     "load ci_spec r=8 seed=3": (
         lambda: load_exp.bootstrap_spec(load_exp.ci_spec(), 8, seed=3),
-        "b2aca9e3c95298fab5e524681ca2279cb4269537f79e51aa85732cbc1e0c61d2",
+        "fd94e97ecd05bf1d2f49e4e01b716434a170d7f525ef22037f80449c7667347d",
     ),
 }
 
 FUZZ_KEYS = (
-    "ef80de9ac5d447058a927b5980c06dd27c1630024cd06da89f63b78d9d40568a",
-    "f59f1e78b501e47f0081acede5b2c96ff1725f269a60db83a08dff695abf5ac6",
-    "7bffce0c2ff43f424d6dd0406978b117a79c40552a1a28b122576870284d2aa8",
-    "a1a62d8eba1fa44976c747c1b862b6a1dbda281b55616668ce6725f751961d12",
+    "f61682c39439c9ca440fde03f72b23be68356009c8066e1b4fa261606730715a",
+    "622ea6090ff5e3cd3e8d9249acb9ef604b5e89f7f97803e70807ae07cf14c256",
+    "3c3a32b83e6b6eecd0c02e357bd02d61fe74cceb85fcfd68ce5540f42d5ed5df",
+    "988d77e149b0c19f8e36683361b4944426238f2a2bfeec4becf1b4d86514af17",
 )
 
 CAMPAIGN_KEYS = {
     "churn": ({"r": 16, "seed": 2}, CHURN_R16_SEED2),
     "load": (
         {"r": 24, "rate": 1, "skew": 0, "seed": 1, "warmup": 3600},
-        "f526be89f4a4ca4290098cebc128eacda4b94b338f389c5b120aef2e9889ee66",
+        "12b444ce66757d34d3718a0dad94a5cd7d66d78d2e6a9517e7a7c7ef10fdf2d5",
     ),
 }
 

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.baselines.chord import (
-    ChordNode,
     ChordRing,
     M,
     RING,
@@ -137,13 +136,6 @@ class TestDynamicJoin:
 
 
 class TestValidation:
-    def test_bad_key_rejected(self):
-        sim = Simulator(seed=1)
-        net = Network(sim)
-        node = place_nodes(1)[0]
-        with pytest.raises(ValueError):
-            ChordNode(sim, net, node, "chord://x:1", key=RING)
-
     def test_empty_ring_rejected(self):
         sim = Simulator(seed=1)
         net = Network(sim)

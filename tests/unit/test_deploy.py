@@ -41,7 +41,7 @@ class TestTopologies:
 
     def test_make_topology_dispatch(self):
         assert make_topology("chain", 3) == chain_topology(3)
-        assert make_topology("tree", 7, fanout=2) == tree_topology(7)
+        assert make_topology("tree", 7) == tree_topology(7)
         with pytest.raises(ValueError):
             make_topology("ring", 3)
 
@@ -120,13 +120,6 @@ class TestBuilder:
         sites = {r.node.site.name for r in overlay.rendezvous}
         assert len(sites) == 9
 
-    def test_site_subset(self):
-        overlay = self._build(
-            OverlayDescription(rendezvous_count=4, sites=["rennes", "orsay"])
-        )
-        sites = {r.node.site.name for r in overlay.rendezvous}
-        assert sites == {"rennes", "orsay"}
-
     def test_unique_addresses(self):
         overlay = self._build(
             OverlayDescription(rendezvous_count=10, edge_count=10)
@@ -140,27 +133,6 @@ class TestBuilder:
         assert all(p.running for p in overlay.group.all_peers)
         overlay.stop()
         assert not any(p.running for p in overlay.group.all_peers)
-
-    def test_edge_transports_plumbed(self):
-        overlay = self._build(
-            OverlayDescription(
-                rendezvous_count=2, edge_count=2,
-                edge_transports=["tcp", "http"],
-            )
-        )
-        assert overlay.edges[0].transport == "tcp"
-        assert overlay.edges[1].transport == "http"
-        assert overlay.edges[1].relay_client is not None
-
-    def test_edge_transports_validation(self):
-        with pytest.raises(ValueError):
-            OverlayDescription(
-                rendezvous_count=1, edge_count=2, edge_transports=["tcp"]
-            )
-        with pytest.raises(ValueError):
-            OverlayDescription(
-                rendezvous_count=1, edge_count=1, edge_transports=["smtp"]
-            )
 
     def test_one_replica_function_per_overlay(self):
         from repro.discovery.replica import ReplicaFunction

@@ -129,7 +129,7 @@ class TestRouter:
         assert got[0].ttl == DEFAULT_TTL - 1
         assert c.messages_relayed == 1
 
-    def test_send_takes_the_first_hop_that_resolve_reports(self):
+    def test_send_takes_the_default_then_the_direct_route(self):
         """send_to_peer hands the message to the default route while the
         table has no route for the destination, and to the direct route
         once one is installed."""

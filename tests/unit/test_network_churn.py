@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from repro.faults import ChurnWindow
+from repro.faults.engine import FaultContext
 from repro.network.churn import (
     ChurnProcess,
     ExponentialChurn,
@@ -44,6 +46,27 @@ class TestParetoChurn:
             ParetoChurn(60.0, 10.0, shape=1.0)
 
 
+class FakePeer:
+    """What churn drives: a ``running`` flag, ``crash()`` and ``start()``,
+    each call logged with the peer's name and the simulated time."""
+
+    def __init__(self, name, sim, events):
+        self.name, self.sim, self.events = name, sim, events
+        self.running = True
+
+    def crash(self):
+        self.running = False
+        self.events.append(("kill", self.name, self.sim.now))
+
+    def start(self):
+        self.running = True
+        self.events.append(("revive", self.name, self.sim.now))
+
+
+def fake_peers(sim, names, events):
+    return {name: FakePeer(name, sim, events) for name in names}
+
+
 class TestChurnProcess:
     def _run(self, horizon=1000.0):
         sim = Simulator(seed=3)
@@ -51,9 +74,7 @@ class TestChurnProcess:
         proc = ChurnProcess(
             sim,
             ExponentialChurn(mean_session=50.0, mean_downtime=20.0),
-            targets=["p1", "p2", "p3"],
-            on_kill=lambda t: events.append(("kill", t, sim.now)),
-            on_revive=lambda t: events.append(("revive", t, sim.now)),
+            fake_peers(sim, ["p1", "p2", "p3"], events),
         )
         proc.start()
         sim.run(until=horizon)
@@ -82,9 +103,7 @@ class TestChurnProcess:
         proc = ChurnProcess(
             sim,
             ExponentialChurn(mean_session=10.0, mean_downtime=10.0),
-            targets=["p1"],
-            on_kill=lambda t: events.append("kill"),
-            on_revive=lambda t: events.append("revive"),
+            fake_peers(sim, ["p1"], events),
         )
         proc.start()
         sim.run(until=100.0)
@@ -100,26 +119,16 @@ class TestChurnProcess:
 
 
 class TestChurnEdgeCases:
-    def _proc(self, sim=None, targets=("p1", "p2")):
-        sim = sim or Simulator(seed=7)
-        events = []
-        proc = ChurnProcess(
-            sim,
-            ExponentialChurn(mean_session=1e9, mean_downtime=1e9),
-            targets=list(targets),
-            on_kill=lambda t: events.append(("kill", t)),
-            on_revive=lambda t: events.append(("revive", t)),
-        )
-        return sim, proc, events
-
     def test_empty_and_duplicate_targets_rejected(self):
         sim = Simulator(seed=7)
         model = ExponentialChurn(mean_session=10.0, mean_downtime=10.0)
         with pytest.raises(ValueError, match="at least one target"):
-            ChurnProcess(sim, model, [], lambda t: None, lambda t: None)
+            ChurnProcess(sim, model, {})
+        # a mapping cannot repeat a name; a fault window's list can
+        context = FaultContext(sim, None, fake_peers(sim, ["p1"], []), None)
         with pytest.raises(ValueError, match="duplicate"):
-            ChurnProcess(
-                sim, model, ["p1", "p1"], lambda t: None, lambda t: None
+            context.start_churn(
+                ChurnWindow(at=0.0, duration=60.0, targets=("p1", "p1"))
             )
 
     def test_distribution_param_validation(self):

@@ -27,7 +27,7 @@ from typing import Tuple
 
 import pytest
 
-from repro.sim import MINUTES, SECONDS
+from repro.sim import MINUTES, SECONDS, Simulator
 from repro.sim.tracing import KernelTraceRecorder
 from repro.snapshot import restore_network, snapshot_network
 from tests.integration.test_frame_budget import load_frames_per_op
@@ -201,14 +201,21 @@ class TestLifecycle:
 
 
 class TestCountedWork:
-    def test_peerview_window_cancels_no_kernel_event(self):
+    def test_peerview_window_cancels_no_kernel_event(self, monkeypatch):
         """``scripts/frames_per_op.py``'s peerview regime: a probe
         schedules nothing, so its response has nothing to cancel."""
         frames_per_op = load_frames_per_op()
         sim, _, overlay = frames_per_op.peerview_regime()
         protos = [r.peerview_protocol for r in overlay.rendezvous]
         probes = sum(p.probes_sent for p in protos)
-        cancelled = sim._cancelled
+        cancels = []
+        note_cancel = Simulator._note_cancel
+
+        def counted(self):
+            cancels.append(self)
+            note_cancel(self)
+
+        monkeypatch.setattr(Simulator, "_note_cancel", counted)
         sim.run(until=frames_per_op.PEERVIEW_WINDOW[1])
         assert sum(p.probes_sent for p in protos) - probes == 254
-        assert sim._cancelled - cancelled == 0
+        assert cancels == []

@@ -5,7 +5,7 @@ import pytest
 from repro.advertisement import FakeAdvertisement
 from repro.config import PlatformConfig
 from repro.deploy import OverlayDescription, build_overlay
-from repro.endpoint.relay import RelayClient, RelayServer
+from repro.endpoint.relay import RELAY_LEASE, RelayClient, RelayServer
 from repro.network import Network
 from repro.sim import MINUTES, SECONDS, Simulator
 from tests.routes import next_hop
@@ -240,9 +240,8 @@ class TestRelayInterceptor:
         sim, overlay, http_edge = build_with_http_edge()
         relay_rdv = overlay.rendezvous[1]
         client = http_edge.relay_client
-        lease = client.lease
         client.detach()  # stops re-registering; the record expires
-        sim.run(until=sim.now + lease + 1.0)
+        sim.run(until=sim.now + RELAY_LEASE + 1.0)
         assert relay_rdv.endpoint.relay_interceptor is not None
         assert relay_rdv.relay_server.client_count() == 0  # purges
         assert relay_rdv.endpoint.relay_interceptor is None

@@ -243,6 +243,14 @@ class TestLimits:
         h.cancel()
         assert sim.pending_events == 1
 
+    def test_pending_events_is_exact_inside_a_run(self):
+        sim = Simulator()
+        seen = []
+        for i in range(5):
+            sim.schedule(float(i), lambda: seen.append(sim.pending_events))
+        sim.run()
+        assert seen == [4, 3, 2, 1, 0]
+
 
 class TestTraceHooks:
     def test_hook_sees_each_fire(self):
