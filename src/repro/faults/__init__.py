@@ -49,11 +49,7 @@ from repro.faults.engine import (
     ScenarioEngine,
     peers_of,
 )
-from repro.faults.invariants import (
-    InvariantChecker,
-    InvariantViolationError,
-    Violation,
-)
+from repro.faults.invariants import InvariantChecker, Violation
 
 __all__ = [
     "FAULT_FREE",
@@ -67,7 +63,6 @@ __all__ = [
     "HealAllSites",
     "HealSites",
     "InvariantChecker",
-    "InvariantViolationError",
     "LossWindow",
     "NetworkFaultController",
     "PartitionSites",

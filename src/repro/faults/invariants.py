@@ -39,10 +39,6 @@ DEFAULT_PROBE_TUPLES: Tuple[Tuple[str, str, str], ...] = tuple(
 )
 
 
-class InvariantViolationError(AssertionError):
-    """Raised in ``raise_on_violation`` mode when an invariant fails."""
-
-
 @dataclass(frozen=True)
 class Violation:
     """One detected invariant breach."""
@@ -68,11 +64,7 @@ class InvariantChecker:
     log:
         Optional tracer; per-round convergence ratios land as
         ``("invariant", "convergence", peer name, {"value": l / (r_up − 1)})``.
-        Violations are kept in :attr:`violations`.
-    raise_on_violation:
-        If True the first violation raises
-        :class:`InvariantViolationError` (test mode); otherwise
-        violations are recorded and the run continues.
+        Violations are kept in :attr:`violations`; the run continues.
     """
 
     def __init__(
@@ -80,12 +72,10 @@ class InvariantChecker:
         sim: Simulator,
         rendezvous: Sequence[object],
         log: Optional[TimelineTracer] = None,
-        raise_on_violation: bool = False,
     ) -> None:
         self.sim = sim
         self.rendezvous = list(rendezvous)
         self.log = log
-        self.raise_on_violation = raise_on_violation
         self.violations: List[Violation] = []
         self.rounds_checked = 0
         #: peerview tick label -> peer (PeriodicTask labels are
@@ -248,8 +238,6 @@ class InvariantChecker:
     ) -> Violation:
         violation = Violation(now, observer, invariant, detail)
         self.violations.append(violation)
-        if self.raise_on_violation:
-            raise InvariantViolationError(violation.format())
         return violation
 
     @property

@@ -11,8 +11,8 @@ repeat runs and worker counts.
 
 Layers (see docs/FUZZING.md):
 
-* :mod:`repro.fuzz.genome` — the ``FuzzCase`` codec, bounds,
-  validation, mutation and crossover;
+* :mod:`repro.fuzz.genome` — the ``FuzzCase`` codec, its gene
+  tables, validation, mutation and crossover;
 * :mod:`repro.fuzz.runner` — executes one case and applies the oracle
   battery (invariants, snapshot invisibility, replay identity);
 * :mod:`repro.fuzz.shrink` — deterministic delta-debugging shrinker;
@@ -26,10 +26,8 @@ Layers (see docs/FUZZING.md):
 from repro.fuzz.corpus import CorpusEntry, load_corpus, merge_entries, save_corpus
 from repro.fuzz.engine import FuzzEngine, FuzzReport, merge_reports, run_batch
 from repro.fuzz.genome import (
-    DEFAULT_BOUNDS,
     SEED_CASES,
     FuzzCase,
-    GenomeBounds,
     case_key,
     crossover,
     from_dict,
@@ -52,10 +50,8 @@ __all__ = [
     "FuzzReport",
     "merge_reports",
     "run_batch",
-    "DEFAULT_BOUNDS",
     "SEED_CASES",
     "FuzzCase",
-    "GenomeBounds",
     "case_key",
     "crossover",
     "from_dict",

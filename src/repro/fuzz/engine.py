@@ -28,7 +28,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.campaign.spec import canonical_json, derive_seed
 from repro.fuzz.corpus import (
@@ -39,10 +39,8 @@ from repro.fuzz.corpus import (
     save_corpus,
 )
 from repro.fuzz.genome import (
-    DEFAULT_BOUNDS,
     SEED_CASES,
     FuzzCase,
-    GenomeBounds,
     case_key,
     crossover,
     mutate,
@@ -148,16 +146,12 @@ class FuzzEngine:
     def __init__(
         self,
         seed: int = 0,
-        bounds: GenomeBounds = DEFAULT_BOUNDS,
         oracles: Sequence[str] = ORACLES,
         store=None,
-        log: Optional[Callable[[str], None]] = None,
     ) -> None:
         self.seed = seed
-        self.bounds = bounds
         self.oracles = tuple(oracles)
         self.store = store
-        self._log = log or (lambda msg: None)
         self._rng = random.Random(seed)
         self._coverage: set = set()
         self._pool: List[FuzzCase] = []
@@ -173,14 +167,12 @@ class FuzzEngine:
             return SEED_CASES[index]
         roll = self._rng.random()
         if self._pool and roll < 0.6:
-            return mutate(
-                self._rng.choice(self._pool), self._rng, self.bounds
-            )
+            return mutate(self._rng.choice(self._pool), self._rng)
         if len(self._pool) >= 2 and roll < 0.8:
             a = self._rng.choice(self._pool)
             b = self._rng.choice(self._pool)
-            return crossover(a, b, self._rng, self.bounds)
-        return random_case(self._rng, self.bounds)
+            return crossover(a, b, self._rng)
+        return random_case(self._rng)
 
     # -- failure handling -------------------------------------------------
 
@@ -198,30 +190,17 @@ class FuzzEngine:
 
     def _record_failure(self, failure: Failure, case: FuzzCase) -> None:
         self._failed_signatures.add(failure.signature)
-        self._log(
-            f"# failure {failure.signature} in case {case_key(case)}; "
-            "shrinking"
-        )
         result = shrink_case(
-            case,
-            self._still_fails(failure),
-            bounds=self.bounds,
-            max_probes=SHRINK_PROBES,
+            case, self._still_fails(failure), max_probes=SHRINK_PROBES
         )
         self.report.shrink_probes += result.probes
-        shrunk = result.case
         self._entries.append(
             CorpusEntry(
-                case=shrunk,
+                case=result.case,
                 kind="failure",
                 signature=failure.signature,
                 note=f"oracle={failure.oracle}",
             )
-        )
-        self._log(
-            f"# shrunk {failure.signature} to "
-            f"{len(shrunk.actions)} action(s) "
-            f"({result.probes} probe(s), key {case_key(shrunk)})"
         )
 
     # -- the loop ---------------------------------------------------------

@@ -10,8 +10,8 @@ workload.  Two contracts matter:
   back to the same bytes (``canonical_json``: sorted keys, no
   whitespace).  ``case_key`` (sha256 prefix of those bytes) is the
   corpus identity.
-* **bounded validity** — :func:`validate_case` enforces
-  :class:`GenomeBounds`; :func:`random_case`, :func:`mutate` and
+* **bounded validity** — :func:`validate_case` enforces each gene
+  row's range; :func:`random_case`, :func:`mutate` and
   :func:`crossover` only ever produce valid genomes (pinned by the
   property suite).
 
@@ -59,36 +59,19 @@ BOOTSTRAP_TIME = 30.0
 #: Highest peer index a genome may name (decoded modulo ``r``).
 MAX_PEER_INDEX = 63
 
+#: Earliest instant an action may fire (> BOOTSTRAP_TIME so the
+#: shared bootstrap prefix is genuinely fault-free).
+MIN_ACTION_AT = 40.0
+
+#: The limits more than one gene row (or the shrinker) reads; every
+#: other limit is a literal in its row.
+R_MIN, R_MAX = 3, 12
+DURATION_MIN, DURATION_MAX = 120.0, 600.0
+MAX_ACTIONS = 12
+MAX_CHURN_TARGETS = 4
+PVE_EXPIRATION_MAX = 1200.0
+
 GENOME_VERSION = 1
-
-
-@dataclass(frozen=True)
-class GenomeBounds:
-    """The box every genome must live in (validated, not clamped)."""
-
-    r_min: int = 3
-    r_max: int = 12
-    duration_min: float = 120.0
-    duration_max: float = 600.0
-    max_actions: int = 12
-    #: earliest instant an action may fire (> BOOTSTRAP_TIME so the
-    #: shared bootstrap prefix is genuinely fault-free)
-    min_action_at: float = 40.0
-    pve_expiration_min: float = 45.0
-    pve_expiration_max: float = 1200.0
-    peerview_interval_min: float = 10.0
-    peerview_interval_max: float = 60.0
-    topologies: Tuple[str, ...] = ("chain", "tree", "star")
-    max_churn_targets: int = 4
-    max_queriers: int = 4
-    max_publishers: int = 2
-    rate_min: float = 0.2
-    rate_max: float = 4.0
-    catalog_min: int = 10
-    catalog_max: int = 60
-
-
-DEFAULT_BOUNDS = GenomeBounds()
 
 
 @dataclass(frozen=True)
@@ -127,41 +110,32 @@ class Gene:
     """One genome field: its legal range, the fuzzer's draw and the
     shrinker's mildest value.  ``kind`` is ``"real"``, ``"int"``,
     ``"peer"`` (an index decoded modulo ``r``), ``"peers"`` (``lo``..
-    ``hi`` peer indices) or ``"name"`` (one of ``hi``).  A bound is a
-    literal or a :class:`GenomeBounds` field name; ``lo`` is exclusive
-    when ``open_lo``.  ``draw(rng, bounds, case_duration)`` defaults to
-    the whole legal range; ``mildest`` (a peer list: how many it keeps)
-    is what the shrinker weakens to, None for never."""
+    ``hi`` peer indices) or ``"name"`` (one of ``hi``).  ``lo`` is
+    exclusive when ``open_lo``.  ``draw(rng, case_duration)`` defaults
+    to the whole legal range; ``mildest`` (a peer list: how many it
+    keeps) is what the shrinker weakens to, None for never."""
 
     kind: str
     lo: Any = None
     hi: Any = None
-    draw: Optional[Callable[[random.Random, GenomeBounds, float], Any]] = None
+    draw: Optional[Callable[[random.Random, float], Any]] = None
     mildest: Any = None
     open_lo: bool = False
 
-    def range(self, bounds: GenomeBounds) -> Tuple[Any, Any]:
-        lo, hi = self.lo, self.hi
-        return (
-            getattr(bounds, lo) if isinstance(lo, str) else lo,
-            getattr(bounds, hi) if isinstance(hi, str) else hi,
-        )
-
-    def legal(self, bounds: GenomeBounds) -> str:
-        lo, hi = self.range(bounds)
+    def legal(self) -> str:
         if self.kind == "name":
-            return f"{hi}"
-        return f"{'(' if self.open_lo else '['}{lo}, {hi}]"
+            return f"{self.hi}"
+        return f"{'(' if self.open_lo else '['}{self.lo}, {self.hi}]"
 
-    def accepts(self, value: Any, bounds: GenomeBounds) -> bool:
-        lo, hi = self.range(bounds)
+    def accepts(self, value: Any) -> bool:
+        lo, hi = self.lo, self.hi
         if self.kind == "name":
             return value in hi
         if self.kind == "peers":
             return (
                 isinstance(value, (list, tuple))
                 and lo <= len(value) <= hi
-                and all(PEER.accepts(t, bounds) for t in value)
+                and all(PEER.accepts(t) for t in value)
             )
         number = numbers.Real if self.kind == "real" else int
         if not isinstance(value, number) or isinstance(value, bool):
@@ -169,18 +143,18 @@ class Gene:
         return (lo < value if self.open_lo else lo <= value) and value <= hi
 
     def sample(
-        self, rng: random.Random, bounds: GenomeBounds, duration: float,
-        count: int = 1,
+        self, rng: random.Random, duration: float, count: int = 1
     ) -> Any:
         """The fuzzer's draw (a peer list: ``count`` peer draws)."""
         if self.kind == "peers":
-            return [PEER.sample(rng, bounds, duration) for _ in range(count)]
+            return [PEER.sample(rng, duration) for _ in range(count)]
         if self.draw is not None:
-            return self.draw(rng, bounds, duration)
-        lo, hi = self.range(bounds)
+            return self.draw(rng, duration)
         if self.kind == "name":
-            return rng.choice(hi)
-        return _t(rng, lo, hi) if self.kind == "real" else rng.randint(lo, hi)
+            return rng.choice(self.hi)
+        if self.kind == "real":
+            return _t(rng, self.lo, self.hi)
+        return rng.randint(self.lo, self.hi)
 
     def decode(self, value: Any, r: int) -> Any:
         if self.kind == "peer":
@@ -196,24 +170,24 @@ class Gene:
 
 def _u(lo: float, hi: float) -> Callable[..., float]:
     """A rounded uniform draw over a fixed ``[lo, hi]``."""
-    return lambda rng, b, d: _t(rng, lo, hi)
+    return lambda rng, d: _t(rng, lo, hi)
 
 
 def _at(duration: float) -> Gene:
     """Every action's ``at``: after the bootstrap prefix, inside the run."""
-    return Gene("real", "min_action_at", duration)
+    return Gene("real", MIN_ACTION_AT, duration)
 
 
 def _window(shortest: float) -> Gene:
     """A window: drawn from ``shortest`` to the run's end, weakened to it."""
     return Gene(
-        "real", 0.0, "duration_max", lambda rng, b, d: _t(rng, shortest, d),
+        "real", 0.0, DURATION_MAX, lambda rng, d: _t(rng, shortest, d),
         mildest=shortest, open_lo=True,
     )
 
 
 PEER = Gene(
-    "peer", 0, MAX_PEER_INDEX, lambda rng, b, d: rng.randint(0, b.r_max - 1)
+    "peer", 0, MAX_PEER_INDEX, lambda rng, d: rng.randint(0, R_MAX - 1)
 )
 SITE = Gene("name", hi=SITE_NAMES)
 _SHARE = Gene("real", 0.0, 0.9, _u(0.1, 0.5), mildest=0.2, open_lo=True)
@@ -225,7 +199,7 @@ ACTIONS: Dict[str, Tuple[type, Dict[str, Gene]]] = {
     "duplicate": (DuplicateWindow, {
         "duration": _window(10.0),
         "probability": _SHARE,
-        "copies": Gene("int", 1, 3, lambda rng, b, d: rng.randint(1, 2), 1),
+        "copies": Gene("int", 1, 3, lambda rng, d: rng.randint(1, 2), 1),
     }),
     "reorder": (ReorderWindow, {
         "duration": _window(10.0),
@@ -242,13 +216,13 @@ ACTIONS: Dict[str, Tuple[type, Dict[str, Gene]]] = {
         "duration": _window(20.0),
         "mean_session": Gene("real", 5.0, 600.0, _u(20.0, 120.0)),
         "mean_downtime": Gene("real", 2.0, 120.0, _u(5.0, 60.0), 2.0),
-        "targets": Gene("peers", 1, "max_churn_targets", mildest=1),
+        "targets": Gene("peers", 1, MAX_CHURN_TARGETS, mildest=1),
     }),
     "clock-skew": (ClockSkew, {
         "peer": PEER,
         "factor": Gene(
             "real", 0.25, 4.0,
-            lambda rng, b, d: rng.choice([0.5, 2.0, 3.0]), mildest=1.0,
+            lambda rng, d: rng.choice([0.5, 2.0, 3.0]), mildest=1.0,
         ),
     }),
 }
@@ -260,27 +234,23 @@ ACTION_KINDS: Tuple[str, ...] = tuple(ACTIONS)
 #: under ``config`` in the encoding).
 CASE: Dict[str, Gene] = {
     "seed": Gene(
-        "int", 0, 2 ** 32 - 1, lambda rng, b, d: rng.randrange(2 ** 16)
+        "int", 0, 2 ** 32 - 1, lambda rng, d: rng.randrange(2 ** 16)
     ),
-    "r": Gene("int", "r_min", "r_max"),
-    "topology": Gene("name", hi="topologies"),
-    "duration": Gene("real", "duration_min", "duration_max"),
+    "r": Gene("int", R_MIN, R_MAX),
+    "topology": Gene("name", hi=("chain", "tree", "star")),
+    "duration": Gene("real", DURATION_MIN, DURATION_MAX),
     "pve_expiration": Gene(
-        "real", "pve_expiration_min", "pve_expiration_max",
-        lambda rng, b, d: _t(
-            rng, b.pve_expiration_min, min(b.pve_expiration_max, 2 * d)
-        ),
+        "real", 45.0, PVE_EXPIRATION_MAX,
+        lambda rng, d: _t(rng, 45.0, min(PVE_EXPIRATION_MAX, 2 * d)),
     ),
-    "peerview_interval": Gene(
-        "real", "peerview_interval_min", "peerview_interval_max"
-    ),
+    "peerview_interval": Gene("real", 10.0, 60.0),
 }
 
 WORKLOAD: Dict[str, Gene] = {
-    "queriers": Gene("int", 1, "max_queriers"),
-    "publishers": Gene("int", 0, "max_publishers"),
-    "rate": Gene("real", "rate_min", "rate_max"),
-    "catalog_size": Gene("int", "catalog_min", "catalog_max"),
+    "queriers": Gene("int", 1, 4),
+    "publishers": Gene("int", 0, 2),
+    "rate": Gene("real", 0.2, 4.0),
+    "catalog_size": Gene("int", 10, 60),
 }
 
 
@@ -309,9 +279,7 @@ def to_json(case: FuzzCase) -> str:
     return canonical_json(to_dict(case))
 
 
-def from_dict(
-    data: Dict[str, Any], bounds: GenomeBounds = DEFAULT_BOUNDS
-) -> FuzzCase:
+def from_dict(data: Dict[str, Any]) -> FuzzCase:
     _check(isinstance(data, dict), "a genome must be a JSON object")
     if data.get("v") != GENOME_VERSION:
         raise ValueError(f"unsupported genome version {data.get('v')!r}")
@@ -338,12 +306,12 @@ def from_dict(
         # a non-dict workload is left for validate_case to reject
         workload=dict(workload) if isinstance(workload, dict) else workload,
     )
-    validate_case(case, bounds)
+    validate_case(case)
     return case
 
 
-def from_json(text: str, bounds: GenomeBounds = DEFAULT_BOUNDS) -> FuzzCase:
-    return from_dict(json.loads(text), bounds)
+def from_json(text: str) -> FuzzCase:
+    return from_dict(json.loads(text))
 
 
 def case_key(case: FuzzCase) -> str:
@@ -365,8 +333,8 @@ def _check(cond: bool, msg: str) -> None:
 
 
 def _check_fields(
-    values: Dict[str, Any], genes: Dict[str, Gene], bounds: GenomeBounds,
-    where: str, others: Tuple[str, ...] = (),
+    values: Dict[str, Any], genes: Dict[str, Gene], where: str,
+    others: Tuple[str, ...] = (),
 ) -> None:
     """Check that ``values`` holds exactly ``others`` and the genes'
     fields, and that each gene accepts its value."""
@@ -374,38 +342,35 @@ def _check_fields(
     if set(values) != expected:
         raise _invalid(f"{where}fields {sorted(values)} != {sorted(expected)}")
     for name, gene in genes.items():
-        if not gene.accepts(values[name], bounds):
+        if not gene.accepts(values[name]):
             raise _invalid(
-                f"{where}{name}={values[name]!r} outside {gene.legal(bounds)}"
+                f"{where}{name}={values[name]!r} outside {gene.legal()}"
             )
 
 
-def _validate_action(
-    action: Dict[str, Any], duration: float, bounds: GenomeBounds
-) -> None:
+def _validate_action(action: Dict[str, Any], duration: float) -> None:
     _check(isinstance(action, dict), "action must be a dict")
     kind = action.get("kind")
     _check(kind in ACTION_KINDS, f"unknown action kind {kind!r}")
     genes = {"at": _at(duration), **ACTIONS[kind][1]}
-    _check_fields(action, genes, bounds, f"{kind}: ", ("kind",))
+    _check_fields(action, genes, f"{kind}: ", ("kind",))
     sites = [action[name] for name, gene in genes.items() if gene is SITE]
     _check(len(set(sites)) == len(sites), f"{kind}: site_a == site_b")
 
 
-def validate_case(
-    case: FuzzCase, bounds: GenomeBounds = DEFAULT_BOUNDS
-) -> None:
-    """Raise ``ValueError`` unless ``case`` lies inside ``bounds``."""
-    _check_fields(vars(case), CASE, bounds, "", ("actions", "workload"))
+def validate_case(case: FuzzCase) -> None:
+    """Raise ``ValueError`` unless every gene of ``case`` accepts its
+    value."""
+    _check_fields(vars(case), CASE, "", ("actions", "workload"))
     _check(
-        len(case.actions) <= bounds.max_actions,
-        f"{len(case.actions)} actions > max {bounds.max_actions}",
+        len(case.actions) <= MAX_ACTIONS,
+        f"{len(case.actions)} actions > max {MAX_ACTIONS}",
     )
     for action in case.actions:
-        _validate_action(action, case.duration, bounds)
+        _validate_action(action, case.duration)
     if case.workload is not None:
         _check(isinstance(case.workload, dict), "workload must be a dict")
-        _check_fields(case.workload, WORKLOAD, bounds, "workload ")
+        _check_fields(case.workload, WORKLOAD, "workload ")
 
 
 # ---------------------------------------------------------------------------
@@ -437,51 +402,39 @@ def has_churn(case: FuzzCase) -> bool:
 # generation / mutation / crossover (all driven by one random.Random)
 # ---------------------------------------------------------------------------
 
-def random_action(
-    rng: random.Random, duration: float, bounds: GenomeBounds = DEFAULT_BOUNDS
-) -> Dict[str, Any]:
+def random_action(rng: random.Random, duration: float) -> Dict[str, Any]:
     kind = rng.choice(ACTION_KINDS)
-    action = {"kind": kind, "at": _at(duration).sample(rng, bounds, duration)}
+    action = {"kind": kind, "at": _at(duration).sample(rng, duration)}
     # partition/heal take both sites from one sample, before any field
     if kind in ("partition", "heal"):
         action["site_a"], action["site_b"] = rng.sample(SITE_NAMES, 2)
     # churn draws its target count before its scalars, its targets after
-    count = rng.randint(1, bounds.max_churn_targets) if kind == "churn" else 0
+    count = rng.randint(1, MAX_CHURN_TARGETS) if kind == "churn" else 0
     for name, gene in ACTIONS[kind][1].items():
         if name not in action:
-            action[name] = gene.sample(rng, bounds, duration, count)
+            action[name] = gene.sample(rng, duration, count)
     return action
 
 
-def random_workload(
-    rng: random.Random, bounds: GenomeBounds = DEFAULT_BOUNDS
-) -> Dict[str, Any]:
-    return {
-        name: gene.sample(rng, bounds, 0.0) for name, gene in WORKLOAD.items()
-    }
+def random_workload(rng: random.Random) -> Dict[str, Any]:
+    return {name: gene.sample(rng, 0.0) for name, gene in WORKLOAD.items()}
 
 
-def random_case(
-    rng: random.Random, bounds: GenomeBounds = DEFAULT_BOUNDS
-) -> FuzzCase:
-    duration = CASE["duration"].sample(rng, bounds, 0.0)
+def random_case(rng: random.Random) -> FuzzCase:
+    duration = CASE["duration"].sample(rng, 0.0)
     # bias toward few actions: min of two draws keeps most genomes
-    # small (fast) while the tail still reaches max_actions
-    count = min(
-        rng.randint(0, bounds.max_actions), rng.randint(0, bounds.max_actions)
-    )
+    # small (fast) while the tail still reaches MAX_ACTIONS
+    count = min(rng.randint(0, MAX_ACTIONS), rng.randint(0, MAX_ACTIONS))
     case = FuzzCase(
         duration=duration,
         **{
-            name: gene.sample(rng, bounds, duration)
+            name: gene.sample(rng, duration)
             for name, gene in CASE.items() if name != "duration"
         },
-        actions=tuple(
-            random_action(rng, duration, bounds) for _ in range(count)
-        ),
-        workload=random_workload(rng, bounds) if rng.random() < 0.3 else None,
+        actions=tuple(random_action(rng, duration) for _ in range(count)),
+        workload=random_workload(rng) if rng.random() < 0.3 else None,
     )
-    validate_case(case, bounds)
+    validate_case(case)
     return case
 
 
@@ -504,30 +457,26 @@ MUTATE_OPERATORS: Tuple[str, ...] = (
 )
 
 
-def mutate(
-    case: FuzzCase,
-    rng: random.Random,
-    bounds: GenomeBounds = DEFAULT_BOUNDS,
-) -> FuzzCase:
+def mutate(case: FuzzCase, rng: random.Random) -> FuzzCase:
     """One mutation step; always returns a *valid* genome (possibly
     equal to the input when the drawn operator has nothing to do)."""
     op = rng.choice(MUTATE_OPERATORS)
     out, actions = case, list(case.actions)
-    if op == "add-action" and len(actions) < bounds.max_actions:
+    if op == "add-action" and len(actions) < MAX_ACTIONS:
         pos = rng.randint(0, len(actions))
-        actions.insert(pos, random_action(rng, case.duration, bounds))
+        actions.insert(pos, random_action(rng, case.duration))
     elif op == "drop-action" and actions:
         del actions[rng.randrange(len(actions))]
     elif op == "replace-action" and actions:
         pos = rng.randrange(len(actions))
-        actions[pos] = random_action(rng, case.duration, bounds)
+        actions[pos] = random_action(rng, case.duration)
     elif op == "tweak-time" and actions:
         pos = rng.randrange(len(actions))
-        at = _at(case.duration).sample(rng, bounds, case.duration)
+        at = _at(case.duration).sample(rng, case.duration)
         actions[pos] = dict(actions[pos], at=at)
     elif op in _REDRAW:
         out = replace(case, **{
-            name: CASE[name].sample(rng, bounds, case.duration)
+            name: CASE[name].sample(rng, case.duration)
             for name in _REDRAW[op]
         })
         if op == "retime":
@@ -535,25 +484,20 @@ def mutate(
     elif op == "reworkload" and case.workload is not None:
         out = replace(case, workload=None)
     elif op == "reworkload":
-        out = replace(case, workload=random_workload(rng, bounds))
+        out = replace(case, workload=random_workload(rng))
     out = replace(out, actions=tuple(actions))
-    validate_case(out, bounds)
+    validate_case(out)
     return out
 
 
-def crossover(
-    a: FuzzCase,
-    b: FuzzCase,
-    rng: random.Random,
-    bounds: GenomeBounds = DEFAULT_BOUNDS,
-) -> FuzzCase:
+def crossover(a: FuzzCase, b: FuzzCase, rng: random.Random) -> FuzzCase:
     """Recombine two genomes: scalars picked per-field, the action list
     spliced prefix-of-a + suffix-of-b (bounded, late actions dropped)."""
     duration = rng.choice((a.duration, b.duration))
     cut_a = rng.randint(0, len(a.actions))
     cut_b = rng.randint(0, len(b.actions))
     actions = _drop_late_actions(
-        (a.actions[:cut_a] + b.actions[cut_b:])[: bounds.max_actions], duration
+        (a.actions[:cut_a] + b.actions[cut_b:])[:MAX_ACTIONS], duration
     )
     out = FuzzCase(
         duration=duration,
@@ -564,7 +508,7 @@ def crossover(
         actions=actions,
         workload=rng.choice((a.workload, b.workload)),
     )
-    validate_case(out, bounds)
+    validate_case(out)
     return out
 
 

@@ -10,8 +10,9 @@ predicate accepts:
    halving chunk size down to single actions;
 2. **window merge** — collapse overlapping same-kind loss / duplicate
    / reorder windows into one spanning window;
-3. **structure drops** — remove the workload, shrink ``r`` toward the
-   lower bound, halve the duration (discarding now-late actions);
+3. **structure drops** — remove the workload, shrink ``r`` toward
+   ``R_MIN``, halve the duration while it stays at least
+   ``DURATION_MIN`` (discarding now-late actions);
 4. **field weakening** — set each action field that has a
    ``Gene.mildest`` (in the genome's ``ACTIONS`` table) to that mildest
    legal value, field by field in the table's draw order.
@@ -19,10 +20,11 @@ predicate accepts:
 Everything is pure function of the input case and the predicate — no
 randomness — so a given failure always shrinks to the same minimal
 reproducer.  Probes are deduplicated by canonical JSON and capped by
-``max_probes``; each probe is expected to warm-start its bootstrap
-prefix from the :class:`~repro.snapshot.CheckpointStore` (the runner
-keys the prefix on everything *except* actions and workload, which is
-exactly what shrink probes vary).
+``max_probes``.  A probe warm-starts its bootstrap prefix from a
+:class:`~repro.snapshot.CheckpointStore` when the caller's predicate
+passes one (the runner keys the prefix on everything *except* actions
+and workload, which is exactly what shrink probes vary); only tests do
+today, and ROADMAP item 9 wires a store into the fuzzer.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from typing import Callable, Dict, Tuple
 
 from repro.fuzz.genome import (
     ACTIONS,
-    DEFAULT_BOUNDS,
+    DURATION_MIN,
+    R_MIN,
     FuzzCase,
-    GenomeBounds,
     to_json,
     validate_case,
 )
@@ -62,9 +64,8 @@ def _size(case: FuzzCase) -> Tuple[int, float, int, int, int]:
 
 
 class _Budget:
-    def __init__(self, predicate, bounds, max_probes):
+    def __init__(self, predicate, max_probes):
         self.predicate = predicate
-        self.bounds = bounds
         self.max_probes = max_probes
         self.probes = 0
         self.seen: Dict[str, bool] = {}
@@ -77,7 +78,7 @@ class _Budget:
         if key in self.seen:
             return self.seen[key]
         try:
-            validate_case(case, self.bounds)
+            validate_case(case)
         except ValueError:
             self.seen[key] = False
             return False
@@ -150,12 +151,12 @@ def _drop_structure(case: FuzzCase, budget: _Budget) -> FuzzCase:
         trial = replace(case, workload=None)
         if budget.fails(trial):
             case = trial
-    while case.r > budget.bounds.r_min:
+    while case.r > R_MIN:
         trial = replace(case, r=case.r - 1)
         if not budget.fails(trial):
             break
         case = trial
-    while case.duration / 2.0 >= budget.bounds.duration_min:
+    while case.duration / 2.0 >= DURATION_MIN:
         half = round(case.duration / 2.0, 1)
         kept = tuple(a for a in case.actions if a["at"] <= half)
         trial = replace(case, duration=half, actions=kept)
@@ -183,14 +184,13 @@ def _weaken_fields(case: FuzzCase, budget: _Budget) -> FuzzCase:
 def shrink_case(
     case: FuzzCase,
     still_fails: Callable[[FuzzCase], bool],
-    bounds: GenomeBounds = DEFAULT_BOUNDS,
     max_probes: int = 160,
 ) -> ShrinkResult:
     """Shrink ``case`` to a smaller input ``still_fails`` still accepts.
 
     The input case itself is assumed failing and is never re-probed;
     if no smaller candidate fails, it is returned unchanged."""
-    budget = _Budget(still_fails, bounds, max_probes)
+    budget = _Budget(still_fails, max_probes)
     budget.seen[to_json(case)] = True
     current = case
     while not budget.exhausted():

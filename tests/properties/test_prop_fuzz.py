@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fuzz import (
-    DEFAULT_BOUNDS,
     SEED_CASES,
     CorpusEntry,
     FuzzCase,
@@ -32,9 +31,9 @@ from repro.fuzz.corpus import entry_to_dict
 
 def _case_from_seed(n: int, mutations: int = 0) -> FuzzCase:
     rng = random.Random(n)
-    case = random_case(rng, DEFAULT_BOUNDS)
+    case = random_case(rng)
     for _ in range(mutations):
-        case = mutate(case, rng, DEFAULT_BOUNDS)
+        case = mutate(case, rng)
     return case
 
 
@@ -54,10 +53,10 @@ def test_round_trip_is_byte_identical(n, mutations):
 @settings(max_examples=80, deadline=None)
 def test_mutation_always_yields_valid_bounded_genome(n):
     rng = random.Random(n)
-    case = rng.choice(SEED_CASES + (random_case(rng, DEFAULT_BOUNDS),))
+    case = rng.choice(SEED_CASES + (random_case(rng),))
     for _ in range(6):
-        case = mutate(case, rng, DEFAULT_BOUNDS)
-        validate_case(case, DEFAULT_BOUNDS)  # raises on violation
+        case = mutate(case, rng)
+        validate_case(case)  # raises on violation
         assert all(a["at"] <= case.duration for a in case.actions)
 
 
@@ -65,10 +64,10 @@ def test_mutation_always_yields_valid_bounded_genome(n):
 @settings(max_examples=60, deadline=None)
 def test_crossover_always_yields_valid_bounded_genome(n):
     rng = random.Random(n)
-    a = random_case(rng, DEFAULT_BOUNDS)
-    b = random_case(rng, DEFAULT_BOUNDS)
-    child = crossover(a, b, rng, DEFAULT_BOUNDS)
-    validate_case(child, DEFAULT_BOUNDS)
+    a = random_case(rng)
+    b = random_case(rng)
+    child = crossover(a, b, rng)
+    validate_case(child)
 
 
 @given(st.integers(0, 10**9))
@@ -87,7 +86,7 @@ def test_shrinker_output_still_fails_the_same_predicate(n):
 
     result = shrink_case(case, still_fails, max_probes=80)
     assert still_fails(result.case)
-    validate_case(result.case, DEFAULT_BOUNDS)
+    validate_case(result.case)
     assert len(result.case.actions) <= len(case.actions)
 
 

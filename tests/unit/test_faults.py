@@ -13,7 +13,6 @@ from repro.faults import (
     DuplicateWindow,
     HealSites,
     InvariantChecker,
-    InvariantViolationError,
     LossWindow,
     PartitionSites,
     ReorderWindow,
@@ -246,13 +245,11 @@ class TestFaultDecision:
 
 
 class TestInvariantChecker:
-    def run_with(self, scenario, r=6, duration=12 * MINUTES, seed=2, **kwargs):
+    def run_with(self, scenario, r=6, duration=12 * MINUTES, seed=2):
         sim, network, overlay = deploy(r=r, seed=seed)
         log = TimelineTracer()
         engine = engine_for(sim, network, overlay, scenario)
-        checker = InvariantChecker(
-            sim, overlay.rendezvous, log=log, **kwargs
-        )
+        checker = InvariantChecker(sim, overlay.rendezvous, log=log)
         overlay.start()
         engine.start()
         sim.run(until=duration)
@@ -294,14 +291,6 @@ class TestInvariantChecker:
         checker, _, _ = self.run_with(scenario)
         kinds = checker.summary()
         assert "peerview.consistency" in kinds or "peerview.total-order" in kinds
-
-    def test_raise_mode_aborts_the_run(self):
-        scenario = Scenario(
-            name="corrupt",
-            actions=(CorruptPeerView(at=6 * MINUTES, peer="rdv-0", mode="swap"),),
-        )
-        with pytest.raises(InvariantViolationError):
-            self.run_with(scenario, raise_on_violation=True)
 
     def test_check_all_on_demand(self):
         sim, network, overlay = deploy()

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.fuzz import (
+    SEED_CASES,
     CorpusEntry,
     FuzzCase,
     load_corpus,
@@ -14,6 +15,7 @@ from repro.fuzz import (
 )
 from repro.fuzz.cli import fuzz_main
 from repro.fuzz.corpus import entry_from_dict, entry_to_dict
+from repro.fuzz.genome import R_MIN
 from repro.fuzz.engine import (
     FuzzEngine,
     batch_seed,
@@ -165,7 +167,10 @@ def test_shrinker_drops_irrelevant_actions():
 
 
 def test_shrinker_never_returns_passing_case():
-    case = FuzzCase(seed=2, actions=(_crash(60.0, 1), _crash(70.0, 2)))
+    case = FuzzCase(
+        seed=2, actions=(_crash(60.0, 1), _crash(70.0, 2)),
+        workload=SEED_CASES[3].workload,
+    )
 
     def always_fails(candidate):
         return True
@@ -173,6 +178,12 @@ def test_shrinker_never_returns_passing_case():
     result = shrink_case(case, always_fails)
     assert always_fails(result.case)
     assert len(result.case.actions) == 0  # everything was droppable
+    # structure drops stop at the genome's floors: r at R_MIN, the
+    # 240 s duration halved once (a second halving falls below
+    # DURATION_MIN), and no workload
+    assert result.case.r == R_MIN == 3
+    assert result.case.duration == 120.0
+    assert result.case.workload is None
 
 
 def test_shrinker_respects_probe_budget():

@@ -3,12 +3,13 @@
 import hashlib
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.faults import Scenario
 from repro.fuzz import (
-    DEFAULT_BOUNDS,
     SEED_CASES,
     FuzzCase,
     case_key,
@@ -24,8 +25,11 @@ from repro.fuzz import (
 from repro.fuzz.genome import (
     ACTION_KINDS,
     ACTIONS,
+    BOOTSTRAP_TIME,
     CASE,
+    MIN_ACTION_AT,
     MUTATE_OPERATORS,
+    PEER,
     WORKLOAD,
     Gene,
     decode_action,
@@ -38,7 +42,7 @@ from repro.fuzz.genome import (
 def test_seed_cases_valid_and_distinct():
     keys = set()
     for case in SEED_CASES:
-        validate_case(case, DEFAULT_BOUNDS)
+        validate_case(case)
         keys.add(case_key(case))
     assert len(keys) == len(SEED_CASES)
 
@@ -68,17 +72,17 @@ def test_unknown_version_rejected():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"r": 2},  # below r_min
-        {"r": 99},  # above r_max
-        {"duration": 10.0},  # below duration_min
-        {"topology": "ring"},  # not in bounds.topologies
+        {"r": 2},  # below R_MIN
+        {"r": 99},  # above R_MAX
+        {"duration": 10.0},  # below DURATION_MIN
+        {"topology": "ring"},  # not a topology gene name
         {"pve_expiration": 1.0},
         {"peerview_interval": 500.0},
     ],
 )
 def test_out_of_bounds_cases_rejected(kwargs):
     with pytest.raises(ValueError):
-        validate_case(FuzzCase(**kwargs), DEFAULT_BOUNDS)
+        validate_case(FuzzCase(**kwargs))
 
 
 @pytest.mark.parametrize(
@@ -98,7 +102,7 @@ def test_out_of_bounds_cases_rejected(kwargs):
 def test_invalid_actions_rejected(action):
     case = FuzzCase(actions=(action,))
     with pytest.raises(ValueError):
-        validate_case(case, DEFAULT_BOUNDS)
+        validate_case(case)
 
 
 def test_decode_scenario_produces_runnable_scenario():
@@ -134,24 +138,22 @@ def test_has_churn():
 def test_random_case_always_valid():
     rng = random.Random(7)
     for _ in range(50):
-        validate_case(random_case(rng, DEFAULT_BOUNDS), DEFAULT_BOUNDS)
+        validate_case(random_case(rng))
 
 
 def test_mutate_and_crossover_always_valid():
     rng = random.Random(11)
-    pool = [random_case(rng, DEFAULT_BOUNDS) for _ in range(8)]
+    pool = [random_case(rng) for _ in range(8)]
     for _ in range(50):
-        child = mutate(rng.choice(pool), rng, DEFAULT_BOUNDS)
-        validate_case(child, DEFAULT_BOUNDS)
-        cross = crossover(
-            rng.choice(pool), rng.choice(pool), rng, DEFAULT_BOUNDS
-        )
-        validate_case(cross, DEFAULT_BOUNDS)
+        child = mutate(rng.choice(pool), rng)
+        validate_case(child)
+        cross = crossover(rng.choice(pool), rng.choice(pool), rng)
+        validate_case(cross)
 
 
 def test_generation_is_seed_deterministic():
-    a = [random_case(random.Random(3), DEFAULT_BOUNDS) for _ in range(1)]
-    b = [random_case(random.Random(3), DEFAULT_BOUNDS) for _ in range(1)]
+    a = [random_case(random.Random(3)) for _ in range(1)]
+    b = [random_case(random.Random(3)) for _ in range(1)]
     assert [to_json(c) for c in a] == [to_json(c) for c in b]
 
 
@@ -266,14 +268,14 @@ def _fields():
     yield from (("case", n, g) for n, g in CASE.items())
     yield from (("workload", n, g) for n, g in WORKLOAD.items())
     for kind, (_, genes) in ACTIONS.items():
-        yield kind, "at", Gene("real", "min_action_at", RUN)
+        yield kind, "at", Gene("real", MIN_ACTION_AT, RUN)
         yield from ((kind, n, g) for n, g in genes.items())
 
 
 def _edges(gene, taken):
     """(values the gene must accept, values it must reject); a name
     already ``taken`` by a sibling field is not offered."""
-    lo, hi = gene.range(DEFAULT_BOUNDS)
+    lo, hi = gene.lo, gene.hi
     if gene.kind == "name":
         return [n for n in hi if n not in taken], ["nowhere", None, 1]
     if gene.kind == "peers":
@@ -309,10 +311,59 @@ def test_gene_range_edges(table, name, gene):
             validate_case(_case_with(table, name, value))
 
 
-def test_fuzzing_doc_names_every_action_kind():
-    from pathlib import Path
+def test_actions_fire_after_the_bootstrap_prefix():
+    # the fault-free shared prefix every execution warm-starts from
+    # ends at BOOTSTRAP_TIME; an action inside it would fault it
+    assert MIN_ACTION_AT > BOOTSTRAP_TIME
 
-    doc = Path(__file__).resolve().parents[2] / "docs" / "FUZZING.md"
-    text = doc.read_text(encoding="utf-8")
+
+FUZZING_DOC = Path(__file__).resolve().parents[2] / "docs" / "FUZZING.md"
+
+
+def test_fuzzing_doc_names_every_action_kind():
+    text = FUZZING_DOC.read_text(encoding="utf-8")
     missing = [kind for kind in ACTION_KINDS if f"`{kind}`" not in text]
     assert not missing, f"docs/FUZZING.md does not name {missing}"
+
+
+def _doc_ranges():
+    """docs/FUZZING.md's gene table: ``(kind, field) -> legal range``
+    cell.  A blank kind cell repeats the kind of the row above."""
+    ranges, kinds = {}, []
+    for line in FUZZING_DOC.read_text(encoding="utf-8").splitlines():
+        cells = [c.strip() for c in line.split("|")[1:-1]]
+        if len(cells) != 5 or not cells[1].startswith("`"):
+            continue
+        if cells[0]:
+            kinds = re.findall(r"`([^`]+)`", cells[0]) or [cells[0]]
+        for kind in kinds:
+            for field in re.findall(r"`([^`]+)`", cells[1]):
+                ranges[kind, field] = cells[2]
+    return ranges
+
+
+def _rendered(gene):
+    """A numeric gene's legal range, written as the doc writes it."""
+    if gene.kind == "peers":
+        return f"{gene.lo}–{gene.hi} ints in {_rendered(PEER)}"
+    lo, hi = (f"{v:g}" if isinstance(v, float) else f"{v}"
+              for v in (gene.lo, gene.hi))
+    return f"{'(' if gene.open_lo else '['}{lo}, {hi}]"
+
+
+def test_fuzzing_doc_gene_table_carries_every_range():
+    tables = [("case", CASE), ("workload", WORKLOAD)]
+    tables += [(kind, genes) for kind, (_, genes) in ACTIONS.items()]
+    expected = [("every kind", "at", Gene("real", MIN_ACTION_AT, "D"))]
+    expected += [
+        (kind, name, gene) for kind, genes in tables
+        for name, gene in genes.items() if gene.kind != "name"
+    ]
+    ranges = _doc_ranges()
+    stale = [
+        f"{kind}.{name}: {_rendered(gene)} not in "
+        f"{ranges.get((kind, name))!r}"
+        for kind, name, gene in expected
+        if _rendered(gene) not in ranges.get((kind, name), "")
+    ]
+    assert not stale, f"docs/FUZZING.md gene table is stale: {stale}"

@@ -253,35 +253,23 @@ class TestRelayInterceptor:
         )
 
     def test_snapshot_round_trip_keeps_it(self):
-        """An HTTP edge's peer holds a closure (not snapshottable), so a
-        TCP edge registers with the relay by hand, as
-        ``RelayClient._register`` would."""
-        from repro.endpoint.relay import RELAY_SERVICE_NAME, RelayRegister
-        from repro.endpoint.service import EndpointMessage
+        """A relay that an HTTP edge registered with keeps its
+        interceptor across a snapshot round trip."""
         from repro.snapshot import restore_network, snapshot_network
 
         sim = Simulator(seed=3)
         network = Network(sim)
         overlay = build_overlay(
             sim, network, PlatformConfig(),
-            OverlayDescription(rendezvous_count=3, edge_count=1,
-                               edge_attachment=[0]),
+            OverlayDescription(rendezvous_count=3),
+        )
+        relay_rdv = overlay.rendezvous[1]
+        edge = overlay.group.create_edge(
+            relay_rdv.node, seeds=[relay_rdv.address], transport="http"
         )
         overlay.start()
         sim.run(until=5 * MINUTES)
-        relay_rdv, edge = overlay.rendezvous[1], overlay.edges[0]
-        edge.endpoint.send_direct(
-            relay_rdv.address,
-            EndpointMessage(
-                src_peer=edge.peer_id, dst_peer=None,
-                service_name=RELAY_SERVICE_NAME,
-                service_param=relay_rdv.relay_server.group_param,
-                body=RelayRegister(
-                    edge.peer_id, edge.endpoint.transport_address, 300.0
-                ),
-            ),
-        )
-        sim.run(until=sim.now + 1.0)
+        assert edge.relay_client.attached
         assert relay_rdv.relay_server.client_count() == 1
         _, restored = restore_network(
             snapshot_network(network, extra=overlay)
