@@ -155,7 +155,7 @@ def run_scenario(
     observer.view.add_listener(PeerViewRecorder(log, observer.name))
 
     engine = ScenarioEngine(sim, network, peers_of(overlay), scenario)
-    checker = InvariantChecker(sim, overlay.rendezvous, log=log)
+    checker = InvariantChecker(sim, overlay.rendezvous, engine, log=log)
     overlay.start()
     engine.start()
     sim.run(until=duration)

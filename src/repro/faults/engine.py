@@ -20,7 +20,7 @@ regression-testing robustness claims (cf. the determinism tests in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.faults.actions import ChurnWindow, FaultAction, Scenario
 from repro.network.churn import ChurnProcess, ExponentialChurn
@@ -122,6 +122,9 @@ class FaultContext:
         self.network = network
         self.peers = peers
         self.controller = controller
+        #: called after each applied action and each churn window's end
+        #: (the invariant checker's whole-overlay sweep); one at a time
+        self.listener: Optional[Callable[[], None]] = None
         #: peer name -> nominal peerview interval (for ClockSkew undo)
         self._base_intervals: Dict[str, float] = {}
         #: churn processes started by ChurnWindow actions
@@ -166,9 +169,19 @@ class FaultContext:
         self.churn_processes.append(churn)
         # the window never leaves peers down past its end
         self.sim.schedule(
-            window.duration, churn.finish, label="fault.churn.end"
+            window.duration, self._end_churn, churn, label="fault.churn.end"
         )
         return churn
+
+    def _end_churn(self, churn: ChurnProcess) -> None:
+        churn.finish()
+        self.notify()
+
+    def notify(self) -> None:
+        """Tell the listener, if any, that the system just changed."""
+        listener = self.listener
+        if listener is not None:
+            listener()
 
     def corrupt_peerview(self, name: str, mode: str) -> None:
         """Break the target's order book while leaving the local peer's
@@ -253,6 +266,7 @@ class ScenarioEngine(Process):
             return
         action.apply(self.context)
         self.applied.append((self.sim.now, action))
+        self.context.notify()
 
 
 def peers_of(overlay) -> Dict[str, object]:

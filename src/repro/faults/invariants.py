@@ -17,20 +17,28 @@ states but never mechanically checks:
   health signal the experiments track; the checker records it every
   probe round as an ``invariant``/``convergence`` timeline event.
 
-:class:`InvariantChecker` wires into the simulation kernel's trace
-hooks (phase ``"done"``): after every peerview probe-round tick it
-re-checks the ticking rendezvous against all invariants, so a
-corruption is flagged within one round of being introduced — under
-faults as well as in clean runs.
+:class:`InvariantChecker` is told, not hooked in: each observed
+rendezvous protocol calls it at the end of every probe round
+(``PeerViewProtocol.round_listener``), and it re-checks that peer
+against all invariants, so a corruption is flagged within one round of
+being introduced — under faults as well as in clean runs.  The run's
+:class:`~repro.faults.ScenarioEngine` tells it of each applied fault
+action and each churn window's end (``FaultContext.listener``), and it
+sweeps every running rendezvous there.  No kernel trace hook runs it,
+so a run that records no trace keeps the kernel's hook-free fast
+path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.tracer import TimelineTracer
-from repro.sim.kernel import EventHandle, Simulator
+from repro.sim.kernel import Simulator
+
+if TYPE_CHECKING:
+    from repro.faults.engine import ScenarioEngine
 
 #: Index tuples spread over the hash space to exercise the rank
 #: function each round (type, attribute, value as the LC-DHT hashes).
@@ -58,9 +66,14 @@ class InvariantChecker:
     Parameters
     ----------
     sim:
-        The simulator whose trace hooks drive the per-round checks.
+        The simulator whose clock stamps the checks.
     rendezvous:
-        The rendezvous peers to observe.
+        The rendezvous peers to observe; each one's peerview protocol
+        reports its rounds to the checker.
+    engine:
+        The run's fault scenario engine (one with an empty scenario
+        where nothing is injected); it reports each applied action and
+        each churn window's end.
     log:
         Optional tracer; per-round convergence ratios land as
         ``("invariant", "convergence", peer name, {"value": l / (r_up − 1)})``.
@@ -71,50 +84,63 @@ class InvariantChecker:
         self,
         sim: Simulator,
         rendezvous: Sequence[object],
+        engine: ScenarioEngine,
         log: Optional[TimelineTracer] = None,
     ) -> None:
         self.sim = sim
         self.rendezvous = list(rendezvous)
+        self.engine = engine
         self.log = log
         self.violations: List[Violation] = []
         self.rounds_checked = 0
-        #: peerview tick label -> peer (PeriodicTask labels are
-        #: ``peerview:<short-id>.tick``; the protocol object survives
-        #: crash/restart so the mapping is stable for a whole run)
-        self._by_label: Dict[str, object] = {
-            f"{p.peerview_protocol.name}.tick": p for p in self.rendezvous
+        #: peerview protocol name -> peer (the protocol object survives
+        #: crash/restart, so the mapping is stable for a whole run)
+        self._by_name: Dict[str, object] = {
+            p.peerview_protocol.name: p for p in self.rendezvous
         }
-        #: stable bound-method reference so detach() can unregister
-        self._hook = self._on_event
         self._attached = False
         self.attach()
 
     # ------------------------------------------------------------------
-    # kernel wiring
+    # wiring: the protocols' and the fault context's listener slots
     # ------------------------------------------------------------------
+    def _slots(self) -> List[Tuple[object, str, object]]:
+        slots = [
+            (p.peerview_protocol, "round_listener", self._on_round)
+            for p in self.rendezvous
+        ]
+        slots.append((self.engine.context, "listener", self._on_fault))
+        return slots
+
     def attach(self) -> None:
-        if not self._attached:
-            self.sim.add_trace_hook(self._hook, phases=("done",))
-            self._attached = True
+        if self._attached:
+            return
+        slots = self._slots()
+        for owner, slot, _ in slots:
+            if getattr(owner, slot, None) is not None:
+                raise RuntimeError(f"{owner!r} already has a {slot}")
+        for owner, slot, listener in slots:
+            setattr(owner, slot, listener)
+        self._attached = True
 
     def detach(self) -> None:
         if self._attached:
-            self.sim.remove_trace_hook(self._hook)
+            for owner, slot, _ in self._slots():
+                setattr(owner, slot, None)
             self._attached = False
 
-    def _on_event(self, now: float, phase: str, handle: EventHandle) -> None:
-        # a fault action just mutated the system: sweep everything, so
-        # an injected corruption is flagged at the instant it appears
-        label = handle.label
-        if label.startswith("fault."):
-            self.check_all()
-            return
-        peer = self._by_label.get(label)
-        if peer is None or not peer.running:
-            return
+    def _on_round(self, protocol) -> None:
+        # a protocol runs its rounds only while its peer is up
+        peer = self._by_name[protocol.name]
+        now = self.sim.now
         self.rounds_checked += 1
         self.check_peer(peer, now)
         self._emit_convergence(peer, now)
+
+    def _on_fault(self) -> None:
+        # a fault action just mutated the system: sweep everything, so
+        # an injected corruption is flagged at the instant it appears
+        self.check_all()
 
     # ------------------------------------------------------------------
     # the invariants

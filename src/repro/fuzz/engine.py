@@ -149,7 +149,6 @@ class FuzzEngine:
         oracles: Sequence[str] = ORACLES,
         store=None,
     ) -> None:
-        self.seed = seed
         self.oracles = tuple(oracles)
         self.store = store
         self._rng = random.Random(seed)

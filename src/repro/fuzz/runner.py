@@ -236,7 +236,7 @@ def run_case(
         engine = ScenarioEngine(
             sim, network, peers_of(overlay), decode_scenario(case)
         )
-        checker = InvariantChecker(sim, overlay.rendezvous)
+        checker = InvariantChecker(sim, overlay.rendezvous, engine)
         spec = workload_spec_of(case)
         wrecorder = wengine = None
         if spec is not None:
@@ -275,6 +275,13 @@ def run_case(
         deactivate(session)
 
 
+def snapshot_skip_reason(case: FuzzCase) -> Optional[str]:
+    """Why the snapshot oracle skips ``case``, or None if it probes it."""
+    if case.workload is not None or has_churn(case):
+        return "workload graphs do not pickle; churn is gated for cost"
+    return None
+
+
 def run_case_with_midpoint_snapshot(
     case: FuzzCase, store=None,
 ) -> Tuple[Optional[list], Optional[list], Optional[str]]:
@@ -283,8 +290,8 @@ def run_case_with_midpoint_snapshot(
 
     Returns ``(continued_trace, restored_trace, skip_reason)`` — the
     kernel traces are None when the case's graph is not snapshottable."""
-    if case.workload is not None or has_churn(case):
-        reason = "workload graphs do not pickle; churn is gated for cost"
+    reason = snapshot_skip_reason(case)
+    if reason is not None:
         return None, None, reason
     t_mid = round((BOOTSTRAP_TIME + case.duration) / 2.0, 1)
     session = activate(ObsSession(metrics=True))
@@ -297,7 +304,7 @@ def run_case_with_midpoint_snapshot(
         engine = ScenarioEngine(
             sim, network, peers_of(overlay), decode_scenario(case)
         )
-        checker = InvariantChecker(sim, overlay.rendezvous)
+        checker = InvariantChecker(sim, overlay.rendezvous, engine)
         engine.start()
         sim.run(until=t_mid)
         try:
@@ -366,16 +373,17 @@ def check_case(
     store=None,
     coverage: bool = True,
 ) -> CaseReport:
-    """Run ``case`` under the requested oracle subset.  Re-executions
-    collect what their oracle compares, and so does the base for a
-    caller that reads ``failures`` only (``coverage=False``: shrink
-    probes); otherwise it adds the kernel trace and the coverage keys."""
+    """Run ``case`` under the requested oracle subset.  Every execution
+    collects what its oracle compares — the base its kernel trace only
+    when the snapshot oracle will probe the case — and the base adds
+    the coverage keys unless the caller reads ``failures`` only
+    (``coverage=False``: shrink probes)."""
     unknown = set(oracles) - set(ORACLES)
     if unknown:
         raise ValueError(f"unknown oracle(s): {sorted(unknown)}")
     need_replay = "replay" in oracles and case.workload is not None
     reads = []
-    if coverage or "snapshot" in oracles:
+    if "snapshot" in oracles and snapshot_skip_reason(case) is None:
         reads.append(DIGEST)
     if coverage:
         reads.append(COVERAGE)

@@ -29,7 +29,7 @@ referral target is probed, and only its own response installs it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Callable, Dict, Iterable, Optional
 
 from repro.advertisement.rdvadv import RdvAdvertisement
 from repro.config import PlatformConfig
@@ -135,6 +135,9 @@ class PeerViewProtocol(Process):
         self._addr = endpoint.transport_address
         self._entries_get = self.view._entries.get
         self._probe_timeout = config.probe_timeout
+        #: called with this protocol at the end of every round (the
+        #: invariant checker's per-round sweep); one at a time
+        self.round_listener: Optional[Callable[["PeerViewProtocol"], None]] = None
         self.view.add_listener(self._on_view_change)
         endpoint.add_listener(PEERVIEW_SERVICE_NAME, group_param, self._on_message)
 
@@ -194,6 +197,9 @@ class PeerViewProtocol(Process):
             for seed in config.seeds:
                 if seed != self.endpoint.transport_address:
                     self._probe_address(seed)
+        listener = self.round_listener
+        if listener is not None:
+            listener(self)
 
     def reseed(self) -> None:
         """Probe the configured seed rendezvous again.

@@ -214,8 +214,8 @@ class Simulator:
         ``phases`` selects the lifecycle points delivered to the hook:
         ``"fire"`` just before each event executes (the default, and
         the only phase historically emitted) and ``"done"`` right after
-        the event callback returns — the post-state view that runtime
-        invariant checkers (``repro.faults.invariants``) observe.
+        the event callback returns, where a span tracer closes the
+        event's span.
 
         Registrations are deduplicated per callable: adding a hook that
         is already registered *merges* the phase sets instead of

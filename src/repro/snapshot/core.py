@@ -42,7 +42,7 @@ from typing import Any, Tuple
 #: Bump whenever the pickled state contract changes incompatibly
 #: (slot layouts, event-heap entry layout, RNG stream naming).  Stored
 #: checkpoints with another version are invalidated, not misread.
-SNAPSHOT_VERSION = 24
+SNAPSHOT_VERSION = 25
 
 #: sha256 of the pickled layout (classes, their fields, container
 #: types) reachable from a reference snapshot, as
@@ -50,7 +50,7 @@ SNAPSHOT_VERSION = 24
 #: that test fails the layout moved: bump the version above, then
 #: regenerate this value with the command the failure prints.
 SNAPSHOT_LAYOUT_FINGERPRINT = (
-    "af0855a586d04e6c7960bfb73750039ac7469061ace91a77c854dae83bc0f00a"
+    "b5e1e6913f8b3841695cd010f7ba869c02779a108f5a6395bdc3a579d7788316"
 )
 
 _MAGIC = b"repro-snap"

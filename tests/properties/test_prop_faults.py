@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 from repro.advertisement.rdvadv import RdvAdvertisement
 from repro.config import PlatformConfig
 from repro.discovery.replica import ReplicaFunction
-from repro.faults import InvariantChecker
+from repro.faults import InvariantChecker, Scenario, ScenarioEngine
 from repro.faults.engine import _ActiveWindow
 from repro.ids import NET_PEER_GROUP_ID, PeerID
+from repro.network import Network
 from repro.rendezvous.lease import EdgeLease
 from repro.rendezvous.peerview import PeerView
 from repro.sim import Simulator
@@ -50,7 +51,9 @@ def fake_rendezvous(members):
 
 
 def checker_for(peer):
-    return InvariantChecker(Simulator(seed=0), [peer])
+    sim = Simulator(seed=0)
+    engine = ScenarioEngine(sim, Network(sim), {}, Scenario(name="none"))
+    return InvariantChecker(sim, [peer], engine)
 
 
 members_sets = st.sets(

@@ -14,7 +14,7 @@ from repro.sim import MINUTES
 from repro.snapshot import checkpoint_key
 
 CHURN_R16_SEED2 = (
-    "786331bdd850a76ee7098684bf269ea6af2a2cedb348df9564bc1235aa7e234c"
+    "51f447e39a25570835b42e3051111e98a409a08f1efab381387608d7548a005c"
 )
 
 KEYS = {
@@ -24,30 +24,30 @@ KEYS = {
     ),
     "fig4-right r=8 A": (
         lambda: fig4_right.bootstrap_spec(8, False),
-        "1fc1b2c1ddc467499f7a1efaec823113a8ac255915f6077600e25ae2c9e84305",
+        "7a45954b70312c605a5afd6b130d31b684b66a73a21035126fc649ad257d6ee7",
     ),
     "fig4-right r=20 B warmup=60min": (
         lambda: fig4_right.bootstrap_spec(20, True, warmup=60 * MINUTES),
-        "59d7f3688f1983f944d8523b824939343310b2580cb77fd0778ff6c96be1ea21",
+        "4dc8d1ac4e8bdbbc4649154b6bd39578e92c6e2c5109884a3d92419dfc6aa4fe",
     ),
     "load ci_spec r=8 seed=3": (
         lambda: load_exp.bootstrap_spec(load_exp.ci_spec(), 8, seed=3),
-        "fd94e97ecd05bf1d2f49e4e01b716434a170d7f525ef22037f80449c7667347d",
+        "7d79713c35ebd34079406b39950c552521a86289feb8254f3b90e3acedcef9ef",
     ),
 }
 
 FUZZ_KEYS = (
-    "f61682c39439c9ca440fde03f72b23be68356009c8066e1b4fa261606730715a",
-    "622ea6090ff5e3cd3e8d9249acb9ef604b5e89f7f97803e70807ae07cf14c256",
-    "3c3a32b83e6b6eecd0c02e357bd02d61fe74cceb85fcfd68ce5540f42d5ed5df",
-    "988d77e149b0c19f8e36683361b4944426238f2a2bfeec4becf1b4d86514af17",
+    "44c7cf69db94377319b5e65a8f68992fc9409987cbb9ffb6cac88981f592dcb6",
+    "dc33984fc7412a849de70c77a00e97fe3e0be6cecb7ddee7cfcb0e56cf08875b",
+    "b9f1e3bdfb5abaa1f64792fdc35ac294108f3ca4b740ed47a343032953dc2539",
+    "b954e0be073204ff8c1ae267df3c67d2340f4bcf9acc690aabc4b628302bfe5c",
 )
 
 CAMPAIGN_KEYS = {
     "churn": ({"r": 16, "seed": 2}, CHURN_R16_SEED2),
     "load": (
         {"r": 24, "rate": 1, "skew": 0, "seed": 1, "warmup": 3600},
-        "12b444ce66757d34d3718a0dad94a5cd7d66d78d2e6a9517e7a7c7ef10fdf2d5",
+        "68e7ebe31455b54373db9d7540e16b7f154b7f27a44cc304ffb04653643c68eb",
     ),
 }
 

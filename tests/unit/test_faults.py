@@ -249,7 +249,7 @@ class TestInvariantChecker:
         sim, network, overlay = deploy(r=r, seed=seed)
         log = TimelineTracer()
         engine = engine_for(sim, network, overlay, scenario)
-        checker = InvariantChecker(sim, overlay.rendezvous, log=log)
+        checker = InvariantChecker(sim, overlay.rendezvous, engine, log=log)
         overlay.start()
         engine.start()
         sim.run(until=duration)
@@ -294,7 +294,10 @@ class TestInvariantChecker:
 
     def test_check_all_on_demand(self):
         sim, network, overlay = deploy()
-        checker = InvariantChecker(sim, overlay.rendezvous)
+        checker = InvariantChecker(
+            sim, overlay.rendezvous,
+            engine_for(sim, network, overlay, FAULT_FREE),
+        )
         overlay.start()
         sim.run(until=5 * MINUTES)
         assert checker.check_all() == []
@@ -307,7 +310,10 @@ class TestInvariantChecker:
         # whoever writes _stamps[key] moves the key to the end of the
         # entry table; a stamp left in place breaks what expire reads
         sim, network, overlay = deploy()
-        checker = InvariantChecker(sim, overlay.rendezvous)
+        checker = InvariantChecker(
+            sim, overlay.rendezvous,
+            engine_for(sim, network, overlay, FAULT_FREE),
+        )
         overlay.start()
         sim.run(until=5 * MINUTES + 1.0)
         assert checker.check_all() == []
@@ -322,7 +328,10 @@ class TestInvariantChecker:
 
     def test_detach_stops_checking(self):
         sim, network, overlay = deploy()
-        checker = InvariantChecker(sim, overlay.rendezvous)
+        checker = InvariantChecker(
+            sim, overlay.rendezvous,
+            engine_for(sim, network, overlay, FAULT_FREE),
+        )
         overlay.start()
         sim.run(until=3 * MINUTES)
         seen = checker.rounds_checked
@@ -337,7 +346,7 @@ class TestInvariantChecker:
         )
         log = TimelineTracer()
         engine = engine_for(sim, network, overlay, scenario)
-        checker = InvariantChecker(sim, overlay.rendezvous, log=log)
+        checker = InvariantChecker(sim, overlay.rendezvous, engine, log=log)
         overlay.start()
         engine.start()
         sim.run(until=10 * MINUTES)
