@@ -251,7 +251,7 @@ def experiment_task(params: Dict[str, Any]) -> Dict[str, Any]:
     """Run one whole experiment module; capture its rendered output,
     route its structured results through the existing exporter and
     return their numeric fields (what ``--seeds N`` aggregates)."""
-    from repro.experiments.cli import _invoke
+    from repro.experiments.cli import run_experiment
     from repro.experiments.export import save_results
 
     name = params["name"]
@@ -261,7 +261,9 @@ def experiment_task(params: Dict[str, Any]) -> Dict[str, Any]:
 
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        results = _invoke(name, full, seed, warm_store())
+        results = run_experiment(
+            name, "full" if full else "ci", seed, warm_store()
+        )
 
     written = []
     if out is not None:

@@ -4,10 +4,12 @@
 DESIGN.md §4 indexes the modules against the paper's artefacts.
 
 Each module declares its sizes once, ``SIZES = {"ci": {...}, "full":
-{...}}`` (keyword arguments of its ``run(...)``, which returns
-structured results), and a ``main(full, seed)`` that runs one size and
-prints the paper-style series.  The CLI front-end is
-``python -m repro.experiments.cli`` (installed as ``jxta-repro``); the
-campaign builders and the claim table (``repro.analysis.claims``) read
-the same ``SIZES``.
+{...}}`` (keyword arguments of its ``run``), and a ``run(**SIZES[size],
+seed)`` that prints its progress lines and paper-style table and
+returns structured results.  One function runs them all:
+``cli.run_experiment(name, size, seed, checkpoint_store)``, behind
+``jxta-repro <name>``, ``jxta-repro trace``, the ``experiment``
+campaign task (``sweep``, ``--seeds N``) and the claim table
+(``repro.analysis.claims``); it hands the checkpoint store to the
+modules with a ``bootstrap_spec``.
 """

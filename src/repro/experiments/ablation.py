@@ -50,17 +50,15 @@ def run(
     expirations: Sequence[float],
     intervals: Sequence[float],
     seed: int = 1,
-    verbose: bool = False,
 ) -> List[AblationPoint]:
     out: List[AblationPoint] = []
     for pve in expirations:
         for interval in intervals:
-            if verbose:
-                print(
-                    f"# r={r} PVE_EXPIRATION={pve / 60:.0f}min "
-                    f"PEERVIEW_INTERVAL={interval:.0f}s ...",
-                    flush=True,
-                )
+            print(
+                f"# r={r} PVE_EXPIRATION={pve / 60:.0f}min "
+                f"PEERVIEW_INTERVAL={interval:.0f}s ...",
+                flush=True,
+            )
             config = PlatformConfig().with_overrides(
                 pve_expiration=pve, peerview_interval=interval
             )
@@ -75,6 +73,7 @@ def run(
                     **result.summary(),
                 )
             )
+    print(render(out))
     return out
 
 
@@ -101,9 +100,3 @@ def render(points: List[AblationPoint]) -> str:
             rows,
         )
     )
-
-
-def main(full: bool = False, seed: int = 1) -> List[AblationPoint]:
-    points = run(**SIZES["full" if full else "ci"], seed=seed, verbose=True)
-    print(render(points))
-    return points

@@ -157,6 +157,7 @@ def run(
         for strategy in ("lcdht", "flood", "central"):
             out.append(_run_jxta_strategy(strategy, r, queries, seed, warmup))
         out.append(_run_chord(r, queries, seed))
+    print(render(out))
     return out
 
 
@@ -184,9 +185,3 @@ def render(points: List[BaselinePoint]) -> str:
             rows,
         )
     )
-
-
-def main(full: bool = False, seed: int = 1) -> List[BaselinePoint]:
-    points = run(**SIZES["full" if full else "ci"], seed=seed)
-    print(render(points))
-    return points

@@ -79,21 +79,16 @@ def run(
     random_probe_counts: Sequence[int],
     duration: float = 60 * MINUTES,
     seed: int = 1,
-    verbose: bool = False,
 ) -> List[CalibrationPoint]:
     out: List[CalibrationPoint] = []
     for rc in referral_counts:
         for rpc in random_probe_counts:
-            if verbose:
-                print(
-                    f"# referral_count={rc} random_probe_count={rpc} ...",
-                    flush=True,
-                )
-            out.append(
-                run_point(
-                    r, rc, rpc, duration=duration, seed=seed
-                )
+            print(
+                f"# referral_count={rc} random_probe_count={rpc} ...",
+                flush=True,
             )
+            out.append(run_point(r, rc, rpc, duration=duration, seed=seed))
+    print(render(out))
     return out
 
 
@@ -121,9 +116,3 @@ def render(points: List[CalibrationPoint]) -> str:
             rows,
         )
     )
-
-
-def main(full: bool = False, seed: int = 1) -> List[CalibrationPoint]:
-    points = run(**SIZES["full" if full else "ci"], seed=seed, verbose=True)
-    print(render(points))
-    return points

@@ -188,19 +188,18 @@ def run(
     sessions: Sequence[float],
     queries: int = 60,
     seed: int = 1,
-    verbose: bool = False,
     checkpoint_store: Optional[CheckpointStore] = None,
 ) -> List[ChurnPoint]:
     out = []
     for session in sessions:
-        if verbose:
-            print(f"# churn mean session {session / 60:.0f}min ...", flush=True)
+        print(f"# churn mean session {session / 60:.0f}min ...", flush=True)
         out.append(
             run_point(
                 r=r, mean_session=session, queries=queries, seed=seed,
                 checkpoint_store=checkpoint_store,
             )
         )
+    print(render(out))
     return out
 
 
@@ -222,16 +221,3 @@ def render(points: List[ChurnPoint]) -> str:
             rows,
         )
     )
-
-
-def main(
-    full: bool = False,
-    seed: int = 1,
-    checkpoint_store: Optional[CheckpointStore] = None,
-) -> List[ChurnPoint]:
-    points = run(
-        **SIZES["full" if full else "ci"], seed=seed, verbose=True,
-        checkpoint_store=checkpoint_store,
-    )
-    print(render(points))
-    return points

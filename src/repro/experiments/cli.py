@@ -43,8 +43,9 @@ from repro.experiments import (
     transport_exp,
 )
 
-#: CLI name -> experiment module (each has ``SIZES``, ``run`` and
-#: ``main(full, seed)``)
+#: CLI name -> experiment module: its ``SIZES`` (``"ci"``/``"full"`` ->
+#: keyword arguments of its ``run``) and a ``run(**SIZES[size], seed)``
+#: that prints its progress and table and returns its results
 EXPERIMENTS = {
     "table1": table1,
     "fig3-left": fig3_left,
@@ -61,21 +62,20 @@ EXPERIMENTS = {
     "calibration": calibration_exp,
 }
 
-#: experiments whose ``main`` accepts ``checkpoint_store=`` (their
-#: bootstrap is split out for --warm-start; see docs/CHECKPOINTS.md)
-WARMSTART_EXPERIMENTS = frozenset({"fig4-right", "churn", "load"})
-
 #: default on-disk location of the content-addressed checkpoint cache
 DEFAULT_CHECKPOINT_DIR = ".repro-checkpoints"
 
 
-def _invoke(name: str, full: bool, seed: int, checkpoint_store):
-    """Run one experiment main, threading the checkpoint store into
-    the ones that support warm-starting."""
-    kwargs = {"full": full, "seed": seed}
-    if checkpoint_store is not None and name in WARMSTART_EXPERIMENTS:
+def run_experiment(name: str, size: str = "ci", seed: int = 1,
+                   checkpoint_store=None):
+    """``jxta-repro <name>`` at ``size``: print the run and return its
+    results.  The checkpoint store reaches the modules whose bootstrap
+    warm-starts (those with a ``bootstrap_spec``; docs/CHECKPOINTS.md)."""
+    module = EXPERIMENTS[name]
+    kwargs = dict(module.SIZES[size], seed=seed)
+    if hasattr(module, "bootstrap_spec"):
         kwargs["checkpoint_store"] = checkpoint_store
-    return EXPERIMENTS[name].main(**kwargs)
+    return module.run(**kwargs)
 
 
 def _per_experiment_path(path: str, name: str, many: bool, suffix: str) -> Path:
@@ -106,6 +106,7 @@ def main(argv=None) -> int:
         from repro.fuzz.cli import fuzz_main
 
         return fuzz_main(argv[1:])
+    warm = sorted(n for n, m in EXPERIMENTS.items() if hasattr(m, "bootstrap_spec"))
     parser = argparse.ArgumentParser(
         prog="jxta-repro",
         description=(
@@ -164,8 +165,7 @@ def main(argv=None) -> int:
             "content-addressed checkpoint cache when a matching "
             "checkpoint exists (building and storing it otherwise); "
             "results are byte-identical to a cold run — see "
-            "docs/CHECKPOINTS.md.  Supported by: "
-            + ", ".join(sorted(WARMSTART_EXPERIMENTS))
+            "docs/CHECKPOINTS.md.  Supported by: " + ", ".join(warm)
         ),
     )
     parser.add_argument(
@@ -215,11 +215,10 @@ def main(argv=None) -> int:
         parser.error("--metrics-out records a single run: drop --seeds")
     checkpoint_store = None
     if args.warm_start or args.checkpoint_dir is not None:
-        if args.experiment not in WARMSTART_EXPERIMENTS | {"all"}:
+        if args.experiment not in warm + ["all"]:
             parser.error(
                 f"{args.experiment} does not warm-start; --warm-start and "
-                "--checkpoint-dir are supported by: "
-                + ", ".join(sorted(WARMSTART_EXPERIMENTS))
+                "--checkpoint-dir are supported by: " + ", ".join(warm)
             )
         from repro.snapshot import CheckpointStore
 
@@ -280,7 +279,9 @@ def _write_metrics_snapshot(name: str, obs_session, args, many: bool) -> None:
 def _run(name: str, args, checkpoint_store=None):
     """One seed's results, or with ``--seeds N`` the cross-seed rows."""
     if args.seeds == 1:
-        return _invoke(name, args.full, args.seed, checkpoint_store)
+        return run_experiment(
+            name, "full" if args.full else "ci", args.seed, checkpoint_store
+        )
     from repro.campaign.aggregate import aggregate_records, render_aggregate_table
     from repro.campaign.builtin import all_experiments_campaign
     from repro.campaign.progress import ProgressReporter

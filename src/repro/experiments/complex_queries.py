@@ -125,13 +125,12 @@ def run(
     r_values: Sequence[int],
     queries: int = 20,
     seed: int = 1,
-    verbose: bool = False,
 ) -> List[ComplexQueryPoint]:
     out: List[ComplexQueryPoint] = []
     for r in r_values:
-        if verbose:
-            print(f"# complex queries at r={r} ...", flush=True)
+        print(f"# complex queries at r={r} ...", flush=True)
         out.extend(run_point(r, queries=queries, seed=seed))
+    print(render(out))
     return out
 
 
@@ -146,9 +145,3 @@ def render(points: List[ComplexQueryPoint]) -> str:
             ["r", "kind", "mean ms", "results", "walk steps"], rows
         )
     )
-
-
-def main(full: bool = False, seed: int = 1) -> List[ComplexQueryPoint]:
-    points = run(**SIZES["full" if full else "ci"], seed=seed, verbose=True)
-    print(render(points))
-    return points

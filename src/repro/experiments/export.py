@@ -1,10 +1,10 @@
 """Persist experiment results as CSV/JSON for external plotting.
 
-Every experiment's ``main()`` returns structured results; the CLI's
-``--out DIR`` option routes them here.  Known result shapes get
-purpose-built CSV layouts (the columns a gnuplot/pandas user would
-want); anything else falls back to a generic JSON dump of the
-dataclass fields.
+Every experiment's ``run`` returns structured results (through
+``cli.run_experiment``); the CLI's ``--out DIR`` option routes them
+here.  Known result shapes get purpose-built CSV layouts (the columns a
+gnuplot/pandas user would want); anything else falls back to a generic
+JSON dump of the dataclass fields.
 """
 
 from __future__ import annotations
@@ -59,8 +59,7 @@ def save_results(name: str, results: Any, out_dir: Path) -> List[Path]:
 
     # list of curve objects exposing .series (fig3-left)
     if isinstance(results, list) and results and hasattr(results[0], "series"):
-        duration = max(res.series.times[-1] if res.series.times else 0.0
-                       for res in results)
+        duration = max(res.duration for res in results)
         step = 2 * MINUTES
         xs = [i * step for i in range(int(duration // step) + 1)]
         columns = {

@@ -197,18 +197,18 @@ def run(
     duration: float,
     seed: int = 1,
     scenarios: Optional[Sequence[Scenario]] = None,
-    verbose: bool = False,
 ) -> List[FaultRunResult]:
-    """Run the full matrix (plus the corruption canary) at one size."""
+    """Run the full matrix (plus the corruption canary) at one size and
+    print its table."""
     matrix = (
         list(scenarios) if scenarios is not None
         else fault_matrix(duration, r) + [corruption_canary(duration * 0.5)]
     )
     out: List[FaultRunResult] = []
     for scenario in matrix:
-        if verbose:
-            print(f"# running scenario {scenario.name!r} ...", flush=True)
+        print(f"# running scenario {scenario.name!r} ...", flush=True)
         out.append(run_scenario(scenario, r=r, duration=duration, seed=seed))
+    print(render(out))
     return out
 
 
@@ -245,24 +245,17 @@ def render(results: List[FaultRunResult]) -> str:
     )
 
 
-def main(full: bool = False, seed: int = 1) -> List[FaultRunResult]:
-    results = run(**SIZES["full" if full else "ci"], seed=seed, verbose=True)
-    print(render(results))
-    return results
-
-
 def smoke(seed: int = 1) -> List[FaultRunResult]:
     """CI-sized sweep: a small overlay, short horizon, whole matrix.
 
     Exits non-zero (via :func:`smoke_main`) if any non-canary scenario
     violates an invariant or the canary goes undetected.
     """
-    return run(r=10, duration=12 * MINUTES, seed=seed, verbose=True)
+    return run(r=10, duration=12 * MINUTES, seed=seed)
 
 
 def smoke_main() -> int:
     results = smoke()
-    print(render(results))
     failures = []
     for res in results:
         if res.scenario.name == "corruption-canary":

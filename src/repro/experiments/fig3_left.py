@@ -15,7 +15,7 @@ whether the maximal value r−1 was reached, the phase-3 plateau).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.experiments.common import run_peerview_overlay
 from repro.metrics import render_series
@@ -45,6 +45,8 @@ class Fig3LeftSeries:
 
     r: int
     topology: str
+    #: simulated seconds the run lasted
+    duration: float
     series: StepSeries
     final_sizes: List[int]
 
@@ -65,22 +67,21 @@ class Fig3LeftSeries:
     def peak_time_minutes(self) -> float:
         return self.series.time_of_max() / 60.0
 
-    def plateau(self, duration: float) -> float:
+    def plateau(self) -> float:
         """Mean of l over the last quarter of the run (phase 3)."""
-        return self.series.plateau(duration)
+        return self.series.plateau(self.duration)
 
 
 def run(
     configs: Sequence[Tuple[int, str]],
     duration: float = 60 * MINUTES,
     seed: int = 1,
-    verbose: bool = False,
 ) -> List[Fig3LeftSeries]:
-    """Run every (r, topology) configuration and collect l(t) curves."""
+    """Run every (r, topology) configuration, collect the l(t) curves
+    and print them."""
     out: List[Fig3LeftSeries] = []
     for r, topology in configs:
-        if verbose:
-            print(f"# running r={r} topology={topology} ...", flush=True)
+        print(f"# running r={r} topology={topology} ...", flush=True)
         result = run_peerview_overlay(
             r=r, topology=topology, duration=duration, seed=seed
         )
@@ -88,16 +89,19 @@ def run(
             Fig3LeftSeries(
                 r=r,
                 topology=topology,
+                duration=duration,
                 series=peerview_size_series(result.log, "rdv-0"),
                 final_sizes=sorted(result.overlay.group.peerview_sizes()),
             )
         )
+    print(render(out))
     return out
 
 
-def render(results: List[Fig3LeftSeries], duration: float) -> str:
+def render(results: List[Fig3LeftSeries]) -> str:
     """Paper-style output: l(t) columns per configuration plus the
     summary table."""
+    duration = max((res.duration for res in results), default=0.0)
     step = 2 * MINUTES if duration <= 70 * MINUTES else 5 * MINUTES
     xs = None
     columns: Dict[str, List[float]] = {}
@@ -112,7 +116,7 @@ def render(results: List[Fig3LeftSeries], duration: float) -> str:
 
     rows = []
     for res in results:
-        phases = detect_phases(res.series, duration)
+        phases = detect_phases(res.series, res.duration)
         rows.append(
             [
                 res.r,
@@ -120,7 +124,7 @@ def render(results: List[Fig3LeftSeries], duration: float) -> str:
                 f"{res.peak:.0f}",
                 f"{res.peak_time_minutes:.0f}",
                 "yes" if res.reached_max else "no",
-                f"{res.plateau(duration):.0f}",
+                f"{res.plateau():.0f}",
                 f"{phases.fluctuation_start / 60:.0f}" if phases else "-",
                 f"{phases.plateau_std:.1f}" if phases else "-",
             ]
@@ -138,10 +142,3 @@ def render(results: List[Fig3LeftSeries], duration: float) -> str:
         + "\n\nSummary\n"
         + summary
     )
-
-
-def main(full: bool = False, seed: int = 1) -> List[Fig3LeftSeries]:
-    size = SIZES["full" if full else "ci"]
-    results = run(**size, seed=seed, verbose=True)
-    print(render(results, size["duration"]))
-    return results

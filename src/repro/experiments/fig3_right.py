@@ -82,13 +82,15 @@ def run(
             add_points.append((event.t, numbers[peer]))
         elif event.name == "view.remove":
             remove_points.append((event.t, numbers.get(peer, 0)))
-    return Fig3RightResult(
+    out = Fig3RightResult(
         r=r,
         duration=duration,
         pve_expiration=cfg.pve_expiration,
         add_points=add_points,
         remove_points=remove_points,
     )
+    print(render(out))
+    return out
 
 
 def render(result: Fig3RightResult) -> str:
@@ -112,9 +114,3 @@ def render(result: Fig3RightResult) -> str:
         removes = sum(1 for t, _ in result.remove_points if lo <= t < hi)
         lines.append(f"  {b * 10:3d}-{b * 10 + 10:3d} min: {adds:5d} / {removes:5d}")
     return "\n".join(lines)
-
-
-def main(full: bool = False, seed: int = 1) -> Fig3RightResult:
-    result = run(**SIZES["full" if full else "ci"], seed=seed)
-    print(render(result))
-    return result

@@ -85,13 +85,15 @@ def run(
         r=r, duration=duration, seed=seed,
         config=PlatformConfig().with_overrides(pve_expiration=tuned),
     )
-    return Fig4LeftResult(
+    result = Fig4LeftResult(
         r=r,
         duration=duration,
         default_series=peerview_size_series(default_run.log, "rdv-0"),
         tuned_series=peerview_size_series(tuned_run.log, "rdv-0"),
         tuned_expiration=tuned,
     )
+    print(render(result))
+    return result
 
 
 def render(result: Fig4LeftResult) -> str:
@@ -121,9 +123,3 @@ def render(result: Fig4LeftResult) -> str:
         + f" (paper: 17 min) and holds it: {result.tuned_holds_max()}\n"
         + f"default run decays after its peak: {result.default_decays()}"
     )
-
-
-def main(full: bool = False, seed: int = 1) -> Fig4LeftResult:
-    result = run(**SIZES["full" if full else "ci"], seed=seed)
-    print(render(result))
-    return result

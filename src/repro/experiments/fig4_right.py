@@ -207,7 +207,6 @@ def run(
     noisers: int,
     fakes_per_noiser: int,
     seed: int = 1,
-    verbose: bool = False,
     checkpoint_store: Optional[CheckpointStore] = None,
 ) -> List[Fig4RightPoint]:
     """Full sweep: configurations A and B at every r.
@@ -223,8 +222,7 @@ def run(
     for r in r_values:
         for with_noise in (False, True):
             label = "B" if with_noise else "A"
-            if verbose:
-                print(f"# running r={r} configuration {label} ...", flush=True)
+            print(f"# running r={r} configuration {label} ...", flush=True)
             per_seed = [
                 run_point(
                     r, with_noise, queries=queries, seed=s, warmup=warmup,
@@ -244,6 +242,7 @@ def run(
                     total_walk_steps=sum(p.total_walk_steps for p in per_seed),
                 )
             )
+    print(render(out))
     return out
 
 
@@ -278,16 +277,3 @@ def render(points: List[Fig4RightPoint]) -> str:
         "Figure 4 (right) — average time to discover an advertisement\n\n"
         + table
     )
-
-
-def main(
-    full: bool = False,
-    seed: int = 1,
-    checkpoint_store: Optional[CheckpointStore] = None,
-) -> List[Fig4RightPoint]:
-    points = run(
-        **SIZES["full" if full else "ci"], seed=seed, verbose=True,
-        checkpoint_store=checkpoint_store,
-    )
-    print(render(points))
-    return points

@@ -76,7 +76,7 @@ def full_spec(**overrides: Any) -> WorkloadSpec:
     return WorkloadSpec(**base)
 
 
-#: keyword arguments of :func:`run_load` per size
+#: keyword arguments of :func:`run` per size
 SIZES = {
     "ci": {"spec": ci_spec(), "r": CI_R},
     "full": {"spec": full_spec(), "r": FULL_R},
@@ -282,17 +282,18 @@ def render(run: LoadRun) -> str:
     return head + "\n" + body + tail
 
 
-def main(
-    full: bool = False,
+def run(
+    spec: WorkloadSpec,
+    r: int,
     seed: int = 1,
     checkpoint_store: Optional[CheckpointStore] = None,
 ) -> List[LoadResult]:
-    size = SIZES["full" if full else "ci"]
+    """One load run, printed, as flat result rows."""
     print(
-        f"# load: r={size['r']}, ~{size['spec'].expected_requests():.0f} "
+        f"# load: r={r}, ~{spec.expected_requests():.0f} "
         f"open-loop requests expected, seed={seed} ...",
         flush=True,
     )
-    run = run_load(**size, seed=seed, checkpoint_store=checkpoint_store)
-    print(render(run))
-    return results_of(run)
+    load = run_load(spec, r, seed=seed, checkpoint_store=checkpoint_store)
+    print(render(load))
+    return results_of(load)

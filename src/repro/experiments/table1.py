@@ -120,7 +120,7 @@ def run(seed: int = 1) -> Table1Result:
     )
     sim.run(until=13 * MINUTES)
 
-    return Table1Result(
+    result = Table1Result(
         peerviews=peerviews,
         replica_rank=rank,
         replica_int_id=replica_id,
@@ -128,6 +128,8 @@ def run(seed: int = 1) -> Table1Result:
         lookup_latency_ms=results[0][1] * 1000.0 if results else float("nan"),
         lookup_found=bool(results),
     )
+    print(render(result))
+    return result
 
 
 def render(result: Table1Result) -> str:
@@ -150,9 +152,3 @@ def render(result: Table1Result) -> str:
         + f"{result.lookup_latency_ms:.1f} ms\n"
         + f"matches paper: {result.matches_paper}"
     )
-
-
-def main(full: bool = False, seed: int = 1) -> Table1Result:
-    result = run(**SIZES["full" if full else "ci"], seed=seed)
-    print(render(result))
-    return result

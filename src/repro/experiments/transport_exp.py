@@ -92,20 +92,18 @@ def run(
     r: int = 8,
     queries: int = 30,
     seed: int = 1,
-    verbose: bool = False,
 ) -> List[TransportPoint]:
     out = [run_point("tcp", r=r, queries=queries, seed=seed)]
-    if verbose:
-        print("# tcp baseline done", flush=True)
+    print("# tcp baseline done", flush=True)
     for interval in poll_intervals:
-        if verbose:
-            print(f"# http poll_interval={interval}s ...", flush=True)
+        print(f"# http poll_interval={interval}s ...", flush=True)
         out.append(
             run_point(
                 "http", r=r, queries=queries, seed=seed,
                 poll_interval=interval,
             )
         )
+    print(render(out))
     return out
 
 
@@ -121,9 +119,3 @@ def render(points: List[TransportPoint]) -> str:
         "Transport ablation — discovery latency, TCP vs HTTP relay\n\n"
         + render_table(["transport", "mean ms", "ok"], rows)
     )
-
-
-def main(full: bool = False, seed: int = 1) -> List[TransportPoint]:
-    points = run(**SIZES["full" if full else "ci"], seed=seed, verbose=True)
-    print(render(points))
-    return points

@@ -29,10 +29,10 @@ from repro.obs.runtime import ObsSession, activate, deactivate
 
 def _run_target(name: str, full: bool, seed: int) -> None:
     """Run the traced workload (inside an active session)."""
-    from repro.experiments.cli import EXPERIMENTS
+    from repro.experiments.cli import EXPERIMENTS, run_experiment
 
     if name in EXPERIMENTS:
-        EXPERIMENTS[name].main(full=full, seed=seed)
+        run_experiment(name, "full" if full else "ci", seed)
         return
     from repro.campaign.builtin import CAMPAIGNS, build_campaign
 

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.claims import CLAIMS, evaluate, run_experiment
+from repro.analysis.claims import CLAIMS, evaluate
+from repro.experiments.cli import run_experiment
 
 EXPERIMENTS_MD = Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
 #: a cited claim id: a backticked ``<experiment>.<finding>``

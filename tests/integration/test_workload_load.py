@@ -91,8 +91,8 @@ def test_load_campaign_task_is_deterministic():
     assert json.dumps(a)  # JSON-serializable, as the run store requires
 
 
-def test_experiment_main_returns_flat_rows(capsys):
-    rows = load_exp.main(full=False, seed=1)
+def test_experiment_run_returns_flat_rows(capsys):
+    rows = load_exp.run(**load_exp.SIZES["ci"], seed=1)
     out = capsys.readouterr().out
     assert "load.query" in out
     assert any(r.label == "load.query" for r in rows)

@@ -180,6 +180,8 @@ class TestExperimentSeedRecords:
         from repro.experiments.fig3_left import Fig3LeftSeries
         from repro.metrics.series import StepSeries
 
-        row = Fig3LeftSeries(r=10, topology="chain",
+        row = Fig3LeftSeries(r=10, topology="chain", duration=600.0,
                              series=StepSeries([0.0], [0.0]), final_sizes=[9])
-        assert _row_metrics([row]) == {"10-chain.r": 10.0}
+        assert _row_metrics([row]) == {
+            "10-chain.r": 10.0, "10-chain.duration": 600.0,
+        }

@@ -14,9 +14,9 @@ from repro.sim import MINUTES
 
 
 class TestFig3LeftSeries:
-    def _series(self, times, values, r=10, topology="chain"):
+    def _series(self, times, values, r=10, topology="chain", duration=120.0):
         return fig3_left.Fig3LeftSeries(
-            r=r, topology=topology,
+            r=r, topology=topology, duration=duration,
             series=StepSeries(times, values),
             final_sizes=[int(values[-1])] * r,
         )
@@ -34,7 +34,7 @@ class TestFig3LeftSeries:
 
     def test_plateau_uses_last_quarter(self):
         s = self._series([0.0, 30.0, 90.0], [0.0, 9.0, 4.0])
-        assert s.plateau(120.0) == pytest.approx(4.0)
+        assert s.plateau() == pytest.approx(4.0)
 
     def test_label(self):
         assert self._series([0.0], [0.0], r=45).label == "45-chain"
@@ -45,7 +45,7 @@ class TestFig3LeftSeries:
         )
         assert len(results) == 1
         assert results[0].reached_max
-        text = fig3_left.render(results, 8 * MINUTES)
+        text = fig3_left.render(results)
         assert "6-chain" in text
         assert "Summary" in text
 

@@ -1,5 +1,7 @@
 """Unit tests for the shared experiment machinery and the CLI."""
 
+import inspect
+
 import pytest
 
 from repro.experiments import cli
@@ -91,3 +93,25 @@ class TestCli:
             "complex-queries", "faults", "transport", "calibration",
             "load",
         }
+
+
+class TestRunProtocol:
+    """Every experiment is ``run(**SIZES[size], seed=...)`` — checked
+    on the signatures, without running anything."""
+
+    @pytest.mark.parametrize("size", ["ci", "full"])
+    @pytest.mark.parametrize("name", sorted(cli.EXPERIMENTS))
+    def test_sizes_bind_to_run(self, name, size):
+        module = cli.EXPERIMENTS[name]
+        inspect.signature(module.run).bind(**module.SIZES[size], seed=1)
+
+    def test_warm_start_is_the_modules_with_a_bootstrap_spec(self):
+        takes_store = {
+            name for name, module in cli.EXPERIMENTS.items()
+            if "checkpoint_store" in inspect.signature(module.run).parameters
+        }
+        with_spec = {
+            name for name, module in cli.EXPERIMENTS.items()
+            if hasattr(module, "bootstrap_spec")
+        }
+        assert takes_store == with_spec == {"churn", "fig4-right", "load"}

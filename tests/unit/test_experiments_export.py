@@ -17,12 +17,12 @@ class TestCurveListExport:
     def test_fig3_left_csv(self, tmp_path):
         results = [
             Fig3LeftSeries(
-                r=10, topology="chain",
+                r=10, topology="chain", duration=600.0,
                 series=StepSeries([0.0, 120.0], [0.0, 9.0]),
                 final_sizes=[9] * 10,
             ),
             Fig3LeftSeries(
-                r=45, topology="chain",
+                r=45, topology="chain", duration=600.0,
                 series=StepSeries([0.0, 240.0], [0.0, 44.0]),
                 final_sizes=[44] * 45,
             ),
@@ -31,7 +31,8 @@ class TestCurveListExport:
         assert written == [tmp_path / "fig3-left.csv"]
         lines = written[0].read_text().splitlines()
         assert lines[0] == "t_seconds,10-chain,45-chain"
-        assert len(lines) > 2
+        # a row every 2 minutes up to the run's end, not its last event
+        assert len(lines) == 1 + 6
 
 
 class TestFig4LeftExport:

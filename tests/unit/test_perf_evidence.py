@@ -16,14 +16,22 @@ run on their own — is the group of that workload alone.
 
 import gzip
 import json
+import operator
 import re
 import statistics
 from pathlib import Path
 
 import pytest
 
-PERF = Path(__file__).resolve().parents[2] / "results" / "perf"
+ROOT = Path(__file__).resolve().parents[2]
+PERF = ROOT / "results" / "perf"
 GATED = ("setup_s", "wall_s", "ops_per_s", "peak_rss_mb")
+#: metric -> how a pair's change beats its base, as BENCHMARK.json's
+#: ``end_to_end`` list declares the metric's ``better`` direction
+BEATS = {
+    m["name"]: operator.lt if m["better"] == "lower" else operator.gt
+    for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+}
 #: every committed group of runs
 GROUPS = sorted(PERF.glob("PR-*/seed*.jsonl.gz"))
 #: the PR directories whose runs were committed
@@ -109,7 +117,8 @@ def check_cell(cell, runs, metric, pairs):
             assert fmt_like(min(values), m[lo]) == m[lo], (cell, side)
             assert fmt_like(max(values), m[hi]) == m[hi], (cell, side)
     if m["wins"]:
-        wins = sum(by_side["new"][p] < by_side["base"][p] for p in by_side["base"])
+        beats = BEATS[metric]
+        wins = sum(beats(by_side["new"][p], by_side["base"][p]) for p in by_side["base"])
         assert (int(m["wins"]), int(m["pairs"])) == (wins, pairs), cell
     if m["pct"]:
         change = 100 * (
@@ -117,6 +126,17 @@ def check_cell(cell, runs, metric, pairs):
             / statistics.median(by_side["base"].values()) - 1
         )
         assert fmt_like(change, m["pct"]).replace("-", "−") == m["pct"].lstrip("+"), cell
+
+
+def test_a_pair_win_follows_the_metrics_better_direction():
+    # two pairs in which the change is higher: wins for ops_per_s only
+    runs = [
+        {"side": side, "pair": pair, "ops_per_s": value, "wall_s": value}
+        for pair in (1, 2)
+        for side, value in (("base", 10.0 * pair), ("new", 10.0 * pair + 1))
+    ]
+    check_cell("15.0 → 16.0 (2/2)", runs, "ops_per_s", 2)
+    check_cell("15.0 → 16.0 (0/2)", runs, "wall_s", 2)
 
 
 @pytest.mark.parametrize("pr_dir", SUMMARIES, ids=lambda p: p.name)
