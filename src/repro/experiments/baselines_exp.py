@@ -31,6 +31,11 @@ from repro.network import Network
 from repro.network.site import place_nodes
 from repro.sim import HOURS, MINUTES, Simulator
 
+#: lookups each strategy answers per r
+QUERIES = 20
+#: simulated time the JXTA strategies' overlays settle before publishing
+WARMUP = 10 * MINUTES
+
 
 @dataclass
 class BaselinePoint:
@@ -44,7 +49,7 @@ class BaselinePoint:
 
 
 def _run_jxta_strategy(
-    strategy: str, r: int, queries: int, seed: int, warmup: float
+    strategy: str, r: int, seed: int
 ) -> BaselinePoint:
     sim = Simulator(seed=seed)
     network = Network(sim)
@@ -60,7 +65,7 @@ def _run_jxta_strategy(
     overlay = builder(sim, network, config, description)
     overlay.start()
     publisher, searcher = overlay.edges
-    sim.run(until=warmup)
+    sim.run(until=WARMUP)
 
     before_publish = network.stats.messages_sent
 
@@ -79,7 +84,7 @@ def _run_jxta_strategy(
 
     samples = run_query_sequence(
         sim, searcher, "repro:FakeAdvertisement", "Name", "BaselineTarget",
-        count=queries,
+        count=QUERIES,
     )
     return BaselinePoint(
         strategy=strategy,
@@ -92,7 +97,7 @@ def _run_jxta_strategy(
     )
 
 
-def _run_chord(r: int, queries: int, seed: int) -> BaselinePoint:
+def _run_chord(r: int, seed: int) -> BaselinePoint:
     sim = Simulator(seed=seed)
     network = Network(sim)
     ring = ChordRing(sim, network, place_nodes(r), static_build=True)
@@ -126,15 +131,15 @@ def _run_chord(r: int, queries: int, seed: int) -> BaselinePoint:
         searcher = ring.members[len(ring.members) // 2]
         searcher.get("BaselineTarget", on_result)
 
-    issue(queries)
-    sim.run(until=sim.now + queries * 2.0)
+    issue(QUERIES)
+    sim.run(until=sim.now + QUERIES * 2.0)
     return BaselinePoint(
         strategy="chord",
         r=r,
         publish_messages=float(publish_messages),
         lookup_ms=1000.0 * sum(latencies) / max(len(latencies), 1),
         lookup_hops=sum(hops_seen) / max(len(hops_seen), 1),
-        success=len(latencies) / queries,
+        success=len(latencies) / QUERIES,
         total_messages=network.stats.messages_sent - before,
     )
 
@@ -148,15 +153,13 @@ SIZES = {
 
 def run(
     r_values: Sequence[int],
-    queries: int = 20,
     seed: int = 1,
-    warmup: float = 10 * MINUTES,
 ) -> List[BaselinePoint]:
     out: List[BaselinePoint] = []
     for r in r_values:
         for strategy in ("lcdht", "flood", "central"):
-            out.append(_run_jxta_strategy(strategy, r, queries, seed, warmup))
-        out.append(_run_chord(r, queries, seed))
+            out.append(_run_jxta_strategy(strategy, r, seed))
+        out.append(_run_chord(r, seed))
     print(render(out))
     return out
 

@@ -123,13 +123,12 @@ SIZES = {
 
 def run(
     r_values: Sequence[int],
-    queries: int = 20,
     seed: int = 1,
 ) -> List[ComplexQueryPoint]:
     out: List[ComplexQueryPoint] = []
     for r in r_values:
         print(f"# complex queries at r={r} ...", flush=True)
-        out.extend(run_point(r, queries=queries, seed=seed))
+        out.extend(run_point(r, seed=seed))
     print(render(out))
     return out
 

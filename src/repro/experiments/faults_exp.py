@@ -19,7 +19,7 @@ message-level fault counters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.config import PlatformConfig
 from repro.deploy import OverlayDescription, build_overlay
@@ -196,14 +196,10 @@ def run(
     r: int,
     duration: float,
     seed: int = 1,
-    scenarios: Optional[Sequence[Scenario]] = None,
 ) -> List[FaultRunResult]:
     """Run the full matrix (plus the corruption canary) at one size and
     print its table."""
-    matrix = (
-        list(scenarios) if scenarios is not None
-        else fault_matrix(duration, r) + [corruption_canary(duration * 0.5)]
-    )
+    matrix = fault_matrix(duration, r) + [corruption_canary(duration * 0.5)]
     out: List[FaultRunResult] = []
     for scenario in matrix:
         print(f"# running scenario {scenario.name!r} ...", flush=True)

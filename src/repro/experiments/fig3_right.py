@@ -63,14 +63,10 @@ def run(
     r: int = 580,
     duration: float = 120 * MINUTES,
     seed: int = 1,
-    config: PlatformConfig = None,
 ) -> Fig3RightResult:
     """Run the r-rendezvous overlay and number each newly added
     rendezvous in order of first appearance, as the paper does."""
-    cfg = config if config is not None else PlatformConfig()
-    result = run_peerview_overlay(
-        r=r, duration=duration, seed=seed, config=cfg
-    )
+    result = run_peerview_overlay(r=r, duration=duration, seed=seed)
     numbers: Dict[str, int] = {}
     add_points: List[Tuple[float, int]] = []
     remove_points: List[Tuple[float, int]] = []
@@ -85,7 +81,7 @@ def run(
     out = Fig3RightResult(
         r=r,
         duration=duration,
-        pve_expiration=cfg.pve_expiration,
+        pve_expiration=PlatformConfig().pve_expiration,
         add_points=add_points,
         remove_points=remove_points,
     )

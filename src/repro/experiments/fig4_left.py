@@ -71,15 +71,10 @@ def run(
     r: int = 50,
     duration: float = 60 * MINUTES,
     seed: int = 1,
-    tuned_expiration: Optional[float] = None,
 ) -> Fig4LeftResult:
     """Two runs differing only in PVE_EXPIRATION: the JXTA-C default
     (20 min) and a value greater than the experiment duration."""
-    tuned = (
-        tuned_expiration
-        if tuned_expiration is not None
-        else duration + 30 * MINUTES
-    )
+    tuned = duration + 30 * MINUTES
     default_run = run_peerview_overlay(r=r, duration=duration, seed=seed)
     tuned_run = run_peerview_overlay(
         r=r, duration=duration, seed=seed,

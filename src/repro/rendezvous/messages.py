@@ -104,12 +104,13 @@ class PropagatedMessage:
     """Group-propagation wrapper (rendezvous propagation protocol).
 
     ``visited`` carries the rendezvous peers that already handled the
-    message, bounding the flood; ``ttl`` bounds path length.
+    message, as the network interner's keys, bounding the flood; ``ttl``
+    bounds path length.
     """
 
     payload: Any
     ttl: int
-    visited: List[PeerID] = field(default_factory=list)
+    visited: List[int] = field(default_factory=list)
 
     def size_bytes(self) -> int:
         inner = getattr(self.payload, "size_bytes", None)

@@ -16,11 +16,10 @@ directed resolver queries); the JXTA 1.0-style flooding baseline of
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Any, Iterable
 
 from repro.config import PlatformConfig
 from repro.endpoint.service import EndpointMessage, EndpointService
-from repro.ids.jxtaid import PeerID
 from repro.rendezvous.messages import PropagatedMessage
 from repro.rendezvous.peerview import PeerView
 from repro.resolver.messages import ResolverQuery
@@ -48,54 +47,43 @@ class PropagationService:
         self.group_param = group_param
         self.propagated = 0
         self.received = 0
-        #: Replaces the default local delivery (resolver injection)
-        #: when a baseline wants different semantics.
-        self.local_delivery: Optional[Callable[[ResolverQuery], None]] = None
         endpoint.add_listener(PROPAGATE_SERVICE_NAME, group_param, self._on_message)
 
     # ------------------------------------------------------------------
     def propagate(self, query: ResolverQuery) -> None:
         """Originate a group-wide propagation of ``query``."""
-        wrapped = PropagatedMessage(
-            payload=query,
-            ttl=self.config.propagate_ttl,
-            visited=[self.view.local_peer_id],
-        )
-        self._deliver_local(query)
-        self._forward(wrapped)
+        self.resolver.inject_query(query)
+        self._forward(query, self.config.propagate_ttl, (self.view.local_key,))
 
     # ------------------------------------------------------------------
-    def _deliver_local(self, query: ResolverQuery) -> None:
-        if self.local_delivery is not None:
-            self.local_delivery(query)
-        else:
-            self.resolver.inject_query(query)
-
-    def _forward(self, wrapped: PropagatedMessage) -> None:
-        if wrapped.ttl <= 0:
+    def _forward(self, payload: Any, ttl: int, seen: Iterable[int]) -> None:
+        """Send ``payload`` to every peerview member not in ``seen`` (the
+        interned keys of the peers that already handled it)."""
+        if ttl <= 0:
             return
-        visited = set(wrapped.visited)
-        visited.add(self.view.local_peer_id)
-        targets = [
-            pid for pid in self.view.known_ids() if pid not in visited
-        ]
+        view = self.view
+        visited = set(seen)
+        visited.add(view.local_key)
+        targets = [key for key in view._key_seq if key not in visited]
         if not targets:
             return
+        visited.update(targets)
+        # sorted ints: the pickled message does not hang on set order
         next_hop = PropagatedMessage(
-            payload=wrapped.payload,
-            ttl=wrapped.ttl - 1,
-            visited=sorted(visited | set(targets)),
+            payload=payload, ttl=ttl - 1, visited=sorted(visited)
         )
-        for pid in targets:
-            entry = self.view.get(pid)
-            if entry is None or not entry.adv.route_hint:
+        entries = view._entries
+        id_of = view.interner.id_of
+        for key in targets:
+            route_hint = entries[key].route_hint
+            if not route_hint:
                 continue
             self.propagated += 1
             self.endpoint.send_direct(
-                entry.adv.route_hint,
+                route_hint,
                 EndpointMessage(
                     src_peer=self.endpoint.peer_id,
-                    dst_peer=pid,
+                    dst_peer=id_of(key),
                     service_name=PROPAGATE_SERVICE_NAME,
                     service_param=self.group_param,
                     body=next_hop,
@@ -110,12 +98,6 @@ class PropagationService:
         self.received += 1
         query = body.payload
         if isinstance(query, ResolverQuery):
-            self._deliver_local(query.hopped())
+            self.resolver.inject_query(query.hopped())
         # re-flood towards peerview members the sender did not know
-        self._forward(
-            PropagatedMessage(
-                payload=query,
-                ttl=body.ttl,
-                visited=list(body.visited),
-            )
-        )
+        self._forward(query, body.ttl, body.visited)

@@ -42,7 +42,7 @@ from typing import Any, Tuple
 #: Bump whenever the pickled state contract changes incompatibly
 #: (slot layouts, event-heap entry layout, RNG stream naming).  Stored
 #: checkpoints with another version are invalidated, not misread.
-SNAPSHOT_VERSION = 25
+SNAPSHOT_VERSION = 26
 
 #: sha256 of the pickled layout (classes, their fields, container
 #: types) reachable from a reference snapshot, as
@@ -50,7 +50,7 @@ SNAPSHOT_VERSION = 25
 #: that test fails the layout moved: bump the version above, then
 #: regenerate this value with the command the failure prints.
 SNAPSHOT_LAYOUT_FINGERPRINT = (
-    "b5e1e6913f8b3841695cd010f7ba869c02779a108f5a6395bdc3a579d7788316"
+    "634e3282ee8117912ba548a001ee9e620277afbda0f4e3237e97a64d4ed719c4"
 )
 
 _MAGIC = b"repro-snap"

@@ -47,16 +47,11 @@ MUTANT_DIGEST = (
 MUTANT_SHRINK_PROBES = 13
 
 
-#: the ids name the two schedulers the constants were pinned under until
-#: the kernel became one event heap.  Both ids of the report test run the
-#: engine, and both must read the pinned values, so neither run may lean on
-#: an earlier one in the same process; the mutant test's ids share one run.
-@pytest.fixture(params=("wheel", "heap"))
-def repeat(request):
-    return request.param
-
-
-def test_report_and_per_genome_verdicts_are_pinned(repeat, monkeypatch):
+#: the report test runs the engine twice in one process, and both runs
+#: must read the pinned values: the second may not lean on module-level
+#: state the first left behind
+@pytest.mark.parametrize("run", ("first", "again"))
+def test_report_and_per_genome_verdicts_are_pinned(run, monkeypatch):
     executed = []
     real = engine_mod.check_case
 
@@ -80,7 +75,7 @@ def test_report_and_per_genome_verdicts_are_pinned(repeat, monkeypatch):
     assert tuple(executed) == EXECUTED
 
 
-def test_canary_find_and_shrink_is_pinned(repeat, expire_leak):
+def test_expire_leak_find_and_shrink_is_pinned(expire_leak):
     assert expire_leak["digests"][0] == MUTANT_DIGEST
     assert expire_leak["shrink_probes"] == MUTANT_SHRINK_PROBES
     assert [

@@ -5,9 +5,9 @@ JSONL timeline diffed line-by-line against the committed fixture.  Any
 change to protocol message counts, fire order or event timing —
 however a refactor smuggles it in — shows up as a diff here.
 
-Every scenario runs twice in one process, under the ids ``wheel`` and
-``heap`` of the two schedulers the kernel had until it became one event
-heap: neither run may depend on an earlier simulation in the process.
+Every scenario runs twice in one process, under the ids ``first`` and
+``again``: neither run may depend on an earlier simulation in the
+process.
 
 If a test fails after an *intentional* protocol change, regenerate the
 fixtures and review the diff like code::
@@ -25,7 +25,7 @@ from repro.obs.golden import GOLDEN_SCENARIOS, SCENARIO_FUNCTIONS
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures" / "golden"
 
-RUNS = ("wheel", "heap")
+RUNS = ("first", "again")
 
 
 def _fixture_lines(name):

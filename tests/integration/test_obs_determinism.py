@@ -22,11 +22,6 @@ from repro.obs.tracer import PeerViewRecorder
 from repro.sim import MINUTES, Simulator
 from repro.sim.tracing import KernelTraceRecorder
 
-#: the ids of the two schedulers the kernel had until it became one
-#: event heap; the two ids share one run of each configuration
-REPEATS = ("wheel", "heap")
-
-
 def _run(seed: int, obs: str):
     """One publish/lookup scenario; ``obs`` picks the instrumentation
     flavour: ``"off"``, ``"metrics"``, or ``"full"`` (metrics + trace,
@@ -70,14 +65,13 @@ def _run(seed: int, obs: str):
     }
 
 
-#: ``_run`` once per configuration, for the parametrised tests
+#: ``_run`` once per configuration: both ids compare with one ``"off"`` run
 _run_once = functools.cache(_run)
 
 
 class TestObservabilityIsInert:
-    @pytest.mark.parametrize("repeat", REPEATS)
     @pytest.mark.parametrize("obs", ["metrics", "full"])
-    def test_enabled_run_byte_identical_to_disabled(self, repeat, obs):
+    def test_enabled_run_byte_identical_to_disabled(self, obs):
         base = _run_once(23, "off")
         instrumented = _run_once(23, obs)
         assert instrumented == base
@@ -103,8 +97,7 @@ class TestPeerviewRecorder:
     for an experiment is what the hub's tracer records for the same
     rendezvous."""
 
-    @pytest.mark.parametrize("repeat", REPEATS)
-    def test_recorder_events_equal_the_hubs(self, repeat):
+    def test_recorder_events_equal_the_hubs(self):
         mine, hub = self._recorder_and_hub_events()
         # both kinds, and the removal's reason, are compared
         assert {(name, args.get("reason")) for _, name, args in mine} == {
@@ -113,7 +106,6 @@ class TestPeerviewRecorder:
         assert mine == hub
 
     @staticmethod
-    @functools.cache
     def _recorder_and_hub_events():
         sim = Simulator(seed=3)
         network = Network(sim)

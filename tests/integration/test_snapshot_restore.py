@@ -7,7 +7,6 @@ results to the run that never stopped — same kernel fire order, same
 message counts, same peerview contents, same workload SLO.
 """
 
-import functools
 import tempfile
 from pathlib import Path
 
@@ -30,11 +29,6 @@ from repro.snapshot import (
     snapshot_network,
 )
 from repro.workload import WorkloadEngine, WorkloadSpec, WorkloadTraceRecorder
-
-#: the ids of the two schedulers the kernel had until it became one
-#: event heap; the two ids share one run (the ``functools.cache``
-#: helpers below)
-REPEATS = ("wheel", "heap")
 
 MID = 8 * MINUTES
 END = 14 * MINUTES
@@ -83,7 +77,6 @@ def _continue(network, overlay, recorder):
     }
 
 
-@functools.cache
 def _restored_and_baseline():
     baseline = _continue(*_deploy(seed=5))
 
@@ -96,7 +89,6 @@ def _restored_and_baseline():
     return _continue(network2, extra["overlay"], extra["recorder"]), baseline
 
 
-@functools.cache
 def _resnapshot():
     """Two snapshots of one paused graph (equal or not), and the
     continuations of its restored copy and of that copy's re-snapshot."""
@@ -114,13 +106,11 @@ def _resnapshot():
 
 
 class TestMidRunRestore:
-    @pytest.mark.parametrize("repeat", REPEATS)
-    def test_restored_continuation_is_byte_identical(self, repeat):
+    def test_restored_continuation_is_byte_identical(self):
         resumed, baseline = _restored_and_baseline()
         assert resumed == baseline
 
-    @pytest.mark.parametrize("repeat", REPEATS)
-    def test_snapshot_bytes_are_stable(self, repeat):
+    def test_snapshot_bytes_are_stable(self):
         """Snapshotting the same paused graph twice yields the same
         bytes (caches are normalised out by the pickle
         contracts), and re-snapshotting a restored copy is a semantic
@@ -279,7 +269,6 @@ WARM_STARTABLE = {
 }
 
 
-@functools.cache
 def _cold_miss_hit(experiment):
     """``repr`` of a run without a store, of one that builds and stores
     its bootstrap and of one that restores it; the store's (hits,
@@ -291,7 +280,6 @@ def _cold_miss_hit(experiment):
         return runs, (store.hits, store.misses)
 
 
-@functools.cache
 def _engine_and_bootstrap_seeded_load_runs():
     sim, overlay = load_exp._deploy(LOAD_SPEC.client_count, 8, 3)
     recorder = WorkloadTraceRecorder()
@@ -302,9 +290,8 @@ def _engine_and_bootstrap_seeded_load_runs():
 
 
 class TestWarmStart:
-    @pytest.mark.parametrize("repeat", REPEATS)
     @pytest.mark.parametrize("experiment", sorted(WARM_STARTABLE))
-    def test_warm_start_is_invisible(self, experiment, repeat):
+    def test_warm_start_is_invisible(self, experiment):
         """A run without a store, one that builds and stores its
         bootstrap, and one that restores it answer byte for byte the
         same."""
@@ -313,10 +300,7 @@ class TestWarmStart:
         assert warm_miss == cold
         assert warm_hit == cold
 
-    @pytest.mark.parametrize("repeat", REPEATS)
-    def test_seeded_bootstrap_matches_the_engines_seed_event(
-        self, repeat
-    ):
+    def test_seeded_bootstrap_matches_the_engines_seed_event(self):
         """``run_load`` seeds the catalog inside its bootstrap and
         warm-starts the engine on top; an engine that schedules its own
         seed event on a bare deployment traces and answers the same."""

@@ -40,10 +40,9 @@ def test_different_seeds_differ():
     assert a.digest() != b.digest()
 
 
-# the ids name the two schedulers the kernel had until it became one
-# event heap; both ids run it
-@pytest.mark.parametrize("repeat", ["wheel", "heap"])
-def test_replay_reproduces_trace_and_slo(tmp_path, repeat):
+# run twice in one process: the second run may not lean on the first
+@pytest.mark.parametrize("run", ["first", "again"])
+def test_replay_reproduces_trace_and_slo(tmp_path, run):
     """The recorded trace, re-driven on a fresh deployment (through the
     JSONL file format), reproduces the original run byte-for-byte."""
     original = run_load(_spec(), r=6, seed=7, record=True)

@@ -14,7 +14,7 @@ from repro.sim import MINUTES
 from repro.snapshot import checkpoint_key
 
 CHURN_R16_SEED2 = (
-    "51f447e39a25570835b42e3051111e98a409a08f1efab381387608d7548a005c"
+    "b6e99eabc1f81a71aa10e6bcd052d07fac75731635830485844a1fc63ea4e29c"
 )
 
 KEYS = {
@@ -24,30 +24,30 @@ KEYS = {
     ),
     "fig4-right r=8 A": (
         lambda: fig4_right.bootstrap_spec(8, False),
-        "7a45954b70312c605a5afd6b130d31b684b66a73a21035126fc649ad257d6ee7",
+        "072351dc5c9a474e7f8a864f5dce680d3c88f30f5a5631b6ad253ebeec5ca235",
     ),
     "fig4-right r=20 B warmup=60min": (
         lambda: fig4_right.bootstrap_spec(20, True, warmup=60 * MINUTES),
-        "4dc8d1ac4e8bdbbc4649154b6bd39578e92c6e2c5109884a3d92419dfc6aa4fe",
+        "ba58096cbb72aa2d4c5cfcc213f2fbd33c009dcb354a43bd77337762c61a5335",
     ),
     "load ci_spec r=8 seed=3": (
         lambda: load_exp.bootstrap_spec(load_exp.ci_spec(), 8, seed=3),
-        "7d79713c35ebd34079406b39950c552521a86289feb8254f3b90e3acedcef9ef",
+        "15575b299cb4e36ffee8d8cf2f51ed3bd15a2d28050b589a09f6f512a9c3c401",
     ),
 }
 
 FUZZ_KEYS = (
-    "44c7cf69db94377319b5e65a8f68992fc9409987cbb9ffb6cac88981f592dcb6",
-    "dc33984fc7412a849de70c77a00e97fe3e0be6cecb7ddee7cfcb0e56cf08875b",
-    "b9f1e3bdfb5abaa1f64792fdc35ac294108f3ca4b740ed47a343032953dc2539",
-    "b954e0be073204ff8c1ae267df3c67d2340f4bcf9acc690aabc4b628302bfe5c",
+    "31dfd19de5e3bcd7823a12730811804b3bd39e3797fe36ef3383baf7f64023ae",
+    "81702825c1ca40a693dab61d6d8c1e993423576f298b09e91c382ebe26233078",
+    "859236a69503cafabea8eb96abb6b573f13fc2ee576c263458f9cd76ef9cb694",
+    "805f3c48d40bc73f5d4417f18422b7a98f8ae52947c8b3beb80e2dbdcb1f693b",
 )
 
 CAMPAIGN_KEYS = {
     "churn": ({"r": 16, "seed": 2}, CHURN_R16_SEED2),
     "load": (
         {"r": 24, "rate": 1, "skew": 0, "seed": 1, "warmup": 3600},
-        "68e7ebe31455b54373db9d7540e16b7f154b7f27a44cc304ffb04653643c68eb",
+        "7bc4c653354f181f0d2dfb08c7cd6e03e2510a1baa367773388c55a2f556438b",
     ),
 }
 

@@ -20,7 +20,6 @@ timeout and found the probe still pending.  An exclusive deadline
 rendezvous 1 sends 90 probes where it sent 75.
 """
 
-import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Tuple
@@ -32,12 +31,6 @@ from repro.sim.tracing import KernelTraceRecorder
 from repro.snapshot import restore_network, snapshot_network
 from tests.integration.test_frame_budget import load_frames_per_op
 from tests.unit.test_peerview_protocol import build_rdv_overlay
-
-#: the ids of the two schedulers the kernel had until it became one
-#: event heap; the two ids share one run (the ``functools.cache``
-#: helpers below)
-REPEATS = ("wheel", "heap")
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -93,7 +86,6 @@ def _filtered_digest(recorder):
     return h.hexdigest()
 
 
-@functools.cache
 def _run_to_the_end(scenario):
     """Probes sent, filtered and whole trace digests, timeout entries."""
     sim, overlay, recorder = _start(scenario)
@@ -106,13 +98,10 @@ def _run_to_the_end(scenario):
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("repeat", REPEATS)
     @pytest.mark.parametrize(
         "scenario", [DEAD_SEED, MID_CRASH], ids=["dead-seed", "mid-crash"]
     )
-    def test_same_probes_and_trace_without_timeout_events(
-        self, scenario, repeat
-    ):
+    def test_same_probes_and_trace_without_timeout_events(self, scenario):
         probes, filtered, digest, timeouts = _run_to_the_end(scenario)
         assert probes == scenario.probes
         assert filtered == scenario.digest
@@ -120,7 +109,6 @@ class TestEquivalence:
         assert digest == scenario.digest
 
 
-@functools.cache
 def _continued_and_restored():
     """DEAD_SEED snapshotted at 110 s: whether a probe was outstanding
     across the snapshot, the outstanding probes before it and in the
@@ -188,8 +176,7 @@ class TestLifecycle:
         proto.stop()
         assert proto._pending_probes == {}
 
-    @pytest.mark.parametrize("repeat", REPEATS)
-    def test_restored_snapshot_keeps_the_suppression(self, repeat):
+    def test_restored_snapshot_keeps_the_suppression(self):
         outstanding, pending, restored_pending, continued, restored = (
             _continued_and_restored()
         )

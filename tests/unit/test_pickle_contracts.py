@@ -104,10 +104,9 @@ class TestSimulator:
         assert sim_a._seq == sim_b._seq
         assert sim_a.events_fired == sim_b.events_fired
 
-    # the ids name the two schedulers the kernel had until it became one
-    # event heap; both run it
-    @pytest.mark.parametrize("repeat", ["wheel", "heap"])
-    def test_round_trip_is_byte_stable(self, repeat):
+    # run twice in one process: the second run may not lean on the first
+    @pytest.mark.parametrize("run", ["first", "again"])
+    def test_round_trip_is_byte_stable(self, run):
         # fired, pending and tombstoned entries
         sim = Simulator(seed=3)
         for i, delay in enumerate([0.1, 0.2, 0.3, 0.3, 7.0, 500.0]):
