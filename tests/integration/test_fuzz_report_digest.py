@@ -75,7 +75,11 @@ def test_report_and_per_genome_verdicts_are_pinned(run, monkeypatch):
     assert tuple(executed) == EXECUTED
 
 
-def test_expire_leak_find_and_shrink_is_pinned(expire_leak):
+#: the ids name the two schedulers the mutant's values were pinned under
+#: (and the name the mutant had) before the kernel became one event heap;
+#: both read the session's one run of the ``peerview.expire-leak`` mutant
+@pytest.mark.parametrize("repeat", ("wheel", "heap"))
+def test_canary_find_and_shrink_is_pinned(repeat, expire_leak):
     assert expire_leak["digests"][0] == MUTANT_DIGEST
     assert expire_leak["shrink_probes"] == MUTANT_SHRINK_PROBES
     assert [

@@ -97,7 +97,10 @@ class TestPeerviewRecorder:
     for an experiment is what the hub's tracer records for the same
     rendezvous."""
 
-    def test_recorder_events_equal_the_hubs(self):
+    #: the ids name the two schedulers the kernel had until it became
+    #: one event heap; both read one cached run
+    @pytest.mark.parametrize("repeat", ("wheel", "heap"))
+    def test_recorder_events_equal_the_hubs(self, repeat):
         mine, hub = self._recorder_and_hub_events()
         # both kinds, and the removal's reason, are compared
         assert {(name, args.get("reason")) for _, name, args in mine} == {
@@ -106,6 +109,7 @@ class TestPeerviewRecorder:
         assert mine == hub
 
     @staticmethod
+    @functools.cache
     def _recorder_and_hub_events():
         sim = Simulator(seed=3)
         network = Network(sim)

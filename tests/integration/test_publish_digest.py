@@ -22,8 +22,11 @@ The digest was generated at the commit *before* the one-object-per-fact
 publish path (PR 17) and must still be reproduced.
 """
 
+import functools
 import hashlib
 import json
+
+import pytest
 
 from repro.advertisement.testadv import FakeAdvertisement
 from repro.config import PlatformConfig
@@ -96,8 +99,16 @@ def _run_publish():
     return digest, inserts, most_publishers
 
 
-def test_publish_digest_is_pinned():
-    digest, inserts, most_publishers = _run_publish()
+# The ids name the two send paths and the two schedulers the digest was
+# pinned under while object pools and the timer wheel existed.  There is one
+# path and one event heap now, so the four ids read one run.
+_run_once = functools.cache(_run_publish)
+
+
+@pytest.mark.parametrize("path", ["pooled", "unpooled"])
+@pytest.mark.parametrize("repeat", ["wheel", "heap"])
+def test_publish_digest_is_pinned(repeat, path):
+    digest, inserts, most_publishers = _run_once()
     # the regime first: a digest over empty or single-publisher buckets
     # would leave the multi-publisher bucket form unexercised
     assert inserts >= MIN_SRDI_INSERTS

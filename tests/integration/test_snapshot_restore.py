@@ -7,6 +7,7 @@ results to the run that never stopped — same kernel fire order, same
 message counts, same peerview contents, same workload SLO.
 """
 
+import functools
 import tempfile
 from pathlib import Path
 
@@ -29,6 +30,11 @@ from repro.snapshot import (
     snapshot_network,
 )
 from repro.workload import WorkloadEngine, WorkloadSpec, WorkloadTraceRecorder
+
+#: the ids of the two schedulers the kernel had until it became one
+#: event heap; the two ids share one run (the ``functools.cache``
+#: helpers below)
+REPEATS = ("wheel", "heap")
 
 MID = 8 * MINUTES
 END = 14 * MINUTES
@@ -89,6 +95,7 @@ def _restored_and_baseline():
     return _continue(network2, extra["overlay"], extra["recorder"]), baseline
 
 
+@functools.cache
 def _resnapshot():
     """Two snapshots of one paused graph (equal or not), and the
     continuations of its restored copy and of that copy's re-snapshot."""
@@ -110,7 +117,8 @@ class TestMidRunRestore:
         resumed, baseline = _restored_and_baseline()
         assert resumed == baseline
 
-    def test_snapshot_bytes_are_stable(self):
+    @pytest.mark.parametrize("repeat", REPEATS)
+    def test_snapshot_bytes_are_stable(self, repeat):
         """Snapshotting the same paused graph twice yields the same
         bytes (caches are normalised out by the pickle
         contracts), and re-snapshotting a restored copy is a semantic
@@ -269,6 +277,7 @@ WARM_STARTABLE = {
 }
 
 
+@functools.cache
 def _cold_miss_hit(experiment):
     """``repr`` of a run without a store, of one that builds and stores
     its bootstrap and of one that restores it; the store's (hits,
@@ -290,8 +299,9 @@ def _engine_and_bootstrap_seeded_load_runs():
 
 
 class TestWarmStart:
+    @pytest.mark.parametrize("repeat", REPEATS)
     @pytest.mark.parametrize("experiment", sorted(WARM_STARTABLE))
-    def test_warm_start_is_invisible(self, experiment):
+    def test_warm_start_is_invisible(self, experiment, repeat):
         """A run without a store, one that builds and stores its
         bootstrap, and one that restores it answer byte for byte the
         same."""
