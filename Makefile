@@ -123,8 +123,10 @@ experiments:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli sweep all \
 		--jobs $(JOBS) --out results-ci
 
-# paper-scale runs: 580 peers, two-hour timelines, full sweeps
-# (~1 h serial; scales down with $(JOBS))
+# paper-scale runs: 580 peers, two-hour timelines, full sweeps, and the
+# claim table at full size (results/claims.csv).  13 tasks, 366 s of
+# task time: 189 s of wall time at JOBS=2 on a 2-vCPU box (fig4-right
+# 101 s, fig3-left 85 s, load 79 s); --seeds 3 takes 538 s there.
 experiments-full:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli sweep all --full \
 		--jobs $(JOBS) --out results

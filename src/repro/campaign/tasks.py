@@ -19,8 +19,8 @@ Built-in task types:
     .EXPERIMENTS` — the unit behind ``jxta-repro sweep all``, the
     ``make experiments[-full]`` targets and ``jxta-repro <experiment>
     --seeds N``.  Returns every numeric field of its result rows as
-    ``<row>.<field>``; rendered stdout and CSV/JSON artefacts are
-    written under ``params["out"]``.
+    ``<row>.<field>`` and each claim row's value as ``claim.<id>``; stdout
+    and CSV/JSON artefacts are written under ``params["out"]``.
 ``load``
     One :mod:`repro.workload` run (the rate × skew × r grid of the
     ``load`` campaign): open-loop clients against an r-rendezvous
@@ -36,6 +36,7 @@ Built-in task types:
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional
@@ -251,6 +252,7 @@ def experiment_task(params: Dict[str, Any]) -> Dict[str, Any]:
     """Run one whole experiment module; capture its rendered output,
     route its structured results through the existing exporter and
     return their numeric fields (what ``--seeds N`` aggregates)."""
+    from repro.analysis.claims import CLAIMS, evaluate
     from repro.experiments.cli import run_experiment
     from repro.experiments.export import save_results
 
@@ -279,6 +281,8 @@ def experiment_task(params: Dict[str, Any]) -> Dict[str, Any]:
         "rendered_chars": len(buffer.getvalue()),
         "files": written,
         **_row_metrics(results),
+        **{f"claim.{claim.id}": evaluate(claim, results)[0]
+           for claim in CLAIMS if claim.experiment == name},
     }
 
 
@@ -315,6 +319,28 @@ def fuzz_finalize(records: list, out_dir: Path) -> list:
     return lines
 
 
+def claims_finalize(records: list, out_dir: Path) -> list:
+    """Write <out>/claims.csv: per claim row on the experiments that ran, its
+    band, size, value per seed (NaN if that task failed) and k/n in band."""
+    from repro.analysis.claims import CLAIMS, in_band
+
+    results = {(r["params"]["name"], r["params"]["seed"]): r["result"] for r in records}
+    seeds = sorted({seed for _, seed in results})
+    size = "full" if any(r["params"]["full"] for r in records) else "ci"
+    table = [["claim", "band", "size", *(f"seed{s}" for s in seeds), "passed"]]
+    lines = []
+    for claim in (c for c in CLAIMS if any(c.experiment == n for n, _ in results)):
+        values = [results.get((claim.experiment, s), {}).get(f"claim.{claim.id}",
+                  float("nan")) for s in seeds]
+        passed = f"{sum(in_band(v, claim.band) for v in values)}/{len(seeds)}"
+        table.append([claim.id, claim.band, size, *values, passed])
+        lines.append(f"{claim.id:38s} {claim.band:14s} {size:4s} "
+                     + " ".join(f"{v:9.4g}" for v in values) + f"  {passed} passed")
+    with (out_dir / "claims.csv").open("w", newline="") as handle:
+        csv.writer(handle).writerows(table)
+    return lines + [f"# wrote {out_dir / 'claims.csv'}"]
+
+
 # --------------------------------------------------------------------------
 # the registries
 # --------------------------------------------------------------------------
@@ -342,4 +368,5 @@ BOOTSTRAP_SPECS: Dict[str, Callable[[Dict[str, Any]], Dict[str, Any]]] = {
 #: ``campaign name -> (completed records, out_dir) -> report lines``.
 #: The sweep CLI calls a campaign's finalizer after aggregation, for
 #: campaigns whose cross-task result is not a numeric aggregate.
-FINALIZERS: Dict[str, Callable[[list, Path], list]] = {"fuzz": fuzz_finalize}
+FINALIZERS: Dict[str, Callable[[list, Path], list]] = {"fuzz": fuzz_finalize,
+                                                        "all": claims_finalize}

@@ -19,7 +19,7 @@ _results = functools.lru_cache(maxsize=None)(run_experiment)
 
 @pytest.mark.parametrize("claim", CLAIMS, ids=lambda claim: claim.id)
 def test_claim_holds(claim):
-    value, holds = evaluate(claim, _results(claim.experiment, claim.size))
+    value, holds = evaluate(claim, _results(claim.experiment, "ci"))
     assert holds, f"{claim.id} ({claim.source}): {value:g} fails {claim.band!r}"
 
 

@@ -3,9 +3,11 @@
 A ``full``-shaped result (two-hour runs, trees only at r = 160, 220
 and 338) is built by hand, so nothing runs."""
 
+import math
+
 import pytest
 
-from repro.analysis.claims import CLAIMS, evaluate
+from repro.analysis.claims import CLAIMS, Claim, evaluate
 from repro.experiments.fig3_left import Fig3LeftSeries
 from repro.metrics.series import StepSeries
 from repro.sim import MINUTES
@@ -49,3 +51,13 @@ def test_chain_vs_tree_compares_the_largest_r_run_both_ways():
     value, holds = evaluate(_claim("fig3l.chain-vs-tree"), FULL_SHAPED)
     assert value == pytest.approx(5.0 / 100.0)
     assert holds
+
+
+def test_a_measure_that_cannot_be_taken_reads_nan():
+    # no r is run as both a chain and a tree: max() of nothing
+    chains = [s for s in FULL_SHAPED if s.topology == "chain"]
+    value, holds = evaluate(_claim("fig3l.chain-vs-tree"), chains)
+    assert math.isnan(value) and not holds
+    for measure in (lambda _: 1 / 0, lambda _: {}["r"], lambda _: None + 1):
+        value, holds = evaluate(Claim("x.raises", "", "table1", measure, "<= 0"), [])
+        assert math.isnan(value) and not holds
