@@ -190,12 +190,14 @@ def all_experiments_campaign(
     out: Optional[str] = None, names: Optional[Sequence[str]] = None,
 ) -> CampaignSpec:
     """Every experiment module as one task per seed; ``names`` narrows
-    the grid (``jxta-repro <experiment> --seeds N`` runs one name)."""
+    the grid (``jxta-repro <experiment> --seeds N`` runs one name).
+    With ``out`` the first seed writes there and each later seed ``k``
+    under ``<out>/seed<k>/``."""
     from repro.experiments.cli import EXPERIMENTS
 
     base: Dict[str, Any] = {"full": full}
     if out is not None:
-        base["out"] = out
+        base.update(out=out, first_seed=base_seed)
     return CampaignSpec(
         name="all",
         task_type="experiment",

@@ -270,6 +270,8 @@ def experiment_task(params: Dict[str, Any]) -> Dict[str, Any]:
     written = []
     if out is not None:
         out_dir = Path(out)
+        if seed != params.get("first_seed", seed):
+            out_dir = out_dir / f"seed{seed}"
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / f"{name}.txt").write_text(buffer.getvalue())
         written.append(str(out_dir / f"{name}.txt"))

@@ -147,10 +147,8 @@ class FuzzEngine:
         self,
         seed: int = 0,
         oracles: Sequence[str] = ORACLES,
-        store=None,
     ) -> None:
         self.oracles = tuple(oracles)
-        self.store = store
         self._rng = random.Random(seed)
         self._coverage: set = set()
         self._pool: List[FuzzCase] = []
@@ -178,8 +176,7 @@ class FuzzEngine:
     def _still_fails(self, failure: Failure) -> Callable[[FuzzCase], bool]:
         def predicate(candidate: FuzzCase) -> bool:
             probe = check_case(
-                candidate, oracles=(failure.oracle,), store=self.store,
-                coverage=False,
+                candidate, oracles=(failure.oracle,), coverage=False
             )
             return any(
                 f.signature == failure.signature for f in probe.failures
@@ -210,7 +207,7 @@ class FuzzEngine:
         if key in self._seen:
             return
         self._seen.add(key)
-        result = check_case(case, self.oracles, self.store)
+        result = check_case(case, self.oracles)
         self.report.skipped += len(result.skipped)
         new_keys = set(result.base.coverage) - self._coverage
         self._coverage.update(result.base.coverage)

@@ -5,11 +5,8 @@ Every execution is the same shape as a :mod:`repro.experiments
 checker, run — with two additions:
 
 * a **fault-free bootstrap prefix** (deploy + run to
-  ``BOOTSTRAP_TIME``) shared by every oracle variant of a case.  With
-  a :class:`~repro.snapshot.CheckpointStore` the prefix is restored
-  from the content-addressed cache instead of rebuilt; restored runs
-  are byte-identical to cold runs (the checkpointing PR's contract),
-  which is what lets the shrinker re-run only the tail per probe.
+  ``BOOTSTRAP_TIME``), built afresh by every execution: restoring it
+  from a checkpoint costs what building it does (docs/FUZZING.md).
 * instruments where their output is read (``run_case``'s ``reads``;
   docs/FUZZING.md has the table): in the base execution an
   :class:`~repro.obs.runtime.ObsSession` whose merged metrics snapshot
@@ -43,7 +40,7 @@ failure's ``detail`` line.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.spec import canonical_json
@@ -60,12 +57,7 @@ from repro.network import Network
 from repro.obs.runtime import ObsSession, activate, deactivate
 from repro.sim import Simulator
 from repro.sim.tracing import KernelTraceRecorder, trace_digest
-from repro.snapshot import (
-    SnapshotError,
-    restore_network,
-    snapshot_network,
-    warm_start,
-)
+from repro.snapshot import SnapshotError, restore_network, snapshot_network
 from repro.workload import WorkloadEngine, WorkloadSpec, WorkloadTraceRecorder
 from repro.workload.trace import ops_digest
 
@@ -73,9 +65,9 @@ from repro.workload.trace import ops_digest
 ORACLES: Tuple[str, ...] = ("invariants", "snapshot", "replay")
 
 #: what ``run_case(reads=...)`` collects beyond the invariant verdict:
-#: the kernel trace (without it the recorder is detached after the
-#: bootstrap prefix); the coverage key set (a metrics hub rides the
-#: run); the workload trace and the SLO snapshot
+#: the kernel trace (without it no recorder hooks the kernel); the
+#: coverage key set (a metrics hub rides the run); the workload trace
+#: and the SLO snapshot
 DIGEST, COVERAGE, WORKLOAD = "digest", "coverage", "workload"
 EVERYTHING: Tuple[str, ...] = (DIGEST, COVERAGE, WORKLOAD)
 
@@ -122,47 +114,28 @@ def end_time(case: FuzzCase) -> float:
     return case.duration + WORKLOAD_TIMEOUT + DRAIN_SLACK
 
 
-def bootstrap_spec(case: FuzzCase, metrics: bool = True) -> Dict[str, Any]:
-    """Checkpoint key of a case's fault-free bootstrap prefix.  Keyed
-    on everything the prefix depends on — actions and workload traffic
-    only start after ``BOOTSTRAP_TIME``, so shrink probes that differ
-    only in those share one cached prefix — and ``metrics``: the
-    network pickles its obs hub, so a prefix built without one would
-    restore into a coverage-reading run with its counters missing."""
-    edge_count = (
-        workload_spec_of(case).client_count if case.workload else 0
-    )
-    return {
-        "experiment": "fuzz",
-        "r": case.r,
-        "topology": case.topology,
-        "seed": case.seed,
-        "edge_count": edge_count,
-        "bootstrap_time": BOOTSTRAP_TIME,
-        "config": asdict(platform_config_of(case)),
-        "metrics": metrics,
-    }
-
-
-def _bootstrap(key: Dict[str, Any]) -> Tuple[Network, Dict[str, Any]]:
-    """The fault-free prefix, built from its key: deploy, start, run to
-    ``BOOTSTRAP_TIME``."""
-    sim = Simulator(seed=key["seed"])
-    recorder = KernelTraceRecorder(sim)
+def _bootstrap(
+    case: FuzzCase, trace: bool
+) -> Tuple[Network, Any, Optional[KernelTraceRecorder]]:
+    """The fault-free prefix: deploy, start, run to ``BOOTSTRAP_TIME``.
+    With ``trace`` a kernel trace recorder hooks the kernel first."""
+    sim = Simulator(seed=case.seed)
+    recorder = KernelTraceRecorder(sim) if trace else None
     network = Network(sim)
-    r, edges = key["r"], key["edge_count"]
+    r = case.r
+    edges = workload_spec_of(case).client_count if case.workload else 0
     overlay = build_overlay(
-        sim, network, PlatformConfig(**key["config"]),
+        sim, network, platform_config_of(case),
         OverlayDescription(
             rendezvous_count=r,
-            topology=key["topology"],
+            topology=case.topology,
             edge_count=edges,
             edge_attachment=[i % r for i in range(edges)] if edges else None,
         ),
     )
     overlay.start()
-    sim.run(until=key["bootstrap_time"])
-    return network, {"overlay": overlay, "recorder": recorder}
+    sim.run(until=BOOTSTRAP_TIME)
+    return network, overlay, recorder
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +189,6 @@ class _NoHubSession(ObsSession):
 
 def run_case(
     case: FuzzCase,
-    store=None,
     reads: Sequence[str] = EVERYTHING,
     replay_ops: Optional[Sequence[Any]] = None,
 ) -> RunResult:
@@ -226,12 +198,7 @@ def run_case(
     metrics = COVERAGE in reads
     session = activate(ObsSession() if metrics else _NoHubSession())
     try:
-        network, extra = warm_start(
-            store, bootstrap_spec(case, metrics), _bootstrap
-        )
-        overlay, recorder = extra["overlay"], extra["recorder"]
-        if DIGEST not in reads:
-            recorder.detach()
+        network, overlay, recorder = _bootstrap(case, DIGEST in reads)
         sim = network.sim
         engine = ScenarioEngine(
             sim, network, peers_of(overlay), decode_scenario(case)
@@ -261,7 +228,7 @@ def run_case(
             invariant_summary=summary,
             violations=tuple(v.format() for v in checker.violations[:8]),
         )
-        if DIGEST in reads:
+        if recorder is not None:
             result.trace = recorder.entries
         if metrics:
             result.coverage = _coverage_keys(
@@ -283,7 +250,7 @@ def snapshot_skip_reason(case: FuzzCase) -> Optional[str]:
 
 
 def run_case_with_midpoint_snapshot(
-    case: FuzzCase, store=None,
+    case: FuzzCase,
 ) -> Tuple[Optional[list], Optional[list], Optional[str]]:
     """The snapshot-invisibility probe: pause at mid-run, snapshot,
     continue; separately restore the blob and continue that copy.
@@ -296,10 +263,7 @@ def run_case_with_midpoint_snapshot(
     t_mid = round((BOOTSTRAP_TIME + case.duration) / 2.0, 1)
     session = activate(ObsSession(metrics=True))
     try:
-        network, extra = warm_start(
-            store, bootstrap_spec(case), _bootstrap
-        )
-        overlay, recorder = extra["overlay"], extra["recorder"]
+        network, overlay, recorder = _bootstrap(case, True)
         sim = network.sim
         engine = ScenarioEngine(
             sim, network, peers_of(overlay), decode_scenario(case)
@@ -370,7 +334,6 @@ class CaseReport:
 def check_case(
     case: FuzzCase,
     oracles: Sequence[str] = ORACLES,
-    store=None,
     coverage: bool = True,
 ) -> CaseReport:
     """Run ``case`` under the requested oracle subset.  Every execution
@@ -389,7 +352,7 @@ def check_case(
         reads.append(COVERAGE)
     if need_replay:
         reads.append(WORKLOAD)
-    base = run_case(case, store=store, reads=reads)
+    base = run_case(case, reads=reads)
     failures: List[Failure] = []
     skipped: List[str] = []
 
@@ -409,9 +372,7 @@ def check_case(
             )
 
     if "snapshot" in oracles:
-        continued, restored, skip = run_case_with_midpoint_snapshot(
-            case, store=store
-        )
+        continued, restored, skip = run_case_with_midpoint_snapshot(case)
         if skip is not None:
             skipped.append(f"snapshot: {skip}")
         else:
@@ -445,8 +406,7 @@ def check_case(
             skipped.append("replay: case has no workload")
         else:
             replayed = run_case(
-                case, store=store, reads=(WORKLOAD,),
-                replay_ops=base.trace_ops,
+                case, reads=(WORKLOAD,), replay_ops=base.trace_ops
             )
             if (
                 replayed.trace_ops != base.trace_ops

@@ -20,11 +20,8 @@ predicate accepts:
 Everything is pure function of the input case and the predicate — no
 randomness — so a given failure always shrinks to the same minimal
 reproducer.  Probes are deduplicated by canonical JSON and capped by
-``max_probes``.  A probe warm-starts its bootstrap prefix from a
-:class:`~repro.snapshot.CheckpointStore` when the caller's predicate
-passes one (the runner keys the prefix on everything *except* actions
-and workload, which is exactly what shrink probes vary); only tests do
-today, and ROADMAP item 9 wires a store into the fuzzer.
+``max_probes``.  A probe is a whole execution, its bootstrap prefix
+included.
 """
 
 from __future__ import annotations

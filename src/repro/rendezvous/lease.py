@@ -310,23 +310,13 @@ class EdgeLeaseClient:
 
     def _schedule_renewal(self, lease_duration: float) -> None:
         delay = lease_duration * self.config.lease_renewal_fraction
-        handle = self._renewal_handle
-        if handle is not None and handle.fired:
-            # normal renewal cycle: the timer fired, the renewal was
-            # granted — re-arm the same handle (every grant reschedules
-            # this timer; at r = 580 that is constant churn)
-            self._renewal_handle = self.endpoint.sim.reschedule(
-                handle, delay, self._renew
-            )
-        else:
-            if handle is not None:
-                handle.cancel()
-            self._renewal_handle = self.endpoint.sim.schedule(
-                delay, self._renew, label="lease.renew"
-            )
+        if self._renewal_handle is not None:
+            self._renewal_handle.cancel()
+        self._renewal_handle = self.endpoint.sim.schedule(
+            delay, self._renew, label="lease.renew"
+        )
 
     def _renew(self) -> None:
-        # the fired handle is kept for re-arming by the next grant
         if self._connecting:
             self._request_lease(renewal=True)
 

@@ -15,10 +15,6 @@ Design notes
   rescheduled constantly at large overlay sizes.  When the tombstones
   outnumber the live entries, :meth:`Simulator._compact` filters them
   out and re-heapifies in place.
-* Periodic timers can *re-arm* their existing handle through
-  :meth:`Simulator.reschedule` instead of allocating a fresh one per
-  tick — at r = 580 the peerview/SRDI/lease tick storm is millions of
-  avoided allocations over a paper-scale run.
 * :meth:`Simulator.run` is **one loop**, for ``run()`` and
   ``run(until=…)`` alike (no deadline is a deadline of infinity).  An
   event popped beyond the deadline is pushed back unchanged for the
@@ -300,37 +296,6 @@ class Simulator:
             handle._label = label
         else:
             handle.fn = fn
-        handle._state = self
-        _heappush(self._queue, (time, seq, handle, fn, args))
-        return handle
-
-    def reschedule(
-        self,
-        handle: EventHandle,
-        delay: float,
-        fn: Callable[..., Any],
-        *args: Any,
-    ) -> EventHandle:
-        """Re-arm a *fired* handle to run ``fn(*args)`` ``delay``
-        seconds from now, reusing the handle object (and its trace
-        label) instead of allocating a fresh one.
-
-        This is the periodic-timer fast path: a lease renewal or
-        peerview tick that re-arms itself on every firing allocates no
-        new handle.  Only fired handles are accepted: a pending one
-        would leave two live entries behind one handle, and a
-        *cancelled* one may still have a tombstoned entry resident in
-        the heap — re-arming would resurrect that entry and fire it."""
-        if delay < 0:
-            raise SchedulingError(f"cannot schedule in the past (delay={delay})")
-        if handle._state is not False:
-            raise SchedulingError(
-                "only a fired handle can be re-armed; schedule() a new "
-                "one for pending or cancelled timers"
-            )
-        time = self.now + delay
-        seq = self._seq
-        self._seq = seq + 1
         handle._state = self
         _heappush(self._queue, (time, seq, handle, fn, args))
         return handle

@@ -3,9 +3,8 @@
 JXTA services are periodic by nature (the peerview loop runs every
 ``PEERVIEW_INTERVAL``, edges push SRDI deltas every 30 s, leases renew
 before expiry).  :class:`PeriodicTask` captures that pattern once:
-start/stop lifecycle, optional start jitter (real deployments never
-start perfectly in phase — ADAGE launches peers over several seconds),
-and safe rescheduling.
+start/stop lifecycle and optional start jitter (real deployments never
+start perfectly in phase — ADAGE launches peers over several seconds).
 """
 
 from __future__ import annotations
@@ -102,33 +101,11 @@ class PeriodicTask(Process):
             self._handle.cancel()
             self._handle = None
 
-    def reschedule(self, delay: Optional[float] = None) -> None:
-        """Move the next tick to ``delay`` seconds from now (defaults to
-        one full interval).  Used by protocols that reset their timer on
-        external events."""
-        if not self.started:
-            raise SchedulingError(f"{self.name} is not running")
-        next_delay = self.interval if delay is None else delay
-        handle = self._handle
-        if handle is not None and handle.fired:
-            # called from inside the callback: the tick handle just
-            # fired, so it can be re-armed in place
-            self._handle = self.sim.reschedule(handle, next_delay, self._tick)
-        else:
-            # a pending (or missing) handle: cancelling leaves a
-            # tombstoned entry behind, so a fresh handle is required
-            if handle is not None:
-                handle.cancel()
-            self._handle = self.sim.schedule(
-                next_delay, self._tick, label=f"{self.name}.tick"
-            )
-
     def _tick(self) -> None:
         if not self.started:
             return
         self.ticks += 1
-        # re-arm the just-fired handle (same label) instead of
-        # allocating a fresh one every period — the dominant timer
-        # churn of a paper-scale run
-        self._handle = self.sim.reschedule(self._handle, self.interval, self._tick)
+        self._handle = self.sim.schedule(
+            self.interval, self._tick, label=f"{self.name}.tick"
+        )
         self.callback()

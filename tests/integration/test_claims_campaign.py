@@ -1,12 +1,15 @@
 """``jxta-repro sweep all`` evaluates every claim row per seed: the
 ``experiment`` task reports each row's value, and the campaign's
-finalizer writes them to ``claims.csv`` with how many seeds pass."""
+finalizer writes them to ``claims.csv`` with how many seeds pass.
+Each seed's rendered table and CSV land in a directory of their own."""
 
 import csv
 import math
+from pathlib import Path
 
 from repro.analysis import claims
 from repro.analysis.claims import CLAIMS, Claim, evaluate
+from repro.campaign.aggregate import aggregate_records
 from repro.campaign.builtin import all_experiments_campaign
 from repro.campaign.runner import run_in_memory
 from repro.campaign.tasks import FINALIZERS
@@ -44,3 +47,22 @@ def test_a_measure_that_raises_reads_nan_in_the_table(tmp_path, monkeypatch):
     assert math.isnan(records[0]["result"]["claim.table1.broken"])
     FINALIZERS["all"](records, tmp_path)
     assert _table(tmp_path)[1] == ["table1.broken", ">= 0", "ci", "nan", "0/1"]
+
+
+def test_each_seed_keeps_its_artefacts(tmp_path):
+    """The first seed writes ``<out>/<name>.*`` and every later seed
+    ``<out>/seed<k>/<name>.*``, so no seed overwrites another's files;
+    the seeds still aggregate as one group."""
+    records = run_in_memory(
+        all_experiments_campaign(seeds=2, names=["table1"], out=str(tmp_path))
+    )
+    first, second = (record["result"]["files"] for record in records)
+    assert first and {Path(p).parent for p in first} == {tmp_path}
+    assert {Path(p).name for p in second} == {Path(p).name for p in first}
+    assert {Path(p).parent for p in second} == {tmp_path / "seed2"}
+    for record in records:
+        table = Path(record["result"]["files"][0]).read_text()
+        assert len(table) == record["result"]["rendered_chars"]
+    rows, _ = aggregate_records(records, campaign="table1")
+    assert len({row.group for row in rows}) == 1
+    assert {row.n for row in rows} == {2}

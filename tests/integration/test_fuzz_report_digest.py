@@ -5,17 +5,15 @@ stopped collecting what nobody reads (PR 18), so they hold the line
 that change must not move: the report digest (coverage map + corpus,
 shrunk reproducers included), ``executed``, ``skipped``, and per
 executed genome its key, its verdict and the size of its coverage
-snapshot.  The properties
-below them pin what the cheaper re-executions lean on: a metrics hub
-is invisible to the kernel trace, and a warm-started bootstrap prefix
-never crosses between executions with and without one."""
+snapshot.  The property
+below them pins what the cheaper re-executions lean on: a metrics hub
+is invisible to the kernel trace."""
 
 import pytest
 
 from repro.fuzz import SEED_CASES, FuzzEngine, case_key, run_case
 from repro.fuzz import engine as engine_mod
-from repro.fuzz.runner import COVERAGE, DIGEST, Failure, bootstrap_spec
-from repro.snapshot import CheckpointStore
+from repro.fuzz.runner import COVERAGE, DIGEST
 
 SEED = 7
 BUDGET = len(SEED_CASES) + 4
@@ -102,54 +100,3 @@ def test_metrics_hub_is_invisible_to_the_kernel_trace(case):
     assert observed.coverage and not bare.coverage
     assert observed.digest == bare.digest
 
-
-# ---------------------------------------------------------------------------
-# store mode: the bootstrap blob carries the hub, so it is keyed on it
-# ---------------------------------------------------------------------------
-
-def test_bootstrap_key_separates_hub_and_hubless_prefixes():
-    case = SEED_CASES[1]
-    assert bootstrap_spec(case, metrics=True) != bootstrap_spec(
-        case, metrics=False
-    )
-    assert bootstrap_spec(case) == bootstrap_spec(case, metrics=True)
-
-
-def test_hubless_prefix_never_warm_starts_a_coverage_run(tmp_path):
-    case = SEED_CASES[1]
-    cold = run_case(case)
-    store = CheckpointStore(tmp_path / "cache")
-    # a hub-less execution populates the cache first ...
-    first = run_case(case, store=store, reads=(DIGEST,))
-    # ... and a coverage-reading one sharing its prefix must not lose
-    # the bootstrap's counters to it
-    warm = run_case(case, store=store)
-    assert first.digest == warm.digest == cold.digest
-    assert warm.coverage == cold.coverage
-    # the hub-less prefix is reused by the next hub-less execution
-    hits = store.counters()["hits"]
-    again = run_case(case, store=store, reads=(DIGEST,))
-    assert again.digest == cold.digest
-    assert store.counters()["hits"] == hits + 1
-
-
-def test_report_digest_is_independent_of_who_filled_the_store(tmp_path):
-    budget = len(SEED_CASES)
-    cold = FuzzEngine(seed=SEED).run(budget).digest()
-    store = CheckpointStore(tmp_path / "cache")
-    # engine A sees an empty cache, engine B the one A populated
-    a = FuzzEngine(seed=SEED, store=store).run(budget)
-    b = FuzzEngine(seed=SEED, store=store).run(budget)
-    assert a.digest() == b.digest() == cold
-    assert a.coverage == b.coverage
-    assert store.counters()["hits"] > 0
-
-    # the other order: shrink probes (hub-less bases) fill a cache
-    # first, then a full battery reads coverage through it
-    other = CheckpointStore(tmp_path / "other")
-    probe = FuzzEngine(seed=SEED, store=other)._still_fails(
-        Failure("invariants", "invariants:none", "")
-    )
-    assert not any(probe(case) for case in SEED_CASES)
-    c = FuzzEngine(seed=SEED, store=other).run(budget)
-    assert c.digest() == cold

@@ -53,8 +53,8 @@ def _ignore(advertisements, latency):
 
 
 def build():
-    """What a stored checkpoint holds (``fuzz/runner.py:_bootstrap``, a
-    campaign task under its ``ObsSession``): 8 rendezvous + 5 edges, the
+    """What a stored checkpoint holds (a campaign task's bootstrap,
+    under its ``ObsSession``): 8 rendezvous + 5 edges, the
     fifth on HTTP behind its rendezvous' relay, with a metrics-and-trace
     hub, a kernel trace recorder and a fault controller, two edges
     publishing one 40-item catalog (multi-publisher SRDI buckets,

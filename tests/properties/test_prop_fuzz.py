@@ -1,5 +1,5 @@
 """Property tests for the fuzz layer (genome codec, mutation,
-shrinker, corpus merge) plus the cold-vs-warm bootstrap identity.
+shrinker, corpus merge).
 
 Genomes are generated the way the engine generates them — via the
 seeded ``random_case``/``mutate`` pipeline — so every property runs
@@ -121,19 +121,3 @@ def test_corpus_merge_is_order_independent(n, data):
     # idempotent: merging the merge changes nothing
     assert as_dicts(merge_entries(merged_ab)) == as_dicts(merged_ab)
 
-
-def test_cold_and_warm_bootstrap_runs_are_byte_identical(tmp_path):
-    """A case run with its bootstrap restored from the checkpoint
-    cache must produce the same kernel digest and coverage as a cold
-    run — the contract that lets shrink probes warm-start."""
-    from repro.fuzz.runner import run_case
-    from repro.snapshot import CheckpointStore
-
-    case = SEED_CASES[1]
-    cold = run_case(case)
-    store = CheckpointStore(tmp_path / "cache")
-    miss = run_case(case, store=store)  # builds the checkpoint
-    hit = run_case(case, store=store)  # restores it
-    assert store.counters()["hits"] >= 1
-    assert miss.digest == cold.digest == hit.digest
-    assert miss.coverage == cold.coverage == hit.coverage

@@ -1,17 +1,17 @@
 """Property-based tests: the kernel against a reference model.
 
 The kernel's contract is small: events fire in ``(time, seq)`` order,
-a cancelled event never fires, a fired handle can be re-armed, hooks
-see the events fired while they are registered, ``stop`` ends the run
-it is called in with every later event still pending, and
-``run(until=…)`` fires what is due and leaves the clock at ``until``.
-:class:`Model` is that contract in the plainest code there is — one
-list kept sorted, scanned from the front.  A generated program of
-timer operations (spawn, cancel, reschedule, hook toggles, ``stop``)
-is interpreted on the kernel and on the model and the full observable
-logs are compared exactly — drained with ``run()`` and driven the way
-every experiment drives the kernel, as ``run(until=…)`` slices with
-timers cancelled between them (their tombstones stay in the heap).
+a cancelled event never fires, hooks see the events fired while they
+are registered, ``stop`` ends the run it is called in with every later
+event still pending, and ``run(until=…)`` fires what is due and leaves
+the clock at ``until``.  :class:`Model` is that contract in the
+plainest code there is — one list kept sorted, scanned from the front.
+A generated program of timer operations (spawn, cancel, hook toggles,
+``stop``) is interpreted on the kernel and on the model and the full
+observable logs are compared exactly — drained with ``run()`` and
+driven the way every experiment drives the kernel, as ``run(until=…)``
+slices with timers cancelled between them (their tombstones stay in
+the heap).
 """
 
 import bisect
@@ -42,10 +42,7 @@ class Model:
         self.seq, self.queue, self.hooks, self.stopped = 0, [], [], False
 
     def schedule(self, delay, fn, *args, label=""):
-        return self.reschedule(ModelHandle(self, label), delay, fn, *args)
-
-    def reschedule(self, handle, delay, fn, *args):
-        handle.state = "pending"
+        handle = ModelHandle(self, label)
         bisect.insort(self.queue, (self.now + delay, self.seq, handle, fn, args))
         self.seq += 1
         self.pending_events += 1
@@ -92,7 +89,7 @@ delay_values = st.one_of(
 # ``kind`` selects what the timer does when it fires.
 event_specs = st.tuples(
     delay_values,
-    st.sampled_from(["plain", "spawn", "cancel", "resched", "hook", "stop"]),
+    st.sampled_from(["plain", "spawn", "cancel", "hook", "stop"]),
     delay_values,
     st.integers(min_value=0, max_value=1_000_000),
 )
@@ -126,13 +123,6 @@ def _interpret(sim, events, cuts=None, cancel_at_cuts=False):
         elif kind == "cancel" and handles:
             target = handles[aux_int % len(handles)]
             log.append(("cancel", tag, target.cancel()))
-        elif kind == "resched":
-            # re-arm this timer's own (just-fired) handle, the periodic
-            # pattern; the re-armed shot is plain so it fires once more
-            own = handles[int(tag)]
-            handles[int(tag)] = sim.reschedule(
-                own, aux_delay, fire, f"{tag}r", "plain", 0.0, 0
-            )
         elif kind == "hook":
             if hook_on[0]:
                 sim.remove_trace_hook(hook)

@@ -8,8 +8,6 @@ import pytest
 
 from repro.campaign.tasks import BOOTSTRAP_SPECS
 from repro.experiments import churn_exp, fig4_right, load_exp
-from repro.fuzz import SEED_CASES
-from repro.fuzz import runner as fuzz_runner
 from repro.sim import MINUTES
 from repro.snapshot import checkpoint_key
 
@@ -36,13 +34,6 @@ KEYS = {
     ),
 }
 
-FUZZ_KEYS = (
-    "31dfd19de5e3bcd7823a12730811804b3bd39e3797fe36ef3383baf7f64023ae",
-    "81702825c1ca40a693dab61d6d8c1e993423576f298b09e91c382ebe26233078",
-    "859236a69503cafabea8eb96abb6b573f13fc2ee576c263458f9cd76ef9cb694",
-    "805f3c48d40bc73f5d4417f18422b7a98f8ae52947c8b3beb80e2dbdcb1f693b",
-)
-
 CAMPAIGN_KEYS = {
     "churn": ({"r": 16, "seed": 2}, CHURN_R16_SEED2),
     "load": (
@@ -56,12 +47,6 @@ CAMPAIGN_KEYS = {
 def test_experiment_key_is_pinned(name):
     spec, key = KEYS[name]
     assert checkpoint_key(spec()) == key
-
-
-@pytest.mark.parametrize("index", range(len(FUZZ_KEYS)))
-def test_fuzz_key_is_pinned(index):
-    spec = fuzz_runner.bootstrap_spec(SEED_CASES[index], metrics=True)
-    assert checkpoint_key(spec) == FUZZ_KEYS[index]
 
 
 @pytest.mark.parametrize("task_type", sorted(CAMPAIGN_KEYS))

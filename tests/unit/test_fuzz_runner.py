@@ -14,6 +14,7 @@ import pytest
 from repro.fuzz import SEED_CASES, check_case, run_case
 from repro.fuzz import runner
 from repro.fuzz.engine import FuzzEngine
+from repro.fuzz.genome import BOOTSTRAP_TIME
 from repro.fuzz.runner import (
     COVERAGE,
     DIGEST,
@@ -24,6 +25,7 @@ from repro.fuzz.runner import (
     RunResult,
 )
 from repro.obs.runtime import ObsSession
+from repro.sim import Simulator
 from repro.workload.trace import TraceOp
 
 PLAIN, CRASH, CHURN, LOADED = SEED_CASES
@@ -49,7 +51,7 @@ def _plant(monkeypatch, diverges=lambda **call: False, midpoint=("", ""),
     trace; ``midpoint`` marks the continued and the restored one)."""
     calls = []
 
-    def fake_run_case(case, store=None, reads=EVERYTHING, replay_ops=None):
+    def fake_run_case(case, reads=EVERYTHING, replay_ops=None):
         call = dict(reads=tuple(reads), replay=replay_ops is not None)
         calls.append(call)
         mark = "!" if diverges(**call) else ""
@@ -61,7 +63,7 @@ def _plant(monkeypatch, diverges=lambda **call: False, midpoint=("", ""),
             trace_ops=_ops(mark) if WORKLOAD in reads else None,
         )
 
-    def fake_midpoint(case, store=None):
+    def fake_midpoint(case):
         if case.workload is not None or runner.has_churn(case):
             return None, None, "not snapshottable"
         return (*map(trace, midpoint), None)
@@ -229,30 +231,45 @@ def test_hubless_execution_hides_from_an_ambient_session(instruments):
 
 @pytest.fixture
 def recorders(monkeypatch):
-    """Every execution's (simulator, kernel trace recorder), in order."""
+    """Every execution's (simulator, kernel trace recorder or None), in
+    order."""
     seen = []
-    warm_start = runner.warm_start
+    bootstrap = runner._bootstrap
 
-    def spying(store, key, build):
-        network, extra = warm_start(store, key, build)
-        seen.append((network.sim, extra["recorder"]))
-        return network, extra
+    def spying(case, trace):
+        network, overlay, recorder = bootstrap(case, trace)
+        seen.append((network.sim, recorder))
+        return network, overlay, recorder
 
-    monkeypatch.setattr(runner, "warm_start", spying)
+    monkeypatch.setattr(runner, "_bootstrap", spying)
     return seen
 
 
-def test_only_executions_that_read_the_trace_keep_recording(recorders):
+def test_only_executions_that_read_the_trace_keep_recording(
+    recorders, monkeypatch
+):
+    hooks = []
+    add = Simulator.add_trace_hook
+
+    def counting_add(sim, hook, phases=("fire",)):
+        hooks.append(hook)
+        return add(sim, hook, phases)
+
+    monkeypatch.setattr(Simulator, "add_trace_hook", counting_add)
     report = check_case(LOADED)
     assert report.failures == []
-    hooked = [rec._on_event in sim._fire_hooks for sim, rec in recorders]
     # base, replay: the snapshot oracle skips a workload case, so
-    # neither execution's kernel trace is read and both recorders hold
-    # the bootstrap prefix alone
-    assert hooked == [False, False]
-    base, replay = (rec for _, rec in recorders)
-    assert 0 < len(replay) == len(base)
+    # neither execution's kernel trace is read, and neither hooks the
+    # kernel, not even for the bootstrap prefix
+    assert [rec for _, rec in recorders] == [None, None]
+    assert hooks == []
     assert report.base.trace is None
+    # the snapshot oracle compares traces: its base and its probe record
+    # the bootstrap prefix too
+    del recorders[:]
+    check_case(PLAIN, oracles=("snapshot",), coverage=False)
+    assert [rec._on_event for _, rec in recorders] == hooks
+    assert all(rec.entries[0][0] < BOOTSTRAP_TIME for _, rec in recorders)
 
 
 def test_result_digests_are_the_recorders_digests(recorders, monkeypatch):

@@ -114,22 +114,6 @@ class TestPeriodicTask:
         with pytest.raises(ValueError):
             PeriodicTask(sim, 1.0, lambda: None, start_jitter=-1.0)
 
-    def test_reschedule_moves_next_tick(self):
-        sim = Simulator()
-        times = []
-        task = PeriodicTask(sim, 30.0, lambda: times.append(sim.now))
-        task.start()
-        sim.run(until=10.0)
-        task.reschedule(5.0)  # next tick at t=15 instead of t=30
-        sim.run(until=50.0)
-        assert times == [15.0, 45.0]
-
-    def test_reschedule_requires_running(self):
-        sim = Simulator()
-        task = PeriodicTask(sim, 30.0, lambda: None)
-        with pytest.raises(SchedulingError):
-            task.reschedule()
-
     def test_callback_exception_propagates(self):
         sim = Simulator()
 
