@@ -124,9 +124,10 @@ experiments:
 		--jobs $(JOBS) --out results-ci
 
 # paper-scale runs: 580 peers, two-hour timelines, full sweeps, and the
-# claim table at full size (results/claims.csv).  13 tasks, 366 s of
-# task time: 189 s of wall time at JOBS=2 on a 2-vCPU box (fig4-right
-# 101 s, fig3-left 85 s, load 79 s); --seeds 3 takes 538 s there.
+# claim table at full size (results/claims.csv).  13 tasks, 336 s of
+# task time: 218 s of wall time at JOBS=2 on a 2-vCPU box (load 100 s,
+# fig3-left 87 s, fig3-right 35 s, fig4-right 34 s); --seeds 3 takes
+# 510 s there.
 experiments-full:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli sweep all --full \
 		--jobs $(JOBS) --out results

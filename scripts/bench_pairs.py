@@ -29,8 +29,12 @@ beside its ``SUMMARY.md``, as
 from it).  The full JSONs, and the ``spans-<workload>.npz`` files the
 traced passes leave beside them, are deleted once it is written unless
 ``--keep-full`` is given, and even then stay under ``.benchmarks/``.
-The script prints the compare table and one line per run, and exits
-non-zero when any run failed the benchmark's correctness gate.
+Each ``python -m bench`` runs in a session of its own; a SIGTERM or
+Ctrl-C to the script kills that whole process group, removes the
+unpacked base and, when no ``pairs.jsonl.gz`` was written, the
+group's partial run directory.  The script prints the compare table
+and one line per run, and exits non-zero when any run failed the
+benchmark's correctness gate.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ import hashlib
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import zlib
@@ -57,12 +62,26 @@ def _git(*args: str) -> str:
     return done.stdout.strip()
 
 
+def _terminate(signum, frame):
+    """SIGTERM as an exception, so that every ``finally`` runs."""
+    raise SystemExit(128 + signum)
+
+
 def _bench(tree: Path, *args: str) -> int:
-    """``python -m bench ...`` inside ``tree``, against that tree's src."""
+    """``python -m bench ...`` inside ``tree``, against that tree's src,
+    in a session of its own: if the script is stopped while it waits,
+    the run and every process it started are killed."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    return subprocess.run(
+    child = subprocess.Popen(
         [sys.executable, "-m", "bench", *args], cwd=tree, env=env,
-    ).returncode
+        start_new_session=True,
+    )
+    try:
+        return child.wait()
+    finally:
+        if child.returncode is None:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.wait()
 
 
 #: the gated end-to-end metrics (BENCHMARK.json ``end_to_end``)
@@ -183,13 +202,14 @@ def main(argv=None) -> int:
                         help="keep each run's full JSON (and the last traced "
                         "pass's spans) beside pairs.jsonl.gz")
     args = parser.parse_args(argv)
+    signal.signal(signal.SIGTERM, _terminate)
 
     sha = _git("rev-parse", "--short", f"{args.base}^{{commit}}")
     names = args.workloads.replace(",", "+")
     out = PAIRS_DIR / f"{sha}-seed{args.seed}-{names}"
     out.mkdir(parents=True, exist_ok=True)
     base_tree = PAIRS_DIR / f"tree-{sha}"
-    shutil.rmtree(base_tree, ignore_errors=True)  # left by a killed run
+    shutil.rmtree(base_tree, ignore_errors=True)  # left by a SIGKILLed run
     run_args = ["run", "--repeats", "1", "--seed", str(args.seed),
                 "--workloads", args.workloads]
     if args.quick:
@@ -211,6 +231,10 @@ def main(argv=None) -> int:
                 print(f"== pair {pair}/{args.pairs}: {side}", flush=True)
                 failed += _bench(sides[side], *run_args, "--out", str(path)) != 0
                 runs.append((side, pair, len(runs) + 1, path))
+    except BaseException:
+        if not (out / "pairs.jsonl.gz").exists():
+            shutil.rmtree(out)
+        raise
     finally:
         shutil.rmtree(base_tree)
 

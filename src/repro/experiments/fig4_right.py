@@ -43,14 +43,14 @@ FAKES_PER_NOISER = 100
 NOISER_RDV_SPREAD = 5
 
 #: keyword arguments of :func:`run` per size; the full sweep is the
-#: paper's x axis 0..200, each point over three seeds
+#: paper's x axis 0..200, each point 100 queries on one deployment
 SIZES = {
     "ci": {
-        "r_values": (4, 8, 16), "queries": 30, "seeds": 1,
+        "r_values": (4, 8, 16), "queries": 30,
         "warmup": 8 * MINUTES, "noisers": 10, "fakes_per_noiser": 50,
     },
     "full": {
-        "r_values": (5, 25, 50, 100, 150, 200), "queries": 100, "seeds": 3,
+        "r_values": (5, 25, 50, 100, 150, 200), "queries": 100,
         "warmup": 45 * MINUTES, "noisers": NOISER_COUNT,
         "fakes_per_noiser": FAKES_PER_NOISER,
     },
@@ -202,44 +202,30 @@ def run_point(
 def run(
     r_values: Sequence[int],
     queries: int,
-    seeds: int,
     warmup: float,
     noisers: int,
     fakes_per_noiser: int,
     seed: int = 1,
     checkpoint_store: Optional[CheckpointStore] = None,
 ) -> List[Fig4RightPoint]:
-    """Full sweep: configurations A and B at every r.
+    """Full sweep: configurations A and B at every r, each point one
+    deployment at ``seed``.
 
-    Each point is averaged over ``seeds`` consecutive seeds from
-    ``seed``: the walk distance of a single deployment depends on where
-    the one searched tuple happens to land relative to the observers'
-    views, so one seed per point is dominated by placement luck (the
-    paper's testbed saw the same effect averaged away by drifting
-    peerviews across its 100 queries).
+    The walk distance of a single deployment depends on where the one
+    searched tuple happens to land relative to the observers' views;
+    averaging that placement luck away is the job of ``--seeds N`` and
+    the cross-seed aggregator, which run independent deployments.
     """
     out: List[Fig4RightPoint] = []
     for r in r_values:
         for with_noise in (False, True):
             label = "B" if with_noise else "A"
             print(f"# running r={r} configuration {label} ...", flush=True)
-            per_seed = [
+            out.append(
                 run_point(
-                    r, with_noise, queries=queries, seed=s, warmup=warmup,
+                    r, with_noise, queries=queries, seed=seed, warmup=warmup,
                     noisers=noisers, fakes_per_noiser=fakes_per_noiser,
                     checkpoint_store=checkpoint_store,
-                )
-                for s in range(seed, seed + seeds)
-            ]
-            merged_samples = [s for p in per_seed for s in p.samples]
-            out.append(
-                Fig4RightPoint(
-                    r=r,
-                    configuration=label,
-                    mean_ms=mean_latency_ms(merged_samples),
-                    success=success_rate(merged_samples),
-                    samples=merged_samples,
-                    total_walk_steps=sum(p.total_walk_steps for p in per_seed),
                 )
             )
     print(render(out))

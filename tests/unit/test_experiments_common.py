@@ -4,7 +4,7 @@ import inspect
 
 import pytest
 
-from repro.experiments import cli
+from repro.experiments import cli, fig4_right
 from repro.experiments.common import (
     DiscoverySample,
     mean_latency_ms,
@@ -104,6 +104,8 @@ class TestRunProtocol:
     def test_sizes_bind_to_run(self, name, size):
         module = cli.EXPERIMENTS[name]
         inspect.signature(module.run).bind(**module.SIZES[size], seed=1)
+        # ``--seeds N`` is the one seed axis
+        assert "seeds" not in module.SIZES[size]
 
     def test_warm_start_is_the_modules_with_a_bootstrap_spec(self):
         takes_store = {
@@ -115,3 +117,20 @@ class TestRunProtocol:
             if hasattr(module, "bootstrap_spec")
         }
         assert takes_store == with_spec == {"churn", "fig4-right", "load"}
+
+
+def test_fig4_right_point_at_campaign_seed_s_runs_at_seed_s_only(monkeypatch):
+    seeds = {}
+
+    def run_point(r, with_noise, seed, **_):
+        seeds.setdefault((r, with_noise), set()).add(seed)
+        return fig4_right.Fig4RightPoint(
+            r=r, configuration="B" if with_noise else "A", mean_ms=10.0,
+            success=1.0, samples=[DiscoverySample(0.01, True)],
+            total_walk_steps=0,
+        )
+
+    monkeypatch.setattr(fig4_right, "run_point", run_point)
+    fig4_right.run(**fig4_right.SIZES["full"], seed=2)
+    assert len(seeds) == 2 * len(fig4_right.SIZES["full"]["r_values"])
+    assert all(s == {2} for s in seeds.values())
